@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import fmt17
-from .coarsegrain import CoarseGrainConfig, coarse_grain, lower_bound_certificate
+from .coarsegrain import CoarseGrainConfig, _step_certificate, coarse_grain
 from .diagnostics import defect_sets, good_set, histogram_csv, l_wrong
 from .energy import total_energy
 from .errors import (BracketError, CertificateFailure, Froth1dError,
@@ -232,9 +232,9 @@ def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     save_profile(step.to_grid(profile.dx, bc=profile.bc),
                  out / "sigma.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
-    cert = lower_bound_certificate(
-        params, profile, config=cfg,
-        C_cert=float(config.get("coarsegrain", {}).get("C_cert", 10.0)))
+    cert = _step_certificate(
+        params, profile, step, params.gamma, cfg,
+        float(config.get("coarsegrain", {}).get("C_cert", 10.0)))
     _write_json(out / "coarsegrain.json", {
         "trace": [{"interval": [fmt17(t["interval"][0]), fmt17(t["interval"][1])],
                    "label": t["label"], "case": t["case"],

@@ -411,6 +411,14 @@ def lower_bound_certificate(params: ModelParams, profile: GridProfile,
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     step, _, _ = coarse_grain(params, profile, config, gamma)
+    return _step_certificate(params, profile, step, gamma, config, C_cert)
+
+
+def _step_certificate(params: ModelParams, profile: GridProfile,
+                      step: StepProfile, gamma: float,
+                      config: CoarseGrainConfig,
+                      C_cert: float) -> Certificate:
+    """``lower_bound_certificate`` for an already computed sigma_phi."""
     e_phi = total_energy(params, profile, gamma).total
     bc = "periodic" if profile.bc == "periodic" else "open"
     e_tilde = tilde_energy(params, step, gamma, bc=bc)

@@ -1,10 +1,16 @@
 """Energy functionals on grid and step profiles, and the analytic gradient.
 
-The double integrals are midpoint sums. The exchange term is a banded sum
-over the unit support of J; the long-range term is evaluated per exponential
-atom with two-pass linear recursions (O(N)), cyclically closed for periodic
-boundary conditions. Step-profile dipole energies use closed-form pair
-integrals instead of any grid.
+The double integrals are midpoint sums. Apart from the local well, the grid
+functional is one quadratic form K (exchange band over the unit support of J
+plus one exponential kernel per Kac atom) with cross terms against the outside
+data; energy and gradient come from one application of K, whose per-grid data
+is cached per (params, gamma, N, dx, bc). On the torus K is circulant and is
+applied as one rfft multiply by its closed-form symbol. On an interval it is
+the exchange band plus O(N) two-pass recursions per atom; the fixed bcs add
+cached cross terms: geometric series (plus, minus), one dot product per atom
+(custom) and a rank-two form per end (neumann, whose reflection is linear in
+phi). Step-profile dipole energies use closed-form pair integrals instead of
+any grid.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from scipy.signal import lfilter
 
 from .certificates import fmt17
@@ -60,7 +68,18 @@ class EnergyBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# exponential convolutions
+# exchange band and exponential convolutions
+
+def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float) -> float:
+    """(1/4) double sum of J(x-y)(phi(x)-phi(y))^2 over one interval."""
+    acc = 0.0
+    for k, jk in enumerate(jband, start=1):
+        if jk == 0.0 or k >= samples.size:
+            continue
+        d = samples[k:] - samples[:-k]
+        acc += jk * float(d @ d)
+    return 0.5 * dx * dx * acc
+
 
 def _exp_conv_open(phi: np.ndarray, rho: float) -> np.ndarray:
     """A_i = sum_j rho^{|i-j|} phi_j via two linear recursions."""
@@ -79,33 +98,53 @@ def _exp_conv_open(phi: np.ndarray, rho: float) -> np.ndarray:
     return phi + left + right
 
 
-def _exp_conv_cyclic(phi: np.ndarray, rho: float) -> np.ndarray:
-    """T_i = sum_j sum_n rho^{|i-j+nN|} phi_j on the N-cycle.
+def _atoms(params: ModelParams, gamma: float, dx: float):
+    """Per Kac atom: (weight, gradient prefactor gamma lam dx w, rate gamma a)."""
+    if gamma <= 0.0:
+        return []
+    lam = params.measure.lam
+    return [(w, gamma * lam * dx * w, gamma * a) for w, a in params.measure.atoms]
 
-    Open-chain recursions plus the geometric closure of the wrap-around
-    contribution; all factors decay, so the closure is stable.
+
+def _dipole_open(phi: np.ndarray, atoms, dx: float) -> float:
+    """sum_k w_k <phi, rho_k^{|i-j|} phi> on an open interval: the dipole
+    energy over gamma lam dx^2 / 2."""
+    acc = 0.0
+    for w, _, b in atoms:
+        acc += w * float(phi @ _exp_conv_open(phi, np.exp(-b * dx)))
+    return acc
+
+
+def _torus_dipole_symbol(params: ModelParams, gamma: float, n: int,
+                         dx: float) -> np.ndarray:
+    """rfft symbol of phi -> gamma lam dx sum_k w_k sum_j rho_k^{|i-j|} phi_j
+    on the n-cycle, images included.
+
+    Per atom (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(theta/2)), with
+    1 - rho = -expm1(-gamma a dx), so it stays accurate as gamma dx -> 0.
     """
-    n = phi.size
-    qn = rho ** n
-    if rho == 0.0:
-        return phi.copy()
-    u = lfilter([1.0], [1.0, -rho], phi)          # u_i = sum_{j<=i} rho^{i-j} phi_j
-    l_open = np.empty_like(phi)
-    l_open[0] = 0.0
-    l_open[1:] = rho * u[:-1]
-    l0 = rho * (l_open[-1] + phi[-1]) / (1.0 - qn)
-    left = l_open + l0 * rho ** np.arange(n)
-    ur = lfilter([1.0], [1.0, -rho], phi[::-1])
-    r_open = np.empty_like(phi)
-    r_open[-1] = 0.0
-    r_open[:-1] = (rho * ur[:-1])[::-1]
-    r_last = rho * (r_open[0] + phi[0]) / (1.0 - qn)
-    right = r_open + r_last * rho ** np.arange(n - 1, -1, -1)
-    return phi + left + right
+    s2 = np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    sym = np.zeros(s2.size)
+    for _, pref, b in _atoms(params, gamma, dx):
+        e1 = -np.expm1(-b * dx)
+        sym += pref * e1 * (2.0 - e1) / (e1 * e1 + 4.0 * np.exp(-b * dx) * s2)
+    return sym
+
+
+def _torus_symbol(params: ModelParams, gamma: float, n: int,
+                  dx: float) -> np.ndarray:
+    """rfft symbol of the whole quadratic form on the n-cycle: the exchange
+    pairs (i, (i+k) mod n) for every k = 1..1/dx plus the dipole."""
+    m = np.arange(n // 2 + 1)
+    sym = _torus_dipole_symbol(params, gamma, n, dx)
+    for k, jk in enumerate(params.kernel.band(dx), start=1):
+        # dx J_k (2 - 2 cos(k theta)); k m is reduced mod n before scaling
+        sym += 4.0 * dx * jk * np.sin(np.pi * (k * m % n) / n) ** 2
+    return sym
 
 
 # ---------------------------------------------------------------------------
-# boundary-condition plumbing
+# the quadratic form of one grid and boundary condition
 
 def _out_reach(params: ModelParams, gamma: float) -> float:
     """Distance over which out-of-domain data matters (J range or v cutoff)."""
@@ -114,67 +153,171 @@ def _out_reach(params: ModelParams, gamma: float) -> float:
     return max(1.0, DIPOLE_CUTOFF / (gamma * params.measure.alpha_min))
 
 
-def _neumann_extension(samples: np.ndarray, n_out: int):
-    """Reflected samples and their source indices for one side.
+class _QuadraticForm:
+    """Energy and gradient of the discrete functional on one grid and bc.
 
-    For the right side of [0, L]: position L + (j+1/2)dx maps to the
-    repeated-reflection source index; pattern period is 2N.
+    E = dx sum F(phi) + (dx/2) <phi, K phi> + (cross terms with the outside
+    data), g = F'(phi) + K phi + (their gradient), from one application of K.
+    Holds only what depends on (params, gamma, n, dx, bc), never on samples
+    or on custom outside data; ``_quadratic_form`` caches it.
     """
-    n = samples.size
-    j = np.arange(n_out)
-    m = j % (2 * n)
-    src = np.where(m < n, n - 1 - m, m - n)
-    return samples[src], src
+
+    def __init__(self, params: ModelParams, gamma: float, n: int, dx: float,
+                 bc: str):
+        self.params, self.n, self.dx, self.bc = params, n, dx, bc
+        self.jband = params.kernel.band(dx)
+        self.atoms = _atoms(params, gamma, dx)
+        self.dip_scale = 0.5 * gamma * params.measure.lam * dx ** 2
+        if bc == "periodic":
+            self.symbol = _torus_symbol(params, gamma, n, dx)
+            return
+        if bc not in ("open", "plus", "minus", "neumann", "custom"):
+            raise ValidationError(f"unhandled bc {bc!r}")
+        # open exchange: dx (deg_i phi_i - sum_{0<|k|<=r} J_|k| phi_{i+k})
+        self.jsym = np.concatenate([self.jband[::-1], [0.0], self.jband])
+        self.degree = self._band(np.ones(n))
+        if bc != "open":
+            self._init_boundary(params, gamma)
+
+    def _init_boundary(self, params: ModelParams, gamma: float):
+        n, dx, bc = self.n, self.dx, self.bc
+        r = self.jband.size
+        # exchange pairs across each end: in-sample i and outside sample j at
+        # distance (i + j + 1) dx <= 1; the right end mirrors the left
+        i, j = np.nonzero(np.add.outer(np.arange(r), np.arange(r)) < r)
+        keep = (i < n) & (self.jband[i + j] != 0.0)
+        i, j = i[keep], j[keep]
+        self.pair_in = np.concatenate([i, n - 1 - i])
+        self.pair_w = np.tile(self.jband[i + j], 2)
+        if bc == "neumann":
+            # outside sample j is the in-sample it reflects to (period 2n)
+            m = j % (2 * n)
+            src = np.where(m < n, m, 2 * n - 1 - m)
+            self.pair_out = np.concatenate([src, n - 1 - src])
+        else:
+            # index into the outside values, left ones first
+            self.pair_out = np.concatenate([j, r + j])
+        sign = -1.0 if bc == "minus" else 1.0
+        self.outside = np.full(2 * r, sign * params.m_beta)   # plus, minus
+        self.n_out = int(np.ceil(_out_reach(params, gamma) / dx))
+        # per atom: in-domain decay exp(-b dx (i + 1/2)) from the left end,
+        # and what the outside sum needs besides it
+        x = np.arange(n) + 0.5
+        self.decay = []
+        for _, _, b in self.atoms:
+            din = np.exp(-b * dx * x)
+            if bc == "neumann":
+                # reflected outside sum = phi . c, c summed over the 2n period
+                extra = (din + np.exp(-b * dx * (2 * n - x))) / -np.expm1(
+                    -2 * n * b * dx)
+            elif bc == "custom":
+                extra = np.exp(-b * dx * (np.arange(self.n_out) + 0.5))
+            else:
+                # sum over j >= 0 of +-m_beta exp(-b dx (j + 1/2))
+                extra = sign * params.m_beta * np.exp(-0.5 * b * dx) / -np.expm1(
+                    -b * dx)
+            self.decay.append((din, extra))
+
+    def _boundary(self, profile: GridProfile, g: np.ndarray) -> float:
+        """Cross energy with the outside data; adds its gradient to g."""
+        phi, dx, n = profile.samples, self.dx, self.n
+        neumann = self.bc == "neumann"
+        if neumann:
+            outside = phi
+        elif self.bc == "custom":
+            left, right = profile.out_left, profile.out_right
+            if left is None or right is None:
+                raise MissingBoundaryData("custom bc requires out_left/out_right")
+            if left.size < self.n_out or right.size < self.n_out:
+                raise MissingBoundaryData(
+                    f"custom bc needs {self.n_out} out samples per side "
+                    f"(reach {self.n_out * dx:.3g}), got "
+                    f"{left.size}/{right.size}")
+            left, right = left[:self.n_out], right[:self.n_out]
+            r = self.jband.size
+            outside = np.concatenate([left[:r], right[:r]])
+        else:
+            outside = self.outside
+        d = phi[self.pair_in] - outside[self.pair_out]
+        wd = self.pair_w * d
+        cross = 0.5 * dx * dx * float(wd @ d)
+        g += dx * np.bincount(self.pair_in, wd, n)
+        if neumann:
+            g -= dx * np.bincount(self.pair_out, wd, n)
+        for (_, pref, _), (d_l, extra) in zip(self.atoms, self.decay):
+            d_r = d_l[::-1]
+            u_l, u_r = float(phi @ d_l), float(phi @ d_r)
+            if neumann:
+                c_l, c_r = extra, extra[::-1]
+                t_l, t_r = float(phi @ c_l), float(phi @ c_r)
+                g += pref * (t_l * d_l + u_l * c_l + t_r * d_r + u_r * c_r)
+            elif self.bc == "custom":
+                t_l, t_r = float(left @ extra), float(right @ extra)
+                g += pref * (t_l * d_l + t_r * d_r)
+            else:
+                t_l = t_r = extra
+                g += pref * extra * (d_l + d_r)
+            cross += dx * pref * (u_l * t_l + u_r * t_r)
+        return cross
+
+    def _band(self, phi: np.ndarray) -> np.ndarray:
+        r = self.jband.size
+        return np.convolve(phi, self.jsym)[r:r + self.n]
+
+    def _apply(self, phi: np.ndarray) -> np.ndarray:
+        """K phi: exchange band plus dipole, on the torus or in [0, L]."""
+        if self.bc == "periodic":
+            return irfft(self.symbol * rfft(phi), self.n)
+        kphi = self.dx * (self.degree * phi - self._band(phi))
+        for _, pref, b in self.atoms:
+            kphi += pref * _exp_conv_open(phi, np.exp(-b * self.dx))
+        return kphi
+
+    def __call__(self, profile: GridProfile) -> Tuple[float, np.ndarray]:
+        """(E, g) with g_i = dE/dphi_i / dx."""
+        phi = profile.samples
+        kphi = self._apply(phi)
+        g = eval_F_prime(phi, self.params)
+        g += kphi
+        energy = self.dx * (float(np.sum(eval_F(phi, self.params)))
+                            + 0.5 * float(phi @ kphi))
+        if self.bc not in ("open", "periodic"):
+            energy += self._boundary(profile, g)
+        return energy, g
+
+    def breakdown(self, profile: GridProfile) -> EnergyBreakdown:
+        """``total_energy``'s terms: in-domain exchange and dipole as on an
+        open interval, boundary the rest."""
+        phi, dx = profile.samples, self.dx
+        local = dx * float(np.sum(eval_F(phi, self.params)))
+        exchange = _exchange_banded(phi, self.jband, dx)
+        dipole = self.dip_scale * _dipole_open(phi, self.atoms, dx)
+        if self.bc == "open":
+            boundary = 0.0
+        elif self.bc == "periodic":
+            torus = 0.5 * dx * float(phi @ self._apply(phi))
+            boundary = torus - exchange - dipole
+        else:
+            boundary = self._boundary(profile, np.zeros(self.n))
+        return EnergyBreakdown(local=local, exchange=exchange, dipole=dipole,
+                               boundary=boundary)
 
 
-def _bc_out_arrays(profile: GridProfile, params: ModelParams, gamma: float):
-    """(out_left, src_left, out_right, src_right) sample arrays.
+@lru_cache(maxsize=16)
+def _quadratic_form(params: ModelParams, gamma: float, n: int, dx: float,
+                    bc: str) -> _QuadraticForm:
+    return _QuadraticForm(params, gamma, n, dx, bc)
 
-    ``src`` arrays map out-samples back to in-domain sample indices for
-    boundary conditions whose extension depends on the profile itself
-    (neumann); they are None otherwise.
-    """
-    n_out = int(np.ceil(_out_reach(params, gamma) / profile.dx))
-    bc = profile.bc
-    if bc == "open" or bc == "periodic":
-        return None, None, None, None
-    if bc in ("plus", "minus"):
-        val = params.m_beta if bc == "plus" else -params.m_beta
-        arr = np.full(n_out, val)
-        return arr, None, arr, None
-    if bc == "neumann":
-        right, src_r = _neumann_extension(profile.samples, n_out)
-        # left of 0: position -(j+1/2)dx reflects to index j, then onward
-        left_src_raw = np.arange(n_out)
-        m = left_src_raw % (2 * profile.n)
-        src_l = np.where(m < profile.n, m, 2 * profile.n - 1 - m)
-        return profile.samples[src_l], src_l, right, src_r
-    if bc == "custom":
-        if profile.out_left is None or profile.out_right is None:
-            raise MissingBoundaryData("custom bc requires out_left/out_right")
-        if profile.out_left.size < n_out or profile.out_right.size < n_out:
-            raise MissingBoundaryData(
-                f"custom bc needs {n_out} out samples per side "
-                f"(reach {n_out * profile.dx:.3g}), got "
-                f"{profile.out_left.size}/{profile.out_right.size}")
-        return (profile.out_left[:n_out], None,
-                profile.out_right[:n_out], None)
-    raise ValidationError(f"unhandled bc {bc!r}")
+
+def _energy_and_gradient(params: ModelParams, profile: GridProfile,
+                         gamma: float) -> Tuple[float, np.ndarray]:
+    """(total energy, g) of ``profile`` from one pass of its quadratic form."""
+    return _quadratic_form(params, gamma, profile.n, profile.dx,
+                           profile.bc)(profile)
 
 
 # ---------------------------------------------------------------------------
 # short-range (gamma = 0) energy
-
-def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float) -> float:
-    """(1/4) double sum of J(x-y)(phi(x)-phi(y))^2 over one interval."""
-    acc = 0.0
-    for k, jk in enumerate(jband, start=1):
-        if jk == 0.0 or k >= samples.size:
-            continue
-        d = samples[k:] - samples[:-k]
-        acc += jk * float(d @ d)
-    return 0.5 * dx * dx * acc
-
 
 def short_range_energy(params: ModelParams, profile: GridProfile,
                        interval: Optional[Tuple[float, float]] = None) -> float:
@@ -207,14 +350,9 @@ def dipole_energy(params: ModelParams, profile: GridProfile,
     gamma = params.gamma if gamma is None else gamma
     if gamma <= 0.0:
         return 0.0
-    phi = profile.samples
-    meas = params.measure
-    acc = 0.0
-    for w, a in meas.atoms:
-        rho = np.exp(-gamma * a * profile.dx)
-        conv = _exp_conv_open(phi, rho)
-        acc += w * float(phi @ conv)
-    return 0.5 * gamma * meas.lam * profile.dx ** 2 * acc
+    acc = _dipole_open(profile.samples, _atoms(params, gamma, profile.dx),
+                       profile.dx)
+    return 0.5 * gamma * params.measure.lam * profile.dx ** 2 * acc
 
 
 def dipole_energy_direct(params: ModelParams, profile: GridProfile,
@@ -231,104 +369,30 @@ def dipole_energy_direct(params: ModelParams, profile: GridProfile,
 
 def _dipole_cyclic(params: ModelParams, profile: GridProfile,
                    gamma: float) -> float:
+    """Torus dipole energy: the kernel summed over all periodic images."""
     phi = profile.samples
-    meas = params.measure
-    acc = 0.0
-    for w, a in meas.atoms:
-        rho = np.exp(-gamma * a * profile.dx)
-        conv = _exp_conv_cyclic(phi, rho)
-        acc += w * float(phi @ conv)
-    return 0.5 * gamma * meas.lam * profile.dx ** 2 * acc
+    sym = _torus_dipole_symbol(params, gamma, profile.n, profile.dx)
+    return 0.5 * profile.dx * float(phi @ irfft(sym * rfft(phi), profile.n))
 
 
 # ---------------------------------------------------------------------------
-# total energy with boundary conditions
-
-def _cross_terms(params: ModelParams, profile: GridProfile, gamma: float,
-                 out_left, out_right) -> float:
-    """Remark-style cross energy between [0, L] and fixed outside data."""
-    dx = profile.dx
-    phi = profile.samples
-    jband = params.kernel.band(dx)
-    r = jband.size
-    acc_j = 0.0
-    # J cross term: (1/2) sum over pairs within distance 1 of each end
-    if out_left is not None:
-        for k in range(1, r + 1):
-            # in-sample i pairs with out-sample j when i + j + 1 == k
-            for j in range(min(k, out_left.size)):
-                i = k - 1 - j
-                if i < phi.size and jband[k - 1] != 0.0:
-                    acc_j += jband[k - 1] * (phi[i] - out_left[j]) ** 2
-    if out_right is not None:
-        n = phi.size
-        for k in range(1, r + 1):
-            for j in range(min(k, out_right.size)):
-                i = n - 1 - (k - 1 - j)
-                if 0 <= i < n and jband[k - 1] != 0.0:
-                    acc_j += jband[k - 1] * (phi[i] - out_right[j]) ** 2
-    cross = 0.5 * dx * dx * acc_j
-    # v cross term: gamma * sum phi(x) v(gamma(x-y)) phi_out(y), separable
-    if gamma > 0.0:
-        meas = params.measure
-        n = phi.size
-        acc_v = 0.0
-        for w, a in meas.atoms:
-            b = gamma * a
-            decay_in_r = np.exp(-b * dx * (n - 1 - np.arange(n) + 0.5))
-            decay_in_l = np.exp(-b * dx * (np.arange(n) + 0.5))
-            if out_right is not None:
-                jj = np.arange(out_right.size)
-                decay_out = np.exp(-b * dx * (jj + 0.5))
-                acc_v += w * float(phi @ decay_in_r) * float(out_right @ decay_out)
-            if out_left is not None:
-                jj = np.arange(out_left.size)
-                decay_out = np.exp(-b * dx * (jj + 0.5))
-                acc_v += w * float(phi @ decay_in_l) * float(out_left @ decay_out)
-        cross += gamma * meas.lam * dx * dx * acc_v
-    return cross
-
+# total energy and its gradient
 
 def total_energy(params: ModelParams, profile: GridProfile,
                  gamma: Optional[float] = None) -> EnergyBreakdown:
     """Full energy under the profile's boundary condition.
 
-    Open bc has zero boundary term. Periodic bc uses the torus kernels
-    (geometric closed form for the dipole); the wrap contributions are
-    reported as the boundary term. The other bcs add cross terms against the
-    constant / reflected / user-supplied extension.
+    ``exchange`` and ``dipole`` are the in-domain terms as on an open
+    interval; ``boundary`` holds the rest. Open bc has zero boundary term.
+    Periodic bc uses the torus kernels, every exchange offset k = 1..1/dx
+    taken mod N and the dipole summed over all images; the wrap
+    contributions are the boundary term. The other bcs add cross terms
+    against the constant / reflected / user-supplied extension.
     """
     gamma = params.gamma if gamma is None else gamma
-    dx = profile.dx
-    phi = profile.samples
-    local = dx * float(np.sum(eval_F(phi, params)))
-    jband = params.kernel.band(dx)
-    exchange = _exchange_banded(phi, jband, dx)
-    dip = dipole_energy(params, profile, gamma)
-    if profile.bc == "open":
-        boundary = 0.0
-    elif profile.bc == "periodic":
-        n = phi.size
-        acc = 0.0
-        for k, jk in enumerate(jband, start=1):
-            if jk == 0.0 or k >= n:
-                continue
-            d = phi[np.arange(n)] - phi[(np.arange(n) + k) % n]
-            # only the wrapped pairs are new relative to the open sum
-            dw = d[n - k:]
-            acc += jk * float(dw @ dw)
-        exchange_wrap = 0.5 * dx * dx * acc
-        dip_wrap = (_dipole_cyclic(params, profile, gamma) - dip) if gamma > 0 else 0.0
-        boundary = exchange_wrap + dip_wrap
-    else:
-        out_l, _, out_r, _ = _bc_out_arrays(profile, params, gamma)
-        boundary = _cross_terms(params, profile, gamma, out_l, out_r)
-    return EnergyBreakdown(local=local, exchange=exchange, dipole=dip,
-                           boundary=boundary)
+    return _quadratic_form(params, gamma, profile.n, profile.dx,
+                           profile.bc).breakdown(profile)
 
-
-# ---------------------------------------------------------------------------
-# analytic gradient
 
 def energy_gradient(params: ModelParams, profile: GridProfile,
                     gamma: Optional[float] = None) -> np.ndarray:
@@ -338,88 +402,7 @@ def energy_gradient(params: ModelParams, profile: GridProfile,
     differentiates through the reflected extension.
     """
     gamma = params.gamma if gamma is None else gamma
-    dx = profile.dx
-    phi = profile.samples
-    n = phi.size
-    g = eval_F_prime(phi, params).astype(float)
-    jband = params.kernel.band(dx)
-    periodic = profile.bc == "periodic"
-    # exchange: dx sum_k J_k [(phi_i - phi_{i+k}) + (phi_i - phi_{i-k})]
-    for k, jk in enumerate(jband, start=1):
-        if jk == 0.0:
-            continue
-        if periodic:
-            idx = np.arange(n)
-            g += dx * jk * (2.0 * phi - phi[(idx + k) % n] - phi[(idx - k) % n])
-        else:
-            if k >= n:
-                continue
-            d = phi[:-k] - phi[k:]
-            g[:-k] += dx * jk * d
-            g[k:] -= dx * jk * d
-    # dipole
-    if gamma > 0.0:
-        meas = params.measure
-        for w, a in meas.atoms:
-            rho = np.exp(-gamma * a * dx)
-            conv = (_exp_conv_cyclic(phi, rho) if periodic
-                    else _exp_conv_open(phi, rho))
-            g += gamma * meas.lam * dx * w * conv
-    # fixed or reflected outside data
-    if profile.bc in ("plus", "minus", "neumann", "custom"):
-        out_l, src_l, out_r, src_r = _bc_out_arrays(profile, params, gamma)
-        _accumulate_bc_gradient(params, profile, gamma, g,
-                                out_l, src_l, out_r, src_r)
-    return g
-
-
-def _accumulate_bc_gradient(params, profile, gamma, g,
-                            out_l, src_l, out_r, src_r):
-    dx = profile.dx
-    phi = profile.samples
-    n = phi.size
-    jband = params.kernel.band(dx)
-    r = jband.size
-    # J cross terms (direct dependence, plus mirror dependence for neumann)
-    for k in range(1, r + 1):
-        jk = jband[k - 1]
-        if jk == 0.0:
-            continue
-        for j in range(k):
-            i_l = k - 1 - j
-            if out_l is not None and j < out_l.size and i_l < n:
-                diff = phi[i_l] - out_l[j]
-                g[i_l] += dx * jk * diff
-                if src_l is not None:
-                    g[src_l[j]] -= dx * jk * diff
-            i_r = n - 1 - (k - 1 - j)
-            if out_r is not None and j < out_r.size and 0 <= i_r < n:
-                diff = phi[i_r] - out_r[j]
-                g[i_r] += dx * jk * diff
-                if src_r is not None:
-                    g[src_r[j]] -= dx * jk * diff
-    if gamma <= 0.0:
-        return
-    meas = params.measure
-    for w, a in meas.atoms:
-        b = gamma * a
-        pref = gamma * meas.lam * w * dx
-        for out, src, inward in ((out_l, src_l, True), (out_r, src_r, False)):
-            if out is None:
-                continue
-            jj = np.arange(out.size)
-            decay_out = np.exp(-b * dx * (jj + 0.5))
-            s_out = float(out @ decay_out)
-            if inward:
-                decay_in = np.exp(-b * dx * (np.arange(n) + 0.5))
-            else:
-                decay_in = np.exp(-b * dx * (n - 0.5 - np.arange(n)))
-            # direct: d/dphi_i of gamma phi V phi_out
-            g += pref * s_out * decay_in
-            if src is not None:
-                # mirror: each out sample j is phi[src[j]]
-                s_in = float(phi @ decay_in)
-                np.add.at(g, src, pref * s_in * decay_out)
+    return _energy_and_gradient(params, profile, gamma)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import energy_gradient, sharp_energy, total_energy
+from .energy import _energy_and_gradient, sharp_energy, total_energy
 from .errors import LineSearchFailure, ValidationError
 from .model import ModelParams
 from .profiles import GridProfile, StepProfile
@@ -110,21 +110,21 @@ def _project_mean_box(phi, mean, rounds=100, tol=1e-13):
 
 
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
-             options: MinimizeOptions, project, keep_trace: bool = True,
+             options: MinimizeOptions, project,
              stationarity=_projected_grad_norm) -> MinimizeResult:
     phi = project(profile.samples.copy())
     prof = profile.with_samples(phi)
-    energy = total_energy(params, prof, gamma).total
+    # one evaluation per line-search candidate; the accepted candidate's
+    # gradient is the next iteration's
+    energy, g = _energy_and_gradient(params, prof, gamma)
     step = options.step0
     rows: List[Tuple[float, float, float, float]] = []
     status = "max_iters"
     converged = False
     it = 0
     for it in range(1, options.max_iters + 1):
-        g = energy_gradient(params, prof, gamma)
         gnorm = stationarity(phi, g)
-        if keep_trace:
-            rows.append((it - 1, energy, gnorm, step))
+        rows.append((it - 1, energy, gnorm, step))
         if gnorm <= options.grad_tol:
             converged = True
             status = "converged"
@@ -134,7 +134,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             # L2 gradient flow step: g is the discrete functional derivative
             cand = project(phi - step * g)
             cand_prof = prof.with_samples(cand)
-            cand_energy = total_energy(params, cand_prof, gamma).total
+            cand_energy, cand_g = _energy_and_gradient(params, cand_prof, gamma)
             decrease = prof.dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
             if cand_energy <= energy - options.armijo * decrease:
                 accepted = True
@@ -143,12 +143,10 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         if not accepted:
             status = "line_search_failure"
             break
-        phi, prof, energy = cand, cand_prof, cand_energy
+        phi, prof, energy, g = cand, cand_prof, cand_energy, cand_g
         step = min(step * options.step_grow, 1e6)
-    g = energy_gradient(params, prof, gamma)
     gnorm = stationarity(phi, g)
-    if keep_trace:
-        rows.append((it, energy, gnorm, step))
+    rows.append((it, energy, gnorm, step))
     result = MinimizeResult(profile=prof, energy=energy, grad_norm=gnorm,
                             iterations=it, converged=converged,
                             trace=np.array(rows), status=status)

@@ -91,7 +91,13 @@ class GridProfile:
         return (np.arange(self.n) + 0.5) * self.dx
 
     def with_samples(self, samples) -> "GridProfile":
-        return replace(self, samples=np.asarray(samples, dtype=float))
+        """Same grid, bc and outside data with new samples. Only the samples
+        are validated; the outside data was when this profile was built."""
+        prof = replace(self, samples=np.asarray(samples, dtype=float),
+                       out_left=None, out_right=None)
+        object.__setattr__(prof, "out_left", self.out_left)
+        object.__setattr__(prof, "out_right", self.out_right)
+        return prof
 
     def mean(self) -> float:
         return float(self.samples.mean())

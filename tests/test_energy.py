@@ -1,15 +1,65 @@
 import numpy as np
 import pytest
 
-from froth1d.energy import (dipole_energy, dipole_energy_direct,
-                            energy_gradient, short_range_energy,
-                            step_dipole_energy, tilde_energy, total_energy)
+from froth1d.energy import (_energy_and_gradient, dipole_energy,
+                            dipole_energy_direct, energy_gradient,
+                            short_range_energy, step_dipole_energy,
+                            tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData
+from froth1d.model import eval_F
 from froth1d.profiles import GridProfile, StepProfile
 
 
 def random_profile(rng, n=256, dx=1.0 / 16.0, bc="open", lo=-0.95, hi=0.95):
     return GridProfile(L=n * dx, dx=dx, samples=rng.uniform(lo, hi, n), bc=bc)
+
+
+def outside_samples(profile, n_out, m_beta):
+    """Explicit (left, right) extensions of length n_out: constant +-m_beta,
+    the even reflection about both ends (period 2N), or the custom data."""
+    phi = profile.samples
+    if profile.bc in ("plus", "minus"):
+        s = m_beta if profile.bc == "plus" else -m_beta
+        return np.full(n_out, s), np.full(n_out, s)
+    if profile.bc == "neumann":
+        reps = n_out // (2 * phi.size) + 1
+        return (np.tile(np.concatenate([phi, phi[::-1]]), reps)[:n_out],
+                np.tile(np.concatenate([phi[::-1], phi]), reps)[:n_out])
+    return profile.out_left[:n_out], profile.out_right[:n_out]
+
+
+def dense_energy(params, profile, gamma):
+    """O(N^2) midpoint double sums over [0, L] and its outside extension.
+
+    Periodic: J and each exponential atom are summed over all periodic
+    images (the atoms in closed form). Fixed bcs: pair sums against an
+    explicit extension of length ceil(46 / (gamma alpha_min dx)).
+    """
+    phi, dx, L, x = profile.samples, profile.dx, profile.L, profile.x
+    kern, meas = params.kernel, params.measure
+    sep = x[:, None] - x[None, :]
+    if profile.bc == "periodic":
+        reach = int(np.ceil(1.0 / L)) + 1
+        jmat = sum(kern(np.abs(sep + m * L)) for m in range(-reach, reach + 1))
+        d = np.abs(sep)
+        vmat = meas.lam * sum(
+            w * (np.exp(-gamma * a * d) + np.exp(-gamma * a * (L - d)))
+            / -np.expm1(-gamma * a * L) for w, a in meas.atoms)
+    else:
+        jmat = kern(np.abs(sep))
+        vmat = meas.v(gamma * sep)
+    energy = (dx * np.sum(eval_F(phi, params))
+              + 0.25 * dx * dx * np.sum(jmat * (phi[:, None] - phi[None, :]) ** 2)
+              + 0.5 * gamma * dx * dx * float(phi @ vmat @ phi))
+    if profile.bc in ("open", "periodic"):
+        return energy
+    n_out = int(np.ceil(46.0 / (gamma * meas.alpha_min * dx)))
+    y = (np.arange(n_out) + 0.5) * dx
+    for out, dist in zip(outside_samples(profile, n_out, params.m_beta),
+                         (x[:, None] + y[None, :], (L - x)[:, None] + y[None, :])):
+        energy += 0.5 * dx * dx * np.sum(kern(dist) * (phi[:, None] - out) ** 2)
+        energy += gamma * dx * dx * float(phi @ meas.v(gamma * dist) @ out)
+    return energy
 
 
 class TestShortRange:
@@ -177,11 +227,62 @@ class TestGradient:
         scale = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(g[idx] - fd)) / scale < 1e-6
 
+    def test_short_periodic_box(self, params, rng):
+        # box shorter than the exchange range: offsets k >= N wrap mod N
+        n, dx, gamma = 6, 1.0 / 8.0, 2e-2
+        p = random_profile(rng, n=n, dx=dx, bc="periodic")
+        g = energy_gradient(params, p, gamma)
+        h = 1e-6
+        fd = np.empty(n)
+        for i in range(n):
+            up = p.samples.copy(); up[i] += h
+            dn = p.samples.copy(); dn[i] -= h
+            fd[i] = (total_energy(params, p.with_samples(up), gamma).total
+                     - total_energy(params, p.with_samples(dn), gamma).total
+                     ) / (2 * h * dx)
+        assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-6
+
     def test_stationary_at_uniform(self, params):
         for val in (params.m_beta, 0.0):
             p = GridProfile.constant(val, L=16.0, dx=1.0 / 16.0)
             g = energy_gradient(params, p, 0.0)
             assert np.max(np.abs(g)) < 1e-12
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("bc,gamma", [
+        (bc, gamma) for bc in ("open", "periodic", "plus", "minus", "neumann",
+                               "custom") for gamma in (1e-2, 0.1)
+    ] + [("periodic", 1e-4)])
+    def test_energy_matches_dense_sum(self, two_atom_params, rng, bc, gamma):
+        params = two_atom_params
+        n, dx = 40, 1.0 / 8.0
+        kwargs = {}
+        if bc == "custom":
+            n_out = int(np.ceil(46.0 / (gamma * dx)))
+            kwargs = dict(out_left=rng.uniform(-0.9, 0.9, n_out),
+                          out_right=rng.uniform(-0.9, 0.9, n_out))
+        p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-0.95, 0.95, n),
+                        bc=bc, **kwargs)
+        ref = dense_energy(params, p, gamma)
+        assert total_energy(params, p, gamma).total == pytest.approx(ref, rel=1e-10)
+        energy, _ = _energy_and_gradient(params, p, gamma)
+        assert energy == pytest.approx(ref, rel=1e-10)
+
+    def test_short_periodic_box(self, params, rng):
+        p = random_profile(rng, n=6, dx=1.0 / 8.0, bc="periodic")
+        ref = dense_energy(params, p, 2e-2)
+        assert total_energy(params, p, 2e-2).total == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-7])
+    def test_uniform_torus_small_gamma(self, params, gamma):
+        # the midpoint sum of a uniform profile is m^2 x coth(x) per length,
+        # x = gamma dx / 2; it needs 1 - rho formed as -expm1(-gamma dx)
+        m, dx = params.m_beta, 1.0 / 64.0
+        p = GridProfile.constant(m, L=16.0, dx=dx, bc="periodic")
+        x = 0.5 * gamma * dx
+        energy, _ = _energy_and_gradient(params, p, gamma)
+        assert energy == pytest.approx(p.L * m * m * x / np.tanh(x), rel=1e-12)
 
 
 class TestTildeEnergy:

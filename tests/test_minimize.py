@@ -54,6 +54,23 @@ class TestMinimizeEnergy:
                                                  bc="periodic"), 1e-2, opts)
         assert dn.energy == pytest.approx(up.energy, abs=1e-9)
 
+    @pytest.mark.parametrize("bc", ["open", "periodic", "plus", "minus",
+                                    "neumann", "custom"])
+    def test_energy_is_total_energy(self, params, rng, bc):
+        n, dx, gamma = 128, 1.0 / 16.0, 1e-2
+        kwargs = {}
+        if bc == "custom":
+            n_out = int(np.ceil(46.0 / (gamma * dx)))
+            kwargs = dict(out_left=rng.uniform(-0.9, 0.9, n_out),
+                          out_right=rng.uniform(-0.9, 0.9, n_out))
+        init = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1, 1, n),
+                           bc=bc, **kwargs)
+        res = minimize_energy(params, init, gamma,
+                              MinimizeOptions(max_iters=40, grad_tol=1e-9))
+        assert res.energy == pytest.approx(
+            total_energy(params, res.profile, gamma).total, rel=1e-12)
+        assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+
 
 class TestMeanConstraint:
     @pytest.mark.parametrize("mean", [0.96, 0.98, 1.0])

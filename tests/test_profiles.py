@@ -102,6 +102,20 @@ class TestCoarseVersion:
         assert abs(abs(plateau) - params.m_beta) < 1e-3
 
 
+class TestGridProfile:
+    def test_with_samples_shares_outside_data(self, rng):
+        # descents call with_samples per candidate; the outside data (up to
+        # 46/(gamma dx) samples a side) is validated once, not copied again
+        out = rng.uniform(-0.9, 0.9, 1000)
+        p = GridProfile(L=4.0, dx=0.125, samples=np.zeros(32), bc="custom",
+                        out_left=out, out_right=-out)
+        q = p.with_samples(rng.uniform(-1, 1, 32))
+        assert q.out_left is p.out_left and q.out_right is p.out_right
+        assert q.bc == "custom" and not q.samples.flags.writeable
+        with pytest.raises(InvariantError):
+            p.with_samples(np.full(32, 1.5))
+
+
 class TestStepProfile:
     def test_mean_and_jumps(self):
         s = StepProfile(breakpoints=np.array([0.0, 1.0, 3.0]),
