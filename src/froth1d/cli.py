@@ -23,7 +23,8 @@ from .energy import total_energy
 from .errors import (BracketError, CertificateFailure, Froth1dError,
                      LineSearchFailure, NonConvergence, ParseError,
                      ValidationError)
-from .instanton import build_trial_profile, solve_instanton, tail_rate
+from .instanton import (Instanton, build_trial_profile, solve_instanton,
+                        tail_rate)
 from .minimize import MinimizeOptions, multistart
 from .model import ModelParams
 from .profiles import GridProfile, load_profile, save_profile
@@ -94,6 +95,16 @@ def _csv_header(config: dict) -> str:
     return f"# config_sha256 {_config_hash(config)}\n"
 
 
+def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
+    """The instanton under the config's ``instanton`` settings."""
+    sec = config.get("instanton", {})
+    return solve_instanton(
+        params, half_width=float(sec.get("half_width", 30.0)),
+        dx=float(sec.get("dx", 1.0 / 64.0)), tol=float(sec.get("tol", 1e-10)),
+        max_sweeps=int(sec.get("max_sweeps", 50000)),
+        damping=float(sec.get("damping", 0.0)))
+
+
 def _tau_params(params: ModelParams, config: dict, out: Path):
     """Params with tau: configured value, or the instanton artifact, or solve."""
     if params.tau is not None:
@@ -102,21 +113,13 @@ def _tau_params(params: ModelParams, config: dict, out: Path):
     if art.exists():
         tau = float(json.loads(art.read_text())["tau"])
         return params.with_tau(tau), None
-    sec = config.get("instanton", {})
-    inst = solve_instanton(params, half_width=float(sec.get("half_width", 30.0)),
-                           dx=float(sec.get("dx", 1.0 / 64.0)),
-                           tol=float(sec.get("tol", 1e-10)))
+    inst = _solve_instanton(params, config)
     return params.with_tau(inst.tau), inst
 
 
 def cmd_instanton(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
-    sec = config.get("instanton", {})
-    inst = solve_instanton(
-        params, half_width=float(sec.get("half_width", 30.0)),
-        dx=float(sec.get("dx", 1.0 / 64.0)), tol=float(sec.get("tol", 1e-10)),
-        max_sweeps=int(sec.get("max_sweeps", 50000)),
-        damping=float(sec.get("damping", 0.0)))
+    inst = _solve_instanton(params, config)
     headers = {"tau": inst.tau}
     payload = {"tau": fmt17(inst.tau), "residual": fmt17(inst.residual),
                "half_width": fmt17(inst.W), "dx": fmt17(inst.dx)}
@@ -178,11 +181,15 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         seed=seed)
     init = None
     if sec.get("init") == "trial":
-        if inst is None:
-            sec_i = config.get("instanton", {})
-            inst = solve_instanton(
-                params, half_width=float(sec_i.get("half_width", 30.0)),
-                dx=float(sec_i.get("dx", 1.0 / 64.0)))
+        if inst is None and "tau" in config["model"]:
+            inst = _solve_instanton(params, config)
+        elif inst is None:
+            # tau came from the instanton artifacts; q round-trips (17 digits)
+            prof, _ = load_profile(out / "instanton.profile")
+            doc = json.loads((out / "instanton.json").read_text())
+            inst = Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
+                             m_beta=params.m_beta,
+                             residual=float(doc["residual"]))
         h_cell = round(h_star / dx) * dx
         n_cells = max(2, int(round(L / h_cell)) // 2 * 2)
         init = build_trial_profile(h_cell, n_cells * h_cell, inst, bc=bc, dx=dx)

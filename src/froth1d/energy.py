@@ -4,18 +4,20 @@ The double integrals are midpoint sums. Apart from the local well, the grid
 functional is one quadratic form K (exchange band over the unit support of J
 plus one exponential kernel per Kac atom) with cross terms against the outside
 data; energy and gradient come from one application of K, whose per-grid data
-is cached per (params, gamma, N, dx, bc). On the torus K is circulant and is
-applied as one rfft multiply by its closed-form symbol. On an interval it is
-the exchange band plus O(N) two-pass recursions per atom; the fixed bcs add
-cached cross terms: geometric series (plus, minus), one dot product per atom
-(custom) and a rank-two form per end (neumann, whose reflection is linear in
-phi). Step-profile dipole energies use closed-form pair integrals instead of
-any grid.
+is cached per (params, gamma, N, dx, bc), and one pass of the well kernel
+``model._well``, which gives F and F' per sample from one log1p pair. On the
+torus K is circulant and is applied as one rfft multiply by its closed-form
+symbol. On an interval it is the exchange band plus O(N) two-pass recursions
+per atom; the fixed bcs add cached cross terms: geometric series (plus,
+minus), one dot product per atom (custom) and a rank-two form per end
+(neumann, whose reflection is linear in phi). Step-profile dipole energies
+use closed-form pair integrals, free of cancellation, instead of any grid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +29,7 @@ from scipy.signal import lfilter
 
 from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
-from .model import (ModelParams, eval_F, eval_F_prime, eval_tilde_F)
+from .model import ModelParams, _well, eval_F, eval_tilde_F
 from .profiles import GridProfile, StepProfile
 
 __all__ = [
@@ -218,9 +220,9 @@ class _QuadraticForm:
                     -b * dx)
             self.decay.append((din, extra))
 
-    def _boundary(self, profile: GridProfile, g: np.ndarray) -> float:
+    def _boundary(self, phi, profile: GridProfile, g: np.ndarray) -> float:
         """Cross energy with the outside data; adds its gradient to g."""
-        phi, dx, n = profile.samples, self.dx, self.n
+        dx, n = self.dx, self.n
         neumann = self.bc == "neumann"
         if neumann:
             outside = phi
@@ -273,23 +275,22 @@ class _QuadraticForm:
             kphi += pref * _exp_conv_open(phi, np.exp(-b * self.dx))
         return kphi
 
-    def __call__(self, profile: GridProfile) -> Tuple[float, np.ndarray]:
-        """(E, g) with g_i = dE/dphi_i / dx."""
-        phi = profile.samples
+    def __call__(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
+        """(E, g) of samples phi in [-1, 1] with the grid and outside data of
+        ``profile``; g_i = dE/dphi_i / dx."""
         kphi = self._apply(phi)
-        g = eval_F_prime(phi, self.params)
+        f, g = _well(phi, self.params)
         g += kphi
-        energy = self.dx * (float(np.sum(eval_F(phi, self.params)))
-                            + 0.5 * float(phi @ kphi))
+        energy = self.dx * (float(np.sum(f)) + 0.5 * float(phi @ kphi))
         if self.bc not in ("open", "periodic"):
-            energy += self._boundary(profile, g)
+            energy += self._boundary(phi, profile, g)
         return energy, g
 
     def breakdown(self, profile: GridProfile) -> EnergyBreakdown:
         """``total_energy``'s terms: in-domain exchange and dipole as on an
         open interval, boundary the rest."""
         phi, dx = profile.samples, self.dx
-        local = dx * float(np.sum(eval_F(phi, self.params)))
+        local = dx * float(np.sum(_well(phi, self.params)[0]))
         exchange = _exchange_banded(phi, self.jband, dx)
         dipole = self.dip_scale * _dipole_open(phi, self.atoms, dx)
         if self.bc == "open":
@@ -298,7 +299,7 @@ class _QuadraticForm:
             torus = 0.5 * dx * float(phi @ self._apply(phi))
             boundary = torus - exchange - dipole
         else:
-            boundary = self._boundary(profile, np.zeros(self.n))
+            boundary = self._boundary(phi, profile, np.zeros(self.n))
         return EnergyBreakdown(local=local, exchange=exchange, dipole=dipole,
                                boundary=boundary)
 
@@ -313,7 +314,7 @@ def _energy_and_gradient(params: ModelParams, profile: GridProfile,
                          gamma: float) -> Tuple[float, np.ndarray]:
     """(total energy, g) of ``profile`` from one pass of its quadratic form."""
     return _quadratic_form(params, gamma, profile.n, profile.dx,
-                           profile.bc)(profile)
+                           profile.bc)(profile.samples, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -408,34 +409,32 @@ def energy_gradient(params: ModelParams, profile: GridProfile,
 # ---------------------------------------------------------------------------
 # step profiles: exact dipole and the effective functional
 
-def _pair_integral_open(b: float, edges: np.ndarray) -> np.ndarray:
-    """Matrix of closed-form integrals of exp(-b|x-y|) over cell pairs."""
-    w = np.diff(edges)
-    left = edges[:-1]
-    right = edges[1:]
-    f = (1.0 - np.exp(-b * w)) / b
-    gap = left[None, :] - right[:, None]          # gap between cell i and j > i
-    with np.errstate(over="ignore"):
-        mat = np.outer(f, f) * np.where(gap >= 0.0, np.exp(-b * np.maximum(gap, 0.0)), 0.0)
-    mat = mat + mat.T
-    np.fill_diagonal(mat, (2.0 / b / b) * (b * w - 1.0 + np.exp(-b * w)))
-    return mat
+# 1/k!, k = 2..16: Taylor series of e^x - 1 - x, exact to rounding for |x| <= 0.5
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(2, 17)])
 
 
-def _pair_integral_wrap(b: float, edges: np.ndarray, L: float) -> np.ndarray:
-    """Same for exp(-b(L - |x-y|)), the complementary torus distance."""
+def _pair_integral(b: float, edges: np.ndarray, L=None) -> np.ndarray:
+    """Matrix of closed-form integrals of exp(-b|x-y|) over cell pairs; with
+    ``L``, of exp(-b(L - |x-y|)), the complementary torus distance."""
     w = np.diff(edges)
-    left = edges[:-1]
-    right = edges[1:]
-    fgrow = (1.0 - np.exp(-b * w)) / b            # normalized growing-exp factor
-    gap = left[None, :] - right[:, None]
-    comp = L - gap - w[:, None] - w[None, :]      # wrap distance between far edges
-    mat = np.outer(fgrow, fgrow) * np.where(gap >= 0.0,
-                                            np.exp(-b * np.maximum(comp, 0.0)), 0.0)
+    x = b * w
+    f = -np.expm1(-x) / b
+    gap = edges[None, :-1] - edges[1:, None]      # gap between cell i and j > i
+    # distance between near edges, or the wrap distance between far edges
+    dist = gap if L is None else L - gap - w[:, None] - w[None, :]
+    mat = np.outer(f, f) * np.exp(-b * np.maximum(dist, 0.0)) * (gap >= 0.0)
     mat = mat + mat.T
-    diag = (2.0 / b / b) * (np.exp(-b * (L - w)) - np.exp(-b * L)
-                            - b * w * np.exp(-b * L))
-    np.fill_diagonal(mat, diag)
+    # diagonal: e^{-x} - 1 + x (cell self-integral), or e^{-bL} (e^x - 1 - x)
+    z = -x if L is None else x
+    diag = np.vander(z, _TAYLOR.size, increasing=True) @ _TAYLOR * z * z
+    if L is not None:
+        diag *= np.exp(-b * L)
+    if x.max() > 0.5:   # closed forms, free of cancellation (and overflow) there
+        large = np.flatnonzero(x > 0.5)
+        x, w = x[large], w[large]
+        diag[large] = x + np.expm1(-x) if L is None else np.exp(-b * (L - w)) * (
+            -np.expm1(-x) - x * np.exp(-x))
+    np.fill_diagonal(mat, (2.0 / b / b) * diag)
     return mat
 
 
@@ -454,10 +453,10 @@ def step_dipole_energy(params: ModelParams, step: StepProfile,
     acc = 0.0
     for w_k, a_k in meas.atoms:
         b = gamma * a_k
-        mat = _pair_integral_open(b, edges)
+        mat = _pair_integral(b, edges)
         if bc == "periodic":
-            qL = np.exp(-b * step.L)
-            mat = (mat + _pair_integral_wrap(b, edges, step.L)) / (1.0 - qL)
+            mat = (mat + _pair_integral(b, edges, step.L)) / -np.expm1(
+                -b * step.L)
         acc += w_k * float(vals @ mat @ vals)
     return 0.5 * gamma * meas.lam * acc
 

@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .energy import _exchange_banded
 from .errors import CellTooShort, FitError, NonConvergence, ValidationError
 from .model import ModelParams, eval_F
 from .profiles import GridProfile
@@ -134,14 +135,8 @@ def surface_tension(instanton: Instanton, params: ModelParams) -> float:
     jband = params.kernel.band(dx)
     r = jband.size
     ext = np.concatenate([np.full(r, -m), q, np.full(r, m)])
-    acc = 0.0
-    for k, jk in enumerate(jband, start=1):
-        if jk == 0.0:
-            continue
-        d = ext[k:] - ext[:-k]
-        acc += jk * float(d @ d)
     # the extension is flat, so including pairs fully outside costs nothing
-    return local + 0.5 * dx * dx * acc
+    return local + _exchange_banded(ext, jband, dx)
 
 
 def tail_rate(instanton: Instanton, floor: float = 1e-13,

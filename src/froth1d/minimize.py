@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import _energy_and_gradient, sharp_energy, total_energy
+from .energy import _quadratic_form, sharp_energy, total_energy
 from .errors import LineSearchFailure, ValidationError
 from .model import ModelParams
 from .profiles import GridProfile, StepProfile
@@ -112,11 +112,14 @@ def _project_mean_box(phi, mean, rounds=100, tol=1e-13):
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
              options: MinimizeOptions, project,
              stationarity=_projected_grad_norm) -> MinimizeResult:
-    phi = project(profile.samples.copy())
-    prof = profile.with_samples(phi)
+    # candidates are plain arrays, each the output of a clip (both projections
+    # end in one), so only the returned profile is built and validated
+    evaluate = _quadratic_form(params, gamma, profile.n, profile.dx,
+                               profile.bc)
+    phi = project(profile.samples)
     # one evaluation per line-search candidate; the accepted candidate's
     # gradient is the next iteration's
-    energy, g = _energy_and_gradient(params, prof, gamma)
+    energy, g = evaluate(phi, profile)
     step = options.step0
     rows: List[Tuple[float, float, float, float]] = []
     status = "max_iters"
@@ -133,9 +136,8 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         while step >= options.min_step:
             # L2 gradient flow step: g is the discrete functional derivative
             cand = project(phi - step * g)
-            cand_prof = prof.with_samples(cand)
-            cand_energy, cand_g = _energy_and_gradient(params, cand_prof, gamma)
-            decrease = prof.dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
+            cand_energy, cand_g = evaluate(cand, profile)
+            decrease = profile.dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
             if cand_energy <= energy - options.armijo * decrease:
                 accepted = True
                 break
@@ -143,12 +145,12 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         if not accepted:
             status = "line_search_failure"
             break
-        phi, prof, energy, g = cand, cand_prof, cand_energy, cand_g
+        phi, energy, g = cand, cand_energy, cand_g
         step = min(step * options.step_grow, 1e6)
     gnorm = stationarity(phi, g)
     rows.append((it, energy, gnorm, step))
-    result = MinimizeResult(profile=prof, energy=energy, grad_norm=gnorm,
-                            iterations=it, converged=converged,
+    result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
+                            grad_norm=gnorm, iterations=it, converged=converged,
                             trace=np.array(rows), status=status)
     if status == "line_search_failure":
         raise LineSearchFailure("backtracking underflowed", result=result)

@@ -5,16 +5,20 @@ mean-field magnetization entropy, a compactly supported even exchange kernel
 J with unit range, and a long-range kernel v given by a finite mixture of
 decaying exponentials (a Laplace transform of an atomic measure, hence
 reflection positive by construction).
+
+The well F and its slope F' come from one pass of ``_well`` (one log1p pair
+per sample, a(m_beta) computed once per parameter set), which ``eval_F``,
+``eval_F_prime`` and the energy evaluator call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .certificates import Certificate
 from .errors import DomainError, SubcriticalError, ValidationError
@@ -212,13 +216,6 @@ def solve_m_beta(beta_j0: float) -> float:
     return m
 
 
-def _entropy(t):
-    # (1+t)/2 log((1+t)/2) + (1-t)/2 log((1-t)/2), with x log x -> 0 at x = 0
-    p = (1.0 + t) / 2.0
-    q = (1.0 - t) / 2.0
-    return xlogy(p, p) + xlogy(q, q)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameterization of the functional.
@@ -318,6 +315,11 @@ class ModelParams:
             raise ValidationError("tau not set; solve the instanton first")
         return self.tau
 
+    @cached_property
+    def _a_min(self) -> float:
+        """a(m_beta) + log(2)/beta as ``_well`` computes it for a sample."""
+        return float(_unclamped_a(np.array([self.m_beta]), self)[0])
+
 
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
@@ -326,15 +328,39 @@ def _check_domain(t):
     return np.clip(t, -1.0, 1.0)
 
 
+def _shifted_a(s, lp, lm, params: ModelParams):
+    """a(s) + log(2)/beta from the pair lp = log1p(s), lm = log1p(-s)."""
+    out = (1.0 + s) * lp + (1.0 - s) * lm
+    return out / (2.0 * params.beta) - (0.5 * params.kernel.j0_hat) * (s * s)
+
+
+def _unclamped_a(u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``_shifted_a`` at u in [0, 1], exact at u = 1 (no entropy there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = _shifted_a(u, np.log1p(u), np.log1p(-u), params)
+    a[u == 1.0] = math.log(2.0) / params.beta - 0.5 * params.kernel.j0_hat
+    return a
+
+
+def _well(t: np.ndarray, params: ModelParams, edge: float = 1.0 - 1e-12):
+    """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
+    log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
+    one log1p pair on s = clip(t, -edge, edge); F takes a(|t|) beyond it."""
+    s = np.minimum(np.maximum(t, -edge), edge)    # np.clip is slower
+    lp, lm = np.log1p(s), np.log1p(-s)
+    slope = (lp - lm) / (2.0 * params.beta) - params.kernel.j0_hat * s
+    f = _shifted_a(s, lp, lm, params) - params._a_min
+    out = np.flatnonzero(s != t)
+    if out.size:
+        f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min
+    return f, slope
+
+
 def eval_F(t, params: ModelParams):
     """Double-well density F(t) = a(t) - a(m_beta), nonnegative and even."""
     t = _check_domain(t)
-    j0 = params.kernel.j0_hat
-    a_t = -0.5 * j0 * t * t + _entropy(t) / params.beta
-    m = params.m_beta
-    a_min = -0.5 * j0 * m * m + _entropy(m) / params.beta
-    out = a_t - a_min
-    return out if np.ndim(out) else float(out)
+    out = _well(t.reshape(-1), params)[0].reshape(t.shape)
+    return out if out.ndim else float(out)
 
 
 def eval_F_prime(t, params: ModelParams, clamp: float = 1e-12):
@@ -344,7 +370,7 @@ def eval_F_prime(t, params: ModelParams, clamp: float = 1e-12):
     |t| = 1 - ``clamp`` so projected-gradient iterations stay finite.
     """
     t = np.clip(np.asarray(t, dtype=float), -1.0 + clamp, 1.0 - clamp)
-    out = -params.kernel.j0_hat * t + np.arctanh(t) / params.beta
+    out = _well(t.reshape(-1), params, 1.0 - clamp)[1].reshape(t.shape)
     return out if out.ndim else float(out)
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .certificates import Certificate
+from .energy import _pair_integral
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
@@ -239,7 +240,6 @@ def _vh_quadratic_form(values: np.ndarray, edges: np.ndarray, h: float,
     constant-profile identity <m, m>_{v~_h}/(2h) = long-range part of e(h)
     holds to machine precision.
     """
-    w = np.diff(edges)
     total = 0.0
     for wk, alpha in measure.atoms:
         a = gamma * alpha
@@ -252,13 +252,7 @@ def _vh_quadratic_form(values: np.ndarray, edges: np.ndarray, h: float,
         Sp = float(values @ P)
         Sq = float(values @ Q)
         # |d| part: exponential-kernel quadratic form over cells
-        f = (1.0 - np.exp(-a * w)) / a
-        gap = edges[None, :-1] - edges[1:, None]
-        mat = np.outer(f, f) * np.where(gap >= 0.0,
-                                        np.exp(-a * np.maximum(gap, 0.0)), 0.0)
-        mat = mat + mat.T
-        np.fill_diagonal(mat, (2.0 / a / a) * (a * w - 1.0 + np.exp(-a * w)))
-        abs_part = float(values @ mat @ values)
+        abs_part = float(values @ _pair_integral(a, edges) @ values)
         # cosh(ad) part: q G [e^{-a(y-x)} + e^{a(y-x)}] integrates to
         # 2 G E Sp Sq after regrouping with the prefactor
         quad = abs_part + 2.0 * G * E * Sp * Sq - G * (Sp * Sp + Sq * Sq)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from froth1d import cli
 from froth1d.cli import main
 from froth1d.profiles import load_profile
 
@@ -104,6 +105,30 @@ class TestPipelineCommands:
         rep = json.loads((out / "report.json").read_text())
         assert float(rep["good_measure"]) >= 0.0
         assert (out / "histogram.csv").exists()
+
+    def test_minimize_reuses_saved_instanton(self, tmp_path, monkeypatch):
+        # non-default solver settings: a solve that ignored them would give
+        # another trial train
+        cfg = write_config(
+            tmp_path,
+            instanton={"half_width": 30.0, "dx": 0.015625, "tol": 1e-11,
+                       "max_sweeps": 20000, "damping": 0.25},
+            minimize={"L_over_h_star": 2.0, "bc": "periodic", "dx": 0.125,
+                      "n_starts": 1, "max_iters": 20, "init": "trial"})
+        solved, saved = tmp_path / "solved", tmp_path / "saved"
+        assert main(["minimize", "--config", str(cfg),
+                     "--out", str(solved)]) == 0
+        assert main(["instanton", "--config", str(cfg),
+                     "--out", str(saved)]) == 0
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimize solved the instanton again")
+
+        monkeypatch.setattr(cli, "solve_instanton", no_solve)
+        assert main(["minimize", "--config", str(cfg),
+                     "--out", str(saved)]) == 0
+        assert ((saved / "minimized.profile").read_bytes()
+                == (solved / "minimized.profile").read_bytes())
 
     def test_corrupt_profile_is_parse_error(self, tmp_path):
         out = tmp_path / "out"

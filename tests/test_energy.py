@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from froth1d.energy import (_energy_and_gradient, dipole_energy,
-                            dipole_energy_direct, energy_gradient,
+from froth1d.energy import (_energy_and_gradient, _pair_integral,
+                            dipole_energy, dipole_energy_direct,
+                            energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData
@@ -283,6 +286,34 @@ class TestDenseReference:
         x = 0.5 * gamma * dx
         energy, _ = _energy_and_gradient(params, p, gamma)
         assert energy == pytest.approx(p.L * m * m * x / np.tanh(x), rel=1e-12)
+
+
+class TestStepClosedForms:
+    """Cell integrals of exp(-b|x-y|) as b w -> 0, against Taylor series."""
+
+    @pytest.mark.parametrize("bw", [1e-3, 1e-5, 1e-7])
+    def test_one_cell(self, bw):
+        b, w = 0.5, bw / 0.5
+        L = 3.0 * w
+        # (2/b^2)(e^{-x} - 1 + x) and (2/b^2) e^{-bL}(e^{x} - 1 - x), x = bw
+        series_minus = 2.0 * w * w * math.fsum(
+            (-bw) ** k / math.factorial(k + 2) for k in range(8))
+        series_plus = 2.0 * w * w * math.fsum(
+            bw ** k / math.factorial(k + 2) for k in range(8))
+        edges = np.array([0.0, w])
+        assert _pair_integral(b, edges)[0, 0] == pytest.approx(
+            series_minus, rel=1e-14, abs=0.0)
+        assert _pair_integral(b, edges, L)[0, 0] == pytest.approx(
+            math.exp(-b * L) * series_plus, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-6, 1e-9])
+    def test_constant_on_torus(self, params, gamma):
+        # the periodized kernel integrates to 2/(gamma alpha) over a period:
+        # (gamma/2) m^2 lam L 2/gamma = m^2 L for one unit-rate atom
+        m, L = 0.9, 3.0
+        step = StepProfile.from_pieces([(1.0, m), (L - 1.0, m)])
+        assert step_dipole_energy(params, step, gamma, bc="periodic") == (
+            pytest.approx(m * m * L, rel=1e-13, abs=0.0))
 
 
 class TestTildeEnergy:

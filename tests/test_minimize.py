@@ -71,6 +71,25 @@ class TestMinimizeEnergy:
             total_energy(params, res.profile, gamma).total, rel=1e-12)
         assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
 
+    @pytest.mark.parametrize("bc", ["custom", "neumann"])
+    def test_result_profile_keeps_outside_data(self, params, rng, bc):
+        n, dx, gamma = 64, 1.0 / 16.0, 1e-2
+        n_out = int(np.ceil(46.0 / (gamma * dx)))
+        init = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1, 1, n),
+                           bc=bc, out_left=rng.uniform(-0.9, 0.9, n_out),
+                           out_right=rng.uniform(-0.9, 0.9, n_out))
+        res = minimize_energy(params, init, gamma,
+                              MinimizeOptions(max_iters=10, grad_tol=1e-9))
+        prof = res.profile
+        assert isinstance(prof, GridProfile)
+        assert prof.bc == bc and prof.n == n and prof.dx == dx
+        assert prof.out_left is init.out_left
+        assert prof.out_right is init.out_right
+        assert not prof.samples.flags.writeable
+        assert np.max(np.abs(prof.samples)) <= 1.0
+        assert res.energy == pytest.approx(
+            total_energy(params, prof, gamma).total, rel=1e-12)
+
 
 class TestMeanConstraint:
     @pytest.mark.parametrize("mean", [0.96, 0.98, 1.0])

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from froth1d.errors import DomainError, SubcriticalError, ValidationError
-from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel, eval_F,
-                           eval_F_double_prime, eval_tilde_F, eval_v,
-                           rp_spectrum_check, solve_m_beta, v_prime_at_zero)
+from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel, _well,
+                           eval_F, eval_F_double_prime, eval_F_prime,
+                           eval_tilde_F, eval_v, rp_spectrum_check,
+                           solve_m_beta, v_prime_at_zero)
 
 
 def bisect_m(beta_j0, tol=1e-12):
@@ -97,6 +99,62 @@ class TestPotentials:
                + eval_F(m - h, params)) / h ** 2
         assert fpp > 2 * params.f0 / m ** 2
         assert fpp == pytest.approx(eval_F_double_prime(m, params), rel=1e-5)
+
+
+def xlogy_F(t, params):
+    """F(t) = a(t) - a(m_beta) through the xlogy form of the entropy."""
+    def a(t):
+        p, q = (1.0 + t) / 2.0, (1.0 - t) / 2.0
+        entropy = xlogy(p, p) + xlogy(q, q)
+        return -0.5 * params.kernel.j0_hat * t * t + entropy / params.beta
+    return a(t) - a(params.m_beta)
+
+
+def arctanh_F_prime(t, params):
+    """-J0_hat t + arctanh(t)/beta clamped at |t| = 1 - 1e-12, and the larger
+    of its two terms (the scale its rounding is measured on)."""
+    t = np.clip(t, -1.0 + 1e-12, 1.0 - 1e-12)
+    slope, bond = np.arctanh(t) / params.beta, params.kernel.j0_hat * t
+    return slope - bond, np.maximum(np.abs(slope), np.abs(bond))
+
+
+# +-(1 - 10^-k), k = 1..16, and +-1 itself
+EDGE_POINTS = np.concatenate([1.0 - 10.0 ** -np.arange(1, 17.0),
+                              -(1.0 - 10.0 ** -np.arange(1, 17.0)),
+                              [1.0, -1.0]])
+
+
+class TestWellKernel:
+    """``_well`` (one log1p pair per sample) against the xlogy/arctanh forms."""
+
+    @given(beta=st.floats(0.6, 25.0), j0=st.floats(0.5, 2.0),
+           t=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_xlogy_and_arctanh(self, beta, j0, t):
+        assume(beta * j0 > 1.01)
+        params = ModelParams.create(
+            beta=beta, kernel=ShortRangeKernel.default_quartic(j0))
+        t = np.concatenate([t, EDGE_POINTS, [params.m_beta, -params.m_beta]])
+        F, F_prime = _well(t, params)
+        assert np.max(np.abs(F - xlogy_F(t, params))) <= 1e-15
+        assert np.all(F >= -1e-15)
+        # exact at the faces and at the minima
+        at_face = math.log(2.0) / beta - 0.5 * j0 - params._a_min
+        assert F[-4] == F[-3] == at_face
+        assert F[-2] == F[-1] == 0.0
+        ref, scale = arctanh_F_prime(t, params)
+        assert np.all(np.abs(F_prime - ref) <= 4 * np.spacing(scale))
+        # the public evaluators wrap the kernel
+        assert np.array_equal(eval_F(t, params), F)
+        assert np.array_equal(eval_F_prime(t, params), F_prime)
+
+    def test_scalar_and_shape(self, params):
+        assert isinstance(eval_F(0.3, params), float)
+        assert isinstance(eval_F_prime(0.3, params), float)
+        t = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert eval_F(t, params).shape == (3, 4)
+        assert np.array_equal(eval_F_prime(t, params).ravel(),
+                              _well(t.ravel(), params)[1])
 
 
 class TestKacMeasure:
