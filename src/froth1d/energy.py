@@ -368,14 +368,6 @@ def dipole_energy_direct(params: ModelParams, profile: GridProfile,
         profile.samples @ kern @ profile.samples)
 
 
-def _dipole_cyclic(params: ModelParams, profile: GridProfile,
-                   gamma: float) -> float:
-    """Torus dipole energy: the kernel summed over all periodic images."""
-    phi = profile.samples
-    sym = _torus_dipole_symbol(params, gamma, profile.n, profile.dx)
-    return 0.5 * profile.dx * float(phi @ irfft(sym * rfft(phi), profile.n))
-
-
 # ---------------------------------------------------------------------------
 # total energy and its gradient
 

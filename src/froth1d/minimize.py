@@ -1,5 +1,6 @@
-"""Box-constrained projected-gradient minimization of the discrete functional,
-with optional mean constraint and seeded multistart."""
+"""Projected-gradient minimization of the discrete functional on the box
+[-1, 1]^N or on its slice {<phi> = mean}, each step projected exactly (a clip,
+on the slice a clip of one uniform shift), and seeded multistart."""
 
 from __future__ import annotations
 
@@ -24,17 +25,21 @@ __all__ = [
 ]
 
 
+# line search: step growth after acceptance, failure threshold, Armijo fraction
+_STEP_GROW = 1.3
+_MIN_STEP = 1e-16
+_ARMIJO = 1e-4
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
+    """``max_iters`` and ``grad_tol`` bound every descent, ``step0`` and
+    ``backtrack`` set its line search; ``seed`` seeds ``multistart``."""
     max_iters: int = 20000
     grad_tol: float = 1e-6
     step0: float = 1.0
     backtrack: float = 0.5
-    step_grow: float = 1.3
-    min_step: float = 1e-16
-    restarts: int = 1
     seed: int = 0
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.grad_tol <= 0 or self.step0 <= 0:
@@ -73,47 +78,37 @@ def _mean_slice_grad_norm(phi, g, tol=1e-12):
     """
     free = np.abs(phi) < 1.0 - tol
     mu = float(g[free].mean()) if np.any(free) else float(g.mean())
-    r = g - mu
-    r[(phi >= 1.0 - tol) & (r < 0.0)] = 0.0
-    r[(phi <= -1.0 + tol) & (r > 0.0)] = 0.0
-    return float(np.max(np.abs(r))) if r.size else 0.0
+    return _projected_grad_norm(phi, g - mu, tol)
 
 
 def _project_box(phi):
     return np.clip(phi, -1.0, 1.0)
 
 
-def _project_mean_box(phi, mean, rounds=100, tol=1e-13):
-    """Dykstra projection onto {mean(phi) = mean} intersected with the box."""
-    x = phi.copy()
-    p = np.zeros_like(x)   # correction for the box step
-    q = np.zeros_like(x)
-    for _ in range(rounds):
-        y = _project_box(x + p)
-        p = x + p - y
-        x = y + q + (mean - np.mean(y + q))
-        q = y + q - x
-        if abs(np.mean(_project_box(x)) - mean) < tol and np.all(np.abs(x) <= 1 + 1e-12):
-            break
-    x = _project_box(x)
-    # final exact mean restoration on inactive samples
-    for _ in range(50):
-        resid = mean - np.mean(x)
-        if abs(resid) < 1e-14:
-            break
-        free = (np.abs(x) < 1.0) | (np.sign(resid) != np.sign(x))
-        if not np.any(free):
-            break
-        x[free] += resid * x.size / np.count_nonzero(free)
-        x = _project_box(x)
-    return x
+def _project_mean_box(y, mean):
+    """Euclidean projection of y onto the slice {mean(x) = mean} of the box:
+    clip(y + lam, -1, 1) for the lam that gives the mean (Duchi et al., ICML
+    2008). The clip's sum is piecewise linear in lam, with a knot wherever a
+    sample meets a face; lam interpolates between its values at the knots."""
+    if abs(mean) == 1.0:
+        return np.full_like(y, mean)
+    shifted = y + (mean - np.mean(y))
+    if np.max(np.abs(shifted)) <= 1.0:
+        return shifted
+    s = np.sort(y)
+    prefix = np.concatenate([[0.0], np.cumsum(s)])
+    knots = np.sort(np.concatenate([-1.0 - s, 1.0 - s]))
+    lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
+    hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
+    sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
+    return _project_box(y + np.interp(mean * s.size, sums, knots))
 
 
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
              options: MinimizeOptions, project,
              stationarity=_projected_grad_norm) -> MinimizeResult:
-    # candidates are plain arrays, each the output of a clip (both projections
-    # end in one), so only the returned profile is built and validated
+    # candidates are plain arrays that both projections place in the box, so
+    # only the returned profile is built and validated
     evaluate = _quadratic_form(params, gamma, profile.n, profile.dx,
                                profile.bc)
     phi = project(profile.samples)
@@ -133,12 +128,12 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             status = "converged"
             break
         accepted = False
-        while step >= options.min_step:
+        while step >= _MIN_STEP:
             # L2 gradient flow step: g is the discrete functional derivative
             cand = project(phi - step * g)
             cand_energy, cand_g = evaluate(cand, profile)
             decrease = profile.dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
-            if cand_energy <= energy - options.armijo * decrease:
+            if cand_energy <= energy - _ARMIJO * decrease:
                 accepted = True
                 break
             step *= options.backtrack
@@ -146,7 +141,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             status = "line_search_failure"
             break
         phi, energy, g = cand, cand_energy, cand_g
-        step = min(step * options.step_grow, 1e6)
+        step = min(step * _STEP_GROW, 1e6)
     gnorm = stationarity(phi, g)
     rows.append((it, energy, gnorm, step))
     result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
@@ -178,7 +173,10 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
                                   dx: float = 1.0 / 32.0,
                                   init: Optional[GridProfile] = None
                                   ) -> MinimizeResult:
-    """Gradient descent on the slice {<phi> = mean} intersected with the box."""
+    """Projected gradient descent on the slice {<phi> = mean} of the box, each
+    step projected exactly by ``_project_mean_box``, until the slice's
+    stationarity residual reaches ``grad_tol``. Reads ``options`` as
+    ``minimize_energy`` does."""
     if abs(mean) > 1.0:
         raise ValidationError("|mean| must not exceed 1")
     options = MinimizeOptions() if options is None else options

@@ -124,7 +124,8 @@ def run_certificates(params: ModelParams, gamma: Optional[float] = None,
     L = (4.0 if fast else 20.0) * h_star
     worst_cb = np.inf
     worst_c000 = np.inf
-    for k in range(2 if fast else n_step_profiles):
+    n_profiles = 2 if fast else n_step_profiles
+    for k in range(n_profiles):
         rng_k = restart_rng(seed, 100 + k)
         step = random_in_k_step(rng_k, L, params.m_beta, m_bar, h_star)
         e_tilde = tilde_energy(p_used, step, gamma, bc="open")
@@ -141,7 +142,7 @@ def run_certificates(params: ModelParams, gamma: Optional[float] = None,
     certs.append(Certificate(
         name="chessboard_lower_bound", lhs=worst_cb, rhs=-1e-9 * L,
         slack=worst_cb + 1e-9 * L, passed=bool(worst_cb >= -1e-9 * L),
-        params={"L": L, "n_profiles": n_step_profiles}))
+        params={"L": L, "n_profiles": n_profiles}))
     allowance = 10.0 * gamma ** (4.0 / 3.0) * L
     certs.append(Certificate(
         name="rp_lower_bound_c000", lhs=worst_c000, rhs=-allowance,

@@ -157,6 +157,10 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "certificates.json").read_text())
         assert all(c["pass"] for c in payload["certificates"])
+        # fast mode runs two random step profiles through the chessboard bound
+        chessboard, = [c for c in payload["certificates"]
+                       if c["name"] == "chessboard_lower_bound"]
+        assert chessboard["params"]["n_profiles"] == 2
 
     def test_wrong_tau_fails_identity(self, tmp_path, capsys):
         # doubled surface tension breaks the cell-energy identity: exit 3

@@ -159,7 +159,7 @@ class TestTotalEnergy:
 
     def test_square_wave_dipole_matches_eh(self, params_tau):
         # periodic alternating train: torus dipole per length -> e(h) - tau/h
-        from froth1d.energy import _dipole_cyclic
+        from froth1d.energy import _torus_dipole_symbol
         from froth1d.sharp import energy_per_length
         gamma, h, k = 1e-2, 16.0, 6
         m = params_tau.m_beta
@@ -169,8 +169,10 @@ class TestTotalEnergy:
         samples = np.concatenate([(-1.0) ** j * cell for j in range(2 * k)])
         p = GridProfile(L=2 * k * h, dx=dx, samples=samples, bc="periodic")
         lr = energy_per_length(params_tau, h, gamma) - params_tau.tau / h
-        assert _dipole_cyclic(params_tau, p, gamma) / p.L == pytest.approx(
-            lr, rel=1e-4)
+        sym = _torus_dipole_symbol(params_tau, gamma, p.n, dx)
+        dipole = 0.5 * dx * float(
+            samples @ np.fft.irfft(sym * np.fft.rfft(samples), p.n))
+        assert dipole / p.L == pytest.approx(lr, rel=1e-4)
 
     def test_zero_profile_any_bc(self, params):
         n_out = int(np.ceil(46.0 / 1e-2 / 0.125))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from froth1d.energy import total_energy
-from froth1d.minimize import (MinimizeOptions, minimize_energy,
-                              minimize_with_mean_constraint, multistart,
-                              restart_rng)
+from froth1d.minimize import (MinimizeOptions, _project_mean_box,
+                              minimize_energy, minimize_with_mean_constraint,
+                              multistart, restart_rng)
 from froth1d.profiles import GridProfile
 
 
@@ -123,6 +126,38 @@ class TestMeanConstraint:
             params, length=8.0, mean=1.0, bc="open", gamma=0.0,
             options=MinimizeOptions(max_iters=50, grad_tol=1e-6))
         assert np.all(res.profile.samples == 1.0)
+
+
+class TestMeanSliceProjection:
+    def test_nearest_point(self):
+        # clipping first and then shifting back to the mean gives
+        # (0.647, 0.447, -0.253), a feasible point but not the nearest one
+        x = _project_mean_box(np.array([-0.1, -0.3, -2.9]), 0.28)
+        np.testing.assert_allclose(x, [1.0, 0.84, -1.0], rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=arrays(np.float64, st.integers(2, 400),
+                    elements=st.floats(-3.0, 3.0)),
+           mean=st.floats(-1.0, 1.0))
+    def test_is_clip_of_one_shift(self, y, mean):
+        x = _project_mean_box(y, mean)
+        assert np.all(np.abs(x) <= 1.0)
+        assert abs(x.mean() - mean) <= 1e-12
+        # x = clip(y + lam) for one lam: each free sample pins lam to its
+        # shift, each clipped one bounds it; the bounds must leave a lam
+        free = np.abs(x) < 1.0
+        shifts = (x - y)[free]
+        lo = max(np.max(1.0 - y[x == 1.0], initial=-np.inf),
+                 np.max(shifts, initial=-np.inf))
+        hi = min(np.min(-1.0 - y[x == -1.0], initial=np.inf),
+                 np.min(shifts, initial=np.inf))
+        assert lo <= hi + 1e-12
+
+    @pytest.mark.parametrize("mean", [1.0, -1.0])
+    def test_saturated_mean_is_exact(self, mean):
+        # shifting -1.3 by the last knot 1 - (-1.3) lands one ulp below 1
+        y = mean * np.array([1.7, -0.6, -1.3, 2.1])
+        assert np.all(_project_mean_box(y, mean) == mean)
 
 
 class TestMultistart:
