@@ -11,8 +11,8 @@ from .coarsegrain import (AdaptedPartition, CoarseGrainConfig,
 from .diagnostics import (StructureReport, defect_sets,
                           excess_energy_decomposition, good_set, l_wrong)
 from .energy import (EnergyBreakdown, dipole_energy, energy_gradient,
-                     sharp_energy, short_range_energy, step_dipole_energy,
-                     tilde_energy, total_energy)
+                     short_range_energy, step_dipole_energy, tilde_energy,
+                     total_energy)
 from .instanton import (Instanton, build_trial_profile, solve_instanton,
                         surface_tension, tail_rate)
 from .minimize import (MinimizeOptions, MinimizeResult, minimize_energy,

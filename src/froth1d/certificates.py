@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -37,9 +36,6 @@ class Certificate:
             "params": {k: (fmt17(v) if isinstance(v, float) else v)
                        for k, v in sorted(self.params.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def comparison_certificate(name, lhs, rhs, params=None, tol=0.0) -> Certificate:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .certificates import fmt17
 from .coarsegrain import CoarseGrainConfig, _step_certificate, coarse_grain
-from .diagnostics import defect_sets, good_set, histogram_csv, l_wrong
+from .diagnostics import (defect_sets, excess_energy_decomposition, good_set,
+                          histogram_csv, l_wrong)
 from .energy import total_energy
 from .errors import (BracketError, CertificateFailure, Froth1dError,
                      LineSearchFailure, NonConvergence, ParseError,
@@ -28,7 +29,7 @@ from .instanton import (Instanton, build_trial_profile, solve_instanton,
 from .minimize import MinimizeOptions, multistart
 from .model import ModelParams
 from .profiles import GridProfile, load_profile, save_profile
-from .sharp import eh_curve, optimal_h
+from .sharp import check_eh_bounds, eh_curve, optimal_h
 from .verify import run_certificates
 
 _SECTION_KEYS = {
@@ -150,7 +151,6 @@ def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
     for h, e in zip(curve.h, curve.e):
         lines.append(f"{fmt17(h)},{fmt17(e)},{fmt17(e - curve.e_star)}")
     (out / "eh.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    from .sharp import check_eh_bounds
     bound_cert = check_eh_bounds(params)
     _write_json(out / "hstar.json", {
         "h_star": fmt17(curve.h_star), "e_star": fmt17(curve.e_star),
@@ -228,14 +228,20 @@ def _profile_for(config: dict, section: str, out: Path) -> GridProfile:
                           "minimize first", pointer=f"/{section}/profile")
 
 
+def _coarse_grain_config(config: dict) -> CoarseGrainConfig:
+    """The config's ``coarsegrain`` section as a CoarseGrainConfig; its
+    ``profile`` and ``C_cert`` keys are read where they are used."""
+    sec = {k: v for k, v in config.get("coarsegrain", {}).items()
+           if k not in ("profile", "C_cert")}
+    return CoarseGrainConfig(**sec)
+
+
 def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
     profile = _profile_for(config, "coarsegrain", out)
-    sec = {k: v for k, v in config.get("coarsegrain", {}).items()
-           if k not in ("profile", "C_cert")}
-    cfg = CoarseGrainConfig(**sec) if sec else CoarseGrainConfig()
-    step, adapted, trace = coarse_grain(params, profile, cfg)
+    cfg = _coarse_grain_config(config)
+    step, _, trace = coarse_grain(params, profile, cfg)
     save_profile(step.to_grid(profile.dx, bc=profile.bc),
                  out / "sigma.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
@@ -273,10 +279,7 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     params, _ = _tau_params(params, config, out)
     profile = _profile_for(config, "diagnostics", out)
     sec = config.get("diagnostics", {})
-    cg_sec = {k: v for k, v in config.get("coarsegrain", {}).items()
-              if k not in ("profile", "C_cert")}
-    cfg = CoarseGrainConfig(**cg_sec) if cg_sec else CoarseGrainConfig()
-    step, _, _ = coarse_grain(params, profile, cfg)
+    step, _, _ = coarse_grain(params, profile, _coarse_grain_config(config))
     report = good_set(params, profile, step,
                       delta0=float(sec.get("delta0", 0.25)),
                       delta1=float(sec.get("delta1", 0.45)),
@@ -286,7 +289,6 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     epsp = float(sec.get("epsilon_prime", 0.1))
     defect_sets(report, params, eps, epsp, h_star)
     report.l_wrong = l_wrong(step, h_star, eps, params.gamma)
-    from .diagnostics import excess_energy_decomposition
     excess, well, _ = excess_energy_decomposition(params, step,
                                                   h_star=h_star, e_star=e_star)
     report.excess = excess

@@ -10,7 +10,7 @@ block to the generic bad-block rule instead of aborting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -19,8 +19,8 @@ from .certificates import Certificate
 from .energy import short_range_energy, tilde_energy, total_energy
 from .errors import FlatSegmentNotFound, InvariantError, ValidationError
 from .model import ModelParams, eval_F_double_prime
-from .profiles import (BlockPartition, GridProfile, StepProfile, alpha_L,
-                       average_over)
+from .profiles import (BlockPartition, GridProfile, StepProfile, average_over,
+                       regular_partition)
 
 __all__ = [
     "CoarseGrainConfig",
@@ -33,6 +33,9 @@ __all__ = [
     "coarse_grain",
     "lower_bound_certificate",
 ]
+
+# allowance prefactor of lower_bound_certificate: C in C gamma^{1-delta} L
+_C_CERT = 10.0
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,11 @@ class CoarseGrainConfig:
         return m_beta - self.kappa * gamma ** (self.delta / 2.0)
 
 
-def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
-    """Equal blocks of length alpha_L(delta) gamma^-delta, integer count."""
-    alpha, n = alpha_L(L, delta, gamma)
-    edges = np.linspace(0.0, L, n + 1)
-    return BlockPartition(edges=edges, kind="regular_delta",
-                          labels={"alpha_L": alpha})
-
-
 def classify_blocks(params: ModelParams, profile: GridProfile,
-                    partition: BlockPartition, tau: Optional[float] = None,
+                    partition: BlockPartition,
                     cutoff_multiplier: float = 2.0) -> dict:
     """Label blocks low-energy iff their internal energy is <= cutoff * tau."""
-    tau = params.require_tau() if tau is None else tau
-    cutoff = cutoff_multiplier * tau
+    cutoff = cutoff_multiplier * params.require_tau()
     energies = np.array([
         short_range_energy(params, profile, (a, b))
         for a, b in partition.blocks()])
@@ -158,7 +152,6 @@ class AdaptedPartition:
     partition: BlockPartition
     kinds: Tuple[str, ...]
     signs: Tuple[Optional[tuple], ...]
-    segments: Tuple[dict, ...] = field(default_factory=tuple)
     ell_plus: float = 0.0
 
     def __post_init__(self):
@@ -173,8 +166,7 @@ class AdaptedPartition:
 
 def adapted_partition(params: ModelParams, profile: GridProfile,
                       config: CoarseGrainConfig,
-                      gamma: Optional[float] = None,
-                      tau: Optional[float] = None) -> AdaptedPartition:
+                      gamma: Optional[float] = None) -> AdaptedPartition:
     """Replace boundary lines of low-energy blocks by flat-segment midlines.
 
     Low-energy blocks whose flat-segment search fails are demoted to bad.
@@ -182,17 +174,15 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
     exact.
     """
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau() if tau is None else tau
     L, dx = profile.L, profile.dx
     reg = regular_partition(L, config.delta, gamma).snapped(dx)
     ell_plus = float(np.mean(reg.widths))
-    labels = classify_blocks(params, profile, reg, tau,
+    labels = classify_blocks(params, profile, reg,
                              config.energy_cutoff_multiplier)
     n = reg.n_blocks
     good = list(labels["low"])
     omega = [None] * n
     midline = [None] * n
-    seg_info = []
     for i in range(n):
         if not good[i]:
             continue
@@ -206,17 +196,14 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
             good[i] = False          # single-block domain: degenerate, demote
             continue
         try:
-            om, (sa, sb), run = find_flat_segment(
+            om, (sa, sb), _ = find_flat_segment(
                 params, profile, (a, b), config, gamma,
                 margin_left=ml, margin_right=mr)
         except FlatSegmentNotFound:
             good[i] = False
             continue
         omega[i] = om
-        s = round(0.5 * (sa + sb) / dx) * dx
-        midline[i] = s
-        seg_info.append({"block": i, "omega": om, "segment": (sa, sb),
-                         "run_length": run, "midline": s})
+        midline[i] = round(0.5 * (sa + sb) / dx) * dx
     # final boundary lines: domain ends, midlines, and original lines with
     # two bad neighbors
     lines = {0.0, L}
@@ -249,8 +236,7 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
             kinds.append("bad")
             signs.append(None)
     return AdaptedPartition(partition=part, kinds=tuple(kinds),
-                            signs=tuple(signs), segments=tuple(seg_info),
-                            ell_plus=ell_plus)
+                            signs=tuple(signs), ell_plus=ell_plus)
 
 
 def _capped_margin(ell: float, raw: float) -> Tuple[float, bool]:
@@ -262,8 +248,7 @@ def _capped_margin(ell: float, raw: float) -> Tuple[float, bool]:
 
 def replace_block(params: ModelParams, length: float, mean: float,
                   context: tuple, config: CoarseGrainConfig,
-                  gamma: Optional[float] = None, tau: Optional[float] = None,
-                  strict: bool = True):
+                  gamma: Optional[float] = None, strict: bool = True):
     """Mean-preserving piecewise-constant replacement on one block.
 
     ``context`` is ("bad", None), ("good", (omega, omega')) or
@@ -273,7 +258,6 @@ def replace_block(params: ModelParams, length: float, mean: float,
     otherwise the block falls back to the bad-block rule and is flagged.
     """
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau() if tau is None else tau
     m_b = params.m_beta
     ell = float(length)
     m = float(mean)
@@ -292,7 +276,7 @@ def replace_block(params: ModelParams, length: float, mean: float,
         return pieces, tag, flags
 
     fpp = eval_F_double_prime(m_b, params)
-    c_star = math.sqrt(5.0 * tau / fpp)
+    c_star = math.sqrt(5.0 * params.require_tau() / fpp)
     t2b = 1.1 * c_star / math.sqrt(ell)
 
     if kind == "good":
@@ -375,21 +359,18 @@ def replace_block(params: ModelParams, length: float, mean: float,
 
 def coarse_grain(params: ModelParams, profile: GridProfile,
                  config: Optional[CoarseGrainConfig] = None,
-                 gamma: Optional[float] = None,
-                 tau: Optional[float] = None):
+                 gamma: Optional[float] = None):
     """Full map phi -> sigma_phi. Returns (StepProfile, AdaptedPartition, trace)."""
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau() if tau is None else tau
-    adapted = adapted_partition(params, profile, config, gamma, tau)
+    adapted = adapted_partition(params, profile, config, gamma)
     pieces: List[Tuple[float, float]] = []
     trace = []
     for (a, b), kind, sign in zip(adapted.partition.blocks(), adapted.kinds,
                                   adapted.signs):
         mean = average_over(profile, (a, b))
         blk_pieces, tag, flags = replace_block(
-            params, b - a, mean, (kind, sign), config, gamma, tau,
-            strict=False)
+            params, b - a, mean, (kind, sign), config, gamma, strict=False)
         pieces.extend(blk_pieces)
         trace.append({"interval": (float(a), float(b)), "label": kind,
                       "case": tag, "mean": float(mean),
@@ -405,13 +386,13 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
 
 def lower_bound_certificate(params: ModelParams, profile: GridProfile,
                             gamma: Optional[float] = None,
-                            config: Optional[CoarseGrainConfig] = None,
-                            C_cert: float = 10.0) -> Certificate:
-    """Check E[phi] >= E~[sigma_phi] - C_cert gamma^{1-delta} L."""
+                            config: Optional[CoarseGrainConfig] = None
+                            ) -> Certificate:
+    """Check E[phi] >= E~[sigma_phi] - 10 gamma^{1-delta} L."""
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     step, _, _ = coarse_grain(params, profile, config, gamma)
-    return _step_certificate(params, profile, step, gamma, config, C_cert)
+    return _step_certificate(params, profile, step, gamma, config, _C_CERT)
 
 
 def _step_certificate(params: ModelParams, profile: GridProfile,

@@ -3,7 +3,6 @@ wrong-length measure and the excess-energy decomposition."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -12,9 +11,9 @@ import numpy as np
 from .certificates import fmt17
 from .errors import ParameterError
 from .model import ModelParams
-from .profiles import (BlockPartition, GridProfile, StepProfile,
-                       block_type, regular_partition_edges)
-from .sharp import energy_per_length
+from .profiles import (GridProfile, StepProfile, average_over, block_type,
+                       regular_partition)
+from .sharp import energy_per_length, optimal_h
 
 __all__ = [
     "StructureReport",
@@ -24,6 +23,8 @@ __all__ = [
     "excess_energy_decomposition",
     "histogram_csv",
 ]
+
+_HIST_BINS = 24
 
 
 @dataclass
@@ -71,9 +72,6 @@ class StructureReport:
             "alternation_ok": bool(self.alternation_ok),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _interval_union_coverage(intervals, a: float, b: float) -> float:
     """Measure of [a, b] covered by the (disjoint, sorted) intervals."""
@@ -101,11 +99,8 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
         raise ParameterError("need delta0 < delta1 < 2/3")
     L = profile.L
     # coarse blocks and their types
-    edges = regular_partition_edges(L, delta0, gamma)
-    part = BlockPartition(edges=edges, kind="regular_delta0").snapped(profile.dx)
-    idx = np.round(part.edges / profile.dx).astype(int)
-    means = np.array([profile.samples[idx[k]:idx[k + 1]].mean()
-                      for k in range(part.n_blocks)])
+    part = regular_partition(L, delta0, gamma).snapped(profile.dx)
+    means = np.array([average_over(profile, block) for block in part.blocks()])
     types = [block_type(m, params.m_beta) for m in means]
     # long sigma intervals
     intervals = sigma_phi.sign_intervals()
@@ -219,7 +214,6 @@ def excess_energy_decomposition(params: ModelParams, step: StepProfile,
     """
     gamma = params.gamma if gamma is None else gamma
     if h_star is None or e_star is None:
-        from .sharp import optimal_h
         h_star, e_star, _, _ = optimal_h(params, gamma)
     per = []
     for a, b, _s in step.sign_intervals():
@@ -232,13 +226,14 @@ def excess_energy_decomposition(params: ModelParams, step: StepProfile,
     return excess, well, per
 
 
-def histogram_csv(report: StructureReport, n_bins: int = 24) -> str:
-    """CSV of the sign-interval length histogram (total length per bin)."""
+def histogram_csv(report: StructureReport) -> str:
+    """CSV of the sign-interval length histogram (total length per bin, 24
+    equal bins from 0 to the longest interval)."""
     h = report.h_lengths
     lines = ["bin_left,bin_right,total_length"]
     if h.size:
-        counts, edges = np.histogram(h, bins=n_bins,
+        counts, edges = np.histogram(h, bins=_HIST_BINS,
                                      range=(0.0, float(h.max())), weights=h)
-        for k in range(n_bins):
+        for k in range(_HIST_BINS):
             lines.append(f"{fmt17(edges[k])},{fmt17(edges[k + 1])},{fmt17(counts[k])}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ use closed-form pair integrals, free of cancellation, instead of any grid.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,9 +63,6 @@ class EnergyBreakdown:
         return {"local": fmt17(self.local), "exchange": fmt17(self.exchange),
                 "dipole": fmt17(self.dipole), "boundary": fmt17(self.boundary),
                 "total": fmt17(self.total)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +471,3 @@ def tilde_energy(params: ModelParams, step: StepProfile,
         return well + surface + dip, {"well": well, "surface": surface,
                                       "dipole": dip, "in_K": step.in_K}
     return well + surface + dip
-
-
-def sharp_energy(params: ModelParams, step: StepProfile,
-                 gamma: Optional[float] = None, bc: str = "open") -> float:
-    """Sharp-interface energy tau * N_jumps + dipole for +-m_beta profiles."""
-    m = params.m_beta
-    if np.any(np.abs(np.abs(step.values) - m) > 1e-12):
-        raise ValueError("sharp_energy requires all |values| = m_beta")
-    tau = params.require_tau()
-    gamma = params.gamma if gamma is None else gamma
-    return (tau * step.n_jumps(periodic=(bc == "periodic"))
-            + step_dipole_energy(params, step, gamma, bc=bc))

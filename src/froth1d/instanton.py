@@ -11,9 +11,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .energy import _exchange_banded
+from .energy import short_range_energy
 from .errors import CellTooShort, FitError, NonConvergence, ValidationError
-from .model import ModelParams, eval_F
+from .model import ModelParams
 from .profiles import GridProfile
 
 __all__ = [
@@ -23,6 +23,11 @@ __all__ = [
     "tail_rate",
     "build_trial_profile",
 ]
+
+# tail_rate: absolute floor under the usable deviations, and the fewest
+# samples a fit may use
+_TAIL_FLOOR = 1e-13
+_TAIL_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,6 @@ class Instanton:
     m_beta: float
     residual: float
     tau: Optional[float] = None
-    tail_rate: Optional[float] = None
-    tail_fit_residual: Optional[float] = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -127,20 +130,19 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
 
 
 def surface_tension(instanton: Instanton, params: ModelParams) -> float:
-    """Short-range energy of the instanton with constant +-m_beta extension."""
-    q = instanton.q
-    dx = instanton.dx
-    m = instanton.m_beta
-    local = dx * float(np.sum(eval_F(q, params)))
-    jband = params.kernel.band(dx)
-    r = jband.size
-    ext = np.concatenate([np.full(r, -m), q, np.full(r, m)])
-    # the extension is flat, so including pairs fully outside costs nothing
-    return local + _exchange_banded(ext, jband, dx)
+    """Short-range energy of the instanton with constant +-m_beta extension.
+
+    One J-range of +-m_beta on each side carries every exchange pair that
+    crosses the window; F vanishes there, as do pairs fully outside.
+    """
+    dx, m = instanton.dx, instanton.m_beta
+    r = int(round(1.0 / dx))
+    ext = np.concatenate([np.full(r, -m), instanton.q, np.full(r, m)])
+    return short_range_energy(
+        params, GridProfile(L=ext.size * dx, dx=dx, samples=ext))
 
 
-def tail_rate(instanton: Instanton, floor: float = 1e-13,
-              min_points: int = 8) -> Tuple[float, float, Tuple[float, float]]:
+def tail_rate(instanton: Instanton) -> Tuple[float, float, Tuple[float, float]]:
     """Exponential decay rate of m_beta - q(x) from a log-linear fit.
 
     Fits on [W/2, W-2] when the deviation is resolvable there. The measured
@@ -148,7 +150,7 @@ def tail_rate(instanton: Instanton, floor: float = 1e-13,
     convergence floor well before W/2; in that case the window shrinks toward
     the interface, keeping only samples clearly above the floor (read off the
     flat far tail) and below 0.02 m_beta. Returns (rate, fit_rms, window).
-    Raises FitError when fewer than ``min_points`` usable samples exist.
+    Raises FitError when fewer than 8 usable samples exist.
     """
     x = instanton.x
     dev = instanton.m_beta - instanton.q
@@ -161,17 +163,17 @@ def tail_rate(instanton: Instanton, floor: float = 1e-13,
         is_plateau = spread < 0.5 * floor_emp
     else:
         is_plateau = False
-    cut = max(floor, (50.0 if is_plateau else 5.0) * floor_emp,
+    cut = max(_TAIL_FLOOR, (50.0 if is_plateau else 5.0) * floor_emp,
               50.0 * instanton.residual)
     usable = (dev > cut) & (dev < 0.02 * instanton.m_beta) & (x > 0.5)
     lo, hi = instanton.W / 2.0, instanton.W - 2.0
     sel = usable & (x >= lo) & (x <= hi)
-    if np.count_nonzero(sel) < min_points:
+    if np.count_nonzero(sel) < _TAIL_MIN_POINTS:
         idx = np.nonzero(usable)[0]
-        if idx.size < min_points:
+        if idx.size < _TAIL_MIN_POINTS:
             raise FitError("tail underflows: too few resolvable samples")
         # outer half of the resolvable stretch (the asymptotic regime)
-        idx = idx[idx.size // 2:] if idx.size >= 2 * min_points else idx
+        idx = idx[idx.size // 2:] if idx.size >= 2 * _TAIL_MIN_POINTS else idx
         sel = np.zeros_like(usable)
         sel[idx] = True
     xs = x[sel]

@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import _quadratic_form, sharp_energy, total_energy
+from .energy import _quadratic_form, tilde_energy
 from .errors import LineSearchFailure, ValidationError
 from .model import ModelParams
 from .profiles import GridProfile, StepProfile
@@ -56,10 +56,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     trace: np.ndarray            # rows: iter, energy, grad_norm, step
-    status: str = "ok"
-
-    def breakdown(self, params: ModelParams, gamma: float):
-        return total_energy(params, self.profile, gamma)
 
 
 def _projected_grad_norm(phi, g, tol=1e-12):
@@ -118,13 +114,11 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     step = options.step0
     rows: List[Tuple[float, float, float, float]] = []
     status = "max_iters"
-    converged = False
     it = 0
     for it in range(1, options.max_iters + 1):
         gnorm = stationarity(phi, g)
         rows.append((it - 1, energy, gnorm, step))
         if gnorm <= options.grad_tol:
-            converged = True
             status = "converged"
             break
         accepted = False
@@ -145,8 +139,9 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     gnorm = stationarity(phi, g)
     rows.append((it, energy, gnorm, step))
     result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
-                            grad_norm=gnorm, iterations=it, converged=converged,
-                            trace=np.array(rows), status=status)
+                            grad_norm=gnorm, iterations=it,
+                            converged=status == "converged",
+                            trace=np.array(rows))
     if status == "line_search_failure":
         raise LineSearchFailure("backtracking underflowed", result=result)
     return result
@@ -176,12 +171,18 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
     """Projected gradient descent on the slice {<phi> = mean} of the box, each
     step projected exactly by ``_project_mean_box``, until the slice's
     stationarity residual reaches ``grad_tol``. Reads ``options`` as
-    ``minimize_energy`` does."""
+    ``minimize_energy`` does. An ``init`` must lie on the grid that
+    ``length``, ``dx`` and ``bc`` describe."""
     if abs(mean) > 1.0:
         raise ValidationError("|mean| must not exceed 1")
     options = MinimizeOptions() if options is None else options
     if init is None:
         init = GridProfile.constant(mean, L=length, dx=dx, bc=bc)
+    elif (init.bc != bc or not np.isclose(init.L, length, rtol=1e-9, atol=0.0)
+          or not np.isclose(init.dx, dx, rtol=1e-9, atol=0.0)):
+        raise ValidationError(
+            f"init (L={init.L}, dx={init.dx}, bc={init.bc}) disagrees with "
+            f"length={length}, dx={dx}, bc={bc}")
     project = lambda phi: _project_mean_box(phi, mean)
     return _descend(params, init, gamma, options, project,
                     stationarity=_mean_slice_grad_norm)
@@ -211,14 +212,15 @@ def _sign_changes(samples: np.ndarray) -> np.ndarray:
 
 def _flipped_sharp_energy(params: ModelParams, gamma: float,
                           counts: np.ndarray, j: int, dx: float) -> float:
-    """Periodic sharp energy of the +-m_beta step profile with sign interval j
-    (of the cyclic run lengths ``counts``) merged into both neighbours."""
+    """Periodic sharp-interface energy (``tilde_energy`` of a +-m_beta step
+    profile, where the well term vanishes) with sign interval j (of the
+    cyclic run lengths ``counts``) merged into both neighbours."""
     w = np.roll(counts, 1 - j)
     merged = np.concatenate([[w[0] + w[1] + w[2]], w[3:]]) * dx
     m = params.m_beta
     step = StepProfile.from_pieces(
         [(h, m if i % 2 == 0 else -m) for i, h in enumerate(merged)])
-    return sharp_energy(params, step, gamma, bc="periodic")
+    return tilde_energy(params, step, gamma, bc="periodic")
 
 
 def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
@@ -286,8 +288,8 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     2. gate: go on only while k >= 4 and the k-wall state has too many walls,
        ``e(L/(k-2)) < e(L/k)`` in the closed form ``energy_per_length``;
     3. rank the k moves "flip sign interval i", which merge interval i with
-       both neighbours, by ``sharp_energy`` of the merged +-m_beta step
-       profile;
+       both neighbours, by the sharp-interface energy (``tilde_energy``)
+       of the merged +-m_beta step profile;
     4. negate the samples of the best and, if needed, the second-best
        interval and re-relax with ``max(1, max_iters // 6)`` iterations;
        accept the first move whose relaxed energy is below the current one;

@@ -92,12 +92,8 @@ class KacMeasure:
         k = np.asarray(k, dtype=float)
         r = self.rates.reshape((-1,) + (1,) * k.ndim)
         w = self.weights.reshape((-1,) + (1,) * k.ndim)
-        out = self.lam * np.sum(w * 2.0 * r / (r * r + k * k), axis=0)
+        out = self.lam * np.sum(2.0 * r / (r * r + k * k) * w, axis=0)
         return out if np.ndim(out) else float(out)
-
-    def v_integral(self) -> float:
-        """Total integral of v over the line: lambda sum_k 2 w_k / alpha_k."""
-        return float(self.lam * np.sum(2.0 * self.weights / self.rates))
 
     def mean_rate(self) -> float:
         """sum_k w_k alpha_k (the default long-wavelength coefficient)."""
@@ -123,10 +119,7 @@ def rp_spectrum_check(measure: KacMeasure, k_samples) -> Certificate:
     k = np.atleast_1d(np.asarray(k_samples, dtype=float))
     if k.size == 0:
         raise ValidationError("k_samples must be nonempty")
-    vals = measure.lam * (
-        (2.0 * measure.rates[:, None]
-         / (measure.rates[:, None] ** 2 + k[None, :] ** 2))
-        * measure.weights[:, None]).sum(axis=0)
+    vals = measure.v_hat(k)
     worst = int(np.argmin(vals))
     return Certificate(
         name="rp_spectrum",
@@ -342,11 +335,15 @@ def _unclamped_a(u: np.ndarray, params: ModelParams) -> np.ndarray:
     return a
 
 
-def _well(t: np.ndarray, params: ModelParams, edge: float = 1.0 - 1e-12):
+# the entropy's log1p pair is evaluated on |t| <= _EDGE, where F' stays finite
+_EDGE = 1.0 - 1e-12
+
+
+def _well(t: np.ndarray, params: ModelParams):
     """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
     log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
-    one log1p pair on s = clip(t, -edge, edge); F takes a(|t|) beyond it."""
-    s = np.minimum(np.maximum(t, -edge), edge)    # np.clip is slower
+    one log1p pair on s = clip(t, -_EDGE, _EDGE); F takes a(|t|) beyond it."""
+    s = np.minimum(np.maximum(t, -_EDGE), _EDGE)    # np.clip is slower
     lp, lm = np.log1p(s), np.log1p(-s)
     slope = (lp - lm) / (2.0 * params.beta) - params.kernel.j0_hat * s
     f = _shifted_a(s, lp, lm, params) - params._a_min
@@ -363,14 +360,14 @@ def eval_F(t, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def eval_F_prime(t, params: ModelParams, clamp: float = 1e-12):
+def eval_F_prime(t, params: ModelParams):
     """a'(t) = -J0_hat t + arctanh(t)/beta, clamped near t = +-1.
 
     The entropy slope diverges at the box boundary; evaluation is clamped at
-    |t| = 1 - ``clamp`` so projected-gradient iterations stay finite.
+    |t| = 1 - 1e-12 so projected-gradient iterations stay finite.
     """
-    t = np.clip(np.asarray(t, dtype=float), -1.0 + clamp, 1.0 - clamp)
-    out = _well(t.reshape(-1), params, 1.0 - clamp)[1].reshape(t.shape)
+    t = np.clip(np.asarray(t, dtype=float), -_EDGE, _EDGE)
+    out = _well(t.reshape(-1), params)[1].reshape(t.shape)
     return out if out.ndim else float(out)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "coarse_version",
     "block_type",
     "alpha_L",
+    "regular_partition",
     "save_profile",
     "load_profile",
 ]
@@ -155,8 +156,8 @@ def alpha_L(L: float, delta: float, gamma: float) -> Tuple[float, int]:
 class BlockPartition:
     """Intervals tiling [0, L] with per-block metadata.
 
-    ``kind`` is regular_delta / regular_delta0 / adapted. ``labels`` holds
-    parallel per-block arrays (good/bad flags, types, energies) added by the
+    ``kind`` is regular_delta / adapted. ``labels`` holds parallel
+    per-block arrays (good/bad flags, types, energies) added by the
     coarse-graining and diagnostics stages.
     """
 
@@ -193,9 +194,12 @@ class BlockPartition:
                               labels=dict(self.labels))
 
 
-def regular_partition_edges(L: float, delta: float, gamma: float) -> np.ndarray:
-    _, n = alpha_L(L, delta, gamma)
-    return np.linspace(0.0, L, n + 1)
+def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
+    """Equal blocks of length alpha_L(delta) gamma^-delta, integer count."""
+    alpha, n = alpha_L(L, delta, gamma)
+    edges = np.linspace(0.0, L, n + 1)
+    return BlockPartition(edges=edges, kind="regular_delta",
+                          labels={"alpha_L": alpha})
 
 
 def coarse_version(profile: GridProfile, delta0: float, gamma: float) -> GridProfile:
@@ -204,14 +208,10 @@ def coarse_version(profile: GridProfile, delta0: float, gamma: float) -> GridPro
     Partition edges are snapped to the sample grid so every block mean is an
     exact sample average; means are preserved per block.
     """
-    edges = regular_partition_edges(profile.L, delta0, gamma)
-    part = BlockPartition(edges=edges, kind="regular_delta0").snapped(profile.dx)
-    out = np.empty_like(profile.samples)
-    idx = np.round(part.edges / profile.dx).astype(int)
-    for k in range(part.n_blocks):
-        i, j = idx[k], idx[k + 1]
-        out[i:j] = profile.samples[i:j].mean()
-    return profile.with_samples(out)
+    part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
+    means = [average_over(profile, block) for block in part.blocks()]
+    counts = np.round(part.widths / profile.dx).astype(int)
+    return profile.with_samples(np.repeat(means, counts))
 
 
 @dataclass(frozen=True)

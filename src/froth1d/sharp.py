@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,15 +38,28 @@ __all__ = [
     "golden_section",
 ]
 
+# central-difference step of eh_derivative, relative to max(1, h)
+_EH_STEP = 1e-5
+# golden_section stops at this bracket width relative to |a| + |b|
+_GOLDEN_RTOL = 1e-10
+_GOLDEN_MAX_ITER = 400
+# check_eh_bounds: h samples, candidate regime boundaries c' h* and
+# C' / gamma, and the range the fitted constants c and C must lie in
+_BOUNDS_SAMPLES = 240
+_LOW_BOUNDARIES = (0.5, 0.3, 0.7)
+_HIGH_BOUNDARIES = (1.0, 0.5, 2.0)
+_C_MIN, _C_MAX = 1e-8, 1e8
+# gamma_limit_energy is +inf on profiles whose mean exceeds this
+_MEAN_TOL = 1e-8
+
 
 def energy_per_length(params: ModelParams, h: float,
-                      gamma: Optional[float] = None,
-                      tau: Optional[float] = None) -> float:
+                      gamma: Optional[float] = None) -> float:
     """e(h) = tau/h + lambda m^2 sum_k (w_k/a_k)(1 - tanh(a_k g h/2)/(a_k g h/2))."""
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau() if tau is None else tau
+    tau = params.require_tau()
     m2 = params.m_beta ** 2
     meas = params.measure
     x = 0.5 * meas.rates * gamma * h
@@ -55,22 +68,21 @@ def energy_per_length(params: ModelParams, h: float,
 
 
 def eh_derivative(params: ModelParams, h: float,
-                  gamma: Optional[float] = None, step: float = 1e-5) -> float:
+                  gamma: Optional[float] = None) -> float:
     """e'(h) by central differences of the closed form."""
-    d = step * max(1.0, abs(h))
+    d = _EH_STEP * max(1.0, abs(h))
     return (energy_per_length(params, h + d, gamma)
             - energy_per_length(params, h - d, gamma)) / (2.0 * d)
 
 
-def golden_section(f, a: float, b: float, rtol: float = 1e-10,
-                   max_iter: int = 400) -> Tuple[float, float]:
+def golden_section(f, a: float, b: float) -> Tuple[float, float]:
     """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rtol * (abs(a) + abs(b)):
+    for _ in range(_GOLDEN_MAX_ITER):
+        if (b - a) <= _GOLDEN_RTOL * (abs(a) + abs(b)):
             break
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -84,8 +96,8 @@ def golden_section(f, a: float, b: float, rtol: float = 1e-10,
     return x, f(x)
 
 
-def optimal_h(params: ModelParams, gamma: Optional[float] = None,
-              tau: Optional[float] = None) -> Tuple[float, float, float, float]:
+def optimal_h(params: ModelParams, gamma: Optional[float] = None
+              ) -> Tuple[float, float, float, float]:
     """(h*, e(h*), h*_asym, e*_asym); the asymptotics are the leading-order laws.
 
     Minimizes e(h) by golden section on [gamma^{-1/3}, gamma^{-1}]; raises
@@ -94,10 +106,10 @@ def optimal_h(params: ModelParams, gamma: Optional[float] = None,
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < gamma < 0.2):
         raise ValidationError(f"gamma must lie in (0, 0.2), got {gamma}")
-    tau = params.require_tau() if tau is None else tau
+    tau = params.require_tau()
     lo, hi = gamma ** (-1.0 / 3.0), gamma ** -1.0
     h_star, e_star = golden_section(
-        lambda h: energy_per_length(params, h, gamma, tau=tau), lo, hi)
+        lambda h: energy_per_length(params, h, gamma), lo, hi)
     if h_star - lo < 1e-6 * lo or hi - h_star < 1e-6 * hi:
         raise BracketError(f"minimum of e(h) at bracket end (h={h_star:.4g})")
     vp = v_prime_at_zero(params.measure)
@@ -140,28 +152,26 @@ def eh_curve(params: ModelParams, gamma: Optional[float] = None,
                    h_star_asym=h_asym, e_star_asym=e_asym)
 
 
-def check_eh_bounds(params: ModelParams, gamma: Optional[float] = None,
-                    n_samples: int = 240,
-                    c_prime_grid: Sequence[float] = (0.5, 0.3, 0.7),
-                    C_prime_grid: Sequence[float] = (1.0, 0.5, 2.0),
-                    c_min: float = 1e-8, C_max: float = 1e8) -> Certificate:
+def check_eh_bounds(params: ModelParams,
+                    gamma: Optional[float] = None) -> Certificate:
     """Fit the three-regime bounds on e(h) - e(h*) and |e'(h)|.
 
     Scans a log-spaced h grid, fits the best constants c (largest lower
     bound) and C (smallest upper bound) for candidate regime boundaries
-    c' h* and C' gamma^{-1}; passes when 0 < c and C < C_max.
+    c' h* and C' gamma^{-1}; passes at the first boundary pair with
+    c >= 1e-8 and C <= 1e8.
     """
     gamma = params.gamma if gamma is None else gamma
     h_star, e_star, _, _ = optimal_h(params, gamma)
     if h_star < 10.0:
         raise ValidationError("check_eh_bounds needs h* >= 10 (gamma too large)")
-    hgrid = np.geomspace(1.0, 100.0 / gamma, n_samples)
+    hgrid = np.geomspace(1.0, 100.0 / gamma, _BOUNDS_SAMPLES)
     e_vals = np.array([energy_per_length(params, h, gamma) for h in hgrid])
     de_vals = np.array([abs(eh_derivative(params, h, gamma)) for h in hgrid])
     diff = e_vals - e_star
     last_err = "no candidate regime boundaries admitted positive constants"
-    for cp in c_prime_grid:
-        for Cp in C_prime_grid:
+    for cp in _LOW_BOUNDARIES:
+        for Cp in _HIGH_BOUNDARIES:
             lowshape = np.where(
                 hgrid <= cp * h_star, 1.0 / hgrid,
                 np.where(hgrid >= Cp / gamma, 1.0,
@@ -175,15 +185,15 @@ def check_eh_bounds(params: ModelParams, gamma: Optional[float] = None,
             c_fit = float(np.min(diff[ok] / lowshape[ok]))
             okd = upshape > 0.0
             C_fit = float(np.max(de_vals[okd] / upshape[okd]))
-            if c_fit >= c_min and C_fit <= C_max:
+            if c_fit >= _C_MIN and C_fit <= _C_MAX:
                 return Certificate(
                     name="eh_bounds", lhs=c_fit, rhs=0.0, slack=c_fit,
                     passed=True,
                     params={"c": c_fit, "C": C_fit, "c_prime": cp,
                             "C_prime": Cp, "gamma": gamma, "h_star": h_star,
-                            "n_samples": n_samples})
+                            "n_samples": _BOUNDS_SAMPLES})
             last_err = (f"c={c_fit:.3e}, C={C_fit:.3e} outside "
-                        f"[{c_min:.0e}, {C_max:.0e}] at c'={cp}, C'={Cp}")
+                        f"[{_C_MIN:.0e}, {_C_MAX:.0e}] at c'={cp}, C'={Cp}")
     raise CertificateFailure(last_err)
 
 
@@ -238,7 +248,8 @@ def _vh_quadratic_form(values: np.ndarray, edges: np.ndarray, h: float,
 
     All kernel terms are integrated in closed form over cell pairs, so the
     constant-profile identity <m, m>_{v~_h}/(2h) = long-range part of e(h)
-    holds to machine precision.
+    is exact up to rounding, which grows as gamma -> 0 (the wall integrals
+    are differences of exponentials).
     """
     total = 0.0
     for wk, alpha in measure.atoms:
@@ -260,30 +271,17 @@ def _vh_quadratic_form(values: np.ndarray, edges: np.ndarray, h: float,
     return gamma * measure.lam * total
 
 
-def cell_specific_energy(params: ModelParams, sigma, h: Optional[float] = None,
+def cell_specific_energy(params: ModelParams, sigma: StepProfile,
                          gamma: Optional[float] = None) -> float:
     """e~_h[sigma] = (1/h) int F~(sigma) + tau/h + (1/2h) <sigma, sigma>_{v~_h}.
 
-    ``sigma`` is a GridProfile or StepProfile on [0, h] with constant sign
+    ``sigma`` is a StepProfile on [0, h], h = sigma.L, with constant sign
     (the antiperiodic cell of the chessboard estimate); a negative cell is
     evaluated through |sigma|.
     """
     gamma = params.gamma if gamma is None else gamma
     tau = params.require_tau()
-    if isinstance(sigma, GridProfile):
-        values = sigma.samples
-        edges = np.arange(sigma.n + 1) * sigma.dx
-        length = sigma.L
-    elif isinstance(sigma, StepProfile):
-        values = sigma.values
-        edges = sigma.breakpoints
-        length = sigma.L
-    else:
-        raise ValidationError("sigma must be a GridProfile or StepProfile")
-    if h is None:
-        h = length
-    elif abs(h - length) > 1e-9 * max(1.0, h):
-        raise ValidationError("sigma must live on [0, h]")
+    values, edges, h = sigma.values, sigma.breakpoints, sigma.L
     signs = np.sign(values[np.abs(values) > 0.0])
     if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
         raise SignError("cell profile must have constant sign")
@@ -326,18 +324,17 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
 # rescaled limit functional
 
 def gamma_limit_energy(u: GridProfile, params: ModelParams,
-                       constant_alpha: Optional[float] = None,
-                       mean_tol: float = 1e-8) -> float:
+                       constant_alpha: Optional[float] = None) -> float:
     """Limit functional: (tau/2m) TV(u) + lam <alpha> |(-Delta)^{-1/2} u|^2.
 
-    Defined for periodic mean-zero profiles on [0, L0]; returns +inf when the
-    mean exceeds ``mean_tol``. ``constant_alpha`` defaults to sum w_k alpha_k.
+    Defined for periodic mean-zero profiles on [0, L0]; returns +inf when
+    |mean| exceeds 1e-8. ``constant_alpha`` defaults to sum w_k alpha_k.
     """
     tau = params.require_tau()
     if constant_alpha is None:
         constant_alpha = params.measure.mean_rate()
     vals = u.samples
-    if abs(vals.mean()) > mean_tol:
+    if abs(vals.mean()) > _MEAN_TOL:
         return float("inf")
     tv = float(np.sum(np.abs(np.diff(vals)))) + abs(float(vals[0] - vals[-1]))
     uhat = np.fft.rfft(vals) / vals.size

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .certificates import Certificate, comparison_certificate
 from .coarsegrain import CoarseGrainConfig, lower_bound_certificate
+from .diagnostics import excess_energy_decomposition
 from .energy import energy_gradient, tilde_energy, total_energy
 from .instanton import build_trial_profile, solve_instanton
 from .minimize import restart_rng
@@ -59,16 +60,17 @@ def appendix_well_certificates(params: ModelParams) -> List[Certificate]:
     return certs
 
 
-def run_certificates(params: ModelParams, gamma: Optional[float] = None,
-                     seed: int = 0, n_step_profiles: int = 20,
+def run_certificates(params: ModelParams, seed: int = 0,
+                     n_step_profiles: int = 20,
                      fast: bool = False) -> List[Certificate]:
-    """Assemble and evaluate the full suite; never raises on failure.
+    """Assemble and evaluate the full suite at ``params.gamma``; never raises
+    on failure.
 
     Solves the instanton for an independent surface tension; a configured
     ``params.tau`` is kept for the effective-functional side so that an
     inconsistent value is caught by the cell-energy identity.
     """
-    gamma = params.gamma if gamma is None else gamma
+    gamma = params.gamma
     certs: List[Certificate] = []
     certs.append(rp_spectrum_check(params.measure,
                                    np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])))
@@ -131,13 +133,9 @@ def run_certificates(params: ModelParams, gamma: Optional[float] = None,
         e_tilde = tilde_energy(p_used, step, gamma, bc="open")
         bound, _ = chessboard_lower_bound(p_used, step, gamma, bc="open")
         worst_cb = min(worst_cb, e_tilde - bound)
-        h_j = step.interval_lengths()
-        rhs = (L * e_star
-               + 0.5 * sum(h * (energy_per_length(p_solved, h, gamma) - e_star)
-                           for h in h_j)
-               + params.f0 / (4.0 * params.m_beta ** 2)
-               * float(np.sum(step.widths
-                              * (np.abs(step.values) - params.m_beta) ** 2)))
+        excess, well, _ = excess_energy_decomposition(
+            p_solved, step, gamma, h_star, e_star)
+        rhs = L * e_star + 0.5 * excess + well / 4.0
         worst_c000 = min(worst_c000, e_tilde - rhs)
     certs.append(Certificate(
         name="chessboard_lower_bound", lhs=worst_cb, rhs=-1e-9 * L,

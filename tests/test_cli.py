@@ -140,14 +140,23 @@ class TestPipelineCommands:
                      "--out", str(out)]) == 1
 
     def test_determinism(self, tmp_path):
-        cfg = write_config(tmp_path, minimize={
+        # all six subcommands, twice: every artifact byte for byte
+        cfg = write_config(tmp_path, verify={"fast": True}, minimize={
             "L": 40.0, "bc": "periodic", "dx": 0.125, "n_starts": 2,
             "max_iters": 150, "grad_tol": 1e-4})
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["minimize", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["minimize", "--config", str(cfg), "--out", str(out2)]) == 0
-        for name in ("minimized.profile", "trace.csv", "minimize.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        runs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            for sub in ("instanton", "eh-curve", "minimize", "coarse-grain",
+                        "verify", "report"):
+                assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(runs[0]) == [
+            "certificates.json", "coarsegrain.json", "eh.csv", "histogram.csv",
+            "hstar.json", "instanton.json", "instanton.profile",
+            "minimize.json", "minimized.profile", "report.json",
+            "sigma.profile", "trace.csv"]
+        assert runs[0] == runs[1]
 
 
 class TestVerifyCommand:

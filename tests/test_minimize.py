@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from froth1d.energy import total_energy
+from froth1d.errors import ValidationError
 from froth1d.minimize import (MinimizeOptions, _project_mean_box,
                               minimize_energy, minimize_with_mean_constraint,
                               multistart, restart_rng)
@@ -114,6 +115,18 @@ class TestMeanConstraint:
             dx=dx, init=init)
         assert abs(res.profile.mean() - mean) < 1e-12
         assert np.max(np.abs(res.profile.samples - mean)) < 1e-6
+
+    @pytest.mark.parametrize("L,dx,bc", [
+        (8.0, 1.0 / 16.0, "periodic"), (20.0, 1.0 / 16.0, "open"),
+        (8.0, 1.0 / 32.0, "open"), (20.0, 1.0 / 32.0, "periodic")])
+    def test_init_on_another_grid_rejected(self, params, L, dx, bc):
+        # an init that disagrees with length, dx or bc is not silently used
+        init = GridProfile.constant(0.5, L=L, dx=dx, bc=bc)
+        with pytest.raises(ValidationError):
+            minimize_with_mean_constraint(
+                params, length=20.0, mean=0.5, bc="open", gamma=0.0,
+                options=MinimizeOptions(max_iters=10), dx=1.0 / 32.0,
+                init=init)
 
     def test_mean_m_beta_gives_zero_energy(self, params):
         res = minimize_with_mean_constraint(
