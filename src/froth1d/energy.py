@@ -7,9 +7,10 @@ data; energy and gradient come from one application of K, whose per-grid data
 is cached per (params, gamma, N, dx, bc), and one pass of the well kernel
 ``model._well``, which gives F and F' per sample from one log1p pair. On the
 torus K is circulant and is applied as one rfft multiply by its closed-form
-symbol. On an interval it is the exchange band plus O(N) two-pass recursions
-per atom; the fixed bcs add cached cross terms: geometric series (plus,
-minus), one dot product per atom (custom) and a rank-two form per end
+symbol. On an interval it is the exchange band plus, per atom, two O(N)
+prefix-sum passes over chunks of bounded exponent span, whose weights are
+cached with the form; the fixed bcs add cached cross terms: geometric series
+(plus, minus), one dot product per atom (custom) and a rank-two form per end
 (neumann, whose reflection is linear in phi). Step-profile dipole energies
 use closed-form pair integrals, free of cancellation, instead of any grid.
 """
@@ -24,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.signal import lfilter
 
 from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
@@ -79,21 +79,76 @@ def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float) -> float
     return 0.5 * dx * dx * acc
 
 
-def _exp_conv_open(phi: np.ndarray, rho: float) -> np.ndarray:
-    """A_i = sum_j rho^{|i-j|} phi_j via two linear recursions."""
-    if rho == 0.0:
-        return phi.copy()
-    # left pass: l_i = rho (l_{i-1} + phi_{i-1})
-    u = lfilter([1.0], [1.0, -rho], phi)
-    left = np.empty_like(phi)
-    left[0] = 0.0
-    left[1:] = rho * u[:-1]
-    # right pass, mirrored
-    ur = lfilter([1.0], [1.0, -rho], phi[::-1])
-    right = np.empty_like(phi)
-    right[-1] = 0.0
-    right[:-1] = (rho * ur[:-1])[::-1]
-    return phi + left + right
+# largest exponent span b dx c of one prefix-sum chunk: its weights
+# e^{+-b dx t} lie in [e^-4, e^4], exact to a few ulp and far from overflow
+# and underflow. Chunks shorter than _MIN_CHUNK become single samples: numpy's
+# prefix sum over short rows costs more than the few extra doubling steps.
+_EXP_SPAN = 4.0
+_MIN_CHUNK = 16
+
+
+class _ExpWeights:
+    """What ``_exp_conv_open`` needs for one rate beta = b dx on n samples:
+    the chunk length c, the in-chunk weights e^{beta t}, e^{-beta t} and
+    e^{-beta (t + 1)}, and the carry factors (s, e^{-beta c s}) of the
+    doubling recurrence for s = 1, 2, 4, ... below the chunk count, up to
+    the first that underflows.
+
+    With more than one chunk c is a power of two, so beta c s is exact and
+    the error of a weight does not grow with the distance it spans. Then
+    beta c > 2 if c > 1 and beta > 1/4 if c = 1, so there are at most twelve
+    carry factors.
+    """
+
+    def __init__(self, n: int, beta: float):
+        self.n = n
+        c = n
+        if beta * n > _EXP_SPAN:
+            c = 1 << max(0, math.frexp(_EXP_SPAN / beta)[1] - 1)
+            if c < _MIN_CHUNK:
+                c = 1
+        self.chunks = -(-n // c)
+        t = np.arange(c)
+        self.up = np.exp(beta * t)
+        self.down = np.exp(-beta * t)
+        self.tail = np.exp(-beta * (t + 1))
+        self.carries = []
+        s = 1
+        while s < self.chunks:
+            r = math.exp(-beta * c * s)
+            if r == 0.0:
+                break
+            self.carries.append((s, r))
+            s *= 2
+
+
+def _exp_conv_open(phi: np.ndarray, w: _ExpWeights) -> np.ndarray:
+    """A_i = sum_j e^{-beta |i-j|} phi_j as two prefix-sum passes.
+
+    The left pass L_i = sum_{j<=i} e^{-beta (i-j)} phi_j is, within a chunk,
+    e^{-beta t} times the prefix sum of e^{beta t} phi; the chunk ends C_k
+    then take their carries by the doubling recurrence C[s:] += r^s C[:-s],
+    r = e^{-beta c}, and each chunk adds C_{k-1} e^{-beta (t + 1)}. The right
+    pass is the mirror image (both run as one array) and A = L + R - phi.
+    With e^{-beta} = 0 there are no carries and A = phi exactly.
+    """
+    n, k, c = w.n, w.chunks, w.up.size
+    x = np.zeros((2, k * c))
+    x[0, :n] = phi
+    x[1, :n] = phi[::-1]
+    part = x.reshape(2, k, c)
+    if c > 1:
+        part = np.cumsum(part * w.up, axis=2)
+        part *= w.down
+    if w.carries:
+        ends = part[:, :, -1].T.copy()
+        for s, r in w.carries:
+            ends[s:] += r * ends[:-s]
+        part[:, 1:] += ends[:-1].T[:, :, None] * w.tail
+    part = part.reshape(2, k * c)
+    a = part[0, :n] + part[1, n - 1::-1]
+    a -= phi
+    return a
 
 
 def _atoms(params: ModelParams, gamma: float, dx: float):
@@ -104,12 +159,12 @@ def _atoms(params: ModelParams, gamma: float, dx: float):
     return [(w, gamma * lam * dx * w, gamma * a) for w, a in params.measure.atoms]
 
 
-def _dipole_open(phi: np.ndarray, atoms, dx: float) -> float:
-    """sum_k w_k <phi, rho_k^{|i-j|} phi> on an open interval: the dipole
-    energy over gamma lam dx^2 / 2."""
+def _dipole_open(phi: np.ndarray, atoms, weights) -> float:
+    """sum_k w_k <phi, e^{-b_k dx |i-j|} phi> on an open interval, with the
+    atoms' ``_ExpWeights``: the dipole energy over gamma lam dx^2 / 2."""
     acc = 0.0
-    for w, _, b in atoms:
-        acc += w * float(phi @ _exp_conv_open(phi, np.exp(-b * dx)))
+    for (w, _, _), ew in zip(atoms, weights):
+        acc += w * float(phi @ _exp_conv_open(phi, ew))
     return acc
 
 
@@ -165,6 +220,7 @@ class _QuadraticForm:
         self.params, self.n, self.dx, self.bc = params, n, dx, bc
         self.jband = params.kernel.band(dx)
         self.atoms = _atoms(params, gamma, dx)
+        self.exp_weights = [_ExpWeights(n, b * dx) for _, _, b in self.atoms]
         self.dip_scale = 0.5 * gamma * params.measure.lam * dx ** 2
         if bc == "periodic":
             self.symbol = _torus_symbol(params, gamma, n, dx)
@@ -267,8 +323,8 @@ class _QuadraticForm:
         if self.bc == "periodic":
             return irfft(self.symbol * rfft(phi), self.n)
         kphi = self.dx * (self.degree * phi - self._band(phi))
-        for _, pref, b in self.atoms:
-            kphi += pref * _exp_conv_open(phi, np.exp(-b * self.dx))
+        for (_, pref, _), ew in zip(self.atoms, self.exp_weights):
+            kphi += pref * _exp_conv_open(phi, ew)
         return kphi
 
     def __call__(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
@@ -288,7 +344,8 @@ class _QuadraticForm:
         phi, dx = profile.samples, self.dx
         local = dx * float(np.sum(_well(phi, self.params)[0]))
         exchange = _exchange_banded(phi, self.jband, dx)
-        dipole = self.dip_scale * _dipole_open(phi, self.atoms, dx)
+        dipole = self.dip_scale * _dipole_open(phi, self.atoms,
+                                               self.exp_weights)
         if self.bc == "open":
             boundary = 0.0
         elif self.bc == "periodic":
@@ -342,14 +399,15 @@ def dipole_energy(params: ModelParams, profile: GridProfile,
                   gamma: Optional[float] = None) -> float:
     """(gamma/2) double integral of phi v(gamma(x-y)) phi over [0, L]^2.
 
-    O(N) per atom via the two-pass recursion; ignores boundary conditions.
+    O(N) per atom via the prefix-sum passes, with the weights of the cached
+    open-interval form; ignores boundary conditions.
     """
     gamma = params.gamma if gamma is None else gamma
     if gamma <= 0.0:
         return 0.0
-    acc = _dipole_open(profile.samples, _atoms(params, gamma, profile.dx),
-                       profile.dx)
-    return 0.5 * gamma * params.measure.lam * profile.dx ** 2 * acc
+    form = _quadratic_form(params, gamma, profile.n, profile.dx, "open")
+    return form.dip_scale * _dipole_open(profile.samples, form.atoms,
+                                         form.exp_weights)
 
 
 def dipole_energy_direct(params: ModelParams, profile: GridProfile,

@@ -51,6 +51,28 @@ _HIGH_BOUNDARIES = (1.0, 0.5, 2.0)
 _C_MIN, _C_MAX = 1e-8, 1e8
 # gamma_limit_energy is +inf on profiles whose mean exceeds this
 _MEAN_TOL = 1e-8
+# 1 - tanh(x)/x: below the switch, Lambert's continued fraction to this many
+# levels (exact to rounding there); above it the closed form, whose
+# cancellation costs at most a factor tanh(x) / (x - tanh(x)) < 1 there
+_TANHC_SWITCH = 2.0
+_TANHC_LEVELS = 10
+
+
+def _one_minus_tanhc(x: float) -> float:
+    """1 - tanh(x)/x for x >= 0, free of cancellation as x -> 0.
+
+    Lambert's tanh x = x / (1 + x^2/(3 + x^2/(5 + ...))) gives
+    1 - tanh(x)/x = q / (1 + q), q = x^2/(3 + x^2/(5 + ...)), a chain of
+    positive terms.
+    """
+    if x >= _TANHC_SWITCH:
+        return 1.0 - math.tanh(x) / x
+    y = x * x
+    d = 2.0 * _TANHC_LEVELS + 1.0
+    for k in range(_TANHC_LEVELS - 1, 0, -1):
+        d = 2.0 * k + 1.0 + y / d
+    q = y / d
+    return q / (1.0 + q)
 
 
 def energy_per_length(params: ModelParams, h: float,
@@ -62,9 +84,9 @@ def energy_per_length(params: ModelParams, h: float,
     tau = params.require_tau()
     m2 = params.m_beta ** 2
     meas = params.measure
-    x = 0.5 * meas.rates * gamma * h
-    lr = meas.lam * m2 * np.sum((meas.weights / meas.rates) * (1.0 - np.tanh(x) / x))
-    return tau / h + float(lr)
+    lr = math.fsum(w / a * _one_minus_tanhc(0.5 * a * gamma * h)
+                   for w, a in meas.atoms)
+    return tau / h + meas.lam * m2 * lr
 
 
 def eh_derivative(params: ModelParams, h: float,

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from froth1d.energy import (_energy_and_gradient, _pair_integral,
+from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
+                            _ExpWeights, _pair_integral,
                             dipole_energy, dipole_energy_direct,
                             energy_gradient,
                             short_range_energy, step_dipole_energy,
@@ -36,7 +40,10 @@ def dense_energy(params, profile, gamma):
 
     Periodic: J and each exponential atom are summed over all periodic
     images (the atoms in closed form). Fixed bcs: pair sums against an
-    explicit extension of length ceil(46 / (gamma alpha_min dx)).
+    explicit extension of length ceil(46 / (gamma alpha_min dx)); seen from
+    its own end, in-sample i and outside sample j are (i + j + 1) dx apart,
+    so the dipole pairs are summed by i + j (one np.convolve per end) and the
+    exchange pairs over the outside samples within J's unit range.
     """
     phi, dx, L, x = profile.samples, profile.dx, profile.L, profile.x
     kern, meas = params.kernel, params.measure
@@ -57,11 +64,15 @@ def dense_energy(params, profile, gamma):
     if profile.bc in ("open", "periodic"):
         return energy
     n_out = int(np.ceil(46.0 / (gamma * meas.alpha_min * dx)))
-    y = (np.arange(n_out) + 0.5) * dx
-    for out, dist in zip(outside_samples(profile, n_out, params.m_beta),
-                         (x[:, None] + y[None, :], (L - x)[:, None] + y[None, :])):
-        energy += 0.5 * dx * dx * np.sum(kern(dist) * (phi[:, None] - out) ** 2)
-        energy += gamma * dx * dx * float(phi @ meas.v(gamma * dist) @ out)
+    near = min(n_out, int(np.ceil(1.0 / dx)) + 1)
+    dist = x[:, None] + (np.arange(near) + 0.5) * dx
+    pair_dist = (np.arange(phi.size + n_out - 1) + 1.0) * dx
+    for out, side in zip(outside_samples(profile, n_out, params.m_beta),
+                         (phi, phi[::-1])):
+        energy += 0.5 * dx * dx * np.sum(
+            kern(dist) * (side[:, None] - out[:near]) ** 2)
+        energy += gamma * dx * dx * float(
+            meas.v(gamma * pair_dist) @ np.convolve(side, out))
     return energy
 
 
@@ -254,6 +265,55 @@ class TestGradient:
             assert np.max(np.abs(g)) < 1e-12
 
 
+class TestExpPasses:
+    """The prefix-sum passes against sum_j e^{-beta |i-j|} phi_j summed
+    densely in extended precision, row by row."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an extended long double")
+    @settings(max_examples=120, deadline=None)
+    @given(phi=arrays(np.float64, st.integers(1, 600),
+                      elements=st.floats(-1.0, 1.0)),
+           beta=st.one_of(st.floats(-10.0, math.log10(50.0)).map(
+               lambda e: 10.0 ** e), st.just(800.0)))
+    def test_matches_dense_sum(self, phi, beta):
+        # beta = 800: e^{-beta} underflows to 0 in double
+        n = phi.size
+        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        # beta d is exact in the 64-bit significand
+        terms = np.exp(-np.longdouble(beta) * d) * phi.astype(np.longdouble)
+        ref, mag = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        got = _exp_conv_open(phi, _ExpWeights(n, beta))
+        # terms below the normal double range are flushed or subnormal
+        assert np.all(np.abs(got - ref) <= 1e-14 * mag + 1e-290)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an extended long double")
+    @pytest.mark.parametrize("beta", [0.0123, 0.191, 1.2, 3.0])
+    def test_impulse_keeps_relative_accuracy(self, beta):
+        # each row of a unit impulse's response is one term, e^{-beta i},
+        # so no weight may lose accuracy with the distance it spans, out to
+        # the end of the normal range (beta = 0.191 needs c beta exact)
+        n = int(700.0 / beta)
+        phi = np.zeros(n)
+        phi[0] = 1.0
+        got = _exp_conv_open(phi, _ExpWeights(n, beta))
+        ref = np.exp(-np.longdouble(beta) * np.arange(n))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        assert np.array_equal(_exp_conv_open(phi[::-1], _ExpWeights(n, beta)),
+                              got[::-1])
+
+    def test_underflowed_rate_is_identity(self):
+        phi = np.array([0.3, -0.7, 1.0, 0.0, -1e-300])
+        assert np.array_equal(_exp_conv_open(phi, _ExpWeights(5, 800.0)), phi)
+
+    def test_carry_steps_bounded(self):
+        # the doubling recurrence takes at most twelve steps, whatever n beta
+        for n in (10, 1000, 100000):
+            for beta in np.geomspace(1e-6, 800.0, 60):
+                assert len(_ExpWeights(n, beta).carries) <= 12
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("bc,gamma", [
         (bc, gamma) for bc in ("open", "periodic", "plus", "minus", "neumann",
@@ -269,6 +329,28 @@ class TestDenseReference:
                           out_right=rng.uniform(-0.9, 0.9, n_out))
         p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-0.95, 0.95, n),
                         bc=bc, **kwargs)
+        ref = dense_energy(params, p, gamma)
+        assert total_energy(params, p, gamma).total == pytest.approx(ref, rel=1e-10)
+        energy, _ = _energy_and_gradient(params, p, gamma)
+        assert energy == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bc=st.sampled_from(["open", "periodic", "plus", "minus",
+                               "neumann", "custom"]),
+           log_gamma=st.floats(-4.0, -1.0),
+           samples=arrays(np.float64, st.integers(2, 48),
+                          elements=st.floats(-0.95, 0.95)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_energy_matches_dense_sum_property(self, two_atom_params, bc,
+                                               log_gamma, samples, seed):
+        params, gamma, dx = two_atom_params, 10.0 ** log_gamma, 1.0 / 8.0
+        kwargs = {}
+        if bc == "custom":
+            n_out = int(np.ceil(46.0 / (gamma * dx)))
+            out = np.random.default_rng(seed).uniform(-0.9, 0.9, (2, n_out))
+            kwargs = dict(out_left=out[0], out_right=out[1])
+        p = GridProfile(L=samples.size * dx, dx=dx, samples=samples, bc=bc,
+                        **kwargs)
         ref = dense_energy(params, p, gamma)
         assert total_energy(params, p, gamma).total == pytest.approx(ref, rel=1e-10)
         energy, _ = _energy_and_gradient(params, p, gamma)

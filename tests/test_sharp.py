@@ -1,3 +1,6 @@
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,10 +9,11 @@ from froth1d.errors import DomainError, SignError, ValidationError
 from froth1d.minimize import restart_rng
 from froth1d.model import KacMeasure
 from froth1d.profiles import GridProfile, StepProfile
-from froth1d.sharp import (cell_specific_energy, check_eh_bounds,
-                           chessboard_lower_bound, eh_curve, energy_per_length,
-                           gamma_limit_energy, golden_section, optimal_h,
-                           tilde_v_kernel, tilde_v_kernel_direct)
+from froth1d.sharp import (_one_minus_tanhc, cell_specific_energy,
+                           check_eh_bounds, chessboard_lower_bound, eh_curve,
+                           energy_per_length, gamma_limit_energy,
+                           golden_section, optimal_h, tilde_v_kernel,
+                           tilde_v_kernel_direct)
 from froth1d.verify import random_in_k_step
 
 
@@ -39,6 +43,39 @@ class TestEnergyPerLength:
     def test_domain_error(self, params_tau):
         with pytest.raises(DomainError):
             energy_per_length(params_tau, 0.0, 1e-2)
+
+
+class TestLongRangeAccuracy:
+    """1 - tanh(x)/x and the long-range part of e(h) against 50 digits."""
+
+    @staticmethod
+    def _reference(x):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x)
+            return 1 - mpmath.tanh(x) / x
+
+    def test_one_minus_tanhc(self):
+        xs = np.concatenate([np.geomspace(1e-6, 10.0, 300),
+                             np.linspace(1.9, 2.1, 41)])
+        for x in xs:
+            ref = self._reference(x)
+            assert abs(_one_minus_tanhc(x) - ref) <= 1e-15 * ref, x
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_long_range_part_at_h_star(self, params_tau, two_atom_params,
+                                       gamma):
+        # with tau = 0, e(h) is its long-range part alone
+        for params in (params_tau, two_atom_params.with_tau(params_tau.tau)):
+            h = optimal_h(params, gamma)[0]
+            lr = energy_per_length(dataclasses.replace(params, tau=0.0), h,
+                                   gamma)
+            meas = params.measure
+            with mpmath.workdps(50):
+                ref = meas.lam * mpmath.mpf(params.m_beta) ** 2 * mpmath.fsum(
+                    mpmath.mpf(w) / a * self._reference(
+                        mpmath.mpf(a) * gamma * h / 2)
+                    for w, a in meas.atoms)
+                assert abs(lr - ref) <= 1e-15 * ref
 
 
 class TestOptimalH:
