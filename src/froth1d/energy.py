@@ -5,14 +5,18 @@ functional is one quadratic form K (exchange band over the unit support of J
 plus one exponential kernel per Kac atom) with cross terms against the outside
 data; energy and gradient come from one application of K, whose per-grid data
 is cached per (params, gamma, N, dx, bc), and one pass of the well kernel
-``model._well``, which gives F and F' per sample from one log1p pair. On the
-torus K is circulant and is applied as one rfft multiply by its closed-form
-symbol. On an interval it is the exchange band plus, per atom, two O(N)
-prefix-sum passes over chunks of bounded exponent span, whose weights are
-cached with the form; the fixed bcs add cached cross terms: geometric series
-(plus, minus), one dot product per atom (custom) and a rank-two form per end
-(neumann, whose reflection is linear in phi). Step-profile dipole energies
-use closed-form pair integrals, free of cancellation, instead of any grid.
+``model._well``, which gives F and F' per sample from one log1p pair. The
+cached ``_QuadraticForm`` also gives the quadratic part alone, Q and its
+gradient, and its Hessian product (K plus the linear part of the cross
+terms' gradient), so the descent can expand Q exactly along a step instead of
+applying K to each candidate. On the torus K is circulant and is applied as one rfft multiply
+by its closed-form symbol. On an interval it is the exchange band plus, per
+atom, two O(N) prefix-sum passes over chunks of bounded exponent span, whose
+weights are cached with the form; the fixed bcs add cached cross terms:
+geometric series (plus, minus), one dot product per atom (custom) and a
+rank-two form per end (neumann, whose reflection is linear in phi).
+Step-profile dipole energies use closed-form pair integrals, free of
+cancellation, instead of any grid.
 """
 
 from __future__ import annotations
@@ -327,16 +331,38 @@ class _QuadraticForm:
             kphi += pref * _exp_conv_open(phi, ew)
         return kphi
 
+    def quadratic(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
+        """(Q, gq): the quadratic part Q = (dx/2) <phi, K phi> + (cross terms
+        with the outside data of ``profile``) of E and its gradient
+        gq = K phi + (theirs), from one application of K."""
+        gq = self._apply(phi)
+        q = 0.5 * self.dx * float(phi @ gq)
+        if self.bc not in ("open", "periodic"):
+            q += self._boundary(phi, profile, gq)
+        return q, gq
+
+    def hessian(self, d: np.ndarray) -> np.ndarray:
+        """H d for H = K plus the linear part of the cross terms' gradient, so
+        that Q(phi + d) = Q + dx <gq, d> + (dx/2) <d, H d> and
+        gq(phi + d) = gq + H d exactly; one application of K."""
+        hd = self._apply(d)
+        if self.bc == "neumann":
+            # the reflected cross terms are quadratic in phi: their gradient
+            # at d is their Hessian product
+            self._boundary(d, None, hd)
+        elif self.bc not in ("open", "periodic"):
+            # against fixed outside data only the exchange cross diagonal
+            hd += self.dx * np.bincount(self.pair_in,
+                                        self.pair_w * d[self.pair_in], self.n)
+        return hd
+
     def __call__(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
         """(E, g) of samples phi in [-1, 1] with the grid and outside data of
         ``profile``; g_i = dE/dphi_i / dx."""
-        kphi = self._apply(phi)
-        f, g = _well(phi, self.params)
-        g += kphi
-        energy = self.dx * (float(np.sum(f)) + 0.5 * float(phi @ kphi))
-        if self.bc not in ("open", "periodic"):
-            energy += self._boundary(phi, profile, g)
-        return energy, g
+        q, g = self.quadratic(phi, profile)
+        f, fp = _well(phi, self.params)
+        g += fp
+        return self.dx * float(np.sum(f)) + q, g
 
     def breakdown(self, profile: GridProfile) -> EnergyBreakdown:
         """``total_energy``'s terms: in-domain exchange and dipole as on an

@@ -1,6 +1,12 @@
 """Projected-gradient minimization of the discrete functional on the box
 [-1, 1]^N or on its slice {<phi> = mean}, each step projected exactly (a clip,
-on the slice a clip of one uniform shift), and seeded multistart."""
+on the slice a clip of one uniform shift), and seeded multistart.
+
+The functional is a quadratic form plus the local well, so the descent
+carries the quadratic part's value and gradient with the samples and scores
+each Armijo candidate inside the box by one well pass and an exact expansion
+along the step ray: at most one application of the quadratic form per
+iteration, plus one for each candidate that the projection clips."""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import numpy as np
 
 from .energy import _quadratic_form, tilde_energy
 from .errors import LineSearchFailure, ValidationError
-from .model import ModelParams
+from .model import ModelParams, _well
 from .profiles import GridProfile, StepProfile
 from .sharp import energy_per_length
 
@@ -56,14 +62,20 @@ class MinimizeResult:
     iterations: int
     converged: bool
     trace: np.ndarray            # rows: iter, energy, grad_norm, step
+    evaluations: int             # well passes: the start and each candidate
+    applications: int            # applications of the quadratic form K
 
 
 def _projected_grad_norm(phi, g, tol=1e-12):
     """Sup-norm of the gradient with active box faces masked out."""
+    if not g.size:
+        return 0.0
+    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # no face near
+        return float(np.max(np.abs(g)))
     pg = g.copy()
     pg[(phi >= 1.0 - tol) & (g < 0.0)] = 0.0
     pg[(phi <= -1.0 + tol) & (g > 0.0)] = 0.0
-    return float(np.max(np.abs(pg))) if pg.size else 0.0
+    return float(np.max(np.abs(pg)))
 
 
 def _mean_slice_grad_norm(phi, g, tol=1e-12):
@@ -72,13 +84,19 @@ def _mean_slice_grad_norm(phi, g, tol=1e-12):
     On the slice the multiplier is the gradient mean over free samples;
     box-active samples only count when they push off their face.
     """
+    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # all free
+        return float(np.max(np.abs(g - g.mean())))
     free = np.abs(phi) < 1.0 - tol
     mu = float(g[free].mean()) if np.any(free) else float(g.mean())
     return _projected_grad_norm(phi, g - mu, tol)
 
 
-def _project_box(phi):
-    return np.clip(phi, -1.0, 1.0)
+def _project_box(y):
+    """The nearest point of the box to y, and whether y lies strictly inside
+    it (the point is then y itself)."""
+    if y.max() < 1.0 and y.min() > -1.0:
+        return y, True
+    return np.clip(y, -1.0, 1.0), False
 
 
 def _project_mean_box(y, mean):
@@ -97,20 +115,41 @@ def _project_mean_box(y, mean):
     lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
     hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
     sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
-    return _project_box(y + np.interp(mean * s.size, sums, knots))
+    return np.clip(y + np.interp(mean * s.size, sums, knots), -1.0, 1.0)
 
 
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
-             options: MinimizeOptions, project,
-             stationarity=_projected_grad_norm) -> MinimizeResult:
-    # candidates are plain arrays that both projections place in the box, so
-    # only the returned profile is built and validated
-    evaluate = _quadratic_form(params, gamma, profile.n, profile.dx,
-                               profile.bc)
-    phi = project(profile.samples)
-    # one evaluation per line-search candidate; the accepted candidate's
-    # gradient is the next iteration's
-    energy, g = evaluate(phi, profile)
+             options: MinimizeOptions,
+             mean: Optional[float] = None) -> MinimizeResult:
+    """Projected gradient descent on the box, or with ``mean`` on its slice.
+
+    E = dx sum F(phi) + Q(phi) with Q quadratic, so along a step ray only the
+    well is nonlinear. The descent carries Q and its gradient gq with phi.
+    A candidate strictly inside the box is phi - t d up to rounding, with
+    d = g on the box and d = g - mean(g) on the slice (the ray shifted back
+    to the mean): it costs one well pass, its Q is the exact expansion
+    Q - t dx <gq, d> + (t^2 dx / 2) <d, H d>, and its acceptance updates gq
+    by -t H d. H d takes one application of K per iteration, made when the
+    first such candidate needs it. A candidate that the projection clips is
+    evaluated afresh. Candidates are plain arrays that the projections place
+    in the box, so only the returned profile is built and validated.
+    """
+    form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
+    dx = profile.dx
+    if mean is None:
+        project, stationarity = _project_box, _projected_grad_norm
+    else:
+        def project(y):
+            # a projection strictly inside the box is a pure shift of y
+            x = _project_mean_box(y, mean)
+            return x, bool(x.max() < 1.0 and x.min() > -1.0)
+        stationarity = _mean_slice_grad_norm
+    phi = project(profile.samples)[0]
+    q, gq = form.quadratic(phi, profile)
+    f, g = _well(phi, params)
+    energy = dx * float(f.sum()) + q
+    g += gq
+    evaluations = applications = 1
     step = options.step0
     rows: List[Tuple[float, float, float, float]] = []
     status = "max_iters"
@@ -121,12 +160,27 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         if gnorm <= options.grad_tol:
             status = "converged"
             break
+        d = g if mean is None else g - g.mean()
+        hd = None
         accepted = False
         while step >= _MIN_STEP:
             # L2 gradient flow step: g is the discrete functional derivative
-            cand = project(phi - step * g)
-            cand_energy, cand_g = evaluate(cand, profile)
-            decrease = profile.dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
+            cand, on_ray = project(phi - step * g)
+            f, cand_g = _well(cand, params)
+            evaluations += 1
+            if on_ray:      # cand = phi - step d
+                if hd is None:
+                    hd = form.hessian(d)
+                    applications += 1
+                    gq_d, d_hd, d_d = float(gq @ d), float(d @ hd), float(d @ d)
+                cand_q = q + step * dx * (0.5 * step * d_hd - gq_d)
+                cand_gq = None
+                decrease = dx * step * d_d
+            else:
+                cand_q, cand_gq = form.quadratic(cand, profile)
+                applications += 1
+                decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
+            cand_energy = dx * float(f.sum()) + cand_q
             if cand_energy <= energy - _ARMIJO * decrease:
                 accepted = True
                 break
@@ -134,14 +188,20 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         if not accepted:
             status = "line_search_failure"
             break
-        phi, energy, g = cand, cand_energy, cand_g
+        if cand_gq is None:
+            gq -= step * hd
+        else:
+            gq = cand_gq
+        phi, q, energy, g = cand, cand_q, cand_energy, cand_g
+        g += gq
         step = min(step * _STEP_GROW, 1e6)
     gnorm = stationarity(phi, g)
     rows.append((it, energy, gnorm, step))
     result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
                             grad_norm=gnorm, iterations=it,
                             converged=status == "converged",
-                            trace=np.array(rows))
+                            trace=np.array(rows), evaluations=evaluations,
+                            applications=applications)
     if status == "line_search_failure":
         raise LineSearchFailure("backtracking underflowed", result=result)
     return result
@@ -155,10 +215,15 @@ def minimize_energy(params: ModelParams, init: GridProfile,
 
     Energy decreases monotonically along accepted steps; stops when the
     projected-gradient sup-norm reaches grad_tol or max_iters is exhausted.
+    The returned energy is the value carried along the descent (the
+    quadratic part expanded step by step, refreshed at clipped steps); it
+    agrees with ``total_energy`` of the returned profile to rounding. The
+    result counts well passes (``evaluations``) and applications of the
+    quadratic form (``applications``).
     """
     gamma = params.gamma if gamma is None else gamma
     options = MinimizeOptions() if options is None else options
-    return _descend(params, init, gamma, options, _project_box)
+    return _descend(params, init, gamma, options)
 
 
 def minimize_with_mean_constraint(params: ModelParams, length: float,
@@ -170,9 +235,11 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
                                   ) -> MinimizeResult:
     """Projected gradient descent on the slice {<phi> = mean} of the box, each
     step projected exactly by ``_project_mean_box``, until the slice's
-    stationarity residual reaches ``grad_tol``. Reads ``options`` as
-    ``minimize_energy`` does. An ``init`` must lie on the grid that
-    ``length``, ``dx`` and ``bc`` describe."""
+    stationarity residual reaches ``grad_tol``. A step the box does not clip
+    is the mean-shifted ray phi - t (g - mean(g)), scored along that ray as
+    in ``minimize_energy``; the returned energy is likewise the carried value.
+    Reads ``options`` as ``minimize_energy`` does. An ``init`` must lie on
+    the grid that ``length``, ``dx`` and ``bc`` describe."""
     if abs(mean) > 1.0:
         raise ValidationError("|mean| must not exceed 1")
     options = MinimizeOptions() if options is None else options
@@ -183,9 +250,7 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
         raise ValidationError(
             f"init (L={init.L}, dx={init.dx}, bc={init.bc}) disagrees with "
             f"length={length}, dx={dx}, bc={bc}")
-    project = lambda phi: _project_mean_box(phi, mean)
-    return _descend(params, init, gamma, options, project,
-                    stationarity=_mean_slice_grad_norm)
+    return _descend(params, init, gamma, options, mean)
 
 
 def restart_rng(seed: int, restart_index: int) -> np.random.Generator:
@@ -198,7 +263,7 @@ def _relax(params: ModelParams, profile: GridProfile, gamma: float,
            options: MinimizeOptions) -> MinimizeResult:
     """Box-constrained descent that returns, not raises, a line-search failure."""
     try:
-        return _descend(params, profile, gamma, options, _project_box)
+        return _descend(params, profile, gamma, options)
     except LineSearchFailure as err:
         return err.result
 
@@ -227,7 +292,8 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
                 options: MinimizeOptions) -> MinimizeResult:
     """Coarse wall-pair annihilation on the torus after a plain descent.
 
-    Returns ``first`` itself when no move is accepted; see ``multistart``.
+    Returns ``first``'s descent when no move is accepted, with the counts of
+    the tried moves' relaxations added; see ``multistart``.
     """
     n, dx = first.profile.n, first.profile.dx
     L = n * dx
@@ -235,6 +301,7 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
     current = first
     rows = [first.trace]
     iterations = first.iterations
+    evaluations, applications = first.evaluations, first.applications
     while True:
         cuts = _sign_changes(current.profile.samples)
         k = cuts.size
@@ -250,6 +317,8 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
             phi[idx] = -phi[idx]
             cand = _relax(params, current.profile.with_samples(phi), gamma,
                           relax)
+            evaluations += cand.evaluations
+            applications += cand.applications
             if cand.energy < current.energy:
                 iterations += 1
                 rows.append([(iterations, cand.energy, cand.grad_norm,
@@ -259,13 +328,16 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
         else:
             break
     if current is first:
-        return first
+        return replace(first, evaluations=evaluations,
+                       applications=applications)
     final = _relax(params, current.profile, gamma, options)
     tail = final.trace[1:].copy()
     tail[:, 0] += iterations
     rows.append(tail)
     return replace(final, iterations=iterations + final.iterations,
-                   trace=np.vstack(rows))
+                   trace=np.vstack(rows),
+                   evaluations=evaluations + final.evaluations,
+                   applications=applications + final.applications)
 
 
 def multistart(params: ModelParams, gamma: float, L: float, bc: str,
@@ -301,8 +373,9 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     first relaxation's rows, one row per accepted move (its re-relaxation
     counts as one iteration, as backtracking does within a descent step),
     then the final relaxation's rows, numbered on, so energies never rise
-    and ``iterations`` is the last row's number. Other bcs, or params
-    without tau, get plain descent only.
+    and ``iterations`` is the last row's number, while ``evaluations`` and
+    ``applications`` add up every relaxation of the start, tried moves
+    included. Other bcs, or params without tau, get plain descent only.
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be at least 1")

@@ -7,8 +7,10 @@ decaying exponentials (a Laplace transform of an atomic measure, hence
 reflection positive by construction).
 
 The well F and its slope F' come from one pass of ``_well`` (one log1p pair
-per sample, a(m_beta) computed once per parameter set), which ``eval_F``,
-``eval_F_prime`` and the energy evaluator call.
+per sample, a(m_beta) computed once per parameter set, the formulas evaluated
+in place in a handful of arrays), which ``eval_F``, ``eval_F_prime``, the
+energy evaluator and each line-search candidate of the descent call. Along a
+descent step it is the only nonlinear part of the functional.
 """
 
 from __future__ import annotations
@@ -322,9 +324,19 @@ def _check_domain(t):
 
 
 def _shifted_a(s, lp, lm, params: ModelParams):
-    """a(s) + log(2)/beta from the pair lp = log1p(s), lm = log1p(-s)."""
-    out = (1.0 + s) * lp + (1.0 - s) * lm
-    return out / (2.0 * params.beta) - (0.5 * params.kernel.j0_hat) * (s * s)
+    """a(s) + log(2)/beta from the pair lp = log1p(s), lm = log1p(-s):
+    ((1 + s) lp + (1 - s) lm) / (2 beta) - (J0_hat / 2) s^2, computed in place
+    of lp and lm, which it returns and overwrites."""
+    w = 1.0 - s
+    lm *= w
+    np.add(s, 1.0, out=w)
+    lp *= w
+    lp += lm
+    lp /= 2.0 * params.beta
+    np.multiply(s, s, out=lm)
+    lm *= 0.5 * params.kernel.j0_hat
+    lp -= lm
+    return lp
 
 
 def _unclamped_a(u: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -343,10 +355,17 @@ def _well(t: np.ndarray, params: ModelParams):
     """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
     log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
     one log1p pair on s = clip(t, -_EDGE, _EDGE); F takes a(|t|) beyond it."""
-    s = np.minimum(np.maximum(t, -_EDGE), _EDGE)    # np.clip is slower
-    lp, lm = np.log1p(s), np.log1p(-s)
-    slope = (lp - lm) / (2.0 * params.beta) - params.kernel.j0_hat * s
-    f = _shifted_a(s, lp, lm, params) - params._a_min
+    # in-place steps, same operations in the same order as the formulas
+    s = np.maximum(t, -_EDGE)    # np.clip is slower
+    np.minimum(s, _EDGE, out=s)
+    lp = np.log1p(s)
+    lm = np.negative(s)
+    np.log1p(lm, out=lm)
+    slope = lp - lm
+    slope /= 2.0 * params.beta
+    slope -= params.kernel.j0_hat * s
+    f = _shifted_a(s, lp, lm, params)
+    f -= params._a_min
     out = np.flatnonzero(s != t)
     if out.size:
         f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
-                            _ExpWeights, _pair_integral,
+                            _ExpWeights, _pair_integral, _quadratic_form,
                             dipole_energy, dipole_energy_direct,
                             energy_gradient,
                             short_range_energy, step_dipole_energy,
@@ -370,6 +370,45 @@ class TestDenseReference:
         x = 0.5 * gamma * dx
         energy, _ = _energy_and_gradient(params, p, gamma)
         assert energy == pytest.approx(p.L * m * m * x / np.tanh(x), rel=1e-12)
+
+
+class TestHessianProduct:
+    """The descent expands the quadratic part along its steps; the expansion
+    must be the fresh evaluation at the displaced samples."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bc=st.sampled_from(["open", "periodic", "plus", "minus",
+                               "neumann", "custom"]),
+           log_gamma=st.floats(-3.0, -1.0),
+           n=st.integers(2, 64),
+           direction=st.sampled_from(["random", "one", "ray"]),
+           log_size=st.floats(-6.0, 0.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_expansion_matches_fresh_evaluation(self, two_atom_params, bc,
+                                                log_gamma, n, direction,
+                                                log_size, seed):
+        params, gamma, dx = two_atom_params, 10.0 ** log_gamma, 1.0 / 8.0
+        rng = np.random.default_rng(seed)
+        kwargs = {}
+        if bc == "custom":
+            n_out = int(np.ceil(46.0 / (gamma * dx)))
+            out = rng.uniform(-0.9, 0.9, (2, n_out))
+            kwargs = dict(out_left=out[0], out_right=out[1])
+        p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1.0, 1.0, n),
+                        bc=bc, **kwargs)
+        # a random direction, the mean-slice direction 1, or a step -t g + lam
+        delta = {"random": rng.normal(size=n), "one": np.ones(n),
+                 "ray": rng.normal(size=n) + rng.normal()}[direction]
+        delta *= 10.0 ** log_size
+        form = _quadratic_form(params, gamma, n, dx, bc)
+        q, gq = form.quadratic(p.samples, p)
+        hd = form.hessian(delta)
+        fresh_q, fresh_gq = form.quadratic(p.samples + delta, p)
+        terms = [q, dx * float(gq @ delta), 0.5 * dx * float(delta @ hd)]
+        scale = sum(abs(t) for t in terms) + abs(fresh_q)
+        assert abs(math.fsum(terms) - fresh_q) <= 1e-12 * scale
+        gscale = np.max(np.abs(gq)) + np.max(np.abs(hd)) + np.max(np.abs(fresh_gq))
+        assert np.max(np.abs(gq + hd - fresh_gq)) <= 1e-12 * gscale
 
 
 class TestStepClosedForms:

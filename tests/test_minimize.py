@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from froth1d.energy import total_energy
 from froth1d.errors import ValidationError
-from froth1d.minimize import (MinimizeOptions, _project_mean_box,
+from froth1d.minimize import (MinimizeOptions, _mean_slice_grad_norm,
+                              _project_mean_box, _projected_grad_norm,
                               minimize_energy, minimize_with_mean_constraint,
                               multistart, restart_rng)
 from froth1d.profiles import GridProfile
@@ -74,6 +75,17 @@ class TestMinimizeEnergy:
         assert res.energy == pytest.approx(
             total_energy(params, res.profile, gamma).total, rel=1e-12)
         assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+
+    def test_one_application_per_iteration(self, params, instanton_default):
+        # no candidate leaves the box on a relaxing trial train, so every
+        # candidate is scored along its step ray and each iteration applies
+        # the quadratic form at most once
+        from froth1d.instanton import build_trial_profile
+        init = build_trial_profile(24.0, 48.0, instanton_default, bc="periodic")
+        res = minimize_energy(params, init, 1e-2,
+                              MinimizeOptions(max_iters=300, grad_tol=1e-9))
+        assert res.applications <= res.iterations + 1
+        assert res.evaluations > res.iterations
 
     @pytest.mark.parametrize("bc", ["custom", "neumann"])
     def test_result_profile_keeps_outside_data(self, params, rng, bc):
@@ -211,6 +223,9 @@ class TestMultistart:
         assert np.all(np.diff(best.trace[:, 1]) <= 0.0)
         assert np.array_equal(best.trace[:, 0], np.arange(best.iterations + 1))
         assert best.energy <= ref.energy
+        # the counts cover the plain descent and every relaxation after it
+        assert best.evaluations > ref.evaluations
+        assert best.applications > ref.applications
         assert walls(best.profile.samples) < walls(ref.profile.samples)
 
     def test_rng_streams_differ(self):
@@ -221,7 +236,59 @@ class TestMultistart:
         assert np.array_equal(a, again)
 
 
+class TestCarriedEnergy:
+    """The descent carries the quadratic part and its gradient from step to
+    step instead of evaluating them afresh; over long runs they must not
+    drift from the profile they describe."""
+
+    def check(self, params, res, gamma):
+        assert res.energy == pytest.approx(
+            total_energy(params, res.profile, gamma).total, rel=1e-12)
+        assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+
+    def test_periodic_quench(self, params):
+        n, dx, gamma = 256, 1.0 / 8.0, 2e-2
+        init = GridProfile(L=n * dx, dx=dx, bc="periodic",
+                           samples=restart_rng(3, 0).uniform(-1.0, 1.0, n))
+        res = minimize_energy(params, init, gamma,
+                              MinimizeOptions(max_iters=3000, grad_tol=1e-9))
+        assert res.iterations == 3000
+        self.check(params, res, gamma)
+
+    def test_open_mean_slice(self, params):
+        n, dx, gamma = 320, 1.0 / 16.0, 1e-2
+        init = GridProfile(L=n * dx, dx=dx,
+                           samples=restart_rng(5, 0).uniform(-1.0, 1.0, n))
+        res = minimize_with_mean_constraint(
+            params, n * dx, 0.3, bc="open", gamma=gamma,
+            options=MinimizeOptions(max_iters=2000, grad_tol=1e-9), dx=dx,
+            init=init)
+        assert res.iterations == 2000
+        self.check(params, res, gamma)
+
+
+def masked_grad_norm(phi, g, tol=1e-12):
+    """Reference: the projected sup-norm with the face masks always built."""
+    pg = g.copy()
+    pg[(phi >= 1.0 - tol) & (g < 0.0)] = 0.0
+    pg[(phi <= -1.0 + tol) & (g > 0.0)] = 0.0
+    return float(np.max(np.abs(pg))) if pg.size else 0.0
+
+
 class TestStationarity:
+    @settings(max_examples=200, deadline=None)
+    @given(phi=arrays(np.float64, st.integers(1, 60), elements=st.one_of(
+               st.floats(-1.0, 1.0), st.sampled_from([1 - 5e-13, -1 + 5e-13]))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_residuals_match_masked_reference(self, phi, seed):
+        # off the faces the residuals skip the masks; the values are the same,
+        # also with samples within the tolerance of a face but not on it
+        g = np.random.default_rng(seed).normal(size=phi.size)
+        assert _projected_grad_norm(phi, g) == masked_grad_norm(phi, g)
+        free = np.abs(phi) < 1.0 - 1e-12
+        mu = float(g[free].mean()) if np.any(free) else float(g.mean())
+        assert _mean_slice_grad_norm(phi, g) == masked_grad_norm(phi, g - mu)
+
     def test_projected_gradient_at_convergence(self, params, rng):
         n, dx = 128, 1.0 / 16.0
         init = GridProfile(L=n * dx, dx=dx,
