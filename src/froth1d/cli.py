@@ -37,7 +37,7 @@ _SECTION_KEYS = {
     "instanton": {"half_width", "dx", "tol", "max_sweeps", "damping"},
     "eh": {"n_samples", "span_low", "span_high"},
     "minimize": {"L", "L_over_h_star", "bc", "dx", "n_starts", "max_iters",
-                 "grad_tol", "step0", "backtrack", "init"},
+                 "grad_tol", "init"},
     "coarsegrain": {"delta", "rho", "ell_minus", "c0", "kappa",
                     "energy_cutoff_multiplier", "profile", "C_cert"},
     "diagnostics": {"delta0", "delta1", "eps0", "epsilon", "epsilon_prime",
@@ -45,6 +45,21 @@ _SECTION_KEYS = {
     "verify": {"n_step_profiles", "fast"},
 }
 _TOP_KEYS = set(_SECTION_KEYS) | {"seed", "output_dir"}
+# the seed and every section key but these are numbers; the keys in
+# _INTEGER must be integral
+_NON_NUMERIC = {"bc", "init", "profile", "fast"}
+_INTEGER = {"seed", "max_sweeps", "n_samples", "n_starts", "max_iters",
+            "n_step_profiles"}
+
+
+def _check_number(key: str, value, pointer: str):
+    """Reject a string or bool where a number is read, and a non-integral
+    number where an integer is."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (key in _INTEGER and isinstance(value, float)
+                and not value.is_integer())):
+        raise ValidationError("expected an integer" if key in _INTEGER
+                              else "expected a number", pointer=pointer)
 
 
 def _canonical(config: dict) -> str:
@@ -72,10 +87,14 @@ def _load_config(path: str) -> dict:
         if section in doc and section != "model":
             if not isinstance(doc[section], dict):
                 raise ValidationError("expected an object", pointer=f"/{section}")
-            for key in doc[section]:
+            for key, value in doc[section].items():
                 if key not in allowed:
                     raise ValidationError("unknown key",
                                           pointer=f"/{section}/{key}")
+                if key not in _NON_NUMERIC:
+                    _check_number(key, value, f"/{section}/{key}")
+    if "seed" in doc:
+        _check_number("seed", doc["seed"], "/seed")
     if "model" not in doc:
         raise ValidationError("missing", pointer="/model")
     return doc
@@ -175,10 +194,7 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
     L = max(1, int(round(L / dx))) * dx
     options = MinimizeOptions(
         max_iters=int(sec.get("max_iters", 20000)),
-        grad_tol=float(sec.get("grad_tol", 1e-5)),
-        step0=float(sec.get("step0", 1.0)),
-        backtrack=float(sec.get("backtrack", 0.5)),
-        seed=seed)
+        grad_tol=float(sec.get("grad_tol", 1e-5)), seed=seed)
     init = None
     if sec.get("init") == "trial":
         if inst is None and "tau" in config["model"]:

@@ -20,7 +20,7 @@ from .energy import short_range_energy, tilde_energy, total_energy
 from .errors import FlatSegmentNotFound, InvariantError, ValidationError
 from .model import ModelParams, eval_F_double_prime
 from .profiles import (BlockPartition, GridProfile, StepProfile, average_over,
-                       regular_partition)
+                       regular_partition, runs)
 
 __all__ = [
     "CoarseGrainConfig",
@@ -85,14 +85,13 @@ def classify_blocks(params: ModelParams, profile: GridProfile,
     return {"energy": energies, "low": energies <= cutoff, "cutoff": cutoff}
 
 
-def _small_block_means(profile: GridProfile, ell_minus: float):
+def _small_block_means(profile: GridProfile, ell_minus: float) -> np.ndarray:
     """Means over the absolute small-block grid cells covering [0, L]."""
     per = int(round(ell_minus / profile.dx))
     if abs(per * profile.dx - ell_minus) > 1e-12:
         raise ValidationError("ell_minus must be a multiple of dx")
     n_small = profile.n // per
-    trimmed = profile.samples[:n_small * per]
-    return trimmed.reshape(n_small, per).mean(axis=1), per
+    return profile.samples[:n_small * per].reshape(n_small, per).mean(axis=1)
 
 
 def find_flat_segment(params: ModelParams, profile: GridProfile,
@@ -102,42 +101,43 @@ def find_flat_segment(params: ModelParams, profile: GridProfile,
                       margin_right: Optional[float] = None):
     """Longest run of small blocks with mean within gamma^rho of +-m_beta.
 
-    The run must sit at distance >= ell_plus/4 from the block boundary
-    (``margin_left``/``margin_right`` override that default, used to keep
-    domain-boundary blocks long enough). Ties break to the longest run, then
-    leftmost. Returns (omega, (start, stop), run_length).
+    The small blocks are the ``ell_minus`` cells of the absolute grid. The
+    run must lie in [a + margin_left, b - margin_right]; each margin defaults
+    to (b - a)/4. Ties break to the longest run, then the leftmost, then
+    omega = +1. Returns (omega, (start, stop), run_length).
     """
     gamma = params.gamma if gamma is None else gamma
+    means = _small_block_means(profile, config.ell_minus)
+    return _flat_segment(params, means, block, config, gamma,
+                         margin_left, margin_right)
+
+
+def _flat_segment(params: ModelParams, means: np.ndarray,
+                  block: Tuple[float, float], config: CoarseGrainConfig,
+                  gamma: float, margin_left: Optional[float],
+                  margin_right: Optional[float]):
+    """``find_flat_segment`` on precomputed small-block means."""
     a, b = block
-    ell_plus = b - a
-    tol = gamma ** config.rho
-    ml = ell_plus / 4.0 if margin_left is None else margin_left
-    mr = ell_plus / 4.0 if margin_right is None else margin_right
-    means, _ = _small_block_means(profile, config.ell_minus)
+    ml = (b - a) / 4.0 if margin_left is None else margin_left
+    mr = (b - a) / 4.0 if margin_right is None else margin_right
     lm = config.ell_minus
     # admissible small blocks: fully inside [a + ml, b - mr]
     j0 = int(math.ceil((a + ml) / lm - 1e-9))
     j1 = int(math.floor((b - mr) / lm + 1e-9))
     if j1 <= j0:
         raise FlatSegmentNotFound("no admissible small blocks in the block core")
-    best = None  # (length, start_index, omega, stop_index)
+    tol = gamma ** config.rho
+    found = []  # (length, -start, omega) per run of near small blocks
     for omega in (1.0, -1.0):
-        ok = np.abs(means[j0:j1] - omega * params.m_beta) <= tol
-        start = None
-        for idx, flag in enumerate(np.append(ok, False)):
-            if flag and start is None:
-                start = idx
-            elif not flag and start is not None:
-                run = idx - start
-                cand = (run, -(j0 + start), omega, j0 + idx)
-                if best is None or (cand[0], cand[1]) > (best[0], best[1]):
-                    best = cand
-                start = None
-    if best is None:
+        near = np.abs(means[j0:j1] - omega * params.m_beta) <= tol
+        found += [(int(stop - start), -int(start), omega)
+                  for start, stop in zip(*runs(near)) if near[start]]
+    if not found:
         raise FlatSegmentNotFound("no small block stays near +-m_beta")
-    run, neg_start, omega, stop = best
-    start = -neg_start
-    return omega, (start * lm, stop * lm), run * lm
+    # max keeps the first of equal keys: omega = +1 wins a full tie
+    run, neg_start, omega = max(found, key=lambda c: c[:2])
+    start = j0 - neg_start
+    return omega, (start * lm, (start + run) * lm), run * lm
 
 
 @dataclass(frozen=True)
@@ -180,25 +180,21 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
     labels = classify_blocks(params, profile, reg,
                              config.energy_cutoff_multiplier)
     n = reg.n_blocks
-    good = list(labels["low"])
+    # a single-block domain is degenerate: its block is demoted
+    good = list(labels["low"]) if n > 1 else [False]
+    means = _small_block_means(profile, config.ell_minus) if any(good) else None
     omega = [None] * n
     midline = [None] * n
     for i in range(n):
         if not good[i]:
             continue
         a, b = reg.edges[i], reg.edges[i + 1]
-        ml = mr = None
-        if n > 1 and i == 0:
-            ml = ell_plus / 2.0      # keep the [0, s] boundary block >= l+/2
-        if n > 1 and i == n - 1:
-            mr = ell_plus / 2.0
-        if n == 1:
-            good[i] = False          # single-block domain: degenerate, demote
-            continue
+        # keep the boundary blocks [0, s] and [s, L] >= l+/2
+        ml = ell_plus / 2.0 if i == 0 else None
+        mr = ell_plus / 2.0 if i == n - 1 else None
         try:
-            om, (sa, sb), _ = find_flat_segment(
-                params, profile, (a, b), config, gamma,
-                margin_left=ml, margin_right=mr)
+            om, (sa, sb), _ = _flat_segment(params, means, (a, b), config,
+                                            gamma, ml, mr)
         except FlatSegmentNotFound:
             good[i] = False
             continue
@@ -206,17 +202,13 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
         midline[i] = round(0.5 * (sa + sb) / dx) * dx
     # final boundary lines: domain ends, midlines, and original lines with
     # two bad neighbors
-    lines = {0.0, L}
-    for i in range(n):
-        if good[i]:
-            lines.add(midline[i])
+    mid_of = {midline[i]: i for i in range(n) if good[i]}
+    lines = {0.0, L, *mid_of}
     for k in range(1, n):
         if not good[k - 1] and not good[k]:
             lines.add(float(reg.edges[k]))
-    edges = np.array(sorted(lines))
-    part = BlockPartition(edges=edges, kind="adapted")
+    part = BlockPartition(edges=np.array(sorted(lines)))
     # classify final blocks
-    mid_of = {midline[i]: i for i in range(n) if good[i]}
     kinds: List[str] = []
     signs: List[Optional[tuple]] = []
     for a, b in part.blocks():
@@ -239,23 +231,47 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
                             signs=tuple(signs), ell_plus=ell_plus)
 
 
-def _capped_margin(ell: float, raw: float) -> Tuple[float, bool]:
-    """Half-margin min(raw, ell/4); flags when the cap bites."""
-    if raw > ell / 4.0:
-        return ell / 4.0, True
-    return raw, False
+def _bad_rule(ell: float, m: float, m_b: float, zeta: float):
+    """Case 1: the constant mean when it is within zeta of +-m_beta, else
+    one jump from +m_beta to -m_beta."""
+    if abs(m) >= m_b - zeta:
+        return [(ell, m)], "1-const"
+    xi = ell * (m + m_b) / (2.0 * m_b)
+    return [(xi, m_b), (ell - xi, -m_b)], "1-split"
+
+
+def _plateau(ell: float, mass: float, ends: tuple, raw: float, flags: dict):
+    """Constant plateau between margins of width mg = min(raw, ell/4) held at
+    the end values ``ends`` = (left, right); a None left end has no margin.
+    With k margins the plateau is (mass - mg * sum of end values) /
+    (ell - k mg), so the pieces carry ``mass``. None when |plateau| > 1."""
+    left, right = ends
+    values = [v for v in ends if v is not None]
+    mg = min(raw, ell / 4.0)
+    flags["margin_capped"] = raw > ell / 4.0
+    core = ell - len(values) * mg
+    plateau = (mass - mg * sum(values)) / core
+    if abs(plateau) > 1.0:
+        flags["demoted"] = "plateau>1"
+        return None
+    pieces = [(core, plateau), (mg, right)]
+    return pieces if left is None else [(mg, left)] + pieces
 
 
 def replace_block(params: ModelParams, length: float, mean: float,
                   context: tuple, config: CoarseGrainConfig,
-                  gamma: Optional[float] = None, strict: bool = True):
+                  gamma: Optional[float] = None):
     """Mean-preserving piecewise-constant replacement on one block.
 
     ``context`` is ("bad", None), ("good", (omega, omega')) or
     ("boundary_good", (side, omega)). Returns (pieces, case_tag, flags);
     pieces are (width, value) pairs whose weighted mean equals ``mean``
-    exactly. With ``strict`` a plateau value above 1 raises InvariantError;
-    otherwise the block falls back to the bad-block rule and is flagged.
+    exactly. A good block whose mean is too close to +-m_beta for its jumps
+    gets margins at +-m_beta around a constant plateau (cases 2a-three,
+    2b-three, 2c-plateau), of width min(log(ell)^2/2, ell/4), with
+    log(2 ell) on a boundary block; flag ``margin_capped`` says the ell/4
+    cap bites. When the plateau exceeds 1 in absolute value the block falls
+    back to the bad-block rule and is flagged ``demoted``.
     """
     gamma = params.gamma if gamma is None else gamma
     m_b = params.m_beta
@@ -264,97 +280,49 @@ def replace_block(params: ModelParams, length: float, mean: float,
     zeta = config.zeta(gamma)
     kind, data = context
     flags: dict = {}
-
-    def bad_rule():
-        if abs(m) >= m_b - zeta:
-            return [(ell, m)], "1-const"
-        xi = ell * (m + m_b) / (2.0 * m_b)
-        return [(xi, m_b), (ell - xi, -m_b)], "1-split"
-
+    if kind not in ("bad", "good", "boundary_good"):
+        raise ValidationError(f"unknown block context {kind!r}")
     if kind == "bad":
-        pieces, tag = bad_rule()
-        return pieces, tag, flags
-
-    fpp = eval_F_double_prime(m_b, params)
-    c_star = math.sqrt(5.0 * params.require_tau() / fpp)
-    t2b = 1.1 * c_star / math.sqrt(ell)
-
-    if kind == "good":
-        om_l, om_r = data
-        if om_l != om_r:
-            omega = om_l
-            if abs(m) <= m_b - zeta:
-                xi = ell * (m_b + omega * m) / (2.0 * m_b)
-                return [(xi, omega * m_b), (ell - xi, -omega * m_b)], "2a-jump", flags
-            mg, capped = _capped_margin(ell, 0.5 * math.log(ell) ** 2)
-            flags["margin_capped"] = capped
-            plateau = m * ell / (ell - 2.0 * mg)
-            if abs(plateau) > 1.0:
-                if strict:
-                    raise InvariantError(
-                        f"case 2a plateau {plateau:.4f} exceeds 1 (c0 too large)")
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            return ([(mg, omega * m_b), (ell - 2.0 * mg, plateau),
-                     (mg, -omega * m_b)], "2a-three", flags)
-        # equal signs: reduce to the (-,-) reference case via spin flip
-        omega = om_l
-        sgn = -1.0 if omega < 0 else 1.0
-        mm = m if omega < 0 else -m   # mean in the flipped frame
+        pieces = None
+    elif kind == "good" and data[0] != data[1]:
+        omega = data[0]
+        if abs(m) <= m_b - zeta:
+            xi = ell * (m_b + omega * m) / (2.0 * m_b)
+            return [(xi, omega * m_b), (ell - xi, -omega * m_b)], "2a-jump", flags
+        pieces, tag = _plateau(ell, m * ell, (omega * m_b, -omega * m_b),
+                               0.5 * math.log(ell) ** 2, flags), "2a-three"
+    else:
+        # reference frame: omega = -1, and a boundary block at the left
+        # domain edge; flip the sign and mirror for the other combinations
+        side, omega = ("left", data[0]) if kind == "good" else data
+        mm = m if omega < 0 else -m
+        fpp = eval_F_double_prime(m_b, params)
+        c_star = math.sqrt(5.0 * params.require_tau() / fpp)
+        t2b = 1.1 * c_star / math.sqrt(ell)
         if mm <= -m_b + t2b:
-            pieces, tag = [(ell, mm)], "2b-const"
-        elif mm < m_b - t2b:
+            pieces = [(ell, mm)]
+            tag = "2b-const" if kind == "good" else "2c-const"
+        elif mm < m_b - t2b and kind == "good":
             xi = ell * (m_b - mm) / (4.0 * m_b)
             pieces, tag = ([(xi, -m_b), (ell - 2.0 * xi, m_b), (xi, -m_b)],
                            "2b-two-jump")
-        else:
-            mg, capped = _capped_margin(ell, 0.5 * math.log(ell) ** 2)
-            flags["margin_capped"] = capped
-            plateau = (mm * ell + m_b * 2.0 * mg) / (ell - 2.0 * mg)
-            if abs(plateau) > 1.0:
-                if strict:
-                    raise InvariantError(
-                        f"case 2b plateau {plateau:.4f} exceeds 1 (c0 too large)")
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            pieces, tag = ([(mg, -m_b), (ell - 2.0 * mg, plateau), (mg, -m_b)],
-                           "2b-three")
-        if omega > 0:
-            pieces = [(w, -v) for w, v in pieces]
-        return pieces, tag, flags
-
-    if kind == "boundary_good":
-        side, omega = data
-        # reference frame: block at the left domain edge with bc omega = -1 at
-        # its right end; flip sign and/or mirror for the other combinations
-        mm = m if omega < 0 else -m
-        if mm <= -m_b + t2b:
-            pieces, tag = [(ell, mm)], "2c-const"
         elif mm < m_b - t2b:
             xi = ell * (m_b - mm) / (2.0 * m_b)
             pieces, tag = [(ell - xi, m_b), (xi, -m_b)], "2c-jump"
+        elif kind == "good":
+            pieces, tag = _plateau(ell, mm * ell, (-m_b, -m_b),
+                                   0.5 * math.log(ell) ** 2, flags), "2b-three"
         else:
-            raw = 0.5 * math.log(2.0 * ell) ** 2
-            mg, capped = _capped_margin(ell, raw)
-            flags["margin_capped"] = capped
-            plateau = (mm * ell + m_b * mg) / (ell - mg)
-            if abs(plateau) > 1.0:
-                if strict:
-                    raise InvariantError(
-                        f"case 2c plateau {plateau:.4f} exceeds 1 (c0 too large)")
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            pieces, tag = [(ell - mg, plateau), (mg, -m_b)], "2c-plateau"
-        if omega > 0:
-            pieces = [(w, -v) for w, v in pieces]
-        if side == "right":
-            pieces = pieces[::-1]
-        return pieces, tag, flags
-
-    raise ValidationError(f"unknown block context {kind!r}")
+            pieces, tag = _plateau(ell, mm * ell, (None, -m_b),
+                                   0.5 * math.log(2.0 * ell) ** 2,
+                                   flags), "2c-plateau"
+        if pieces is not None:
+            pieces = [(w, -v if omega > 0 else v) for w, v in pieces]
+            if side == "right":
+                pieces = pieces[::-1]
+    if pieces is None:
+        pieces, tag = _bad_rule(ell, m, m_b, zeta)
+    return pieces, tag, flags
 
 
 def coarse_grain(params: ModelParams, profile: GridProfile,
@@ -370,7 +338,7 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
                                   adapted.signs):
         mean = average_over(profile, (a, b))
         blk_pieces, tag, flags = replace_block(
-            params, b - a, mean, (kind, sign), config, gamma, strict=False)
+            params, b - a, mean, (kind, sign), config, gamma)
         pieces.extend(blk_pieces)
         trace.append({"interval": (float(a), float(b)), "label": kind,
                       "case": tag, "mean": float(mean),

@@ -12,7 +12,7 @@ from .certificates import fmt17
 from .errors import ParameterError
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, average_over, block_type,
-                       regular_partition)
+                       regular_partition, runs)
 from .sharp import energy_per_length, optimal_h
 
 __all__ = [
@@ -111,53 +111,36 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
         _interval_union_coverage(long_ivals, part.edges[k], part.edges[k + 1])
         >= (part.edges[k + 1] - part.edges[k]) - 1e-9
         for k in range(part.n_blocks)])
-    # components of kept blocks
-    comp = []
-    k = 0
-    while k < part.n_blocks:
-        if keep[k]:
-            j = k
-            while j + 1 < part.n_blocks and keep[j + 1]:
-                j += 1
-            comp.append((k, j))
-            k = j + 1
-        else:
-            k += 1
+    # components of kept blocks (as [start, stop) block ranges)
     min_len = gamma ** (-2.0 / 3.0 - eps0 / 2.0)
-    lam_k = [(part.edges[a], part.edges[b + 1]) for a, b in comp
-             if part.edges[b + 1] - part.edges[a] >= min_len]
-    comp = [(a, b) for a, b in comp
-            if part.edges[b + 1] - part.edges[a] >= min_len]
+    comp = [(a, b) for a, b in zip(*runs(keep))
+            if keep[a] and part.edges[b] - part.edges[a] >= min_len]
+    lam_k = [(part.edges[a], part.edges[b]) for a, b in comp]
     good_measure = float(sum(b - a for a, b in lam_k))
     # runs of constant type inside each component
-    runs: List[dict] = []
+    sign_runs: List[dict] = []
     alternation_ok = True
     for a, b in comp:
         prev_sign = 0
         zeros_between = 0
-        k = a
-        while k <= b:
-            t = types[k]
-            if t == "zero":
-                zeros_between += 1
-                k += 1
+        for k, j in zip(*runs(types[a:b])):
+            k, j = int(a + k), int(a + j)
+            if types[k] == "zero":
+                zeros_between += j - k
                 continue
-            j = k
-            while j + 1 <= b and types[j + 1] == t:
-                j += 1
-            sign = 1 if t == "plus" else -1
+            sign = 1 if types[k] == "plus" else -1
             if prev_sign != 0 and (sign == prev_sign or zeros_between > 1):
                 alternation_ok = False
-            runs.append({"interval": (float(part.edges[k]), float(part.edges[j + 1])),
-                         "sign": sign, "blocks": (k, j),
-                         "length": float(part.edges[j + 1] - part.edges[k])})
+            sign_runs.append({"interval": (float(part.edges[k]),
+                                           float(part.edges[j])),
+                              "sign": sign, "blocks": (k, j - 1),
+                              "length": float(part.edges[j] - part.edges[k])})
             prev_sign = sign
             zeros_between = 0
-            k = j + 1
     return StructureReport(
         L=L, gamma=gamma,
         params={"delta0": delta0, "delta1": delta1, "eps0": eps0},
-        good_intervals=lam_k, good_measure=good_measure, runs=runs,
+        good_intervals=lam_k, good_measure=good_measure, runs=sign_runs,
         block_edges=part.edges, block_types=types, block_means=means,
         h_lengths=sigma_phi.interval_lengths(),
         alternation_ok=alternation_ok)

@@ -31,7 +31,10 @@ __all__ = [
 ]
 
 
-# line search: step growth after acceptance, failure threshold, Armijo fraction
+# line search: first step, backtracking factor, step growth after acceptance,
+# failure threshold, Armijo fraction
+_STEP0 = 1.0
+_BACKTRACK = 0.5
 _STEP_GROW = 1.3
 _MIN_STEP = 1e-16
 _ARMIJO = 1e-4
@@ -39,19 +42,15 @@ _ARMIJO = 1e-4
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """``max_iters`` and ``grad_tol`` bound every descent, ``step0`` and
-    ``backtrack`` set its line search; ``seed`` seeds ``multistart``."""
+    """``max_iters`` and ``grad_tol`` bound every descent; ``seed`` seeds
+    ``multistart``."""
     max_iters: int = 20000
     grad_tol: float = 1e-6
-    step0: float = 1.0
-    backtrack: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.step0 <= 0:
-            raise ValidationError("grad_tol and step0 must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValidationError("backtrack factor must lie in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValidationError("grad_tol must be positive")
 
 
 @dataclass
@@ -150,7 +149,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     energy = dx * float(f.sum()) + q
     g += gq
     evaluations = applications = 1
-    step = options.step0
+    step = _STEP0
     rows: List[Tuple[float, float, float, float]] = []
     status = "max_iters"
     it = 0
@@ -184,7 +183,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             if cand_energy <= energy - _ARMIJO * decrease:
                 accepted = True
                 break
-            step *= options.backtrack
+            step *= _BACKTRACK
         if not accepted:
             status = "line_search_failure"
             break

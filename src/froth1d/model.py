@@ -261,13 +261,13 @@ class ModelParams:
         for key in ("beta", "J0_hat", "lambda", "measure", "gamma"):
             if key not in doc:
                 raise ValidationError("missing", pointer=f"{pointer}/{key}")
-        def num(key):
-            val = doc[key]
+        def num(val, key):
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ValidationError("expected a number",
                                       pointer=f"{pointer}/{key}")
             return float(val)
-        beta, j0, lam, gamma = num("beta"), num("J0_hat"), num("lambda"), num("gamma")
+        beta, j0, lam, gamma = (num(doc[k], k)
+                                for k in ("beta", "J0_hat", "lambda", "gamma"))
         raw = doc["measure"]
         if not isinstance(raw, list) or not raw:
             raise ValidationError("expected a nonempty array",
@@ -277,10 +277,11 @@ class ModelParams:
             if not isinstance(entry, dict) or set(entry) != {"weight", "alpha"}:
                 raise ValidationError("expected {weight, alpha}",
                                       pointer=f"{pointer}/measure/{i}")
-            atoms.append((float(entry["weight"]), float(entry["alpha"])))
+            atoms.append(tuple(num(entry[k], f"measure/{i}/{k}")
+                               for k in ("weight", "alpha")))
         tau = None
         if "tau" in doc:
-            tau = num("tau")
+            tau = num(doc["tau"], "tau")
             if tau <= 0:
                 raise ValidationError("tau must be positive",
                                       pointer=f"{pointer}/tau")

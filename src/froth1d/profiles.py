@@ -25,6 +25,7 @@ __all__ = [
     "block_type",
     "alpha_L",
     "regular_partition",
+    "runs",
     "save_profile",
     "load_profile",
 ]
@@ -129,6 +130,14 @@ def average_over(profile: GridProfile, interval: Tuple[float, float]) -> float:
     return float(profile.samples[i:j].mean())
 
 
+def runs(labels) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and stop indices of the maximal runs of equal entries of a
+    nonempty 1-d array: ``labels[starts[k]:stops[k]]`` is the k-th run."""
+    labels = np.asarray(labels)
+    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return np.append(0, cuts), np.append(cuts, labels.size)
+
+
 def block_type(mean_value: float, m_beta: float) -> str:
     """Type of a block by its mean: plus/minus beyond 0.9 m_beta, else zero."""
     if mean_value >= 0.9 * m_beta:
@@ -154,15 +163,10 @@ def alpha_L(L: float, delta: float, gamma: float) -> Tuple[float, int]:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Intervals tiling [0, L] with per-block metadata.
-
-    ``kind`` is regular_delta / adapted. ``labels`` holds parallel
-    per-block arrays (good/bad flags, types, energies) added by the
-    coarse-graining and diagnostics stages.
-    """
+    """Intervals tiling [0, L]; ``labels`` holds metadata such as the
+    regular partition's ``alpha_L``."""
 
     edges: np.ndarray
-    kind: str
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,16 +194,14 @@ class BlockPartition:
         snapped = np.round(self.edges / dx) * dx
         if np.any(np.diff(snapped) <= 0):
             raise ValidationError("grid too coarse to snap this partition")
-        return BlockPartition(edges=snapped, kind=self.kind,
-                              labels=dict(self.labels))
+        return BlockPartition(edges=snapped, labels=dict(self.labels))
 
 
 def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
     """Equal blocks of length alpha_L(delta) gamma^-delta, integer count."""
     alpha, n = alpha_L(L, delta, gamma)
     edges = np.linspace(0.0, L, n + 1)
-    return BlockPartition(edges=edges, kind="regular_delta",
-                          labels={"alpha_L": alpha})
+    return BlockPartition(edges=edges, labels={"alpha_L": alpha})
 
 
 def coarse_version(profile: GridProfile, delta0: float, gamma: float) -> GridProfile:
@@ -273,21 +275,11 @@ class StepProfile:
         starting at its true (unwrapped) left edge.
         """
         signs = np.sign(self.values)
-        runs = []
-        start = 0
-        for i in range(1, signs.size):
-            if signs[i] != signs[start]:
-                runs.append((self.breakpoints[start], self.breakpoints[i],
-                             float(signs[start])))
-                start = i
-        runs.append((self.breakpoints[start], self.breakpoints[-1],
-                     float(signs[start])))
-        if periodic and len(runs) > 1 and runs[0][2] == runs[-1][2]:
-            a_last, b_last, s = runs[-1]
-            a0, b0, _ = runs[0]
-            runs = runs[1:-1]
-            runs.insert(0, (a_last - self.L, b0, s))
-        return runs
+        bp = self.breakpoints
+        out = [(bp[a], bp[b], float(signs[a])) for a, b in zip(*runs(signs))]
+        if periodic and len(out) > 1 and out[0][2] == out[-1][2]:
+            out = [(out[-1][0] - self.L, out[0][1], out[-1][2])] + out[1:-1]
+        return out
 
     def interval_lengths(self, periodic: bool = False) -> np.ndarray:
         return np.array([b - a for a, b, _ in self.sign_intervals(periodic)])

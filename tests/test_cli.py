@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from froth1d import cli
 from froth1d.cli import main
 from froth1d.profiles import load_profile
@@ -42,6 +44,25 @@ class TestInstantonCommand:
         assert main(["instanton", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert "/model/beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,pointer", [
+        ({"instanton": {"dx": "fine"}}, "/instanton/dx"),
+        ({"model": {"beta": 2.0, "J0_hat": 1.0, "lambda": 1.0, "gamma": 0.01,
+                    "measure": [{"weight": "a", "alpha": 1.0}]}},
+         "/model/measure/0/weight"),
+        ({"seed": "seven"}, "/seed"),
+        ({"coarsegrain": {"delta": "x"}}, "/coarsegrain/delta"),
+        ({"eh": {"span_low": True}}, "/eh/span_low"),
+        ({"minimize": {"n_starts": 2.5}}, "/minimize/n_starts"),
+        ({"verify": {"n_step_profiles": False}}, "/verify/n_step_profiles"),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, overrides,
+                                          pointer):
+        # every subcommand checks the whole config before it computes
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["instanton", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert pointer in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bogus={"x": 1})

@@ -7,7 +7,7 @@ from froth1d.coarsegrain import (CoarseGrainConfig, adapted_partition,
                                  regular_partition, replace_block)
 from froth1d.energy import dipole_energy, step_dipole_energy
 from froth1d.errors import (DomainTooShort, FlatSegmentNotFound,
-                            InvariantError, ValidationError)
+                            ValidationError)
 from froth1d.instanton import build_trial_profile
 from froth1d.profiles import GridProfile
 
@@ -145,7 +145,7 @@ class TestReplaceBlock:
         for mean in rng.uniform(-0.999, 0.999, 24):
             ell = float(rng.uniform(2.0, 6.0))
             pieces, _, _ = replace_block(params_tau, ell, float(mean),
-                                         (kind, data), cfg, 1e-2, strict=False)
+                                         (kind, data), cfg, 1e-2)
             widths = np.array([w for w, _ in pieces])
             vals = np.array([v for _, v in pieces])
             assert np.sum(widths) == pytest.approx(ell, rel=1e-14)
@@ -154,15 +154,13 @@ class TestReplaceBlock:
             assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
     def test_plateau_overflow_strict(self, params_tau):
-        # tiny block, mean forced near 1: the three-interval plateau exceeds 1
+        # tiny block, mean forced near 1: the three-interval plateau exceeds
+        # 1, so the block falls back to the bad-block rule
         cfg = CoarseGrainConfig(c0=0.05)
-        with pytest.raises(InvariantError):
-            replace_block(params_tau, 2.0, 0.997, ("good", (1.0, -1.0)), cfg,
-                          1e-2, strict=True)
         pieces, tag, flags = replace_block(params_tau, 2.0, 0.997,
-                                           ("good", (1.0, -1.0)), cfg, 1e-2,
-                                           strict=False)
+                                           ("good", (1.0, -1.0)), cfg, 1e-2)
         assert flags.get("demoted") == "plateau>1"
+        assert tag == "1-const"
         assert np.max(np.abs([v for _, v in pieces])) <= 1.0 + 1e-12
 
 

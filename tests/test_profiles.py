@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError)
 from froth1d.profiles import (GridProfile, StepProfile, alpha_L, average_over,
                               block_type, coarse_version, load_profile,
-                              save_profile)
+                              runs, save_profile)
 
 
 class TestAverageOver:
@@ -43,6 +43,27 @@ class TestBlockType:
         assert block_type(0.0, m) == "zero"
         assert block_type(-0.9 * m, m) == "minus"
         assert block_type(0.89 * m, m) == "zero"
+
+
+class TestRuns:
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+    @example([5])                    # n = 1
+    @example([1] * 17)               # all equal
+    @settings(max_examples=200, deadline=None)
+    def test_against_naive_scan(self, labels):
+        expected, start = [], 0
+        for i in range(1, len(labels) + 1):
+            if i == len(labels) or labels[i] != labels[start]:
+                expected.append((start, i))
+                start = i
+        starts, stops = runs(labels)
+        assert list(zip(starts.tolist(), stops.tolist())) == expected
+
+    def test_labels_of_any_dtype(self):
+        starts, stops = runs(["plus", "plus", "zero", "minus", "minus"])
+        assert starts.tolist() == [0, 2, 3] and stops.tolist() == [2, 3, 5]
+        starts, stops = runs(np.array([True, False, False, True]))
+        assert starts.tolist() == [0, 1, 3] and stops.tolist() == [1, 3, 4]
 
 
 class TestAlphaL:
