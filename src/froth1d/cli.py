@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,21 +46,30 @@ _SECTION_KEYS = {
     "verify": {"n_step_profiles", "fast"},
 }
 _TOP_KEYS = set(_SECTION_KEYS) | {"seed", "output_dir"}
-# the seed and every section key but these are numbers; the keys in
-# _INTEGER must be integral
-_NON_NUMERIC = {"bc", "init", "profile", "fast"}
+# the seed and every section key but these are finite numbers, and the keys
+# in _INTEGER must be integral; these have the given JSON type
+_NON_NUMERIC = {"bc": str, "init": str, "profile": str, "fast": bool,
+                "output_dir": str}
 _INTEGER = {"seed", "max_sweeps", "n_samples", "n_starts", "max_iters",
             "n_step_profiles"}
 
 
-def _check_number(key: str, value, pointer: str):
-    """Reject a string or bool where a number is read, and a non-integral
-    number where an integer is."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+def _check_value(key: str, value, pointer: str):
+    """Reject a value of the wrong JSON type for its key: a string, bool or
+    non-finite number (JSON's NaN and Infinity) where a number is read, a
+    non-integral number where an integer is."""
+    kind = _NON_NUMERIC.get(key)
+    if kind is not None:
+        if not isinstance(value, kind):
+            raise ValidationError("expected a string" if kind is str
+                                  else "expected true or false",
+                                  pointer=pointer)
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
             or (key in _INTEGER and isinstance(value, float)
                 and not value.is_integer())):
         raise ValidationError("expected an integer" if key in _INTEGER
-                              else "expected a number", pointer=pointer)
+                              else "expected a finite number", pointer=pointer)
 
 
 def _canonical(config: dict) -> str:
@@ -91,10 +101,10 @@ def _load_config(path: str) -> dict:
                 if key not in allowed:
                     raise ValidationError("unknown key",
                                           pointer=f"/{section}/{key}")
-                if key not in _NON_NUMERIC:
-                    _check_number(key, value, f"/{section}/{key}")
-    if "seed" in doc:
-        _check_number("seed", doc["seed"], "/seed")
+                _check_value(key, value, f"/{section}/{key}")
+    for key in ("seed", "output_dir"):
+        if key in doc:
+            _check_value(key, doc[key], f"/{key}")
     if "model" not in doc:
         raise ValidationError("missing", pointer="/model")
     return doc

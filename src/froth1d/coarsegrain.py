@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .certificates import Certificate
-from .energy import short_range_energy, tilde_energy, total_energy
+from .energy import _block_energies, _grid_cuts, tilde_energy, total_energy
 from .errors import FlatSegmentNotFound, InvariantError, ValidationError
 from .model import ModelParams, eval_F_double_prime
 from .profiles import (BlockPartition, GridProfile, StepProfile, average_over,
@@ -77,11 +77,15 @@ class CoarseGrainConfig:
 def classify_blocks(params: ModelParams, profile: GridProfile,
                     partition: BlockPartition,
                     cutoff_multiplier: float = 2.0) -> dict:
-    """Label blocks low-energy iff their internal energy is <= cutoff * tau."""
+    """Label blocks low-energy iff their internal energy is <= cutoff * tau.
+
+    A block's energy is ``short_range_energy`` of the block, all blocks in
+    one well pass and one band pass per offset (pairs across a block edge
+    left out). The partition's edges must lie on the sample grid.
+    """
     cutoff = cutoff_multiplier * params.require_tau()
-    energies = np.array([
-        short_range_energy(params, profile, (a, b))
-        for a, b in partition.blocks()])
+    energies = _block_energies(params, profile,
+                               _grid_cuts(profile, partition.edges))
     return {"energy": energies, "low": energies <= cutoff, "cutoff": cutoff}
 
 

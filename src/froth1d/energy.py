@@ -15,6 +15,8 @@ atom, two O(N) prefix-sum passes over chunks of bounded exponent span, whose
 weights are cached with the form; the fixed bcs add cached cross terms:
 geometric series (plus, minus), one dot product per atom (custom) and a
 rank-two form per end (neumann, whose reflection is linear in phi).
+One band routine gives the exchange of ``total_energy`` and, per block in
+one pass, the short-range energy of coarse-graining blocks.
 Step-profile dipole energies use closed-form pair integrals, free of
 cancellation, instead of any grid.
 """
@@ -32,7 +34,7 @@ from numpy.fft import irfft, rfft
 
 from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
-from .model import ModelParams, _well, eval_F, eval_tilde_F
+from .model import ModelParams, _well, eval_tilde_F
 from .profiles import GridProfile, StepProfile
 
 __all__ = [
@@ -72,15 +74,34 @@ class EnergyBreakdown:
 # ---------------------------------------------------------------------------
 # exchange band and exponential convolutions
 
-def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float) -> float:
-    """(1/4) double sum of J(x-y)(phi(x)-phi(y))^2 over one interval."""
-    acc = 0.0
+def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float,
+                     starts=(0,)) -> np.ndarray:
+    """(1/4) double sum of J(x-y)(phi(x)-phi(y))^2 over each block
+    samples[starts[b]:starts[b + 1]] (starts[0] = 0, the last block runs to
+    the end), pairs that cross a block edge left out.
+
+    One pass per band offset k adds J_k (phi_{i+k} - phi_i)^2 to a per-sample
+    sum at i; the blocks then reduce it once.
+    """
+    n = samples.size
+    starts = np.asarray(starts)
+    room = None
+    if starts.size > 1:
+        # room[i]: samples from i to the end of its block; the pair (i, i + k)
+        # stays inside the block iff k < room[i]
+        ends = np.append(starts[1:], n)
+        room = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n)
+    acc = np.zeros(n)
     for k, jk in enumerate(jband, start=1):
-        if jk == 0.0 or k >= samples.size:
+        if jk == 0.0 or k >= n:
             continue
         d = samples[k:] - samples[:-k]
-        acc += jk * float(d @ d)
-    return 0.5 * dx * dx * acc
+        d *= d
+        d *= jk
+        if room is not None:
+            d[room[:-k] <= k] = 0.0
+        acc[:-k] += d
+    return 0.5 * dx * dx * np.add.reduceat(acc, starts)
 
 
 # largest exponent span b dx c of one prefix-sum chunk: its weights
@@ -369,7 +390,7 @@ class _QuadraticForm:
         open interval, boundary the rest."""
         phi, dx = profile.samples, self.dx
         local = dx * float(np.sum(_well(phi, self.params)[0]))
-        exchange = _exchange_banded(phi, self.jband, dx)
+        exchange = float(_exchange_banded(phi, self.jband, dx)[0])
         dipole = self.dip_scale * _dipole_open(phi, self.atoms,
                                                self.exp_weights)
         if self.bc == "open":
@@ -402,20 +423,32 @@ def _energy_and_gradient(params: ModelParams, profile: GridProfile,
 def short_range_energy(params: ModelParams, profile: GridProfile,
                        interval: Optional[Tuple[float, float]] = None) -> float:
     """Internal energy of the interval: local term plus exchange, open ends."""
-    if interval is None:
-        seg = profile.samples
-    else:
-        a, b = interval
-        ia = a / profile.dx
-        ib = b / profile.dx
-        if not (abs(ia - round(ia)) < 1e-6 and abs(ib - round(ib)) < 1e-6):
-            raise AlignmentError(f"interval ({a}, {b}) not grid aligned")
-        seg = profile.samples[int(round(ia)):int(round(ib))]
-    if seg.size == 0:
+    cuts = (0, profile.n) if interval is None else _grid_cuts(profile, interval)
+    if cuts[1] <= cuts[0]:
         return 0.0
-    local = profile.dx * float(np.sum(eval_F(seg, params)))
-    jband = params.kernel.band(profile.dx)
-    return local + _exchange_banded(seg, jband, profile.dx)
+    return float(_block_energies(params, profile, cuts)[0])
+
+
+def _grid_cuts(profile: GridProfile, edges) -> np.ndarray:
+    """Sample indices of edges on the grid lines of [0, L]."""
+    idx = np.asarray(edges, dtype=float) / profile.dx
+    cuts = np.round(idx)
+    if np.any(np.abs(idx - cuts) >= 1e-6) or not (
+            0 <= cuts.min() and cuts.max() <= profile.n):
+        raise AlignmentError(f"edges {tuple(edges)} not grid lines of "
+                             f"[0, {profile.L}]")
+    return cuts.astype(int)
+
+
+def _block_energies(params: ModelParams, profile: GridProfile,
+                    cuts) -> np.ndarray:
+    """``short_range_energy`` of each block samples[cuts[b]:cuts[b + 1]]:
+    one well pass and one band pass per offset."""
+    seg = profile.samples[cuts[0]:cuts[-1]]
+    starts = np.asarray(cuts[:-1]) - cuts[0]
+    local = profile.dx * np.add.reduceat(_well(seg, params)[0], starts)
+    return local + _exchange_banded(seg, params.kernel.band(profile.dx),
+                                    profile.dx, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +529,15 @@ def _pair_integral(b: float, edges: np.ndarray, L=None) -> np.ndarray:
     dist = gap if L is None else L - gap - w[:, None] - w[None, :]
     mat = np.outer(f, f) * np.exp(-b * np.maximum(dist, 0.0)) * (gap >= 0.0)
     mat = mat + mat.T
-    # diagonal: e^{-x} - 1 + x (cell self-integral), or e^{-bL} (e^x - 1 - x)
+    np.fill_diagonal(mat, _self_integrals(b, w, L))
+    return mat
+
+
+def _self_integrals(b: float, w: np.ndarray, L=None) -> np.ndarray:
+    """``_pair_integral``'s diagonal: per cell of width w, x = b w, the
+    integral of exp(-b|x-y|) over the cell squared, (2/b^2)(e^{-x} - 1 + x),
+    or with ``L`` that of exp(-b(L - |x-y|)), (2/b^2) e^{-bL} (e^x - 1 - x)."""
+    x = b * w
     z = -x if L is None else x
     diag = np.vander(z, _TAYLOR.size, increasing=True) @ _TAYLOR * z * z
     if L is not None:
@@ -506,8 +547,7 @@ def _pair_integral(b: float, edges: np.ndarray, L=None) -> np.ndarray:
         x, w = x[large], w[large]
         diag[large] = x + np.expm1(-x) if L is None else np.exp(-b * (L - w)) * (
             -np.expm1(-x) - x * np.exp(-x))
-    np.fill_diagonal(mat, (2.0 / b / b) * diag)
-    return mat
+    return (2.0 / b / b) * diag
 
 
 def step_dipole_energy(params: ModelParams, step: StepProfile,

@@ -262,8 +262,9 @@ class ModelParams:
             if key not in doc:
                 raise ValidationError("missing", pointer=f"{pointer}/{key}")
         def num(val, key):
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValidationError("expected a number",
+            if (not isinstance(val, (int, float)) or isinstance(val, bool)
+                    or (isinstance(val, float) and not math.isfinite(val))):
+                raise ValidationError("expected a finite number",
                                       pointer=f"{pointer}/{key}")
             return float(val)
         beta, j0, lam, gamma = (num(doc[k], k)

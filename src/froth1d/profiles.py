@@ -331,7 +331,8 @@ def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = Non
               f"bc {profile.bc}"]
     for key, val in (extra_headers or {}).items():
         lines.append(f"{key} {format(float(val), '.17g')}")
-    lines.extend(format(s, '.17e') for s in profile.samples)
+    # Python floats format as numpy's float64 do, and faster
+    lines.extend(format(s, '.17e') for s in profile.samples.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -64,6 +64,35 @@ class TestInstantonCommand:
                      "--out", str(tmp_path / "o")]) == 1
         assert pointer in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,overrides,pointer", [
+        ("eh-curve", {"eh": {"span_low": float("nan")}}, "/eh/span_low"),
+        ("coarse-grain", {"coarsegrain": {"profile": 5}},
+         "/coarsegrain/profile"),
+        ("verify", {"verify": {"fast": "false"}}, "/verify/fast"),
+        ("instanton", {"instanton": {"tol": float("inf")}}, "/instanton/tol"),
+        ("instanton", {"model": {"beta": 2.0, "J0_hat": 1.0,
+                                 "lambda": float("inf"), "gamma": 0.01,
+                                 "measure": [{"weight": 1.0, "alpha": 1.0}]}},
+         "/model/lambda"),
+        ("instanton", {"model": {"beta": 2.0, "J0_hat": 1.0, "lambda": 1.0,
+                                 "gamma": 0.01, "measure": [
+                                     {"weight": 1.0, "alpha": float("nan")}]}},
+         "/model/measure/0/alpha"),
+        ("minimize", {"minimize": {"bc": 1}}, "/minimize/bc"),
+        ("minimize", {"minimize": {"init": None}}, "/minimize/init"),
+        ("report", {"output_dir": 3}, "/output_dir"),
+    ])
+    def test_non_finite_or_mistyped_value_rejected(self, tmp_path, capsys,
+                                                   command, overrides,
+                                                   pointer):
+        # JSON's NaN and Infinity, and a wrong type for a string or bool
+        # key, exit 1 with the pointer before the subcommand computes
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert pointer in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bogus={"x": 1})
         assert main(["instanton", "--config", str(cfg),

@@ -199,6 +199,19 @@ class TestProfileFile:
         assert q.bc == "periodic" and q.L == p.L and q.dx == p.dx
         assert headers["tau"] == 0.19762754872186078
 
+    def test_sample_text_matches_numpy_scalar_format(self, tmp_path, rng):
+        # the samples are written as the numpy float64 scalars format,
+        # signed zero, the smallest subnormal and the box ends included
+        special = [-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324]
+        samples = np.concatenate([special, rng.uniform(-1, 1, 58)])
+        p = GridProfile(L=4.0, dx=4.0 / 64, samples=samples)
+        path = tmp_path / "p.profile"
+        save_profile(p, path)
+        body = path.read_text(encoding="utf-8").splitlines()[3:]
+        assert body == [format(s, '.17e') for s in p.samples]
+        assert body[0] == "-0.00000000000000000e+00"
+        assert body[4] == "4.94065645841246544e-324"
+
     def test_out_of_range_sample(self, tmp_path):
         path = tmp_path / "bad.profile"
         path.write_text("L 1.0\ndx 0.25\nbc open\n0.0\n1.5\n0.0\n0.0\n")

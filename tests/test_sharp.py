@@ -177,6 +177,21 @@ class TestCellEnergy:
             rhs = energy_per_length(params_tau, h, 1e-2)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma,earlier", [
+        (1e-2, 4.5e-15), (1e-4, 1.4e-14), (1e-6, 3.4e-12), (1e-8, 9.5e-11)])
+    def test_identity_accuracy_as_gamma_vanishes(self, params_tau, gamma,
+                                                 earlier):
+        # the terms of the cell's quadratic form cancel to relative order
+        # a h (a = gamma alpha); the earlier form, G (Sp^2 + Sq^2) against
+        # 2 G E Sp Sq, cancelled to order (a h)^2 and was off by ``earlier``
+        h = optimal_h(params_tau, gamma)[0]
+        cell = StepProfile(breakpoints=np.array([0.0, h]),
+                           values=np.array([params_tau.m_beta]))
+        e = energy_per_length(params_tau, h, gamma)
+        err = abs(cell_specific_energy(params_tau, cell, gamma) - e) / e
+        a_h = gamma * params_tau.measure.atoms[0][1] * h
+        assert err <= min(2.0 * earlier, 32.0 * np.finfo(float).eps / a_h)
+
     def test_reduced_magnitude(self, params_tau):
         # sigma = m_bar: well term plus (m_bar/m_beta)^2-scaled long range
         from froth1d.model import eval_tilde_F
