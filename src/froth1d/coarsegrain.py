@@ -108,40 +108,66 @@ def find_flat_segment(params: ModelParams, profile: GridProfile,
     The small blocks are the ``ell_minus`` cells of the absolute grid. The
     run must lie in [a + margin_left, b - margin_right]; each margin defaults
     to (b - a)/4. Ties break to the longest run, then the leftmost, then
-    omega = +1. Returns (omega, (start, stop), run_length).
+    omega = +1. Returns (omega, (start, stop), run_length). This is the
+    one-block case of the search ``adapted_partition`` makes for all its
+    blocks at once.
     """
     gamma = params.gamma if gamma is None else gamma
     means = _small_block_means(profile, config.ell_minus)
-    return _flat_segment(params, means, block, config, gamma,
-                         margin_left, margin_right)
-
-
-def _flat_segment(params: ModelParams, means: np.ndarray,
-                  block: Tuple[float, float], config: CoarseGrainConfig,
-                  gamma: float, margin_left: Optional[float],
-                  margin_right: Optional[float]):
-    """``find_flat_segment`` on precomputed small-block means."""
     a, b = block
     ml = (b - a) / 4.0 if margin_left is None else margin_left
     mr = (b - a) / 4.0 if margin_right is None else margin_right
-    lm = config.ell_minus
-    # admissible small blocks: fully inside [a + ml, b - mr]
-    j0 = int(math.ceil((a + ml) / lm - 1e-9))
-    j1 = int(math.floor((b - mr) / lm + 1e-9))
+    j0, j1 = _windows(a, b, ml, mr, config.ell_minus)
     if j1 <= j0:
         raise FlatSegmentNotFound("no admissible small blocks in the block core")
-    tol = gamma ** config.rho
-    found = []  # (length, -start, omega) per run of near small blocks
-    for omega in (1.0, -1.0):
-        near = np.abs(means[j0:j1] - omega * params.m_beta) <= tol
-        found += [(int(stop - start), -int(start), omega)
-                  for start, stop in zip(*runs(near)) if near[start]]
-    if not found:
+    omega, start, run = _flat_segments(params.m_beta, means, np.array([j0]),
+                                       np.array([j1]), gamma ** config.rho)
+    if omega[0] == 0.0:
         raise FlatSegmentNotFound("no small block stays near +-m_beta")
-    # max keeps the first of equal keys: omega = +1 wins a full tie
-    run, neg_start, omega = max(found, key=lambda c: c[:2])
-    start = j0 - neg_start
-    return omega, (start * lm, (start + run) * lm), run * lm
+    lm = config.ell_minus
+    start, run = int(start[0]), int(run[0])
+    return float(omega[0]), (start * lm, (start + run) * lm), run * lm
+
+
+def _windows(a, b, ml, mr, lm: float):
+    """Admissible small blocks [j0, j1) of the blocks [a, b] with margins
+    ml, mr: the ``lm`` cells fully inside [a + ml, b - mr]."""
+    j0 = np.ceil((a + ml) / lm - 1e-9).astype(int)
+    j1 = np.floor((b - mr) / lm + 1e-9).astype(int)
+    return j0, j1
+
+
+def _flat_segments(m_beta: float, means: np.ndarray, j0: np.ndarray,
+                   j1: np.ndarray, tol: float):
+    """Longest run of small blocks with mean within ``tol`` of omega m_beta
+    in each window [j0[w], j1[w]) of small-block indices, all windows in one
+    pass per omega. The windows must be nonempty, disjoint and in increasing
+    order. Ties break to the longest run, then the leftmost, then omega = +1.
+
+    Each small block is labelled with its window (-1 outside every window
+    or away from omega m_beta), so the ``runs`` of the labels are the near
+    runs clipped to the windows; each window keeps its best run by the key
+    length (n + 1) + (n - start). Returns arrays (omega, start, length);
+    omega is 0 where no small block of the window is near +-m_beta.
+    """
+    n = means.size
+    j = np.arange(n)
+    window = np.searchsorted(j0, j, side="right") - 1
+    # past its window's stop a block is outside; window -1 reads stop 0
+    window[j >= np.append(j1, 0)[window]] = -1
+    key = np.full(j0.size, -1)
+    omega = np.zeros(j0.size)
+    for om in (1.0, -1.0):
+        label = np.where(np.abs(means - om * m_beta) <= tol, window, -1)
+        starts, stops = runs(label)
+        hit = label[starts] >= 0
+        best = np.full(j0.size, -1)
+        np.maximum.at(best, label[starts[hit]],
+                      (stops - starts)[hit] * (n + 1) + n - starts[hit])
+        better = best > key              # a tie keeps omega = +1
+        key[better], omega[better] = best[better], om
+    length = key // (n + 1)
+    return omega, n - key % (n + 1), length
 
 
 @dataclass(frozen=True)
@@ -173,9 +199,12 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
                       gamma: Optional[float] = None) -> AdaptedPartition:
     """Replace boundary lines of low-energy blocks by flat-segment midlines.
 
-    Low-energy blocks whose flat-segment search fails are demoted to bad.
-    Midlines are snapped to the sample grid so downstream block means stay
-    exact.
+    Each low-energy block's flat segment is searched in its core, the
+    window of ``find_flat_segment`` with the outer margin of the first and
+    last block set to l+/2; one pass per omega over the small-block means
+    serves all blocks (``_flat_segments``). Low-energy blocks whose search
+    fails are demoted to bad. Midlines are snapped to the sample grid so
+    downstream block means stay exact.
     """
     gamma = params.gamma if gamma is None else gamma
     L, dx = profile.L, profile.dx
@@ -185,28 +214,30 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
                              config.energy_cutoff_multiplier)
     n = reg.n_blocks
     # a single-block domain is degenerate: its block is demoted
-    good = list(labels["low"]) if n > 1 else [False]
-    means = _small_block_means(profile, config.ell_minus) if any(good) else None
-    omega = [None] * n
-    midline = [None] * n
-    for i in range(n):
-        if not good[i]:
-            continue
-        a, b = reg.edges[i], reg.edges[i + 1]
+    good = np.array(labels["low"]) if n > 1 else np.zeros(1, dtype=bool)
+    omega = np.zeros(n)
+    midline = np.zeros(n)
+    if good.any():
+        means = _small_block_means(profile, config.ell_minus)
+        a, b = reg.edges[:-1], reg.edges[1:]
+        ml = (b - a) / 4.0
+        mr = ml.copy()
         # keep the boundary blocks [0, s] and [s, L] >= l+/2
-        ml = ell_plus / 2.0 if i == 0 else None
-        mr = ell_plus / 2.0 if i == n - 1 else None
-        try:
-            om, (sa, sb), _ = _flat_segment(params, means, (a, b), config,
-                                            gamma, ml, mr)
-        except FlatSegmentNotFound:
-            good[i] = False
-            continue
-        omega[i] = om
-        midline[i] = round(0.5 * (sa + sb) / dx) * dx
+        ml[0] = mr[-1] = ell_plus / 2.0
+        j0, j1 = _windows(a, b, ml, mr, config.ell_minus)
+        good &= j1 > j0
+        lm = config.ell_minus
+        om, start, run = _flat_segments(params.m_beta, means, j0[good],
+                                        j1[good], gamma ** config.rho)
+        omega[good] = om
+        midline[good] = np.round(
+            0.5 * (start * lm + (start + run) * lm) / dx) * dx
+        # low-energy blocks without a flat segment are demoted
+        good &= omega != 0.0
+    omega, midline = omega.tolist(), midline.tolist()
     # final boundary lines: domain ends, midlines, and original lines with
     # two bad neighbors
-    mid_of = {midline[i]: i for i in range(n) if good[i]}
+    mid_of = {midline[i]: i for i in np.flatnonzero(good).tolist()}
     lines = {0.0, L, *mid_of}
     for k in range(1, n):
         if not good[k - 1] and not good[k]:

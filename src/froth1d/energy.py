@@ -80,17 +80,26 @@ def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float,
     samples[starts[b]:starts[b + 1]] (starts[0] = 0, the last block runs to
     the end), pairs that cross a block edge left out.
 
-    One pass per band offset k adds J_k (phi_{i+k} - phi_i)^2 to a per-sample
-    sum at i; the blocks then reduce it once.
+    One block (the exchange of ``total_energy``, ``short_range_energy`` and
+    ``surface_tension``) takes one subtract and one dot per band offset k,
+    J_k |phi_{k:} - phi_{:-k}|^2. Several blocks take one pass per offset
+    that adds J_k (phi_{i+k} - phi_i)^2, masked where the pair crosses a
+    block edge, to a per-sample sum at i; the blocks then reduce it once.
     """
     n = samples.size
     starts = np.asarray(starts)
-    room = None
-    if starts.size > 1:
-        # room[i]: samples from i to the end of its block; the pair (i, i + k)
-        # stays inside the block iff k < room[i]
-        ends = np.append(starts[1:], n)
-        room = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n)
+    if starts.size == 1:
+        total = 0.0
+        for k, jk in enumerate(jband, start=1):
+            if jk == 0.0 or k >= n:
+                continue
+            d = samples[k:] - samples[:-k]
+            total += jk * float(d @ d)
+        return np.array([0.5 * dx * dx * total])
+    # room[i]: samples from i to the end of its block; the pair (i, i + k)
+    # stays inside the block iff k < room[i]
+    ends = np.append(starts[1:], n)
+    room = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n)
     acc = np.zeros(n)
     for k, jk in enumerate(jband, start=1):
         if jk == 0.0 or k >= n:
@@ -98,8 +107,7 @@ def _exchange_banded(samples: np.ndarray, jband: np.ndarray, dx: float,
         d = samples[k:] - samples[:-k]
         d *= d
         d *= jk
-        if room is not None:
-            d[room[:-k] <= k] = 0.0
+        d[room[:-k] <= k] = 0.0
         acc[:-k] += d
     return 0.5 * dx * dx * np.add.reduceat(acc, starts)
 
@@ -212,12 +220,17 @@ def _torus_dipole_symbol(params: ModelParams, gamma: float, n: int,
 def _torus_symbol(params: ModelParams, gamma: float, n: int,
                   dx: float) -> np.ndarray:
     """rfft symbol of the whole quadratic form on the n-cycle: the exchange
-    pairs (i, (i+k) mod n) for every k = 1..1/dx plus the dipole."""
+    pairs (i, (i+k) mod n) for every k = 1..1/dx plus the dipole.
+
+    The exchange adds dx J_k (2 - 2 cos(k theta_m)) = 4 dx J_k sin^2(pi j/n)
+    with j = k m mod n; sin^2(pi j/n) is computed once for j = 0..n-1 and
+    gathered at j for each offset k.
+    """
     m = np.arange(n // 2 + 1)
+    s2 = np.sin(np.pi * np.arange(n) / n) ** 2
     sym = _torus_dipole_symbol(params, gamma, n, dx)
     for k, jk in enumerate(params.kernel.band(dx), start=1):
-        # dx J_k (2 - 2 cos(k theta)); k m is reduced mod n before scaling
-        sym += 4.0 * dx * jk * np.sin(np.pi * (k * m % n) / n) ** 2
+        sym += 4.0 * dx * jk * s2[k * m % n]
     return sym
 
 

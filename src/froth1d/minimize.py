@@ -160,6 +160,9 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             status = "converged"
             break
         d = g if mean is None else g - g.mean()
+        d_d = float(d @ d)
+        # whether E resolves the Armijo decrease asked of a unit step
+        resolved = energy - _ARMIJO * dx * d_d < energy
         hd = None
         accepted = False
         while step >= _MIN_STEP:
@@ -171,7 +174,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
                 if hd is None:
                     hd = form.hessian(d)
                     applications += 1
-                    gq_d, d_hd, d_d = float(gq @ d), float(d @ hd), float(d @ d)
+                    gq_d, d_hd = float(gq @ d), float(d @ hd)
                 cand_q = q + step * dx * (0.5 * step * d_hd - gq_d)
                 cand_gq = None
                 decrease = dx * step * d_d
@@ -184,8 +187,17 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
                 accepted = True
                 break
             step *= _BACKTRACK
+        # float64 resolves at E no decrease below about half an ulp of E.
+        # Once even the decrease the Armijo test asks of a unit step is below
+        # that, the test compares roundings of E: a failed search, or an
+        # accepted step whose whole first-order decrease E does not resolve,
+        # ends the descent unconverged. A search that fails while E resolves
+        # that decrease raises: the step ray does not descend.
         if not accepted:
-            status = "line_search_failure"
+            status = "line_search_failure" if resolved else "rounding"
+            break
+        if not resolved and energy - decrease == energy:
+            status = "rounding"
             break
         if cand_gq is None:
             gq -= step * hd
@@ -213,7 +225,12 @@ def minimize_energy(params: ModelParams, init: GridProfile,
     """Projected gradient descent with Armijo backtracking on [-1, 1]^N.
 
     Energy decreases monotonically along accepted steps; stops when the
-    projected-gradient sup-norm reaches grad_tol or max_iters is exhausted.
+    projected-gradient sup-norm reaches grad_tol or max_iters is exhausted,
+    or, unconverged, once the profile is stationary to the rounding of E:
+    the decrease the Armijo test asks of a unit step is below half an ulp
+    of E and the line search fails or accepts a step whose first-order
+    decrease E does not resolve. A line search that fails while E resolves
+    that decrease raises ``LineSearchFailure``.
     The returned energy is the value carried along the descent (the
     quadratic part expanded step by step, refreshed at clipped steps); it
     agrees with ``total_energy`` of the returned profile to rounding. The
@@ -236,8 +253,9 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
     step projected exactly by ``_project_mean_box``, until the slice's
     stationarity residual reaches ``grad_tol``. A step the box does not clip
     is the mean-shifted ray phi - t (g - mean(g)), scored along that ray as
-    in ``minimize_energy``; the returned energy is likewise the carried value.
-    Reads ``options`` as ``minimize_energy`` does. An ``init`` must lie on
+    in ``minimize_energy``; the returned energy is likewise the carried value,
+    and a profile stationary to the rounding of E is returned unconverged
+    as there. Reads ``options`` as ``minimize_energy`` does. An ``init`` must lie on
     the grid that ``length``, ``dx`` and ``bc`` describe."""
     if abs(mean) > 1.0:
         raise ValidationError("|mean| must not exceed 1")

@@ -7,6 +7,7 @@ functions are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
@@ -319,60 +320,71 @@ class StepProfile:
 # ---------------------------------------------------------------------------
 # profile file format
 #
-# UTF-8 text; header lines "L <float>", "dx <float>", "bc <token>", optional
-# extra "<key> <float>" headers, then one sample per line (17 significant
-# digits). '#' starts a comment.
+# UTF-8 text, read line by line. '#' starts a comment that runs to the end of
+# its line; what is left of a line is split on whitespace, and a line with no
+# token is skipped. A line of two tokens whose first is not a number is a
+# header: "L <float>", "dx <float>", "bc <token>" (one of BC_TOKENS), or an
+# extra "<key> <float>"; a repeated header keeps its last value. A line of one
+# token is a sample. Any other line is a ParseError naming its line number.
+# Headers and samples may come in any order; the samples are the profile's in
+# file order. Numbers are read by Python's float().
+#
+# save_profile writes the comments first, one "# <comment>" line each, then
+# L, dx, bc and the extra headers with 17 significant digits, then one sample
+# per line in '.17e' form. It rejects, before writing, an extra header key
+# that would not read back as itself: one that is not a single token, holds
+# '#', reads as a number, or is L, dx or bc; and a comment that holds a line
+# break.
+
+_RESERVED_KEYS = ("L", "dx", "bc")
+_COMMENT = re.compile(r"#[^\n]*")
+
 
 def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = None,
                  comments: Optional[list] = None):
-    lines = [f"# {c}" for c in (comments or [])]
+    """Write ``profile`` to ``path`` in the profile file format, with the
+    ``extra_headers`` as "<key> <float>" lines and each of ``comments`` as a
+    comment line. Raises ValidationError for a key or comment that would not
+    read back (see the format notes above)."""
+    extra = dict(extra_headers or {})
+    comments = [str(c) for c in (comments or [])]
+    for key in extra:
+        if (not isinstance(key, str) or key.split() != [key] or "#" in key
+                or _is_float(key) or key in _RESERVED_KEYS):
+            raise ValidationError(
+                f"header key {key!r} must be one non-numeric token without "
+                f"'#', other than L, dx and bc")
+    for c in comments:
+        if "\n" in c or "\r" in c:
+            raise ValidationError(f"comment {c!r} holds a line break")
+    lines = [f"# {c}" for c in comments]
     lines += [f"L {format(profile.L, '.17g')}",
               f"dx {format(profile.dx, '.17g')}",
               f"bc {profile.bc}"]
-    for key, val in (extra_headers or {}).items():
-        lines.append(f"{key} {format(float(val), '.17g')}")
-    # Python floats format as numpy's float64 do, and faster
-    lines.extend(format(s, '.17e') for s in profile.samples.tolist())
+    lines += [f"{key} {format(float(val), '.17g')}" for key, val in extra.items()]
+    # '%.17e' formats a Python float as format(s, '.17e') and numpy's
+    # float64 do, all samples in one call
+    body = ("%.17e\n" * profile.n) % tuple(profile.samples.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + body)
 
 
 def load_profile(path):
-    """Load a profile file; returns (GridProfile, extra_headers)."""
+    """Load a profile file; returns (GridProfile, extra_headers).
+
+    The file is parsed in array passes; a file with a malformed line (or,
+    outside comments, a non-ASCII character) is parsed again line by line,
+    which raises the first line's ParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    headers = {}
-    samples = []
-    bc = None
-    L = dx = None
-    saw_any = False
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        saw_any = True
-        parts = text.split()
-        if len(parts) == 2 and not _is_float(parts[0]):
-            key, val = parts
-            if key == "L":
-                L = _parse_float(val, lineno)
-            elif key == "dx":
-                dx = _parse_float(val, lineno)
-            elif key == "bc":
-                if val not in BC_TOKENS:
-                    raise ParseError(f"unknown bc token {val!r}", line=lineno)
-                bc = val
-            else:
-                headers[key] = _parse_float(val, lineno)
-        elif len(parts) == 1:
-            samples.append(_parse_float(parts[0], lineno))
-        else:
-            raise ParseError(f"unparseable line {text!r}", line=lineno)
+        text = fh.read()
+    fields, headers, arr, saw_any = (_scan_text(text)
+                                     or _parse_lines(text.split("\n")))
     if not saw_any:
         raise ParseError("empty profile file", line=0)
+    L, dx, bc = (fields.get(key) for key in _RESERVED_KEYS)
     if L is None or dx is None or bc is None:
         raise ParseError("missing L/dx/bc header", line=0)
-    arr = np.asarray(samples, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise InvariantError("sample outside [-1, 1] in profile file")
     try:
@@ -380,6 +392,82 @@ def load_profile(path):
     except ValidationError as err:
         raise ParseError(str(err), line=0) from err
     return prof, headers
+
+
+def _scan_text(text: str):
+    """``_parse_lines`` of ``text.split("\\n")`` without a pass per line, or
+    None when a line is malformed or the text outside comments is not ASCII.
+
+    Only a line holding a byte up to ' ' other than the line feed can hold
+    more than one token; those lines are split one by one (in a saved file,
+    the headers). Every other nonblank line is one sample token, and all
+    the sample tokens convert in one call.
+    """
+    body = _COMMENT.sub("", text) if "#" in text else text
+    if not body.isascii():
+        return None
+    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    breaks = np.flatnonzero(codes == 10)
+    padded = np.unique(np.searchsorted(
+        breaks, np.flatnonzero((codes <= 32) & (codes != 10))))
+    starts = np.append(0, breaks + 1)[padded].tolist()
+    stops = np.append(breaks, codes.size)[padded].tolist()
+    fields, headers = {}, {}
+    kept, pos = [], 0
+    for start, stop in zip(starts, stops):
+        parts = body[start:stop].split()
+        if len(parts) > 2 or (len(parts) == 2 and _is_float(parts[0])):
+            return None
+        if len(parts) == 2:
+            try:
+                _store_header(fields, headers, parts, None)
+            except ParseError:
+                return None
+            kept.append(body[pos:start])
+            pos = stop
+    kept.append(body[pos:])
+    tokens = "".join(kept).split()
+    try:
+        # numpy converts each str with Python's float()
+        samples = np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+    return fields, headers, samples, bool(tokens or fields or headers)
+
+
+def _parse_lines(lines):
+    """(fields, extra headers, samples, whether any line has a token) of a
+    profile file's lines; raises the first malformed line's ParseError."""
+    fields, headers = {}, {}
+    samples = []
+    saw_any = False
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        saw_any = True
+        parts = text.split()
+        if len(parts) == 2 and not _is_float(parts[0]):
+            _store_header(fields, headers, parts, lineno)
+        elif len(parts) == 1:
+            samples.append(_parse_float(parts[0], lineno))
+        else:
+            raise ParseError(f"unparseable line {text!r}", line=lineno)
+    return fields, headers, np.asarray(samples, dtype=float), saw_any
+
+
+def _store_header(fields: dict, headers: dict, parts, lineno):
+    """Read one "key value" header line into ``fields`` (L, dx, bc) or
+    ``headers`` (the extra ones)."""
+    key, val = parts
+    if key == "bc":
+        if val not in BC_TOKENS:
+            raise ParseError(f"unknown bc token {val!r}", line=lineno)
+        fields[key] = val
+    elif key in _RESERVED_KEYS:
+        fields[key] = _parse_float(val, lineno)
+    else:
+        headers[key] = _parse_float(val, lineno)
 
 
 def _is_float(token: str) -> bool:

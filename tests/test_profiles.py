@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
-                            ParseError)
+                            ParseError, ValidationError)
 from froth1d.profiles import (GridProfile, StepProfile, alpha_L, average_over,
                               block_type, coarse_version, load_profile,
                               runs, save_profile)
@@ -230,3 +230,30 @@ class TestProfileFile:
         with pytest.raises(ParseError) as err:
             load_profile(path)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("extra, comments", [
+        ({"1e3": 0.5}, None),       # numeric key: read as an unparseable line
+        ({"my key": 2.0}, None),    # two tokens: a three-token line
+        ({"bc": 3.0}, None),        # read as an unknown bc token
+        ({"L": 2.0}, None),         # overrides the domain length
+        ({"#x": 1.0}, None),        # read as a comment, silently dropped
+        ({"dx": 0.25}, None),       # a second dx header, the last one kept
+        (None, ["a\nb"]),           # the second line is read as a sample
+    ])
+    def test_unreadable_header_or_comment_rejected(self, tmp_path, extra,
+                                                   comments):
+        p = GridProfile(L=1.0, dx=0.25, samples=np.zeros(4))
+        path = tmp_path / "p.profile"
+        with pytest.raises(ValidationError):
+            save_profile(p, path, extra_headers=extra, comments=comments)
+        assert not path.exists()
+
+    def test_cli_headers_round_trip(self, tmp_path):
+        p = GridProfile(L=1.0, dx=0.25, samples=np.zeros(4))
+        path = tmp_path / "p.profile"
+        headers = {"tau": 0.19762754872186078, "tail_rate": 1.25,
+                   "half_width": 30.0}
+        save_profile(p, path, extra_headers=headers,
+                     comments=["config_sha256 0123abcd", "sigma \u03c3 # x"])
+        q, back = load_profile(path)
+        assert back == headers and np.array_equal(q.samples, p.samples)
