@@ -3,10 +3,11 @@
 on the slice a clip of one uniform shift), and seeded multistart.
 
 The functional is a quadratic form plus the local well, so the descent
-carries the quadratic part's value and gradient with the samples and scores
-each Armijo candidate inside the box by one well pass and an exact expansion
-along the step ray: at most one application of the quadratic form per
-iteration, plus one for each candidate that the projection clips."""
+carries the quadratic part's value and gradient with the samples. A candidate
+costs one projection, which returns its min and max, and one well pass (no
+clip pass within +-``model._EDGE``); inside the box the exact expansion along
+the step ray scores it, so an iteration applies the quadratic form at most
+once, plus once for each candidate that the projection clips."""
 
 from __future__ import annotations
 
@@ -49,8 +50,11 @@ class MinimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValidationError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < np.inf:     # also false for nan
+            raise ValidationError("grad_tol must be finite and positive")
+        if isinstance(self.max_iters, bool) or not (
+                isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 0):
+            raise ValidationError("max_iters must be an integer >= 0")
 
 
 @dataclass
@@ -69,8 +73,6 @@ def _projected_grad_norm(phi, g, tol=1e-12):
     """Sup-norm of the gradient with active box faces masked out."""
     if not g.size:
         return 0.0
-    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # no face near
-        return float(np.max(np.abs(g)))
     pg = g.copy()
     pg[(phi >= 1.0 - tol) & (g < 0.0)] = 0.0
     pg[(phi <= -1.0 + tol) & (g > 0.0)] = 0.0
@@ -83,38 +85,41 @@ def _mean_slice_grad_norm(phi, g, tol=1e-12):
     On the slice the multiplier is the gradient mean over free samples;
     box-active samples only count when they push off their face.
     """
-    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # all free
-        return float(np.max(np.abs(g - g.mean())))
     free = np.abs(phi) < 1.0 - tol
     mu = float(g[free].mean()) if np.any(free) else float(g.mean())
     return _projected_grad_norm(phi, g - mu, tol)
 
 
 def _project_box(y):
-    """The nearest point of the box to y, and whether y lies strictly inside
-    it (the point is then y itself)."""
-    if y.max() < 1.0 and y.min() > -1.0:
-        return y, True
-    return np.clip(y, -1.0, 1.0), False
+    """The nearest point of the box to y, with its min and max: y itself when
+    y lies strictly inside, else the clip, whose extremes are y's clamped."""
+    lo, hi = y.min(), y.max()
+    if hi < 1.0 and lo > -1.0:
+        return y, lo, hi
+    lo, hi = np.clip((lo, hi), -1.0, 1.0)
+    return np.clip(y, -1.0, 1.0), lo, hi
 
 
 def _project_mean_box(y, mean):
-    """Euclidean projection of y onto the slice {mean(x) = mean} of the box:
-    clip(y + lam, -1, 1) for the lam that gives the mean (Duchi et al., ICML
-    2008). The clip's sum is piecewise linear in lam, with a knot wherever a
-    sample meets a face; lam interpolates between its values at the knots."""
+    """Euclidean projection of y onto the slice {mean(x) = mean} of the box,
+    with its min and max: clip(y + lam, -1, 1) for the lam that gives the
+    mean (Duchi et al., ICML 2008). The clip's sum is piecewise linear in
+    lam, with a knot wherever a sample meets a face; lam interpolates between
+    its values at the knots."""
     if abs(mean) == 1.0:
-        return np.full_like(y, mean)
+        return np.full_like(y, mean), mean, mean
     shifted = y + (mean - np.mean(y))
-    if np.max(np.abs(shifted)) <= 1.0:
-        return shifted
+    lo, hi = shifted.min(), shifted.max()
+    if lo >= -1.0 and hi <= 1.0:
+        return shifted, lo, hi
     s = np.sort(y)
     prefix = np.concatenate([[0.0], np.cumsum(s)])
     knots = np.sort(np.concatenate([-1.0 - s, 1.0 - s]))
     lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
     hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
     sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
-    return np.clip(y + np.interp(mean * s.size, sums, knots), -1.0, 1.0)
+    x = np.clip(y + np.interp(mean * s.size, sums, knots), -1.0, 1.0)
+    return x, x.min(), x.max()
 
 
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
@@ -124,26 +129,33 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
 
     E = dx sum F(phi) + Q(phi) with Q quadratic, so along a step ray only the
     well is nonlinear. The descent carries Q and its gradient gq with phi.
-    A candidate strictly inside the box is phi - t d up to rounding, with
-    d = g on the box and d = g - mean(g) on the slice (the ray shifted back
-    to the mean): it costs one well pass, its Q is the exact expansion
-    Q - t dx <gq, d> + (t^2 dx / 2) <d, H d>, and its acceptance updates gq
-    by -t H d. H d takes one application of K per iteration, made when the
-    first such candidate needs it. A candidate that the projection clips is
-    evaluated afresh. Candidates are plain arrays that the projections place
-    in the box, so only the returned profile is built and validated.
+    A candidate costs one projection, which returns its min and max, and one
+    well pass (no clip pass within +-``model._EDGE``). Strictly inside the box
+    it is phi - t d up to rounding, with d = g on the box and d = g - mean(g)
+    on the slice (the ray shifted back to the mean), formed once an iteration:
+    its Q is the exact expansion Q - t dx <gq, d> + (t^2 dx / 2) <d, H d>, and
+    its acceptance updates gq by -t H d, H d being one application of K per
+    iteration. A clipped candidate is evaluated afresh. With no sample of the
+    accepted candidate within 1e-12 of a face (its extremes tell), the next
+    residual is max |d| from one max and one min. Candidates are plain arrays
+    in the box; only the returned profile is built and validated.
     """
     form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
     dx = profile.dx
     if mean is None:
-        project, stationarity = _project_box, _projected_grad_norm
+        project, face_residual = _project_box, _projected_grad_norm
     else:
         def project(y):
-            # a projection strictly inside the box is a pure shift of y
-            x = _project_mean_box(y, mean)
-            return x, bool(x.max() < 1.0 and x.min() > -1.0)
-        stationarity = _mean_slice_grad_norm
-    phi = project(profile.samples)[0]
+            return _project_mean_box(y, mean)
+        face_residual = _mean_slice_grad_norm
+
+    def stationarity(phi, lo, hi, g):
+        d = g if mean is None else g - g.mean()
+        if hi < 1.0 - 1e-12 and lo > -1.0 + 1e-12:     # no face near
+            return d, abs(float(max(d.max(), -d.min())))
+        return d, face_residual(phi, g)
+
+    phi, lo, hi = project(profile.samples)
     q, gq = form.quadratic(phi, profile)
     f, g = _well(phi, params)
     energy = dx * float(f.sum()) + q
@@ -154,23 +166,21 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     status = "max_iters"
     it = 0
     for it in range(1, options.max_iters + 1):
-        gnorm = stationarity(phi, g)
+        d, gnorm = stationarity(phi, lo, hi, g)
         rows.append((it - 1, energy, gnorm, step))
         if gnorm <= options.grad_tol:
             status = "converged"
             break
-        d = g if mean is None else g - g.mean()
         d_d = float(d @ d)
         # whether E resolves the Armijo decrease asked of a unit step
         resolved = energy - _ARMIJO * dx * d_d < energy
         hd = None
-        accepted = False
         while step >= _MIN_STEP:
             # L2 gradient flow step: g is the discrete functional derivative
-            cand, on_ray = project(phi - step * g)
+            cand, cand_lo, cand_hi = project(phi - step * g)
             f, cand_g = _well(cand, params)
             evaluations += 1
-            if on_ray:      # cand = phi - step d
+            if cand_hi < 1.0 and cand_lo > -1.0:    # cand = phi - step d
                 if hd is None:
                     hd = form.hessian(d)
                     applications += 1
@@ -184,7 +194,6 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
                 decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
             cand_energy = dx * float(f.sum()) + cand_q
             if cand_energy <= energy - _ARMIJO * decrease:
-                accepted = True
                 break
             step *= _BACKTRACK
         # float64 resolves at E no decrease below about half an ulp of E.
@@ -193,7 +202,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         # accepted step whose whole first-order decrease E does not resolve,
         # ends the descent unconverged. A search that fails while E resolves
         # that decrease raises: the step ray does not descend.
-        if not accepted:
+        else:
             status = "line_search_failure" if resolved else "rounding"
             break
         if not resolved and energy - decrease == energy:
@@ -203,10 +212,11 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             gq -= step * hd
         else:
             gq = cand_gq
-        phi, q, energy, g = cand, cand_q, cand_energy, cand_g
+        phi, lo, hi = cand, cand_lo, cand_hi
+        q, energy, g = cand_q, cand_energy, cand_g
         g += gq
         step = min(step * _STEP_GROW, 1e6)
-    gnorm = stationarity(phi, g)
+    gnorm = stationarity(phi, lo, hi, g)[1]
     rows.append((it, energy, gnorm, step))
     result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
                             grad_norm=gnorm, iterations=it,

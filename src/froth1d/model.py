@@ -356,10 +356,13 @@ _EDGE = 1.0 - 1e-12
 def _well(t: np.ndarray, params: ModelParams):
     """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
     log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
-    one log1p pair on s = clip(t, -_EDGE, _EDGE); F takes a(|t|) beyond it."""
+    one log1p pair on s = clip(t, -_EDGE, _EDGE), skipped (s is t) when every
+    sample lies within +-_EDGE; F takes a(|t|) beyond it."""
     # in-place steps, same operations in the same order as the formulas
-    s = np.maximum(t, -_EDGE)    # np.clip is slower
-    np.minimum(s, _EDGE, out=s)
+    s = t
+    if t.size and not (t.min() >= -_EDGE and t.max() <= _EDGE):
+        s = np.maximum(t, -_EDGE)    # np.clip is slower
+        np.minimum(s, _EDGE, out=s)
     lp = np.log1p(s)
     lm = np.negative(s)
     np.log1p(lm, out=lm)
@@ -368,8 +371,8 @@ def _well(t: np.ndarray, params: ModelParams):
     slope -= params.kernel.j0_hat * s
     f = _shifted_a(s, lp, lm, params)
     f -= params._a_min
-    out = np.flatnonzero(s != t)
-    if out.size:
+    if s is not t:
+        out = np.flatnonzero(s != t)
         f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min
     return f, slope
 

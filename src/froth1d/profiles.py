@@ -374,10 +374,17 @@ def load_profile(path):
 
     The file is parsed in array passes; a file with a malformed line (or,
     outside comments, a non-ASCII character) is parsed again line by line,
-    which raises the first line's ParseError.
+    which raises the first line's ParseError. A file that is not UTF-8 raises
+    the ParseError of the line holding its first undecodable byte.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len(re.findall(rb"\r\n?|\n", data[:err.start])) + 1
+        raise ParseError("not UTF-8 text", line=line) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     fields, headers, arr, saw_any = (_scan_text(text)
                                      or _parse_lines(text.split("\n")))
     if not saw_any:

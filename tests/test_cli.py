@@ -189,6 +189,15 @@ class TestPipelineCommands:
         assert main(["coarse-grain", "--config", str(cfg),
                      "--out", str(out)]) == 1
 
+    def test_non_utf8_profile_is_parse_error(self, tmp_path, capsys):
+        # the byte 0xff on the fourth line: exit 1 with the line, no traceback
+        bad = tmp_path / "bad.profile"
+        bad.write_bytes(b"L 1.0\ndx 0.25\nbc open\n\xff\n0.1\n0.2\n0.3\n")
+        cfg = write_config(tmp_path, coarsegrain={"profile": str(bad)})
+        assert main(["coarse-grain", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "error: line 4: not UTF-8" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         # all six subcommands, twice: every artifact byte for byte
         cfg = write_config(tmp_path, verify={"fast": True}, minimize={

@@ -393,10 +393,18 @@ def test_structural_errors_match_reference(text):
 
 
 def test_invalid_utf8_raises_as_reference():
+    # the reference lets UnicodeDecodeError escape; the loader raises the
+    # ParseError of the line holding the first undecodable byte, counting
+    # lines as a text-mode read does
     path = _write("")
-    path.write_bytes(b"L 1.0\ndx 0.25\nbc open\n0.1\n\xff\n")
-    assert _load_outcome(load_profile, path) == _load_outcome(
-        ref_load_profile, path)
+    for end in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(end.join([b"L 1.0", b"dx 0.25", b"bc open", b"0.1",
+                                   b"\xff", b"0.2 \xfe", b""]))
+        with pytest.raises(UnicodeDecodeError):
+            ref_load_profile(path)
+        with pytest.raises(ParseError, match="^line 5: not UTF-8") as err:
+            load_profile(path)
+        assert err.value.line == 5
 
 
 # ---------------------------------------------------------------------------

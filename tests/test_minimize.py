@@ -158,7 +158,7 @@ class TestMeanSliceProjection:
     def test_nearest_point(self):
         # clipping first and then shifting back to the mean gives
         # (0.647, 0.447, -0.253), a feasible point but not the nearest one
-        x = _project_mean_box(np.array([-0.1, -0.3, -2.9]), 0.28)
+        x = _project_mean_box(np.array([-0.1, -0.3, -2.9]), 0.28)[0]
         np.testing.assert_allclose(x, [1.0, 0.84, -1.0], rtol=0, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -166,7 +166,8 @@ class TestMeanSliceProjection:
                     elements=st.floats(-3.0, 3.0)),
            mean=st.floats(-1.0, 1.0))
     def test_is_clip_of_one_shift(self, y, mean):
-        x = _project_mean_box(y, mean)
+        x, lo, hi = _project_mean_box(y, mean)
+        assert (lo, hi) == (x.min(), x.max())
         assert np.all(np.abs(x) <= 1.0)
         assert abs(x.mean() - mean) <= 1e-12
         # x = clip(y + lam) for one lam: each free sample pins lam to its
@@ -183,7 +184,7 @@ class TestMeanSliceProjection:
     def test_saturated_mean_is_exact(self, mean):
         # shifting -1.3 by the last knot 1 - (-1.3) lands one ulp below 1
         y = mean * np.array([1.7, -0.6, -1.3, 2.1])
-        assert np.all(_project_mean_box(y, mean) == mean)
+        assert np.all(_project_mean_box(y, mean)[0] == mean)
 
 
 class TestMultistart:
@@ -331,8 +332,8 @@ class TestStationarity:
                st.floats(-1.0, 1.0), st.sampled_from([1 - 5e-13, -1 + 5e-13]))),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_residuals_match_masked_reference(self, phi, seed):
-        # off the faces the residuals skip the masks; the values are the same,
-        # also with samples within the tolerance of a face but not on it
+        # the face-case residuals are the masked ones, also off the faces and
+        # with samples within the tolerance of a face but not on it
         g = np.random.default_rng(seed).normal(size=phi.size)
         assert _projected_grad_norm(phi, g) == masked_grad_norm(phi, g)
         free = np.abs(phi) < 1.0 - 1e-12
@@ -347,3 +348,24 @@ class TestStationarity:
         res = minimize_energy(params, init, 1e-2, opts)
         assert res.converged
         assert res.grad_norm <= 1e-8
+
+
+class TestOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("grad_tol", float("nan")), ("grad_tol", float("inf")),
+        ("grad_tol", 0.0), ("grad_tol", -1e-6),
+        ("max_iters", -1), ("max_iters", True), ("max_iters", False),
+        ("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", "10"),
+    ])
+    def test_rejected(self, field, value):
+        # nan ran the whole budget; 2.5 died with a TypeError inside range
+        with pytest.raises(ValidationError, match=field):
+            MinimizeOptions(**{field: value})
+
+    @pytest.mark.parametrize("max_iters", [0, 1, np.int64(7)])
+    def test_accepted(self, params, max_iters):
+        init = GridProfile.constant(0.5, L=4.0, dx=1.0 / 16.0)
+        res = minimize_energy(params, init, 0.0,
+                              MinimizeOptions(max_iters=max_iters, grad_tol=1))
+        assert res.iterations <= max_iters
+        assert res.trace.shape == (res.iterations + 1, 4)

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froth1d.energy import tilde_energy
 from froth1d.errors import DomainError, SignError, ValidationError
 from froth1d.minimize import restart_rng
-from froth1d.model import KacMeasure
+from froth1d.model import KacMeasure, ModelParams, eval_tilde_F
 from froth1d.profiles import GridProfile, StepProfile
 from froth1d.sharp import (_one_minus_tanhc, cell_specific_energy,
                            check_eh_bounds, chessboard_lower_bound, eh_curve,
@@ -255,6 +258,119 @@ class TestChessboard:
         assert len(per) == 1
         assert bound == pytest.approx(
             50.0 * cell_specific_energy(params_tau, s, gamma=1e-2), rel=1e-12)
+
+
+def _gauss(a, b, panels, m=8):
+    """Nodes and weights of m-point Gauss-Legendre on ``panels`` equal panels
+    of [a, b] (arrays: one row per interval)."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    e = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+    lo, hi = e[:, :-1, None], e[:, 1:, None]
+    x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * t
+    return x.reshape(a.size, -1), ((hi - lo) / 2.0 * w).reshape(a.size, -1)
+
+
+def quadrature_form(values, edges, gamma, measure, panels):
+    """<sigma, sigma>_{v~_h} of the step sigma = values on [edges[j],
+    edges[j+1]) (edges[0] = 0, h = edges[-1]): the image-sum kernel
+    ``tilde_v_kernel_direct`` integrated by Gauss-Legendre over every pair of
+    pieces. On a diagonal pair the inner integral is split at y = x, where
+    the kernel has its kink; everywhere else it is analytic. The image sum
+    runs to |n| = n_max, past which its tail is below e^-45 of its terms."""
+    h = edges[-1]
+    a = gamma * min(alpha for _, alpha in measure.atoms)
+    n_max = int(math.ceil(45.0 / (2.0 * a * h))) + 1
+    x, wx = _gauss(edges[:-1], edges[1:], panels)
+    X, Y, W = [], [], []
+    for i, j in np.ndindex(values.size, values.size):
+        if i != j:
+            X.append(np.repeat(x[i], x[j].size))
+            Y.append(np.tile(x[j], x[i].size))
+            w = np.outer(wx[i], wx[j])
+        else:
+            # [edges[j], x] and [x, edges[j + 1]] for each outer node x
+            n = x[i].size
+            y, wy = _gauss(np.append(np.full(n, edges[j]), x[i]),
+                           np.append(x[i], np.full(n, edges[j + 1])), panels)
+            X.append(np.repeat(np.tile(x[i], 2), y.shape[1]))
+            Y.append(y.ravel())
+            w = np.tile(wx[i], 2)[:, None] * wy
+        W.append(values[i] * values[j] * w.ravel())
+    X, Y, W = (np.concatenate(v) for v in (X, Y, W))
+    return float(np.sum(W * tilde_v_kernel_direct(h, gamma, X, Y, measure,
+                                                  n_max=n_max)))
+
+
+_ONE_ATOM = ModelParams.create(beta=2.0, gamma=1e-2).with_tau(0.3)
+_TWO_ATOMS = ModelParams.create(
+    beta=2.0, gamma=1e-2,
+    measure=KacMeasure(atoms=((0.5, 1.0), (0.5, 3.0)), lam=1.0)).with_tau(0.3)
+_PIECE = st.tuples(st.floats(0.5, 4.0), st.one_of(
+    st.sampled_from([0.0, 1.0, _ONE_ATOM.m_beta]), st.floats(0.0, 1.0)))
+
+
+def quadrature_cell_energy(params, widths, values, gamma):
+    """e~_h of the one-sign cell |values| on consecutive ``widths``, its long
+    range part by ``quadrature_form`` at one and at two panels per interval,
+    and a tolerance: the two quadratures' difference (the error of the
+    coarser one, so far above the finer one's) plus the closed form's
+    rounding, whose terms cancel to relative order a h (``TestCellEnergy``)."""
+    values = np.abs(np.asarray(values, dtype=float))
+    edges = np.append(0.0, np.cumsum(widths))
+    h = edges[-1]
+    coarse, fine = (quadrature_form(values, edges, gamma, params.measure, p)
+                    for p in (1, 2))
+    well = float(np.sum(np.asarray(widths) * eval_tilde_F(values, params)))
+    e = (well + params.tau + fine / 2.0) / h
+    a_h = gamma * min(alpha for _, alpha in params.measure.atoms) * h
+    eps = np.finfo(float).eps
+    return e, abs(coarse - fine) / (2.0 * h) + 32.0 * eps * e / min(1.0, a_h)
+
+
+class TestStepProfilesAgainstImageSum:
+    """The closed-form cell energies against a quadrature of the image-sum
+    kernel, on random one-sign multi-piece cells and multi-cell steps."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pieces=st.lists(_PIECE, min_size=1, max_size=5),
+           sign=st.sampled_from([1.0, -1.0]),
+           gamma=st.sampled_from([0.05, 0.1, 0.3]),
+           two_atoms=st.booleans())
+    def test_cell_specific_energy(self, pieces, sign, gamma, two_atoms):
+        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        widths = [w for w, _ in pieces]
+        values = [sign * v for _, v in pieces]
+        cell = StepProfile(breakpoints=np.append(0.0, np.cumsum(widths)),
+                           values=np.array(values))
+        ref, tol = quadrature_cell_energy(params, widths, values, gamma)
+        assert abs(cell_specific_energy(params, cell, gamma) - ref) <= tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(runs=st.lists(st.lists(st.tuples(st.floats(0.5, 3.0),
+                                            st.floats(0.05, 1.0)),
+                                  min_size=1, max_size=3),
+                         min_size=1, max_size=4),
+           first=st.sampled_from([1.0, -1.0]),
+           gamma=st.sampled_from([0.05, 0.1, 0.3]),
+           bc=st.sampled_from(["open", "periodic"]), two_atoms=st.booleans())
+    def test_chessboard_lower_bound(self, runs, first, gamma, bc, two_atoms):
+        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        signs = [first * (-1.0) ** r for r in range(len(runs))]
+        step = StepProfile.from_pieces([(w, s * v) for s, run in
+                                        zip(signs, runs) for w, v in run])
+        cells = [list(run) for run in runs]
+        if bc == "periodic" and len(runs) > 1 and signs[0] == signs[-1]:
+            # the wrapped interval, from its unwrapped left edge, comes first
+            cells = [cells[-1] + cells[0]] + cells[1:-1]
+        bound, per = chessboard_lower_bound(params, step, gamma, bc=bc)
+        assert len(per) == len(cells)
+        for (h, term), cell in zip(per, cells):
+            widths = [w for w, _ in cell]
+            e, tol = quadrature_cell_energy(params, widths,
+                                            [v for _, v in cell], gamma)
+            assert h == pytest.approx(sum(widths), rel=1e-14)
+            assert abs(term - h * e) <= h * tol
+        assert bound == pytest.approx(sum(term for _, term in per), rel=1e-15)
 
 
 class TestGammaLimit:
