@@ -191,9 +191,16 @@ def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_minimize(config: dict, out: Path, seed: int) -> int:
+    sec = config.get("minimize", {})
+    for key in ("dx", "L", "L_over_h_star"):
+        if key in sec and not sec[key] > 0:
+            raise ValidationError("must be positive",
+                                  pointer=f"/minimize/{key}")
+    options = MinimizeOptions(
+        max_iters=int(sec.get("max_iters", 20000)),
+        grad_tol=float(sec.get("grad_tol", 1e-5)), seed=seed)
     params = _params_from_config(config)
     params, inst = _tau_params(params, config, out)
-    sec = config.get("minimize", {})
     dx = float(sec.get("dx", 1.0 / 16.0))
     bc = str(sec.get("bc", "periodic"))
     h_star, _, _, _ = optimal_h(params)
@@ -202,9 +209,6 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
     else:
         L = float(sec.get("L_over_h_star", 8.0)) * h_star
     L = max(1, int(round(L / dx))) * dx
-    options = MinimizeOptions(
-        max_iters=int(sec.get("max_iters", 20000)),
-        grad_tol=float(sec.get("grad_tol", 1e-5)), seed=seed)
     init = None
     if sec.get("init") == "trial":
         if inst is None and "tau" in config["model"]:

@@ -17,8 +17,9 @@ geometric series (plus, minus), one dot product per atom (custom) and a
 rank-two form per end (neumann, whose reflection is linear in phi).
 One band routine gives the exchange of ``total_energy`` and, per block in
 one pass, the short-range energy of coarse-graining blocks.
-Step-profile dipole energies use closed-form pair integrals, free of
-cancellation, instead of any grid.
+Step profiles need no grid: one O(pieces) pass per atom, ``_cell_integrals``,
+gives the step dipole (open, and periodic by an exact identity) and the
+chessboard cells of ``sharp``.
 """
 
 from __future__ import annotations
@@ -531,59 +532,93 @@ def energy_gradient(params: ModelParams, profile: GridProfile,
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(2, 17)])
 
 
-def _pair_integral(b: float, edges: np.ndarray, L=None) -> np.ndarray:
-    """Matrix of closed-form integrals of exp(-b|x-y|) over cell pairs; with
-    ``L``, of exp(-b(L - |x-y|)), the complementary torus distance."""
-    w = np.diff(edges)
+def _self_integrals(b: float, w: np.ndarray) -> np.ndarray:
+    """Per piece of width w, x = b w, the integral of exp(-b|x-y|) over the
+    piece squared, (2/b^2)(e^{-x} - 1 + x): its Taylor series up to x = 1/2,
+    the closed form, free of cancellation, above."""
     x = b * w
-    f = -np.expm1(-x) / b
-    gap = edges[None, :-1] - edges[1:, None]      # gap between cell i and j > i
-    # distance between near edges, or the wrap distance between far edges
-    dist = gap if L is None else L - gap - w[:, None] - w[None, :]
-    mat = np.outer(f, f) * np.exp(-b * np.maximum(dist, 0.0)) * (gap >= 0.0)
-    mat = mat + mat.T
-    np.fill_diagonal(mat, _self_integrals(b, w, L))
-    return mat
+    series = np.vander(-x, _TAYLOR.size, increasing=True) @ _TAYLOR * x * x
+    return (2.0 / b / b) * np.where(x > 0.5, x + np.expm1(-x), series)
 
 
-def _self_integrals(b: float, w: np.ndarray, L=None) -> np.ndarray:
-    """``_pair_integral``'s diagonal: per cell of width w, x = b w, the
-    integral of exp(-b|x-y|) over the cell squared, (2/b^2)(e^{-x} - 1 + x),
-    or with ``L`` that of exp(-b(L - |x-y|)), (2/b^2) e^{-bL} (e^x - 1 - x)."""
-    x = b * w
-    z = -x if L is None else x
-    diag = np.vander(z, _TAYLOR.size, increasing=True) @ _TAYLOR * z * z
-    if L is not None:
-        diag *= np.exp(-b * L)
-    if x.max() > 0.5:   # closed forms, free of cancellation (and overflow) there
-        large = np.flatnonzero(x > 0.5)
-        x, w = x[large], w[large]
-        diag[large] = x + np.expm1(-x) if L is None else np.exp(-b * (L - w)) * (
-            -np.expm1(-x) - x * np.exp(-x))
-    return (2.0 / b / b) * diag
+def _cell_recursion(r: np.ndarray, u: np.ndarray, starts: np.ndarray,
+                    span: int) -> np.ndarray:
+    """T_j = sum_i u_i r_{i+1} ... r_{j-1} over the pieces i < j of j's cell,
+    that is T_{j+1} = r_j T_j + u_j with T = 0 at each cell start.
+
+    The recursion runs as a doubling scan of its affine steps T -> A T + B:
+    log2(span) array passes for cells of at most ``span`` pieces. The decay
+    products A only shrink. For u >= 0 (a one-sign cell) nothing cancels; for
+    signed u (a whole step profile) T is exact to rounding relative to |u|'s.
+    """
+    A, B = np.empty_like(r), np.empty_like(u)
+    A[1:], B[1:] = r[:-1], u[:-1]
+    A[starts] = B[starts] = 0.0
+    s = 1
+    while s < span:
+        B[s:] += A[s:] * B[:-s]
+        A[s:] = A[s:] * A[:-s]      # *= on overlapping slices copies first
+        s *= 2
+    return B
+
+
+def _cell_integrals(a: float, values: np.ndarray, edges: np.ndarray,
+                    starts: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell, the pair integrals of the kernel e^{-a|x-y|}, in one pass.
+
+    ``values`` sit on [edges[j], edges[j+1]); cell c holds the pieces
+    starts[c] to starts[c+1] - 1 (starts[0] = 0, the last runs to the end).
+    With x from the cell's left wall, h its length, w_j the piece widths and
+    u_j = v_j (1 - e^{-a w_j})/a, returns per cell, in decaying exponentials
+    only,
+
+        I  = int int sigma sigma e^{-a|x-y|} = sum_j (v_j^2 S_j + 2 u_j T_j),
+        Sp = int sigma e^{-ax} = sum_j u_j e^{-a x_j},
+        Sq = int sigma e^{-a(h-x)} = sum_j u_j e^{-a(h - x_{j+1})},
+
+    S from ``_self_integrals`` and T from ``_cell_recursion``.
+    """
+    stops = np.append(starts[1:], values.size)
+    counts = stops - starts
+    cell = np.repeat(np.arange(starts.size), counts)
+    widths = edges[1:] - edges[:-1]
+    u = values * -np.expm1(-a * widths) / a
+    t = _cell_recursion(np.exp(-a * widths), u, starts, int(counts.max()))
+    pairs = np.add.reduceat(
+        values * values * _self_integrals(a, widths) + 2.0 * u * t, starts)
+    sp = np.add.reduceat(u * np.exp(a * (edges[starts][cell] - edges[:-1])),
+                         starts)
+    sq = np.add.reduceat(u * np.exp(a * (edges[1:] - edges[stops][cell])),
+                         starts)
+    return pairs, sp, sq
 
 
 def step_dipole_energy(params: ModelParams, step: StepProfile,
                        gamma: Optional[float] = None,
                        bc: str = "open") -> float:
-    """Exact (gamma/2) dipole energy of a step profile, open or periodic."""
+    """Exact (gamma/2) dipole energy of a step profile, open or periodic.
+
+    Per atom, b = gamma alpha, the profile is one cell of ``_cell_integrals``
+    and the open energy is (gamma lam w/2) I. The torus kernel is the image
+    sum (e^{-b|d|} + e^{-b(L-|d|)})/(1 - E), E = e^{-bL}. Splitting Sp Sq at
+    x < y and x > y gives Sp Sq = W/2 + E I/2, W the integral of
+    e^{-b(L-|x-y|)}, so the torus takes (I + W)/(1 - E) = I + 2 Sp Sq/(1 - E).
+    """
     gamma = params.gamma if gamma is None else gamma
     if gamma <= 0.0:
         return 0.0
     if bc not in ("open", "periodic"):
         raise ValidationError("step dipole supports open or periodic bc")
-    vals = step.values
-    edges = step.breakpoints
-    meas = params.measure
     acc = 0.0
-    for w_k, a_k in meas.atoms:
+    for w_k, a_k in params.measure.atoms:
         b = gamma * a_k
-        mat = _pair_integral(b, edges)
+        pairs, sp, sq = _cell_integrals(b, step.values, step.breakpoints,
+                                        np.zeros(1, dtype=int))
         if bc == "periodic":
-            mat = (mat + _pair_integral(b, edges, step.L)) / -np.expm1(
-                -b * step.L)
-        acc += w_k * float(vals @ mat @ vals)
-    return 0.5 * gamma * meas.lam * acc
+            pairs = pairs + 2.0 * sp * sq / -np.expm1(-b * step.L)
+        acc += w_k * float(pairs[0])
+    return 0.5 * gamma * params.measure.lam * acc
 
 
 def tilde_energy(params: ModelParams, step: StepProfile,

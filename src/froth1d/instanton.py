@@ -99,6 +99,8 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
         raise ValidationError("half_width must be at least 20")
     if tol < 1e-12:
         raise ValidationError("tol must be at least 1e-12")
+    if not dx > 0.0:
+        raise ValidationError("dx must be positive")
     m = params.m_beta
     n = int(round(2 * half_width / dx))
     if n % 2:

@@ -39,6 +39,8 @@ _BACKTRACK = 0.5
 _STEP_GROW = 1.3
 _MIN_STEP = 1e-16
 _ARMIJO = 1e-4
+# restart_rng keys Philox with the seed as an unsigned 64-bit word
+_SEED_LIMIT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,15 @@ class MinimizeOptions:
     def __post_init__(self):
         if not 0.0 < self.grad_tol < np.inf:     # also false for nan
             raise ValidationError("grad_tol must be finite and positive")
-        if isinstance(self.max_iters, bool) or not (
-                isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 0):
-            raise ValidationError("max_iters must be an integer >= 0")
+        _check_count(self.max_iters, "max_iters")
+        _check_count(self.seed, "seed", _SEED_LIMIT)
+
+
+def _check_count(value, name: str, limit: float = np.inf):
+    """Reject anything but an integer in [0, limit), a bool included."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer)) and 0 <= value < limit):
+        raise ValidationError(f"{name} must be an integer in [0, {limit})")
 
 
 @dataclass
@@ -282,6 +290,7 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
 
 def restart_rng(seed: int, restart_index: int) -> np.random.Generator:
     """Counter-based generator split: one independent stream per restart."""
+    _check_count(seed, "seed", _SEED_LIMIT)
     key = np.array([seed, restart_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

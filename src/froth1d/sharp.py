@@ -6,7 +6,8 @@ Everything here is closed-form in the exponential atoms; the only quadrature
 is the well term of a per-cell energy, and even that is exact for
 piecewise-constant inputs because the bilinear form integrates the kernel
 analytically over piece pairs. The chessboard bound scores all sign-run
-cells of a step profile in one array pass, O(pieces) per atom.
+cells of a step profile in one array pass of ``energy._cell_integrals``,
+O(pieces) per atom.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .certificates import Certificate
-from .energy import _self_integrals
+from .energy import _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
@@ -166,6 +167,8 @@ def eh_curve(params: ModelParams, gamma: Optional[float] = None,
              n_samples: int = 200, span: Tuple[float, float] = (0.02, 50.0)
              ) -> EhCurve:
     """Log-spaced samples of e(h) around h*, plus the optimum."""
+    if n_samples < 1:
+        raise ValidationError("n_samples must be at least 1")
     gamma = params.gamma if gamma is None else gamma
     h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
     h = np.geomspace(span[0] * h_star, span[1] * h_star, n_samples)
@@ -265,28 +268,6 @@ def tilde_v_kernel_direct(h: float, gamma: float, x, y, measure: KacMeasure,
     return out if np.ndim(out) else float(out)
 
 
-def _cell_recursion(r: np.ndarray, u: np.ndarray, starts: np.ndarray,
-                    span: int) -> np.ndarray:
-    """T_j = sum_i u_i r_{i+1} ... r_{j-1} over the pieces i < j of j's cell,
-    that is T_{j+1} = r_j T_j + u_j with T = 0 at each cell start.
-
-    The recursion runs as a doubling scan of its affine steps T -> A T + B:
-    log2(span) array passes for cells of at most ``span`` pieces. All terms
-    are nonnegative for nonnegative u, so nothing cancels.
-    """
-    A = np.empty_like(r)
-    B = np.empty_like(u)
-    A[1:], B[1:] = r[:-1], u[:-1]
-    A[starts] = 0.0
-    B[starts] = 0.0
-    s = 1
-    while s < span:
-        B[s:] += A[s:] * B[:-s]
-        A[s:] *= A[:-s]
-        s *= 2
-    return B
-
-
 def _cell_energies(params: ModelParams, values: np.ndarray, edges: np.ndarray,
                    starts: np.ndarray, gamma: float
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -294,39 +275,23 @@ def _cell_energies(params: ModelParams, values: np.ndarray, edges: np.ndarray,
 
     ``values`` (>= 0) sit on [edges[j], edges[j+1]); cell c holds the pieces
     starts[c] to starts[c+1] - 1 (starts[0] = 0, the last cell runs to the
-    end). Per atom, a = gamma alpha, with x measured from the cell start,
-    f_j = (1 - e^{-a w_j})/a, u_j = v_j f_j, E = e^{-ah}, G = 1/(1 - E^2):
+    end). Per atom, a = gamma alpha, E = e^{-ah}, G = 1/(1 - E^2):
 
         <sigma, sigma>_{v~_h} / (gamma lam w) = I - 2 Sp Sq/(1 + E) - G (Sp - Sq)^2
 
-    with the wall integrals Sp = int sigma e^{-ax} = sum u_j e^{-a x_j},
-    Sq = int sigma e^{-a(h-x)} and I = int int sigma sigma e^{-a|x-y|}, the
-    self-integrals of the pieces plus 2 sum_j u_j T_j from
-    ``_cell_recursion``. Every kernel term is integrated in closed form, so
-    the constant-cell identity with e(h) is exact up to rounding; the three
-    terms still cancel to relative order a h as gamma -> 0.
+    with I, Sp and Sq from ``energy._cell_integrals``. Every kernel term is
+    integrated in closed form, so the constant-cell identity with e(h) is
+    exact up to rounding; the three terms still cancel to relative order a h
+    as gamma -> 0.
     """
     tau = params.require_tau()
-    stops = np.append(starts[1:], values.size)
-    counts = stops - starts
-    cell = np.repeat(np.arange(starts.size), counts)
-    origin = edges[starts][cell]
-    lo = edges[:-1] - origin
-    hi = edges[1:] - origin
-    widths = hi - lo
-    h = edges[stops] - edges[starts]
-    well = np.add.reduceat(widths * eval_tilde_F(values, params), starts) / h
-    span = int(counts.max())
+    h = edges[np.append(starts[1:], values.size)] - edges[starts]
+    well = np.add.reduceat(np.diff(edges) * eval_tilde_F(values, params),
+                           starts) / h
     quad = np.zeros(starts.size)
     for wk, alpha in params.measure.atoms:
         a = gamma * alpha
-        f = -np.expm1(-a * widths) / a
-        u = values * f
-        sp = np.add.reduceat(u * np.exp(-a * lo), starts)
-        sq = np.add.reduceat(u * np.exp(-a * (h[cell] - hi)), starts)
-        t = _cell_recursion(np.exp(-a * widths), u, starts, span)
-        pairs = np.add.reduceat(
-            values * values * _self_integrals(a, widths) + 2.0 * u * t, starts)
+        pairs, sp, sq = _cell_integrals(a, values, edges, starts)
         E = np.exp(-a * h)
         G = 1.0 / -np.expm1(-2.0 * a * h)
         quad += wk * (pairs - 2.0 * sp * sq / (1.0 + E) - G * (sp - sq) ** 2)

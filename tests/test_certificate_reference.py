@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from froth1d.coarsegrain import classify_blocks
-from froth1d.energy import _pair_integral
+from dense_pair_integral import _pair_integral
 from froth1d.errors import AlignmentError, SignError
 from froth1d.model import KacMeasure, ModelParams, eval_F, eval_tilde_F
 from froth1d.profiles import (BlockPartition, GridProfile, StepProfile,

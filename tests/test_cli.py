@@ -131,6 +131,39 @@ class TestEhCurveCommand:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize("command,overrides,where", [
+        ("instanton", {"instanton": {"dx": 0}}, "dx"),
+        ("instanton", {"instanton": {"dx": -0.015625}}, "dx"),
+        ("eh-curve", {"eh": {"n_samples": 0}}, "n_samples"),
+        ("minimize", {"minimize": {"dx": 0}}, "/minimize/dx"),
+        ("minimize", {"minimize": {"L": -5}}, "/minimize/L"),
+        ("minimize", {"minimize": {"L_over_h_star": 0}},
+         "/minimize/L_over_h_star"),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, overrides, where):
+        # these died with ZeroDivisionError or ValueError tracebacks, and a
+        # nonpositive L minimized a one-sample domain and exited 0
+        model = {"beta": 2.0, "J0_hat": 1.0, "lambda": 1.0, "gamma": 0.01,
+                 "measure": [{"weight": 1.0, "alpha": 1.0}],
+                 "tau": 0.19762754872186078}
+        cfg = write_config(tmp_path, model=model, **overrides)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err
+
+    @pytest.mark.parametrize("command", ["minimize", "verify"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, flag):
+        # random starts died with an OverflowError traceback in restart_rng
+        cfg = write_config(tmp_path, minimize={"n_starts": 2},
+                           **({} if flag else {"seed": -1}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--seed", "-1"] if flag else [])) == 1
+        assert "error: seed must be an integer" in capsys.readouterr().err
+
+
 class TestPipelineCommands:
     def test_minimize_coarse_grain_report(self, tmp_path):
         cfg = write_config(tmp_path, minimize={

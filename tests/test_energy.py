@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dense_pair_integral import dense_step_dipole_energy
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
-                            _ExpWeights, _pair_integral, _quadratic_form,
+                            _ExpWeights, _quadratic_form, _self_integrals,
                             dipole_energy, dipole_energy_direct,
                             energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData
-from froth1d.model import eval_F
+from froth1d.model import KacMeasure, ModelParams, eval_F
 from froth1d.profiles import GridProfile, StepProfile
 
 
@@ -417,17 +418,11 @@ class TestStepClosedForms:
     @pytest.mark.parametrize("bw", [1e-3, 1e-5, 1e-7])
     def test_one_cell(self, bw):
         b, w = 0.5, bw / 0.5
-        L = 3.0 * w
-        # (2/b^2)(e^{-x} - 1 + x) and (2/b^2) e^{-bL}(e^{x} - 1 - x), x = bw
+        # (2/b^2)(e^{-x} - 1 + x), x = bw
         series_minus = 2.0 * w * w * math.fsum(
             (-bw) ** k / math.factorial(k + 2) for k in range(8))
-        series_plus = 2.0 * w * w * math.fsum(
-            bw ** k / math.factorial(k + 2) for k in range(8))
-        edges = np.array([0.0, w])
-        assert _pair_integral(b, edges)[0, 0] == pytest.approx(
+        assert _self_integrals(b, np.array([w]))[0] == pytest.approx(
             series_minus, rel=1e-14, abs=0.0)
-        assert _pair_integral(b, edges, L)[0, 0] == pytest.approx(
-            math.exp(-b * L) * series_plus, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [1e-2, 1e-6, 1e-9])
     def test_constant_on_torus(self, params, gamma):
@@ -437,6 +432,70 @@ class TestStepClosedForms:
         step = StepProfile.from_pieces([(1.0, m), (L - 1.0, m)])
         assert step_dipole_energy(params, step, gamma, bc="periodic") == (
             pytest.approx(m * m * L, rel=1e-13, abs=0.0))
+
+
+_ATOMS = st.one_of(
+    st.floats(0.5, 4.0).map(lambda a: ((1.0, a),)),
+    st.tuples(st.floats(0.1, 0.9), st.floats(0.5, 4.0),
+              st.floats(0.5, 4.0)).map(
+        lambda t: ((t[0], t[1]), (1.0 - t[0], t[2]))))
+
+
+class TestStepDipole:
+    """The O(pieces) step dipole against the dense cell-pair matrix it
+    replaced (``dense_pair_integral``), and on profiles too long for it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.tuples(
+               st.floats(math.log(0.02), math.log(60.0)).map(math.exp),
+               st.floats(-1.0, 1.0)), min_size=1, max_size=60),
+           gamma=st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
+           atoms=_ATOMS, bc=st.sampled_from(["open", "periodic"]))
+    def test_matches_dense_matrix(self, pieces, gamma, atoms, bc):
+        params = ModelParams.create(beta=2.0, gamma=gamma,
+                                    measure=KacMeasure(atoms=atoms))
+        step = StepProfile.from_pieces(pieces)
+        # signed profiles cancel; the scale is the same energy with |sigma|,
+        # and below the smallest normal float rounding is absolute
+        scale = dense_step_dipole_energy(
+            params, StepProfile.from_pieces([(w, abs(v)) for w, v in pieces]),
+            gamma, bc=bc)
+        got = step_dipole_energy(params, step, gamma, bc=bc)
+        assert abs(got - dense_step_dipole_energy(params, step, gamma, bc=bc)
+                   ) <= max(1e-14 * scale, np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    def test_twenty_thousand_pieces(self, two_atom_params, bc):
+        # the dense matrix would need 3.2 GB per atom here. A constant cell
+        # cut into 20,000 pieces has a closed form per atom b: open
+        # (2/b^2)(e^{-bL} - 1 + bL), periodic 2L/b; a signed profile on the
+        # torus is invariant under a rotation of its pieces
+        rng = np.random.default_rng(13)
+        widths = rng.uniform(0.05, 2.0, 20_000)
+        edges = np.append(0.0, np.cumsum(widths))
+        m, gamma, L = 0.9, 1e-3, edges[-1]
+        const = StepProfile(breakpoints=edges, values=np.full(widths.size, m))
+        want = 0.0
+        for w_k, a_k in two_atom_params.measure.atoms:
+            b = gamma * a_k
+            want += w_k * (2.0 * L / b if bc == "periodic" else
+                           2.0 / b / b * (math.expm1(-b * L) + b * L))
+        want *= 0.5 * gamma * m * m
+        assert step_dipole_energy(two_atom_params, const, gamma, bc=bc) == (
+            pytest.approx(want, rel=1e-11))
+        values = rng.choice([-1.0, 1.0], widths.size) * rng.uniform(
+            0.8, 1.0, widths.size)
+        step = StepProfile(breakpoints=edges, values=values)
+        got = step_dipole_energy(two_atom_params, step, gamma, bc=bc)
+        assert math.isfinite(got) and got > 0.0
+        if bc == "periodic":
+            k = 7_000
+            rotated = StepProfile(
+                breakpoints=np.append(0.0, np.cumsum(np.roll(widths, -k))),
+                values=np.roll(values, -k))
+            scale = step_dipole_energy(two_atom_params, const, gamma, bc=bc)
+            assert abs(step_dipole_energy(two_atom_params, rotated, gamma,
+                                          bc=bc) - got) <= 1e-11 * scale
 
 
 class TestTildeEnergy:

@@ -356,11 +356,23 @@ class TestOptions:
         ("grad_tol", 0.0), ("grad_tol", -1e-6),
         ("max_iters", -1), ("max_iters", True), ("max_iters", False),
         ("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", "10"),
+        ("seed", -1), ("seed", np.int64(-3)), ("seed", True), ("seed", 1.5),
+        ("seed", "7"), ("seed", 2 ** 64),
     ])
     def test_rejected(self, field, value):
-        # nan ran the whole budget; 2.5 died with a TypeError inside range
+        # nan ran the whole budget; 2.5 died with a TypeError inside range;
+        # a negative seed died with an OverflowError in restart_rng
         with pytest.raises(ValidationError, match=field):
             MinimizeOptions(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.0, False])
+    def test_restart_rng_rejects_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            restart_rng(seed, 0)
+
+    def test_restart_rng_accepts_numpy_seed(self):
+        assert restart_rng(np.int64(5), 2).random() == restart_rng(5, 2).random()
+        restart_rng(2 ** 64 - 1, 0)
 
     @pytest.mark.parametrize("max_iters", [0, 1, np.int64(7)])
     def test_accepted(self, params, max_iters):

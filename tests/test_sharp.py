@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from froth1d.energy import tilde_energy
+from froth1d.energy import step_dipole_energy, tilde_energy
 from froth1d.errors import DomainError, SignError, ValidationError
 from froth1d.minimize import restart_rng
 from froth1d.model import KacMeasure, ModelParams, eval_tilde_F
@@ -270,16 +270,11 @@ def _gauss(a, b, panels, m=8):
     return x.reshape(a.size, -1), ((hi - lo) / 2.0 * w).reshape(a.size, -1)
 
 
-def quadrature_form(values, edges, gamma, measure, panels):
-    """<sigma, sigma>_{v~_h} of the step sigma = values on [edges[j],
-    edges[j+1]) (edges[0] = 0, h = edges[-1]): the image-sum kernel
-    ``tilde_v_kernel_direct`` integrated by Gauss-Legendre over every pair of
-    pieces. On a diagonal pair the inner integral is split at y = x, where
-    the kernel has its kink; everywhere else it is analytic. The image sum
-    runs to |n| = n_max, past which its tail is below e^-45 of its terms."""
-    h = edges[-1]
-    a = gamma * min(alpha for _, alpha in measure.atoms)
-    n_max = int(math.ceil(45.0 / (2.0 * a * h))) + 1
+def quadrature_pairs(values, edges, kernel, panels):
+    """sum_ij values_i values_j int int kernel(x, y) over the pieces
+    [edges[j], edges[j+1]), by Gauss-Legendre over every pair of pieces. On a
+    diagonal pair the inner integral is split at y = x, where the kernels
+    here have their kink; everywhere else they are analytic."""
     x, wx = _gauss(edges[:-1], edges[1:], panels)
     X, Y, W = [], [], []
     for i, j in np.ndindex(values.size, values.size):
@@ -297,8 +292,19 @@ def quadrature_form(values, edges, gamma, measure, panels):
             w = np.tile(wx[i], 2)[:, None] * wy
         W.append(values[i] * values[j] * w.ravel())
     X, Y, W = (np.concatenate(v) for v in (X, Y, W))
-    return float(np.sum(W * tilde_v_kernel_direct(h, gamma, X, Y, measure,
-                                                  n_max=n_max)))
+    return float(np.sum(W * kernel(X, Y)))
+
+
+def quadrature_form(values, edges, gamma, measure, panels):
+    """<sigma, sigma>_{v~_h} of the step sigma = values on [edges[j],
+    edges[j+1]) (edges[0] = 0, h = edges[-1]): ``quadrature_pairs`` of the
+    image-sum kernel ``tilde_v_kernel_direct``. The image sum runs to
+    |n| = n_max, past which its tail is below e^-45 of its terms."""
+    h = edges[-1]
+    a = gamma * min(alpha for _, alpha in measure.atoms)
+    n_max = int(math.ceil(45.0 / (2.0 * a * h))) + 1
+    return quadrature_pairs(values, edges, lambda x, y: tilde_v_kernel_direct(
+        h, gamma, x, y, measure, n_max=n_max), panels)
 
 
 _ONE_ATOM = ModelParams.create(beta=2.0, gamma=1e-2).with_tau(0.3)
@@ -371,6 +377,37 @@ class TestStepProfilesAgainstImageSum:
             assert h == pytest.approx(sum(widths), rel=1e-14)
             assert abs(term - h * e) <= h * tol
         assert bound == pytest.approx(sum(term for _, term in per), rel=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pieces=st.lists(st.tuples(st.floats(0.5, 4.0), st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=5),
+           gamma=st.sampled_from([0.05, 0.1, 0.3]), two_atoms=st.booleans())
+    def test_periodic_step_dipole(self, pieces, gamma, two_atoms):
+        # the torus closure I + 2 Sp Sq/(1 - e^{-bL}) against a quadrature
+        # of (gamma/2) sum_n v(gamma(x - y + nL)) over piece pairs, the image
+        # sum to |n| = n_max (tail below e^-45); the tolerance is the
+        # quadratures' difference plus rounding of the |sigma| energy
+        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        step = StepProfile.from_pieces(pieces)
+        values, edges, L = step.values, step.breakpoints, step.L
+        n_max = int(math.ceil(45.0 / (gamma * L))) + 1
+
+        def kernel(x, y):
+            # the images from the farthest in, so that small terms come first
+            d = gamma * (x - y)
+            total = np.zeros_like(d)
+            for n in range(n_max, 0, -1):
+                total += (params.measure.v(d + n * gamma * L)
+                          + params.measure.v(d - n * gamma * L))
+            return total + params.measure.v(d)
+
+        coarse, fine = (0.5 * gamma * quadrature_pairs(values, edges, kernel,
+                                                      p) for p in (1, 2))
+        scale = step_dipole_energy(params, StepProfile.from_pieces(
+            [(w, abs(v)) for w, v in pieces]), gamma, bc="periodic")
+        got = step_dipole_energy(params, step, gamma, bc="periodic")
+        assert abs(got - fine) <= abs(coarse - fine) + 32.0 * np.finfo(
+            float).eps * scale
 
 
 class TestGammaLimit:
