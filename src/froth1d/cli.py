@@ -204,11 +204,14 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
     dx = float(sec.get("dx", 1.0 / 16.0))
     bc = str(sec.get("bc", "periodic"))
     h_star, _, _, _ = optimal_h(params)
-    if "L" in sec:
-        L = float(sec["L"])
-    else:
-        L = float(sec.get("L_over_h_star", 8.0)) * h_star
-    L = max(1, int(round(L / dx))) * dx
+    key = "L" if "L" in sec else "L_over_h_star"
+    L = float(sec["L"]) if key == "L" else float(
+        sec.get("L_over_h_star", 8.0)) * h_star
+    n = round(L / dx)
+    if n == 0:
+        raise ValidationError(f"L = {L:.6g} rounds to no sample of dx = "
+                              f"{dx:.6g}", pointer=f"/minimize/{key}")
+    L = n * dx
     init = None
     if sec.get("init") == "trial":
         if inst is None and "tau" in config["model"]:

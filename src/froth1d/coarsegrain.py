@@ -391,7 +391,8 @@ def lower_bound_certificate(params: ModelParams, profile: GridProfile,
                             gamma: Optional[float] = None,
                             config: Optional[CoarseGrainConfig] = None
                             ) -> Certificate:
-    """Check E[phi] >= E~[sigma_phi] - 10 gamma^{1-delta} L."""
+    """Check E[phi] >= E~[sigma_phi] - 10 gamma^{1-delta} L, E[phi] without
+    its boundary term off the torus."""
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     step, _, _ = coarse_grain(params, profile, config, gamma)
@@ -402,9 +403,13 @@ def _step_certificate(params: ModelParams, profile: GridProfile,
                       step: StepProfile, gamma: float,
                       config: CoarseGrainConfig,
                       C_cert: float) -> Certificate:
-    """``lower_bound_certificate`` for an already computed sigma_phi."""
-    e_phi = total_energy(params, profile, gamma).total
+    """``lower_bound_certificate`` for an already computed sigma_phi. Off the
+    torus sigma_phi lives on [0, L] alone, and so does E_phi: the energy
+    without its boundary term."""
+    parts = total_energy(params, profile, gamma)
     bc = "periodic" if profile.bc == "periodic" else "open"
+    e_phi = parts.total if bc == "periodic" else (
+        parts.local + parts.exchange + parts.dipole)
     e_tilde = tilde_energy(params, step, gamma, bc=bc)
     residual = (e_phi - e_tilde) / profile.L
     allowance = C_cert * gamma ** (1.0 - config.delta)

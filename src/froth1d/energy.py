@@ -1,20 +1,22 @@
 """Energy functionals on grid and step profiles, and the analytic gradient.
 
 The double integrals are midpoint sums. Apart from the local well, the grid
-functional is one quadratic form K (exchange band over the unit support of J
-plus one exponential kernel per Kac atom) with cross terms against the outside
-data; energy and gradient come from one application of K, whose per-grid data
-is cached per (params, gamma, N, dx, bc), and one pass of the well kernel
-``model._well``, which gives F and F' per sample from one log1p pair. The
-cached ``_QuadraticForm`` also gives the quadratic part alone, Q and its
-gradient, and its Hessian product (K plus the linear part of the cross
-terms' gradient), so the descent can expand Q exactly along a step instead of
-applying K to each candidate. On the torus K is circulant and is applied as one rfft multiply
-by its closed-form symbol. On an interval it is the exchange band plus, per
-atom, two O(N) prefix-sum passes over chunks of bounded exponent span, whose
-weights are cached with the form; the fixed bcs add cached cross terms:
-geometric series (plus, minus), one dot product per atom (custom) and a
-rank-two form per end (neumann, whose reflection is linear in phi).
+functional is quadratic: Q = (dx/2) <phi, K phi> + dx <b, phi> + c, with one
+operator K per bc (exchange band over the unit support of J plus one
+exponential kernel per Kac atom) and the linear term (b, c) of fixed outside
+data. Energy and gradient come from one application of K, whose per-grid
+data is cached per (params, gamma, N, dx, bc), and one pass of the well
+kernel ``model._well``, which gives F and F' per sample from one log1p pair.
+The descent expands Q exactly along a step with one more application of K.
+On the torus K is circulant and is applied as one rfft multiply by its
+closed-form symbol. On an interval it is the exchange band plus, per atom,
+two O(N) prefix-sum passes over chunks of bounded exponent span, whose
+weights are cached with the form. The fixed bcs (plus, minus, custom) put
+each exchange pair across an end on the diagonal, and their outside data
+enter only through (b, c): geometric series built once (plus, minus), one
+dot product per atom and profile (custom). The Neumann reflection is
+quadratic in phi, so it is part of K: reflected exchange pairs and a
+rank-two form per end and atom.
 One band routine gives the exchange of ``total_energy`` and, per block in
 one pass, the short-range energy of coarse-graining blocks.
 Step profiles need no grid: one O(pieces) pass per atom, ``_cell_integrals``,
@@ -246,12 +248,13 @@ def _out_reach(params: ModelParams, gamma: float) -> float:
 
 
 class _QuadraticForm:
-    """Energy and gradient of the discrete functional on one grid and bc.
-
-    E = dx sum F(phi) + (dx/2) <phi, K phi> + (cross terms with the outside
-    data), g = F'(phi) + K phi + (their gradient), from one application of K.
-    Holds only what depends on (params, gamma, n, dx, bc), never on samples
-    or on custom outside data; ``_quadratic_form`` caches it.
+    """The discrete functional on one grid and bc: E = dx sum F(phi) + Q,
+    Q = (dx/2) <phi, K phi> + dx <b, phi> + c and g = F'(phi) + K phi + b.
+    K is the whole quadratic part of the bc, applied by ``hessian``; (b, c),
+    from ``outside``, is the rest of the cross energy with fixed outside
+    data (plus, minus, custom), None on the other bcs. Holds only what
+    depends on (params, gamma, n, dx, bc), never on samples or on custom
+    outside data; ``_quadratic_form`` caches it.
     """
 
     def __init__(self, params: ModelParams, gamma: float, n: int, dx: float,
@@ -261,6 +264,8 @@ class _QuadraticForm:
         self.atoms = _atoms(params, gamma, dx)
         self.exp_weights = [_ExpWeights(n, b * dx) for _, _, b in self.atoms]
         self.dip_scale = 0.5 * gamma * params.measure.lam * dx ** 2
+        self.reflected = [()] * len(self.atoms)
+        self.fixed = None
         if bc == "periodic":
             self.symbol = _torus_symbol(params, gamma, n, dx)
             return
@@ -270,11 +275,10 @@ class _QuadraticForm:
         self.jsym = np.concatenate([self.jband[::-1], [0.0], self.jband])
         self.degree = self._band(np.ones(n))
         if bc != "open":
-            self._init_boundary(params, gamma)
+            self._init_ends(params, gamma)
 
-    def _init_boundary(self, params: ModelParams, gamma: float):
-        n, dx, bc = self.n, self.dx, self.bc
-        r = self.jband.size
+    def _init_ends(self, params: ModelParams, gamma: float):
+        n, dx, r = self.n, self.dx, self.jband.size
         # exchange pairs across each end: in-sample i and outside sample j at
         # distance (i + j + 1) dx <= 1; the right end mirrors the left
         i, j = np.nonzero(np.add.outer(np.arange(r), np.arange(r)) < r)
@@ -282,138 +286,125 @@ class _QuadraticForm:
         i, j = i[keep], j[keep]
         self.pair_in = np.concatenate([i, n - 1 - i])
         self.pair_w = np.tile(self.jband[i + j], 2)
-        if bc == "neumann":
-            # outside sample j is the in-sample it reflects to (period 2n)
+        # per atom, the in-domain decay exp(-b dx (i + 1/2)) from the left end
+        x = np.arange(n) + 0.5
+        self.decay = [np.exp(-b * dx * x) for _, _, b in self.atoms]
+        if self.bc == "neumann":
+            # outside sample j is the in-sample it reflects to (period 2n),
+            # and an atom's reflected outside sum is phi . c, c summed over
+            # the 2n period
             m = j % (2 * n)
             src = np.where(m < n, m, 2 * n - 1 - m)
             self.pair_out = np.concatenate([src, n - 1 - src])
-        else:
-            # index into the outside values, left ones first
-            self.pair_out = np.concatenate([j, r + j])
-        sign = -1.0 if bc == "minus" else 1.0
-        self.outside = np.full(2 * r, sign * params.m_beta)   # plus, minus
-        self.n_out = int(np.ceil(_out_reach(params, gamma) / dx))
-        # per atom: in-domain decay exp(-b dx (i + 1/2)) from the left end,
-        # and what the outside sum needs besides it
-        x = np.arange(n) + 0.5
-        self.decay = []
-        for _, _, b in self.atoms:
-            din = np.exp(-b * dx * x)
-            if bc == "neumann":
-                # reflected outside sum = phi . c, c summed over the 2n period
-                extra = (din + np.exp(-b * dx * (2 * n - x))) / -np.expm1(
+            self.reflected = []
+            for (_, _, b), d_l in zip(self.atoms, self.decay):
+                c_l = (d_l + np.exp(-b * dx * (2 * n - x))) / -np.expm1(
                     -2 * n * b * dx)
-            elif bc == "custom":
-                extra = np.exp(-b * dx * (np.arange(self.n_out) + 0.5))
-            else:
-                # sum over j >= 0 of +-m_beta exp(-b dx (j + 1/2))
-                extra = sign * params.m_beta * np.exp(-0.5 * b * dx) / -np.expm1(
-                    -b * dx)
-            self.decay.append((din, extra))
+                self.reflected.append(((d_l, c_l), (d_l[::-1], c_l[::-1])))
+            return
+        # (dx^2/2) w (phi_i - o)^2 puts w on the diagonal, so every degree is
+        # the full 2 sum_k J_k; the rest is linear in phi
+        self.degree += np.bincount(self.pair_in, self.pair_w, n)
+        self.pair_out = np.concatenate([j, r + j])   # left values, then right
+        self.n_out = int(np.ceil(_out_reach(params, gamma) / dx))
+        if self.bc == "custom":
+            self.out_decay = [np.exp(-b * dx * (np.arange(self.n_out) + 0.5))
+                              for _, _, b in self.atoms]
+            return
+        # outside sums of +-m_beta: +-m_beta sum_{j>=0} e^{-b dx (j + 1/2)}
+        m = -params.m_beta if self.bc == "minus" else params.m_beta
+        t = [m * np.exp(-0.5 * b * dx) / -np.expm1(-b * dx)
+             for _, _, b in self.atoms]
+        self.fixed = self._linear_term(np.full(2 * r, m), zip(t, t))
 
-    def _boundary(self, phi, profile: GridProfile, g: np.ndarray) -> float:
-        """Cross energy with the outside data; adds its gradient to g."""
-        dx, n = self.dx, self.n
-        neumann = self.bc == "neumann"
-        if neumann:
-            outside = phi
-        elif self.bc == "custom":
-            left, right = profile.out_left, profile.out_right
-            if left is None or right is None:
-                raise MissingBoundaryData("custom bc requires out_left/out_right")
-            if left.size < self.n_out or right.size < self.n_out:
-                raise MissingBoundaryData(
-                    f"custom bc needs {self.n_out} out samples per side "
-                    f"(reach {self.n_out * dx:.3g}), got "
-                    f"{left.size}/{right.size}")
-            left, right = left[:self.n_out], right[:self.n_out]
-            r = self.jband.size
-            outside = np.concatenate([left[:r], right[:r]])
-        else:
-            outside = self.outside
-        d = phi[self.pair_in] - outside[self.pair_out]
-        wd = self.pair_w * d
-        cross = 0.5 * dx * dx * float(wd @ d)
-        g += dx * np.bincount(self.pair_in, wd, n)
-        if neumann:
-            g -= dx * np.bincount(self.pair_out, wd, n)
-        for (_, pref, _), (d_l, extra) in zip(self.atoms, self.decay):
-            d_r = d_l[::-1]
-            u_l, u_r = float(phi @ d_l), float(phi @ d_r)
-            if neumann:
-                c_l, c_r = extra, extra[::-1]
-                t_l, t_r = float(phi @ c_l), float(phi @ c_r)
-                g += pref * (t_l * d_l + u_l * c_l + t_r * d_r + u_r * c_r)
-            elif self.bc == "custom":
-                t_l, t_r = float(left @ extra), float(right @ extra)
-                g += pref * (t_l * d_l + t_r * d_r)
-            else:
-                t_l = t_r = extra
-                g += pref * extra * (d_l + d_r)
-            cross += dx * pref * (u_l * t_l + u_r * t_r)
-        return cross
+    def _linear_term(self, near: np.ndarray, sums) -> Tuple[np.ndarray, float]:
+        """(b, c) of fixed outside data from the near outside values o (left
+        r, then right r) and per atom the outside sums (t_l, t_r), the data
+        against their decay from each end:
+        b = -dx sum_pairs w o e_in + sum_atoms pref (t_l d_l + t_r d_r),
+        c = (dx^2/2) sum_pairs w o^2."""
+        o = near[self.pair_out]
+        wo = self.pair_w * o
+        b = -self.dx * np.bincount(self.pair_in, wo, self.n)
+        for (_, pref, _), d_l, (t_l, t_r) in zip(self.atoms, self.decay, sums):
+            b += pref * (t_l * d_l + t_r * d_l[::-1])
+        return b, 0.5 * self.dx * self.dx * float(wo @ o)
+
+    def outside(self, profile: GridProfile
+                ) -> Optional[Tuple[np.ndarray, float]]:
+        """The linear term (b, c) of ``profile``'s outside data: built once
+        for plus and minus, from the profile's out samples for custom, None
+        for open, periodic and neumann."""
+        if self.bc != "custom":
+            return self.fixed
+        left, right = profile.out_left, profile.out_right
+        if left is None or right is None:
+            raise MissingBoundaryData("custom bc requires out_left/out_right")
+        if left.size < self.n_out or right.size < self.n_out:
+            raise MissingBoundaryData(
+                f"custom bc needs {self.n_out} out samples per side "
+                f"(reach {self.n_out * self.dx:.3g}), got "
+                f"{left.size}/{right.size}")
+        left, right = left[:self.n_out], right[:self.n_out]
+        r = self.jband.size
+        return self._linear_term(
+            np.concatenate([left[:r], right[:r]]),
+            [(float(left @ e), float(right @ e)) for e in self.out_decay])
 
     def _band(self, phi: np.ndarray) -> np.ndarray:
         r = self.jband.size
         return np.convolve(phi, self.jsym)[r:r + self.n]
 
-    def _apply(self, phi: np.ndarray) -> np.ndarray:
-        """K phi: exchange band plus dipole, on the torus or in [0, L]."""
-        if self.bc == "periodic":
-            return irfft(self.symbol * rfft(phi), self.n)
-        kphi = self.dx * (self.degree * phi - self._band(phi))
-        for (_, pref, _), ew in zip(self.atoms, self.exp_weights):
-            kphi += pref * _exp_conv_open(phi, ew)
-        return kphi
-
-    def quadratic(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
-        """(Q, gq): the quadratic part Q = (dx/2) <phi, K phi> + (cross terms
-        with the outside data of ``profile``) of E and its gradient
-        gq = K phi + (theirs), from one application of K."""
-        gq = self._apply(phi)
-        q = 0.5 * self.dx * float(phi @ gq)
-        if self.bc not in ("open", "periodic"):
-            q += self._boundary(phi, profile, gq)
-        return q, gq
-
     def hessian(self, d: np.ndarray) -> np.ndarray:
-        """H d for H = K plus the linear part of the cross terms' gradient, so
-        that Q(phi + d) = Q + dx <gq, d> + (dx/2) <d, H d> and
-        gq(phi + d) = gq + H d exactly; one application of K."""
-        hd = self._apply(d)
+        """K d, one application of K: Q(phi + d) = Q + dx <gq, d> +
+        (dx/2) <d, K d> and gq(phi + d) = gq + K d exactly."""
+        if self.bc == "periodic":
+            return irfft(self.symbol * rfft(d), self.n)
+        kd = self.dx * (self.degree * d - self._band(d))
         if self.bc == "neumann":
-            # the reflected cross terms are quadratic in phi: their gradient
-            # at d is their Hessian product
-            self._boundary(d, None, hd)
-        elif self.bc not in ("open", "periodic"):
-            # against fixed outside data only the exchange cross diagonal
-            hd += self.dx * np.bincount(self.pair_in,
-                                        self.pair_w * d[self.pair_in], self.n)
-        return hd
+            wd = self.pair_w * (d[self.pair_in] - d[self.pair_out])
+            kd += self.dx * (np.bincount(self.pair_in, wd, self.n)
+                             - np.bincount(self.pair_out, wd, self.n))
+        for (_, pref, _), ew, ends in zip(self.atoms, self.exp_weights,
+                                          self.reflected):
+            kd += pref * _exp_conv_open(d, ew)
+            for u, c in ends:
+                kd += pref * (float(d @ c) * u + float(d @ u) * c)
+        return kd
+
+    def quadratic(self, phi, outside: Optional[Tuple[np.ndarray, float]]
+                  ) -> Tuple[float, np.ndarray]:
+        """(Q, gq), Q = (dx/2) <phi, K phi> + dx <b, phi> + c and
+        gq = K phi + b, from one application of K; ``outside`` is the (b, c)
+        that ``outside`` returned, None for none."""
+        gq = self.hessian(phi)
+        q = 0.5 * self.dx * float(phi @ gq)
+        if outside is not None:
+            b, c = outside
+            q += self.dx * float(phi @ b) + c
+            gq += b
+        return q, gq
 
     def __call__(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
         """(E, g) of samples phi in [-1, 1] with the grid and outside data of
         ``profile``; g_i = dE/dphi_i / dx."""
-        q, g = self.quadratic(phi, profile)
+        q, g = self.quadratic(phi, self.outside(profile))
         f, fp = _well(phi, self.params)
         g += fp
         return self.dx * float(np.sum(f)) + q, g
 
     def breakdown(self, profile: GridProfile) -> EnergyBreakdown:
         """``total_energy``'s terms: in-domain exchange and dipole as on an
-        open interval, boundary the rest."""
+        open interval, boundary the rest of Q (0.0 on an open interval)."""
         phi, dx = profile.samples, self.dx
         local = dx * float(np.sum(_well(phi, self.params)[0]))
         exchange = float(_exchange_banded(phi, self.jband, dx)[0])
         dipole = self.dip_scale * _dipole_open(phi, self.atoms,
                                                self.exp_weights)
-        if self.bc == "open":
-            boundary = 0.0
-        elif self.bc == "periodic":
-            torus = 0.5 * dx * float(phi @ self._apply(phi))
-            boundary = torus - exchange - dipole
-        else:
-            boundary = self._boundary(phi, profile, np.zeros(self.n))
+        boundary = 0.0
+        if self.bc != "open":
+            q = self.quadratic(phi, self.outside(profile))[0]
+            boundary = q - exchange - dipole
         return EnergyBreakdown(local=local, exchange=exchange, dipole=dipole,
                                boundary=boundary)
 

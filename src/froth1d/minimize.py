@@ -137,16 +137,18 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
 
     E = dx sum F(phi) + Q(phi) with Q quadratic, so along a step ray only the
     well is nonlinear. The descent carries Q and its gradient gq with phi.
+    The linear term of fixed outside data is built once, before the first
+    step, and every fresh evaluation of Q reuses it.
     A candidate costs one projection, which returns its min and max, and one
     well pass (no clip pass within +-``model._EDGE``). Strictly inside the box
     it is phi - t d up to rounding, with d = g on the box and d = g - mean(g)
     on the slice (the ray shifted back to the mean), formed once an iteration:
-    its Q is the exact expansion Q - t dx <gq, d> + (t^2 dx / 2) <d, H d>, and
-    its acceptance updates gq by -t H d, H d being one application of K per
-    iteration. A clipped candidate is evaluated afresh. With no sample of the
-    accepted candidate within 1e-12 of a face (its extremes tell), the next
-    residual is max |d| from one max and one min. Candidates are plain arrays
-    in the box; only the returned profile is built and validated.
+    its Q is the exact expansion Q - t dx <gq, d> + (t^2 dx / 2) <d, K d>, and
+    its acceptance updates gq by -t K d, one application of K per iteration.
+    A clipped candidate is evaluated afresh. With no sample of the accepted
+    candidate within 1e-12 of a face (its extremes tell), the next residual
+    is max |d| from one max and one min. Candidates are plain arrays in the
+    box; only the returned profile is built and validated.
     """
     form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
     dx = profile.dx
@@ -163,8 +165,9 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             return d, abs(float(max(d.max(), -d.min())))
         return d, face_residual(phi, g)
 
+    outside = form.outside(profile)
     phi, lo, hi = project(profile.samples)
-    q, gq = form.quadratic(phi, profile)
+    q, gq = form.quadratic(phi, outside)
     f, g = _well(phi, params)
     energy = dx * float(f.sum()) + q
     g += gq
@@ -197,7 +200,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
                 cand_gq = None
                 decrease = dx * step * d_d
             else:
-                cand_q, cand_gq = form.quadratic(cand, profile)
+                cand_q, cand_gq = form.quadratic(cand, outside)
                 applications += 1
                 decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
             cand_energy = dx * float(f.sum()) + cand_q

@@ -140,6 +140,11 @@ class TestOutOfRangeValues:
         ("minimize", {"minimize": {"L": -5}}, "/minimize/L"),
         ("minimize", {"minimize": {"L_over_h_star": 0}},
          "/minimize/L_over_h_star"),
+        # positive, but under half a sample of dx = 1/16: these minimized a
+        # one-sample torus and exited 0
+        ("minimize", {"minimize": {"L": 0.01}}, "/minimize/L"),
+        ("minimize", {"minimize": {"L_over_h_star": 0.001}},
+         "/minimize/L_over_h_star"),
     ])
     def test_rejected(self, tmp_path, capsys, command, overrides, where):
         # these died with ZeroDivisionError or ValueError tracebacks, and a

@@ -5,7 +5,7 @@ from froth1d.coarsegrain import (CoarseGrainConfig, adapted_partition,
                                  classify_blocks, coarse_grain,
                                  find_flat_segment, lower_bound_certificate,
                                  regular_partition, replace_block)
-from froth1d.energy import dipole_energy, step_dipole_energy
+from froth1d.energy import dipole_energy, step_dipole_energy, total_energy
 from froth1d.errors import (DomainTooShort, FlatSegmentNotFound,
                             ValidationError)
 from froth1d.instanton import build_trial_profile
@@ -239,6 +239,22 @@ class TestCoarseGrain:
         step, _, trace = coarse_grain(params_tau, p, cfg, 1e-2)
         assert np.max(np.abs(step.values - c)) < 1e-12
         assert all(t["case"].endswith("const") for t in trace)
+
+    @pytest.mark.parametrize("bc", ["plus", "minus", "neumann"])
+    def test_certificate_leaves_out_boundary_term(self, params_tau, cfg,
+                                                  instanton_default, bc):
+        # sigma_phi lives on [0, L] alone, so E_phi is the in-domain energy:
+        # the constant -m_beta box under plus data, boundary term -86, and
+        # a trial train under plus or minus data failed by that term alone
+        m, h = params_tau.m_beta, 24.0
+        for p in (GridProfile.constant(-m, L=64.0, dx=1.0 / 16.0, bc=bc),
+                  GridProfile.constant(m, L=64.0, dx=1.0 / 16.0, bc=bc),
+                  build_trial_profile(h, 8 * h, instanton_default, bc=bc)):
+            cert = lower_bound_certificate(params_tau, p, 1e-2, cfg)
+            inside = total_energy(params_tau, GridProfile(
+                L=p.L, dx=p.dx, samples=p.samples, bc="open"), 1e-2).total
+            assert cert.params["E_phi"] == pytest.approx(inside, rel=1e-14)
+            assert cert.passed
 
     def test_lower_bound_certificate_examples(self, params_tau, cfg, trial):
         cert = lower_bound_certificate(params_tau, trial, 1e-2, cfg)

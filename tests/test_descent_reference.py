@@ -135,8 +135,9 @@ def ref_descend(params: ModelParams, profile: GridProfile, gamma: float,
             x = ref_project_mean_box(y, mean)
             return x, bool(x.max() < 1.0 and x.min() > -1.0)
         stationarity = ref_mean_slice_grad_norm
+    outside = form.outside(profile)
     phi = project(profile.samples)[0]
-    q, gq = form.quadratic(phi, profile)
+    q, gq = form.quadratic(phi, outside)
     f, g = ref_well(phi, params)
     energy = dx * float(f.sum()) + q
     g += gq
@@ -171,7 +172,7 @@ def ref_descend(params: ModelParams, profile: GridProfile, gamma: float,
                 cand_gq = None
                 decrease = dx * step * d_d
             else:
-                cand_q, cand_gq = form.quadratic(cand, profile)
+                cand_q, cand_gq = form.quadratic(cand, outside)
                 applications += 1
                 decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
             cand_energy = dx * float(f.sum()) + cand_q

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quadratic_form_reference as reference
 from dense_pair_integral import dense_step_dipole_energy
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
-                            _ExpWeights, _quadratic_form, _self_integrals,
+                            _ExpWeights, _quadratic_form, _QuadraticForm,
+                            _self_integrals,
                             dipole_energy, dipole_energy_direct,
                             energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData
+from froth1d.minimize import MinimizeOptions, minimize_energy
 from froth1d.model import KacMeasure, ModelParams, eval_F
 from froth1d.profiles import GridProfile, StepProfile
 
@@ -402,14 +405,99 @@ class TestHessianProduct:
                  "ray": rng.normal(size=n) + rng.normal()}[direction]
         delta *= 10.0 ** log_size
         form = _quadratic_form(params, gamma, n, dx, bc)
-        q, gq = form.quadratic(p.samples, p)
+        outside = form.outside(p)
+        q, gq = form.quadratic(p.samples, outside)
         hd = form.hessian(delta)
-        fresh_q, fresh_gq = form.quadratic(p.samples + delta, p)
+        fresh_q, fresh_gq = form.quadratic(p.samples + delta, outside)
         terms = [q, dx * float(gq @ delta), 0.5 * dx * float(delta @ hd)]
         scale = sum(abs(t) for t in terms) + abs(fresh_q)
         assert abs(math.fsum(terms) - fresh_q) <= 1e-12 * scale
         gscale = np.max(np.abs(gq)) + np.max(np.abs(hd)) + np.max(np.abs(fresh_gq))
         assert np.max(np.abs(gq + hd - fresh_gq)) <= 1e-12 * gscale
+
+
+class TestOneOperator:
+    """K is the whole quadratic part of every bc and fixed outside data one
+    linear term, against the earlier form that added the cross terms with
+    the outside data on the side (``quadratic_form_reference``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bc=st.sampled_from(["open", "periodic", "plus", "minus",
+                               "neumann", "custom"]),
+           two_atoms=st.booleans(),
+           dx=st.sampled_from([1.0 / 8.0, 1.0 / 16.0]),
+           log_gamma=st.floats(-3.0, -1.0), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_matches_cross_terms(self, params, two_atom_params, bc, two_atoms,
+                                 dx, log_gamma, seed, data):
+        n = data.draw(st.integers(1, int(3 / dx)), label="n")
+        model = two_atom_params if two_atoms else params
+        gamma = 10.0 ** log_gamma
+        rng = np.random.default_rng(seed)
+        kwargs = {}
+        if bc == "custom":
+            n_out = int(np.ceil(46.0 / (gamma * dx)))
+            out = rng.uniform(-1.0, 1.0, (2, n_out))
+            kwargs = dict(out_left=out[0], out_right=out[1])
+        p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1.0, 1.0, n),
+                        bc=bc, **kwargs)
+        delta = rng.uniform(-1.0, 1.0, n)
+        form = _quadratic_form(model, gamma, n, dx, bc)
+        ref = reference._QuadraticForm(model, gamma, n, dx, bc)
+        q, gq = form.quadratic(p.samples, form.outside(p))
+        hd = form.hessian(delta)
+        ref_q, ref_gq = ref.quadratic(p.samples, p)
+        ref_hd = ref.hessian(delta)
+        if bc in ("open", "periodic"):
+            # no cross terms: the same operations in the same order
+            assert q == ref_q
+            assert np.array_equal(gq, ref_gq) and np.array_equal(hd, ref_hd)
+            return
+        # with samples and outside data in [-1, 1], a sample's terms of gq
+        # (exchange pairs, in-domain and outside exponential sums, per end
+        # the reflected rank-two form) add up to at most
+        scale = 4.0 * dx * form.jband.sum() + sum(
+            pref * 8.0 / -np.expm1(-b * dx) for _, pref, b in form.atoms)
+        assert np.max(np.abs(gq - ref_gq)) <= 1e-14 * scale
+        assert np.max(np.abs(hd - ref_hd)) <= 1e-14 * scale
+        assert abs(q - ref_q) <= 1e-14 * dx * n * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(bc=st.sampled_from(["plus", "minus", "custom"]),
+           dx=st.sampled_from([1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]),
+           below=st.booleans(), data=st.data())
+    def test_fixed_degree_is_full(self, params, bc, dx, below, data):
+        # every exchange pair across an end sits on its in-sample's diagonal,
+        # whether the box is shorter or longer than the exchange range
+        r = params.kernel.band(dx).size
+        n = data.draw(st.integers(1, r) if below else st.integers(r + 1, 4 * r),
+                      label="n")
+        form = _quadratic_form(params, 0.1, n, dx, bc)
+        full = 2.0 * form.jband.sum()
+        assert np.all(np.abs(form.degree - full) <= 1e-14 * full)
+
+    def test_custom_descent_builds_outside_once(self, two_atom_params, rng,
+                                                monkeypatch):
+        params, n, dx, gamma = two_atom_params, 256, 1.0 / 16.0, 1e-2
+        n_out = int(np.ceil(46.0 / (gamma * dx)))
+        init = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1, 1, n),
+                           bc="custom", out_left=rng.uniform(-0.9, 0.9, n_out),
+                           out_right=rng.uniform(-0.9, 0.9, n_out))
+        calls = []
+        outside = _QuadraticForm.outside
+
+        def counted(form, profile):
+            calls.append(profile)
+            return outside(form, profile)
+
+        monkeypatch.setattr(_QuadraticForm, "outside", counted)
+        res = minimize_energy(params, init, gamma,
+                              MinimizeOptions(max_iters=60, grad_tol=1e-9))
+        # the start and every clipped candidate applied K afresh
+        assert len(calls) == 1 and res.applications > res.iterations
+        monkeypatch.undo()
+        assert res.energy == pytest.approx(
+            total_energy(params, res.profile, gamma).total, rel=1e-12)
 
 
 class TestStepClosedForms:
