@@ -18,15 +18,13 @@ from .instanton import (Instanton, build_trial_profile, solve_instanton,
 from .minimize import (MinimizeOptions, MinimizeResult, minimize_energy,
                        minimize_with_mean_constraint, multistart)
 from .model import (KacMeasure, ModelParams, ShortRangeKernel, eval_F,
-                    eval_F_double_prime, eval_F_prime, eval_tilde_F, eval_v,
+                    eval_F_double_prime, eval_F_prime, eval_tilde_F,
                     rp_spectrum_check, solve_m_beta, v_prime_at_zero)
 from .profiles import (BlockPartition, GridProfile, StepProfile, alpha_L,
-                       average_over, block_type, coarse_version, load_profile,
-                       save_profile)
+                       average_over, block_type, load_profile, save_profile)
 from .sharp import (EhCurve, cell_specific_energy, chessboard_lower_bound,
                     check_eh_bounds, eh_curve, energy_per_length,
-                    gamma_limit_energy, optimal_h, tilde_v_kernel,
-                    tilde_v_kernel_direct)
+                    gamma_limit_energy, optimal_h, tilde_v_kernel)
 from .verify import run_certificates
 
 __version__ = "0.1.0"

@@ -128,11 +128,14 @@ def _csv_header(config: dict) -> str:
 def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
     """The instanton under the config's ``instanton`` settings."""
     sec = config.get("instanton", {})
+    damping = float(sec.get("damping", 0.0))
+    if not 0.0 <= damping < 1.0:
+        raise ValidationError("must lie in [0, 1)",
+                              pointer="/instanton/damping")
     return solve_instanton(
         params, half_width=float(sec.get("half_width", 30.0)),
         dx=float(sec.get("dx", 1.0 / 64.0)), tol=float(sec.get("tol", 1e-10)),
-        max_sweeps=int(sec.get("max_sweeps", 50000)),
-        damping=float(sec.get("damping", 0.0)))
+        max_sweeps=int(sec.get("max_sweeps", 50000)), damping=damping)
 
 
 def _tau_params(params: ModelParams, config: dict, out: Path):
@@ -168,14 +171,19 @@ def cmd_instanton(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
+    sec = config.get("eh", {})
+    low = float(sec.get("span_low", 0.02))
+    high = float(sec.get("span_high", 50.0))
+    if not 0.0 < low < high:
+        key = "span_high" if low > 0.0 and "span_low" not in sec else "span_low"
+        raise ValidationError("need 0 < span_low < span_high",
+                              pointer=f"/eh/{key}")
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
     if params.tau <= 0:
         raise ValidationError("tau must be positive", pointer="/model/tau")
-    sec = config.get("eh", {})
     curve = eh_curve(params, n_samples=int(sec.get("n_samples", 200)),
-                     span=(float(sec.get("span_low", 0.02)),
-                           float(sec.get("span_high", 50.0))))
+                     span=(low, high))
     lines = [_csv_header(config).rstrip("\n"), "h,e_h,e_h_minus_estar"]
     for h, e in zip(curve.h, curve.e):
         lines.append(f"{fmt17(h)},{fmt17(e)},{fmt17(e - curve.e_star)}")

@@ -45,7 +45,6 @@ __all__ = [
     "short_range_energy",
     "total_energy",
     "dipole_energy",
-    "dipole_energy_direct",
     "tilde_energy",
     "energy_gradient",
     "step_dipole_energy",
@@ -472,18 +471,6 @@ def dipole_energy(params: ModelParams, profile: GridProfile,
     form = _quadratic_form(params, gamma, profile.n, profile.dx, "open")
     return form.dip_scale * _dipole_open(profile.samples, form.atoms,
                                          form.exp_weights)
-
-
-def dipole_energy_direct(params: ModelParams, profile: GridProfile,
-                         gamma: Optional[float] = None) -> float:
-    """O(N^2) reference evaluation of the same midpoint sum."""
-    gamma = params.gamma if gamma is None else gamma
-    if gamma <= 0.0:
-        return 0.0
-    x = profile.x
-    kern = params.measure.v(gamma * (x[:, None] - x[None, :]))
-    return 0.5 * gamma * profile.dx ** 2 * float(
-        profile.samples @ kern @ profile.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,11 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
                     max_sweeps: int = 50000, damping: float = 0.0) -> Instanton:
     """Picard iteration q <- tanh(beta J*q), antisymmetrized each sweep.
 
-    ``damping`` blends in the previous iterate (0 = plain Picard). Raises
-    NonConvergence if the residual does not reach ``tol``.
+    ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
+    Raises NonConvergence if the residual does not reach ``tol``.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValidationError(f"damping must lie in [0, 1), got {damping}")
     if half_width < 20:
         raise ValidationError("half_width must be at least 20")
     if tol < 1e-12:

@@ -34,7 +34,6 @@ __all__ = [
     "eval_F_prime",
     "eval_F_double_prime",
     "eval_tilde_F",
-    "eval_v",
     "v_prime_at_zero",
     "rp_spectrum_check",
 ]
@@ -100,11 +99,6 @@ class KacMeasure:
     def mean_rate(self) -> float:
         """sum_k w_k alpha_k (the default long-wavelength coefficient)."""
         return float(np.sum(self.weights * self.rates))
-
-
-def eval_v(x, measure: KacMeasure):
-    """Long-range kernel value v(x); even and decreasing in |x|."""
-    return measure.v(x)
 
 
 def v_prime_at_zero(measure: KacMeasure) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "BlockPartition",
     "BC_TOKENS",
     "average_over",
-    "coarse_version",
     "block_type",
     "alpha_L",
     "regular_partition",
@@ -203,18 +202,6 @@ def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
     alpha, n = alpha_L(L, delta, gamma)
     edges = np.linspace(0.0, L, n + 1)
     return BlockPartition(edges=edges, labels={"alpha_L": alpha})
-
-
-def coarse_version(profile: GridProfile, delta0: float, gamma: float) -> GridProfile:
-    """Block-constant version of the profile on the regular partition.
-
-    Partition edges are snapped to the sample grid so every block mean is an
-    exact sample average; means are preserved per block.
-    """
-    part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
-    means = [average_over(profile, block) for block in part.blocks()]
-    counts = np.round(part.widths / profile.dx).astype(int)
-    return profile.with_samples(np.repeat(means, counts))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "eh_curve",
     "check_eh_bounds",
     "tilde_v_kernel",
-    "tilde_v_kernel_direct",
     "cell_specific_energy",
     "chessboard_lower_bound",
     "gamma_limit_energy",
@@ -166,9 +165,12 @@ class EhCurve:
 def eh_curve(params: ModelParams, gamma: Optional[float] = None,
              n_samples: int = 200, span: Tuple[float, float] = (0.02, 50.0)
              ) -> EhCurve:
-    """Log-spaced samples of e(h) around h*, plus the optimum."""
+    """Log-spaced samples of e(h) from span[0] h* to span[1] h*, plus the
+    optimum."""
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
+    if not 0.0 < span[0] < span[1]:
+        raise ValidationError(f"span must satisfy 0 < low < high, got {span}")
     gamma = params.gamma if gamma is None else gamma
     h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
     h = np.geomspace(span[0] * h_star, span[1] * h_star, n_samples)
@@ -252,19 +254,6 @@ def tilde_v_kernel(h: float, gamma: float, x, y, measure: KacMeasure):
                 - q * G * np.exp(-a * s) - q * q * G * np.exp(a * s))
         total = total + w * term
     out = gamma * measure.lam * total
-    return out if np.ndim(out) else float(out)
-
-
-def tilde_v_kernel_direct(h: float, gamma: float, x, y, measure: KacMeasure,
-                          n_max: int = 60):
-    """Truncated image-sum definition (|n| <= n_max), the reference oracle."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = np.zeros(np.broadcast(x, y).shape)
-    for n in range(-n_max, n_max + 1):
-        total = total + (measure.v(gamma * (2 * n * h + y - x))
-                         - measure.v(gamma * (2 * n * h + y + x)))
-    out = gamma * total
     return out if np.ndim(out) else float(out)
 
 

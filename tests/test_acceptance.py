@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from direct_oracles import tilde_v_kernel_direct
 from froth1d.coarsegrain import CoarseGrainConfig, coarse_grain
 from froth1d.energy import tilde_energy, total_energy, energy_gradient
 from froth1d.instanton import build_trial_profile, solve_instanton, tail_rate
@@ -23,8 +24,7 @@ from froth1d.model import (KacMeasure, ModelParams, eval_F, eval_tilde_F,
                            solve_m_beta)
 from froth1d.profiles import GridProfile, StepProfile
 from froth1d.sharp import (chessboard_lower_bound, energy_per_length,
-                           gamma_limit_energy, optimal_h, tilde_v_kernel,
-                           tilde_v_kernel_direct)
+                           gamma_limit_energy, optimal_h, tilde_v_kernel)
 from froth1d.verify import random_in_k_step
 
 

@@ -145,6 +145,17 @@ class TestOutOfRangeValues:
         ("minimize", {"minimize": {"L": 0.01}}, "/minimize/L"),
         ("minimize", {"minimize": {"L_over_h_star": 0.001}},
          "/minimize/L_over_h_star"),
+        # a zero span_low died in np.geomspace, a negative one warned first,
+        # and a decreasing span exited 0 with the curve sampled backwards
+        ("eh-curve", {"eh": {"span_low": 0}}, "/eh/span_low"),
+        ("eh-curve", {"eh": {"span_low": -1}}, "/eh/span_low"),
+        ("eh-curve", {"eh": {"span_low": 60, "span_high": 50}},
+         "/eh/span_low"),
+        ("eh-curve", {"eh": {"span_high": 0.01}}, "/eh/span_high"),
+        # damping 1 kept the initial guess and exited 0
+        ("instanton", {"instanton": {"damping": 1.0}}, "/instanton/damping"),
+        ("instanton", {"instanton": {"damping": -0.1}},
+         "/instanton/damping"),
     ])
     def test_rejected(self, tmp_path, capsys, command, overrides, where):
         # these died with ZeroDivisionError or ValueError tracebacks, and a

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 import quadratic_form_reference as reference
 from dense_pair_integral import dense_step_dipole_energy
+from direct_oracles import dipole_energy_direct
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
                             _ExpWeights, _quadratic_form, _QuadraticForm,
                             _self_integrals,
-                            dipole_energy, dipole_energy_direct,
-                            energy_gradient,
+                            dipole_energy, energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData

@@ -49,6 +49,13 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve_instanton(params, half_width=1.0)
 
+    @pytest.mark.parametrize("damping", [-0.5, 1.0, 2.0])
+    def test_damping_outside_unit_interval_rejected(self, params, damping):
+        # damping 1 returned the previous iterate each sweep, so the
+        # residual test passed at once on the initial guess m tanh(x)
+        with pytest.raises(ValidationError, match="damping"):
+            solve_instanton(params, damping=damping)
+
 
 class TestSurfaceTension:
     def test_recompute_matches(self, params, instanton_default):

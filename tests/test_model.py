@@ -9,8 +9,8 @@ from scipy.special import xlogy
 from froth1d.errors import DomainError, SubcriticalError, ValidationError
 from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel, _well,
                            eval_F, eval_F_double_prime, eval_F_prime,
-                           eval_tilde_F, eval_v, rp_spectrum_check,
-                           solve_m_beta, v_prime_at_zero)
+                           eval_tilde_F, rp_spectrum_check, solve_m_beta,
+                           v_prime_at_zero)
 
 
 def bisect_m(beta_j0, tol=1e-12):
@@ -160,13 +160,13 @@ class TestWellKernel:
 class TestKacMeasure:
     def test_v_single_atom(self):
         meas = KacMeasure(atoms=((1.0, 1.0),), lam=1.0)
-        assert eval_v(0.0, meas) == pytest.approx(1.0)
-        assert eval_v(1.0, meas) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert meas.v(0.0) == pytest.approx(1.0)
+        assert meas.v(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_v_mixture(self):
         meas = KacMeasure(atoms=((0.5, 1.0), (0.5, 2.0)), lam=2.0)
         expect = 2 * (0.5 * math.exp(-0.5) + 0.5 * math.exp(-1.0))
-        assert eval_v(0.5, meas) == pytest.approx(expect, rel=1e-14)
+        assert meas.v(0.5) == pytest.approx(expect, rel=1e-14)
         # per-atom summation oracle
         x = np.linspace(-3, 3, 101)
         direct = sum(2.0 * w * np.exp(-a * np.abs(x)) for w, a in meas.atoms)

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError, ValidationError)
 from froth1d.profiles import (GridProfile, StepProfile, alpha_L, average_over,
-                              block_type, coarse_version, load_profile,
-                              runs, save_profile)
+                              block_type, load_profile, runs, save_profile)
 
 
 class TestAverageOver:
@@ -95,32 +94,6 @@ class TestAlphaL:
                       if target / k >= 1.0 - 1e-12]
         assert a == pytest.approx(min(candidates))
         assert abs((L / a) * gamma ** delta - n) < 1e-9
-
-
-class TestCoarseVersion:
-    def test_constant(self, params):
-        p = GridProfile.constant(params.m_beta, L=20.0, dx=0.125)
-        c = coarse_version(p, 0.25, 1e-2)
-        assert np.max(np.abs(c.samples - params.m_beta)) < 1e-15
-
-    def test_mean_preserved_and_idempotent(self, rng):
-        n = 1024
-        dx = 1.0 / 32.0
-        p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1, 1, n))
-        c = coarse_version(p, 0.25, 1e-2)
-        assert c.mean() == pytest.approx(p.mean(), abs=1e-14)
-        c2 = coarse_version(c, 0.25, 1e-2)
-        assert np.max(np.abs(c2.samples - c.samples)) < 1e-14
-
-    def test_square_wave_interior(self, params, instanton_default):
-        from froth1d.instanton import build_trial_profile
-        h = 24.0
-        prof = build_trial_profile(h, 4 * h, instanton_default, bc="periodic")
-        c = coarse_version(prof, 0.25, 1e-2)
-        # the plateau sits at the cell boundary x = h (sign flips at cell
-        # midpoints); a coarse block there averages to +-m_beta
-        plateau = c.samples[int(h / prof.dx)]
-        assert abs(abs(plateau) - params.m_beta) < 1e-3
 
 
 class TestGridProfile:

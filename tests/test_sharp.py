@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from direct_oracles import tilde_v_kernel_direct
 from froth1d.energy import step_dipole_energy, tilde_energy
 from froth1d.errors import DomainError, SignError, ValidationError
 from froth1d.minimize import restart_rng
@@ -15,8 +16,7 @@ from froth1d.profiles import GridProfile, StepProfile
 from froth1d.sharp import (_one_minus_tanhc, cell_specific_energy,
                            check_eh_bounds, chessboard_lower_bound, eh_curve,
                            energy_per_length, gamma_limit_energy,
-                           golden_section, optimal_h, tilde_v_kernel,
-                           tilde_v_kernel_direct)
+                           golden_section, optimal_h, tilde_v_kernel)
 from froth1d.verify import random_in_k_step
 
 
@@ -104,6 +104,12 @@ class TestOptimalH:
     def test_gamma_range_guard(self, params_tau):
         with pytest.raises(ValidationError):
             optimal_h(params_tau, 0.3)
+
+    @pytest.mark.parametrize("span", [(0.0, 50.0), (-1.0, 50.0),
+                                      (60.0, 50.0), (2.0, 2.0)])
+    def test_span_must_be_increasing_and_positive(self, params_tau, span):
+        with pytest.raises(ValidationError, match="span"):
+            eh_curve(params_tau, 1e-2, n_samples=10, span=span)
 
     def test_curve_invariants(self, params_tau):
         curve = eh_curve(params_tau, 1e-2, n_samples=60)

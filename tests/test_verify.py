@@ -1,0 +1,35 @@
+from froth1d import energy
+from froth1d.verify import run_certificates
+
+
+def gradient_certificate(certs):
+    (cert,) = [c for c in certs if c.name == "gradient_vs_fd"]
+    return cert
+
+
+def test_suite_passes(params):
+    certs = run_certificates(params, seed=3, fast=True)
+    assert [c.name for c in certs if not c.passed] == []
+    assert gradient_certificate(certs).lhs <= 1e-9
+
+
+def test_gradient_certificate_catches_a_fault_energy_and_gradient_share(
+        params, monkeypatch):
+    # Kac atoms 1% too strong in the cached quadratic form: energy and
+    # gradient both see them, so a finite difference of the energy agrees
+    # with the gradient; the direct sums read params.measure and do not
+    atoms = energy._atoms
+
+    def scaled(*args):
+        return [(1.01 * w, 1.01 * pref, b) for w, pref, b in atoms(*args)]
+
+    energy._quadratic_form.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "_atoms", scaled)
+            cert = gradient_certificate(
+                run_certificates(params, seed=3, fast=True))
+    finally:
+        energy._quadratic_form.cache_clear()
+    assert not cert.passed
+    assert cert.lhs > 1e-6
