@@ -4,10 +4,11 @@ on the slice a clip of one uniform shift), and seeded multistart.
 
 The functional is a quadratic form plus the local well, so the descent
 carries the quadratic part's value and gradient with the samples. A candidate
-costs one projection, which returns its min and max, and one well pass (no
-clip pass within +-``model._EDGE``); inside the box the exact expansion along
-the step ray scores it, so an iteration applies the quadratic form at most
-once, plus once for each candidate that the projection clips."""
+costs one projection, which returns its min and max, and one well pass that
+reads those extremes (no clip pass within +-``model._EDGE``) and leaves the
+slope unscaled until the candidate is accepted; inside the box the exact
+expansion along the step ray scores it, so an iteration applies the quadratic
+form at most once, plus once for each candidate that the projection clips."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .energy import _quadratic_form, tilde_energy
 from .errors import LineSearchFailure, ValidationError
-from .model import ModelParams, _well
+from .model import ModelParams, _finish_slope, _well_parts
 from .profiles import GridProfile, StepProfile
 from .sharp import energy_per_length
 
@@ -94,18 +95,20 @@ def _mean_slice_grad_norm(phi, g, tol=1e-12):
     box-active samples only count when they push off their face.
     """
     free = np.abs(phi) < 1.0 - tol
-    mu = float(g[free].mean()) if np.any(free) else float(g.mean())
+    gf = g[free] if np.any(free) else g
+    mu = float(np.add.reduce(gf) / gf.size)
     return _projected_grad_norm(phi, g - mu, tol)
 
 
 def _project_box(y):
     """The nearest point of the box to y, with its min and max: y itself when
     y lies strictly inside, else the clip, whose extremes are y's clamped."""
-    lo, hi = y.min(), y.max()
+    lo, hi = np.minimum.reduce(y), np.maximum.reduce(y)
     if hi < 1.0 and lo > -1.0:
         return y, lo, hi
-    lo, hi = np.clip((lo, hi), -1.0, 1.0)
-    return np.clip(y, -1.0, 1.0), lo, hi
+    x = np.maximum(y, -1.0)      # np.clip is slower
+    np.minimum(x, 1.0, out=x)
+    return x, min(max(lo, -1.0), 1.0), min(max(hi, -1.0), 1.0)
 
 
 def _project_mean_box(y, mean):
@@ -116,8 +119,8 @@ def _project_mean_box(y, mean):
     its values at the knots."""
     if abs(mean) == 1.0:
         return np.full_like(y, mean), mean, mean
-    shifted = y + (mean - np.mean(y))
-    lo, hi = shifted.min(), shifted.max()
+    shifted = y + (mean - np.add.reduce(y) / y.size)
+    lo, hi = np.minimum.reduce(shifted), np.maximum.reduce(shifted)
     if lo >= -1.0 and hi <= 1.0:
         return shifted, lo, hi
     s = np.sort(y)
@@ -126,8 +129,9 @@ def _project_mean_box(y, mean):
     lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
     hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
     sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
-    x = np.clip(y + np.interp(mean * s.size, sums, knots), -1.0, 1.0)
-    return x, x.min(), x.max()
+    x = np.maximum(y + np.interp(mean * s.size, sums, knots), -1.0)
+    np.minimum(x, 1.0, out=x)
+    return x, np.minimum.reduce(x), np.maximum.reduce(x)
 
 
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
@@ -140,11 +144,13 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     The linear term of fixed outside data is built once, before the first
     step, and every fresh evaluation of Q reuses it.
     A candidate costs one projection, which returns its min and max, and one
-    well pass (no clip pass within +-``model._EDGE``). Strictly inside the box
-    it is phi - t d up to rounding, with d = g on the box and d = g - mean(g)
-    on the slice (the ray shifted back to the mean), formed once an iteration:
-    its Q is the exact expansion Q - t dx <gq, d> + (t^2 dx / 2) <d, K d>, and
-    its acceptance updates gq by -t K d, one application of K per iteration.
+    well pass on those extremes (no clip pass within +-``model._EDGE``), which
+    gives F and the slope's log1p difference; F' is finished only for the
+    accepted candidate. Strictly inside the box a candidate is phi - t d up
+    to rounding, with d = g on the box and d = g - mean(g) on the slice (the
+    ray shifted back to the mean), formed once an iteration: its Q is the
+    exact expansion Q - t dx <gq, d> + (t^2 dx / 2) <d, K d>, and its
+    acceptance updates gq by -t K d, one application of K per iteration.
     A clipped candidate is evaluated afresh. With no sample of the accepted
     candidate within 1e-12 of a face (its extremes tell), the next residual
     is max |d| from one max and one min. Candidates are plain arrays in the
@@ -160,16 +166,18 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         face_residual = _mean_slice_grad_norm
 
     def stationarity(phi, lo, hi, g):
-        d = g if mean is None else g - g.mean()
+        d = g if mean is None else g - np.add.reduce(g) / g.size
         if hi < 1.0 - 1e-12 and lo > -1.0 + 1e-12:     # no face near
-            return d, abs(float(max(d.max(), -d.min())))
+            return d, abs(float(max(np.maximum.reduce(d),
+                                    -np.minimum.reduce(d))))
         return d, face_residual(phi, g)
 
     outside = form.outside(profile)
     phi, lo, hi = project(profile.samples)
     q, gq = form.quadratic(phi, outside)
-    f, g = _well(phi, params)
-    energy = dx * float(f.sum()) + q
+    f, g, s = _well_parts(phi, lo, hi, params)
+    energy = dx * float(np.add.reduce(f)) + q
+    g = _finish_slope(g, s, params)
     g += gq
     evaluations = applications = 1
     step = _STEP0
@@ -189,7 +197,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         while step >= _MIN_STEP:
             # L2 gradient flow step: g is the discrete functional derivative
             cand, cand_lo, cand_hi = project(phi - step * g)
-            f, cand_g = _well(cand, params)
+            f, cand_diff, cand_s = _well_parts(cand, cand_lo, cand_hi, params)
             evaluations += 1
             if cand_hi < 1.0 and cand_lo > -1.0:    # cand = phi - step d
                 if hd is None:
@@ -202,8 +210,9 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             else:
                 cand_q, cand_gq = form.quadratic(cand, outside)
                 applications += 1
-                decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
-            cand_energy = dx * float(f.sum()) + cand_q
+                decrease = (dx * float(np.add.reduce((cand - phi) ** 2))
+                            / max(step, 1e-300))
+            cand_energy = dx * float(np.add.reduce(f)) + cand_q
             if cand_energy <= energy - _ARMIJO * decrease:
                 break
             step *= _BACKTRACK
@@ -224,7 +233,8 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
         else:
             gq = cand_gq
         phi, lo, hi = cand, cand_lo, cand_hi
-        q, energy, g = cand_q, cand_energy, cand_g
+        q, energy = cand_q, cand_energy
+        g = _finish_slope(cand_diff, cand_s, params)
         g += gq
         step = min(step * _STEP_GROW, 1e6)
     gnorm = stationarity(phi, lo, hi, g)[1]

@@ -8,9 +8,13 @@ reflection positive by construction).
 
 The well F and its slope F' come from one pass of ``_well`` (one log1p pair
 per sample, a(m_beta) computed once per parameter set, the formulas evaluated
-in place in a handful of arrays), which ``eval_F``, ``eval_F_prime``, the
-energy evaluator and each line-search candidate of the descent call. Along a
-descent step it is the only nonlinear part of the functional.
+in place in a handful of arrays), which ``eval_F``, ``eval_F_prime`` and the
+energy evaluator call. Along a descent step it is the only nonlinear part of
+the functional. A line-search candidate takes ``_well_parts``, the same pass
+less three: its min and max come from the projection, and the slope's scale
+and linear term (``_finish_slope``) are applied only to the candidate the
+descent accepts. Samples on the faces +-1 take F's face value, a constant
+per parameter set.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -124,12 +128,16 @@ def rp_spectrum_check(measure: KacMeasure, k_samples) -> Certificate:
         params={"k_worst": float(k[worst]), "n_samples": int(k.size)})
 
 
-def _quartic_bump(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    def j(x):
+class _QuarticBump(NamedTuple):
+    """c (1 - x^2)^2 on [-1, 1], 0 outside; a value, so kernels built from
+    equal documents compare and hash equal (a NamedTuple: a frozen dataclass
+    costs 0.7 ms more at import)."""
+    c: float
+
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) <= 1.0, c * (1.0 - x * x) ** 2, 0.0)
+        out = np.where(np.abs(x) <= 1.0, self.c * (1.0 - x * x) ** 2, 0.0)
         return out if out.ndim else float(out)
-    return j
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,9 @@ class ShortRangeKernel:
     """Even, nonnegative exchange kernel with support [-1, 1].
 
     ``j0_hat`` is its total integral. The default is c (1-x^2)^2 with c fixed
-    so that the integral equals the requested j0_hat.
+    so that the integral equals the requested j0_hat. Kernels compare by
+    evaluator and j0_hat; the default evaluator compares by c, a
+    user-supplied one by identity.
     """
 
     evaluator: Callable
@@ -148,7 +158,7 @@ class ShortRangeKernel:
         if j0_hat <= 0:
             raise ValidationError("J0_hat must be positive")
         c = (15.0 / 16.0) * j0_hat
-        return cls(evaluator=_quartic_bump(c), j0_hat=float(j0_hat))
+        return cls(evaluator=_QuarticBump(c), j0_hat=float(j0_hat))
 
     def __post_init__(self):
         if self.j0_hat <= 0:
@@ -311,6 +321,11 @@ class ModelParams:
         """a(m_beta) + log(2)/beta as ``_well`` computes it for a sample."""
         return float(_unclamped_a(np.array([self.m_beta]), self)[0])
 
+    @cached_property
+    def _f_face(self) -> float:
+        """F(+-1) as ``_well`` computes it for a sample."""
+        return float(_unclamped_a(np.array([1.0]), self)[0]) - self._a_min
+
 
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
@@ -347,28 +362,48 @@ def _unclamped_a(u: np.ndarray, params: ModelParams) -> np.ndarray:
 _EDGE = 1.0 - 1e-12
 
 
-def _well(t: np.ndarray, params: ModelParams):
-    """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
-    log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
-    one log1p pair on s = clip(t, -_EDGE, _EDGE), skipped (s is t) when every
-    sample lies within +-_EDGE; F takes a(|t|) beyond it."""
+def _well_parts(t: np.ndarray, lo, hi, params: ModelParams):
+    """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) per sample of a vector
+    t in [-1, 1] whose min and max are lo and hi, with the slope's log1p
+    difference and the s it came from, which ``_finish_slope`` turns into
+    F'(t). One log1p pair on s = clip(t, -_EDGE, _EDGE), skipped (s is t)
+    when lo and hi lie within +-_EDGE; F takes a(|t|) beyond it, a constant
+    on the faces +-1."""
     # in-place steps, same operations in the same order as the formulas
     s = t
-    if t.size and not (t.min() >= -_EDGE and t.max() <= _EDGE):
+    if not (lo >= -_EDGE and hi <= _EDGE):
         s = np.maximum(t, -_EDGE)    # np.clip is slower
         np.minimum(s, _EDGE, out=s)
     lp = np.log1p(s)
     lm = np.negative(s)
     np.log1p(lm, out=lm)
-    slope = lp - lm
-    slope /= 2.0 * params.beta
-    slope -= params.kernel.j0_hat * s
+    diff = lp - lm
     f = _shifted_a(s, lp, lm, params)
     f -= params._a_min
     if s is not t:
         out = np.flatnonzero(s != t)
-        f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min
-    return f, slope
+        u = np.abs(t[out])
+        f[out] = params._f_face
+        inner = u != 1.0        # in (_EDGE, 1)
+        if inner.any():
+            f[out[inner]] = _unclamped_a(u[inner], params) - params._a_min
+    return f, diff, s
+
+
+def _finish_slope(diff: np.ndarray, s: np.ndarray, params: ModelParams):
+    """F' = (log1p s - log1p(-s)) / (2 beta) - J0_hat s, in place of the
+    difference ``_well_parts`` returned."""
+    diff /= 2.0 * params.beta
+    diff -= params.kernel.j0_hat * s
+    return diff
+
+
+def _well(t: np.ndarray, params: ModelParams):
+    """F(t) = a(t) - a(m_beta) and F'(t) per sample of a vector t in [-1, 1]:
+    ``_well_parts`` on t's extremes, then ``_finish_slope``."""
+    lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
+    f, diff, s = _well_parts(t, lo, hi, params)
+    return f, _finish_slope(diff, s, params)
 
 
 def eval_F(t, params: ModelParams):
@@ -382,9 +417,10 @@ def eval_F_prime(t, params: ModelParams):
     """a'(t) = -J0_hat t + arctanh(t)/beta, clamped near t = +-1.
 
     The entropy slope diverges at the box boundary; evaluation is clamped at
-    |t| = 1 - 1e-12 so projected-gradient iterations stay finite.
+    |t| = 1 - 1e-12 so projected-gradient iterations stay finite. Raises
+    ``DomainError`` outside [-1, 1], as ``eval_F`` does.
     """
-    t = np.clip(np.asarray(t, dtype=float), -_EDGE, _EDGE)
+    t = np.clip(_check_domain(t), -_EDGE, _EDGE)
     out = _well(t.reshape(-1), params)[1].reshape(t.shape)
     return out if out.ndim else float(out)
 

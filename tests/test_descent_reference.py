@@ -27,8 +27,8 @@ from froth1d.minimize import (_ARMIJO, _BACKTRACK, _MIN_STEP, _STEP0,
                               _descend, _mean_slice_grad_norm,
                               _project_box, _project_mean_box,
                               _projected_grad_norm)
-from froth1d.model import (_EDGE, ModelParams, _shifted_a, _unclamped_a,
-                           _well)
+from froth1d.model import (_EDGE, ModelParams, _finish_slope, _shifted_a,
+                           _unclamped_a, _well, _well_parts)
 from froth1d.profiles import GridProfile
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,10 @@ def test_line_search_failure_matches_reference(monkeypatch):
             return f, -fp
         return turned
 
-    monkeypatch.setattr(minimize_module, "_well", uphill(_well))
+    def finish_uphill(diff, s, p):
+        return -_finish_slope(diff, s, p)
+
+    monkeypatch.setattr(minimize_module, "_finish_slope", finish_uphill)
     monkeypatch.setitem(globals(), "ref_well", uphill(ref_well))
     options = MinimizeOptions(max_iters=50, grad_tol=1e-12)
     for mean, profile in ((None, GridProfile.constant(0.5, L=4.0, dx=0.0625)),
@@ -339,6 +342,38 @@ def test_well_matches_reference(t, beta):
     assert t.tobytes() == before
     assert f.tobytes() == ref_f.tobytes()
     assert fp.tobytes() == ref_fp.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+           st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), _SPECIAL,
+           st.floats(_EDGE, 1.0, exclude_min=True),
+           st.floats(-1.0, -_EDGE, exclude_max=True))),
+       mean=st.one_of(st.sampled_from(_MEANS), st.floats(-1.0, 1.0)),
+       beta=st.sampled_from([1.5, 2.0, 8.0]))
+def test_descent_well_entry_matches_reference(y, mean, beta):
+    # the descent's well entry on a projected candidate, with the
+    # projection's extremes passed in and the slope finished only after a
+    # second candidate's pass; candidates hold samples on +-1 and strictly
+    # inside (_EDGE, 1)
+    params = ModelParams.create(beta=beta, gamma=1e-2)
+    if mean is None:
+        x, lo, hi = _project_box(y)
+    else:
+        x, lo, hi = _project_mean_box(y, mean)
+    before = x.tobytes()
+    f, diff, s = _well_parts(x, lo, hi, params)
+    other = x[::-1].copy()
+    other_f, other_diff, other_s = _well_parts(other, lo, hi, params)
+    fp = _finish_slope(diff, s, params)
+    other_fp = _finish_slope(other_diff, other_s, params)
+    assert x.tobytes() == before
+    for t, got in ((x, (f, fp)), (other, (other_f, other_fp))):
+        ref = ref_well(t, params)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got, _well(t, params)))
 
 
 @settings(max_examples=300, deadline=None)

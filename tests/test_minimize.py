@@ -300,13 +300,12 @@ class TestRoundingStop:
     def test_uphill_slope_still_raises(self, params, monkeypatch):
         # the well's slope made to point uphill: the decrease asked of the
         # first step is resolvable, so the failed search is a real failure
-        well = minimize_module._well
+        finish = minimize_module._finish_slope
 
-        def uphill(phi, p):
-            f, fp = well(phi, p)
-            return f, -fp
+        def uphill(diff, s, p):
+            return -finish(diff, s, p)
 
-        monkeypatch.setattr(minimize_module, "_well", uphill)
+        monkeypatch.setattr(minimize_module, "_finish_slope", uphill)
         init = GridProfile.constant(0.5, L=4.0, dx=1.0 / 16.0)
         with pytest.raises(LineSearchFailure):
             minimize_energy(params, init, 0.0, MinimizeOptions(max_iters=50))

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
+from froth1d.energy import _quadratic_form
 from froth1d.errors import DomainError, SubcriticalError, ValidationError
 from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel, _well,
                            eval_F, eval_F_double_prime, eval_F_prime,
@@ -72,6 +73,17 @@ class TestPotentials:
             eval_F(1.5, params)
         with pytest.raises(DomainError):
             eval_tilde_F(-1.01, params)
+
+    @pytest.mark.parametrize("evaluate", [eval_F, eval_F_prime])
+    def test_domain_shared_by_F_and_slope(self, params, evaluate):
+        # eval_F_prime used to clamp 2.0 to the clip edge and return 6.08
+        for t in (1.0 + 1e-9, -1.0 - 1e-9, 2.0, [0.5, 1.0 + 1e-9]):
+            with pytest.raises(DomainError):
+                evaluate(t, params)
+        t = np.concatenate([np.linspace(-1.0, 1.0, 41), EDGE_POINTS])
+        F, F_prime = _well(t, params)
+        assert eval_F(t, params).tobytes() == F.tobytes()
+        assert eval_F_prime(t, params).tobytes() == F_prime.tobytes()
 
     def test_tilde_F_values(self, params):
         assert eval_tilde_F(params.m_beta, params) == pytest.approx(0.0, abs=1e-15)
@@ -228,6 +240,29 @@ class TestKernelAndParams:
         with pytest.raises(ValidationError) as err:
             ModelParams.from_dict(bad2, pointer="/model")
         assert "weight" in str(err.value)
+
+    def test_equal_documents_give_equal_params(self):
+        doc = {"beta": 2.0, "J0_hat": 1.3, "lambda": 1.0, "gamma": 0.01,
+               "measure": [{"weight": 0.5, "alpha": 1.0},
+                           {"weight": 0.5, "alpha": 3.0}]}
+        p, q = ModelParams.from_dict(doc), ModelParams.from_dict(doc)
+        assert p == q and hash(p) == hash(q)
+        assert p != ModelParams.from_dict(dict(doc, J0_hat=1.2))
+        # so the per-grid data of the quadratic form is built once
+        before = _quadratic_form.cache_info()
+        assert _quadratic_form(p, 0.01, 37, 1.0 / 16.0, "open") is \
+            _quadratic_form(q, 0.01, 37, 1.0 / 16.0, "open")
+        after = _quadratic_form.cache_info()
+        assert after.hits - before.hits == 1
+        assert after.misses - before.misses == 1
+
+    def test_custom_evaluator_compares_by_identity(self):
+        def bump(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) <= 1.0, 1.0 - x * x, 0.0) * 0.75
+        k = ShortRangeKernel(evaluator=bump, j0_hat=1.0)
+        assert k == ShortRangeKernel(evaluator=bump, j0_hat=1.0)
+        assert k != ShortRangeKernel(evaluator=lambda x: bump(x), j0_hat=1.0)
 
     def test_tau_guard(self, params):
         with pytest.raises(ValidationError):
