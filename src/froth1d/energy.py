@@ -37,7 +37,8 @@ from numpy.fft import irfft, rfft
 
 from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
-from .model import ModelParams, _well, eval_tilde_F
+from .model import (ModelParams, _extremes, _well, _well_parts,
+                    eval_tilde_F)
 from .profiles import GridProfile, StepProfile
 
 __all__ = [
@@ -396,7 +397,8 @@ class _QuadraticForm:
         """``total_energy``'s terms: in-domain exchange and dipole as on an
         open interval, boundary the rest of Q (0.0 on an open interval)."""
         phi, dx = profile.samples, self.dx
-        local = dx * float(np.sum(_well(phi, self.params)[0]))
+        f = _well_parts(phi, *_extremes(phi), self.params)[0]
+        local = dx * float(np.sum(f))
         exchange = float(_exchange_banded(phi, self.jband, dx)[0])
         dipole = self.dip_scale * _dipole_open(phi, self.atoms,
                                                self.exp_weights)
@@ -450,7 +452,8 @@ def _block_energies(params: ModelParams, profile: GridProfile,
     one well pass and one band pass per offset."""
     seg = profile.samples[cuts[0]:cuts[-1]]
     starts = np.asarray(cuts[:-1]) - cuts[0]
-    local = profile.dx * np.add.reduceat(_well(seg, params)[0], starts)
+    f = _well_parts(seg, *_extremes(seg), params)[0]
+    local = profile.dx * np.add.reduceat(f, starts)
     return local + _exchange_banded(seg, params.kernel.band(profile.dx),
                                     profile.dx, starts)
 

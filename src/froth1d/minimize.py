@@ -59,11 +59,11 @@ class MinimizeOptions:
         _check_count(self.seed, "seed", _SEED_LIMIT)
 
 
-def _check_count(value, name: str, limit: float = np.inf):
-    """Reject anything but an integer in [0, limit), a bool included."""
+def _check_count(value, name: str, limit: float = np.inf, low: int = 0):
+    """Reject anything but an integer in [low, limit), a bool included."""
     if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer)) and 0 <= value < limit):
-        raise ValidationError(f"{name} must be an integer in [0, {limit})")
+            isinstance(value, (int, np.integer)) and low <= value < limit):
+        raise ValidationError(f"{name} must be an integer in [{low}, {limit})")
 
 
 @dataclass
@@ -426,8 +426,7 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     ``applications`` add up every relaxation of the start, tried moves
     included. Other bcs, or params without tau, get plain descent only.
     """
-    if n_starts < 1:
-        raise ValidationError("n_starts must be at least 1")
+    _check_count(n_starts, "n_starts", low=1)
     options = MinimizeOptions() if options is None else options
     n = int(round(L / dx))
     best = None

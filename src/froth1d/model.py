@@ -8,13 +8,14 @@ reflection positive by construction).
 
 The well F and its slope F' come from one pass of ``_well`` (one log1p pair
 per sample, a(m_beta) computed once per parameter set, the formulas evaluated
-in place in a handful of arrays), which ``eval_F``, ``eval_F_prime`` and the
-energy evaluator call. Along a descent step it is the only nonlinear part of
-the functional. A line-search candidate takes ``_well_parts``, the same pass
+in place in a handful of arrays), which ``eval_F_prime`` and the energy
+evaluator call. Along a descent step it is the only nonlinear part of the
+functional. A line-search candidate takes ``_well_parts``, the same pass
 less three: its min and max come from the projection, and the slope's scale
 and linear term (``_finish_slope``) are applied only to the candidate the
-descent accepts. Samples on the faces +-1 take F's face value, a constant
-per parameter set.
+descent accepts. ``eval_F`` and the energies that need F alone take
+``_well_parts`` too and never finish the slope. Samples on the faces +-1
+take F's face value, a constant per parameter set.
 """
 
 from __future__ import annotations
@@ -327,11 +328,23 @@ class ModelParams:
         return float(_unclamped_a(np.array([1.0]), self)[0]) - self._a_min
 
 
+def _extremes(t: np.ndarray):
+    """(min, max) of t, (0.0, 0.0) when t has no samples; NaN if t has one."""
+    return (t.min(), t.max()) if t.size else (0.0, 0.0)
+
+
 def _check_domain(t):
+    """t as floats in [-1, 1] with its extremes. Samples within 1e-12 beyond
+    a face are snapped onto it, in a copy made only then; NaN, or a sample
+    further out, raises."""
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    lo, hi = _extremes(t)
+    if not (lo >= -1.0 - 1e-12 and hi <= 1.0 + 1e-12):
         raise DomainError("magnetization outside [-1, 1]")
-    return np.clip(t, -1.0, 1.0)
+    if lo < -1.0 or hi > 1.0:
+        t = np.clip(t, -1.0, 1.0)
+        lo, hi = max(lo, -1.0), min(hi, 1.0)
+    return t, lo, hi
 
 
 def _shifted_a(s, lp, lm, params: ModelParams):
@@ -401,15 +414,14 @@ def _finish_slope(diff: np.ndarray, s: np.ndarray, params: ModelParams):
 def _well(t: np.ndarray, params: ModelParams):
     """F(t) = a(t) - a(m_beta) and F'(t) per sample of a vector t in [-1, 1]:
     ``_well_parts`` on t's extremes, then ``_finish_slope``."""
-    lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
-    f, diff, s = _well_parts(t, lo, hi, params)
+    f, diff, s = _well_parts(t, *_extremes(t), params)
     return f, _finish_slope(diff, s, params)
 
 
 def eval_F(t, params: ModelParams):
     """Double-well density F(t) = a(t) - a(m_beta), nonnegative and even."""
-    t = _check_domain(t)
-    out = _well(t.reshape(-1), params)[0].reshape(t.shape)
+    t, lo, hi = _check_domain(t)
+    out = _well_parts(t.reshape(-1), lo, hi, params)[0].reshape(t.shape)
     return out if out.ndim else float(out)
 
 
@@ -420,7 +432,7 @@ def eval_F_prime(t, params: ModelParams):
     |t| = 1 - 1e-12 so projected-gradient iterations stay finite. Raises
     ``DomainError`` outside [-1, 1], as ``eval_F`` does.
     """
-    t = np.clip(_check_domain(t), -_EDGE, _EDGE)
+    t = np.clip(_check_domain(t)[0], -_EDGE, _EDGE)
     out = _well(t.reshape(-1), params)[1].reshape(t.shape)
     return out if out.ndim else float(out)
 
@@ -434,7 +446,7 @@ def eval_F_double_prime(t, params: ModelParams):
 
 def eval_tilde_F(t, params: ModelParams):
     """Quadratic comparison well F~(t) = F(0)/(2 m_beta^2) (|t| - m_beta)^2."""
-    t = _check_domain(t)
+    t = _check_domain(t)[0]
     m = params.m_beta
     out = params.f0 / (2.0 * m * m) * (np.abs(t) - m) ** 2
     return out if np.ndim(out) else float(out)

@@ -21,14 +21,14 @@ from hypothesis.extra.numpy import arrays
 
 import froth1d.minimize as minimize_module
 from froth1d.energy import _quadratic_form
-from froth1d.errors import LineSearchFailure
+from froth1d.errors import DomainError, LineSearchFailure
 from froth1d.minimize import (_ARMIJO, _BACKTRACK, _MIN_STEP, _STEP0,
                               _STEP_GROW, MinimizeOptions, MinimizeResult,
                               _descend, _mean_slice_grad_norm,
                               _project_box, _project_mean_box,
                               _projected_grad_norm)
 from froth1d.model import (_EDGE, ModelParams, _finish_slope, _shifted_a,
-                           _unclamped_a, _well, _well_parts)
+                           _unclamped_a, _well, _well_parts, eval_F)
 from froth1d.profiles import GridProfile
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,15 @@ def ref_well(t: np.ndarray, params: ModelParams):
         f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min
     return f, slope
 
+
+def ref_eval_F(t, params: ModelParams):
+    """Double-well density F(t) = a(t) - a(m_beta), nonnegative and even."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-12):
+        raise DomainError("magnetization outside [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
+    out = ref_well(t.reshape(-1), params)[0].reshape(t.shape)
+    return out if out.ndim else float(out)
 
 
 def ref_projected_grad_norm(phi, g, tol=1e-12):
@@ -342,6 +351,32 @@ def test_well_matches_reference(t, beta):
     assert t.tobytes() == before
     assert f.tobytes() == ref_f.tobytes()
     assert fp.tobytes() == ref_fp.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(
+           st.floats(-1.0 - 2e-12, 1.0 + 2e-12),
+           arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 8)),
+                  elements=st.one_of(
+                      st.floats(-1.0, 1.0), _SPECIAL,
+                      st.floats(1.0, 1.0 + 1e-12, exclude_min=True),
+                      st.floats(-1.0 - 1e-12, -1.0, exclude_max=True)))),
+       beta=st.sampled_from([1.5, 2.0, 8.0]))
+def test_eval_F_matches_reference(t, beta):
+    # eval_F takes the extremes from its domain check and skips the slope;
+    # samples within 1e-12 beyond a face are snapped onto it, in a copy
+    params = ModelParams.create(beta=beta, gamma=1e-2)
+    before = np.asarray(t).tobytes()
+    try:
+        ref = ref_eval_F(t, params)
+    except DomainError:
+        with pytest.raises(DomainError):
+            eval_F(t, params)
+        return
+    got = eval_F(t, params)
+    assert np.asarray(t).tobytes() == before
+    assert type(got) is type(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

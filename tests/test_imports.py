@@ -49,7 +49,64 @@ def test_import_loads_no_scipy():
 
 
 def test_public_namespace_is_pinned():
-    assert run_fresh(
-        "import json, types, froth1d; print(json.dumps(sorted("
-        "n for n, v in vars(froth1d).items() if not n.startswith('_') "
-        "and not isinstance(v, types.ModuleType))))") == sorted(PUBLIC_API)
+    # the names are resolved lazily, so they are read from dir(), not from
+    # the module dict; each must be the object its defining module holds
+    listed, defined = run_fresh(
+        "import json, sys, types, froth1d\n"
+        "names = sorted(n for n in dir(froth1d) if not n.startswith('_') "
+        "and not isinstance(getattr(froth1d, n), types.ModuleType))\n"
+        "print(json.dumps([names, [n for n in names if getattr(froth1d, n) "
+        "is getattr(sys.modules[getattr(froth1d, n).__module__], n)]]))")
+    assert listed == sorted(PUBLIC_API)
+    assert defined == listed
+
+
+def loaded_after(code: str):
+    """The froth1d submodules loaded after ``code`` in a fresh interpreter."""
+    return run_fresh(
+        f"import json, sys\n{code}\nprint(json.dumps(sorted("
+        "m for m in sys.modules if m.startswith('froth1d.'))))")
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import froth1d") == []
+
+
+def test_setup_chain_loads_seven_modules():
+    # the paper's chain instanton -> tau -> e(h) -> h* needs neither coarse
+    # graining, the diagnostics, the minimizer nor the certificate suite
+    assert loaded_after(
+        "import froth1d\n"
+        "params = froth1d.ModelParams.from_dict({'beta': 2.0, 'J0_hat': 1.0, "
+        "'lambda': 1.0, 'measure': [{'weight': 1.0, 'alpha': 1.0}], "
+        "'gamma': 0.01})\n"
+        "tau = froth1d.solve_instanton(params).tau\n"
+        "froth1d.optimal_h(params.with_tau(tau))") == [
+            "froth1d.certificates", "froth1d.energy", "froth1d.errors",
+            "froth1d.instanton", "froth1d.model", "froth1d.profiles",
+            "froth1d.sharp"]
+
+
+def test_cli_loads_every_traced_module():
+    # the benchmark's tracer wraps functions it finds in sys.modules after
+    # importing the CLI, so the CLI must load each module it traces
+    traced = {f"froth1d.{m}" for m, _ in run_fresh(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC.parent / 'perfbench')!r})\n"
+        "from tracing import TRACED\nprint(json.dumps(TRACED))")}
+    assert traced <= set(loaded_after("import froth1d.cli"))
+
+
+def test_rebinding_shows_through_the_package(monkeypatch):
+    import froth1d
+    import froth1d.minimize as minimize_module
+    original = minimize_module.minimize_energy
+
+    def stand_in(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minimize_module, "minimize_energy", stand_in)
+    assert froth1d.minimize_energy is stand_in
+    monkeypatch.undo()
+    assert froth1d.minimize_energy is original
+    assert "minimize_energy" not in vars(froth1d)

@@ -369,6 +369,13 @@ class TestOptions:
         with pytest.raises(ValidationError, match="seed"):
             restart_rng(seed, 0)
 
+    @pytest.mark.parametrize("n_starts", [0, -1, True, False, 2.5, 1.0, "2"])
+    def test_multistart_rejects_n_starts(self, params, n_starts):
+        # True ran one start; 2.5 and "2" died with a TypeError in range
+        with pytest.raises(ValidationError, match="n_starts"):
+            multistart(params, 1e-2, 4.0, "periodic", n_starts,
+                       MinimizeOptions(max_iters=1))
+
     def test_restart_rng_accepts_numpy_seed(self):
         assert restart_rng(np.int64(5), 2).random() == restart_rng(5, 2).random()
         restart_rng(2 ** 64 - 1, 0)

@@ -8,8 +8,8 @@ from scipy.special import xlogy
 
 from froth1d.energy import _quadratic_form
 from froth1d.errors import DomainError, SubcriticalError, ValidationError
-from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel, _well,
-                           eval_F, eval_F_double_prime, eval_F_prime,
+from froth1d.model import (KacMeasure, ModelParams, ShortRangeKernel,
+                           _check_domain, _well, eval_F, eval_F_double_prime, eval_F_prime,
                            eval_tilde_F, rp_spectrum_check, solve_m_beta,
                            v_prime_at_zero)
 
@@ -84,6 +84,24 @@ class TestPotentials:
         F, F_prime = _well(t, params)
         assert eval_F(t, params).tobytes() == F.tobytes()
         assert eval_F_prime(t, params).tobytes() == F_prime.tobytes()
+
+    @pytest.mark.parametrize("evaluate", [eval_F, eval_F_prime, eval_tilde_F])
+    def test_nan_is_outside_the_domain(self, params, evaluate):
+        # np.abs(nan) > 1 + 1e-12 is False: the domain check used to let
+        # NaN through, and each evaluator returned nan
+        for t in (math.nan, [0.5, math.nan], np.full((2, 2), math.nan)):
+            with pytest.raises(DomainError):
+                evaluate(t, params)
+
+    def test_domain_copies_only_to_snap(self):
+        t = np.array([-1.0, 0.25, 1.0])
+        inside, lo, hi = _check_domain(t)
+        assert inside is t and (lo, hi) == (-1.0, 1.0)
+        near = np.array([-1.0 - 1e-13, 0.25, 1.0 + 1e-13])
+        snapped, lo, hi = _check_domain(near)
+        assert snapped is not near and near[0] < -1.0
+        assert snapped.tolist() == t.tolist() and (lo, hi) == (-1.0, 1.0)
+        assert _check_domain([])[1:] == (0.0, 0.0)
 
     def test_tilde_F_values(self, params):
         assert eval_tilde_F(params.m_beta, params) == pytest.approx(0.0, abs=1e-15)
