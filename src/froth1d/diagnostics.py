@@ -9,6 +9,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .certificates import fmt17
+from .energy import _ONE_CELL, _profile_sums
 from .errors import ParameterError
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, average_over, block_type,
@@ -185,6 +186,18 @@ def l_wrong(step: StepProfile, h_star: float, epsilon: float,
     return float(np.sum(h[bad]))
 
 
+def _excess_parts(params: ModelParams, gamma: float, e_star: float,
+                  h: np.ndarray, values: np.ndarray, widths: np.ndarray,
+                  starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The excess h (e(h) - e(h*)) of each sign interval of length h, from
+    one array e(h), and per step profile (its pieces from ``starts`` on)
+    the well integral (F(0)/m_beta^2) int (|sigma| - m_beta)^2."""
+    m_b = params.m_beta
+    well = params.f0 / m_b ** 2 * _profile_sums(
+        widths * (np.abs(values) - m_b) ** 2, starts)
+    return h * (energy_per_length(params, h, gamma) - e_star), well
+
+
 def excess_energy_decomposition(params: ModelParams, step: StepProfile,
                                 gamma: Optional[float] = None,
                                 h_star: Optional[float] = None,
@@ -193,20 +206,17 @@ def excess_energy_decomposition(params: ModelParams, step: StepProfile,
 
     Returns (excess_sum, tildeF_integral, per_interval) with
     excess_sum = sum_j h_j (e(h_j) - e(h*)) and the well integral
-    (F(0)/m_beta^2) int (|sigma| - m_beta)^2.
+    (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile is the one
+    profile of ``_excess_parts``.
     """
     gamma = params.gamma if gamma is None else gamma
     if h_star is None or e_star is None:
         h_star, e_star, _, _ = optimal_h(params, gamma)
-    per = []
-    for a, b, _s in step.sign_intervals():
-        h = b - a
-        per.append((h, h * (energy_per_length(params, h, gamma) - e_star)))
-    excess = float(sum(t for _, t in per))
-    m_b = params.m_beta
-    well = params.f0 / m_b ** 2 * float(
-        np.sum(step.widths * (np.abs(step.values) - m_b) ** 2))
-    return excess, well, per
+    h = step.interval_lengths()
+    excess, well = _excess_parts(params, gamma, e_star, h, step.values,
+                                 step.widths, _ONE_CELL)
+    per = list(zip(h.tolist(), excess.tolist()))
+    return float(sum(t for _, t in per)), float(well[0]), per
 
 
 def histogram_csv(report: StructureReport) -> str:

@@ -39,7 +39,7 @@ from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import GridProfile, StepProfile
+from .profiles import GridProfile, StepProfile, _sign_changes
 
 __all__ = [
     "EnergyBreakdown",
@@ -509,6 +509,9 @@ def energy_gradient(params: ModelParams, profile: GridProfile,
 # ---------------------------------------------------------------------------
 # step profiles: exact dipole and the effective functional
 
+# the starts of a lone step profile as one cell
+_ONE_CELL = np.zeros(1, dtype=int)
+
 # 1/k!, k = 2..16: Taylor series of e^x - 1 - x, exact to rounding for |x| <= 0.5
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(2, 17)])
 
@@ -543,14 +546,17 @@ def _cell_recursion(r: np.ndarray, u: np.ndarray, starts: np.ndarray,
     return B
 
 
-def _cell_integrals(a: float, values: np.ndarray, edges: np.ndarray,
-                    starts: np.ndarray
+def _cell_integrals(a: float, values: np.ndarray, lefts: np.ndarray,
+                    rights: np.ndarray, starts: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per cell, the pair integrals of the kernel e^{-a|x-y|}, in one pass.
 
-    ``values`` sit on [edges[j], edges[j+1]); cell c holds the pieces
-    starts[c] to starts[c+1] - 1 (starts[0] = 0, the last runs to the end).
-    With x from the cell's left wall, h its length, w_j the piece widths and
+    ``values[j]`` sits on [lefts[j], rights[j]); cell c holds the pieces
+    starts[c] to starts[c+1] - 1 (starts[0] = 0, the last runs to the end),
+    each cell's pieces adjacent in one frame of coordinates. Cells may take
+    different frames (one per step profile of a corpus, say), so a cell's
+    numbers do not depend on the cells beside it. With x from the cell's
+    left wall, h its length, w_j the piece widths and
     u_j = v_j (1 - e^{-a w_j})/a, returns per cell, in decaying exponentials
     only,
 
@@ -563,43 +569,80 @@ def _cell_integrals(a: float, values: np.ndarray, edges: np.ndarray,
     stops = np.append(starts[1:], values.size)
     counts = stops - starts
     cell = np.repeat(np.arange(starts.size), counts)
-    widths = edges[1:] - edges[:-1]
+    widths = rights - lefts
     u = values * -np.expm1(-a * widths) / a
     t = _cell_recursion(np.exp(-a * widths), u, starts, int(counts.max()))
     pairs = np.add.reduceat(
         values * values * _self_integrals(a, widths) + 2.0 * u * t, starts)
-    sp = np.add.reduceat(u * np.exp(a * (edges[starts][cell] - edges[:-1])),
+    sp = np.add.reduceat(u * np.exp(a * (lefts[starts][cell] - lefts)),
                          starts)
-    sq = np.add.reduceat(u * np.exp(a * (edges[1:] - edges[stops][cell])),
+    sq = np.add.reduceat(u * np.exp(a * (rights - rights[stops - 1][cell])),
                          starts)
     return pairs, sp, sq
+
+
+def _profile_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each segment x[starts[c]:starts[c + 1]] (the last runs
+    to the end): pairwise, as ``np.sum`` adds a lone profile's pieces, where
+    ``np.add.reduceat`` would add them in order."""
+    stops = np.append(starts[1:], x.size)
+    return np.array([np.sum(x[i:j]) for i, j in zip(starts.tolist(),
+                                                     stops.tolist())])
+
+
+def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
+                  lefts: np.ndarray, rights: np.ndarray, starts: np.ndarray,
+                  period=None) -> np.ndarray:
+    """Exact (gamma/2) dipole energy of each cell of ``_cell_integrals`` as a
+    step profile of its own: open, or with ``period`` (the cells' lengths)
+    on the torus.
+
+    Per atom, b = gamma alpha, the open energy is (gamma lam w/2) I. The
+    torus kernel is the image sum (e^{-b|d|} + e^{-b(L-|d|)})/(1 - E),
+    E = e^{-bL}. Splitting Sp Sq at x < y and x > y gives
+    Sp Sq = W/2 + E I/2, W the integral of e^{-b(L-|x-y|)}, so the torus
+    takes (I + W)/(1 - E) = I + 2 Sp Sq/(1 - E).
+    """
+    acc = np.zeros(starts.size)
+    if gamma <= 0.0:
+        return acc
+    for w_k, a_k in params.measure.atoms:
+        b = gamma * a_k
+        pairs, sp, sq = _cell_integrals(b, values, lefts, rights, starts)
+        if period is not None:
+            pairs = pairs + 2.0 * sp * sq / -np.expm1(-b * period)
+        acc += w_k * pairs
+    return 0.5 * gamma * params.measure.lam * acc
+
+
+def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
+                lefts: np.ndarray, rights: np.ndarray, starts: np.ndarray,
+                period=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tilde_energy``'s well, surface and dipole terms of each cell of
+    ``_cell_integrals`` as a step profile of its own, open or (``period``
+    given) periodic."""
+    tau = params.require_tau()
+    well = _profile_sums((rights - lefts) * eval_tilde_F(values, params),
+                         starts)
+    jumps = _sign_changes(np.sign(values), starts, period is not None)
+    dip = _step_dipoles(params, gamma, values, lefts, rights, starts, period)
+    return well, tau * jumps, dip
 
 
 def step_dipole_energy(params: ModelParams, step: StepProfile,
                        gamma: Optional[float] = None,
                        bc: str = "open") -> float:
-    """Exact (gamma/2) dipole energy of a step profile, open or periodic.
-
-    Per atom, b = gamma alpha, the profile is one cell of ``_cell_integrals``
-    and the open energy is (gamma lam w/2) I. The torus kernel is the image
-    sum (e^{-b|d|} + e^{-b(L-|d|)})/(1 - E), E = e^{-bL}. Splitting Sp Sq at
-    x < y and x > y gives Sp Sq = W/2 + E I/2, W the integral of
-    e^{-b(L-|x-y|)}, so the torus takes (I + W)/(1 - E) = I + 2 Sp Sq/(1 - E).
-    """
+    """Exact (gamma/2) dipole energy of a step profile, open or periodic: the
+    profile as the one cell of ``_step_dipoles``."""
     gamma = params.gamma if gamma is None else gamma
     if gamma <= 0.0:
         return 0.0
     if bc not in ("open", "periodic"):
         raise ValidationError("step dipole supports open or periodic bc")
-    acc = 0.0
-    for w_k, a_k in params.measure.atoms:
-        b = gamma * a_k
-        pairs, sp, sq = _cell_integrals(b, step.values, step.breakpoints,
-                                        np.zeros(1, dtype=int))
-        if bc == "periodic":
-            pairs = pairs + 2.0 * sp * sq / -np.expm1(-b * step.L)
-        acc += w_k * float(pairs[0])
-    return 0.5 * gamma * params.measure.lam * acc
+    bp = step.breakpoints
+    return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],
+                               _ONE_CELL,
+                               step.L if bc == "periodic" else None)[0])
 
 
 def tilde_energy(params: ModelParams, step: StepProfile,
@@ -609,14 +652,16 @@ def tilde_energy(params: ModelParams, step: StepProfile,
 
     The surface part implements (tau/2) * total variation of sigma/|sigma|,
     i.e. tau times the number of sign changes (wrap jump included for
-    periodic bc). Computed in closed form; no quadrature.
+    periodic bc). Computed in closed form, the profile as the one cell of
+    ``_step_terms``; no quadrature.
     """
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau()
-    widths = step.widths
-    well = float(np.sum(widths * eval_tilde_F(step.values, params)))
-    surface = tau * step.n_jumps(periodic=(bc == "periodic"))
-    dip = step_dipole_energy(params, step, gamma, bc=bc)
+    if gamma > 0.0 and bc not in ("open", "periodic"):
+        raise ValidationError("step dipole supports open or periodic bc")
+    bp = step.breakpoints
+    well, surface, dip = (float(x[0]) for x in _step_terms(
+        params, gamma, step.values, bp[:-1], bp[1:], _ONE_CELL,
+        step.L if bc == "periodic" else None))
     if step.m_bar is not None and not step.in_K:
         warnings.warn("step profile leaves K (some |value| < m_bar)",
                       stacklevel=2)

@@ -288,7 +288,7 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
     and a profile stationary to the rounding of E is returned unconverged
     as there. Reads ``options`` as ``minimize_energy`` does. An ``init`` must lie on
     the grid that ``length``, ``dx`` and ``bc`` describe."""
-    if abs(mean) > 1.0:
+    if not abs(mean) <= 1.0:
         raise ValidationError("|mean| must not exceed 1")
     options = MinimizeOptions() if options is None else options
     if init is None:

@@ -60,17 +60,17 @@ class KacMeasure:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValidationError("measure needs at least one atom")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValidationError("lambda must be positive")
         for i, (w, a) in enumerate(atoms):
-            if w <= 0:
+            if not w > 0:
                 raise ValidationError(f"weight must be positive, got {w}",
                                       pointer=f"/measure/{i}/weight")
-            if a <= 0:
+            if not a > 0:
                 raise ValidationError(f"rate must be positive, got {a}",
                                       pointer=f"/measure/{i}/alpha")
         total = math.fsum(w for w, _ in atoms)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
 
     @property
@@ -156,13 +156,13 @@ class ShortRangeKernel:
 
     @classmethod
     def default_quartic(cls, j0_hat: float = 1.0) -> "ShortRangeKernel":
-        if j0_hat <= 0:
+        if not j0_hat > 0:
             raise ValidationError("J0_hat must be positive")
         c = (15.0 / 16.0) * j0_hat
         return cls(evaluator=_QuarticBump(c), j0_hat=float(j0_hat))
 
     def __post_init__(self):
-        if self.j0_hat <= 0:
+        if not self.j0_hat > 0:
             raise ValidationError("J0_hat must be positive")
         probe = np.linspace(0.0, 1.0, 257)
         vals = self.evaluator(probe)
@@ -240,7 +240,7 @@ class ModelParams:
             kernel = ShortRangeKernel.default_quartic(1.0)
         if measure is None:
             measure = KacMeasure(atoms=((1.0, 1.0),), lam=1.0)
-        if beta <= 0:
+        if not beta > 0:
             raise ValidationError("beta must be positive", pointer="/beta")
         if not (0.0 < gamma < 1.0):
             raise ValidationError(f"gamma must lie in (0, 1), got {gamma}",
@@ -303,7 +303,7 @@ class ModelParams:
             raise
 
     def with_tau(self, tau: float) -> "ModelParams":
-        if tau <= 0:
+        if not tau > 0:
             raise ValidationError("tau must be positive")
         return replace(self, tau=float(tau))
 

@@ -59,7 +59,7 @@ class GridProfile:
     def __post_init__(self):
         if self.bc not in BC_TOKENS:
             raise ValidationError(f"unknown bc token {self.bc!r}")
-        if self.dx <= 0 or self.L <= 0:
+        if not (self.dx > 0 and self.L > 0):
             raise ValidationError("L and dx must be positive")
         if not _is_integer(self.L / self.dx):
             raise ValidationError("L/dx must be an integer")
@@ -68,7 +68,7 @@ class GridProfile:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size != int(round(self.L / self.dx)):
             raise ValidationError("samples must be a vector of length L/dx")
-        if np.any(np.abs(samples) > 1.0 + 1e-12):
+        if not np.all(np.abs(samples) <= 1.0 + 1e-12):
             raise InvariantError("samples must lie in [-1, 1]")
         samples = np.clip(samples, -1.0, 1.0)
         samples.flags.writeable = False
@@ -77,7 +77,7 @@ class GridProfile:
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr, dtype=float)
-                if np.any(np.abs(arr) > 1.0 + 1e-12):
+                if not np.all(np.abs(arr) <= 1.0 + 1e-12):
                     raise InvariantError(f"{name} must lie in [-1, 1]")
                 arr = np.clip(arr, -1.0, 1.0)
                 arr.flags.writeable = False
@@ -136,6 +136,19 @@ def runs(labels) -> Tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     return np.append(0, cuts), np.append(cuts, labels.size)
+
+
+def _sign_changes(signs: np.ndarray, starts: np.ndarray,
+                  periodic: bool = False) -> np.ndarray:
+    """Per segment signs[starts[c]:starts[c + 1]] (the last runs to the
+    end), the entries of opposite sign next to each other; ``periodic``
+    adds the segment's wrap, its last entry against its first."""
+    stops = np.append(starts[1:], signs.size)
+    flips = np.zeros(signs.size, dtype=int)
+    flips[:-1] = signs[1:] * signs[:-1] < 0
+    # a segment's last entry pairs with its first (the wrap), or with none
+    flips[stops - 1] = (signs[starts] * signs[stops - 1] < 0) if periodic else 0
+    return np.add.reduceat(flips, starts)
 
 
 def block_type(mean_value: float, m_beta: float) -> str:
@@ -217,11 +230,11 @@ class StepProfile:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size - 1:
             raise ValidationError("need n+1 breakpoints for n values")
-        if np.any(np.diff(bp) <= 0):
+        if not np.all(np.diff(bp) > 0):
             raise ValidationError("breakpoints must be strictly increasing")
-        if abs(bp[0]) > 1e-12:
+        if not abs(bp[0]) <= 1e-12:
             raise ValidationError("first breakpoint must be 0")
-        if np.any(np.abs(vals) > 1.0 + 1e-12):
+        if not np.all(np.abs(vals) <= 1.0 + 1e-12):
             raise InvariantError("step values must lie in [-1, 1]")
         vals = np.clip(vals, -1.0, 1.0)
         bp.flags.writeable = False
@@ -249,11 +262,8 @@ class StepProfile:
 
     def n_jumps(self, periodic: bool = False) -> int:
         """Sign changes between consecutive pieces (pieces of equal sign merge)."""
-        signs = np.sign(self.values)
-        n = int(np.sum(signs[1:] * signs[:-1] < 0))
-        if periodic and signs[0] * signs[-1] < 0:
-            n += 1
-        return n
+        return int(_sign_changes(np.sign(self.values), np.zeros(1, dtype=int),
+                                 periodic)[0])
 
     def sign_intervals(self, periodic: bool = False):
         """Maximal constant-sign intervals as (start, stop, sign) triples.
@@ -379,7 +389,7 @@ def load_profile(path):
     L, dx, bc = (fields.get(key) for key in _RESERVED_KEYS)
     if L is None or dx is None or bc is None:
         raise ParseError("missing L/dx/bc header", line=0)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise InvariantError("sample outside [-1, 1] in profile file")
     try:
         prof = GridProfile(L=L, dx=dx, samples=arr, bc=bc)

@@ -7,7 +7,10 @@ is the well term of a per-cell energy, and even that is exact for
 piecewise-constant inputs because the bilinear form integrates the kernel
 analytically over piece pairs. The chessboard bound scores all sign-run
 cells of a step profile in one array pass of ``energy._cell_integrals``,
-O(pieces) per atom.
+O(pieces) per atom; the certificate corpus puts the cells of many profiles
+through the same pass. ``energy_per_length`` and ``eh_derivative`` take a
+float or an array of h, an array giving each entry's float value bit for
+bit, so ``eh_curve`` and ``check_eh_bounds`` make one call per scan.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .certificates import Certificate
-from .energy import _cell_integrals
+from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
-from .profiles import GridProfile, StepProfile, runs
+from .profiles import GridProfile, StepProfile
 
 __all__ = [
     "EhCurve",
@@ -57,43 +60,74 @@ _MEAN_TOL = 1e-8
 # cancellation costs at most a factor tanh(x) / (x - tanh(x)) < 1 there
 _TANHC_SWITCH = 2.0
 _TANHC_LEVELS = 10
+# the chain's odd numbers 2k + 1 below the innermost level, outward; exact
+# as floats, so taking them from here changes no bit of the float path
+_TANHC_ODDS = tuple(2.0 * k + 1.0 for k in range(_TANHC_LEVELS - 1, 0, -1))
 
 
-def _one_minus_tanhc(x: float) -> float:
-    """1 - tanh(x)/x for x >= 0, free of cancellation as x -> 0.
+def _one_minus_tanhc(x):
+    """1 - tanh(x)/x for x >= 0, free of cancellation as x -> 0; x is a
+    float or an ndarray, which takes each entry's float arithmetic.
 
     Lambert's tanh x = x / (1 + x^2/(3 + x^2/(5 + ...))) gives
     1 - tanh(x)/x = q / (1 + q), q = x^2/(3 + x^2/(5 + ...)), a chain of
-    positive terms.
+    positive terms. An array runs the chain on its entries below the switch
+    and ``math.tanh`` on the rest (``np.tanh`` differs from it in the last
+    bit), so every entry equals the float call bit for bit.
     """
-    if x >= _TANHC_SWITCH:
+    if isinstance(x, np.ndarray):
+        big = x >= _TANHC_SWITCH
+        out = np.empty(x.shape)
+        xb = x[big]
+        out[big] = 1.0 - np.array([math.tanh(v) for v in xb.tolist()]) / xb
+        x = x[~big]
+    elif x >= _TANHC_SWITCH:
         return 1.0 - math.tanh(x) / x
+    else:
+        out = None
     y = x * x
     d = 2.0 * _TANHC_LEVELS + 1.0
-    for k in range(_TANHC_LEVELS - 1, 0, -1):
-        d = 2.0 * k + 1.0 + y / d
+    for odd in _TANHC_ODDS:
+        d = odd + y / d
     q = y / d
-    return q / (1.0 + q)
+    if out is None:
+        return q / (1.0 + q)
+    out[~big] = q / (1.0 + q)
+    return out
 
 
-def energy_per_length(params: ModelParams, h: float,
-                      gamma: Optional[float] = None) -> float:
-    """e(h) = tau/h + lambda m^2 sum_k (w_k/a_k)(1 - tanh(a_k g h/2)/(a_k g h/2))."""
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
+def energy_per_length(params: ModelParams, h, gamma: Optional[float] = None):
+    """e(h) = tau/h + lambda m^2 sum_k (w_k/a_k)(1 - tanh(a_k g h/2)/(a_k g h/2)).
+
+    ``h`` is a float or an ndarray; an array gives each entry's float value
+    bit for bit: the atom sum is ``math.fsum``'s, which plain addition
+    equals for up to two atoms. A nonpositive or NaN h raises DomainError.
+    """
+    array = isinstance(h, np.ndarray)
+    if not (np.all(h > 0.0) if array else h > 0.0):
+        bad = h[~(h > 0.0)][0] if array else h
+        raise DomainError(f"h must be positive, got {bad}")
     gamma = params.gamma if gamma is None else gamma
     tau = params.require_tau()
     m2 = params.m_beta ** 2
     meas = params.measure
-    lr = math.fsum(w / a * _one_minus_tanhc(0.5 * a * gamma * h)
-                   for w, a in meas.atoms)
+    terms = [w / a * _one_minus_tanhc(0.5 * a * gamma * h)
+             for w, a in meas.atoms]
+    if not array:
+        lr = math.fsum(terms)
+    elif len(terms) < 3:
+        lr = sum(terms[1:], terms[0])
+    else:
+        lr = np.array([math.fsum(col)
+                       for col in zip(*(t.tolist() for t in terms))])
     return tau / h + meas.lam * m2 * lr
 
 
-def eh_derivative(params: ModelParams, h: float,
-                  gamma: Optional[float] = None) -> float:
-    """e'(h) by central differences of the closed form."""
-    d = _EH_STEP * max(1.0, abs(h))
+def eh_derivative(params: ModelParams, h, gamma: Optional[float] = None):
+    """e'(h) by central differences of the closed form; ``h`` as in
+    ``energy_per_length``."""
+    d = _EH_STEP * (np.maximum(1.0, np.abs(h)) if isinstance(h, np.ndarray)
+                    else max(1.0, abs(h)))
     return (energy_per_length(params, h + d, gamma)
             - energy_per_length(params, h - d, gamma)) / (2.0 * d)
 
@@ -174,7 +208,7 @@ def eh_curve(params: ModelParams, gamma: Optional[float] = None,
     gamma = params.gamma if gamma is None else gamma
     h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
     h = np.geomspace(span[0] * h_star, span[1] * h_star, n_samples)
-    e = np.array([energy_per_length(params, hh, gamma) for hh in h])
+    e = energy_per_length(params, h, gamma)
     return EhCurve(gamma=gamma, tau=params.require_tau(), h=h, e=e,
                    h_star=h_star, e_star=e_star,
                    h_star_asym=h_asym, e_star_asym=e_asym)
@@ -194,8 +228,8 @@ def check_eh_bounds(params: ModelParams,
     if h_star < 10.0:
         raise ValidationError("check_eh_bounds needs h* >= 10 (gamma too large)")
     hgrid = np.geomspace(1.0, 100.0 / gamma, _BOUNDS_SAMPLES)
-    e_vals = np.array([energy_per_length(params, h, gamma) for h in hgrid])
-    de_vals = np.array([abs(eh_derivative(params, h, gamma)) for h in hgrid])
+    e_vals = energy_per_length(params, hgrid, gamma)
+    de_vals = np.abs(eh_derivative(params, hgrid, gamma))
     diff = e_vals - e_star
     last_err = "no candidate regime boundaries admitted positive constants"
     for cp in _LOW_BOUNDARIES:
@@ -257,14 +291,14 @@ def tilde_v_kernel(h: float, gamma: float, x, y, measure: KacMeasure):
     return out if np.ndim(out) else float(out)
 
 
-def _cell_energies(params: ModelParams, values: np.ndarray, edges: np.ndarray,
-                   starts: np.ndarray, gamma: float
+def _cell_energies(params: ModelParams, values: np.ndarray, lefts: np.ndarray,
+                   rights: np.ndarray, starts: np.ndarray, gamma: float
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Lengths h and specific energies e~_h of consecutive cells, in one pass.
+    """Lengths h and specific energies e~_h of the cells of
+    ``energy._cell_integrals`` (``values`` >= 0 on [lefts[j], rights[j]),
+    cell c the pieces starts[c] to starts[c+1] - 1), in one pass.
 
-    ``values`` (>= 0) sit on [edges[j], edges[j+1]); cell c holds the pieces
-    starts[c] to starts[c+1] - 1 (starts[0] = 0, the last cell runs to the
-    end). Per atom, a = gamma alpha, E = e^{-ah}, G = 1/(1 - E^2):
+    Per atom, a = gamma alpha, E = e^{-ah}, G = 1/(1 - E^2):
 
         <sigma, sigma>_{v~_h} / (gamma lam w) = I - 2 Sp Sq/(1 + E) - G (Sp - Sq)^2
 
@@ -274,18 +308,28 @@ def _cell_energies(params: ModelParams, values: np.ndarray, edges: np.ndarray,
     as gamma -> 0.
     """
     tau = params.require_tau()
-    h = edges[np.append(starts[1:], values.size)] - edges[starts]
-    well = np.add.reduceat(np.diff(edges) * eval_tilde_F(values, params),
+    h = rights[np.append(starts[1:], values.size) - 1] - lefts[starts]
+    well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
                            starts) / h
     quad = np.zeros(starts.size)
     for wk, alpha in params.measure.atoms:
         a = gamma * alpha
-        pairs, sp, sq = _cell_integrals(a, values, edges, starts)
+        pairs, sp, sq = _cell_integrals(a, values, lefts, rights, starts)
         E = np.exp(-a * h)
         G = 1.0 / -np.expm1(-2.0 * a * h)
         quad += wk * (pairs - 2.0 * sp * sq / (1.0 + E) - G * (sp - sq) ** 2)
     quad *= gamma * params.measure.lam
     return h, well + tau / h + quad / (2.0 * h)
+
+
+def _sign_cells(values: np.ndarray, starts=(0,)) -> np.ndarray:
+    """Starts of the chessboard cells of the step profiles whose pieces
+    begin at ``starts``: the maximal runs of one sign, each cut at every
+    profile start, so that no cell spans two profiles."""
+    signs = np.sign(values)
+    cuts = signs[1:] != signs[:-1]
+    cuts[np.asarray(starts)[1:] - 1] = True
+    return np.append(0, np.flatnonzero(cuts) + 1)
 
 
 def cell_specific_energy(params: ModelParams, sigma: StepProfile,
@@ -302,8 +346,9 @@ def cell_specific_energy(params: ModelParams, sigma: StepProfile,
     signs = np.sign(values[np.abs(values) > 0.0])
     if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
         raise SignError("cell profile must have constant sign")
-    _, e = _cell_energies(params, np.abs(values), sigma.breakpoints,
-                          np.zeros(1, dtype=int), gamma)
+    bp = sigma.breakpoints
+    _, e = _cell_energies(params, np.abs(values), bp[:-1], bp[1:], _ONE_CELL,
+                          gamma)
     return float(e[0])
 
 
@@ -321,15 +366,16 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
     its unwrapped left edge.
     """
     gamma = params.gamma if gamma is None else gamma
-    signs = np.sign(step.values)
-    starts, _ = runs(signs)
+    starts = _sign_cells(step.values)
     values, edges = np.abs(step.values), step.breakpoints
-    if bc == "periodic" and starts.size > 1 and signs[0] == signs[-1]:
+    if (bc == "periodic" and starts.size > 1
+            and np.sign(step.values[0]) == np.sign(step.values[-1])):
         k = starts[-1]
         values = np.roll(values, -k)
         edges = np.concatenate([edges[k:-1] - step.L, edges[:k + 1]])
         starts = np.append(0, starts[1:-1] + values.size - k)
-    h, e = _cell_energies(params, values, edges, starts, gamma)
+    h, e = _cell_energies(params, values, edges[:-1], edges[1:], starts,
+                          gamma)
     per = list(zip(h.tolist(), (h * e).tolist()))
     return float(sum(t for _, t in per)), per
 

@@ -86,7 +86,9 @@ def ref_load_profile(path):
     if L is None or dx is None or bc is None:
         raise ParseError("missing L/dx/bc header", line=0)
     arr = np.asarray(samples, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    # written so that a NaN sample fails it too: np.abs(nan) > 1 is False,
+    # and the loader this reference copies used to return a NaN profile
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise InvariantError("sample outside [-1, 1] in profile file")
     try:
         prof = GridProfile(L=L, dx=dx, samples=arr, bc=bc)
