@@ -3,7 +3,8 @@
 The report partitions the box on the gamma^(-delta0) scale, types each block
 by its mean, groups same-type blocks into runs inside the good set, and
 measures where the profile deviates from +-m_beta (X1) or where run lengths
-miss h* (X2).
+miss h* (X2). The profile is periodic, so the interval and the run that wrap
+the torus count once.
 
 Run:  python demos/06_structure_report.py
 """
@@ -37,10 +38,11 @@ print("  ...")
 x1, x2 = defect_sets(report, params, epsilon=0.1, epsilon_prime=0.1,
                      h_star=h_star)
 print(f"\ndefect measures: |X1| = {x1:.2f}, |X2| = {x2:.2f}")
-print(f"L_wrong = {l_wrong(step, h_star, 0.1, gamma):.2f}")
+print(f"L_wrong = {l_wrong(step, h_star, 0.1, gamma, prof.bc):.2f}")
 
 excess, well, _ = excess_energy_decomposition(params, step, gamma,
-                                              h_star=h_star, e_star=e_star)
+                                              h_star=h_star, e_star=e_star,
+                                              bc=prof.bc)
 print(f"excess sum h_j (e(h_j) - e(h*)) = {excess:.3e}")
 print(f"well integral (F(0)/m^2) int (|sigma| - m)^2 = {well:.3e}")
 

@@ -329,9 +329,9 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     eps = float(sec.get("epsilon", 0.1))
     epsp = float(sec.get("epsilon_prime", 0.1))
     defect_sets(report, params, eps, epsp, h_star)
-    report.l_wrong = l_wrong(step, h_star, eps, params.gamma)
-    excess, well, _ = excess_energy_decomposition(params, step,
-                                                  h_star=h_star, e_star=e_star)
+    report.l_wrong = l_wrong(step, h_star, eps, params.gamma, profile.bc)
+    excess, well, _ = excess_energy_decomposition(
+        params, step, h_star=h_star, e_star=e_star, bc=profile.bc)
     report.excess = excess
     report.tildeF_integral = well
     _write_json(out / "report.json", report.to_dict(), config)

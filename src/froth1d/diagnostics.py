@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .certificates import fmt17
-from .energy import _ONE_CELL, _profile_sums
+from .energy import _ONE_CELL
 from .errors import ParameterError
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, average_over, block_type,
@@ -91,7 +91,9 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     the good region; blocks of the regular delta0-partition touching its
     complement are removed; the remaining components longer than
     gamma^{-2/3-eps0/2} make up the good set. Runs are maximal same-type
-    block sequences inside each component.
+    block sequences inside each component. On a periodic ``profile`` the
+    intervals, components and runs wrap the torus: one that wraps has a
+    negative start (its blocks from k - n_blocks on, its left edge minus L).
     """
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < delta0 < eps0 < 1.0 / 3.0):
@@ -99,24 +101,39 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     if not (delta0 < delta1 < 2.0 / 3.0):
         raise ParameterError("need delta0 < delta1 < 2/3")
     L = profile.L
+    periodic = profile.bc == "periodic"
     # coarse blocks and their types
     part = regular_partition(L, delta0, gamma).snapped(profile.dx)
+    n = part.n_blocks
     means = np.array([average_over(profile, block) for block in part.blocks()])
     types = [block_type(m, params.m_beta) for m in means]
-    # long sigma intervals
-    intervals = sigma_phi.sign_intervals()
+    # edges by block index from -n to n, so a wrapped range reads them too
+    edges = np.append(part.edges[:-1] - L, part.edges)
+    # long sigma intervals; a wrapped one covers blocks at both ends
     long_cut = gamma ** (-delta1)
-    long_ivals = sorted((a, b) for a, b, _ in intervals if b - a >= long_cut)
+    long_ivals = []
+    for a, b, _ in sigma_phi.sign_intervals(periodic):
+        if b - a >= long_cut:
+            long_ivals += [(0.0, b), (a + L, L)] if a < 0.0 else [(a, b)]
+    long_ivals.sort()
     # blocks fully covered by the long intervals survive
     keep = np.array([
         _interval_union_coverage(long_ivals, part.edges[k], part.edges[k + 1])
         >= (part.edges[k + 1] - part.edges[k]) - 1e-9
-        for k in range(part.n_blocks)])
-    # components of kept blocks (as [start, stop) block ranges)
+        for k in range(n)])
+    # components of kept blocks (as [start, stop) block ranges); on the
+    # torus, with both end blocks kept, the blocks are read from the start
+    # of the last run of kept types on, so that a component or run that
+    # wraps is one range
+    s0 = 0
+    if periodic and keep[0] and keep[-1]:
+        last = runs(np.where(keep, types, ""))[0][-1]
+        s0 = last - n if last else 0
+    comp = [(s0 + a, s0 + b) for a, b in zip(*runs(np.roll(keep, -s0)))
+            if keep[s0 + a]]
     min_len = gamma ** (-2.0 / 3.0 - eps0 / 2.0)
-    comp = [(a, b) for a, b in zip(*runs(keep))
-            if keep[a] and part.edges[b] - part.edges[a] >= min_len]
-    lam_k = [(part.edges[a], part.edges[b]) for a, b in comp]
+    comp = [(a, b) for a, b in comp if edges[b + n] - edges[a + n] >= min_len]
+    lam_k = [(edges[a + n], edges[b + n]) for a, b in comp]
     good_measure = float(sum(b - a for a, b in lam_k))
     # runs of constant type inside each component
     sign_runs: List[dict] = []
@@ -124,7 +141,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     for a, b in comp:
         prev_sign = 0
         zeros_between = 0
-        for k, j in zip(*runs(types[a:b])):
+        for k, j in zip(*runs([types[i] for i in range(a, b)])):
             k, j = int(a + k), int(a + j)
             if types[k] == "zero":
                 zeros_between += j - k
@@ -132,10 +149,10 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
             sign = 1 if types[k] == "plus" else -1
             if prev_sign != 0 and (sign == prev_sign or zeros_between > 1):
                 alternation_ok = False
-            sign_runs.append({"interval": (float(part.edges[k]),
-                                           float(part.edges[j])),
+            sign_runs.append({"interval": (float(edges[k + n]),
+                                           float(edges[j + n])),
                               "sign": sign, "blocks": (k, j - 1),
-                              "length": float(part.edges[j] - part.edges[k])})
+                              "length": float(edges[j + n] - edges[k + n])})
             prev_sign = sign
             zeros_between = 0
     return StructureReport(
@@ -143,7 +160,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
         params={"delta0": delta0, "delta1": delta1, "eps0": eps0},
         good_intervals=lam_k, good_measure=good_measure, runs=sign_runs,
         block_edges=part.edges, block_types=types, block_means=means,
-        h_lengths=sigma_phi.interval_lengths(),
+        h_lengths=sigma_phi.interval_lengths(periodic),
         alternation_ok=alternation_ok)
 
 
@@ -162,15 +179,16 @@ def defect_sets(report: StructureReport, params: ModelParams, epsilon: float,
         raise ParameterError("epsilon_prime out of range")
     gam = report.gamma
     m_b = params.m_beta
+    widths = np.diff(report.block_edges)
     x1 = 0.0
     x2 = 0.0
     for run in report.runs:
         a_blk, b_blk = run["blocks"]
-        # interior: strip the first and last block of the run
+        # interior: strip the first and last block of the run (a wrapped
+        # run's negative indices count from the end)
         for k in range(a_blk + 1, b_blk):
-            width = report.block_edges[k + 1] - report.block_edges[k]
             if abs(abs(report.block_means[k]) - m_b) >= gam ** epsilon:
-                x1 += width
+                x1 += widths[k]
         if abs(run["length"] - h_star) >= h_star * gam ** epsilon_prime:
             x2 += run["length"]
     report.x1_measure = float(x1)
@@ -179,9 +197,10 @@ def defect_sets(report: StructureReport, params: ModelParams, epsilon: float,
 
 
 def l_wrong(step: StepProfile, h_star: float, epsilon: float,
-            gamma: float) -> float:
-    """Total length of sign intervals with |h_j - h*| >= h* gamma^epsilon."""
-    h = step.interval_lengths()
+            gamma: float, bc: str = "open") -> float:
+    """Total length of sign intervals with |h_j - h*| >= h* gamma^epsilon;
+    with ``bc`` "periodic" the interval that wraps the torus is one."""
+    h = step.interval_lengths(bc == "periodic")
     bad = np.abs(h - h_star) >= h_star * gamma ** epsilon
     return float(np.sum(h[bad]))
 
@@ -193,7 +212,7 @@ def _excess_parts(params: ModelParams, gamma: float, e_star: float,
     one array e(h), and per step profile (its pieces from ``starts`` on)
     the well integral (F(0)/m_beta^2) int (|sigma| - m_beta)^2."""
     m_b = params.m_beta
-    well = params.f0 / m_b ** 2 * _profile_sums(
+    well = params.f0 / m_b ** 2 * np.add.reduceat(
         widths * (np.abs(values) - m_b) ** 2, starts)
     return h * (energy_per_length(params, h, gamma) - e_star), well
 
@@ -201,18 +220,20 @@ def _excess_parts(params: ModelParams, gamma: float, e_star: float,
 def excess_energy_decomposition(params: ModelParams, step: StepProfile,
                                 gamma: Optional[float] = None,
                                 h_star: Optional[float] = None,
-                                e_star: Optional[float] = None):
+                                e_star: Optional[float] = None,
+                                bc: str = "open"):
     """Both terms of the excess bound: interval excess and the well integral.
 
     Returns (excess_sum, tildeF_integral, per_interval) with
-    excess_sum = sum_j h_j (e(h_j) - e(h*)) and the well integral
-    (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile is the one
-    profile of ``_excess_parts``.
+    excess_sum = sum_j h_j (e(h_j) - e(h*)) over the sign intervals (the
+    one that wraps the torus counted once when ``bc`` is "periodic") and
+    the well integral (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile
+    is the one profile of ``_excess_parts``.
     """
     gamma = params.gamma if gamma is None else gamma
     if h_star is None or e_star is None:
         h_star, e_star, _, _ = optimal_h(params, gamma)
-    h = step.interval_lengths()
+    h = step.interval_lengths(bc == "periodic")
     excess, well = _excess_parts(params, gamma, e_star, h, step.values,
                                  step.widths, _ONE_CELL)
     per = list(zip(h.tolist(), excess.tolist()))

@@ -581,15 +581,6 @@ def _cell_integrals(a: float, values: np.ndarray, lefts: np.ndarray,
     return pairs, sp, sq
 
 
-def _profile_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each segment x[starts[c]:starts[c + 1]] (the last runs
-    to the end): pairwise, as ``np.sum`` adds a lone profile's pieces, where
-    ``np.add.reduceat`` would add them in order."""
-    stops = np.append(starts[1:], x.size)
-    return np.array([np.sum(x[i:j]) for i, j in zip(starts.tolist(),
-                                                     stops.tolist())])
-
-
 def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
                   lefts: np.ndarray, rights: np.ndarray, starts: np.ndarray,
                   period=None) -> np.ndarray:
@@ -622,8 +613,8 @@ def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
     ``_cell_integrals`` as a step profile of its own, open or (``period``
     given) periodic."""
     tau = params.require_tau()
-    well = _profile_sums((rights - lefts) * eval_tilde_F(values, params),
-                         starts)
+    well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
+                           starts)
     jumps = _sign_changes(np.sign(values), starts, period is not None)
     dip = _step_dipoles(params, gamma, values, lefts, rights, starts, period)
     return well, tau * jumps, dip

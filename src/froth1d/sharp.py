@@ -9,14 +9,16 @@ analytically over piece pairs. The chessboard bound scores all sign-run
 cells of a step profile in one array pass of ``energy._cell_integrals``,
 O(pieces) per atom; the certificate corpus puts the cells of many profiles
 through the same pass. ``energy_per_length`` and ``eh_derivative`` take a
-float or an array of h, an array giving each entry's float value bit for
-bit, so ``eh_curve`` and ``check_eh_bounds`` make one call per scan.
+float or an array of h through one code path, so an array entry equals its
+float call bit for bit and ``eh_curve`` and ``check_eh_bounds`` make one
+call per scan; ``optimal_h`` is memoized per (params, gamma).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -60,76 +62,60 @@ _MEAN_TOL = 1e-8
 # cancellation costs at most a factor tanh(x) / (x - tanh(x)) < 1 there
 _TANHC_SWITCH = 2.0
 _TANHC_LEVELS = 10
-# the chain's odd numbers 2k + 1 below the innermost level, outward; exact
-# as floats, so taking them from here changes no bit of the float path
+# the chain's odd numbers 2k + 1 below the innermost level, outward (exact
+# as floats)
 _TANHC_ODDS = tuple(2.0 * k + 1.0 for k in range(_TANHC_LEVELS - 1, 0, -1))
 
 
 def _one_minus_tanhc(x):
-    """1 - tanh(x)/x for x >= 0, free of cancellation as x -> 0; x is a
-    float or an ndarray, which takes each entry's float arithmetic.
+    """1 - tanh(x)/x for x >= 0, a float or an ndarray, free of
+    cancellation as x -> 0.
 
     Lambert's tanh x = x / (1 + x^2/(3 + x^2/(5 + ...))) gives
     1 - tanh(x)/x = q / (1 + q), q = x^2/(3 + x^2/(5 + ...)), a chain of
-    positive terms. An array runs the chain on its entries below the switch
-    and ``math.tanh`` on the rest (``np.tanh`` differs from it in the last
-    bit), so every entry equals the float call bit for bit.
+    positive terms. Each branch runs on x clipped to its side of the switch,
+    so neither meets inf/inf, 0/0 or an overflowing x^2.
     """
-    if isinstance(x, np.ndarray):
-        big = x >= _TANHC_SWITCH
-        out = np.empty(x.shape)
-        xb = x[big]
-        out[big] = 1.0 - np.array([math.tanh(v) for v in xb.tolist()]) / xb
-        x = x[~big]
-    elif x >= _TANHC_SWITCH:
-        return 1.0 - math.tanh(x) / x
-    else:
-        out = None
-    y = x * x
+    s = np.minimum(x, _TANHC_SWITCH)
+    y = s * s
     d = 2.0 * _TANHC_LEVELS + 1.0
     for odd in _TANHC_ODDS:
         d = odd + y / d
     q = y / d
-    if out is None:
-        return q / (1.0 + q)
-    out[~big] = q / (1.0 + q)
-    return out
+    b = np.maximum(x, _TANHC_SWITCH)
+    out = np.where(x < _TANHC_SWITCH, q / (1.0 + q), 1.0 - np.tanh(b) / b)
+    return out if out.ndim else float(out)
 
 
 def energy_per_length(params: ModelParams, h, gamma: Optional[float] = None):
     """e(h) = tau/h + lambda m^2 sum_k (w_k/a_k)(1 - tanh(a_k g h/2)/(a_k g h/2)).
 
-    ``h`` is a float or an ndarray; an array gives each entry's float value
-    bit for bit: the atom sum is ``math.fsum``'s, which plain addition
-    equals for up to two atoms. A nonpositive or NaN h raises DomainError.
+    ``h`` is a float or an ndarray; floats and entries run the same code, so
+    an entry equals its float call bit for bit. A nonpositive or NaN h
+    raises DomainError.
     """
-    array = isinstance(h, np.ndarray)
-    if not (np.all(h > 0.0) if array else h > 0.0):
-        bad = h[~(h > 0.0)][0] if array else h
-        raise DomainError(f"h must be positive, got {bad}")
+    h = np.asarray(h, dtype=float)
+    if not (h > 0.0).all():
+        raise DomainError(f"h must be positive, got {h[~(h > 0.0)].flat[0]}")
     gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau()
-    m2 = params.m_beta ** 2
     meas = params.measure
-    terms = [w / a * _one_minus_tanhc(0.5 * a * gamma * h)
-             for w, a in meas.atoms]
-    if not array:
-        lr = math.fsum(terms)
-    elif len(terms) < 3:
-        lr = sum(terms[1:], terms[0])
-    else:
-        lr = np.array([math.fsum(col)
-                       for col in zip(*(t.tolist() for t in terms))])
-    return tau / h + meas.lam * m2 * lr
+    lr = 0.0
+    for w, a in meas.atoms:
+        lr = lr + w / a * _one_minus_tanhc(0.5 * a * gamma * h)
+    out = params.require_tau() / h + meas.lam * params.m_beta ** 2 * lr
+    return out if out.ndim else float(out)
 
 
 def eh_derivative(params: ModelParams, h, gamma: Optional[float] = None):
     """e'(h) by central differences of the closed form; ``h`` as in
-    ``energy_per_length``."""
-    d = _EH_STEP * (np.maximum(1.0, np.abs(h)) if isinstance(h, np.ndarray)
-                    else max(1.0, abs(h)))
-    return (energy_per_length(params, h + d, gamma)
-            - energy_per_length(params, h - d, gamma)) / (2.0 * d)
+    ``energy_per_length``, which must also be finite here."""
+    h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise DomainError(f"h must be finite, got {h[~np.isfinite(h)].flat[0]}")
+    d = _EH_STEP * np.maximum(1.0, np.abs(h))
+    out = (energy_per_length(params, h + d, gamma)
+           - energy_per_length(params, h - d, gamma)) / (2.0 * d)
+    return out if out.ndim else float(out)
 
 
 def golden_section(f, a: float, b: float) -> Tuple[float, float]:
@@ -153,12 +139,14 @@ def golden_section(f, a: float, b: float) -> Tuple[float, float]:
     return x, f(x)
 
 
+@lru_cache(maxsize=16)
 def optimal_h(params: ModelParams, gamma: Optional[float] = None
               ) -> Tuple[float, float, float, float]:
     """(h*, e(h*), h*_asym, e*_asym); the asymptotics are the leading-order laws.
 
     Minimizes e(h) by golden section on [gamma^{-1/3}, gamma^{-1}]; raises
-    BracketError if the minimum sits at a bracket end.
+    BracketError if the minimum sits at a bracket end. Memoized: equal
+    params and gamma are solved once per process.
     """
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < gamma < 0.2):

@@ -32,9 +32,9 @@ class TestGoodSet:
         assert rep.alternation_ok
         signs = [r["sign"] for r in rep.runs]
         assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
+        # the run that wraps the torus is one cell, like the others
         lengths = np.array([r["length"] for r in rep.runs])
-        interior = lengths[1:-1] if lengths.size > 2 else lengths
-        assert np.all(np.abs(interior - h_star) < 0.35 * h_star)
+        assert np.all(np.abs(lengths - h_star) < 0.35 * h_star)
 
     def test_constant_profile_single_run(self, params_tau):
         p = GridProfile.constant(params_tau.m_beta, L=300.0, dx=1.0 / 8.0)
@@ -58,6 +58,31 @@ class TestGoodSet:
             good_set(params_tau, prof, step, 1e-2, delta0=0.3, eps0=0.2)
         with pytest.raises(ParameterError):
             good_set(params_tau, prof, step, 1e-2, delta1=0.7)
+
+
+class TestTorus:
+    def test_wrapped_interval_is_one(self, params_tau, trial_setup):
+        prof, step, h_star, e_star = trial_setup
+        rep = good_set(params_tau, prof, step, 1e-2)
+        h = step.interval_lengths(periodic=True)
+        assert len(rep.runs) == h.size == 10
+        assert rep.h_lengths.tolist() == h.tolist()
+        assert rep.runs[0]["interval"][0] < 0.0
+        for length in [r["length"] for r in rep.runs] + h.tolist():
+            assert abs(length - h_star) < 0.35 * h_star
+        excess, _, per = excess_energy_decomposition(
+            params_tau, step, 1e-2, h_star=h_star, e_star=e_star,
+            bc="periodic")
+        assert [hj for hj, _ in per] == h.tolist()
+        assert excess == pytest.approx(float(np.sum(
+            h * (energy_per_length(params_tau, h, 1e-2) - e_star))),
+            rel=1e-12)
+        assert l_wrong(step, h_star, 0.1, 1e-2, bc="periodic") == 0.0
+        # read as if [0, L) had ends, the wrapped cell is two half cells,
+        # each far from h*
+        open_excess, _, open_per = excess_energy_decomposition(
+            params_tau, step, 1e-2, h_star=h_star, e_star=e_star)
+        assert len(open_per) == 11 and open_excess > 100.0 * excess
 
 
 class TestDefectSets:
@@ -91,10 +116,9 @@ class TestDefectSets:
         step, _, _ = coarse_grain(params_tau, prof, CoarseGrainConfig(), gamma)
         rep = good_set(params_tau, prof, step, 1e-2)
         x1, x2 = defect_sets(rep, params_tau, 0.1, 0.1, h_star)
-        # every interior run has the wrong length; the two boundary runs are
-        # half cells (~1.25 h*), inside the desk-scale window
-        interior = sum(r["length"] for r in rep.runs[1:-1])
-        assert x2 == pytest.approx(interior)
+        # every run has the wrong length, the one that wraps the torus too
+        # (its two halves, ~1.25 h* each, would lie inside the window)
+        assert x2 == pytest.approx(sum(r["length"] for r in rep.runs))
 
     def test_parameter_guards(self, params_tau, trial_setup):
         prof, step, h_star, _ = trial_setup

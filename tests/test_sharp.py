@@ -15,7 +15,7 @@ from froth1d.model import KacMeasure, ModelParams, eval_tilde_F
 from froth1d.profiles import GridProfile, StepProfile
 from froth1d.sharp import (_one_minus_tanhc, cell_specific_energy,
                            check_eh_bounds, chessboard_lower_bound, eh_curve,
-                           energy_per_length, gamma_limit_energy,
+                           eh_derivative, energy_per_length, gamma_limit_energy,
                            golden_section, optimal_h, tilde_v_kernel)
 from froth1d.verify import random_in_k_step
 
@@ -46,6 +46,20 @@ class TestEnergyPerLength:
     def test_domain_error(self, params_tau):
         with pytest.raises(DomainError):
             energy_per_length(params_tau, 0.0, 1e-2)
+
+    def test_infinite_and_huge_h(self, params_tau):
+        # e(inf) is the limit lam m^2 sum w/alpha, and so is e(1e300), whose
+        # x^2 would overflow; e'(h) rejects a non-finite h before it forms
+        # h +- d
+        meas = params_tau.measure
+        limit = meas.lam * params_tau.m_beta ** 2 * sum(
+            w / a for w, a in meas.atoms)
+        for h in (math.inf, 1e300):
+            assert energy_per_length(params_tau, h, 1e-2) == \
+                pytest.approx(limit, rel=1e-15)
+        for h in (math.inf, -math.inf, np.array([10.0, math.inf])):
+            with pytest.raises(DomainError, match="finite"):
+                eh_derivative(params_tau, h, 1e-2)
 
 
 class TestLongRangeAccuracy:
@@ -104,6 +118,18 @@ class TestOptimalH:
     def test_gamma_range_guard(self, params_tau):
         with pytest.raises(ValidationError):
             optimal_h(params_tau, 0.3)
+
+    def test_equal_documents_solve_once(self):
+        # a tau no other test uses, so the first call is a miss
+        doc = {"beta": 2.0, "J0_hat": 1.3, "lambda": 1.0, "gamma": 0.01,
+               "tau": 0.2345, "measure": [{"weight": 0.5, "alpha": 1.0},
+                                          {"weight": 0.5, "alpha": 3.0}]}
+        p, q = ModelParams.from_dict(doc), ModelParams.from_dict(doc)
+        before = optimal_h.cache_info()
+        assert optimal_h(p, 0.01) is optimal_h(q, 0.01)
+        after = optimal_h.cache_info()
+        assert after.hits - before.hits == 1
+        assert after.misses - before.misses == 1
 
     @pytest.mark.parametrize("span", [(0.0, 50.0), (-1.0, 50.0),
                                       (60.0, 50.0), (2.0, 2.0)])
