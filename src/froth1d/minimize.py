@@ -111,25 +111,44 @@ def _project_box(y):
     return x, min(max(lo, -1.0), 1.0), min(max(hi, -1.0), 1.0)
 
 
+def _overshoots(z):
+    """The sums of z - 1 over the samples above 1 and of -1 - z over those
+    below -1."""
+    return (np.add.reduce(np.maximum(z - 1.0, 0.0)),
+            np.add.reduce(np.maximum(-1.0 - z, 0.0)))
+
+
 def _project_mean_box(y, mean):
     """Euclidean projection of y onto the slice {mean(x) = mean} of the box,
     with its min and max: clip(y + lam, -1, 1) for the lam that gives the
-    mean (Duchi et al., ICML 2008). The clip's sum is piecewise linear in
-    lam, with a knot wherever a sample meets a face; lam interpolates between
-    its values at the knots."""
+    mean, found with no sort by variable fixing (Kiwiel, J. Optim. Theory
+    Appl. 136, 2008). A pass shifts the free samples to the sum that the
+    fixed ones leave them and takes ``_overshoots``. The clip's sum is
+    nondecreasing in lam, so the side that overshoots more lies past its face
+    at the solution too: its samples are fixed there. A pass fixes at least
+    one sample, so at most n passes run; the last leaves no free sample past
+    a face, or none free."""
     if abs(mean) == 1.0:
         return np.full_like(y, mean), mean, mean
-    shifted = y + (mean - np.add.reduce(y) / y.size)
+    lam = mean - np.add.reduce(y) / y.size
+    shifted = y + lam
     lo, hi = np.minimum.reduce(shifted), np.maximum.reduce(shifted)
     if lo >= -1.0 and hi <= 1.0:
         return shifted, lo, hi
-    s = np.sort(y)
-    prefix = np.concatenate([[0.0], np.cumsum(s)])
-    knots = np.sort(np.concatenate([-1.0 - s, 1.0 - s]))
-    lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
-    hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
-    sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
-    x = np.maximum(y + np.interp(mean * s.size, sums, knots), -1.0)
+    free, z, fixed = y, shifted, 0.0     # fixed: the sum of the fixed samples
+    while True:
+        over, under = _overshoots(z)
+        if over == under == 0.0:
+            break
+        face = 1.0 if over > under else -1.0
+        kept = free[z <= 1.0] if face > 0.0 else free[z >= -1.0]
+        fixed += face * (free.size - kept.size)
+        free = kept
+        if not free.size:
+            break
+        lam = (mean * y.size - fixed - np.add.reduce(free)) / free.size
+        z = free + lam
+    x = np.maximum(y + lam, -1.0)
     np.minimum(x, 1.0, out=x)
     return x, np.minimum.reduce(x), np.maximum.reduce(x)
 
@@ -281,7 +300,8 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
                                   init: Optional[GridProfile] = None
                                   ) -> MinimizeResult:
     """Projected gradient descent on the slice {<phi> = mean} of the box, each
-    step projected exactly by ``_project_mean_box``, until the slice's
+    step projected exactly by ``_project_mean_box`` (variable fixing, at
+    most N passes over the samples and no sort), until the slice's
     stationarity residual reaches ``grad_tol``. A step the box does not clip
     is the mean-shifted ray phi - t (g - mean(g)), scored along that ray as
     in ``minimize_energy``; the returned energy is likewise the carried value,

@@ -1,4 +1,5 @@
-"""The descent against its earlier implementation, bit for bit.
+"""The descent against its earlier implementation: on the box bit for bit,
+on the mean slice against oracles that share no code with the library.
 
 The references below are the earlier implementations, kept verbatim as
 oracles (renamed with a ``ref`` prefix): the projections returned the point
@@ -8,7 +9,18 @@ stationarity residuals took the extremes of phi every iteration; and the
 well clipped every vector and searched it for clipped samples. The library
 versions compute each of these once per candidate or per iteration and must
 give the same profiles, traces, energies and counts, and the same well
-values, projections and residuals, in every bit.
+values, box projections and residuals, in every bit.
+
+The mean-slice projection finds its shift by variable fixing, which rounds
+otherwise than the earlier knot formula, so a slice descent whose projection
+clips a candidate differs from the reference in its last bits. Each slice
+projection such a descent makes must meet the KKT conditions of the
+projection (``direct_oracles.check_mean_projection``), a projection on its
+own must also agree with the knot formula (``ref_project_mean_box``) to the
+bound a rounding analysis gives, and the descent's energy must be the O(N^2)
+direct sum of its profile (``direct_oracles.dense_energy``). Slice descents
+that never clip (the rounding stop) project by the one shift, unchanged, and
+stay pinned bit for bit.
 """
 
 from typing import List, Optional, Tuple
@@ -20,6 +32,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import froth1d.minimize as minimize_module
+from direct_oracles import (check_mean_projection, dense_energy, knot_bound,
+                            ref_project_mean_box)
 from froth1d.energy import _quadratic_form
 from froth1d.errors import DomainError, LineSearchFailure
 from froth1d.minimize import (_ARMIJO, _BACKTRACK, _MIN_STEP, _STEP0,
@@ -97,25 +111,6 @@ def ref_project_box(y):
     if y.max() < 1.0 and y.min() > -1.0:
         return y, True
     return np.clip(y, -1.0, 1.0), False
-
-
-def ref_project_mean_box(y, mean):
-    """Euclidean projection of y onto the slice {mean(x) = mean} of the box:
-    clip(y + lam, -1, 1) for the lam that gives the mean (Duchi et al., ICML
-    2008). The clip's sum is piecewise linear in lam, with a knot wherever a
-    sample meets a face; lam interpolates between its values at the knots."""
-    if abs(mean) == 1.0:
-        return np.full_like(y, mean)
-    shifted = y + (mean - np.mean(y))
-    if np.max(np.abs(shifted)) <= 1.0:
-        return shifted
-    s = np.sort(y)
-    prefix = np.concatenate([[0.0], np.cumsum(s)])
-    knots = np.sort(np.concatenate([-1.0 - s, 1.0 - s]))
-    lo = np.searchsorted(s, -1.0 - knots, side="right")   # s[:lo] clip to -1
-    hi = np.searchsorted(s, 1.0 - knots, side="left")     # s[hi:] clip to +1
-    sums = (s.size - hi) - lo + (prefix[hi] - prefix[lo]) + (hi - lo) * knots
-    return np.clip(y + np.interp(mean * s.size, sums, knots), -1.0, 1.0)
 
 
 def ref_descend(params: ModelParams, profile: GridProfile, gamma: float,
@@ -283,8 +278,43 @@ def test_descent_matches_reference(n, dx, bc, mean, gamma, kind, seed,
                                    max_iters, grad_tol):
     profile = _start(n, dx, bc, kind, seed)
     options = MinimizeOptions(max_iters=max_iters, grad_tol=grad_tol)
-    assert (_outcome(_descend, _PARAMS, profile, gamma, options, mean)
-            == _outcome(ref_descend, _PARAMS, profile, gamma, options, mean))
+    if mean is None:
+        assert (_outcome(_descend, _PARAMS, profile, gamma, options, mean)
+                == _outcome(ref_descend, _PARAMS, profile, gamma, options,
+                            mean))
+    else:
+        _checked_slice_descent(profile, gamma, options, mean)
+
+
+# The carried energy against the direct sums: each term of E is O(1) per
+# unit length here (|F| < 1, J and v integrate to O(1), |phi| <= 1), so both
+# sides round to a few eps per sample and per step of at most 40, far inside
+# 1e3 eps of max(1, L).
+_ENERGY_TOL = 1e3 * np.finfo(float).eps
+
+
+def _checked_slice_descent(profile, gamma, options, mean):
+    """A slice descent with every projection it makes checked against the
+    KKT oracle, and its energy against the direct sums; returns whether it
+    raised ``LineSearchFailure``."""
+    project = minimize_module._project_mean_box
+
+    def checked(y, mean):
+        out = project(y, mean)
+        check_mean_projection(y, mean, *out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimize_module, "_project_mean_box", checked)
+        try:
+            res, raised = _descend(_PARAMS, profile, gamma, options,
+                                   mean), False
+        except LineSearchFailure as err:
+            res, raised = err.result, True
+    assert abs(res.energy - dense_energy(_PARAMS, res.profile, gamma)) <= (
+        _ENERGY_TOL * max(1.0, profile.L))
+    assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+    return raised
 
 
 def _wave_start(seed):
@@ -320,12 +350,11 @@ def test_line_search_failure_matches_reference(monkeypatch):
     monkeypatch.setattr(minimize_module, "_finish_slope", finish_uphill)
     monkeypatch.setitem(globals(), "ref_well", uphill(ref_well))
     options = MinimizeOptions(max_iters=50, grad_tol=1e-12)
-    for mean, profile in ((None, GridProfile.constant(0.5, L=4.0, dx=0.0625)),
-                          (0.0, _wave_start(0))):
-        new = _outcome(_descend, _PARAMS, profile, 1e-2, options, mean)
-        assert new[0]
-        assert new == _outcome(ref_descend, _PARAMS, profile, 1e-2, options,
-                               mean)
+    profile = GridProfile.constant(0.5, L=4.0, dx=0.0625)
+    new = _outcome(_descend, _PARAMS, profile, 1e-2, options, None)
+    assert new[0]
+    assert new == _outcome(ref_descend, _PARAMS, profile, 1e-2, options, None)
+    assert _checked_slice_descent(_wave_start(0), 1e-2, options, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +448,14 @@ def test_projections_match_reference(y, mean):
     if mean is None:
         x, lo, hi = _project_box(y)
         ref_x, ref_inside = ref_project_box(y)
+        assert x.tobytes() == ref_x.tobytes()
+        assert (lo, hi) == (x.min(), x.max())
+        assert (hi < 1.0 and lo > -1.0) == ref_inside
     else:
         x, lo, hi = _project_mean_box(y, mean)
-        ref_x = ref_project_mean_box(y, mean)
-        ref_inside = bool(ref_x.max() < 1.0 and ref_x.min() > -1.0)
-    assert x.tobytes() == ref_x.tobytes()
-    assert (lo, hi) == (x.min(), x.max())
-    assert (hi < 1.0 and lo > -1.0) == ref_inside
+        check_mean_projection(y, mean, x, lo, hi)
+        assert (np.max(np.abs(x - ref_project_mean_box(y, mean)))
+                <= knot_bound(y.size, y))
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import quadratic_form_reference as reference
 from dense_pair_integral import dense_step_dipole_energy
-from direct_oracles import dipole_energy_direct
+from direct_oracles import dense_energy, dipole_energy_direct
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
                             _ExpWeights, _quadratic_form, _QuadraticForm,
                             _self_integrals,
@@ -17,67 +17,12 @@ from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
                             tilde_energy, total_energy)
 from froth1d.errors import MissingBoundaryData
 from froth1d.minimize import MinimizeOptions, minimize_energy
-from froth1d.model import KacMeasure, ModelParams, eval_F
+from froth1d.model import KacMeasure, ModelParams
 from froth1d.profiles import GridProfile, StepProfile
 
 
 def random_profile(rng, n=256, dx=1.0 / 16.0, bc="open", lo=-0.95, hi=0.95):
     return GridProfile(L=n * dx, dx=dx, samples=rng.uniform(lo, hi, n), bc=bc)
-
-
-def outside_samples(profile, n_out, m_beta):
-    """Explicit (left, right) extensions of length n_out: constant +-m_beta,
-    the even reflection about both ends (period 2N), or the custom data."""
-    phi = profile.samples
-    if profile.bc in ("plus", "minus"):
-        s = m_beta if profile.bc == "plus" else -m_beta
-        return np.full(n_out, s), np.full(n_out, s)
-    if profile.bc == "neumann":
-        reps = n_out // (2 * phi.size) + 1
-        return (np.tile(np.concatenate([phi, phi[::-1]]), reps)[:n_out],
-                np.tile(np.concatenate([phi[::-1], phi]), reps)[:n_out])
-    return profile.out_left[:n_out], profile.out_right[:n_out]
-
-
-def dense_energy(params, profile, gamma):
-    """O(N^2) midpoint double sums over [0, L] and its outside extension.
-
-    Periodic: J and each exponential atom are summed over all periodic
-    images (the atoms in closed form). Fixed bcs: pair sums against an
-    explicit extension of length ceil(46 / (gamma alpha_min dx)); seen from
-    its own end, in-sample i and outside sample j are (i + j + 1) dx apart,
-    so the dipole pairs are summed by i + j (one np.convolve per end) and the
-    exchange pairs over the outside samples within J's unit range.
-    """
-    phi, dx, L, x = profile.samples, profile.dx, profile.L, profile.x
-    kern, meas = params.kernel, params.measure
-    sep = x[:, None] - x[None, :]
-    if profile.bc == "periodic":
-        reach = int(np.ceil(1.0 / L)) + 1
-        jmat = sum(kern(np.abs(sep + m * L)) for m in range(-reach, reach + 1))
-        d = np.abs(sep)
-        vmat = meas.lam * sum(
-            w * (np.exp(-gamma * a * d) + np.exp(-gamma * a * (L - d)))
-            / -np.expm1(-gamma * a * L) for w, a in meas.atoms)
-    else:
-        jmat = kern(np.abs(sep))
-        vmat = meas.v(gamma * sep)
-    energy = (dx * np.sum(eval_F(phi, params))
-              + 0.25 * dx * dx * np.sum(jmat * (phi[:, None] - phi[None, :]) ** 2)
-              + 0.5 * gamma * dx * dx * float(phi @ vmat @ phi))
-    if profile.bc in ("open", "periodic"):
-        return energy
-    n_out = int(np.ceil(46.0 / (gamma * meas.alpha_min * dx)))
-    near = min(n_out, int(np.ceil(1.0 / dx)) + 1)
-    dist = x[:, None] + (np.arange(near) + 0.5) * dx
-    pair_dist = (np.arange(phi.size + n_out - 1) + 1.0) * dx
-    for out, side in zip(outside_samples(profile, n_out, params.m_beta),
-                         (phi, phi[::-1])):
-        energy += 0.5 * dx * dx * np.sum(
-            kern(dist) * (side[:, None] - out[:near]) ** 2)
-        energy += gamma * dx * dx * float(
-            meas.v(gamma * pair_dist) @ np.convolve(side, out))
-    return energy
 
 
 class TestShortRange:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from direct_oracles import (check_mean_projection, knot_bound,
+                            ref_project_mean_box)
 from froth1d.energy import total_energy
 from froth1d.errors import LineSearchFailure, ValidationError
 import froth1d.minimize as minimize_module
@@ -166,25 +168,74 @@ class TestMeanSliceProjection:
                     elements=st.floats(-3.0, 3.0)),
            mean=st.floats(-1.0, 1.0))
     def test_is_clip_of_one_shift(self, y, mean):
-        x, lo, hi = _project_mean_box(y, mean)
-        assert (lo, hi) == (x.min(), x.max())
-        assert np.all(np.abs(x) <= 1.0)
-        assert abs(x.mean() - mean) <= 1e-12
-        # x = clip(y + lam) for one lam: each free sample pins lam to its
-        # shift, each clipped one bounds it; the bounds must leave a lam
-        free = np.abs(x) < 1.0
-        shifts = (x - y)[free]
-        lo = max(np.max(1.0 - y[x == 1.0], initial=-np.inf),
-                 np.max(shifts, initial=-np.inf))
-        hi = min(np.min(-1.0 - y[x == -1.0], initial=np.inf),
-                 np.min(shifts, initial=np.inf))
-        assert lo <= hi + 1e-12
+        check_mean_projection(y, mean, *_project_mean_box(y, mean))
 
     @pytest.mark.parametrize("mean", [1.0, -1.0])
     def test_saturated_mean_is_exact(self, mean):
         # shifting -1.3 by the last knot 1 - (-1.3) lands one ulp below 1
         y = mean * np.array([1.7, -0.6, -1.3, 2.1])
         assert np.all(_project_mean_box(y, mean)[0] == mean)
+
+
+def stress_input(kind, rng):
+    """A (y, mean) pair for the mean-slice projection of one hard kind."""
+    n = int(rng.integers(2, 200))
+    mean = rng.uniform(-1.0, 1.0)
+    if kind == "one_sample":
+        return rng.uniform(-3.0, 3.0, 1) * 10.0 ** rng.integers(0, 9), mean
+    if kind == "past_one_face":
+        side = rng.choice([-1.0, 1.0])
+        return side * (1.0 + rng.uniform(1e-3, 3.0, n)), mean
+    if kind == "ties":
+        return np.round(rng.normal(size=n) * 3.0, 1), mean
+    if kind == "none_free_at_first":
+        # |y| >= 2 in two equal halves: the first shift is below 1 in size
+        half = int(rng.integers(1, 100))
+        y = np.concatenate([-2.0 - rng.uniform(0.0, 1.0, half),
+                            2.0 + rng.uniform(0.0, 1.0, half)])
+        return rng.permutation(y), rng.uniform(-0.5, 0.5)
+    if kind == "mean_next_to_a_face":
+        return (rng.uniform(-3.0, 3.0, n),
+                np.nextafter(rng.choice([-1.0, 1.0]), 0.0))
+    if kind == "huge":
+        scale = 10.0 ** rng.uniform(0.0, 8.0, n)
+        return rng.uniform(-1.0, 1.0, n) * scale, mean
+    return rng.normal(size=int(rng.integers(1000, 2501))) * 2.0, mean  # "long"
+
+
+class TestProjectionStress:
+    """Variable fixing on inputs that stress its passes and its rounding:
+    each projection ends within n passes, meets the KKT oracle and agrees
+    with the knot formula to the bounds of ``direct_oracles``."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [
+        "one_sample", "past_one_face", "ties", "none_free_at_first",
+        "mean_next_to_a_face", "huge", "long"])
+    def test_kind(self, kind, monkeypatch):
+        passes, size = [], []
+        overshoots = minimize_module._overshoots
+
+        def counted(z):
+            passes[-1] += 1
+            assert passes[-1] <= size[-1]       # at most n passes
+            return overshoots(z)
+
+        monkeypatch.setattr(minimize_module, "_overshoots", counted)
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            y, mean = stress_input(kind, rng)
+            if kind == "none_free_at_first":
+                assert np.all(np.abs(y + (mean - y.mean())) > 1.0)
+            passes.append(0)
+            size.append(y.size)
+            x, lo, hi = _project_mean_box(y, mean)
+            check_mean_projection(y, mean, x, lo, hi)
+            assert (np.max(np.abs(x - ref_project_mean_box(y, mean)))
+                    <= knot_bound(y.size, y))
+        # one sample is shifted to the mean and never clipped; the other
+        # kinds are there for the passes
+        assert sum(map(bool, passes)) >= (0 if kind == "one_sample" else 30)
 
 
 class TestMultistart:

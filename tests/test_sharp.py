@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from direct_oracles import tilde_v_kernel_direct
@@ -414,11 +414,15 @@ class TestStepProfilesAgainstImageSum:
     @given(pieces=st.lists(st.tuples(st.floats(0.5, 4.0), st.floats(-1.0, 1.0)),
                            min_size=1, max_size=5),
            gamma=st.sampled_from([0.05, 0.1, 0.3]), two_atoms=st.booleans())
+    @example(pieces=[(1.0, 1.7800929839220922e-159)], gamma=0.05,
+             two_atoms=False)
     def test_periodic_step_dipole(self, pieces, gamma, two_atoms):
         # the torus closure I + 2 Sp Sq/(1 - e^{-bL}) against a quadrature
         # of (gamma/2) sum_n v(gamma(x - y + nL)) over piece pairs, the image
         # sum to |n| = n_max (tail below e^-45); the tolerance is the
-        # quadratures' difference plus rounding of the |sigma| energy
+        # quadratures' difference plus rounding of the |sigma| energy, which
+        # is no less than the smallest normal number: below it rounding is
+        # absolute (a value of 1.8e-159 gives an energy of 3.2e-318)
         params = _TWO_ATOMS if two_atoms else _ONE_ATOM
         step = StepProfile.from_pieces(pieces)
         values, edges, L = step.values, step.breakpoints, step.L
@@ -438,8 +442,8 @@ class TestStepProfilesAgainstImageSum:
         scale = step_dipole_energy(params, StepProfile.from_pieces(
             [(w, abs(v)) for w, v in pieces]), gamma, bc="periodic")
         got = step_dipole_energy(params, step, gamma, bc="periodic")
-        assert abs(got - fine) <= abs(coarse - fine) + 32.0 * np.finfo(
-            float).eps * scale
+        assert abs(got - fine) <= abs(coarse - fine) + max(
+            32.0 * np.finfo(float).eps * scale, np.finfo(float).tiny)
 
 
 class TestGammaLimit:
