@@ -61,11 +61,15 @@ class CoarseGrainConfig:
             raise ValidationError("delta must lie in (0, 1/3)")
         if not (0.0 < self.rho < self.delta / 4.0):
             raise ValidationError("rho must lie in (0, delta/4)")
-        n = -math.log2(self.ell_minus)
-        if abs(n - round(n)) > 1e-12 or self.ell_minus > 0.5:
+        # each check is written so that NaN fails it
+        lm = self.ell_minus
+        if not (0.0 < lm <= 0.5
+                and abs(math.log2(lm) - round(math.log2(lm))) <= 1e-12):
             raise ValidationError("ell_minus must be 2^-n for integer n >= 1")
-        if self.c0 <= 0 or self.kappa <= 0 or self.energy_cutoff_multiplier <= 0:
-            raise ValidationError("c0, kappa and the cutoff multiplier must be positive")
+        if not all(0.0 < v < math.inf for v in (
+                self.c0, self.kappa, self.energy_cutoff_multiplier)):
+            raise ValidationError("c0, kappa and the cutoff multiplier must "
+                                  "be finite and positive")
 
     def zeta(self, gamma: float) -> float:
         return self.c0 * gamma ** self.delta * math.log(gamma) ** 2

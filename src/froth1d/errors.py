@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+the modules validating counts share."""
+
+import math
+import numbers
 
 
 class Froth1dError(Exception):
@@ -25,6 +29,13 @@ class ValidationError(Froth1dError):
         if pointer is not None:
             message = f"{pointer}: {message}"
         super().__init__(message)
+
+
+def _check_count(value, name: str, limit: float = math.inf, low: int = 0):
+    """Reject anything but an integer in [low, limit), a bool included."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and low <= value < limit):
+        raise ValidationError(f"{name} must be an integer in [{low}, {limit})")
 
 
 class AlignmentError(Froth1dError):

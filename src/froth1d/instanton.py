@@ -6,13 +6,15 @@ connecting -m_beta to +m_beta; its short-range energy is the surface tension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .energy import short_range_energy
-from .errors import CellTooShort, FitError, NonConvergence, ValidationError
+from .errors import (CellTooShort, FitError, NonConvergence, ValidationError,
+                     _check_count)
 from .model import ModelParams
 from .profiles import GridProfile
 
@@ -93,16 +95,19 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
     """Picard iteration q <- tanh(beta J*q), antisymmetrized each sweep.
 
     ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
-    Raises NonConvergence if the residual does not reach ``tol``.
+    The arguments are checked before the first sweep, each check failed by
+    NaN and every number finite. Raises NonConvergence if the residual does
+    not reach ``tol`` within ``max_sweeps`` (an integer >= 1) sweeps.
     """
     if not 0.0 <= damping < 1.0:
         raise ValidationError(f"damping must lie in [0, 1), got {damping}")
-    if half_width < 20:
-        raise ValidationError("half_width must be at least 20")
-    if tol < 1e-12:
-        raise ValidationError("tol must be at least 1e-12")
-    if not dx > 0.0:
-        raise ValidationError("dx must be positive")
+    if not 20.0 <= half_width < math.inf:
+        raise ValidationError("half_width must be finite and at least 20")
+    if not 1e-12 <= tol < math.inf:
+        raise ValidationError("tol must be finite and at least 1e-12")
+    if not 0.0 < dx < math.inf:
+        raise ValidationError("dx must be finite and positive")
+    _check_count(max_sweeps, "max_sweeps", low=1)
     m = params.m_beta
     n = int(round(2 * half_width / dx))
     if n % 2:
@@ -197,6 +202,8 @@ def build_trial_profile(h: float, L: float, instanton: Instanton,
     so the mean over any two consecutive cells vanishes exactly.
     """
     dx = instanton.dx if dx is None else dx
+    if not (math.isfinite(h) and math.isfinite(L) and 0.0 < dx < math.inf):
+        raise ValidationError("h and L must be finite, dx finite and positive")
     if abs(h / dx - round(h / dx)) > 1e-9:
         h = round(h / dx) * dx
     w999 = instanton.width_at(0.999)

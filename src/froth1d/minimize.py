@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .energy import _quadratic_form, tilde_energy
-from .errors import LineSearchFailure, ValidationError
+from .errors import LineSearchFailure, ValidationError, _check_count
 from .model import ModelParams, _finish_slope, _well_parts
 from .profiles import GridProfile, StepProfile
 from .sharp import energy_per_length
@@ -57,13 +57,6 @@ class MinimizeOptions:
             raise ValidationError("grad_tol must be finite and positive")
         _check_count(self.max_iters, "max_iters")
         _check_count(self.seed, "seed", _SEED_LIMIT)
-
-
-def _check_count(value, name: str, limit: float = np.inf, low: int = 0):
-    """Reject anything but an integer in [low, limit), a bool included."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer)) and low <= value < limit):
-        raise ValidationError(f"{name} must be an integer in [{low}, {limit})")
 
 
 @dataclass
@@ -447,6 +440,8 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     included. Other bcs, or params without tau, get plain descent only.
     """
     _check_count(n_starts, "n_starts", low=1)
+    if not (0.0 < L < np.inf and 0.0 < dx < np.inf):
+        raise ValidationError("L and dx must be finite and positive")
     options = MinimizeOptions() if options is None else options
     n = int(round(L / dx))
     best = None

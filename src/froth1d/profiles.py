@@ -7,6 +7,7 @@ functions are exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
@@ -164,8 +165,13 @@ def alpha_L(L: float, delta: float, gamma: float) -> Tuple[float, int]:
     """Smallest alpha >= 1 with (L/alpha) gamma^delta integral.
 
     Scans block counts n = floor(L gamma^delta) downward; returns
-    (alpha, n_blocks).
+    (alpha, n_blocks). L and delta must be finite, gamma finite and
+    positive.
     """
+    if not (math.isfinite(L) and math.isfinite(delta)
+            and 0.0 < gamma < math.inf):
+        raise ValidationError("L and delta must be finite, gamma finite and "
+                              "positive")
     target = L * gamma ** delta
     n = int(np.floor(target * (1 + _GRID_RTOL)))
     if n < 1:

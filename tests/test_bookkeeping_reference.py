@@ -1,260 +1,33 @@
-"""The coarse-graining bookkeeping against loop-by-loop reference versions.
+"""The coarse-graining bookkeeping against its definitions.
 
-The references below are the earlier hand-written scans and the three
-separate plateau branches of ``replace_block``, kept verbatim (``strict``
-aside) as oracles. The library versions must reproduce them bit for bit:
-every float is compared by its hex form, so even a signed zero counts.
+The replacement map is checked block by block against what it promises:
+the pieces tile the block and keep its mean, their values lie in [-1, 1],
+its jumps sit at +-m_beta, the case tag is the one the documented
+thresholds select, and two symmetries hold. The flat-segment search is
+checked against a brute force over every run, the sign intervals against
+their definition, and the good set is recomputed block by block from its
+definition on small inputs. No check shares code with the library beyond
+the inputs it is given.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from direct_oracles import flat_segment_brute
 from froth1d.coarsegrain import (CoarseGrainConfig, find_flat_segment,
                                  replace_block)
-from froth1d.diagnostics import _interval_union_coverage, good_set
-from froth1d.errors import FlatSegmentNotFound, ValidationError
-from froth1d.model import eval_F_double_prime
-from froth1d.profiles import (GridProfile, StepProfile, average_over,
-                              block_type, regular_partition)
+from froth1d.diagnostics import good_set
+from froth1d.errors import FlatSegmentNotFound
+from froth1d.profiles import GridProfile, StepProfile, regular_partition
+
+_EPS = np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
-# references
-
-
-def ref_sign_intervals(step, periodic=False):
-    signs = np.sign(step.values)
-    runs = []
-    start = 0
-    for i in range(1, signs.size):
-        if signs[i] != signs[start]:
-            runs.append((step.breakpoints[start], step.breakpoints[i],
-                         float(signs[start])))
-            start = i
-    runs.append((step.breakpoints[start], step.breakpoints[-1],
-                 float(signs[start])))
-    if periodic and len(runs) > 1 and runs[0][2] == runs[-1][2]:
-        a_last, b_last, s = runs[-1]
-        a0, b0, _ = runs[0]
-        runs = runs[1:-1]
-        runs.insert(0, (a_last - step.L, b0, s))
-    return runs
-
-
-def ref_find_flat_segment(params, profile, block, config, gamma,
-                          margin_left=None, margin_right=None):
-    a, b = block
-    ell_plus = b - a
-    tol = gamma ** config.rho
-    ml = ell_plus / 4.0 if margin_left is None else margin_left
-    mr = ell_plus / 4.0 if margin_right is None else margin_right
-    per = int(round(config.ell_minus / profile.dx))
-    n_small = profile.n // per
-    means = profile.samples[:n_small * per].reshape(n_small, per).mean(axis=1)
-    lm = config.ell_minus
-    j0 = int(math.ceil((a + ml) / lm - 1e-9))
-    j1 = int(math.floor((b - mr) / lm + 1e-9))
-    if j1 <= j0:
-        raise FlatSegmentNotFound("no admissible small blocks in the block core")
-    best = None  # (length, start_index, omega, stop_index)
-    for omega in (1.0, -1.0):
-        ok = np.abs(means[j0:j1] - omega * params.m_beta) <= tol
-        start = None
-        for idx, flag in enumerate(np.append(ok, False)):
-            if flag and start is None:
-                start = idx
-            elif not flag and start is not None:
-                run = idx - start
-                cand = (run, -(j0 + start), omega, j0 + idx)
-                if best is None or (cand[0], cand[1]) > (best[0], best[1]):
-                    best = cand
-                start = None
-    if best is None:
-        raise FlatSegmentNotFound("no small block stays near +-m_beta")
-    run, neg_start, omega, stop = best
-    start = -neg_start
-    return omega, (start * lm, stop * lm), run * lm
-
-
-def _ref_capped_margin(ell, raw):
-    if raw > ell / 4.0:
-        return ell / 4.0, True
-    return raw, False
-
-
-def ref_replace_block(params, length, mean, context, config, gamma):
-    """The three-branch replacement, demoting (never raising) on plateau > 1."""
-    m_b = params.m_beta
-    ell = float(length)
-    m = float(mean)
-    zeta = config.zeta(gamma)
-    kind, data = context
-    flags = {}
-
-    def bad_rule():
-        if abs(m) >= m_b - zeta:
-            return [(ell, m)], "1-const"
-        xi = ell * (m + m_b) / (2.0 * m_b)
-        return [(xi, m_b), (ell - xi, -m_b)], "1-split"
-
-    if kind == "bad":
-        pieces, tag = bad_rule()
-        return pieces, tag, flags
-
-    fpp = eval_F_double_prime(m_b, params)
-    c_star = math.sqrt(5.0 * params.require_tau() / fpp)
-    t2b = 1.1 * c_star / math.sqrt(ell)
-
-    if kind == "good":
-        om_l, om_r = data
-        if om_l != om_r:
-            omega = om_l
-            if abs(m) <= m_b - zeta:
-                xi = ell * (m_b + omega * m) / (2.0 * m_b)
-                return [(xi, omega * m_b), (ell - xi, -omega * m_b)], "2a-jump", flags
-            mg, capped = _ref_capped_margin(ell, 0.5 * math.log(ell) ** 2)
-            flags["margin_capped"] = capped
-            plateau = m * ell / (ell - 2.0 * mg)
-            if abs(plateau) > 1.0:
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            return ([(mg, omega * m_b), (ell - 2.0 * mg, plateau),
-                     (mg, -omega * m_b)], "2a-three", flags)
-        omega = om_l
-        mm = m if omega < 0 else -m
-        if mm <= -m_b + t2b:
-            pieces, tag = [(ell, mm)], "2b-const"
-        elif mm < m_b - t2b:
-            xi = ell * (m_b - mm) / (4.0 * m_b)
-            pieces, tag = ([(xi, -m_b), (ell - 2.0 * xi, m_b), (xi, -m_b)],
-                           "2b-two-jump")
-        else:
-            mg, capped = _ref_capped_margin(ell, 0.5 * math.log(ell) ** 2)
-            flags["margin_capped"] = capped
-            plateau = (mm * ell + m_b * 2.0 * mg) / (ell - 2.0 * mg)
-            if abs(plateau) > 1.0:
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            pieces, tag = ([(mg, -m_b), (ell - 2.0 * mg, plateau), (mg, -m_b)],
-                           "2b-three")
-        if omega > 0:
-            pieces = [(w, -v) for w, v in pieces]
-        return pieces, tag, flags
-
-    if kind == "boundary_good":
-        side, omega = data
-        mm = m if omega < 0 else -m
-        if mm <= -m_b + t2b:
-            pieces, tag = [(ell, mm)], "2c-const"
-        elif mm < m_b - t2b:
-            xi = ell * (m_b - mm) / (2.0 * m_b)
-            pieces, tag = [(ell - xi, m_b), (xi, -m_b)], "2c-jump"
-        else:
-            raw = 0.5 * math.log(2.0 * ell) ** 2
-            mg, capped = _ref_capped_margin(ell, raw)
-            flags["margin_capped"] = capped
-            plateau = (mm * ell + m_b * mg) / (ell - mg)
-            if abs(plateau) > 1.0:
-                flags["demoted"] = "plateau>1"
-                pieces, tag = bad_rule()
-                return pieces, tag, flags
-            pieces, tag = [(ell - mg, plateau), (mg, -m_b)], "2c-plateau"
-        if omega > 0:
-            pieces = [(w, -v) for w, v in pieces]
-        if side == "right":
-            pieces = pieces[::-1]
-        return pieces, tag, flags
-
-    raise ValidationError(f"unknown block context {kind!r}")
-
-
-def ref_good_set(params, profile, sigma_phi, gamma, delta0=0.25, delta1=0.45,
-                 eps0=0.28):
-    """(good intervals, good measure, runs, alternation_ok) of ``good_set``."""
-    part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
-    means = np.array([average_over(profile, block) for block in part.blocks()])
-    types = [block_type(m, params.m_beta) for m in means]
-    intervals = ref_sign_intervals(sigma_phi)
-    long_cut = gamma ** (-delta1)
-    long_ivals = sorted((a, b) for a, b, _ in intervals if b - a >= long_cut)
-    keep = np.array([
-        _interval_union_coverage(long_ivals, part.edges[k], part.edges[k + 1])
-        >= (part.edges[k + 1] - part.edges[k]) - 1e-9
-        for k in range(part.n_blocks)])
-    comp = []
-    k = 0
-    while k < part.n_blocks:
-        if keep[k]:
-            j = k
-            while j + 1 < part.n_blocks and keep[j + 1]:
-                j += 1
-            comp.append((k, j))
-            k = j + 1
-        else:
-            k += 1
-    min_len = gamma ** (-2.0 / 3.0 - eps0 / 2.0)
-    lam_k = [(part.edges[a], part.edges[b + 1]) for a, b in comp
-             if part.edges[b + 1] - part.edges[a] >= min_len]
-    comp = [(a, b) for a, b in comp
-            if part.edges[b + 1] - part.edges[a] >= min_len]
-    good_measure = float(sum(b - a for a, b in lam_k))
-    runs = []
-    alternation_ok = True
-    for a, b in comp:
-        prev_sign = 0
-        zeros_between = 0
-        k = a
-        while k <= b:
-            t = types[k]
-            if t == "zero":
-                zeros_between += 1
-                k += 1
-                continue
-            j = k
-            while j + 1 <= b and types[j + 1] == t:
-                j += 1
-            sign = 1 if t == "plus" else -1
-            if prev_sign != 0 and (sign == prev_sign or zeros_between > 1):
-                alternation_ok = False
-            runs.append({"interval": (float(part.edges[k]), float(part.edges[j + 1])),
-                         "sign": sign, "blocks": (k, j),
-                         "length": float(part.edges[j + 1] - part.edges[k])})
-            prev_sign = sign
-            zeros_between = 0
-            k = j + 1
-    return lam_k, good_measure, runs, alternation_ok
-
-
-# ---------------------------------------------------------------------------
-# bitwise comparison
-
-
-def _bits(x):
-    """A comparable form in which floats are compared by their bits."""
-    if isinstance(x, (float, np.floating)):
-        return ("f", float(x).hex(), type(x).__name__)
-    if isinstance(x, np.ndarray):
-        return ("a", x.dtype.str, x.shape, x.tobytes())
-    if isinstance(x, (list, tuple)):
-        return (type(x).__name__, [_bits(v) for v in x])
-    if isinstance(x, dict):
-        return ("d", [(k, _bits(v)) for k, v in x.items()])
-    return ("o", type(x).__name__, x)
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return _bits(fn(*args, **kwargs))
-    except FlatSegmentNotFound as err:
-        return ("raised", str(err))
-
-
-# ---------------------------------------------------------------------------
-# tests
+# the replacement map
 
 CONTEXTS = [
     ("bad", None),
@@ -263,6 +36,68 @@ CONTEXTS = [
     ("boundary_good", ("left", 1.0)), ("boundary_good", ("left", -1.0)),
     ("boundary_good", ("right", 1.0)), ("boundary_good", ("right", -1.0)),
 ]
+# the tags of the bad-block rule, and those whose pieces are all +-m_beta
+_BAD_TAGS = ("1-const", "1-split")
+_JUMP_TAGS = ("1-split", "2a-jump", "2b-two-jump", "2c-jump")
+
+
+def _selected_case(params, length, mean, context, cfg, gamma):
+    """(tag, plateau) of the case the documented thresholds select:
+    zeta = c0 gamma^delta log^2(gamma) for the bad rule and two-sign good
+    blocks, t = 1.1 sqrt(5 tau / F''(m_beta)) / sqrt(ell) for one-sign good
+    and boundary good blocks, in the frame omega = -1, with
+    F''(m) = 1 / (beta (1 - m^2)) - J0_hat. ``plateau`` is the plateau value
+    of a plateau case (margins min(log(ell)^2/2, ell/4) held at the end
+    values, log(2 ell) on a boundary block), else None."""
+    m_b, ell, m = params.m_beta, length, mean
+    zeta = cfg.c0 * gamma ** cfg.delta * math.log(gamma) ** 2
+    kind, data = context
+    if kind == "bad":
+        return ("1-const" if abs(m) >= m_b - zeta else "1-split"), None
+    if kind == "good" and data[0] != data[1]:
+        if abs(m) <= m_b - zeta:
+            return "2a-jump", None
+        mg = min(0.5 * math.log(ell) ** 2, ell / 4.0)
+        return "2a-three", m * ell / (ell - 2.0 * mg)
+    omega = data[0] if kind == "good" else data[1]
+    mm = m if omega < 0 else -m
+    fpp = 1.0 / (params.beta * (1.0 - m_b * m_b)) - params.kernel.j0_hat
+    t = 1.1 * math.sqrt(5.0 * params.require_tau() / fpp) / math.sqrt(ell)
+    good = kind == "good"
+    if mm <= -m_b + t:
+        return ("2b-const" if good else "2c-const"), None
+    if mm < m_b - t:
+        return ("2b-two-jump" if good else "2c-jump"), None
+    if good:
+        mg = min(0.5 * math.log(ell) ** 2, ell / 4.0)
+        return "2b-three", (mm * ell + 2.0 * mg * m_b) / (ell - 2.0 * mg)
+    mg = min(0.5 * math.log(2.0 * ell) ** 2, ell / 4.0)
+    return "2c-plateau", (mm * ell + mg * m_b) / (ell - mg)
+
+
+def _same_pieces(a, b, ell):
+    """Pieces equal to rounding: widths within 8 eps of ell (a width is
+    formed with at most four roundings of ell, on either side), values
+    within 8 eps."""
+    return len(a) == len(b) and all(
+        abs(wa - wb) <= 8.0 * _EPS * ell and abs(va - vb) <= 8.0 * _EPS
+        for (wa, va), (wb, vb) in zip(a, b))
+
+
+def _flipped(context):
+    """(omega, mean) -> (-omega, -mean): the context with omega negated."""
+    kind, data = context
+    if kind == "good":
+        return kind, (-data[0], -data[1])
+    return kind, (data[0], -data[1])
+
+
+def _mirrored(context):
+    """left <-> right: the context of the mirrored block."""
+    kind, data = context
+    if kind == "good":
+        return kind, (data[1], data[0])
+    return kind, ("right" if data[0] == "left" else "left", data[1])
 
 
 @settings(max_examples=400, deadline=None)
@@ -278,12 +113,55 @@ CONTEXTS = [
          gamma=1e-2)
 @example(context=("boundary_good", ("right", -1.0)), mean=0.999, length=2.0,
          c0=0.05, gamma=1e-2)
+# the two-jump case of a one-sign good block
+@example(context=("good", (-1.0, -1.0)), mean=0.1, length=20.0, c0=0.05,
+         gamma=1e-2)
 def test_replace_block_matches_reference(params_tau, context, mean, length,
                                          c0, gamma):
     cfg = CoarseGrainConfig(c0=c0)
-    new = replace_block(params_tau, length, mean, context, cfg, gamma)
-    ref = ref_replace_block(params_tau, length, mean, context, cfg, gamma)
-    assert _bits(new) == _bits(ref)
+    m_b = params_tau.m_beta
+    pieces, tag, flags = replace_block(params_tau, length, mean, context, cfg,
+                                       gamma)
+    widths = np.array([w for w, _ in pieces])
+    values = np.array([v for _, v in pieces])
+    # the pieces tile the block and keep its mean: each piece is formed with
+    # at most six roundings of its width and value, the sums with one per
+    # piece, so 16 eps of the absolute terms bounds both
+    assert np.all(widths >= 0.0)
+    assert abs(math.fsum(widths) - length) <= 16.0 * _EPS * length
+    assert abs(math.fsum(widths * values) - mean * length) <= 16.0 * _EPS * (
+        float(np.abs(widths * values).sum()) + abs(mean) * length)
+    assert np.all(np.abs(values) <= 1.0)
+    # the case the thresholds select, or the bad rule for a plateau past 1
+    want, plateau = _selected_case(params_tau, length, mean, context, cfg,
+                                   gamma)
+    if tag != want:
+        assert plateau is not None and abs(plateau) >= 1.0 - 1e-12
+        assert flags.get("demoted") == "plateau>1"
+        want = _selected_case(params_tau, length, mean, ("bad", None), cfg,
+                              gamma)[0]
+    assert tag == want
+    if tag in _JUMP_TAGS:
+        assert set(np.abs(values).tolist()) == {m_b}
+    elif tag in ("1-const", "2b-const", "2c-const"):
+        assert pieces == [(length, mean)]
+    else:   # a plateau between margins at +-m_beta
+        core = int(np.argmax(widths)) if tag == "2c-plateau" else 1
+        assert np.all(np.abs(np.delete(values, core)) == m_b)
+    if tag == "1-split":
+        assert values.tolist() == [m_b, -m_b]
+    if tag in _BAD_TAGS:
+        return
+    # the symmetries, unless the flipped or mirrored block demotes
+    flipped = replace_block(params_tau, length, -mean, _flipped(context), cfg,
+                            gamma)
+    if flipped[1] not in _BAD_TAGS:
+        assert flipped[1] == tag
+        assert _same_pieces(flipped[0], [(w, -v) for w, v in pieces], length)
+    mirrored = replace_block(params_tau, length, mean, _mirrored(context),
+                             cfg, gamma)
+    if mirrored[1] not in _BAD_TAGS:
+        assert _same_pieces(mirrored[0], pieces[::-1], length)
 
 
 def test_reference_examples_demote(params_tau):
@@ -293,9 +171,14 @@ def test_reference_examples_demote(params_tau):
                                   (("good", (1.0, 1.0)), -0.995, 3.0),
                                   (("boundary_good", ("right", -1.0)),
                                    0.999, 2.0)]:
-        _, _, flags = ref_replace_block(params_tau, length, mean, context,
-                                        cfg, 1e-2)
+        _, tag, flags = replace_block(params_tau, length, mean, context, cfg,
+                                      1e-2)
         assert flags.get("demoted") == "plateau>1"
+        assert tag in _BAD_TAGS
+
+
+# ---------------------------------------------------------------------------
+# flat segments
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,12 +198,33 @@ def test_find_flat_segment_matches_reference(params, data, small, rho, gamma):
     margins = st.one_of(st.none(), st.floats(0.0, 4.0))
     ml, mr = data.draw(margins), data.draw(margins)
     cfg = CoarseGrainConfig(rho=rho)
-    new = _outcome(find_flat_segment, params, profile, (a, b), cfg, gamma,
-                   margin_left=ml, margin_right=mr)
-    ref = _outcome(ref_find_flat_segment, params, profile, (a, b), cfg, gamma,
-                   margin_left=ml, margin_right=mr)
-    assert new == ref
+    # the documented search: the ell_minus cells of the absolute grid that
+    # lie in [a + ml, b - mr] (to 1e-9 of a cell), margins (b - a)/4 by
+    # default, each cell's mean by its samples
+    lm = cfg.ell_minus
+    lo = a + ((b - a) / 4.0 if ml is None else ml)
+    hi = b - ((b - a) / 4.0 if mr is None else mr)
+    means = samples.reshape(-1, per).mean(axis=1)
+    cells = [j for j in range(means.size)
+             if j >= lo / lm - 1e-9 and j + 1 <= hi / lm + 1e-9]
+    try:
+        got = find_flat_segment(params, profile, (a, b), cfg, gamma,
+                                margin_left=ml, margin_right=mr)
+    except FlatSegmentNotFound as err:
+        got = str(err)
+    if not cells:
+        assert got == "no admissible small blocks in the block core"
+        return
+    omega, start, run = flat_segment_brute(params.m_beta, means, cells[0],
+                                           cells[-1] + 1, gamma ** rho)
+    if not run:
+        assert got == "no small block stays near +-m_beta"
+    else:
+        assert got == (omega, (start * lm, (start + run) * lm), run * lm)
 
+
+# ---------------------------------------------------------------------------
+# sign intervals and the good set
 
 _STEP_VALUES = st.sampled_from([0.9, -0.9, 0.3, -0.3, 0.0, -0.0, 1.0, -1.0])
 
@@ -330,9 +234,86 @@ _STEP_VALUES = st.sampled_from([0.9, -0.9, 0.3, -0.3, 0.0, -0.0, 1.0, -1.0])
                        min_size=1, max_size=30),
        periodic=st.booleans())
 def test_sign_intervals_matches_reference(pieces, periodic):
+    # maximal runs of one sign (0 counts as its own): they tile [0, L) (on
+    # the torus from the merged interval's unwrapped start, when the first
+    # and last runs share a sign), their signs alternate, and each holds
+    # the pieces of its sign between two breakpoints
     step = StepProfile.from_pieces(pieces)
-    assert (_bits(step.sign_intervals(periodic))
-            == _bits(ref_sign_intervals(step, periodic)))
+    bp, signs = step.breakpoints.tolist(), np.sign(step.values).tolist()
+    got = step.sign_intervals(periodic)
+    wrap = periodic and len(got) > 1 and got[0][0] < 0.0
+    # a wrapped start is a breakpoint less L, to one rounding of L
+    assert abs(got[0][0] - (got[-1][1] - step.L if wrap else 0.0)) <= (
+        _EPS * step.L)
+    assert got[-1][1] in bp and (wrap or got[-1][1] == step.L)
+    assert all(a1 == b0 for (_, b0, _), (a1, _, _) in zip(got, got[1:]))
+    assert all(s0 != s1 for (_, _, s0), (_, _, s1) in zip(got, got[1:]))
+    if periodic and len(got) > 1:
+        assert got[0][2] != got[-1][2]
+    for a, b, sign in got:
+        pieces_in = [s for x, s in zip(bp, signs)
+                     if a <= x < b or a <= x - step.L < b]
+        assert pieces_in and all(s == sign for s in pieces_in)
+        assert b in bp and (a in bp or a < 0.0)
+
+
+def _good_set_by_definition(params, profile, sigma, gamma, delta0=0.25,
+                            delta1=0.45, eps0=0.28):
+    """(good intervals, good measure, runs, alternation_ok) of an open
+    profile, block by block: a block of the regular delta0-partition is kept
+    when the sign intervals of sigma at least gamma^-delta1 long cover it
+    (to 1e-9); maximal runs of kept blocks at least
+    gamma^{-2/3 - eps0/2} long are the good set; inside each, the maximal
+    runs of one block type (plus at a mean >= 0.9 m_beta, minus at
+    <= -0.9 m_beta, else zero) that is not zero are its runs, and the
+    alternation fails where two runs in a row share a sign or more than one
+    zero block parts them."""
+    part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
+    edges = part.edges.tolist()
+    idx = [round(e / profile.dx) for e in edges]
+    m_b = params.m_beta
+    types = []
+    for i, j in zip(idx, idx[1:]):
+        mean = float(np.mean(profile.samples[i:j]))
+        types.append("plus" if mean >= 0.9 * m_b else
+                     "minus" if mean <= -0.9 * m_b else "zero")
+    long_ivals = [(a, b) for a, b, _ in sigma.sign_intervals()
+                  if b - a >= gamma ** -delta1]
+    keep = []
+    for a, b in zip(edges, edges[1:]):
+        cover = sum(max(0.0, min(b, hi) - max(a, lo)) for lo, hi in long_ivals)
+        keep.append(cover >= (b - a) - 1e-9)
+    comps, k = [], 0
+    while k < len(keep):
+        if keep[k]:
+            j = k
+            while j + 1 < len(keep) and keep[j + 1]:
+                j += 1
+            if edges[j + 1] - edges[k] >= gamma ** (-2.0 / 3.0 - eps0 / 2.0):
+                comps.append((k, j))
+            k = j + 1
+        else:
+            k += 1
+    good = [(edges[a], edges[b + 1]) for a, b in comps]
+    runs, ok = [], True
+    for a, b in comps:
+        prev, zeros, k = 0, 0, a
+        while k <= b:
+            j = k
+            while j + 1 <= b and types[j + 1] == types[k]:
+                j += 1
+            if types[k] == "zero":
+                zeros += j - k + 1
+            else:
+                sign = 1 if types[k] == "plus" else -1
+                if prev and (sign == prev or zeros > 1):
+                    ok = False
+                runs.append({"interval": (edges[k], edges[j + 1]),
+                             "sign": sign, "blocks": (k, j),
+                             "length": edges[j + 1] - edges[k]})
+                prev, zeros = sign, 0
+            k = j + 1
+    return good, sum(b - a for a, b in good), runs, ok
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,6 +336,9 @@ def test_good_set_matches_reference(params_tau, segments, sigma):
     widths *= profile.L / widths.sum()
     step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])))
     report = good_set(params_tau, profile, step, gamma)
-    new = (report.good_intervals, report.good_measure, report.runs,
-           report.alternation_ok)
-    assert _bits(new) == _bits(ref_good_set(params_tau, profile, step, gamma))
+    good, measure, runs, ok = _good_set_by_definition(params_tau, profile,
+                                                      step, gamma)
+    assert report.good_intervals == good
+    assert report.good_measure == pytest.approx(measure, rel=1e-12, abs=0.0)
+    assert report.runs == runs
+    assert report.alternation_ok is ok

@@ -1,14 +1,11 @@
-"""The one-pass chessboard bound and block scoring against per-cell and
-per-block reference versions.
+"""The one-pass chessboard bound and block scoring against dense oracles.
 
-The references below are the earlier implementations, kept verbatim as
-oracles: ``chessboard_lower_bound`` built every sign interval as a
-StepProfile with ``restrict`` (gluing two restrictions for the periodic
-wrap) and scored it with ``cell_specific_energy``, whose quadratic form
-multiplied the dense cell-pair matrix of ``_pair_integral``;
-``classify_blocks`` called ``short_range_energy`` once per block, which
-looped over the band offsets of one block. The library versions must agree
-with them to rounding, with the same intervals in the same order.
+The chessboard cells are scored against the dense cell-pair matrix of
+``dense_pair_integral`` (a different algorithm from the O(pieces) pass),
+their sign runs found by a plain loop over the pieces; each cell's term must
+agree to a rounding bound set by its size and the magnitude of its terms. A
+block's score must be ``direct_oracles.dense_energy`` of the block as an
+open profile at gamma = 0.
 """
 
 import math
@@ -18,110 +15,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_pair_integral import dense_cell_energy, dense_chessboard
+from direct_oracles import dense_energy
 from froth1d.coarsegrain import classify_blocks
-from dense_pair_integral import _pair_integral
-from froth1d.errors import AlignmentError, SignError
-from froth1d.model import KacMeasure, ModelParams, eval_F, eval_tilde_F
+from froth1d.model import KacMeasure, ModelParams
 from froth1d.profiles import (BlockPartition, GridProfile, StepProfile,
                               regular_partition)
 from froth1d.sharp import (cell_specific_energy, chessboard_lower_bound,
                            energy_per_length)
 
 TAU = 0.19762754872186078
-
-# ---------------------------------------------------------------------------
-# references
+_EPS = np.finfo(float).eps
 
 
-def ref_vh_quadratic_form(values, edges, h, gamma, measure):
-    total = 0.0
-    for wk, alpha in measure.atoms:
-        a = gamma * alpha
-        q = math.exp(-2.0 * a * h)
-        G = 1.0 / (1.0 - q)
-        E = math.exp(-a * h)
-        # 1D cell integrals of decaying exponentials from either wall
-        P = (np.exp(-a * edges[:-1]) - np.exp(-a * edges[1:])) / a      # e^{-ax}
-        Q = (np.exp(-a * (h - edges[1:])) - np.exp(-a * (h - edges[:-1]))) / a
-        Sp = float(values @ P)
-        Sq = float(values @ Q)
-        # |d| part: exponential-kernel quadratic form over cells
-        abs_part = float(values @ _pair_integral(a, edges) @ values)
-        # cosh(ad) part: q G [e^{-a(y-x)} + e^{a(y-x)}] integrates to
-        # 2 G E Sp Sq after regrouping with the prefactor
-        quad = abs_part + 2.0 * G * E * Sp * Sq - G * (Sp * Sp + Sq * Sq)
-        total += wk * quad
-    return gamma * measure.lam * total
-
-
-def ref_cell_specific_energy(params, sigma, gamma=None):
-    gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau()
-    values, edges, h = sigma.values, sigma.breakpoints, sigma.L
-    signs = np.sign(values[np.abs(values) > 0.0])
-    if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
-        raise SignError("cell profile must have constant sign")
-    vals = np.abs(values)
-    widths = np.diff(edges)
-    well = float(np.sum(widths * eval_tilde_F(vals, params))) / h
-    quad = ref_vh_quadratic_form(vals, edges, h, gamma, params.measure)
-    return well + tau / h + quad / (2.0 * h)
-
-
-def ref_chessboard_lower_bound(params, step, gamma=None, bc="open"):
-    gamma = params.gamma if gamma is None else gamma
-    per = []
-    for a, b, _sign in step.sign_intervals(periodic=(bc == "periodic")):
-        h_i = b - a
-        if a < 0.0:
-            # wrapped interval (periodic merge): glue the two arcs
-            head = step.restrict(step.L + a, step.L)
-            tail = step.restrict(0.0, b)
-            cell = StepProfile(
-                breakpoints=np.concatenate([head.breakpoints,
-                                            head.L + tail.breakpoints[1:]]),
-                values=np.concatenate([head.values, tail.values]),
-                m_bar=step.m_bar)
-        else:
-            cell = step.restrict(a, b)
-        term = h_i * ref_cell_specific_energy(params, cell, gamma=gamma)
-        per.append((h_i, term))
-    return float(sum(t for _, t in per)), per
-
-
-def ref_exchange_banded(samples, jband, dx):
-    acc = 0.0
-    for k, jk in enumerate(jband, start=1):
-        if jk == 0.0 or k >= samples.size:
-            continue
-        d = samples[k:] - samples[:-k]
-        acc += jk * float(d @ d)
-    return 0.5 * dx * dx * acc
-
-
-def ref_short_range_energy(params, profile, interval=None):
-    if interval is None:
-        seg = profile.samples
-    else:
-        a, b = interval
-        ia = a / profile.dx
-        ib = b / profile.dx
-        if not (abs(ia - round(ia)) < 1e-6 and abs(ib - round(ib)) < 1e-6):
-            raise AlignmentError(f"interval ({a}, {b}) not grid aligned")
-        seg = profile.samples[int(round(ia)):int(round(ib))]
-    if seg.size == 0:
-        return 0.0
-    local = profile.dx * float(np.sum(eval_F(seg, params)))
-    jband = params.kernel.band(profile.dx)
-    return local + ref_exchange_banded(seg, jband, profile.dx)
-
-
-def ref_classify_blocks(params, profile, partition, cutoff_multiplier=2.0):
-    cutoff = cutoff_multiplier * params.require_tau()
-    energies = np.array([
-        ref_short_range_energy(params, profile, (a, b))
-        for a, b in partition.blocks()])
-    return {"energy": energies, "low": energies <= cutoff, "cutoff": cutoff}
+def _cell_bound(n_pieces, magnitude):
+    """One cell's term on either side: the dense side forms each matrix
+    entry and the wall integrals in closed form (about ten roundings each)
+    and sums n^2 products in two matrix-vector passes (2 n roundings of the
+    terms' magnitude), the pass a doubling scan and a sum over the n pieces
+    (2 n more), and its three kernel terms are at most twice the dense
+    side's in magnitude: (8 n + 128) eps of the magnitude."""
+    return (8.0 * n_pieces + 128.0) * _EPS * magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +48,8 @@ def _model(gamma, atoms):
 
 
 _GAMMA = st.floats(math.log(1e-4), math.log(0.1)).map(math.exp)
-# rates from 1/2: the references lose digits as gamma alpha h -> 0 (against
-# a 50-digit evaluation, 3e-13 of the term at gamma alpha = 2e-5, h = 112,
-# where the library is within 2e-16); from 1/2 they stay well inside 1e-12
+# rates from 1/2: as gamma alpha h -> 0 both sides cancel to relative order
+# 1/(gamma alpha h), which the magnitude in ``_cell_bound`` carries
 _ATOMS = st.one_of(
     st.floats(0.5, 4.0).map(lambda a: ((1.0, a),)),
     st.tuples(st.floats(0.1, 0.9), st.floats(0.5, 4.0),
@@ -152,15 +65,17 @@ def _step(pieces):
     return StepProfile.from_pieces(pieces, m_bar=0.9)
 
 
-def _assert_same_terms(got, want):
+def _assert_same_terms(got, want, step):
     bound, per = got
-    ref_bound, ref_per = want
-    assert len(per) == len(ref_per)
-    scale = max(abs(t) for _, t in ref_per)
-    for (h, t), (rh, rt) in zip(per, ref_per):
-        assert h == pytest.approx(rh, rel=1e-12)
-        assert abs(t - rt) <= 1e-12 * scale
-    assert abs(bound - ref_bound) <= 1e-12 * len(per) * scale
+    assert len(per) == len(want)
+    total = 0.0
+    for (h, t), (rh, rt, size, n) in zip(per, want):
+        # a cell length is a sum of at most n piece widths on either side
+        assert abs(h - rh) <= 2.0 * (n + 2) * _EPS * step.L
+        assert abs(t - rt) <= _cell_bound(n, size)
+        total += _cell_bound(n, size)
+    assert abs(bound - math.fsum(w[1] for w in want)) <= (
+        total + len(per) * _EPS * sum(abs(w[1]) for w in want))
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,7 +95,7 @@ def test_chessboard_matches_reference(pieces, gamma, atoms, periodic):
     step = _step(pieces)
     bc = "periodic" if periodic else "open"
     _assert_same_terms(chessboard_lower_bound(params, step, gamma, bc=bc),
-                       ref_chessboard_lower_bound(params, step, gamma, bc=bc))
+                       dense_chessboard(params, step, gamma, periodic), step)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,8 +108,9 @@ def test_cell_energy_matches_reference(pieces, gamma, atoms, negative):
         pieces = [(w, -v) for w, v in pieces]
     cell = _step(pieces)
     got = cell_specific_energy(params, cell, gamma)
-    want = ref_cell_specific_energy(params, cell, gamma)
-    assert got == pytest.approx(want, rel=1e-12)
+    h, term, size = dense_cell_energy(params, np.diff(cell.breakpoints),
+                                      cell.values, gamma)
+    assert abs(got * h - term) <= _cell_bound(len(pieces), size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,11 +137,23 @@ def test_block_energies_match_reference(params, data, per_unit, n_units,
         part = BlockPartition(edges=np.array(sorted([0, n, *inner])) * dx)
     p = params.with_tau(TAU)
     got = classify_blocks(p, profile, part)
-    want = ref_classify_blocks(p, profile, part)
-    assert got["energy"].shape == want["energy"].shape
-    np.testing.assert_allclose(got["energy"], want["energy"], rtol=1e-13,
-                               atol=0.0)
-    assert got["cutoff"] == want["cutoff"]
+    idx = np.round(part.edges / dx).astype(int)
+    assert got["energy"].shape == (idx.size - 1,)
+    assert got["cutoff"] == 2.0 * TAU
+    assert np.array_equal(got["low"], got["energy"] <= 2.0 * TAU)
+    # F and the exchange pairs are nonnegative, so the sums err relative to
+    # the block's energy: n + 2/dx roundings of it on the library's side (a
+    # sum over the block, the band's dot products), a pairwise n^2 sum on
+    # the direct side. F itself errs by 8 eps of the magnitude of a's terms,
+    # at most log(2)/beta + J0_hat/2 for a(t) and for a(m_beta), per sample
+    a_terms = math.log(2.0) / p.beta + 0.5 * p.kernel.j0_hat
+    for e, i, j in zip(got["energy"], idx[:-1], idx[1:]):
+        block = GridProfile(L=(j - i) * dx, dx=dx, samples=samples[i:j])
+        want = dense_energy(p, block, 0.0)
+        n = j - i
+        bound = ((n + 2.0 / dx + 2.0 * math.log2(n) + 16.0) * _EPS * want
+                 + 16.0 * _EPS * a_terms * dx * n)
+        assert abs(e - want) <= bound
 
 
 @pytest.mark.parametrize("bc", ["open", "periodic"])

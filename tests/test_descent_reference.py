@@ -1,29 +1,21 @@
-"""The descent against its earlier implementation: on the box bit for bit,
-on the mean slice against oracles that share no code with the library.
+"""The descent, its projections, the well and the residuals against oracles
+that share no code with the library.
 
-The references below are the earlier implementations, kept verbatim as
-oracles (renamed with a ``ref`` prefix): the projections returned the point
-(and, on the box, whether it was strictly inside), and the descent took the
-candidate's extremes again to tell whether it was on the step ray; the
-stationarity residuals took the extremes of phi every iteration; and the
-well clipped every vector and searched it for clipped samples. The library
-versions compute each of these once per candidate or per iteration and must
-give the same profiles, traces, energies and counts, and the same well
-values, box projections and residuals, in every bit.
-
-The mean-slice projection finds its shift by variable fixing, which rounds
-otherwise than the earlier knot formula, so a slice descent whose projection
-clips a candidate differs from the reference in its last bits. Each slice
-projection such a descent makes must meet the KKT conditions of the
-projection (``direct_oracles.check_mean_projection``), a projection on its
-own must also agree with the knot formula (``ref_project_mean_box``) to the
-bound a rounding analysis gives, and the descent's energy must be the O(N^2)
-direct sum of its profile (``direct_oracles.dense_energy``). Slice descents
-that never clip (the rounding stop) project by the one shift, unchanged, and
-stay pinned bit for bit.
+Every projection a descent makes is checked as it is made: on the box it
+must be ``np.clip(y, -1, 1)`` exactly, on the mean slice it must meet the
+KKT conditions of the projection (``direct_oracles.check_mean_projection``),
+and a slice projection on its own must also agree with the knot formula
+(``ref_project_mean_box``) to the bound a rounding analysis gives. A
+descent's carried energy must be the O(N^2) direct sum of its profile
+(``direct_oracles.dense_energy``), its trace must never rise, its samples
+must stay in the box, and its residual must be that of the direct gradient
+(``direct_oracles.dense_gradient``) to rounding. The well F and its slope F'
+are checked per sample against ``math.log1p`` and ``math.atanh``, within a
+few ulp of their terms, and the two residuals against per-sample loops of
+their definitions, exactly.
 """
 
-from typing import List, Optional, Tuple
+import math
 
 import numpy as np
 import pytest
@@ -32,187 +24,81 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import froth1d.minimize as minimize_module
-from direct_oracles import (check_mean_projection, dense_energy, knot_bound,
-                            ref_project_mean_box)
+from direct_oracles import (check_mean_projection, dense_energy,
+                            dense_gradient, knot_bound, pair_scale,
+                            projected_residual_direct, ref_project_mean_box,
+                            slice_residual_direct, slope_direct, well_direct)
 from froth1d.energy import _quadratic_form
 from froth1d.errors import DomainError, LineSearchFailure
-from froth1d.minimize import (_ARMIJO, _BACKTRACK, _MIN_STEP, _STEP0,
-                              _STEP_GROW, MinimizeOptions, MinimizeResult,
-                              _descend, _mean_slice_grad_norm,
-                              _project_box, _project_mean_box,
-                              _projected_grad_norm)
-from froth1d.model import (_EDGE, ModelParams, _finish_slope, _shifted_a,
-                           _unclamped_a, _well, _well_parts, eval_F)
+from froth1d.minimize import (MinimizeOptions, _descend,
+                              _mean_slice_grad_norm, _project_box,
+                              _project_mean_box, _projected_grad_norm)
+from froth1d.model import (_EDGE, ModelParams, _finish_slope, _well,
+                           _well_parts, eval_F)
 from froth1d.profiles import GridProfile
 
+_EPS = np.finfo(float).eps
+# below the normal range rounding is absolute: a few of these per operation
+_FLOOR = 8.0 * np.finfo(float).smallest_subnormal
+
 # ---------------------------------------------------------------------------
-# references
+# tolerances, fixed before the runs
 
 
-def ref_well(t: np.ndarray, params: ModelParams):
-    """F(t) = a(t) - a(m_beta) (0 exactly at +-m_beta) and F'(t) = (log1p s -
-    log1p(-s)) / (2 beta) - J0_hat s per sample of a vector t in [-1, 1], from
-    one log1p pair on s = clip(t, -_EDGE, _EDGE); F takes a(|t|) beyond it."""
-    # in-place steps, same operations in the same order as the formulas
-    s = np.maximum(t, -_EDGE)    # np.clip is slower
-    np.minimum(s, _EDGE, out=s)
-    lp = np.log1p(s)
-    lm = np.negative(s)
-    np.log1p(lm, out=lm)
-    slope = lp - lm
-    slope /= 2.0 * params.beta
-    slope -= params.kernel.j0_hat * s
-    f = _shifted_a(s, lp, lm, params)
-    f -= params._a_min
-    out = np.flatnonzero(s != t)
-    if out.size:
-        f[out] = _unclamped_a(np.abs(t[out]), params) - params._a_min
-    return f, slope
+def _a_terms(u, params):
+    """|each term| of a(u) = ((1 + u) log1p(u) + (1 - u) log1p(-u)) / (2 beta)
+    - (J0_hat / 2) u^2, summed."""
+    u = np.abs(np.asarray(u, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(u < 1.0, (1.0 - u) * -np.log1p(-u), 0.0)
+    return ((1.0 + u) * np.log1p(u) + ent) / (2.0 * params.beta) + (
+        0.5 * params.kernel.j0_hat * u * u)
 
 
-def ref_eval_F(t, params: ModelParams):
-    """Double-well density F(t) = a(t) - a(m_beta), nonnegative and even."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise DomainError("magnetization outside [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    out = ref_well(t.reshape(-1), params)[0].reshape(t.shape)
-    return out if out.ndim else float(out)
+def _f_bound(t, params):
+    """F(t) = a(t) - a(m_beta): each term of a is formed with at most four
+    roundings (log1p within an ulp, a product, a division), the three are
+    summed with two and a(m_beta) likewise, the difference takes one; the
+    library and the oracle each err by at most 7 u = 3.5 eps per unit of the
+    terms' absolute sum, so both together by 8 eps of it."""
+    return 8.0 * _EPS * (_a_terms(t, params)
+                         + _a_terms(params.m_beta, params)) + _FLOOR
 
 
-def ref_projected_grad_norm(phi, g, tol=1e-12):
-    """Sup-norm of the gradient with active box faces masked out."""
-    if not g.size:
-        return 0.0
-    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # no face near
-        return float(np.max(np.abs(g)))
-    pg = g.copy()
-    pg[(phi >= 1.0 - tol) & (g < 0.0)] = 0.0
-    pg[(phi <= -1.0 + tol) & (g > 0.0)] = 0.0
-    return float(np.max(np.abs(pg)))
+def _slope_bound(t, params):
+    """F'(t) at s = clip(t, -_EDGE, _EDGE): the library's log1p pair has
+    opposite signs, so its difference is 2 atanh(s) to three roundings of
+    it, then one division, one product J0_hat s and one subtraction; the
+    oracle's atanh is within an ulp, with one division, one product and one
+    subtraction: 4.5 eps per unit of |atanh(s)| / beta + J0_hat |s| in all,
+    taken as 8 eps."""
+    s = np.clip(np.asarray(t, dtype=float), -_EDGE, _EDGE)
+    return 8.0 * _EPS * (np.abs(np.arctanh(s)) / params.beta
+                         + params.kernel.j0_hat * np.abs(s)) + _FLOOR
 
 
-def ref_mean_slice_grad_norm(phi, g, tol=1e-12):
-    """Stationarity residual on {mean = const} intersected with the box.
+# The carried energy against the direct sums: each term of E is O(1) per
+# unit length here (|F| < 1, J and v integrate to O(1), |phi| <= 1), so both
+# sides round to a few eps per sample and per step, far inside 1e3 eps of
+# max(1, L) for the descents below (at most 40 steps, or a few thousand
+# steps that each change E by less than an ulp of it).
+_ENERGY_TOL = 1e3 * _EPS
 
-    On the slice the multiplier is the gradient mean over free samples;
-    box-active samples only count when they push off their face.
+
+def _grad_bound(params, profile, gamma, iterations):
+    """The residual from the carried gradient against the direct one.
+
+    The terms of one entry of g sum in absolute value to at most g_scale:
+    atanh(_EDGE) / beta + J0_hat for the slope and S of ``pair_scale`` for
+    the pairs. The descent refreshes the gradient at every clipped candidate
+    and otherwise carries it by gq -= t K d: one application of K (a band of
+    2/dx + 1 terms, the chunked prefix sums with their carries, the Neumann
+    rank-two terms), about 64 roundings of g_scale per iteration. The direct
+    side sums n + n_out terms per entry, recursively at worst.
     """
-    if phi.max() < 1.0 - tol and phi.min() > -1.0 + tol:   # all free
-        return float(np.max(np.abs(g - g.mean())))
-    free = np.abs(phi) < 1.0 - tol
-    mu = float(g[free].mean()) if np.any(free) else float(g.mean())
-    return ref_projected_grad_norm(phi, g - mu, tol)
-
-
-def ref_project_box(y):
-    """The nearest point of the box to y, and whether y lies strictly inside
-    it (the point is then y itself)."""
-    if y.max() < 1.0 and y.min() > -1.0:
-        return y, True
-    return np.clip(y, -1.0, 1.0), False
-
-
-def ref_descend(params: ModelParams, profile: GridProfile, gamma: float,
-             options: MinimizeOptions,
-             mean: Optional[float] = None) -> MinimizeResult:
-    """Projected gradient descent on the box, or with ``mean`` on its slice.
-
-    E = dx sum F(phi) + Q(phi) with Q quadratic, so along a step ray only the
-    well is nonlinear. The descent carries Q and its gradient gq with phi.
-    A candidate strictly inside the box is phi - t d up to rounding, with
-    d = g on the box and d = g - mean(g) on the slice (the ray shifted back
-    to the mean): it costs one well pass, its Q is the exact expansion
-    Q - t dx <gq, d> + (t^2 dx / 2) <d, H d>, and its acceptance updates gq
-    by -t H d. H d takes one application of K per iteration, made when the
-    first such candidate needs it. A candidate that the projection clips is
-    evaluated afresh. Candidates are plain arrays that the projections place
-    in the box, so only the returned profile is built and validated.
-    """
-    form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
-    dx = profile.dx
-    if mean is None:
-        project, stationarity = ref_project_box, ref_projected_grad_norm
-    else:
-        def project(y):
-            # a projection strictly inside the box is a pure shift of y
-            x = ref_project_mean_box(y, mean)
-            return x, bool(x.max() < 1.0 and x.min() > -1.0)
-        stationarity = ref_mean_slice_grad_norm
-    outside = form.outside(profile)
-    phi = project(profile.samples)[0]
-    q, gq = form.quadratic(phi, outside)
-    f, g = ref_well(phi, params)
-    energy = dx * float(f.sum()) + q
-    g += gq
-    evaluations = applications = 1
-    step = _STEP0
-    rows: List[Tuple[float, float, float, float]] = []
-    status = "max_iters"
-    it = 0
-    for it in range(1, options.max_iters + 1):
-        gnorm = stationarity(phi, g)
-        rows.append((it - 1, energy, gnorm, step))
-        if gnorm <= options.grad_tol:
-            status = "converged"
-            break
-        d = g if mean is None else g - g.mean()
-        d_d = float(d @ d)
-        # whether E resolves the Armijo decrease asked of a unit step
-        resolved = energy - _ARMIJO * dx * d_d < energy
-        hd = None
-        accepted = False
-        while step >= _MIN_STEP:
-            # L2 gradient flow step: g is the discrete functional derivative
-            cand, on_ray = project(phi - step * g)
-            f, cand_g = ref_well(cand, params)
-            evaluations += 1
-            if on_ray:      # cand = phi - step d
-                if hd is None:
-                    hd = form.hessian(d)
-                    applications += 1
-                    gq_d, d_hd = float(gq @ d), float(d @ hd)
-                cand_q = q + step * dx * (0.5 * step * d_hd - gq_d)
-                cand_gq = None
-                decrease = dx * step * d_d
-            else:
-                cand_q, cand_gq = form.quadratic(cand, outside)
-                applications += 1
-                decrease = dx * float(np.sum((cand - phi) ** 2)) / max(step, 1e-300)
-            cand_energy = dx * float(f.sum()) + cand_q
-            if cand_energy <= energy - _ARMIJO * decrease:
-                accepted = True
-                break
-            step *= _BACKTRACK
-        # float64 resolves at E no decrease below about half an ulp of E.
-        # Once even the decrease the Armijo test asks of a unit step is below
-        # that, the test compares roundings of E: a failed search, or an
-        # accepted step whose whole first-order decrease E does not resolve,
-        # ends the descent unconverged. A search that fails while E resolves
-        # that decrease raises: the step ray does not descend.
-        if not accepted:
-            status = "line_search_failure" if resolved else "rounding"
-            break
-        if not resolved and energy - decrease == energy:
-            status = "rounding"
-            break
-        if cand_gq is None:
-            gq -= step * hd
-        else:
-            gq = cand_gq
-        phi, q, energy, g = cand, cand_q, cand_energy, cand_g
-        g += gq
-        step = min(step * _STEP_GROW, 1e6)
-    gnorm = stationarity(phi, g)
-    rows.append((it, energy, gnorm, step))
-    result = MinimizeResult(profile=profile.with_samples(phi), energy=energy,
-                            grad_norm=gnorm, iterations=it,
-                            converged=status == "converged",
-                            trace=np.array(rows), evaluations=evaluations,
-                            applications=applications)
-    if status == "line_search_failure":
-        raise LineSearchFailure("backtracking underflowed", result=result)
-    return result
+    s, n_out = pair_scale(params, gamma, profile.dx, profile.bc)
+    g_scale = math.atanh(_EDGE) / params.beta + params.kernel.j0_hat + s
+    return (64.0 * (iterations + 1) + profile.n + n_out) * _EPS * g_scale
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +111,6 @@ _MEANS = (None, 0.0, 0.96, -0.96, 1.0, -1.0)
 # well's clip edge, and just inside it
 _FACE_VALUES = (1.0, -1.0, 1.0 - 1e-13, -(1.0 - 1e-13), _EDGE, -_EDGE,
                 1.0 - 1e-11, -(1.0 - 1e-11))
-
-
-def _outcome(descend, params, profile, gamma, options, mean):
-    """What a descent returns, bit for bit, and whether it raised."""
-    try:
-        res, raised = descend(params, profile, gamma, options, mean), False
-    except LineSearchFailure as err:
-        res, raised = err.result, True
-    scalars = np.array([res.energy, res.grad_norm]).tobytes()
-    return (raised, res.profile.samples.tobytes(), res.trace.tobytes(),
-            scalars, res.iterations, res.converged, res.evaluations,
-            res.applications)
 
 
 def _start(n, dx, bc, kind, seed):
@@ -261,6 +135,52 @@ def _start(n, dx, bc, kind, seed):
     return GridProfile(L=n * dx, dx=dx, samples=samples, bc=bc, **extra)
 
 
+def _checked_descent(profile, gamma, options, mean, gradient=True):
+    """A descent with every projection it makes checked as it is made: on
+    the box against ``np.clip``, bit for bit, on the slice against the KKT
+    oracle. Its carried energy must be the direct sum of its profile, its
+    trace must not rise, its samples must lie in the box, and (with
+    ``gradient``) its residual must be the direct gradient's to
+    ``_grad_bound``. Returns the result and whether it raised
+    ``LineSearchFailure``."""
+    project_box = minimize_module._project_box
+    project_slice = minimize_module._project_mean_box
+
+    def checked_box(y):
+        x, lo, hi = out = project_box(y)
+        assert x.tobytes() == np.clip(y, -1.0, 1.0).tobytes()
+        assert (lo, hi) == (x.min(), x.max())
+        return out
+
+    def checked_slice(y, mean):
+        out = project_slice(y, mean)
+        check_mean_projection(y, mean, *out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimize_module, "_project_box", checked_box)
+        patch.setattr(minimize_module, "_project_mean_box", checked_slice)
+        try:
+            res, raised = _descend(_PARAMS, profile, gamma, options,
+                                   mean), False
+        except LineSearchFailure as err:
+            res, raised = err.result, True
+    phi = res.profile.samples
+    assert abs(res.energy - dense_energy(_PARAMS, res.profile, gamma)) <= (
+        _ENERGY_TOL * max(1.0, profile.L))
+    assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+    assert np.all(np.abs(phi) <= 1.0)
+    if gradient:
+        g = dense_gradient(_PARAMS, res.profile, gamma)
+        residual = (projected_residual_direct(phi, g) if mean is None
+                    else slice_residual_direct(phi, g))
+        bound = _grad_bound(_PARAMS, profile, gamma, res.iterations)
+        assert abs(residual - res.grad_norm) <= bound
+        if res.converged:
+            assert residual <= options.grad_tol + bound
+    return res, raised
+
+
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(2, 48), dx=st.sampled_from([1.0 / 8.0, 1.0 / 16.0]),
        bc=st.sampled_from(_BCS), mean=st.sampled_from(_MEANS),
@@ -274,47 +194,13 @@ def _start(n, dx, bc, kind, seed):
          kind="faces", seed=2, max_iters=40, grad_tol=1e-9)
 @example(n=32, dx=1.0 / 16.0, bc="neumann", mean=-1.0, gamma=1e-2,
          kind="noise", seed=3, max_iters=5, grad_tol=1e-9)
+@example(n=40, dx=1.0 / 8.0, bc="periodic", mean=None, gamma=1e-2,
+         kind="wave", seed=4, max_iters=40, grad_tol=1e-3)
 def test_descent_matches_reference(n, dx, bc, mean, gamma, kind, seed,
                                    max_iters, grad_tol):
     profile = _start(n, dx, bc, kind, seed)
     options = MinimizeOptions(max_iters=max_iters, grad_tol=grad_tol)
-    if mean is None:
-        assert (_outcome(_descend, _PARAMS, profile, gamma, options, mean)
-                == _outcome(ref_descend, _PARAMS, profile, gamma, options,
-                            mean))
-    else:
-        _checked_slice_descent(profile, gamma, options, mean)
-
-
-# The carried energy against the direct sums: each term of E is O(1) per
-# unit length here (|F| < 1, J and v integrate to O(1), |phi| <= 1), so both
-# sides round to a few eps per sample and per step of at most 40, far inside
-# 1e3 eps of max(1, L).
-_ENERGY_TOL = 1e3 * np.finfo(float).eps
-
-
-def _checked_slice_descent(profile, gamma, options, mean):
-    """A slice descent with every projection it makes checked against the
-    KKT oracle, and its energy against the direct sums; returns whether it
-    raised ``LineSearchFailure``."""
-    project = minimize_module._project_mean_box
-
-    def checked(y, mean):
-        out = project(y, mean)
-        check_mean_projection(y, mean, *out)
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(minimize_module, "_project_mean_box", checked)
-        try:
-            res, raised = _descend(_PARAMS, profile, gamma, options,
-                                   mean), False
-        except LineSearchFailure as err:
-            res, raised = err.result, True
-    assert abs(res.energy - dense_energy(_PARAMS, res.profile, gamma)) <= (
-        _ENERGY_TOL * max(1.0, profile.L))
-    assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
-    return raised
+    _checked_descent(profile, gamma, options, mean)
 
 
 def _wave_start(seed):
@@ -328,39 +214,40 @@ def _wave_start(seed):
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_rounding_stop_matches_reference(seed):
-    # descents that end stationary to the rounding of E
+    # slice descents that end stationary to the rounding of E, unconverged
     options = MinimizeOptions(max_iters=5000, grad_tol=1e-12)
-    new = _outcome(_descend, _PARAMS, _wave_start(seed), 1e-2, options, 0.0)
-    ref = _outcome(ref_descend, _PARAMS, _wave_start(seed), 1e-2, options, 0.0)
-    assert new == ref
-    assert not new[0] and not new[5] and new[4] < 5000
+    res, raised = _checked_descent(_wave_start(seed), 1e-2, options, 0.0)
+    assert not raised and not res.converged and res.iterations < 5000
 
 
 def test_line_search_failure_matches_reference(monkeypatch):
-    # both wells made to point uphill: both descents raise the same result
-    def uphill(well):
-        def turned(phi, p):
-            f, fp = well(phi, p)
-            return f, -fp
-        return turned
-
+    # the well made to point uphill: the box and the slice descent raise,
+    # each with its last iterate, whose energy is still the direct sum
     def finish_uphill(diff, s, p):
         return -_finish_slope(diff, s, p)
 
     monkeypatch.setattr(minimize_module, "_finish_slope", finish_uphill)
-    monkeypatch.setitem(globals(), "ref_well", uphill(ref_well))
     options = MinimizeOptions(max_iters=50, grad_tol=1e-12)
     profile = GridProfile.constant(0.5, L=4.0, dx=0.0625)
-    new = _outcome(_descend, _PARAMS, profile, 1e-2, options, None)
-    assert new[0]
-    assert new == _outcome(ref_descend, _PARAMS, profile, 1e-2, options, None)
-    assert _checked_slice_descent(_wave_start(0), 1e-2, options, 0.0)
+    res, raised = _checked_descent(profile, 1e-2, options, None,
+                                   gradient=False)
+    assert raised and res.iterations >= 1
+    assert _checked_descent(_wave_start(0), 1e-2, options, 0.0,
+                            gradient=False)[1]
 
 
 # ---------------------------------------------------------------------------
 # the pieces
 
 _SPECIAL = st.sampled_from(_FACE_VALUES + (0.0, -0.0))
+
+
+def _assert_well(t, f, fp, params):
+    """F and F' of the samples t within their per-sample bounds."""
+    t = np.asarray(t, dtype=float).ravel()
+    assert np.all(np.abs(f - well_direct(t, params)) <= _f_bound(t, params))
+    assert np.all(np.abs(fp - slope_direct(t, params))
+                  <= _slope_bound(t, params))
 
 
 @settings(max_examples=300, deadline=None)
@@ -376,10 +263,9 @@ def test_well_matches_reference(t, beta):
     params = ModelParams.create(beta=beta, gamma=1e-2)
     before = t.tobytes()
     f, fp = _well(t, params)
-    ref_f, ref_fp = ref_well(t, params)
     assert t.tobytes() == before
-    assert f.tobytes() == ref_f.tobytes()
-    assert fp.tobytes() == ref_fp.tobytes()
+    assert f.shape == fp.shape == t.shape
+    _assert_well(t, f, fp, params)
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,20 +278,24 @@ def test_well_matches_reference(t, beta):
                       st.floats(-1.0 - 1e-12, -1.0, exclude_max=True)))),
        beta=st.sampled_from([1.5, 2.0, 8.0]))
 def test_eval_F_matches_reference(t, beta):
-    # eval_F takes the extremes from its domain check and skips the slope;
-    # samples within 1e-12 beyond a face are snapped onto it, in a copy
+    # samples within 1e-12 beyond a face are snapped onto it, in a copy;
+    # further out is outside the domain
     params = ModelParams.create(beta=beta, gamma=1e-2)
     before = np.asarray(t).tobytes()
-    try:
-        ref = ref_eval_F(t, params)
-    except DomainError:
+    arr = np.asarray(t, dtype=float)
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         with pytest.raises(DomainError):
             eval_F(t, params)
         return
     got = eval_F(t, params)
     assert np.asarray(t).tobytes() == before
-    assert type(got) is type(ref)
-    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    if arr.ndim:
+        assert isinstance(got, np.ndarray) and got.shape == arr.shape
+    else:
+        assert type(got) is float
+    want = well_direct(np.clip(arr, -1.0, 1.0), params)
+    assert np.all(np.abs(np.ravel(got) - want)
+                  <= _f_bound(np.clip(arr, -1.0, 1.0).ravel(), params))
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,7 +309,7 @@ def test_descent_well_entry_matches_reference(y, mean, beta):
     # the descent's well entry on a projected candidate, with the
     # projection's extremes passed in and the slope finished only after a
     # second candidate's pass; candidates hold samples on +-1 and strictly
-    # inside (_EDGE, 1)
+    # inside (_EDGE, 1). It is the well of ``_well`` in every bit
     params = ModelParams.create(beta=beta, gamma=1e-2)
     if mean is None:
         x, lo, hi = _project_box(y)
@@ -433,9 +323,7 @@ def test_descent_well_entry_matches_reference(y, mean, beta):
     other_fp = _finish_slope(other_diff, other_s, params)
     assert x.tobytes() == before
     for t, got in ((x, (f, fp)), (other, (other_f, other_fp))):
-        ref = ref_well(t, params)
-        assert got[0].tobytes() == ref[0].tobytes()
-        assert got[1].tobytes() == ref[1].tobytes()
+        _assert_well(t, *got, params)
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(got, _well(t, params)))
 
@@ -447,10 +335,8 @@ def test_descent_well_entry_matches_reference(y, mean, beta):
 def test_projections_match_reference(y, mean):
     if mean is None:
         x, lo, hi = _project_box(y)
-        ref_x, ref_inside = ref_project_box(y)
-        assert x.tobytes() == ref_x.tobytes()
+        assert x.tobytes() == np.clip(y, -1.0, 1.0).tobytes()
         assert (lo, hi) == (x.min(), x.max())
-        assert (hi < 1.0 and lo > -1.0) == ref_inside
     else:
         x, lo, hi = _project_mean_box(y, mean)
         check_mean_projection(y, mean, x, lo, hi)
@@ -464,6 +350,5 @@ def test_projections_match_reference(y, mean):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_residuals_match_reference(phi, seed):
     g = np.random.default_rng(seed).normal(size=phi.size)
-    for new, ref in ((_projected_grad_norm, ref_projected_grad_norm),
-                     (_mean_slice_grad_norm, ref_mean_slice_grad_norm)):
-        assert new(phi, g).hex() == ref(phi, g).hex()
+    assert _projected_grad_norm(phi, g) == projected_residual_direct(phi, g)
+    assert _mean_slice_grad_norm(phi, g) == slice_residual_direct(phi, g)

@@ -1,143 +1,76 @@
-"""The closed form e(h) on arrays against its float calls and the earlier
-float-only implementation, and the scans that use it against the per-h
-loops they replaced.
+"""The closed form e(h) against 50-digit mpmath, its array entries against
+its float calls, and the scans that use it against their definitions.
 
-The references below are the earlier implementations, kept verbatim as
-oracles: ``_one_minus_tanhc`` and ``energy_per_length`` took one float h
-(``math.tanh`` above the switch, the atoms summed by ``math.fsum``), and
-``eh_curve`` and ``check_eh_bounds`` called them once per sample. Floats
-and arrays now run one code path, so an array entry must equal its float
-call bit for bit; against the float-only oracle the bound is ``_REL``, and
-the curve and the certificate must match the loops by hex.
+Floats and arrays run one code path, so an array entry must equal its float
+call bit for bit, and so must an entry of ``eh_curve``. Against mpmath, at
+random h, gamma and one to three atoms, e(h) and 1 - tanh(x)/x must hold to
+the relative bounds derived below. The constants c and C of
+``check_eh_bounds`` must hold at every point of its grid.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from froth1d.certificates import Certificate
-from froth1d.errors import (CertificateFailure, DomainError, Froth1dError,
+from froth1d.errors import (BracketError, CertificateFailure, DomainError,
                             ValidationError)
 from froth1d.model import KacMeasure, ModelParams
-from froth1d.sharp import (_BOUNDS_SAMPLES, _C_MAX, _C_MIN, _HIGH_BOUNDARIES,
-                           _LOW_BOUNDARIES, _TANHC_LEVELS, _TANHC_SWITCH,
-                           EhCurve, _one_minus_tanhc, check_eh_bounds,
-                           eh_curve, eh_derivative, energy_per_length,
-                           optimal_h)
+from froth1d.sharp import (_one_minus_tanhc, check_eh_bounds, eh_curve,
+                           eh_derivative, energy_per_length, optimal_h)
+
+_EPS = np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
-# references
+# 50-digit oracles and their bounds, fixed before running
 
 
-def ref_one_minus_tanhc(x: float) -> float:
-    if x >= _TANHC_SWITCH:
-        return 1.0 - math.tanh(x) / x
-    y = x * x
-    d = 2.0 * _TANHC_LEVELS + 1.0
-    for k in range(_TANHC_LEVELS - 1, 0, -1):
-        d = 2.0 * k + 1.0 + y / d
-    q = y / d
-    return q / (1.0 + q)
+def _tanhc_mp(x):
+    """1 - tanh(x)/x to 50 digits: the difference cancels about
+    -2 log10(x) digits as x -> 0, so it is formed with that many more."""
+    x = mpmath.mpf(x)
+    if x == 0:
+        return x
+    lost = max(0, int(-2 * mpmath.log10(x))) if x < 1 else 0
+    with mpmath.workdps(50 + lost):
+        return +(1 - mpmath.tanh(x) / x)
 
 
-def ref_energy_per_length(params, h, gamma=None):
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
-    gamma = params.gamma if gamma is None else gamma
-    tau = params.require_tau()
-    m2 = params.m_beta ** 2
+def _eh_mp(params, h, gamma):
+    """e(h) = tau/h + lam m^2 sum_k (w_k/a_k)(1 - tanh(x_k)/x_k),
+    x_k = a_k gamma h / 2, at 50 digits from the float inputs."""
     meas = params.measure
-    lr = math.fsum(w / a * ref_one_minus_tanhc(0.5 * a * gamma * h)
-                   for w, a in meas.atoms)
-    return tau / h + meas.lam * m2 * lr
+    with mpmath.workdps(50):
+        lr = mpmath.fsum(mpmath.mpf(w) / a * _tanhc_mp(
+            mpmath.mpf(a) * gamma * h / 2) for w, a in meas.atoms)
+        return (mpmath.mpf(params.tau) / h
+                + meas.lam * mpmath.mpf(params.m_beta) ** 2 * lr)
 
 
-def ref_eh_curve(params, gamma=None, n_samples=200, span=(0.02, 50.0)):
-    if n_samples < 1:
-        raise ValidationError("n_samples must be at least 1")
-    if not 0.0 < span[0] < span[1]:
-        raise ValidationError(f"span must satisfy 0 < low < high, got {span}")
-    gamma = params.gamma if gamma is None else gamma
-    h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
-    h = np.geomspace(span[0] * h_star, span[1] * h_star, n_samples)
-    e = np.array([energy_per_length(params, hh, gamma) for hh in h])
-    return EhCurve(gamma=gamma, tau=params.require_tau(), h=h, e=e,
-                   h_star=h_star, e_star=e_star,
-                   h_star_asym=h_asym, e_star_asym=e_asym)
-
-
-def ref_check_eh_bounds(params, gamma=None):
-    gamma = params.gamma if gamma is None else gamma
-    h_star, e_star, _, _ = optimal_h(params, gamma)
-    if h_star < 10.0:
-        raise ValidationError("check_eh_bounds needs h* >= 10 (gamma too large)")
-    hgrid = np.geomspace(1.0, 100.0 / gamma, _BOUNDS_SAMPLES)
-    e_vals = np.array([energy_per_length(params, h, gamma) for h in hgrid])
-    de_vals = np.array([abs(eh_derivative(params, h, gamma)) for h in hgrid])
-    diff = e_vals - e_star
-    last_err = "no candidate regime boundaries admitted positive constants"
-    for cp in _LOW_BOUNDARIES:
-        for Cp in _HIGH_BOUNDARIES:
-            lowshape = np.where(
-                hgrid <= cp * h_star, 1.0 / hgrid,
-                np.where(hgrid >= Cp / gamma, 1.0,
-                         gamma ** 2 * (hgrid - h_star) ** 2))
-            upshape = np.where(
-                hgrid <= cp * h_star, hgrid ** -2.0,
-                np.where(hgrid >= Cp / gamma, gamma ** -1.0 * hgrid ** -2.0,
-                         gamma ** 2 * np.abs(hgrid - h_star)))
-            # the middle-regime shapes vanish at h = h*; both sides do there
-            ok = lowshape > 0.0
-            c_fit = float(np.min(diff[ok] / lowshape[ok]))
-            okd = upshape > 0.0
-            C_fit = float(np.max(de_vals[okd] / upshape[okd]))
-            if c_fit >= _C_MIN and C_fit <= _C_MAX:
-                return Certificate(
-                    name="eh_bounds", lhs=c_fit, rhs=0.0, slack=c_fit,
-                    passed=True,
-                    params={"c": c_fit, "C": C_fit, "c_prime": cp,
-                            "C_prime": Cp, "gamma": gamma, "h_star": h_star,
-                            "n_samples": _BOUNDS_SAMPLES})
-            last_err = (f"c={c_fit:.3e}, C={C_fit:.3e} outside "
-                        f"[{_C_MIN:.0e}, {_C_MAX:.0e}] at c'={cp}, C'={Cp}")
-    raise CertificateFailure(last_err)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-# relative bound against the float-only references, fixed before running:
-# one ulp between np.tanh and math.tanh, plus the atoms summed in order
-# against math.fsum
-_REL = 4.0 * np.finfo(float).eps
-
-
-def _close(got, want):
-    """Entries of ``got`` within ``_REL`` of the floats ``want``."""
-    got, want = np.asarray(got), np.asarray(want)
-    return bool(np.all(np.abs(got - want) <= _REL * np.abs(want)))
+# 1 - tanh(x)/x: below x = 2 a chain of positive terms, two roundings per
+# level whose errors the chain damps, and q / (1 + q) with two more; above,
+# tanh within an ulp, a division and the subtraction, whose cancellation
+# costs at most a factor tanh(x) / (x - tanh(x)) < 1 there. 4 u either way,
+# taken as 4 eps; below the normal range (x^2 < 2^-1022) rounding is
+# absolute, a subnormal ulp for each of those four operations.
+_TANHC_REL = 4.0 * _EPS
+_TANHC_FLOOR = 4.0 * np.finfo(float).smallest_subnormal
+# e(h): every term is positive, so the bound is relative to e. x = a gamma
+# h / 2 takes three roundings, which 1 - tanh(x)/x (condition number at
+# most 2) turns into 6 u; 4 u for the function itself, 2 for w/a times it,
+# one per atom of the sum (three at most), 3 for lam m^2 times it, 2 for
+# tau / h and the last sum: 20 u, taken as 16 eps.
+_EH_REL = 16.0 * _EPS
 
 
 def _hex(x):
-    """Floats by their bits, arrays entry by entry, anything else as is."""
+    """Floats by their bits, arrays entry by entry."""
     if isinstance(x, np.ndarray):
         return [float(v).hex() for v in x.tolist()]
-    if isinstance(x, (float, np.floating)):
-        return float(x).hex()
-    if isinstance(x, dict):
-        return {k: _hex(v) for k, v in x.items()}
-    return x
-
-
-def _outcome(fn, *args):
-    try:
-        out = fn(*args)
-    except Froth1dError as err:
-        return ("raised", type(err).__name__, str(err))
-    return {k: _hex(v) for k, v in vars(out).items()}
+    return float(x).hex()
 
 
 @st.composite
@@ -168,7 +101,9 @@ def _model(measure, tau):
 def test_one_minus_tanhc_array_is_the_float_path(x):
     got = _one_minus_tanhc(np.array(x))
     assert [_one_minus_tanhc(v).hex() for v in x] == _hex(got)
-    assert _close(got, [ref_one_minus_tanhc(v) for v in x])
+    for v, g in zip(x, got.tolist()):
+        want = _tanhc_mp(v)
+        assert abs(g - want) <= _TANHC_REL * want + _TANHC_FLOOR, v
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,7 +115,9 @@ def test_energy_per_length_array_is_the_float_path(measure, tau, gamma, h):
     harr = np.array(h)
     got = energy_per_length(params, harr, gamma)
     assert [energy_per_length(params, v, gamma).hex() for v in h] == _hex(got)
-    assert _close(got, [ref_energy_per_length(params, v, gamma) for v in h])
+    for v, g in zip(h, got.tolist()):
+        want = _eh_mp(params, v, gamma)
+        assert abs(g - want) <= _EH_REL * want, v
     # the central difference on an array is the float one entry by entry
     assert _hex(eh_derivative(params, harr, gamma)) == [
         eh_derivative(params, v, gamma).hex() for v in h]
@@ -196,8 +133,9 @@ def test_entries_across_the_switch():
     got = energy_per_length(params, h, gamma)
     assert [energy_per_length(params, v, gamma).hex()
             for v in h.tolist()] == _hex(got)
-    assert _close(got, [ref_energy_per_length(params, v, gamma)
-                        for v in h.tolist()])
+    for v, g in zip(h.tolist(), got.tolist()):
+        want = _eh_mp(params, v, gamma)
+        assert abs(g - want) <= _EH_REL * want, v
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,9 +143,23 @@ def test_entries_across_the_switch():
        gamma=st.floats(1e-5, 0.1), n=st.integers(1, 300),
        span=st.tuples(st.floats(0.01, 0.9), st.floats(1.1, 80.0)))
 def test_eh_curve_matches_reference(measure, tau, gamma, n, span):
+    # log-spaced samples from span[0] h* to span[1] h*, each entry its own
+    # float call, with the optimum of ``optimal_h``
     params = _model(measure, tau)
-    assert _outcome(eh_curve, params, gamma, n, span) == _outcome(
-        ref_eh_curve, params, gamma, n, span)
+    try:
+        h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
+    except BracketError:
+        with pytest.raises(BracketError):
+            eh_curve(params, gamma, n, span)
+        return
+    curve = eh_curve(params, gamma, n, span)
+    assert (curve.h_star, curve.e_star) == (h_star, e_star)
+    assert (curve.h_star_asym, curve.e_star_asym) == (h_asym, e_asym)
+    assert (curve.gamma, curve.tau) == (gamma, tau)
+    assert curve.h.tobytes() == np.geomspace(span[0] * h_star,
+                                             span[1] * h_star, n).tobytes()
+    assert _hex(curve.e) == [energy_per_length(params, v, gamma).hex()
+                             for v in curve.h.tolist()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,9 +170,36 @@ def test_eh_curve_matches_reference(measure, tau, gamma, n, span):
 @example(measure=KacMeasure(atoms=((0.5, 1.0), (0.3, 2.0), (0.2, 0.5))),
          tau=0.2, gamma=1e-2)
 def test_check_eh_bounds_matches_reference(measure, tau, gamma):
+    # the three regimes: below c' h*, e - e* >= c / h and |e'| <= C / h^2;
+    # above C'/gamma, e - e* >= c and |e'| <= C / (gamma h^2); between,
+    # e - e* >= c gamma^2 (h - h*)^2 and |e'| <= C gamma^2 |h - h*|. Each
+    # must hold at every point of the certificate's grid, log-spaced from 1
+    # to 100/gamma, with e and e' the float calls, to the two roundings of
+    # a product and a quotient
     params = _model(measure, tau)
-    assert _outcome(check_eh_bounds, params, gamma) == _outcome(
-        ref_check_eh_bounds, params, gamma)
+    try:
+        cert = check_eh_bounds(params, gamma)
+    except (BracketError, CertificateFailure, ValidationError):
+        # no optimum inside the bracket, h* < 10, or no admissible regime
+        # boundaries; the explicit examples pass
+        assume(False)
+    p = cert.params
+    c, C, cp, Cp, h_star = p["c"], p["C"], p["c_prime"], p["C_prime"], \
+        p["h_star"]
+    assert cert.passed and 1e-8 <= c and C <= 1e8
+    e_star = optimal_h(params, gamma)[1]
+    for h in np.geomspace(1.0, 100.0 / gamma, p["n_samples"]).tolist():
+        diff = energy_per_length(params, h, gamma) - e_star
+        slope = abs(eh_derivative(params, h, gamma))
+        if h <= cp * h_star:
+            low, up = 1.0 / h, h ** -2.0
+        elif h >= Cp / gamma:
+            low, up = 1.0, h ** -2.0 / gamma
+        else:
+            low, up = gamma ** 2 * (h - h_star) ** 2, gamma ** 2 * abs(
+                h - h_star)
+        assert c * low <= diff + 4.0 * _EPS * abs(diff)
+        assert slope <= C * up + 4.0 * _EPS * slope
 
 
 @pytest.mark.parametrize("h", [[1.0, 0.0], [2.0, -1.0, 3.0], [math.nan],

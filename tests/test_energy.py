@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import quadratic_form_reference as reference
 from dense_pair_integral import dense_step_dipole_energy
-from direct_oracles import dense_energy, dipole_energy_direct
+from direct_oracles import (dense_energy, dipole_energy_direct, pair_scale,
+                            well_direct)
 from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
                             _ExpWeights, _quadratic_form, _QuadraticForm,
                             _self_integrals,
@@ -363,49 +363,65 @@ class TestHessianProduct:
 
 class TestOneOperator:
     """K is the whole quadratic part of every bc and fixed outside data one
-    linear term, against the earlier form that added the cross terms with
-    the outside data on the side (``quadratic_form_reference``)."""
+    linear term: Q(phi) = (dx/2) <phi, K phi> + dx <b, phi> + c. The O(N^2)
+    direct sums of ``dense_energy`` less the well, Qd, are the same
+    quadratic, so polarization reads K and b off them."""
 
-    @settings(max_examples=150, deadline=None)
+    @staticmethod
+    def _bound(params, gamma, n, dx, bc):
+        """The rounding of one evaluation of Q, on either side.
+
+        With |phi| and the outside data at most 1, the terms of Q sum in
+        absolute value to at most T = dx n (F_max + S), S of ``pair_scale``
+        and F_max bounding the well that Qd subtracts. The direct sums take
+        at worst one rounding of T per term they sum recursively: n per
+        matrix product, n + n_out per end's dot with the outside kernel,
+        2 log2 n for the pairwise sum of the exchange pairs. The library's K
+        takes a band of 2/dx + 1 terms and the chunked prefix sums, 64
+        roundings at most; a few more for the products and the differences
+        of the polarization: (2 n + n_out + 2/dx + 80) eps T.
+        """
+        s, n_out = pair_scale(params, gamma, dx, bc)
+        f_max = float(np.max(well_direct(np.array([0.0, 1.0]), params)))
+        t = dx * n * (f_max + s)
+        return (2 * n + n_out + 2.0 / dx + 80) * np.finfo(float).eps * t
+
+    @settings(max_examples=100, deadline=None)
     @given(bc=st.sampled_from(["open", "periodic", "plus", "minus",
                                "neumann", "custom"]),
            two_atoms=st.booleans(),
            dx=st.sampled_from([1.0 / 8.0, 1.0 / 16.0]),
-           log_gamma=st.floats(-3.0, -1.0), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
+           gamma=st.sampled_from([0.0, 1e-2, 0.1]),
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_cross_terms(self, params, two_atom_params, bc, two_atoms,
-                                 dx, log_gamma, seed, data):
-        n = data.draw(st.integers(1, int(3 / dx)), label="n")
+                                 dx, gamma, n, seed):
         model = two_atom_params if two_atoms else params
-        gamma = 10.0 ** log_gamma
         rng = np.random.default_rng(seed)
+        form = _quadratic_form(model, gamma, n, dx, bc)
         kwargs = {}
         if bc == "custom":
-            n_out = int(np.ceil(46.0 / (gamma * dx)))
-            out = rng.uniform(-1.0, 1.0, (2, n_out))
+            out = rng.uniform(-1.0, 1.0, (2, form.n_out))
             kwargs = dict(out_left=out[0], out_right=out[1])
-        p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1.0, 1.0, n),
-                        bc=bc, **kwargs)
-        delta = rng.uniform(-1.0, 1.0, n)
-        form = _quadratic_form(model, gamma, n, dx, bc)
-        ref = reference._QuadraticForm(model, gamma, n, dx, bc)
-        q, gq = form.quadratic(p.samples, form.outside(p))
-        hd = form.hessian(delta)
-        ref_q, ref_gq = ref.quadratic(p.samples, p)
-        ref_hd = ref.hessian(delta)
-        if bc in ("open", "periodic"):
-            # no cross terms: the same operations in the same order
-            assert q == ref_q
-            assert np.array_equal(gq, ref_gq) and np.array_equal(hd, ref_hd)
-            return
-        # with samples and outside data in [-1, 1], a sample's terms of gq
-        # (exchange pairs, in-domain and outside exponential sums, per end
-        # the reflected rank-two form) add up to at most
-        scale = 4.0 * dx * form.jband.sum() + sum(
-            pref * 8.0 / -np.expm1(-b * dx) for _, pref, b in form.atoms)
-        assert np.max(np.abs(gq - ref_gq)) <= 1e-14 * scale
-        assert np.max(np.abs(hd - ref_hd)) <= 1e-14 * scale
-        assert abs(q - ref_q) <= 1e-14 * dx * n * scale
+
+        def q_dense(samples):
+            p = GridProfile(L=n * dx, dx=dx, samples=samples, bc=bc, **kwargs)
+            return (dense_energy(model, p, gamma)
+                    - dx * math.fsum(well_direct(samples, model)))
+
+        # phi + d stays in the box
+        phi, d = rng.uniform(-0.5, 0.5, (2, n))
+        p = GridProfile(L=n * dx, dx=dx, samples=phi, bc=bc, **kwargs)
+        q, gq = form.quadratic(phi, form.outside(p))
+        kd = form.hessian(d)
+        bound = self._bound(model, gamma, n, dx, bc)
+        q_phi = q_dense(phi)
+        assert abs(q - q_phi) <= bound
+        # Qd(d) + Qd(-d) - 2 Qd(0) = dx <d, K d>
+        polar = q_dense(d) + q_dense(-d) - 2.0 * q_dense(np.zeros(n))
+        assert abs(dx * float(d @ kd) - polar) <= 4.0 * bound
+        # Qd(phi + d) - Qd(phi) = dx <gq, d> + (dx/2) <d, K d>
+        assert abs(dx * float(gq @ d)
+                   - (q_dense(phi + d) - q_phi - 0.5 * polar)) <= 4.0 * bound
 
     @settings(max_examples=60, deadline=None)
     @given(bc=st.sampled_from(["plus", "minus", "custom"]),

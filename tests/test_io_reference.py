@@ -1,38 +1,38 @@
-"""Profile files, the torus symbol, the exchange sum and the flat-segment
-search against their line-by-line, per-offset and per-block references.
+"""Profile files against their line-by-line references, and the torus
+symbol, the exchange sum, the flat-segment search and the adapted partition
+against oracles that share no code with the library.
 
-The references below are the earlier implementations, kept verbatim as
-oracles: ``save_profile`` formatted one sample at a time and
-``load_profile`` parsed one line at a time; ``_torus_symbol`` evaluated a
-fresh sine per band offset; ``_exchange_banded`` squared, weighted and
-accumulated each offset's differences; ``adapted_partition`` searched each
-block's flat segment on its own slice of the small-block means. The
-library versions must write the same bytes, read the same bits, raise the
-same errors on the same lines, and return the same symbol and partitions
-bit for bit; the one-block exchange sum, whose summation order changed,
-to 1e-14.
+``ref_save_profile`` and ``ref_load_profile`` are the earlier per-line
+implementations, kept verbatim as oracles: the file grammar and its errors
+are the contract, and ``float()`` reads a numeral exactly, so the library
+must write the same bytes, read the same bits and raise the same errors on
+the same lines. The torus symbol is the discrete Fourier transform of the
+torus operator's first row built by direct sums over the images
+(``direct_oracles.torus_symbol_direct``), the one-block exchange the direct
+double sum (``exchange_direct``), the flat segments a brute force over every
+run (``flat_segment_brute``), and the adapted partition is rebuilt from the
+rules its docstring states.
 """
 
 import math
 import tempfile
 from pathlib import Path
-from typing import List, Optional
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from direct_oracles import (exchange_direct, flat_segment_brute,
+                            pair_scale, torus_symbol_direct)
 from froth1d.coarsegrain import (CoarseGrainConfig, _flat_segments,
-                                 _small_block_means, adapted_partition,
-                                 classify_blocks)
-from froth1d.energy import _exchange_banded, _torus_dipole_symbol, _torus_symbol
-from froth1d.errors import (Froth1dError, FlatSegmentNotFound,
-                            InvariantError, ParseError, ValidationError)
+                                 adapted_partition, classify_blocks)
+from froth1d.energy import _exchange_banded, _torus_symbol
+from froth1d.errors import (Froth1dError, InvariantError, ParseError,
+                            ValidationError)
 from froth1d.model import ModelParams
-from froth1d.profiles import (BC_TOKENS, BlockPartition, GridProfile,
-                              load_profile, regular_partition, runs,
-                              save_profile)
+from froth1d.profiles import (BC_TOKENS, GridProfile, load_profile,
+                              regular_partition, save_profile)
 
 # ---------------------------------------------------------------------------
 # references
@@ -111,117 +111,6 @@ def _ref_parse_float(token, lineno):
     except ValueError:
         raise ParseError(f"bad number {token!r}", line=lineno) from None
 
-
-def ref_torus_symbol(params, gamma, n, dx):
-    m = np.arange(n // 2 + 1)
-    sym = _torus_dipole_symbol(params, gamma, n, dx)
-    for k, jk in enumerate(params.kernel.band(dx), start=1):
-        # dx J_k (2 - 2 cos(k theta)); k m is reduced mod n before scaling
-        sym += 4.0 * dx * jk * np.sin(np.pi * (k * m % n) / n) ** 2
-    return sym
-
-
-def ref_exchange_banded(samples, jband, dx, starts=(0,)):
-    n = samples.size
-    starts = np.asarray(starts)
-    room = None
-    if starts.size > 1:
-        ends = np.append(starts[1:], n)
-        room = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n)
-    acc = np.zeros(n)
-    for k, jk in enumerate(jband, start=1):
-        if jk == 0.0 or k >= n:
-            continue
-        d = samples[k:] - samples[:-k]
-        d *= d
-        d *= jk
-        if room is not None:
-            d[room[:-k] <= k] = 0.0
-        acc[:-k] += d
-    return 0.5 * dx * dx * np.add.reduceat(acc, starts)
-
-
-def ref_flat_segment(params, means, block, config, gamma, margin_left,
-                     margin_right):
-    a, b = block
-    ml = (b - a) / 4.0 if margin_left is None else margin_left
-    mr = (b - a) / 4.0 if margin_right is None else margin_right
-    lm = config.ell_minus
-    # admissible small blocks: fully inside [a + ml, b - mr]
-    j0 = int(math.ceil((a + ml) / lm - 1e-9))
-    j1 = int(math.floor((b - mr) / lm + 1e-9))
-    if j1 <= j0:
-        raise FlatSegmentNotFound("no admissible small blocks in the block core")
-    tol = gamma ** config.rho
-    found = []  # (length, -start, omega) per run of near small blocks
-    for omega in (1.0, -1.0):
-        near = np.abs(means[j0:j1] - omega * params.m_beta) <= tol
-        found += [(int(stop - start), -int(start), omega)
-                  for start, stop in zip(*runs(near)) if near[start]]
-    if not found:
-        raise FlatSegmentNotFound("no small block stays near +-m_beta")
-    # max keeps the first of equal keys: omega = +1 wins a full tie
-    run, neg_start, omega = max(found, key=lambda c: c[:2])
-    start = j0 - neg_start
-    return omega, (start * lm, (start + run) * lm), run * lm
-
-
-def ref_adapted_partition(params, profile, config, gamma=None):
-    gamma = params.gamma if gamma is None else gamma
-    L, dx = profile.L, profile.dx
-    reg = regular_partition(L, config.delta, gamma).snapped(dx)
-    ell_plus = float(np.mean(reg.widths))
-    labels = classify_blocks(params, profile, reg,
-                             config.energy_cutoff_multiplier)
-    n = reg.n_blocks
-    # a single-block domain is degenerate: its block is demoted
-    good = list(labels["low"]) if n > 1 else [False]
-    means = _small_block_means(profile, config.ell_minus) if any(good) else None
-    omega = [None] * n
-    midline = [None] * n
-    for i in range(n):
-        if not good[i]:
-            continue
-        a, b = reg.edges[i], reg.edges[i + 1]
-        # keep the boundary blocks [0, s] and [s, L] >= l+/2
-        ml = ell_plus / 2.0 if i == 0 else None
-        mr = ell_plus / 2.0 if i == n - 1 else None
-        try:
-            om, (sa, sb), _ = ref_flat_segment(params, means, (a, b), config,
-                                               gamma, ml, mr)
-        except FlatSegmentNotFound:
-            good[i] = False
-            continue
-        omega[i] = om
-        midline[i] = round(0.5 * (sa + sb) / dx) * dx
-    # final boundary lines: domain ends, midlines, and original lines with
-    # two bad neighbors
-    mid_of = {midline[i]: i for i in range(n) if good[i]}
-    lines = {0.0, L, *mid_of}
-    for k in range(1, n):
-        if not good[k - 1] and not good[k]:
-            lines.add(float(reg.edges[k]))
-    part = BlockPartition(edges=np.array(sorted(lines)))
-    # classify final blocks
-    kinds: List[str] = []
-    signs: List[Optional[tuple]] = []
-    for a, b in part.blocks():
-        left_src = mid_of.get(float(a))
-        right_src = mid_of.get(float(b))
-        if (left_src is not None and right_src is not None
-                and right_src == left_src + 1):
-            kinds.append("good")
-            signs.append((omega[left_src], omega[right_src]))
-        elif a == 0.0 and right_src == 0:
-            kinds.append("boundary_good")
-            signs.append(("left", omega[right_src]))
-        elif b == L and left_src == n - 1:
-            kinds.append("boundary_good")
-            signs.append(("right", omega[left_src]))
-        else:
-            kinds.append("bad")
-            signs.append(None)
-    return part, tuple(kinds), tuple(signs), ell_plus
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -413,15 +302,30 @@ def test_invalid_utf8_raises_as_reference():
 # torus symbol and exchange
 
 
+def _symbol_bound(params, gamma, n, dx):
+    """The torus symbol against the direct transform. Its first row sums in
+    absolute value to at most S of ``pair_scale``. The library adds the 1/dx
+    band offsets one by one (1/dx roundings of S) to a closed form per atom
+    (about ten roundings of it); the direct side sums at most 2^64 images
+    pairwise (64 roundings) and transforms n points (4 log2 n roundings of
+    S, twiddles included): (1/dx + 4 log2(n + 1) + 80) eps S."""
+    s = pair_scale(params, gamma, dx, "periodic")[0]
+    return (1.0 / dx + 4.0 * math.log2(n + 1) + 80.0) * np.finfo(float).eps * s
+
+
 @pytest.mark.parametrize("dx", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0])
 def test_torus_symbol_bitwise(dx, two_atom_params):
-    # n below 1/dx included: the offsets k*m wrap several times around n
+    # the eigenvalues of the circulant K, to the bound above (the name is
+    # the earlier test's, which compared bits with a verbatim copy); n below
+    # 1/dx included: the offsets k*m wrap several times around n
     for params in (_PARAMS, two_atom_params):
         for n in list(range(1, 41)) + [1190, 12064]:
             for gamma in (1e-2, 0.0):
-                new = _torus_symbol(params, gamma, n, dx)
-                ref = ref_torus_symbol(params, gamma, n, dx)
-                assert new.tobytes() == ref.tobytes(), (n, dx, gamma)
+                got = _torus_symbol(params, gamma, n, dx)
+                want = torus_symbol_direct(params, gamma, n, dx)
+                assert got.shape == want.shape == (n // 2 + 1,)
+                assert np.max(np.abs(got - want)) <= _symbol_bound(
+                    params, gamma, n, dx), (n, dx, gamma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,11 +341,14 @@ def test_single_block_exchange_matches_reference(n, seed, dx, shape):
         phi += rng.uniform(-1e-3, 1e-3, n)
     else:
         phi = np.full(n, rng.uniform(-1.0, 1.0))
-    jband = _PARAMS.kernel.band(dx)
-    new = _exchange_banded(phi, jband, dx)
-    ref = ref_exchange_banded(phi, jband, dx)
-    assert new.shape == ref.shape == (1,)
-    assert abs(new[0] - ref[0]) <= 1e-14 * abs(ref[0])
+    got = _exchange_banded(phi, _PARAMS.kernel.band(dx), dx)
+    want = exchange_direct(phi, _PARAMS.kernel, dx)
+    assert got.shape == (1,)
+    # every term is nonnegative, so each side errs relative to the value:
+    # the library by its 1/dx dot products of at most n terms each, the
+    # direct side by a pairwise sum of n^2 terms, three roundings per term
+    bound = (n + 1.0 / dx + 2.0 * math.log2(n) + 12.0) * np.finfo(float).eps
+    assert abs(got[0] - want) <= bound * want
 
 
 # ---------------------------------------------------------------------------
@@ -462,44 +369,26 @@ def _means(levels, m_beta, jitter):
        rho=st.sampled_from([0.001, 0.01, 0.03, 0.049]),
        gamma=st.sampled_from([1e-2, 1e-4]))
 def test_flat_segments_match_reference_per_window(levels, data, rho, gamma):
-    # disjoint windows in increasing order, empty ones included, over means
-    # with runs at +-m_beta; at rho = 0.001 the tolerance exceeds m_beta, so
-    # the +-omega runs overlap and ties between them occur
+    # disjoint nonempty windows in increasing order, some past the means,
+    # over means with runs at +-m_beta; at rho = 0.001 the tolerance exceeds
+    # m_beta, so the +-omega runs overlap and ties between them occur
     n = len(levels)
     jitter = np.array(data.draw(st.lists(st.floats(-0.02, 0.02),
                                          min_size=n, max_size=n)))
     means = _means(levels, _PARAMS.m_beta, jitter)
     cuts = sorted(data.draw(st.lists(st.integers(0, n + 3), min_size=2,
                                      max_size=20)))
-    windows = list(zip(cuts[0::2], cuts[1::2]))
-    cfg = CoarseGrainConfig(rho=rho)
-    lm = cfg.ell_minus
-    nonempty = [(j0, j1) for j0, j1 in windows if j1 > j0]
-    if nonempty:
-        j0 = np.array([w[0] for w in nonempty])
-        j1 = np.array([w[1] for w in nonempty])
-        omega, start, run = _flat_segments(_PARAMS.m_beta, means, j0, j1,
-                                           gamma ** rho)
-    k = 0
-    for a, b in windows:
-        try:
-            ref = ref_flat_segment(_PARAMS, means, (a * lm, b * lm), cfg,
-                                   gamma, 0.0, 0.0)
-        except FlatSegmentNotFound as err:
-            ref = str(err)
-        except IndexError:      # the reference's slice past the means
-            ref = "past the means"
-        if b <= a:
-            assert ref == "no admissible small blocks in the block core"
-            continue
-        om, s, r = omega[k], int(start[k]), int(run[k])
-        k += 1
-        if ref == "past the means":
-            assert om == 0.0
-        elif isinstance(ref, str):
-            assert om == 0.0 and ref == "no small block stays near +-m_beta"
-        else:
-            assert _bits((float(om), (s * lm, (s + r) * lm), r * lm)) == _bits(ref)
+    windows = [(j0, j1) for j0, j1 in zip(cuts[0::2], cuts[1::2]) if j1 > j0]
+    if not windows:
+        return
+    tol = gamma ** rho
+    j0, j1 = (np.array(w) for w in zip(*windows))
+    omega, start, run = _flat_segments(_PARAMS.m_beta, means, j0, j1, tol)
+    for k, (a, b) in enumerate(windows):
+        want = flat_segment_brute(_PARAMS.m_beta, means, a, b, tol)
+        # omega 0 (no near block) leaves start and length unspecified
+        got = (float(omega[k]), int(start[k]), int(run[k]))
+        assert got == want if want[0] else got[0] == 0.0
 
 
 @pytest.mark.parametrize("levels, window, expected", [
@@ -518,11 +407,8 @@ def test_flat_segment_ties_and_clip(levels, window, expected):
                                        np.array([window[0]]),
                                        np.array([window[1]]), 0.05)
     assert (float(omega[0]), int(start[0]), int(run[0])) == expected
-    cfg = CoarseGrainConfig()
-    lm = cfg.ell_minus
-    ref = ref_flat_segment(_PARAMS, means, (window[0] * lm, window[1] * lm),
-                           cfg, 0.05 ** (1.0 / cfg.rho), 0.0, 0.0)
-    assert (ref[0], ref[1][0] / lm, ref[2] / lm) == expected
+    assert flat_segment_brute(_PARAMS.m_beta, means, *window,
+                              0.05) == expected
 
 
 @st.composite
@@ -546,16 +432,78 @@ def plateau_profiles(draw):
                        bc=draw(st.sampled_from(["open", "periodic"])))
 
 
+def _partition_by_rules(params, profile, cfg, gamma):
+    """(edges, kinds, signs, ell_plus) as ``adapted_partition``'s docstring
+    and ``find_flat_segment``'s state them: the regular delta-partition
+    snapped to the grid; a low-energy block (of two or more) searched in its
+    core, the ell_minus cells of the absolute grid that lie in
+    [a + (b - a)/4, b - (b - a)/4] (to 1e-9 of a cell), with the domain-end
+    margins l+/2, for the longest run within gamma^rho of +-m_beta; its
+    midline snapped to the grid, or the block demoted. The lines are the
+    domain ends, the midlines and each regular line between two bad blocks;
+    a block between the midlines of good neighbours i, i+1 is good with
+    their (omega_i, omega_{i+1}), one from a domain end to the first or last
+    block's midline boundary good with (side, omega), any other bad."""
+    L, dx, lm = profile.L, profile.dx, cfg.ell_minus
+    reg = regular_partition(L, cfg.delta, gamma).snapped(dx)
+    edges = reg.edges.tolist()
+    n = len(edges) - 1
+    ell_plus = float(np.mean(np.diff(reg.edges)))
+    low = classify_blocks(params, profile, reg,
+                          cfg.energy_cutoff_multiplier)["low"]
+    per = int(round(lm / dx))
+    means = [float(np.mean(profile.samples[j * per:(j + 1) * per]))
+             for j in range(profile.n // per)]
+    mid, omega = {}, {}
+    for i in range(n):
+        if n == 1 or not low[i]:
+            continue
+        a, b = edges[i], edges[i + 1]
+        ml = ell_plus / 2.0 if i == 0 else (b - a) / 4.0
+        mr = ell_plus / 2.0 if i == n - 1 else (b - a) / 4.0
+        cells = [j for j in range(len(means))
+                 if j >= (a + ml) / lm - 1e-9 and j + 1 <= (b - mr) / lm + 1e-9]
+        if not cells:
+            continue
+        om, start, run = flat_segment_brute(params.m_beta, np.array(means),
+                                            cells[0], cells[-1] + 1,
+                                            gamma ** cfg.rho)
+        if run:
+            mid[i] = round(0.5 * (2 * start + run) * lm / dx) * dx
+            omega[i] = om
+    lines = {0.0, L, *mid.values()}
+    lines |= {edges[k] for k in range(1, n) if k - 1 not in mid
+              and k not in mid}
+    lines = sorted(lines)
+    source = {x: i for i, x in mid.items()}
+    kinds, signs = [], []
+    for a, b in zip(lines[:-1], lines[1:]):
+        i, j = source.get(a), source.get(b)
+        if i is not None and j == i + 1:
+            kinds.append("good")
+            signs.append((omega[i], omega[j]))
+        elif a == 0.0 and j == 0:
+            kinds.append("boundary_good")
+            signs.append(("left", omega[0]))
+        elif b == L and i == n - 1:
+            kinds.append("boundary_good")
+            signs.append(("right", omega[n - 1]))
+        else:
+            kinds.append("bad")
+            signs.append(None)
+    return lines, tuple(kinds), tuple(signs), ell_plus
+
+
 @settings(max_examples=120, deadline=None)
 @given(profile=plateau_profiles(),
        rho=st.sampled_from([0.001, 0.02, 0.04]),
        gamma=st.sampled_from([1e-2, 3e-3]))
 def test_adapted_partition_matches_reference(params_tau, profile, rho, gamma):
     cfg = CoarseGrainConfig(rho=rho)
-    new = adapted_partition(params_tau, profile, cfg, gamma)
-    part, kinds, signs, ell_plus = ref_adapted_partition(params_tau, profile,
-                                                         cfg, gamma)
-    assert _bits(new.partition.edges) == _bits(part.edges)
-    assert new.kinds == kinds
-    assert _bits(new.signs) == _bits(signs)
-    assert _bits(new.ell_plus) == _bits(ell_plus)
+    got = adapted_partition(params_tau, profile, cfg, gamma)
+    lines, kinds, signs, ell_plus = _partition_by_rules(params_tau, profile,
+                                                        cfg, gamma)
+    assert got.partition.edges.tolist() == lines
+    assert got.kinds == kinds
+    assert got.signs == signs
+    assert got.ell_plus == ell_plus
