@@ -74,14 +74,6 @@ class StructureReport:
         }
 
 
-def _interval_union_coverage(intervals, a: float, b: float) -> float:
-    """Measure of [a, b] covered by the (disjoint, sorted) intervals."""
-    cov = 0.0
-    for lo, hi in intervals:
-        cov += max(0.0, min(b, hi) - max(a, lo))
-    return cov
-
-
 def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
              gamma: Optional[float] = None, delta0: float = 0.25,
              delta1: float = 0.45, eps0: float = 0.28) -> StructureReport:
@@ -92,8 +84,10 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     complement are removed; the remaining components longer than
     gamma^{-2/3-eps0/2} make up the good set. Runs are maximal same-type
     block sequences inside each component. On a periodic ``profile`` the
-    intervals, components and runs wrap the torus: one that wraps has a
-    negative start (its blocks from k - n_blocks on, its left edge minus L).
+    intervals, components and runs wrap the torus as ``runs`` does: one that
+    wraps has a negative start (its blocks from k - n_blocks on, its left
+    edge minus L). A component that is the whole torus is [0, L), and its
+    runs wrap the seam.
     """
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < delta0 < eps0 < 1.0 / 3.0):
@@ -109,39 +103,28 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     types = [block_type(m, params.m_beta) for m in means]
     # edges by block index from -n to n, so a wrapped range reads them too
     edges = np.append(part.edges[:-1] - L, part.edges)
-    # long sigma intervals; a wrapped one covers blocks at both ends
-    long_cut = gamma ** (-delta1)
-    long_ivals = []
-    for a, b, _ in sigma_phi.sign_intervals(periodic):
-        if b - a >= long_cut:
-            long_ivals += [(0.0, b), (a + L, L)] if a < 0.0 else [(a, b)]
-    long_ivals.sort()
-    # blocks fully covered by the long intervals survive
-    keep = np.array([
-        _interval_union_coverage(long_ivals, part.edges[k], part.edges[k + 1])
-        >= (part.edges[k + 1] - part.edges[k]) - 1e-9
-        for k in range(n)])
-    # components of kept blocks (as [start, stop) block ranges); on the
-    # torus, with both end blocks kept, the blocks are read from the start
-    # of the last run of kept types on, so that a component or run that
-    # wraps is one range
-    s0 = 0
-    if periodic and keep[0] and keep[-1]:
-        last = runs(np.where(keep, types, ""))[0][-1]
-        s0 = last - n if last else 0
-    comp = [(s0 + a, s0 + b) for a, b in zip(*runs(np.roll(keep, -s0)))
-            if keep[s0 + a]]
+    # blocks fully covered by the long sigma intervals survive; each block
+    # is read in place and one period to its left, where an interval that
+    # wraps the torus starts
+    long_ivals = np.array([(a, b) for a, b, _ in sigma_phi.sign_intervals(
+        periodic) if b - a >= gamma ** (-delta1)]).reshape(-1, 2)
+    cover = np.maximum(np.minimum(edges[1:, None], long_ivals[:, 1])
+                       - np.maximum(edges[:-1, None], long_ivals[:, 0]),
+                       0.0).sum(axis=1)
+    keep = cover[:n] + cover[n:] >= np.diff(part.edges) - 1e-9
+    # long enough components of kept blocks, as [start, stop) block ranges
     min_len = gamma ** (-2.0 / 3.0 - eps0 / 2.0)
-    comp = [(a, b) for a, b in comp if edges[b + n] - edges[a + n] >= min_len]
+    comp = [(a, b) for a, b in zip(*runs(keep, periodic=periodic))
+            if keep[a] and edges[b + n] - edges[a + n] >= min_len]
     lam_k = [(edges[a + n], edges[b + n]) for a, b in comp]
     good_measure = float(sum(b - a for a, b in lam_k))
     # runs of constant type inside each component
     sign_runs: List[dict] = []
     alternation_ok = True
     for a, b in comp:
-        prev_sign = 0
-        zeros_between = 0
-        for k, j in zip(*runs([types[i] for i in range(a, b)])):
+        prev_sign = zeros_between = 0
+        for k, j in zip(*runs([types[i] for i in range(a, b)],
+                              periodic=periodic and b - a == n)):
             k, j = int(a + k), int(a + j)
             if types[k] == "zero":
                 zeros_between += j - k

@@ -39,7 +39,7 @@ from .certificates import fmt17
 from .errors import AlignmentError, MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import GridProfile, StepProfile, _sign_changes
+from .profiles import GridProfile, StepProfile, runs
 
 __all__ = [
     "EnergyBreakdown",
@@ -611,11 +611,18 @@ def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
                 period=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``tilde_energy``'s well, surface and dipole terms of each cell of
     ``_cell_integrals`` as a step profile of its own, open or (``period``
-    given) periodic."""
+    given) periodic. The surface term is tau per interface (``runs``)."""
     tau = params.require_tau()
     well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
                            starts)
-    jumps = _sign_changes(np.sign(values), starts, period is not None)
+    signs = np.sign(values)
+    stops = runs(signs, starts, period is not None)[1]
+    sides, heads = signs[stops - 1], np.searchsorted(stops, starts, "right")
+    before = np.append(0.0, sides[:-1])
+    # a cell's first run meets its last run across the seam, or nothing
+    before[heads] = (sides[np.append(heads[1:], sides.size) - 1]
+                     if period is not None else 0.0)
+    jumps = np.add.reduceat(sides * before < 0, heads)
     dip = _step_dipoles(params, gamma, values, lefts, rights, starts, period)
     return well, tau * jumps, dip
 
@@ -639,12 +646,14 @@ def step_dipole_energy(params: ModelParams, step: StepProfile,
 def tilde_energy(params: ModelParams, step: StepProfile,
                  gamma: Optional[float] = None, bc: str = "open",
                  breakdown: bool = False):
-    """Effective functional: well term + tau per sign change + dipole.
+    """Effective functional: well term + tau per interface + dipole.
 
-    The surface part implements (tau/2) * total variation of sigma/|sigma|,
-    i.e. tau times the number of sign changes (wrap jump included for
-    periodic bc). Computed in closed form, the profile as the one cell of
-    ``_step_terms``; no quadrature.
+    The surface part is tau times ``step.n_jumps``: the boundaries between
+    neighbouring sign runs of opposite nonzero signs (across the seam too
+    for periodic bc). Without zero pieces that is (tau/2) * total variation
+    of sigma/|sigma|; a zero piece (outside K) carries no interface, so
+    +m, 0, -m costs no tau. Computed in closed form, the profile as the one
+    cell of ``_step_terms``; no quadrature.
     """
     gamma = params.gamma if gamma is None else gamma
     if gamma > 0.0 and bc not in ("open", "periodic"):

@@ -20,7 +20,7 @@ import numpy as np
 from .energy import _quadratic_form, tilde_energy
 from .errors import LineSearchFailure, ValidationError, _check_count
 from .model import ModelParams, _finish_slope, _well_parts
-from .profiles import GridProfile, StepProfile
+from .profiles import GridProfile, StepProfile, runs
 from .sharp import energy_per_length
 
 __all__ = [
@@ -330,11 +330,12 @@ def _relax(params: ModelParams, profile: GridProfile, gamma: float,
         return err.result
 
 
-def _sign_changes(samples: np.ndarray) -> np.ndarray:
-    """Indices i where the sign of samples[i] differs from samples[i-1] on the
-    torus (zero counts as positive); one index per wall."""
-    positive = samples >= 0.0
-    return np.flatnonzero(positive != np.roll(positive, 1))
+def _wall_runs(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``runs`` between the walls of a torus profile (a zero sample
+    counts as positive), by their starts on [0, n): the wrapped one last."""
+    starts, stops = runs(samples >= 0.0, periodic=True)
+    order = np.argsort(starts % samples.size)
+    return starts[order], stops[order]
 
 
 def _flipped_sharp_energy(params: ModelParams, gamma: float,
@@ -365,16 +366,16 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
     iterations = first.iterations
     evaluations, applications = first.evaluations, first.applications
     while True:
-        cuts = _sign_changes(current.profile.samples)
-        k = cuts.size
+        starts, stops = _wall_runs(current.profile.samples)
+        k = starts.size
         if k < 4 or (energy_per_length(params, L / (k - 2), gamma)
                      >= energy_per_length(params, L / k, gamma)):
             break
-        counts = np.diff(np.append(cuts, cuts[0] + n))
+        counts = stops - starts
         ranked = np.argsort([_flipped_sharp_energy(params, gamma, counts, j, dx)
                              for j in range(k)], kind="stable")
         for j in ranked[:2]:
-            idx = np.arange(cuts[j], cuts[j] + counts[j]) % n
+            idx = np.arange(starts[j], stops[j]) % n
             phi = current.profile.samples.copy()
             phi[idx] = -phi[idx]
             cand = _relax(params, current.profile.with_samples(phi), gamma,

@@ -131,25 +131,35 @@ def average_over(profile: GridProfile, interval: Tuple[float, float]) -> float:
     return float(profile.samples[i:j].mean())
 
 
-def runs(labels) -> Tuple[np.ndarray, np.ndarray]:
+def runs(labels, starts=(0,), periodic: bool = False
+         ) -> Tuple[np.ndarray, np.ndarray]:
     """Start and stop indices of the maximal runs of equal entries of a
-    nonempty 1-d array: ``labels[starts[k]:stops[k]]`` is the k-th run."""
-    labels = np.asarray(labels)
-    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    return np.append(0, cuts), np.append(cuts, labels.size)
+    nonempty 1-d array: ``labels[starts[k]:stops[k]]`` is the k-th run.
 
-
-def _sign_changes(signs: np.ndarray, starts: np.ndarray,
-                  periodic: bool = False) -> np.ndarray:
-    """Per segment signs[starts[c]:starts[c + 1]] (the last runs to the
-    end), the entries of opposite sign next to each other; ``periodic``
-    adds the segment's wrap, its last entry against its first."""
-    stops = np.append(starts[1:], signs.size)
-    flips = np.zeros(signs.size, dtype=int)
-    flips[:-1] = signs[1:] * signs[:-1] < 0
-    # a segment's last entry pairs with its first (the wrap), or with none
-    flips[stops - 1] = (signs[starts] * signs[stops - 1] < 0) if periodic else 0
-    return np.add.reduceat(flips, starts)
+    Runs are also cut at each segment start of ``starts`` (increasing, from
+    0), so many profiles fit in one array. With ``periodic`` each segment is
+    a ring: where its last and first runs hold equal labels they are one
+    run, reported first, its start the last run's start less the segment's
+    length. A ring of one run stays the run from its start, cut at the seam.
+    Entries compare with ``!=``, so each reader's labels carry its rule for
+    a zero: ``np.sign`` of a step profile's values makes a zero piece a run
+    of its own (a sign interval, a chessboard cell), and an interface (of
+    ``tilde_energy``, ``n_jumps``) joins two runs of opposite nonzero signs,
+    so a zero piece carries none; ``samples >= 0`` counts a zero sample as
+    positive (the walls of ``multistart``).
+    """
+    labels, starts = np.asarray(labels), np.asarray(starts)
+    cut = np.append(True, labels[1:] != labels[:-1])
+    cut[starts] = True
+    first = np.flatnonzero(cut)
+    stops = np.append(first[1:], labels.size)
+    if periodic:
+        ends = np.append(starts[1:], labels.size)
+        head, tail = np.searchsorted(first, [starts, ends - 1], "right") - 1
+        wrap = (tail > head) & (labels[starts] == labels[ends - 1])
+        first[head[wrap]] = first[tail[wrap]] - (ends - starts)[wrap]
+        first, stops = np.delete([first, stops], tail[wrap], axis=1)
+    return first, stops
 
 
 def block_type(mean_value: float, m_beta: float) -> str:
@@ -267,23 +277,28 @@ class StepProfile:
         return float(np.sum(self.widths * self.values) / self.L)
 
     def n_jumps(self, periodic: bool = False) -> int:
-        """Sign changes between consecutive pieces (pieces of equal sign merge)."""
-        return int(_sign_changes(np.sign(self.values), np.zeros(1, dtype=int),
-                                 periodic)[0])
+        """Interfaces: neighbouring sign runs (``runs`` of ``np.sign``, across
+        the seam too with ``periodic``) of opposite nonzero signs. A zero
+        piece is a run of its own and carries none: +m, 0, -m has none."""
+        sides = np.sign(self.values)
+        sides = sides[runs(sides, periodic=periodic)[1] - 1]
+        return int(np.count_nonzero(sides[1:] * sides[:-1] < 0)
+                   + (periodic and sides[0] * sides[-1] < 0))
 
     def sign_intervals(self, periodic: bool = False):
-        """Maximal constant-sign intervals as (start, stop, sign) triples.
+        """Maximal constant-sign intervals as (start, stop, sign) triples:
+        the ``runs`` of ``np.sign(values)``, a zero piece one of its own.
 
         With ``periodic`` the first and last intervals merge when they share
-        a sign; the merged interval is reported with the wrapped length,
-        starting at its true (unwrapped) left edge.
+        a sign; the merged interval is reported first, with the wrapped
+        length, starting at its true (unwrapped) left edge, less L.
         """
         signs = np.sign(self.values)
         bp = self.breakpoints
-        out = [(bp[a], bp[b], float(signs[a])) for a, b in zip(*runs(signs))]
-        if periodic and len(out) > 1 and out[0][2] == out[-1][2]:
-            out = [(out[-1][0] - self.L, out[0][1], out[-1][2])] + out[1:-1]
-        return out
+        first, stops = runs(signs, periodic=periodic)
+        lefts = bp[first % signs.size] - (first < 0) * self.L
+        return [(a, bp[b], float(signs[i]))
+                for i, a, b in zip(first, lefts, stops)]
 
     def interval_lengths(self, periodic: bool = False) -> np.ndarray:
         return np.array([b - a for a, b, _ in self.sign_intervals(periodic)])

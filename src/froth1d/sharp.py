@@ -28,7 +28,7 @@ from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
-from .profiles import GridProfile, StepProfile
+from .profiles import GridProfile, StepProfile, runs
 
 __all__ = [
     "EhCurve",
@@ -310,16 +310,6 @@ def _cell_energies(params: ModelParams, values: np.ndarray, lefts: np.ndarray,
     return h, well + tau / h + quad / (2.0 * h)
 
 
-def _sign_cells(values: np.ndarray, starts=(0,)) -> np.ndarray:
-    """Starts of the chessboard cells of the step profiles whose pieces
-    begin at ``starts``: the maximal runs of one sign, each cut at every
-    profile start, so that no cell spans two profiles."""
-    signs = np.sign(values)
-    cuts = signs[1:] != signs[:-1]
-    cuts[np.asarray(starts)[1:] - 1] = True
-    return np.append(0, np.flatnonzero(cuts) + 1)
-
-
 def cell_specific_energy(params: ModelParams, sigma: StepProfile,
                          gamma: Optional[float] = None) -> float:
     """e~_h[sigma] = (1/h) int F~(sigma) + tau/h + (1/2h) <sigma, sigma>_{v~_h}.
@@ -331,8 +321,7 @@ def cell_specific_energy(params: ModelParams, sigma: StepProfile,
     """
     gamma = params.gamma if gamma is None else gamma
     values = sigma.values
-    signs = np.sign(values[np.abs(values) > 0.0])
-    if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
+    if np.any(values > 0.0) and np.any(values < 0.0):
         raise SignError("cell profile must have constant sign")
     bp = sigma.breakpoints
     _, e = _cell_energies(params, np.abs(values), bp[:-1], bp[1:], _ONE_CELL,
@@ -347,22 +336,22 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
 
     Each maximal constant-sign interval is antiperiodized and charged its
     specific energy. Returns (bound, per-interval (h_i, term) pairs) in
-    ``sign_intervals`` order. The cells are the sign runs of the pieces and
-    all of them are scored in one array pass, O(pieces) per atom; on a
-    periodic profile whose first and last runs share a sign, the pieces are
-    rotated so that the wrapped interval comes first, in coordinates from
-    its unwrapped left edge.
+    ``sign_intervals`` order. The cells are the ``runs`` of the pieces'
+    signs, with the seam of ``runs`` for periodic bc: the run that wraps
+    comes first, in coordinates from its unwrapped left edge. All cells are
+    scored in one array pass, O(pieces) per atom. A torus of one sign run is
+    the one cell [0, L), cut at x = 0: the bound holds for a cut anywhere,
+    but its value depends on where the cut falls.
     """
     gamma = params.gamma if gamma is None else gamma
-    starts = _sign_cells(step.values)
-    values, edges = np.abs(step.values), step.breakpoints
-    if (bc == "periodic" and starts.size > 1
-            and np.sign(step.values[0]) == np.sign(step.values[-1])):
-        k = starts[-1]
-        values = np.roll(values, -k)
-        edges = np.concatenate([edges[k:-1] - step.L, edges[:k + 1]])
-        starts = np.append(0, starts[1:-1] + values.size - k)
-    h, e = _cell_energies(params, values, edges[:-1], edges[1:], starts,
+    n = step.values.size
+    first = runs(np.sign(step.values), periodic=bc == "periodic")[0]
+    # pieces from the first cell's left edge on: k pieces wrapped, k >= 0
+    k = -first[0]
+    values = np.abs(np.append(step.values[n - k:], step.values[:n - k]))
+    edges = np.concatenate([step.breakpoints[n - k:-1] - step.L,
+                            step.breakpoints[:n - k + 1]])
+    h, e = _cell_energies(params, values, edges[:-1], edges[1:], first + k,
                           gamma)
     per = list(zip(h.tolist(), (h * e).tolist()))
     return float(sum(t for _, t in per)), per

@@ -21,9 +21,9 @@ from .instanton import build_trial_profile, solve_instanton
 from .minimize import restart_rng
 from .model import (ModelParams, eval_F, eval_F_double_prime, eval_tilde_F,
                     rp_spectrum_check)
-from .profiles import GridProfile, StepProfile
-from .sharp import (_cell_energies, _sign_cells, cell_specific_energy,
-                    check_eh_bounds, energy_per_length, optimal_h)
+from .profiles import GridProfile, StepProfile, runs
+from .sharp import (_cell_energies, cell_specific_energy, check_eh_bounds,
+                    energy_per_length, optimal_h)
 
 __all__ = ["run_certificates", "random_in_k_step", "appendix_well_certificates"]
 
@@ -90,7 +90,7 @@ def _corpus_gaps(p_used: ModelParams, p_solved: ModelParams,
     tilde_well, surface, dipole = _step_terms(p_used, gamma, values, lefts,
                                               rights, first)
     e_tilde = (tilde_well + surface + dipole).tolist()
-    cells = _sign_cells(values, first)
+    cells = runs(np.sign(values), first)[0]
     h, e = _cell_energies(p_used, np.abs(values), lefts, rights, cells,
                           gamma)
     excess, well = _excess_parts(p_solved, gamma, e_star, h, values,

@@ -6,8 +6,8 @@ its jumps sit at +-m_beta, the case tag is the one the documented
 thresholds select, and two symmetries hold. The flat-segment search is
 checked against a brute force over every run, the sign intervals against
 their definition, and the good set is recomputed block by block from its
-definition on small inputs. No check shares code with the library beyond
-the inputs it is given.
+definition on small inputs, on the line and on the torus. No check shares
+code with the library beyond the inputs it is given.
 """
 
 import math
@@ -338,6 +338,111 @@ def test_good_set_matches_reference(params_tau, segments, sigma):
     report = good_set(params_tau, profile, step, gamma)
     good, measure, runs, ok = _good_set_by_definition(params_tau, profile,
                                                       step, gamma)
+    assert report.good_intervals == good
+    assert report.good_measure == pytest.approx(measure, rel=1e-12, abs=0.0)
+    assert report.runs == runs
+    assert report.alternation_ok is ok
+
+
+def _good_set_on_torus_by_definition(params, profile, sigma, gamma,
+                                     delta0=0.25, delta1=0.45, eps0=0.28):
+    """``_good_set_by_definition`` on the torus, walking the ring of blocks:
+    a sign interval of sigma that wraps covers blocks at both ends; a
+    component is a maximal cyclic run of kept blocks, [0, n) when every
+    block is kept, else from its first block (less n when it wraps the
+    torus); in the whole ring the type runs wrap too (the last continued by
+    the first when they share a type), in a component they run along it;
+    the alternation is read along each component from its start."""
+    part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
+    L, n, pe = profile.L, part.n_blocks, part.edges.tolist()
+
+    def edge(k):
+        return pe[k] if k >= 0 else pe[k + n] - L
+
+    idx = [round(e / profile.dx) for e in pe]
+    m_b = params.m_beta
+    types = []
+    for i, j in zip(idx, idx[1:]):
+        mean = float(np.mean(profile.samples[i:j]))
+        types.append("plus" if mean >= 0.9 * m_b else
+                     "minus" if mean <= -0.9 * m_b else "zero")
+    arcs = []
+    for a, b, _ in sigma.sign_intervals(periodic=True):
+        if b - a >= gamma ** -delta1:
+            arcs += [(0.0, b), (a + L, L)] if a < 0.0 else [(a, b)]
+    keep = [sum(max(0.0, min(hi, y) - max(lo, x)) for x, y in arcs)
+            >= (hi - lo) - 1e-9 for lo, hi in zip(pe, pe[1:])]
+    comps = [(0, n)] if all(keep) else []
+    if not all(keep):
+        s = keep.index(False)
+        k = s + 1
+        while k < s + n:
+            if keep[k % n]:
+                j = k
+                while j + 1 < s + n and keep[(j + 1) % n]:
+                    j += 1
+                comps.append((k - n, j + 1 - n) if j + 1 > n else (k, j + 1))
+                k = j + 1
+            else:
+                k += 1
+        comps.sort()
+    comps = [(a, b) for a, b in comps
+             if edge(b) - edge(a) >= gamma ** (-2.0 / 3.0 - eps0 / 2.0)]
+    good = [(edge(a), edge(b)) for a, b in comps]
+    runs, ok = [], True
+    for a, b in comps:
+        segs = []
+        for k in range(a, b):
+            if segs and types[k] == types[k - 1]:
+                segs[-1][1] = k + 1
+            else:
+                segs.append([k, k + 1])
+        if (a, b) == (0, n) and len(segs) > 1 and types[0] == types[-1]:
+            segs[0][0] = segs.pop()[0] - n
+        prev, zeros = 0, 0
+        for k, stop in segs:
+            if types[k] == "zero":
+                zeros += stop - k
+                continue
+            sign = 1 if types[k] == "plus" else -1
+            if prev and (sign == prev or zeros > 1):
+                ok = False
+            runs.append({"interval": (edge(k), edge(stop)), "sign": sign,
+                         "blocks": (k, stop - 1),
+                         "length": edge(stop) - edge(k)})
+            prev, zeros = sign, 0
+    return good, sum(b - a for a, b in good), runs, ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments=st.lists(
+           st.tuples(st.integers(1, 400),
+                     st.sampled_from([1.0, -1.0, 0.0, 0.5, -0.95])),
+           min_size=1, max_size=25),
+       sigma=st.lists(st.tuples(st.floats(0.5, 80.0),
+                                st.sampled_from([0.9, -0.9, 0.2])),
+                      min_size=1, max_size=20))
+# one component across the seam that holds a plus and a minus run before
+# it wraps: it is one component, 93.625 long, not a wrapped 67.75 and a
+# 25.875 cut off at the minus run's start (then too short to be good)
+@example(segments=[(560, 1.0), (240, -1.0)],
+         sigma=[(40.0, 0.9), (4.0, -0.9), (56.0, 0.9)])
+def test_good_set_on_the_torus_matches_definition(params_tau, segments,
+                                                  sigma):
+    # the inputs of test_good_set_matches_reference, on the torus
+    dx, gamma = 1.0 / 8.0, 1e-2
+    samples = np.concatenate([np.full(n, level * params_tau.m_beta)
+                              for n, level in segments])
+    if samples.size * dx < 4.0:      # shorter than one delta0 block
+        samples = np.resize(samples, 32)
+    profile = GridProfile(L=samples.size * dx, dx=dx, samples=samples,
+                          bc="periodic")
+    widths = np.array([w for w, _ in sigma])
+    widths *= profile.L / widths.sum()
+    step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])))
+    report = good_set(params_tau, profile, step, gamma)
+    good, measure, runs, ok = _good_set_on_torus_by_definition(
+        params_tau, profile, step, gamma)
     assert report.good_intervals == good
     assert report.good_measure == pytest.approx(measure, rel=1e-12, abs=0.0)
     assert report.runs == runs

@@ -21,8 +21,8 @@ from froth1d.diagnostics import excess_energy_decomposition
 from froth1d.energy import tilde_energy
 from froth1d.minimize import restart_rng
 from froth1d.model import KacMeasure, ModelParams
-from froth1d.profiles import StepProfile
-from froth1d.sharp import _sign_cells, chessboard_lower_bound, optimal_h
+from froth1d.profiles import StepProfile, runs
+from froth1d.sharp import chessboard_lower_bound, optimal_h
 from froth1d.verify import _corpus_gaps, random_in_k_step, run_certificates
 
 RTOL = 1e-13
@@ -142,7 +142,7 @@ def test_cells_stay_in_their_profile(params_tau):
              StepProfile.from_pieces([(15.0, -m), (10.0, -0.9), (45.0, m)])]
     values = np.concatenate([s.values for s in steps])
     first = np.cumsum([0] + [s.values.size for s in steps[:-1]])
-    cells = _sign_cells(values, first)
+    cells = runs(np.sign(values), first)[0]
     assert cells.tolist() == [0, 1, 2, 3, 4, 5, 6, 8]
     assert cells.size == sum(len(s.sign_intervals()) for s in steps)
     assert set(first.tolist()) <= set(cells.tolist())

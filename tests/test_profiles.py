@@ -44,6 +44,38 @@ class TestBlockType:
         assert block_type(0.89 * m, m) == "zero"
 
 
+def _runs_by_loop(labels, starts, periodic):
+    """The runs by their definition, entry by entry: a run grows while the
+    next entry of its segment equals it; on a ring of two runs or more whose
+    last and first runs are equal, the last run is taken off the end and
+    put before the first, its start less the segment's length."""
+    out = []
+    bounds = list(starts) + [len(labels)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg = []
+        for i in range(lo, hi):
+            if seg and labels[i] == labels[i - 1]:
+                seg[-1][1] = i + 1
+            else:
+                seg.append([i, i + 1])
+        if periodic and len(seg) > 1 and labels[lo] == labels[hi - 1]:
+            last = seg.pop()
+            seg[0][0] = last[0] - (hi - lo)
+        out += [tuple(r) for r in seg]
+    return out
+
+
+@st.composite
+def _run_inputs(draw):
+    """Labels from a small alphabet (so runs are long and rings often
+    wrap), increasing segment starts from 0, and the seam flag."""
+    labels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+    inner = draw(st.sets(st.integers(1, max(1, len(labels) - 1)),
+                         max_size=5))
+    starts = [0] + sorted(i for i in inner if i < len(labels))
+    return labels, starts, draw(st.booleans())
+
+
 class TestRuns:
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
     @example([5])                    # n = 1
@@ -63,6 +95,33 @@ class TestRuns:
         assert starts.tolist() == [0, 2, 3] and stops.tolist() == [2, 3, 5]
         starts, stops = runs(np.array([True, False, False, True]))
         assert starts.tolist() == [0, 1, 3] and stops.tolist() == [1, 3, 4]
+
+    @given(_run_inputs())
+    # a ring of one run, two runs, a run that wraps, and two segments
+    # that wrap, one with a run cut at the segment start
+    @example(([1] * 6, [0], True))
+    @example(([0, 0, 1, 1], [0], True))
+    @example(([2, 0, 0, 1, 2, 2], [0], True))
+    @example(([1, 0, 1, 1, 0, 0, 1], [0, 3], True))
+    @settings(max_examples=300, deadline=None)
+    def test_segments_and_seam_against_loop(self, inputs):
+        labels, starts, periodic = inputs
+        got = runs(labels, starts, periodic)
+        assert list(zip(*(x.tolist() for x in got))) == _runs_by_loop(
+            labels, starts, periodic)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25]),
+                    min_size=1, max_size=30), st.booleans())
+    @example([0.0, -0.0, 0.0], True)
+    @example([-0.0, 1.0, 0.0], True)
+    @settings(max_examples=200, deadline=None)
+    def test_signs_with_signed_zeros(self, values, periodic):
+        # np.sign keeps the zero's sign, and -0.0 == 0.0: a run of zeros is
+        # one run, whatever the signs of its zeros
+        labels = np.sign(np.array(values))
+        got = runs(labels, periodic=periodic)
+        assert list(zip(*(x.tolist() for x in got))) == _runs_by_loop(
+            labels.tolist(), [0], periodic)
 
 
 class TestAlphaL:
