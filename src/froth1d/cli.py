@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import fmt17
-from .coarsegrain import CoarseGrainConfig, _step_certificate, coarse_grain
+from .coarsegrain import (_C_CERT, CoarseGrainConfig, _step_certificate,
+                          coarse_grain)
 from .diagnostics import (defect_sets, excess_energy_decomposition, good_set,
                           histogram_csv, l_wrong)
 from .energy import total_energy
@@ -33,8 +34,8 @@ from .profiles import GridProfile, load_profile, save_profile
 from .sharp import check_eh_bounds, eh_curve, optimal_h
 from .verify import run_certificates
 
+# the model section's keys are checked by ModelParams.from_dict
 _SECTION_KEYS = {
-    "model": {"beta", "J0_hat", "lambda", "measure", "gamma", "tau"},
     "instanton": {"half_width", "dx", "tol", "max_sweeps", "damping"},
     "eh": {"n_samples", "span_low", "span_high"},
     "minimize": {"L", "L_over_h_star", "bc", "dx", "n_starts", "max_iters",
@@ -45,7 +46,7 @@ _SECTION_KEYS = {
                     "profile"},
     "verify": {"n_step_profiles", "fast"},
 }
-_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "output_dir"}
+_TOP_KEYS = set(_SECTION_KEYS) | {"model", "seed", "output_dir"}
 # the seed and every section key but these are finite numbers, and the keys
 # in _INTEGER must be integral; these have the given JSON type
 _NON_NUMERIC = {"bc": str, "init": str, "profile": str, "fast": bool,
@@ -94,7 +95,7 @@ def _load_config(path: str) -> dict:
         if key not in _TOP_KEYS:
             raise ValidationError("unknown key", pointer=f"/{key}")
     for section, allowed in _SECTION_KEYS.items():
-        if section in doc and section != "model":
+        if section in doc:
             if not isinstance(doc[section], dict):
                 raise ValidationError("expected an object", pointer=f"/{section}")
             for key, value in doc[section].items():
@@ -180,8 +181,6 @@ def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
                               pointer=f"/eh/{key}")
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
-    if params.tau <= 0:
-        raise ValidationError("tau must be positive", pointer="/model/tau")
     curve = eh_curve(params, n_samples=int(sec.get("n_samples", 200)),
                      span=(low, high))
     lines = [_csv_header(config).rstrip("\n"), "h,e_h,e_h_minus_estar"]
@@ -288,7 +287,7 @@ def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
                  comments=[f"config_sha256 {_config_hash(config)}"])
     cert = _step_certificate(
         params, profile, step, params.gamma, cfg,
-        float(config.get("coarsegrain", {}).get("C_cert", 10.0)))
+        float(config.get("coarsegrain", {}).get("C_cert", _C_CERT)))
     _write_json(out / "coarsegrain.json", {
         "trace": [{"interval": [fmt17(t["interval"][0]), fmt17(t["interval"][1])],
                    "label": t["label"], "case": t["case"],
@@ -322,9 +321,8 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     sec = config.get("diagnostics", {})
     step, _, _ = coarse_grain(params, profile, _coarse_grain_config(config))
     report = good_set(params, profile, step,
-                      delta0=float(sec.get("delta0", 0.25)),
-                      delta1=float(sec.get("delta1", 0.45)),
-                      eps0=float(sec.get("eps0", 0.28)))
+                      **{key: float(sec[key]) for key in
+                         ("delta0", "delta1", "eps0") if key in sec})
     h_star, e_star, _, _ = optimal_h(params)
     eps = float(sec.get("epsilon", 0.1))
     epsp = float(sec.get("epsilon_prime", 0.1))

@@ -16,11 +16,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .certificates import Certificate
-from .energy import _block_energies, _grid_cuts, tilde_energy, total_energy
+from .energy import _block_energies, tilde_energy, total_energy
 from .errors import FlatSegmentNotFound, InvariantError, ValidationError
 from .model import ModelParams, eval_F_double_prime
-from .profiles import (BlockPartition, GridProfile, StepProfile, average_over,
-                       regular_partition, runs)
+from .profiles import (BlockPartition, GridProfile, StepProfile, _block_cuts,
+                       _block_means, regular_partition, runs)
 
 __all__ = [
     "CoarseGrainConfig",
@@ -85,11 +85,11 @@ def classify_blocks(params: ModelParams, profile: GridProfile,
 
     A block's energy is ``short_range_energy`` of the block, all blocks in
     one well pass and one band pass per offset (pairs across a block edge
-    left out). The partition's edges must lie on the sample grid.
+    left out). The partition's edges are cut by ``profiles._block_cuts``.
     """
     cutoff = cutoff_multiplier * params.require_tau()
     energies = _block_energies(params, profile,
-                               _grid_cuts(profile, partition.edges))
+                               _block_cuts(profile, partition.edges))
     return {"energy": energies, "low": energies <= cutoff, "cutoff": cutoff}
 
 
@@ -98,8 +98,7 @@ def _small_block_means(profile: GridProfile, ell_minus: float) -> np.ndarray:
     per = int(round(ell_minus / profile.dx))
     if abs(per * profile.dx - ell_minus) > 1e-12:
         raise ValidationError("ell_minus must be a multiple of dx")
-    n_small = profile.n // per
-    return profile.samples[:n_small * per].reshape(n_small, per).mean(axis=1)
+    return _block_means(profile.samples, np.arange(0, profile.n + 1, per))
 
 
 def find_flat_segment(params: ModelParams, profile: GridProfile,
@@ -207,12 +206,14 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
     window of ``find_flat_segment`` with the outer margin of the first and
     last block set to l+/2; one pass per omega over the small-block means
     serves all blocks (``_flat_segments``). Low-energy blocks whose search
-    fails are demoted to bad. Midlines are snapped to the sample grid so
-    downstream block means stay exact.
+    fails are demoted to bad. The regular lines, the midlines (snapped to
+    the nearest grid line) and the final lines are sample indices; the
+    float edges are built from them once, the last edge ``profile.L``.
     """
     gamma = params.gamma if gamma is None else gamma
-    L, dx = profile.L, profile.dx
-    reg = regular_partition(L, config.delta, gamma).snapped(dx)
+    dx = profile.dx
+    reg = regular_partition(profile.L, config.delta, gamma).snapped(dx)
+    reg_cuts = _block_cuts(profile, reg.edges)
     ell_plus = float(np.mean(reg.widths))
     labels = classify_blocks(params, profile, reg,
                              config.energy_cutoff_multiplier)
@@ -220,7 +221,7 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
     # a single-block domain is degenerate: its block is demoted
     good = np.array(labels["low"]) if n > 1 else np.zeros(1, dtype=bool)
     omega = np.zeros(n)
-    midline = np.zeros(n)
+    midline = np.zeros(n, dtype=int)
     if good.any():
         means = _small_block_means(profile, config.ell_minus)
         a, b = reg.edges[:-1], reg.edges[1:]
@@ -235,39 +236,29 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
                                         j1[good], gamma ** config.rho)
         omega[good] = om
         midline[good] = np.round(
-            0.5 * (start * lm + (start + run) * lm) / dx) * dx
+            0.5 * (start * lm + (start + run) * lm) / dx)
         # low-energy blocks without a flat segment are demoted
         good &= omega != 0.0
-    omega, midline = omega.tolist(), midline.tolist()
     # final boundary lines: domain ends, midlines, and original lines with
-    # two bad neighbors
-    mid_of = {midline[i]: i for i in np.flatnonzero(good).tolist()}
-    lines = {0.0, L, *mid_of}
-    for k in range(1, n):
-        if not good[k - 1] and not good[k]:
-            lines.add(float(reg.edges[k]))
-    part = BlockPartition(edges=np.array(sorted(lines)))
-    # classify final blocks
-    kinds: List[str] = []
-    signs: List[Optional[tuple]] = []
-    for a, b in part.blocks():
-        left_src = mid_of.get(float(a))
-        right_src = mid_of.get(float(b))
-        if (left_src is not None and right_src is not None
-                and right_src == left_src + 1):
-            kinds.append("good")
-            signs.append((omega[left_src], omega[right_src]))
-        elif a == 0.0 and right_src == 0:
-            kinds.append("boundary_good")
-            signs.append(("left", omega[right_src]))
-        elif b == L and left_src == n - 1:
-            kinds.append("boundary_good")
-            signs.append(("right", omega[left_src]))
+    # two bad neighbors; src[k] is the good block whose midline is line k
+    kept = reg_cuts[1:-1][~good[:-1] & ~good[1:]]
+    lines = np.unique(np.concatenate([[0, profile.n], midline[good], kept]))
+    src = np.full(lines.size, -1)
+    src[np.searchsorted(lines, midline[good])] = np.flatnonzero(good)
+    edges = np.append(lines[:-1] * dx, profile.L)
+    omega, src = omega.tolist(), src.tolist()
+    contexts = []
+    for k, (left, right) in enumerate(zip(src, src[1:])):
+        if left >= 0 and right == left + 1:
+            contexts.append(("good", (omega[left], omega[right])))
+        elif k == 0 and right == 0:
+            contexts.append(("boundary_good", ("left", omega[right])))
+        elif k == len(src) - 2 and left == n - 1:
+            contexts.append(("boundary_good", ("right", omega[left])))
         else:
-            kinds.append("bad")
-            signs.append(None)
-    return AdaptedPartition(partition=part, kinds=tuple(kinds),
-                            signs=tuple(signs), ell_plus=ell_plus)
+            contexts.append(("bad", None))
+    kinds, signs = zip(*contexts)
+    return AdaptedPartition(BlockPartition(edges), kinds, signs, ell_plus)
 
 
 def _bad_rule(ell: float, m: float, m_b: float, zeta: float):
@@ -371,11 +362,12 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     adapted = adapted_partition(params, profile, config, gamma)
+    means = _block_means(profile.samples,
+                         _block_cuts(profile, adapted.partition.edges))
     pieces: List[Tuple[float, float]] = []
     trace = []
-    for (a, b), kind, sign in zip(adapted.partition.blocks(), adapted.kinds,
-                                  adapted.signs):
-        mean = average_over(profile, (a, b))
+    for (a, b), kind, sign, mean in zip(adapted.partition.blocks(),
+                                        adapted.kinds, adapted.signs, means):
         blk_pieces, tag, flags = replace_block(
             params, b - a, mean, (kind, sign), config, gamma)
         pieces.extend(blk_pieces)

@@ -12,8 +12,8 @@ from .certificates import fmt17
 from .energy import _ONE_CELL
 from .errors import ParameterError
 from .model import ModelParams
-from .profiles import (GridProfile, StepProfile, average_over, block_type,
-                       regular_partition, runs)
+from .profiles import (GridProfile, StepProfile, _block_cuts, _block_means,
+                       block_type, regular_partition, runs)
 from .sharp import energy_per_length, optimal_h
 
 __all__ = [
@@ -82,12 +82,15 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     Long constant-sign intervals of sigma_phi (length >= gamma^-delta1) seed
     the good region; blocks of the regular delta0-partition touching its
     complement are removed; the remaining components longer than
-    gamma^{-2/3-eps0/2} make up the good set. Runs are maximal same-type
-    block sequences inside each component. On a periodic ``profile`` the
-    intervals, components and runs wrap the torus as ``runs`` does: one that
-    wraps has a negative start (its blocks from k - n_blocks on, its left
-    edge minus L). A component that is the whole torus is [0, L), and its
-    runs wrap the seam.
+    gamma^{-2/3-eps0/2} make up the good set. Block means come from the
+    samples between the ``_block_cuts`` of the edges, in one pass. Runs are
+    maximal same-type block sequences inside each component;
+    ``alternation_ok`` says neighbouring sign runs alternate, at most one
+    zero block apart. On a periodic ``profile`` the intervals, components
+    and runs wrap the torus as ``runs`` does: one that wraps has a negative
+    start (its blocks from k - n_blocks on, its left edge minus L). A
+    component that is the whole torus is [0, L), its runs wrap the seam,
+    and with two sign runs or more the last neighbours the first.
     """
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < delta0 < eps0 < 1.0 / 3.0):
@@ -99,7 +102,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     # coarse blocks and their types
     part = regular_partition(L, delta0, gamma).snapped(profile.dx)
     n = part.n_blocks
-    means = np.array([average_over(profile, block) for block in part.blocks()])
+    means = _block_means(profile.samples, _block_cuts(profile, part.edges))
     types = [block_type(m, params.m_beta) for m in means]
     # edges by block index from -n to n, so a wrapped range reads them too
     edges = np.append(part.edges[:-1] - L, part.edges)
@@ -122,22 +125,24 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     sign_runs: List[dict] = []
     alternation_ok = True
     for a, b in comp:
-        prev_sign = zeros_between = 0
-        for k, j in zip(*runs([types[i] for i in range(a, b)],
-                              periodic=periodic and b - a == n)):
+        ring = periodic and b - a == n
+        signs, gaps, zeros = [], [], 0   # gaps: zero blocks before each sign
+        for k, j in zip(*runs([types[i] for i in range(a, b)], periodic=ring)):
             k, j = int(a + k), int(a + j)
             if types[k] == "zero":
-                zeros_between += j - k
+                zeros += j - k
                 continue
-            sign = 1 if types[k] == "plus" else -1
-            if prev_sign != 0 and (sign == prev_sign or zeros_between > 1):
-                alternation_ok = False
+            signs.append(1 if types[k] == "plus" else -1)
+            gaps.append(zeros)
+            zeros = 0
             sign_runs.append({"interval": (float(edges[k + n]),
                                            float(edges[j + n])),
-                              "sign": sign, "blocks": (k, j - 1),
+                              "sign": signs[-1], "blocks": (k, j - 1),
                               "length": float(edges[j + n] - edges[k + n])})
-            prev_sign = sign
-            zeros_between = 0
+        pairs = list(zip(signs, signs[1:], gaps[1:]))
+        if ring and len(signs) > 1:      # the last meets the first at the seam
+            pairs.append((signs[-1], signs[0], zeros + gaps[0]))
+        alternation_ok &= all(s != t and g <= 1 for s, t, g in pairs)
     return StructureReport(
         L=L, gamma=gamma,
         params={"delta0": delta0, "delta1": delta1, "eps0": eps0},

@@ -36,10 +36,10 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .certificates import fmt17
-from .errors import AlignmentError, MissingBoundaryData, ValidationError
+from .errors import MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import GridProfile, StepProfile, runs
+from .profiles import GridProfile, StepProfile, _block_cuts, runs
 
 __all__ = [
     "EnergyBreakdown",
@@ -428,22 +428,13 @@ def _energy_and_gradient(params: ModelParams, profile: GridProfile,
 
 def short_range_energy(params: ModelParams, profile: GridProfile,
                        interval: Optional[Tuple[float, float]] = None) -> float:
-    """Internal energy of the interval: local term plus exchange, open ends."""
-    cuts = (0, profile.n) if interval is None else _grid_cuts(profile, interval)
+    """Internal energy of the interval: local term plus exchange, open ends.
+    The interval's ends are cut by ``profiles._block_cuts``."""
+    cuts = ((0, profile.n) if interval is None
+            else _block_cuts(profile, interval))
     if cuts[1] <= cuts[0]:
         return 0.0
     return float(_block_energies(params, profile, cuts)[0])
-
-
-def _grid_cuts(profile: GridProfile, edges) -> np.ndarray:
-    """Sample indices of edges on the grid lines of [0, L]."""
-    idx = np.asarray(edges, dtype=float) / profile.dx
-    cuts = np.round(idx)
-    if np.any(np.abs(idx - cuts) >= 1e-6) or not (
-            0 <= cuts.min() and cuts.max() <= profile.n):
-        raise AlignmentError(f"edges {tuple(edges)} not grid lines of "
-                             f"[0, {profile.L}]")
-    return cuts.astype(int)
 
 
 def _block_energies(params: ModelParams, profile: GridProfile,

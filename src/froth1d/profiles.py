@@ -2,14 +2,15 @@
 
 Grid profiles sample the magnetization at cell midpoints, so every integral
 in the package is a midpoint sum and block averages of piecewise-constant
-functions are exact.
+functions are exact. One rule, ``_block_cuts``, turns block edges into
+sample indices, and ``_block_means`` takes the means between those cuts.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +37,8 @@ BC_TOKENS = ("open", "periodic", "neumann", "plus", "minus", "custom")
 _GRID_RTOL = 1e-9
 
 
-def _is_integer(x: float, rtol: float = _GRID_RTOL) -> bool:
-    return abs(x - round(x)) <= rtol * max(1.0, abs(x))
+def _is_integer(x: float) -> bool:
+    return abs(x - round(x)) <= _GRID_RTOL * max(1.0, abs(x))
 
 
 @dataclass(frozen=True)
@@ -112,23 +113,37 @@ class GridProfile:
         return cls(L=n * dx, dx=dx, samples=np.full(n, float(value)), bc=bc)
 
 
-def _grid_index(profile: GridProfile, point: float, what: str) -> int:
-    idx = point / profile.dx
-    if not _is_integer(idx, 1e-9):
-        raise AlignmentError(f"{what} {point} is not on the grid (dx={profile.dx})")
-    return int(round(idx))
+def _block_cuts(profile: GridProfile, edges) -> np.ndarray:
+    """Sample indices of block edges: the edge x cuts the samples at
+    x / dx, which must lie within 1e-6 samples of a grid line of [0, L]."""
+    idx = np.asarray(edges, dtype=float) / profile.dx
+    cuts = np.round(idx)
+    if np.any(np.abs(idx - cuts) >= 1e-6) or not (
+            0 <= cuts.min() and cuts.max() <= profile.n):
+        raise AlignmentError(f"edges {tuple(edges)} not grid lines of "
+                             f"[0, {profile.L}]")
+    return cuts.astype(int)
+
+
+def _block_means(samples: np.ndarray, cuts) -> np.ndarray:
+    """Mean of each block samples[cuts[k]:cuts[k + 1]] (cuts increasing),
+    bit for bit ``samples[i:j].mean()``: the blocks of one length are the
+    rows of one array, each row summed as its slice is."""
+    starts, widths = np.asarray(cuts[:-1]), np.diff(cuts)
+    means = np.empty(starts.size)
+    for w in np.unique(widths):
+        rows = widths == w
+        means[rows] = samples[starts[rows, None] + np.arange(w)].mean(axis=1)
+    return means
 
 
 def average_over(profile: GridProfile, interval: Tuple[float, float]) -> float:
-    """Exact midpoint-rule mean of the samples inside ``interval``."""
-    a, b = interval
-    if a < -_GRID_RTOL or b > profile.L * (1 + _GRID_RTOL) or b <= a:
-        raise AlignmentError(f"interval ({a}, {b}) not inside [0, {profile.L}]")
-    i = _grid_index(profile, a, "left endpoint")
-    j = _grid_index(profile, b, "right endpoint")
+    """Exact midpoint-rule mean of the samples inside ``interval``, its ends
+    cut by ``_block_cuts``; AlignmentError also for an empty interval."""
+    i, j = _block_cuts(profile, interval)
     if j <= i:
-        raise AlignmentError("empty interval")
-    return float(profile.samples[i:j].mean())
+        raise AlignmentError(f"empty interval {tuple(interval)}")
+    return float(_block_means(profile.samples, (i, j))[0])
 
 
 def runs(labels, starts=(0,), periodic: bool = False
@@ -192,11 +207,9 @@ def alpha_L(L: float, delta: float, gamma: float) -> Tuple[float, int]:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Intervals tiling [0, L]; ``labels`` holds metadata such as the
-    regular partition's ``alpha_L``."""
+    """Intervals tiling [0, L]."""
 
     edges: np.ndarray
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -223,14 +236,13 @@ class BlockPartition:
         snapped = np.round(self.edges / dx) * dx
         if np.any(np.diff(snapped) <= 0):
             raise ValidationError("grid too coarse to snap this partition")
-        return BlockPartition(edges=snapped, labels=dict(self.labels))
+        return BlockPartition(edges=snapped)
 
 
 def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
     """Equal blocks of length alpha_L(delta) gamma^-delta, integer count."""
-    alpha, n = alpha_L(L, delta, gamma)
-    edges = np.linspace(0.0, L, n + 1)
-    return BlockPartition(edges=edges, labels={"alpha_L": alpha})
+    _, n = alpha_L(L, delta, gamma)
+    return BlockPartition(edges=np.linspace(0.0, L, n + 1))
 
 
 @dataclass(frozen=True)

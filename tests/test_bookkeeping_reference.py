@@ -352,7 +352,9 @@ def _good_set_on_torus_by_definition(params, profile, sigma, gamma,
     block is kept, else from its first block (less n when it wraps the
     torus); in the whole ring the type runs wrap too (the last continued by
     the first when they share a type), in a component they run along it;
-    the alternation is read along each component from its start."""
+    the alternation is read along each component from its start, and
+    around the whole ring when it holds two sign runs or more: the walk
+    then enters the ring from its last sign run, across the seam."""
     part = regular_partition(profile.L, delta0, gamma).snapped(profile.dx)
     L, n, pe = profile.L, part.n_blocks, part.edges.tolist()
 
@@ -400,6 +402,11 @@ def _good_set_on_torus_by_definition(params, profile, sigma, gamma,
         if (a, b) == (0, n) and len(segs) > 1 and types[0] == types[-1]:
             segs[0][0] = segs.pop()[0] - n
         prev, zeros = 0, 0
+        signed = [i for i, (k, _) in enumerate(segs) if types[k] != "zero"]
+        if (a, b) == (0, n) and len(signed) > 1:
+            last = signed[-1]
+            prev = 1 if types[segs[last][0]] == "plus" else -1
+            zeros = sum(stop - k for k, stop in segs[last + 1:])
         for k, stop in segs:
             if types[k] == "zero":
                 zeros += stop - k
@@ -427,6 +434,10 @@ def _good_set_on_torus_by_definition(params, profile, sigma, gamma,
 # 25.875 cut off at the minus run's start (then too short to be good)
 @example(segments=[(560, 1.0), (240, -1.0)],
          sigma=[(40.0, 0.9), (4.0, -0.9), (56.0, 0.9)])
+# a whole ring of 20 blocks: minus, 18 zero blocks, plus. Read around the
+# ring, the plus run meets the minus run across 18 zero blocks, so the
+# alternation fails wherever the torus is cut
+@example(segments=[(26, -1.0), (460, 0.0), (26, 1.0)], sigma=[(1.0, 0.9)])
 def test_good_set_on_the_torus_matches_definition(params_tau, segments,
                                                   sigma):
     # the inputs of test_good_set_matches_reference, on the torus

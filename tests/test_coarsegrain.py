@@ -9,7 +9,7 @@ from froth1d.energy import dipole_energy, step_dipole_energy, total_energy
 from froth1d.errors import (DomainTooShort, FlatSegmentNotFound,
                             ValidationError)
 from froth1d.instanton import build_trial_profile
-from froth1d.profiles import GridProfile
+from froth1d.profiles import GridProfile, alpha_L
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +45,15 @@ class TestRegularPartition:
         gamma, delta = 1e-2, 0.2
         part = regular_partition(10.0 * gamma ** -delta, delta, gamma)
         assert part.n_blocks == 10
-        assert part.labels["alpha_L"] == pytest.approx(1.0)
+        assert alpha_L(10.0 * gamma ** -delta, delta, gamma)[0] == (
+            pytest.approx(1.0))
 
     def test_fractional(self):
         gamma, delta = 1e-2, 0.2
         part = regular_partition(10.5 * gamma ** -delta, delta, gamma)
         assert part.n_blocks == 10
-        assert part.labels["alpha_L"] == pytest.approx(1.05)
+        assert alpha_L(10.5 * gamma ** -delta, delta, gamma)[0] == (
+            pytest.approx(1.05))
 
     def test_too_short(self):
         with pytest.raises(DomainTooShort):

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from froth1d.coarsegrain import classify_blocks
+from froth1d.energy import short_range_energy
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError, ValidationError)
-from froth1d.profiles import (GridProfile, StepProfile, alpha_L, average_over,
-                              block_type, load_profile, runs, save_profile)
+from froth1d.profiles import (BlockPartition, GridProfile, StepProfile,
+                              _block_means, alpha_L, average_over, block_type,
+                              load_profile, runs, save_profile)
 
 
 class TestAverageOver:
@@ -33,6 +36,46 @@ class TestAverageOver:
         p = GridProfile.constant(0.5, L=4.0, dx=0.25)
         with pytest.raises(AlignmentError):
             average_over(p, (0.1, 2.0))
+
+
+class TestBlockCuts:
+    """One rule turns block edges into sample indices for every reader."""
+
+    # an edge at sample 48 + off of a 128-sample grid, or past its end
+    @pytest.mark.parametrize("off", [5e-7, -5e-7, 2e-6, -2e-6, 0.5, 81.0])
+    def test_readers_cut_alike(self, params_tau, off):
+        dx = 1.0 / 16.0
+        rng = np.random.default_rng(3)
+        p = GridProfile(L=8.0, dx=dx, samples=rng.uniform(-1.0, 1.0, 128))
+        edge = (48 + off) * dx
+        readers = (
+            lambda e: average_over(p, (1.0, e)),
+            lambda e: short_range_energy(params_tau, p, (1.0, e)),
+            lambda e: classify_blocks(params_tau, p, BlockPartition(
+                edges=np.array([0.0, 1.0, e])))["energy"].tolist())
+        if abs(off) >= 1e-6:
+            for read in readers:
+                with pytest.raises(AlignmentError):
+                    read(edge)
+        else:
+            for read in readers:
+                assert read(edge) == read(3.0)
+            assert average_over(p, (1.0, edge)) == p.samples[16:48].mean()
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, 40),
+       widths=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(first=0, widths=[1, 1, 9, 1, 130], seed=0)
+def test_block_means_are_slice_means(first, widths, seed):
+    # bit for bit the mean numpy takes of each slice, one-sample blocks and
+    # blocks of every length class of its pairwise sum included
+    cuts = first + np.append(0, np.cumsum(widths))
+    samples = np.random.default_rng(seed).uniform(-1.0, 1.0, cuts[-1] + 5)
+    means = _block_means(samples, cuts)
+    by_slice = np.array([samples[i:j].mean() for i, j in zip(cuts, cuts[1:])])
+    assert means.view(np.int64).tolist() == by_slice.view(np.int64).tolist()
 
 
 class TestBlockType:

@@ -8,8 +8,10 @@ the torus, the wrong-length measure, the excess and, once the torus holds
 two sign runs or more, the chessboard bound. The widths are multiples of
 1/64, so every breakpoint and every interval length is exact in any order
 of summation; only the closed forms' arithmetic rounds. The grid case:
-the walls that multistart's annihilation reads move with the samples. And
-the rule for a zero piece, pinned on one profile.
+the walls that multistart's annihilation reads move with the samples, and
+the structure report of a torus that is one good component reads the same
+alternation wherever the torus is cut. And the rule for a zero piece,
+pinned on one profile.
 """
 
 import math
@@ -20,11 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_pair_integral import dense_chessboard
-from froth1d.diagnostics import excess_energy_decomposition, l_wrong
+from froth1d.diagnostics import excess_energy_decomposition, good_set, l_wrong
 from froth1d.energy import step_dipole_energy, tilde_energy
 from froth1d.minimize import _wall_runs
 from froth1d.model import eval_tilde_F
-from froth1d.profiles import StepProfile
+from froth1d.profiles import GridProfile, StepProfile, regular_partition
 from froth1d.sharp import chessboard_lower_bound, optimal_h
 
 _EPS = np.finfo(float).eps
@@ -168,6 +170,52 @@ def test_walls_move_with_the_samples(samples, shift):
     assert np.all(np.diff(a1 % n) > 0) and np.all(b1 - a1 > 0)
     assert dict(zip(((a0 + s) % n).tolist(), (b0 - a0).tolist())) == dict(
         zip((a1 % n).tolist(), (b1 - a1).tolist()))
+
+
+def _ring_report(params, samples, L):
+    """The structure report of a torus at dx = 1/8 under a sigma of one
+    long sign interval, so that every block is kept and the good set is the
+    whole ring."""
+    profile = GridProfile(L=L, dx=1.0 / 8.0, samples=samples, bc="periodic")
+    sigma = StepProfile.from_pieces([(L, 0.9)])
+    report = good_set(params, profile, sigma, GAMMA)
+    assert report.good_intervals == [(0.0, L)]
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(types=st.lists(st.sampled_from(_LEVELS[:2] + (0.0,)), min_size=20,
+                      max_size=20),
+       shift=st.integers(1, 19))
+@example(types=["-m"] + [0.0] * 18 + ["m"], shift=1)
+@example(types=["m", 0.0, "-m"] + [0.0] * 17, shift=5)
+def test_the_alternation_does_not_see_the_seam(params_tau, types, shift):
+    # L = 65 at dx = 1/8 has 20 delta0-blocks of 26 samples each, so a roll
+    # by whole blocks moves every block onto another: the same ring of
+    # block types, cut elsewhere
+    per = 26
+    samples = np.repeat([_level(params_tau, t) for t in types], per)
+    base = _ring_report(params_tau, samples, 65.0)
+    rolled = _ring_report(params_tau, np.roll(samples, -shift * per), 65.0)
+    assert rolled.alternation_ok is base.alternation_ok
+    assert _is_rotation([(r["sign"], r["length"]) for r in base.runs],
+                        [(r["sign"], r["length"]) for r in rolled.runs])
+
+
+def test_a_wall_pair_with_zeros_between_fails_at_every_cut(params_tau):
+    # L = 64 at dx = 1/8: 20 delta0-blocks of 25 or 26 samples, typed minus,
+    # 18 zero blocks, plus. Around the ring the plus run meets the minus run
+    # across 18 zero blocks, so the alternation fails read from x = 0 and
+    # from each of the other 19 block edges
+    L = 64.0
+    cuts = np.round(regular_partition(L, 0.25, GAMMA).edges * 8.0).astype(int)
+    m = params_tau.m_beta
+    samples = np.zeros(cuts[-1])
+    samples[:cuts[1]], samples[cuts[-2]:] = -m, m
+    for cut in cuts[:-1]:
+        report = _ring_report(params_tau, np.roll(samples, -cut), L)
+        assert report.block_types.count("zero") == 18
+        assert report.alternation_ok is False
 
 
 @pytest.mark.parametrize("v, energy, jumps, intervals", [
