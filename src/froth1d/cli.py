@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .certificates import fmt17
-from .coarsegrain import (_C_CERT, CoarseGrainConfig, _step_certificate,
-                          coarse_grain)
+from .coarsegrain import CoarseGrainConfig, _step_certificate, coarse_grain
 from .diagnostics import (defect_sets, excess_energy_decomposition, good_set,
                           histogram_csv, l_wrong)
 from .energy import total_energy
@@ -30,47 +30,65 @@ from .instanton import (Instanton, build_trial_profile, solve_instanton,
                         tail_rate)
 from .minimize import MinimizeOptions, multistart
 from .model import ModelParams
-from .profiles import GridProfile, load_profile, save_profile
+from .profiles import BC_TOKENS, GridProfile, load_profile, save_profile
 from .sharp import check_eh_bounds, eh_curve, optimal_h
 from .verify import run_certificates
 
-# the model section's keys are checked by ModelParams.from_dict
-_SECTION_KEYS = {
-    "instanton": {"half_width", "dx", "tol", "max_sweeps", "damping"},
-    "eh": {"n_samples", "span_low", "span_high"},
-    "minimize": {"L", "L_over_h_star", "bc", "dx", "n_starts", "max_iters",
-                 "grad_tol", "init"},
-    "coarsegrain": {"delta", "rho", "ell_minus", "c0", "kappa",
-                    "energy_cutoff_multiplier", "profile", "C_cert"},
-    "diagnostics": {"delta0", "delta1", "eps0", "epsilon", "epsilon_prime",
-                    "profile"},
-    "verify": {"n_step_profiles", "fast"},
+# every key a config may set and its JSON type: a section maps its keys to
+# types, and ``seed`` and ``output_dir`` sit at the top level. The model
+# section's keys are checked by ModelParams.from_dict
+_SETTINGS = {
+    "instanton": {"half_width": float, "dx": float, "tol": float,
+                  "max_sweeps": int},
+    "eh": {"n_samples": int, "span_low": float, "span_high": float},
+    "minimize": {"L": float, "L_over_h_star": float, "bc": str, "dx": float,
+                 "n_starts": int, "max_iters": int, "grad_tol": float,
+                 "init": str},
+    "coarsegrain": {"delta": float, "rho": float, "ell_minus": float,
+                    "c0": float, "kappa": float,
+                    "energy_cutoff_multiplier": float, "profile": str},
+    "diagnostics": {"delta0": float, "delta1": float, "eps0": float,
+                    "epsilon": float, "epsilon_prime": float, "profile": str},
+    "verify": {"n_step_profiles": int, "fast": bool},
+    "seed": int,
+    "output_dir": str,
 }
-_TOP_KEYS = set(_SECTION_KEYS) | {"model", "seed", "output_dir"}
-# the seed and every section key but these are finite numbers, and the keys
-# in _INTEGER must be integral; these have the given JSON type
-_NON_NUMERIC = {"bc": str, "init": str, "profile": str, "fast": bool,
-                "output_dir": str}
-_INTEGER = {"seed", "max_sweeps", "n_samples", "n_starts", "max_iters",
-            "n_step_profiles"}
+# the boundary conditions a config can run: custom needs outside data
+_CONFIG_BCS = tuple(bc for bc in BC_TOKENS if bc != "custom")
 
 
-def _check_value(key: str, value, pointer: str):
-    """Reject a value of the wrong JSON type for its key: a string, bool or
+def _check_value(kind, value, pointer: str):
+    """Reject a value of the wrong JSON type for its ``_SETTINGS`` entry: a
+    section that is not an object or sets an unknown key, a string, bool or
     non-finite number (JSON's NaN and Infinity) where a number is read, a
     non-integral number where an integer is."""
-    kind = _NON_NUMERIC.get(key)
-    if kind is not None:
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValidationError("expected an object", pointer=pointer)
+        for key, item in value.items():
+            if key not in kind:
+                raise ValidationError("unknown key", pointer=f"{pointer}/{key}")
+            _check_value(kind[key], item, f"{pointer}/{key}")
+    elif kind is str or kind is bool:
         if not isinstance(value, kind):
             raise ValidationError("expected a string" if kind is str
                                   else "expected true or false",
                                   pointer=pointer)
     elif (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not math.isfinite(value))
-            or (key in _INTEGER and isinstance(value, float)
+            or (kind is int and isinstance(value, float)
                 and not value.is_integer())):
-        raise ValidationError("expected an integer" if key in _INTEGER
+        raise ValidationError("expected an integer" if kind is int
                               else "expected a finite number", pointer=pointer)
+
+
+def _settings(config: dict, section: str, *keys: str) -> dict:
+    """The keys the config's ``section`` sets (only ``keys``, if given), each
+    cast to its ``_SETTINGS`` type."""
+    types = _SETTINGS[section]
+    return {key: types[key](value)
+            for key, value in config.get(section, {}).items()
+            if not keys or key in keys}
 
 
 def _canonical(config: dict) -> str:
@@ -91,21 +109,7 @@ def _load_config(path: str) -> dict:
         raise ValidationError(f"config is not valid JSON: {err}")
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object", pointer="/")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ValidationError("unknown key", pointer=f"/{key}")
-    for section, allowed in _SECTION_KEYS.items():
-        if section in doc:
-            if not isinstance(doc[section], dict):
-                raise ValidationError("expected an object", pointer=f"/{section}")
-            for key, value in doc[section].items():
-                if key not in allowed:
-                    raise ValidationError("unknown key",
-                                          pointer=f"/{section}/{key}")
-                _check_value(key, value, f"/{section}/{key}")
-    for key in ("seed", "output_dir"):
-        if key in doc:
-            _check_value(key, doc[key], f"/{key}")
+    _check_value(_SETTINGS, {k: v for k, v in doc.items() if k != "model"}, "")
     if "model" not in doc:
         raise ValidationError("missing", pointer="/model")
     return doc
@@ -128,15 +132,7 @@ def _csv_header(config: dict) -> str:
 
 def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
     """The instanton under the config's ``instanton`` settings."""
-    sec = config.get("instanton", {})
-    damping = float(sec.get("damping", 0.0))
-    if not 0.0 <= damping < 1.0:
-        raise ValidationError("must lie in [0, 1)",
-                              pointer="/instanton/damping")
-    return solve_instanton(
-        params, half_width=float(sec.get("half_width", 30.0)),
-        dx=float(sec.get("dx", 1.0 / 64.0)), tol=float(sec.get("tol", 1e-10)),
-        max_sweeps=int(sec.get("max_sweeps", 50000)), damping=damping)
+    return solve_instanton(params, **_settings(config, "instanton"))
 
 
 def _tau_params(params: ModelParams, config: dict, out: Path):
@@ -172,17 +168,16 @@ def cmd_instanton(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
-    sec = config.get("eh", {})
-    low = float(sec.get("span_low", 0.02))
-    high = float(sec.get("span_high", 50.0))
+    sec = _settings(config, "eh")
+    low, high = sec.get("span_low", 0.02), sec.get("span_high", 50.0)
     if not 0.0 < low < high:
         key = "span_high" if low > 0.0 and "span_low" not in sec else "span_low"
         raise ValidationError("need 0 < span_low < span_high",
                               pointer=f"/eh/{key}")
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
-    curve = eh_curve(params, n_samples=int(sec.get("n_samples", 200)),
-                     span=(low, high))
+    curve = eh_curve(params, span=(low, high),
+                     **_settings(config, "eh", "n_samples"))
     lines = [_csv_header(config).rstrip("\n"), "h,e_h,e_h_minus_estar"]
     for h, e in zip(curve.h, curve.e):
         lines.append(f"{fmt17(h)},{fmt17(e)},{fmt17(e - curve.e_star)}")
@@ -198,22 +193,26 @@ def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
 
 
 def cmd_minimize(config: dict, out: Path, seed: int) -> int:
-    sec = config.get("minimize", {})
+    sec = _settings(config, "minimize")
     for key in ("dx", "L", "L_over_h_star"):
         if key in sec and not sec[key] > 0:
             raise ValidationError("must be positive",
                                   pointer=f"/minimize/{key}")
-    options = MinimizeOptions(
-        max_iters=int(sec.get("max_iters", 20000)),
-        grad_tol=float(sec.get("grad_tol", 1e-5)), seed=seed)
+    bc = sec.get("bc", "periodic")
+    if bc not in _CONFIG_BCS:
+        raise ValidationError(f"must be one of {', '.join(_CONFIG_BCS)}",
+                              pointer="/minimize/bc")
+    if "init" in sec and sec["init"] != "trial":
+        raise ValidationError('must be "trial" (or unset, for random starts)',
+                              pointer="/minimize/init")
+    options = MinimizeOptions(grad_tol=sec.get("grad_tol", 1e-5), seed=seed,
+                              **_settings(config, "minimize", "max_iters"))
     params = _params_from_config(config)
     params, inst = _tau_params(params, config, out)
-    dx = float(sec.get("dx", 1.0 / 16.0))
-    bc = str(sec.get("bc", "periodic"))
+    dx = sec.get("dx", 1.0 / 16.0)
     h_star, _, _, _ = optimal_h(params)
     key = "L" if "L" in sec else "L_over_h_star"
-    L = float(sec["L"]) if key == "L" else float(
-        sec.get("L_over_h_star", 8.0)) * h_star
+    L = sec["L"] if key == "L" else sec.get("L_over_h_star", 8.0) * h_star
     n = round(L / dx)
     if n == 0:
         raise ValidationError(f"L = {L:.6g} rounds to no sample of dx = "
@@ -235,8 +234,7 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         init = build_trial_profile(h_cell, n_cells * h_cell, inst, bc=bc, dx=dx)
         L = init.L
     best, table = multistart(params, params.gamma, L, bc,
-                             int(sec.get("n_starts", 8)), options, dx=dx,
-                             init=init)
+                             sec.get("n_starts", 8), options, dx=dx, init=init)
     save_profile(best.profile, out / "minimized.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
     rows = [_csv_header(config).rstrip("\n"), "iter,energy,grad_norm,step"]
@@ -270,10 +268,9 @@ def _profile_for(config: dict, section: str, out: Path) -> GridProfile:
 
 def _coarse_grain_config(config: dict) -> CoarseGrainConfig:
     """The config's ``coarsegrain`` section as a CoarseGrainConfig; its
-    ``profile`` and ``C_cert`` keys are read where they are used."""
-    sec = {k: v for k, v in config.get("coarsegrain", {}).items()
-           if k not in ("profile", "C_cert")}
-    return CoarseGrainConfig(**sec)
+    ``profile`` key is read by ``_profile_for``."""
+    return CoarseGrainConfig(**_settings(
+        config, "coarsegrain", *(f.name for f in fields(CoarseGrainConfig))))
 
 
 def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
@@ -285,9 +282,7 @@ def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     save_profile(step.to_grid(profile.dx, bc=profile.bc),
                  out / "sigma.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
-    cert = _step_certificate(
-        params, profile, step, params.gamma, cfg,
-        float(config.get("coarsegrain", {}).get("C_cert", _C_CERT)))
+    cert = _step_certificate(params, profile, step, params.gamma, cfg)
     _write_json(out / "coarsegrain.json", {
         "trace": [{"interval": [fmt17(t["interval"][0]), fmt17(t["interval"][1])],
                    "label": t["label"], "case": t["case"],
@@ -301,10 +296,7 @@ def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
 
 def cmd_verify(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
-    sec = config.get("verify", {})
-    certs = run_certificates(params, seed=seed,
-                             n_step_profiles=int(sec.get("n_step_profiles", 20)),
-                             fast=bool(sec.get("fast", False)))
+    certs = run_certificates(params, seed=seed, **_settings(config, "verify"))
     _write_json(out / "certificates.json",
                 {"certificates": [c.to_dict() for c in certs]}, config)
     failing = [c.name for c in certs if not c.passed]
@@ -318,14 +310,12 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
     profile = _profile_for(config, "diagnostics", out)
-    sec = config.get("diagnostics", {})
+    sec = _settings(config, "diagnostics")
     step, _, _ = coarse_grain(params, profile, _coarse_grain_config(config))
-    report = good_set(params, profile, step,
-                      **{key: float(sec[key]) for key in
-                         ("delta0", "delta1", "eps0") if key in sec})
+    report = good_set(params, profile, step, **_settings(
+        config, "diagnostics", "delta0", "delta1", "eps0"))
     h_star, e_star, _, _ = optimal_h(params)
-    eps = float(sec.get("epsilon", 0.1))
-    epsp = float(sec.get("epsilon_prime", 0.1))
+    eps, epsp = sec.get("epsilon", 0.1), sec.get("epsilon_prime", 0.1)
     defect_sets(report, params, eps, epsp, h_star)
     report.l_wrong = l_wrong(step, h_star, eps, params.gamma, profile.bc)
     excess, well, _ = excess_energy_decomposition(

@@ -392,13 +392,12 @@ def lower_bound_certificate(params: ModelParams, profile: GridProfile,
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     step, _, _ = coarse_grain(params, profile, config, gamma)
-    return _step_certificate(params, profile, step, gamma, config, _C_CERT)
+    return _step_certificate(params, profile, step, gamma, config)
 
 
 def _step_certificate(params: ModelParams, profile: GridProfile,
                       step: StepProfile, gamma: float,
-                      config: CoarseGrainConfig,
-                      C_cert: float) -> Certificate:
+                      config: CoarseGrainConfig) -> Certificate:
     """``lower_bound_certificate`` for an already computed sigma_phi. Off the
     torus sigma_phi lives on [0, L] alone, and so does E_phi: the energy
     without its boundary term."""
@@ -408,10 +407,10 @@ def _step_certificate(params: ModelParams, profile: GridProfile,
         parts.local + parts.exchange + parts.dipole)
     e_tilde = tilde_energy(params, step, gamma, bc=bc)
     residual = (e_phi - e_tilde) / profile.L
-    allowance = C_cert * gamma ** (1.0 - config.delta)
+    allowance = _C_CERT * gamma ** (1.0 - config.delta)
     return Certificate(
         name="coarse_grain_lower_bound",
         lhs=residual, rhs=-allowance, slack=residual + allowance,
         passed=bool(residual >= -allowance),
-        params={"gamma": gamma, "delta": config.delta, "C_cert": C_cert,
+        params={"gamma": gamma, "delta": config.delta, "C_cert": _C_CERT,
                 "E_phi": e_phi, "E_tilde": e_tilde, "L": profile.L})

@@ -15,7 +15,7 @@ import numpy as np
 from .energy import short_range_energy
 from .errors import (CellTooShort, FitError, NonConvergence, ValidationError,
                      _check_count)
-from .model import ModelParams
+from .model import ModelParams, solve_m_beta
 from .profiles import GridProfile
 
 __all__ = [
@@ -52,12 +52,6 @@ class Instanton:
             raise ValidationError(f"instanton not antisymmetric ({anti:.2e})")
         if np.any(np.diff(q) < -1e-12):
             raise ValidationError("instanton not monotone")
-        # the discrete plateau sits at the quadrature-shifted fixed point,
-        # offset O(dx^4) from the continuum m_beta
-        plateau_tol = max(1e-8, 0.05 * self.dx ** 4)
-        if (abs(q[-1] - self.m_beta) > plateau_tol
-                or abs(q[0] + self.m_beta) > plateau_tol):
-            raise ValidationError("instanton does not reach +-m_beta")
 
     @property
     def x(self) -> np.ndarray:
@@ -91,16 +85,15 @@ def _mean_field_sweep(q, params: ModelParams, dx: float, jband_full: np.ndarray,
 
 def solve_instanton(params: ModelParams, half_width: float = 30.0,
                     dx: float = 1.0 / 64.0, tol: float = 1e-10,
-                    max_sweeps: int = 50000, damping: float = 0.0) -> Instanton:
+                    max_sweeps: int = 50000) -> Instanton:
     """Picard iteration q <- tanh(beta J*q), antisymmetrized each sweep.
 
-    ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
     The arguments are checked before the first sweep, each check failed by
     NaN and every number finite. Raises NonConvergence if the residual does
-    not reach ``tol`` within ``max_sweeps`` (an integer >= 1) sweeps.
+    not reach ``tol`` within ``max_sweeps`` (an integer >= 1) sweeps, and
+    ValidationError if the window is too short for the instanton to reach
+    its plateau.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValidationError(f"damping must lie in [0, 1), got {damping}")
     if not 20.0 <= half_width < math.inf:
         raise ValidationError("half_width must be finite and at least 20")
     if not 1e-12 <= tol < math.inf:
@@ -120,8 +113,6 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
     for _ in range(max_sweeps):
         q_new = _mean_field_sweep(q, params, dx, jvals, m)
         q_new = 0.5 * (q_new - q_new[::-1])
-        if damping > 0.0:
-            q_new = (1.0 - damping) * q_new + damping * q
         residual = float(np.max(np.abs(q_new - q)))
         q = q_new
         if residual <= tol:
@@ -133,6 +124,13 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
     # fixed-point defect of the returned iterate
     defect = float(np.max(np.abs(q - _mean_field_sweep(q, params, dx, jvals, m))))
     q = np.clip(q, -m, m)
+    # the interior plateau is the root m_d of m = tanh(beta dx sum_k J(k dx) m),
+    # and the +-m_beta outside the window pulls the ends from m_d toward
+    # m_beta; a window too short for the tail leaves them short of both
+    m_d = solve_m_beta(params.beta * dx * float(np.sum(jvals)))
+    low, high = min(m_d, m) - 1e-8, max(m_d, m) + 1e-8
+    if not (low <= q[-1] <= high and low <= -q[0] <= high):
+        raise ValidationError("instanton does not reach its plateau")
     inst = Instanton(W=half_width, dx=dx, q=q, m_beta=m, residual=defect)
     tau = surface_tension(inst, params)
     return replace(inst, tau=tau)

@@ -41,6 +41,11 @@ def _is_integer(x: float) -> bool:
     return abs(x - round(x)) <= _GRID_RTOL * max(1.0, abs(x))
 
 
+def _check_lengths(L: float, dx: float):
+    if not (0.0 < L < math.inf and 0.0 < dx < math.inf):
+        raise ValidationError("L and dx must be finite and positive")
+
+
 @dataclass(frozen=True)
 class GridProfile:
     """Uniformly sampled magnetization on [0, L], values in [-1, 1].
@@ -61,8 +66,7 @@ class GridProfile:
     def __post_init__(self):
         if self.bc not in BC_TOKENS:
             raise ValidationError(f"unknown bc token {self.bc!r}")
-        if not (self.dx > 0 and self.L > 0):
-            raise ValidationError("L and dx must be positive")
+        _check_lengths(self.L, self.dx)
         if not _is_integer(self.L / self.dx):
             raise ValidationError("L/dx must be an integer")
         if not _is_integer(1.0 / self.dx):
@@ -109,6 +113,7 @@ class GridProfile:
     @classmethod
     def constant(cls, value: float, L: float, dx: float,
                  bc: str = "open") -> "GridProfile":
+        _check_lengths(L, dx)
         n = int(round(L / dx))
         return cls(L=n * dx, dx=dx, samples=np.full(n, float(value)), bc=bc)
 
@@ -258,8 +263,9 @@ class StepProfile:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size - 1:
             raise ValidationError("need n+1 breakpoints for n values")
-        if not np.all(np.diff(bp) > 0):
-            raise ValidationError("breakpoints must be strictly increasing")
+        if not (np.all(np.diff(bp) > 0) and bp[-1] < math.inf):
+            raise ValidationError(
+                "breakpoints must be finite and strictly increasing")
         if not abs(bp[0]) <= 1e-12:
             raise ValidationError("first breakpoint must be 0")
         if not np.all(np.abs(vals) <= 1.0 + 1e-12):

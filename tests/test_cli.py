@@ -5,7 +5,9 @@ import pytest
 
 from froth1d import cli
 from froth1d.cli import main
-from froth1d.profiles import load_profile
+from froth1d.model import ModelParams
+from froth1d.profiles import GridProfile, load_profile, save_profile
+from froth1d.sharp import optimal_h
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -152,10 +154,14 @@ class TestOutOfRangeValues:
         ("eh-curve", {"eh": {"span_low": 60, "span_high": 50}},
          "/eh/span_low"),
         ("eh-curve", {"eh": {"span_high": 0.01}}, "/eh/span_high"),
-        # damping 1 kept the initial guess and exited 0
-        ("instanton", {"instanton": {"damping": 1.0}}, "/instanton/damping"),
-        ("instanton", {"instanton": {"damping": -0.1}},
-         "/instanton/damping"),
+        # the instanton solver has no damping
+        ("instanton", {"instanton": {"damping": 0.25}}, "/instanton/damping"),
+        # a misspelt init ran random starts and exited 0; a misspelt bc died
+        # without a pointer, and custom, which no config can give outside
+        # data, died in the energy
+        ("minimize", {"minimize": {"init": "trail"}}, "/minimize/init"),
+        ("minimize", {"minimize": {"bc": "perodic"}}, "/minimize/bc"),
+        ("minimize", {"minimize": {"bc": "custom"}}, "/minimize/bc"),
     ])
     def test_rejected(self, tmp_path, capsys, command, overrides, where):
         # these died with ZeroDivisionError or ValueError tracebacks, and a
@@ -211,7 +217,7 @@ class TestPipelineCommands:
         cfg = write_config(
             tmp_path,
             instanton={"half_width": 30.0, "dx": 0.015625, "tol": 1e-11,
-                       "max_sweeps": 20000, "damping": 0.25},
+                       "max_sweeps": 20000},
             minimize={"L_over_h_star": 2.0, "bc": "periodic", "dx": 0.125,
                       "n_starts": 1, "max_iters": 20, "init": "trial"})
         solved, saved = tmp_path / "solved", tmp_path / "saved"
@@ -288,3 +294,174 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
         assert "cell_energy_identity" in capsys.readouterr().err
+
+
+_MODEL_TAU = {"beta": 2.0, "J0_hat": 1.0, "lambda": 1.0, "gamma": 0.01,
+              "measure": [{"weight": 1.0, "alpha": 1.0}],
+              "tau": 0.19762754872186078}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command,text,message", [
+        ("instanton", None, "config file not found"),
+        ("instanton", '{"model": ', "config is not valid JSON"),
+        ("instanton", "[1, 2]", "/: config must be a JSON object"),
+        ("instanton", '{"model": {}, "instanton": 3}',
+         "/instanton: expected an object"),
+        ("instanton", '{"model": {}, "eh": {"bogus": 1}}',
+         "/eh/bogus: unknown key"),
+        ("instanton", '{"seed": 1}', "/model: missing"),
+        ("coarse-grain", json.dumps({"model": _MODEL_TAU}),
+         "/coarsegrain/profile: no input profile"),
+    ])
+    def test_exit_1(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_too_few_sweeps_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, instanton={"max_sweeps": 1})
+        assert main(["instanton", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+# 2 h* on the default grid of minimize (dx = 1/16)
+_TWO_H_STAR = round(2.0 * optimal_h(ModelParams.from_dict(_MODEL_TAU))[0]
+                    * 16.0) / 16.0
+
+
+class _Reached(Exception):
+    pass
+
+
+def _grab(*args, **kwargs):
+    raise _Reached(args, kwargs)
+
+
+# (section, key) -> (value set in the config, subcommand, cli name of the
+# library call that reads it, how that call receives it, the value it must
+# receive): float keys are set as JSON integers, integer keys as integral
+# floats, so the received type shows the cast
+SETTING_CASES = {
+    ("instanton", "half_width"): (25, "instanton", "solve_instanton",
+                                  lambda a, kw: kw["half_width"], 25.0),
+    ("instanton", "dx"): (0.03125, "instanton", "solve_instanton",
+                          lambda a, kw: kw["dx"], 0.03125),
+    ("instanton", "tol"): (1e-11, "instanton", "solve_instanton",
+                           lambda a, kw: kw["tol"], 1e-11),
+    ("instanton", "max_sweeps"): (4000.0, "instanton", "solve_instanton",
+                                  lambda a, kw: kw["max_sweeps"], 4000),
+    ("eh", "n_samples"): (50.0, "eh-curve", "eh_curve",
+                          lambda a, kw: kw["n_samples"], 50),
+    ("eh", "span_low"): (1, "eh-curve", "eh_curve",
+                         lambda a, kw: kw["span"][0], 1.0),
+    ("eh", "span_high"): (20, "eh-curve", "eh_curve",
+                          lambda a, kw: kw["span"][1], 20.0),
+    ("minimize", "L"): (40, "minimize", "multistart",
+                        lambda a, kw: a[2], 40.0),
+    ("minimize", "L_over_h_star"): (2, "minimize", "multistart",
+                                    lambda a, kw: a[2], _TWO_H_STAR),
+    ("minimize", "bc"): ("open", "minimize", "multistart",
+                         lambda a, kw: a[3], "open"),
+    ("minimize", "dx"): (0.125, "minimize", "multistart",
+                         lambda a, kw: kw["dx"], 0.125),
+    ("minimize", "n_starts"): (3.0, "minimize", "multistart",
+                               lambda a, kw: a[4], 3),
+    ("minimize", "max_iters"): (123.0, "minimize", "multistart",
+                                lambda a, kw: a[5].max_iters, 123),
+    ("minimize", "grad_tol"): (1e-3, "minimize", "multistart",
+                               lambda a, kw: a[5].grad_tol, 1e-3),
+    ("minimize", "init"): ("trial", "minimize", "multistart",
+                           lambda a, kw: kw["init"] is not None, True),
+    ("coarsegrain", "delta"): (0.25, "coarse-grain", "coarse_grain",
+                               lambda a, kw: a[2].delta, 0.25),
+    ("coarsegrain", "rho"): (0.03, "coarse-grain", "coarse_grain",
+                             lambda a, kw: a[2].rho, 0.03),
+    ("coarsegrain", "ell_minus"): (0.125, "coarse-grain", "coarse_grain",
+                                   lambda a, kw: a[2].ell_minus, 0.125),
+    ("coarsegrain", "c0"): (0.06, "coarse-grain", "coarse_grain",
+                            lambda a, kw: a[2].c0, 0.06),
+    ("coarsegrain", "kappa"): (2, "coarse-grain", "coarse_grain",
+                               lambda a, kw: a[2].kappa, 2.0),
+    ("coarsegrain", "energy_cutoff_multiplier"): (
+        2.5, "coarse-grain", "coarse_grain",
+        lambda a, kw: a[2].energy_cutoff_multiplier, 2.5),
+    ("coarsegrain", "profile"): ("flat.profile", "coarse-grain",
+                                 "coarse_grain", lambda a, kw: a[1].L, 30.0),
+    ("diagnostics", "delta0"): (0.2, "report", "good_set",
+                                lambda a, kw: kw["delta0"], 0.2),
+    ("diagnostics", "delta1"): (0.4, "report", "good_set",
+                                lambda a, kw: kw["delta1"], 0.4),
+    ("diagnostics", "eps0"): (0.3, "report", "good_set",
+                              lambda a, kw: kw["eps0"], 0.3),
+    ("diagnostics", "epsilon"): (0.15, "report", "defect_sets",
+                                 lambda a, kw: a[2], 0.15),
+    ("diagnostics", "epsilon_prime"): (0.12, "report", "defect_sets",
+                                       lambda a, kw: a[3], 0.12),
+    ("diagnostics", "profile"): ("flat.profile", "report", "good_set",
+                                 lambda a, kw: a[1].L, 30.0),
+    ("verify", "n_step_profiles"): (5.0, "verify", "run_certificates",
+                                    lambda a, kw: kw["n_step_profiles"], 5),
+    ("verify", "fast"): (True, "verify", "run_certificates",
+                         lambda a, kw: kw["fast"], True),
+    (None, "seed"): (11.0, "verify", "run_certificates",
+                     lambda a, kw: kw["seed"], 11),
+    (None, "output_dir"): ("od", "instanton", "save_profile",
+                           lambda a, kw: str(a[1].parent), "od"),
+}
+
+
+def _setting_config(tmp_path, section, key, value):
+    """A config that sets ``key`` to ``value``; the flat input profile of
+    coarse-grain and report, and the model's tau, are set by default."""
+    save_profile(GridProfile.constant(0.9, L=30.0, dx=0.125),
+                 tmp_path / "flat.profile")
+    config = {"model": dict(_MODEL_TAU),
+              "coarsegrain": {"profile": "flat.profile"},
+              "diagnostics": {"profile": "flat.profile"}}
+    if section is None:
+        config[key] = value
+    else:
+        config.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestSettingsTable:
+    def test_every_setting_has_a_case(self):
+        table = {(s, k) for s, keys in cli._SETTINGS.items()
+                 if isinstance(keys, dict) for k in keys}
+        table |= {(None, k) for k, kind in cli._SETTINGS.items()
+                  if not isinstance(kind, dict)}
+        assert table == set(SETTING_CASES)
+
+    @pytest.mark.parametrize("section,key", sorted(
+        SETTING_CASES, key=lambda sk: (sk[0] or "", sk[1])))
+    def test_reaches_its_library_call(self, tmp_path, monkeypatch, section,
+                                      key):
+        value, command, target, read, expected = SETTING_CASES[section, key]
+        monkeypatch.chdir(tmp_path)
+        cfg = _setting_config(tmp_path, section, key, value)
+        monkeypatch.setattr(cli, target, _grab)
+        argv = [command, "--config", str(cfg)]
+        with pytest.raises(_Reached) as reached:
+            main(argv if key == "output_dir" else argv + ["--out", "o"])
+        got = read(*reached.value.args)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("section,key", sorted(
+        SETTING_CASES, key=lambda sk: (sk[0] or "", sk[1])))
+    def test_wrong_type_rejected(self, tmp_path, capsys, section, key):
+        value = SETTING_CASES[section, key][0]
+        wrong = {bool: "true", str: 1}.get(type(value), "x")
+        cfg = _setting_config(tmp_path, section, key, wrong)
+        assert main(["instanton", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        pointer = f"/{key}" if section is None else f"/{section}/{key}"
+        assert f"error: {pointer}: expected " in capsys.readouterr().err

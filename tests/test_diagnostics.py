@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,23 @@ class TestDefectSets:
         assert x1 == 0.0
         # the single run has the wrong length (the whole domain)
         assert x2 == pytest.approx(rep.good_measure)
+
+    def test_x1_sums_deviant_interior_blocks(self, params_tau):
+        # one run over every block of a flat +m_beta profile: a block whose
+        # mean is gamma^epsilon off m_beta counts into X1 unless it ends the
+        # run
+        p = GridProfile.constant(params_tau.m_beta, L=300.0, dx=1.0 / 8.0)
+        step, _, _ = coarse_grain(params_tau, p, CoarseGrainConfig(), 1e-2)
+        rep = good_set(params_tau, p, step, 1e-2)
+        (run,) = rep.runs
+        first, last = run["blocks"]
+        means = rep.block_means.copy()
+        means[[first, first + 2, first + 3, last]] = 0.1
+        rep = replace(rep, block_means=means)
+        widths = np.diff(rep.block_edges)
+        x1, _ = defect_sets(rep, params_tau, 0.1, 0.1,
+                            optimal_h(params_tau, 1e-2)[0])
+        assert x1 == widths[first + 2] + widths[first + 3] > 0.0
 
     def test_wrong_period_all_defective(self, params_tau, instanton_default):
         # at desk-scale gamma the window h* gamma^eps' is wide (~0.63 h*), so

@@ -561,6 +561,13 @@ class TestTildeEnergy:
         _, parts = tilde_energy(params_tau, s, 1e-2, breakdown=True)
         assert parts["surface"] == pytest.approx(10 * params_tau.tau)
 
+    def test_warns_when_leaving_K(self, params_tau):
+        m = params_tau.m_beta
+        s = StepProfile(breakpoints=[0.0, 5.0, 10.0], values=[m, 0.5 * m],
+                        m_bar=0.9 * m)
+        with pytest.warns(UserWarning, match="leaves K"):
+            tilde_energy(params_tau, s, 1e-2)
+
     def test_well_term(self, params_tau):
         from froth1d.model import eval_tilde_F
         m = 0.9 * params_tau.m_beta

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from froth1d.errors import CellTooShort, FitError, ValidationError
+from froth1d.model import ModelParams, solve_m_beta
 from froth1d.instanton import (Instanton, build_trial_profile, solve_instanton,
                                surface_tension, tail_rate)
 
@@ -49,12 +50,27 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve_instanton(params, half_width=1.0)
 
-    @pytest.mark.parametrize("damping", [-0.5, 1.0, 2.0])
-    def test_damping_outside_unit_interval_rejected(self, params, damping):
-        # damping 1 returned the previous iterate each sweep, so the
-        # residual test passed at once on the initial guess m tanh(x)
-        with pytest.raises(ValidationError, match="damping"):
-            solve_instanton(params, damping=damping)
+    @pytest.mark.parametrize("dx", [1.0 / 16.0, 1.0 / 32.0])
+    @pytest.mark.parametrize("beta", [1.05, 1.2])
+    def test_converges_near_critical_beta(self, beta, dx):
+        # the plateau is the root m_d of m = tanh(beta dx sum_k J(k dx) m),
+        # up to 3.4e-6 below m_beta here; the ends, pulled toward m_beta by
+        # the outside data, failed a check against m_beta alone
+        params = ModelParams.create(beta=beta, gamma=1e-2)
+        inst = solve_instanton(params, dx=dx)
+        m_d = solve_m_beta(beta * dx * np.sum(
+            params.kernel(dx * np.arange(-1 / dx, 1 / dx + 1))))
+        assert inst.residual <= 1e-8 and inst.tau > 0
+        # at 2W/3 the tail has decayed and the outside data is far
+        assert abs(inst(20.0) - m_d) <= 1e-9 < 1e-8 < params.m_beta - m_d
+        assert m_d - 1e-8 <= inst.q[-1] <= params.m_beta
+
+    def test_short_window_near_critical_beta_rejected(self):
+        # at beta 1.02 the tail is still 2.7e-4 short of the plateau at
+        # W/2 = 10, and the ends fall below it
+        params = ModelParams.create(beta=1.02, gamma=1e-2)
+        with pytest.raises(ValidationError, match="plateau"):
+            solve_instanton(params, half_width=20.0)
 
 
 class TestSurfaceTension:

@@ -54,6 +54,10 @@ SITES = [
      lambda p, tmp, inst: GridProfile(L=1.0, dx=NAN, samples=[0.1] * 4)),
     ("grid L", ValidationError,
      lambda p, tmp, inst: GridProfile(L=NAN, dx=0.25, samples=[0.1] * 4)),
+    ("grid infinite L", ValidationError,
+     lambda p, tmp, inst: GridProfile(L=INF, dx=0.25, samples=[0.1] * 4)),
+    ("constant grid infinite L", ValidationError,
+     lambda p, tmp, inst: GridProfile.constant(0.1, L=INF, dx=0.25)),
     ("grid outside data", InvariantError,
      lambda p, tmp, inst: GridProfile(L=1.0, dx=0.25, samples=[0.1] * 4,
                                 bc="custom", out_left=[0.1, NAN],
@@ -66,6 +70,9 @@ SITES = [
                                 values=[0.5, -0.5])),
     ("step first breakpoint", ValidationError,
      lambda p, tmp, inst: StepProfile(breakpoints=[NAN, 2.0], values=[0.5])),
+    ("step infinite breakpoint", ValidationError,
+     lambda p, tmp, inst: StepProfile(breakpoints=[0.0, 1.0, INF],
+                                values=[0.5, -0.5])),
     ("profile file sample", InvariantError,
      lambda p, tmp, inst: load_profile(_nan_profile_file(tmp))),
     ("e(h) at a float h", DomainError,
@@ -74,6 +81,8 @@ SITES = [
      lambda p, tmp, inst: energy_per_length(p, np.array([10.0, NAN]))),
     ("mean of the mean-constrained descent", ValidationError,
      lambda p, tmp, inst: minimize_with_mean_constraint(p, 4.0, NAN)),
+    ("length of the mean-constrained descent", ValidationError,
+     lambda p, tmp, inst: minimize_with_mean_constraint(p, INF, 0.0)),
     ("coarse-graining c0", ValidationError,
      lambda p, tmp, inst: CoarseGrainConfig(c0=NAN)),
     ("coarse-graining infinite c0", ValidationError,

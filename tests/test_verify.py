@@ -1,4 +1,5 @@
 from froth1d import energy
+from froth1d.model import ModelParams
 from froth1d.verify import run_certificates
 
 
@@ -11,6 +12,14 @@ def test_suite_passes(params):
     certs = run_certificates(params, seed=3, fast=True)
     assert [c.name for c in certs if not c.passed] == []
     assert gradient_certificate(certs).lhs <= 1e-9
+
+
+def test_suite_passes_near_critical_beta():
+    # the fast instanton (dx = 1/32) has its plateau 8.3e-8 below m_beta
+    # here; a check of its ends against m_beta raised ValidationError
+    certs = run_certificates(ModelParams.create(beta=1.2, gamma=1e-2),
+                             seed=3, fast=True)
+    assert [c.name for c in certs if not c.passed] == []
 
 
 def test_gradient_certificate_catches_a_fault_energy_and_gradient_share(
