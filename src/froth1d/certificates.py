@@ -12,19 +12,30 @@ def fmt17(x) -> str:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a single certified inequality.
+    """The inequality ``lhs >= rhs`` (``lhs <= rhs`` when ``upper``), held to
+    ``tol``.
 
     ``lhs`` and ``rhs`` record the worst-case pair when the check ran over a
-    sample set; ``slack`` is ``lhs - rhs`` (>= 0 means the inequality holds
-    with margin).
+    sample set. The verdict follows from them: ``slack`` is the margin by
+    which the inequality holds (``lhs - rhs``, or ``rhs - lhs`` when
+    ``upper``) and ``passed`` is ``slack >= -tol``, false for a NaN.
     """
 
     name: str
     lhs: float
     rhs: float
-    slack: float
-    passed: bool
     params: dict = field(default_factory=dict)
+    upper: bool = False
+    tol: float = 0.0
+
+    @property
+    def slack(self) -> float:
+        lhs, rhs = float(self.lhs), float(self.rhs)
+        return rhs - lhs if self.upper else lhs - rhs
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= -self.tol)
 
     def to_dict(self) -> dict:
         return {
@@ -32,15 +43,7 @@ class Certificate:
             "lhs": fmt17(self.lhs),
             "rhs": fmt17(self.rhs),
             "slack": fmt17(self.slack),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "params": {k: (fmt17(v) if isinstance(v, float) else v)
                        for k, v in sorted(self.params.items())},
         }
-
-
-def comparison_certificate(name, lhs, rhs, params=None, tol=0.0) -> Certificate:
-    """Certificate for ``lhs >= rhs - tol``."""
-    slack = float(lhs) - float(rhs)
-    return Certificate(name=name, lhs=float(lhs), rhs=float(rhs),
-                       slack=slack, passed=bool(slack >= -tol),
-                       params=dict(params or {}))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .diagnostics import (defect_sets, excess_energy_decomposition, good_set,
 from .energy import total_energy
 from .errors import (BracketError, CertificateFailure, Froth1dError,
                      LineSearchFailure, NonConvergence, ParseError,
-                     ValidationError)
+                     ValidationError, _check_value)
 from .instanton import (Instanton, build_trial_profile, solve_instanton,
                         tail_rate)
 from .minimize import MinimizeOptions, multistart
@@ -55,31 +55,6 @@ _SETTINGS = {
 }
 # the boundary conditions a config can run: custom needs outside data
 _CONFIG_BCS = tuple(bc for bc in BC_TOKENS if bc != "custom")
-
-
-def _check_value(kind, value, pointer: str):
-    """Reject a value of the wrong JSON type for its ``_SETTINGS`` entry: a
-    section that is not an object or sets an unknown key, a string, bool or
-    non-finite number (JSON's NaN and Infinity) where a number is read, a
-    non-integral number where an integer is."""
-    if isinstance(kind, dict):
-        if not isinstance(value, dict):
-            raise ValidationError("expected an object", pointer=pointer)
-        for key, item in value.items():
-            if key not in kind:
-                raise ValidationError("unknown key", pointer=f"{pointer}/{key}")
-            _check_value(kind[key], item, f"{pointer}/{key}")
-    elif kind is str or kind is bool:
-        if not isinstance(value, kind):
-            raise ValidationError("expected a string" if kind is str
-                                  else "expected true or false",
-                                  pointer=pointer)
-    elif (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not math.isfinite(value))
-            or (kind is int and isinstance(value, float)
-                and not value.is_integer())):
-        raise ValidationError("expected an integer" if kind is int
-                              else "expected a finite number", pointer=pointer)
 
 
 def _settings(config: dict, section: str, *keys: str) -> dict:
@@ -135,14 +110,22 @@ def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
     return solve_instanton(params, **_settings(config, "instanton"))
 
 
+def _saved_instanton(config: dict, out: Path) -> Optional[dict]:
+    """``instanton.json`` in ``out`` if this very config wrote it, else None:
+    an instanton that another config saved there is never reused."""
+    art = out / "instanton.json"
+    doc = json.loads(art.read_text()) if art.exists() else {}
+    return doc if doc.get("config_sha256") == _config_hash(config) else None
+
+
 def _tau_params(params: ModelParams, config: dict, out: Path):
-    """Params with tau: configured value, or the instanton artifact, or solve."""
+    """Params with tau: the configured value, or the one this config's
+    instanton artifact holds, or a fresh solve's."""
     if params.tau is not None:
         return params, None
-    art = out / "instanton.json"
-    if art.exists():
-        tau = float(json.loads(art.read_text())["tau"])
-        return params.with_tau(tau), None
+    saved = _saved_instanton(config, out)
+    if saved is not None:
+        return params.with_tau(float(saved["tau"])), None
     inst = _solve_instanton(params, config)
     return params.with_tau(inst.tau), inst
 
@@ -223,9 +206,10 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         if inst is None and "tau" in config["model"]:
             inst = _solve_instanton(params, config)
         elif inst is None:
-            # tau came from the instanton artifacts; q round-trips (17 digits)
+            # tau came from this config's instanton artifacts; q round-trips
+            # (17 digits)
+            doc = _saved_instanton(config, out)
             prof, _ = load_profile(out / "instanton.profile")
-            doc = json.loads((out / "instanton.json").read_text())
             inst = Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
                              m_beta=params.m_beta,
                              residual=float(doc["residual"]))

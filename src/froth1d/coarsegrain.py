@@ -409,8 +409,6 @@ def _step_certificate(params: ModelParams, profile: GridProfile,
     residual = (e_phi - e_tilde) / profile.L
     allowance = _C_CERT * gamma ** (1.0 - config.delta)
     return Certificate(
-        name="coarse_grain_lower_bound",
-        lhs=residual, rhs=-allowance, slack=residual + allowance,
-        passed=bool(residual >= -allowance),
+        name="coarse_grain_lower_bound", lhs=residual, rhs=-allowance,
         params={"gamma": gamma, "delta": config.delta, "C_cert": _C_CERT,
                 "E_phi": e_phi, "E_tilde": e_tilde, "L": profile.L})

@@ -624,10 +624,10 @@ def step_dipole_energy(params: ModelParams, step: StepProfile,
     """Exact (gamma/2) dipole energy of a step profile, open or periodic: the
     profile as the one cell of ``_step_dipoles``."""
     gamma = params.gamma if gamma is None else gamma
-    if gamma <= 0.0:
-        return 0.0
     if bc not in ("open", "periodic"):
         raise ValidationError("step dipole supports open or periodic bc")
+    if gamma <= 0.0:
+        return 0.0
     bp = step.breakpoints
     return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],
                                _ONE_CELL,
@@ -647,8 +647,8 @@ def tilde_energy(params: ModelParams, step: StepProfile,
     cell of ``_step_terms``; no quadrature.
     """
     gamma = params.gamma if gamma is None else gamma
-    if gamma > 0.0 and bc not in ("open", "periodic"):
-        raise ValidationError("step dipole supports open or periodic bc")
+    if bc not in ("open", "periodic"):
+        raise ValidationError("step energies support open or periodic bc")
     bp = step.breakpoints
     well, surface, dip = (float(x[0]) for x in _step_terms(
         params, gamma, step.values, bp[:-1], bp[1:], _ONE_CELL,

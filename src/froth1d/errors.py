@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-the modules validating counts share."""
+"""Exception types shared across the package, and the checks that the
+modules validating counts and JSON documents share."""
 
 import math
 import numbers
@@ -21,11 +21,11 @@ class ValidationError(Froth1dError):
     """Invalid model/configuration data.
 
     ``pointer`` carries a JSON-pointer path when the error originates from a
-    JSON document.
+    JSON document, and ``message`` the text without it.
     """
 
     def __init__(self, message, pointer=None):
-        self.pointer = pointer
+        self.message, self.pointer = message, pointer
         if pointer is not None:
             message = f"{pointer}: {message}"
         super().__init__(message)
@@ -36,6 +36,43 @@ def _check_count(value, name: str, limit: float = math.inf, low: int = 0):
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral) and low <= value < limit):
         raise ValidationError(f"{name} must be an integer in [{low}, {limit})")
+
+
+def _check_value(kind, value, pointer: str):
+    """Reject a JSON value of the wrong type for ``kind``: ``str``, ``bool``,
+    ``int`` or ``float`` (finite, so not JSON's NaN or Infinity, and not a
+    bool; an int integral), a dict of keys to kinds (an object, every key
+    optional, no other key), a tuple of keys (an object with just those keys,
+    each a number) or a one-kind list (a nonempty array)."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValidationError("expected an object", pointer=pointer or "/")
+        for key, item in value.items():
+            if key not in kind:
+                raise ValidationError("unknown key", pointer=f"{pointer}/{key}")
+            _check_value(kind[key], item, f"{pointer}/{key}")
+    elif isinstance(kind, tuple):
+        if not isinstance(value, dict) or set(value) != set(kind):
+            raise ValidationError(f"expected {{{', '.join(kind)}}}",
+                                  pointer=pointer)
+        for key in kind:
+            _check_value(float, value[key], f"{pointer}/{key}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValidationError("expected a nonempty array", pointer=pointer)
+        for i, item in enumerate(value):
+            _check_value(kind[0], item, f"{pointer}/{i}")
+    elif kind is str or kind is bool:
+        if not isinstance(value, kind):
+            raise ValidationError("expected a string" if kind is str
+                                  else "expected true or false",
+                                  pointer=pointer)
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
+            or (kind is int and isinstance(value, float)
+                and not value.is_integer())):
+        raise ValidationError("expected an integer" if kind is int
+                              else "expected a finite number", pointer=pointer)
 
 
 class AlignmentError(Froth1dError):

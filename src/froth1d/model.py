@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .certificates import Certificate
-from .errors import DomainError, SubcriticalError, ValidationError
+from .errors import (DomainError, SubcriticalError, ValidationError,
+                     _check_value)
 
 __all__ = [
     "KacMeasure",
@@ -122,11 +123,12 @@ def rp_spectrum_check(measure: KacMeasure, k_samples) -> Certificate:
         raise ValidationError("k_samples must be nonempty")
     vals = measure.v_hat(k)
     worst = int(np.argmin(vals))
+    # strict: a tol of minus the least positive double makes the verdict
+    # v_hat > 0, so a v_hat that underflows to 0 fails
     return Certificate(
-        name="rp_spectrum",
-        lhs=float(vals[worst]), rhs=0.0, slack=float(vals[worst]),
-        passed=bool(np.all(vals > 0.0)),
-        params={"k_worst": float(k[worst]), "n_samples": int(k.size)})
+        name="rp_spectrum", lhs=float(vals[worst]), rhs=0.0,
+        params={"k_worst": float(k[worst]), "n_samples": int(k.size)},
+        tol=-5e-324)
 
 
 class _QuarticBump(NamedTuple):
@@ -216,6 +218,12 @@ def solve_m_beta(beta_j0: float) -> float:
     return m
 
 
+# the model document's keys and their JSON types (see errors._check_value):
+# every key but tau is required, and a measure atom sets weight and alpha
+_MODEL_KEYS = {"beta": float, "J0_hat": float, "lambda": float,
+               "measure": [("weight", "alpha")], "gamma": float, "tau": float}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameterization of the functional.
@@ -257,48 +265,26 @@ class ModelParams:
     @classmethod
     def from_dict(cls, doc: dict, pointer: str = "") -> "ModelParams":
         """Build from the JSON model document; errors carry JSON-pointer paths."""
-        if not isinstance(doc, dict):
-            raise ValidationError("model must be an object", pointer=pointer or "/")
-        allowed = {"beta", "J0_hat", "lambda", "measure", "gamma", "tau"}
-        for key in doc:
-            if key not in allowed:
-                raise ValidationError("unknown key", pointer=f"{pointer}/{key}")
-        for key in ("beta", "J0_hat", "lambda", "measure", "gamma"):
-            if key not in doc:
+        _check_value(_MODEL_KEYS, doc, pointer)
+        for key in _MODEL_KEYS:
+            if key not in doc and key != "tau":
                 raise ValidationError("missing", pointer=f"{pointer}/{key}")
-        def num(val, key):
-            if (not isinstance(val, (int, float)) or isinstance(val, bool)
-                    or (isinstance(val, float) and not math.isfinite(val))):
-                raise ValidationError("expected a finite number",
-                                      pointer=f"{pointer}/{key}")
-            return float(val)
-        beta, j0, lam, gamma = (num(doc[k], k)
-                                for k in ("beta", "J0_hat", "lambda", "gamma"))
-        raw = doc["measure"]
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("expected a nonempty array",
-                                  pointer=f"{pointer}/measure")
-        atoms = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or set(entry) != {"weight", "alpha"}:
-                raise ValidationError("expected {weight, alpha}",
-                                      pointer=f"{pointer}/measure/{i}")
-            atoms.append(tuple(num(entry[k], f"measure/{i}/{k}")
-                               for k in ("weight", "alpha")))
-        tau = None
-        if "tau" in doc:
-            tau = num(doc["tau"], "tau")
-            if tau <= 0:
-                raise ValidationError("tau must be positive",
-                                      pointer=f"{pointer}/tau")
+        tau = float(doc["tau"]) if "tau" in doc else None
+        if tau is not None and tau <= 0:
+            raise ValidationError("tau must be positive",
+                                  pointer=f"{pointer}/tau")
         try:
-            measure = KacMeasure(atoms=tuple(atoms), lam=lam)
-            kernel = ShortRangeKernel.default_quartic(j0)
-            return cls.create(beta=beta, kernel=kernel, measure=measure,
-                              gamma=gamma, tau=tau)
+            measure = KacMeasure(
+                atoms=tuple((float(a["weight"]), float(a["alpha"]))
+                            for a in doc["measure"]),
+                lam=float(doc["lambda"]))
+            kernel = ShortRangeKernel.default_quartic(float(doc["J0_hat"]))
+            return cls.create(beta=float(doc["beta"]), kernel=kernel,
+                              measure=measure, gamma=float(doc["gamma"]),
+                              tau=tau)
         except ValidationError as err:
             if err.pointer is not None and pointer:
-                raise ValidationError(str(err).split(": ", 1)[-1],
+                raise ValidationError(err.message,
                                       pointer=pointer + err.pointer) from err
             raise
 

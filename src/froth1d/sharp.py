@@ -49,11 +49,10 @@ _EH_STEP = 1e-5
 # golden_section stops at this bracket width relative to |a| + |b|
 _GOLDEN_RTOL = 1e-10
 _GOLDEN_MAX_ITER = 400
-# check_eh_bounds: h samples, candidate regime boundaries c' h* and
-# C' / gamma, and the range the fitted constants c and C must lie in
+# check_eh_bounds: h samples, the regime boundaries c' h* and C' / gamma,
+# and the range the fitted constants c and C must lie in
 _BOUNDS_SAMPLES = 240
-_LOW_BOUNDARIES = (0.5, 0.3, 0.7)
-_HIGH_BOUNDARIES = (1.0, 0.5, 2.0)
+_C_PRIME_LOW, _C_PRIME_HIGH = 0.5, 1.0
 _C_MIN, _C_MAX = 1e-8, 1e8
 # gamma_limit_energy is +inf on profiles whose mean exceeds this
 _MEAN_TOL = 1e-8
@@ -206,10 +205,10 @@ def check_eh_bounds(params: ModelParams,
                     gamma: Optional[float] = None) -> Certificate:
     """Fit the three-regime bounds on e(h) - e(h*) and |e'(h)|.
 
-    Scans a log-spaced h grid, fits the best constants c (largest lower
-    bound) and C (smallest upper bound) for candidate regime boundaries
-    c' h* and C' gamma^{-1}; passes at the first boundary pair with
-    c >= 1e-8 and C <= 1e8.
+    Scans a log-spaced h grid and fits the best constants c (largest lower
+    bound) and C (smallest upper bound) for the regime boundaries c' h* and
+    C' gamma^{-1}, c' = 1/2 and C' = 1; passes with c >= 1e-8 and C <= 1e8
+    and raises ``CertificateFailure`` otherwise.
     """
     gamma = params.gamma if gamma is None else gamma
     h_star, e_star, _, _ = optimal_h(params, gamma)
@@ -218,33 +217,27 @@ def check_eh_bounds(params: ModelParams,
     hgrid = np.geomspace(1.0, 100.0 / gamma, _BOUNDS_SAMPLES)
     e_vals = energy_per_length(params, hgrid, gamma)
     de_vals = np.abs(eh_derivative(params, hgrid, gamma))
-    diff = e_vals - e_star
-    last_err = "no candidate regime boundaries admitted positive constants"
-    for cp in _LOW_BOUNDARIES:
-        for Cp in _HIGH_BOUNDARIES:
-            lowshape = np.where(
-                hgrid <= cp * h_star, 1.0 / hgrid,
-                np.where(hgrid >= Cp / gamma, 1.0,
-                         gamma ** 2 * (hgrid - h_star) ** 2))
-            upshape = np.where(
-                hgrid <= cp * h_star, hgrid ** -2.0,
-                np.where(hgrid >= Cp / gamma, gamma ** -1.0 * hgrid ** -2.0,
-                         gamma ** 2 * np.abs(hgrid - h_star)))
-            # the middle-regime shapes vanish at h = h*; both sides do there
-            ok = lowshape > 0.0
-            c_fit = float(np.min(diff[ok] / lowshape[ok]))
-            okd = upshape > 0.0
-            C_fit = float(np.max(de_vals[okd] / upshape[okd]))
-            if c_fit >= _C_MIN and C_fit <= _C_MAX:
-                return Certificate(
-                    name="eh_bounds", lhs=c_fit, rhs=0.0, slack=c_fit,
-                    passed=True,
-                    params={"c": c_fit, "C": C_fit, "c_prime": cp,
-                            "C_prime": Cp, "gamma": gamma, "h_star": h_star,
-                            "n_samples": _BOUNDS_SAMPLES})
-            last_err = (f"c={c_fit:.3e}, C={C_fit:.3e} outside "
-                        f"[{_C_MIN:.0e}, {_C_MAX:.0e}] at c'={cp}, C'={Cp}")
-    raise CertificateFailure(last_err)
+    cp, Cp = _C_PRIME_LOW, _C_PRIME_HIGH
+    low, high = hgrid <= cp * h_star, hgrid >= Cp / gamma
+    lowshape = np.where(low, 1.0 / hgrid, np.where(
+        high, 1.0, gamma ** 2 * (hgrid - h_star) ** 2))
+    upshape = np.where(low, hgrid ** -2.0, np.where(
+        high, gamma ** -1.0 * hgrid ** -2.0,
+        gamma ** 2 * np.abs(hgrid - h_star)))
+    # the middle-regime shapes vanish at h = h*; both sides do there
+    ok = lowshape > 0.0
+    c_fit = float(np.min((e_vals - e_star)[ok] / lowshape[ok]))
+    okd = upshape > 0.0
+    C_fit = float(np.max(de_vals[okd] / upshape[okd]))
+    if not (c_fit >= _C_MIN and C_fit <= _C_MAX):
+        raise CertificateFailure(
+            f"c={c_fit:.3e}, C={C_fit:.3e} outside [{_C_MIN:.0e}, "
+            f"{_C_MAX:.0e}] at c'={cp}, C'={Cp}")
+    return Certificate(
+        name="eh_bounds", lhs=c_fit, rhs=0.0,
+        params={"c": c_fit, "C": C_fit, "c_prime": cp, "C_prime": Cp,
+                "gamma": gamma, "h_star": h_star,
+                "n_samples": _BOUNDS_SAMPLES})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .certificates import Certificate, comparison_certificate
+from .certificates import Certificate
 from .coarsegrain import CoarseGrainConfig, lower_bound_certificate
 from .diagnostics import _excess_parts
 from .energy import _step_terms, energy_gradient
@@ -49,7 +49,7 @@ def appendix_well_certificates(params: ModelParams) -> List[Certificate]:
     t = np.linspace(-1.0, 1.0, 10_000)
     F = eval_F(t, params)
     Ft = eval_tilde_F(t, params)
-    certs = [comparison_certificate(
+    certs = [Certificate(
         "tilde_F_half_F", float(np.min(F / 2.0 - Ft)), 0.0,
         params={"grid": t.size}, tol=1e-14)]
     # curvature gap at the well bottom, by central differences
@@ -57,11 +57,11 @@ def appendix_well_certificates(params: ModelParams) -> List[Certificate]:
     m = params.m_beta
     fpp = (eval_F(m + h, params) - 2.0 * eval_F(m, params)
            + eval_F(m - h, params)) / h ** 2
-    certs.append(comparison_certificate(
+    certs.append(Certificate(
         "curvature_gap", float(fpp), 2.0 * params.f0 / m ** 2,
         params={"fd_step": h, "analytic": eval_F_double_prime(m, params)}))
     quad = params.f0 / m ** 2 * (np.abs(t) - m) ** 2
-    certs.append(comparison_certificate(
+    certs.append(Certificate(
         "F_above_quadratic", float(np.min(F - quad)), 0.0,
         params={"grid": t.size}, tol=1e-12))
     return certs
@@ -129,7 +129,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
     tau_used = params.tau if params.tau is not None else tau_solved
     p_used = params.with_tau(tau_used)
     p_solved = params.with_tau(tau_solved)
-    certs.append(comparison_certificate(
+    certs.append(Certificate(
         "tau_positive", tau_solved, 0.0, params={"tau": tau_solved}))
     # cell-energy identity: effective side with the configured tau, closed
     # form with the solved tau; breaks when the configuration lies about tau
@@ -143,8 +143,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
         rhs = energy_per_length(p_solved, h, gamma)
         worst = max(worst, abs(lhs - rhs))
     certs.append(Certificate(
-        name="cell_energy_identity", lhs=worst, rhs=1e-8, slack=1e-8 - worst,
-        passed=bool(worst <= 1e-8),
+        "cell_energy_identity", worst, 1e-8, upper=True,
         params={"h_star": h_star, "tau_used": tau_used,
                 "tau_solved": tau_solved}))
     certs.append(check_eh_bounds(p_solved, gamma))
@@ -167,9 +166,8 @@ def run_certificates(params: ModelParams, seed: int = 0,
           + gamma * dx * (params.measure.v(gamma * d) @ phi))
     scale = max(float(np.max(np.abs(fd))), 1e-10)
     rel = float(np.max(np.abs(g[idx] - fd))) / scale
-    certs.append(Certificate(
-        name="gradient_vs_fd", lhs=rel, rhs=1e-6, slack=1e-6 - rel,
-        passed=bool(rel <= 1e-6), params={"n": n, "step": h_fd}))
+    certs.append(Certificate("gradient_vs_fd", rel, 1e-6, upper=True,
+                             params={"n": n, "step": h_fd}))
     # chessboard and RP lower bounds on a random in-K corpus
     cfg = CoarseGrainConfig()
     m_bar = cfg.m_bar(params.m_beta, gamma)
@@ -181,15 +179,11 @@ def run_certificates(params: ModelParams, seed: int = 0,
                                        e_star) if steps else ([], []))
     worst_cb = min([np.inf] + gaps_cb)
     worst_c000 = min([np.inf] + gaps_c000)
-    certs.append(Certificate(
-        name="chessboard_lower_bound", lhs=worst_cb, rhs=-1e-9 * L,
-        slack=worst_cb + 1e-9 * L, passed=bool(worst_cb >= -1e-9 * L),
-        params={"L": L, "n_profiles": n_profiles}))
+    certs.append(Certificate("chessboard_lower_bound", worst_cb, -1e-9 * L,
+                             params={"L": L, "n_profiles": n_profiles}))
     allowance = 10.0 * gamma ** (4.0 / 3.0) * L
-    certs.append(Certificate(
-        name="rp_lower_bound_c000", lhs=worst_c000, rhs=-allowance,
-        slack=worst_c000 + allowance, passed=bool(worst_c000 >= -allowance),
-        params={"L": L, "C": 10.0}))
+    certs.append(Certificate("rp_lower_bound_c000", worst_c000, -allowance,
+                             params={"L": L, "C": 10.0}))
     # coarse-graining certificate on the trial profile
     h_cell = round(h_star / inst.dx) * inst.dx
     trial = build_trial_profile(h_cell, (4 if fast else 8) * h_cell, inst,

@@ -235,6 +235,39 @@ class TestPipelineCommands:
         assert ((saved / "minimized.profile").read_bytes()
                 == (solved / "minimized.profile").read_bytes())
 
+    @pytest.mark.parametrize("command,artifacts", [
+        ("eh-curve", ("hstar.json", "eh.csv")),
+        ("minimize", ("minimize.json", "minimized.profile", "trace.csv")),
+    ])
+    def test_instanton_of_another_config_is_not_reused(self, tmp_path,
+                                                       monkeypatch, command,
+                                                       artifacts):
+        # a beta-2 instanton in --out: a beta-1.5 run there must solve its
+        # own and write what it writes into a fresh directory
+        minimize = {"L_over_h_star": 2.0, "bc": "periodic", "dx": 0.125,
+                    "n_starts": 1, "max_iters": 20, "init": "trial"}
+        (tmp_path / "b2").mkdir()
+        (tmp_path / "b15").mkdir()
+        beta2 = write_config(tmp_path / "b2", minimize=minimize)
+        beta15 = write_config(tmp_path / "b15", minimize=minimize, model={
+            "beta": 1.5, "J0_hat": 1.0, "lambda": 1.0,
+            "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.01})
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        assert main(["instanton", "--config", str(beta2),
+                     "--out", str(stale)]) == 0
+        for out in (stale, fresh):
+            assert main([command, "--config", str(beta15),
+                         "--out", str(out)]) == 0
+        for name in artifacts:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+        # the config that wrote the instanton still reuses it
+        def no_solve(*args, **kwargs):
+            raise AssertionError(f"{command} solved the instanton again")
+
+        monkeypatch.setattr(cli, "solve_instanton", no_solve)
+        assert main([command, "--config", str(beta2),
+                     "--out", str(stale)]) == 0
+
     def test_corrupt_profile_is_parse_error(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

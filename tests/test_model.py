@@ -230,6 +230,16 @@ class TestKacMeasure:
         two = KacMeasure(atoms=((0.5, 1.0), (0.5, 2.0)), lam=1.0)
         assert rp_spectrum_check(two, np.linspace(0, 50, 100)).passed
 
+    def test_rp_spectrum_is_strict(self):
+        # a vanishing rate: v_hat underflows to 0 at k = 1e3 and is the
+        # least positive doubles at k = 1; 0 is not positive
+        tiny = KacMeasure(atoms=((1.0, 5e-324),))
+        zero = rp_spectrum_check(tiny, [1.0, 1e3])
+        assert zero.lhs == 0.0 and zero.params["k_worst"] == 1e3
+        assert not zero.passed and not zero.to_dict()["pass"]
+        positive = rp_spectrum_check(tiny, [1.0])
+        assert 0.0 < positive.lhs < 1e-300 and positive.passed
+
 
 class TestKernelAndParams:
     def test_default_kernel_normalization(self):

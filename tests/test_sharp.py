@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from direct_oracles import tilde_v_kernel_direct
 from froth1d.energy import step_dipole_energy, tilde_energy
-from froth1d.errors import DomainError, SignError, ValidationError
+from froth1d import sharp
+from froth1d.errors import (CertificateFailure, DomainError, SignError,
+                           ValidationError)
 from froth1d.minimize import restart_rng
 from froth1d.model import KacMeasure, ModelParams, eval_tilde_F
 from froth1d.profiles import GridProfile, StepProfile
@@ -163,6 +165,37 @@ class TestEhBounds:
     def test_gamma_too_large(self, params_tau):
         with pytest.raises(ValidationError):
             check_eh_bounds(params_tau, 0.19)
+
+    def test_fits_c_prime_half_and_C_prime_one(self, params_tau):
+        cert = check_eh_bounds(params_tau)
+        assert (cert.params["c_prime"], cert.params["C_prime"]) == (0.5, 1.0)
+        assert (cert.lhs, cert.rhs) == (cert.params["c"], 0.0)
+        assert cert.slack == cert.params["c"] and cert.passed
+
+    @pytest.mark.parametrize("bound,value", [("_C_MAX", 1e-3),
+                                             ("_C_MIN", 1e3)])
+    def test_fit_out_of_range_raises(self, params_tau, monkeypatch, bound,
+                                     value):
+        monkeypatch.setattr(sharp, bound, value)
+        with pytest.raises(CertificateFailure,
+                           match=r"^c=\S+, C=\S+ outside .* at c'=0.5, "
+                                 r"C'=1.0$"):
+            check_eh_bounds(params_tau)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-2])
+@pytest.mark.parametrize("energy", [tilde_energy, step_dipole_energy])
+def test_step_energies_reject_an_unknown_bc_at_every_gamma(params, energy,
+                                                           gamma):
+    # gamma = 0 has no dipole, but the bc is still checked: a misspelt
+    # "periodic" read as open would drop the seam's interface
+    step = StepProfile(breakpoints=np.array([0.0, 1.0, 2.0]),
+                       values=np.array([0.9, -0.9]))
+    p = params.with_tau(0.2)
+    for bc in ("perodic", "bogus", "neumann"):
+        with pytest.raises(ValidationError):
+            energy(p, step, gamma, bc=bc)
+    assert energy(p, step, gamma, bc="open") >= 0.0
 
 
 class TestTildeVKernel:

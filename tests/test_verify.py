@@ -1,4 +1,7 @@
+import pytest
+
 from froth1d import energy
+from froth1d.certificates import fmt17
 from froth1d.model import ModelParams
 from froth1d.verify import run_certificates
 
@@ -12,6 +15,22 @@ def test_suite_passes(params):
     certs = run_certificates(params, seed=3, fast=True)
     assert [c.name for c in certs if not c.passed] == []
     assert gradient_certificate(certs).lhs <= 1e-9
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_every_verdict_follows_from_its_numbers(params, fast):
+    # the two upper bounds record lhs <= rhs, the other nine lhs >= rhs
+    certs = run_certificates(params, seed=7, fast=fast)
+    assert len(certs) == 11
+    for cert in certs:
+        upper = cert.name in ("cell_energy_identity", "gradient_vs_fd")
+        assert cert.upper == upper
+        slack = cert.rhs - cert.lhs if upper else cert.lhs - cert.rhs
+        assert cert.slack == slack
+        assert cert.passed == (slack >= -cert.tol)
+        record = cert.to_dict()
+        assert record["slack"] == fmt17(slack)
+        assert record["pass"] is cert.passed
 
 
 def test_suite_passes_near_critical_beta():
