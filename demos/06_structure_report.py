@@ -38,11 +38,11 @@ print("  ...")
 x1, x2 = defect_sets(report, params, epsilon=0.1, epsilon_prime=0.1,
                      h_star=h_star)
 print(f"\ndefect measures: |X1| = {x1:.2f}, |X2| = {x2:.2f}")
-print(f"L_wrong = {l_wrong(step, h_star, 0.1, gamma, prof.bc):.2f}")
+print(f"L_wrong = {l_wrong(step, h_star, 0.1, gamma, prof.step_bc):.2f}")
 
 excess, well, _ = excess_energy_decomposition(params, step, gamma,
                                               h_star=h_star, e_star=e_star,
-                                              bc=prof.bc)
+                                              bc=prof.step_bc)
 print(f"excess sum h_j (e(h_j) - e(h*)) = {excess:.3e}")
 print(f"well integral (F(0)/m^2) int (|sigma| - m)^2 = {well:.3e}")
 

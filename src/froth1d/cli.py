@@ -94,11 +94,24 @@ def _params_from_config(config: dict) -> ModelParams:
     return ModelParams.from_dict(config["model"], pointer="/model")
 
 
+def _profile_hash(config: dict, seed: int) -> str:
+    """The hash of all ``minimized.profile`` depends on: the config's model,
+    instanton and minimize sections and the seed minimize ran with."""
+    return _config_hash({"model": config["model"], "seed": seed,
+                         "instanton": config.get("instanton", {}),
+                         "minimize": config.get("minimize", {})})
+
+
 def _write_json(path: Path, payload: dict, config: dict):
     payload = dict(payload)
     payload["config_sha256"] = _config_hash(config)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8")
+
+
+def _read_json(path: Path) -> dict:
+    """The JSON artifact at ``path``, or {} if there is none."""
+    return json.loads(path.read_text()) if path.exists() else {}
 
 
 def _csv_header(config: dict) -> str:
@@ -113,8 +126,7 @@ def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
 def _saved_instanton(config: dict, out: Path) -> Optional[dict]:
     """``instanton.json`` in ``out`` if this very config wrote it, else None:
     an instanton that another config saved there is never reused."""
-    art = out / "instanton.json"
-    doc = json.loads(art.read_text()) if art.exists() else {}
+    doc = _read_json(out / "instanton.json")
     return doc if doc.get("config_sha256") == _config_hash(config) else None
 
 
@@ -232,22 +244,30 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         "grad_norm": fmt17(best.grad_norm),
         "iterations": best.iterations, "converged": best.converged,
         "breakdown": breakdown.to_dict(),
+        "profile_sha256": _profile_hash(config, seed),
         "table": [{"start": k, "energy": fmt17(e), "grad_norm": fmt17(g),
                    "converged": c} for k, e, g, c in table]}, config)
     return 0
 
 
-def _profile_for(config: dict, section: str, out: Path) -> GridProfile:
+def _profile_for(config: dict, section: str, out: Path,
+                 seed: int) -> GridProfile:
+    """The ``section``'s input profile: the one its ``profile`` key names,
+    else ``minimized.profile`` in ``out`` if ``minimize.json`` there records
+    this config's ``_profile_hash``; a profile that minimize wrote for other
+    settings is never reused."""
     sec = config.get(section, {})
     if "profile" in sec:
         prof, _ = load_profile(sec["profile"])
         return prof
     candidate = out / "minimized.profile"
-    if candidate.exists():
+    saved = _read_json(out / "minimize.json").get("profile_sha256")
+    if candidate.exists() and saved == _profile_hash(config, seed):
         prof, _ = load_profile(candidate)
         return prof
-    raise ValidationError("no input profile: set it in the config or run "
-                          "minimize first", pointer=f"/{section}/profile")
+    raise ValidationError("no input profile: set it in the config, or run "
+                          "minimize with this model, instanton and minimize "
+                          "settings and seed", pointer=f"/{section}/profile")
 
 
 def _coarse_grain_config(config: dict) -> CoarseGrainConfig:
@@ -260,7 +280,7 @@ def _coarse_grain_config(config: dict) -> CoarseGrainConfig:
 def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
-    profile = _profile_for(config, "coarsegrain", out)
+    profile = _profile_for(config, "coarsegrain", out, seed)
     cfg = _coarse_grain_config(config)
     step, _, trace = coarse_grain(params, profile, cfg)
     save_profile(step.to_grid(profile.dx, bc=profile.bc),
@@ -293,7 +313,7 @@ def cmd_verify(config: dict, out: Path, seed: int) -> int:
 def cmd_report(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
     params, _ = _tau_params(params, config, out)
-    profile = _profile_for(config, "diagnostics", out)
+    profile = _profile_for(config, "diagnostics", out, seed)
     sec = _settings(config, "diagnostics")
     step, _, _ = coarse_grain(params, profile, _coarse_grain_config(config))
     report = good_set(params, profile, step, **_settings(
@@ -301,9 +321,10 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     h_star, e_star, _, _ = optimal_h(params)
     eps, epsp = sec.get("epsilon", 0.1), sec.get("epsilon_prime", 0.1)
     defect_sets(report, params, eps, epsp, h_star)
-    report.l_wrong = l_wrong(step, h_star, eps, params.gamma, profile.bc)
+    report.l_wrong = l_wrong(step, h_star, eps, params.gamma,
+                             profile.step_bc)
     excess, well, _ = excess_energy_decomposition(
-        params, step, h_star=h_star, e_star=e_star, bc=profile.bc)
+        params, step, h_star=h_star, e_star=e_star, bc=profile.step_bc)
     report.excess = excess
     report.tildeF_integral = well
     _write_json(out / "report.json", report.to_dict(), config)

@@ -402,7 +402,7 @@ def _step_certificate(params: ModelParams, profile: GridProfile,
     torus sigma_phi lives on [0, L] alone, and so does E_phi: the energy
     without its boundary term."""
     parts = total_energy(params, profile, gamma)
-    bc = "periodic" if profile.bc == "periodic" else "open"
+    bc = profile.step_bc
     e_phi = parts.total if bc == "periodic" else (
         parts.local + parts.exchange + parts.dipole)
     e_tilde = tilde_energy(params, step, gamma, bc=bc)

@@ -13,7 +13,7 @@ from .energy import _ONE_CELL
 from .errors import ParameterError
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, _block_cuts, _block_means,
-                       block_type, regular_partition, runs)
+                       _step_periodic, block_type, regular_partition, runs)
 from .sharp import energy_per_length, optimal_h
 
 __all__ = [
@@ -98,7 +98,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     if not (delta0 < delta1 < 2.0 / 3.0):
         raise ParameterError("need delta0 < delta1 < 2/3")
     L = profile.L
-    periodic = profile.bc == "periodic"
+    periodic = profile.step_bc == "periodic"
     # coarse blocks and their types
     part = regular_partition(L, delta0, gamma).snapped(profile.dx)
     n = part.n_blocks
@@ -188,7 +188,7 @@ def l_wrong(step: StepProfile, h_star: float, epsilon: float,
             gamma: float, bc: str = "open") -> float:
     """Total length of sign intervals with |h_j - h*| >= h* gamma^epsilon;
     with ``bc`` "periodic" the interval that wraps the torus is one."""
-    h = step.interval_lengths(bc == "periodic")
+    h = step.interval_lengths(_step_periodic(bc))
     bad = np.abs(h - h_star) >= h_star * gamma ** epsilon
     return float(np.sum(h[bad]))
 
@@ -221,7 +221,7 @@ def excess_energy_decomposition(params: ModelParams, step: StepProfile,
     gamma = params.gamma if gamma is None else gamma
     if h_star is None or e_star is None:
         h_star, e_star, _, _ = optimal_h(params, gamma)
-    h = step.interval_lengths(bc == "periodic")
+    h = step.interval_lengths(_step_periodic(bc))
     excess, well = _excess_parts(params, gamma, e_star, h, step.values,
                                  step.widths, _ONE_CELL)
     per = list(zip(h.tolist(), excess.tolist()))

@@ -39,7 +39,8 @@ from .certificates import fmt17
 from .errors import MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import GridProfile, StepProfile, _block_cuts, runs
+from .profiles import (GridProfile, StepProfile, _block_cuts, _step_periodic,
+                       runs)
 
 __all__ = [
     "EnergyBreakdown",
@@ -624,14 +625,12 @@ def step_dipole_energy(params: ModelParams, step: StepProfile,
     """Exact (gamma/2) dipole energy of a step profile, open or periodic: the
     profile as the one cell of ``_step_dipoles``."""
     gamma = params.gamma if gamma is None else gamma
-    if bc not in ("open", "periodic"):
-        raise ValidationError("step dipole supports open or periodic bc")
+    periodic = _step_periodic(bc)
     if gamma <= 0.0:
         return 0.0
     bp = step.breakpoints
     return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],
-                               _ONE_CELL,
-                               step.L if bc == "periodic" else None)[0])
+                               _ONE_CELL, step.L if periodic else None)[0])
 
 
 def tilde_energy(params: ModelParams, step: StepProfile,
@@ -647,12 +646,11 @@ def tilde_energy(params: ModelParams, step: StepProfile,
     cell of ``_step_terms``; no quadrature.
     """
     gamma = params.gamma if gamma is None else gamma
-    if bc not in ("open", "periodic"):
-        raise ValidationError("step energies support open or periodic bc")
+    periodic = _step_periodic(bc)
     bp = step.breakpoints
     well, surface, dip = (float(x[0]) for x in _step_terms(
         params, gamma, step.values, bp[:-1], bp[1:], _ONE_CELL,
-        step.L if bc == "periodic" else None))
+        step.L if periodic else None))
     if step.m_bar is not None and not step.in_K:
         warnings.warn("step profile leaves K (some |value| < m_bar)",
                       stacklevel=2)

@@ -98,6 +98,11 @@ class GridProfile:
         """Midpoint coordinates."""
         return (np.arange(self.n) + 0.5) * self.dx
 
+    @property
+    def step_bc(self) -> str:
+        """The bc of sigma_phi: "periodic" on the torus, else "open"."""
+        return "periodic" if self.bc == "periodic" else "open"
+
     def with_samples(self, samples) -> "GridProfile":
         """Same grid, bc and outside data with new samples. Only the samples
         are validated; the outside data was when this profile was built."""
@@ -116,6 +121,13 @@ class GridProfile:
         _check_lengths(L, dx)
         n = int(round(L / dx))
         return cls(L=n * dx, dx=dx, samples=np.full(n, float(value)), bc=bc)
+
+
+def _step_periodic(bc: str) -> bool:
+    """Whether a step profile of ``bc`` (open or periodic) wraps the torus."""
+    if bc not in ("open", "periodic"):
+        raise ValidationError(f"step bc must be open or periodic, not {bc!r}")
+    return bc == "periodic"
 
 
 def _block_cuts(profile: GridProfile, edges) -> np.ndarray:
@@ -356,14 +368,15 @@ class StepProfile:
 # ---------------------------------------------------------------------------
 # profile file format
 #
-# UTF-8 text, read line by line. '#' starts a comment that runs to the end of
-# its line; what is left of a line is split on whitespace, and a line with no
-# token is skipped. A line of two tokens whose first is not a number is a
-# header: "L <float>", "dx <float>", "bc <token>" (one of BC_TOKENS), or an
-# extra "<key> <float>"; a repeated header keeps its last value. A line of one
-# token is a sample. Any other line is a ParseError naming its line number.
-# Headers and samples may come in any order; the samples are the profile's in
-# file order. Numbers are read by Python's float().
+# UTF-8 text of lines. '#' starts a comment that runs to the end of its line;
+# what is left of a line is split on whitespace, and a line with no token is
+# skipped. A line of two tokens whose first is not a number is a header:
+# "L <float>", "dx <float>", "bc <token>" (one of BC_TOKENS), or an extra
+# "<key> <float>"; a repeated header keeps its last value. A line of one
+# token is a sample. Any other line, or one with a bad number or bc token,
+# is malformed. Headers and samples may come in any order; the samples are
+# the profile's in file order. Numbers are read by Python's float(). A file
+# raises the ParseError of its first malformed line, naming its number.
 #
 # save_profile writes the comments first, one "# <comment>" line each, then
 # L, dx, bc and the extra headers with 17 significant digits, then one sample
@@ -373,7 +386,7 @@ class StepProfile:
 # break.
 
 _RESERVED_KEYS = ("L", "dx", "bc")
-_COMMENT = re.compile(r"#[^\n]*")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = None,
@@ -408,24 +421,20 @@ def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = Non
 def load_profile(path):
     """Load a profile file; returns (GridProfile, extra_headers).
 
-    The file is parsed in array passes; a file with a malformed line (or,
-    outside comments, a non-ASCII character) is parsed again line by line,
-    which raises the first line's ParseError. A file that is not UTF-8 raises
-    the ParseError of the line holding its first undecodable byte.
+    ``_parse`` reads the file in one pass and raises the ParseError of its
+    first malformed line in file order. A file that is not UTF-8 raises,
+    before any other, the ParseError of the line holding its first
+    undecodable byte.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = len(re.findall(rb"\r\n?|\n", data[:err.start])) + 1
         raise ParseError("not UTF-8 text", line=line) from None
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    fields, headers, arr, saw_any = (_scan_text(text)
-                                     or _parse_lines(text.split("\n")))
-    if not saw_any:
-        raise ParseError("empty profile file", line=0)
-    L, dx, bc = (fields.get(key) for key in _RESERVED_KEYS)
+    headers, arr = _parse(data)
+    L, dx, bc = (headers.pop(key, None) for key in _RESERVED_KEYS)
     if L is None or dx is None or bc is None:
         raise ParseError("missing L/dx/bc header", line=0)
     if not np.all(np.abs(arr) <= 1.0 + 1e-12):
@@ -437,80 +446,69 @@ def load_profile(path):
     return prof, headers
 
 
-def _scan_text(text: str):
-    """``_parse_lines`` of ``text.split("\\n")`` without a pass per line, or
-    None when a line is malformed or the text outside comments is not ASCII.
+def _parse(data: bytes):
+    """(headers, samples) of a profile file's UTF-8 bytes; raises the first
+    malformed line's ParseError, or one for a file with no token.
 
-    Only a line holding a byte up to ' ' other than the line feed can hold
-    more than one token; those lines are split one by one (in a saved file,
-    the headers). Every other nonblank line is one sample token, and all
-    the sample tokens convert in one call.
+    A line feed never sits inside a multi-byte character, so lines are told
+    apart by their bytes. Only a line holding a byte up to ' ' other than
+    the line feed, or one above 0x7F, can hold whitespace and so more than
+    one token: those lines (in a saved file, the headers) are decoded and
+    split one by one, in file order, up to the first malformed one. Every
+    other nonblank line before it is one sample token, and all the sample
+    tokens convert in one call. Only when that call fails is the line of
+    the first bad token looked up; the error of the earlier line is raised.
     """
-    body = _COMMENT.sub("", text) if "#" in text else text
-    if not body.isascii():
-        return None
-    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"#" in body:
+        body = _COMMENT.sub(b"", body)
+    codes = np.frombuffer(body, dtype=np.uint8)
     breaks = np.flatnonzero(codes == 10)
-    padded = np.unique(np.searchsorted(
-        breaks, np.flatnonzero((codes <= 32) & (codes != 10))))
-    starts = np.append(0, breaks + 1)[padded].tolist()
-    stops = np.append(breaks, codes.size)[padded].tolist()
-    fields, headers = {}, {}
-    kept, pos = [], 0
-    for start, stop in zip(starts, stops):
-        parts = body[start:stop].split()
-        if len(parts) > 2 or (len(parts) == 2 and _is_float(parts[0])):
-            return None
-        if len(parts) == 2:
-            try:
-                _store_header(fields, headers, parts, None)
-            except ParseError:
-                return None
-            kept.append(body[pos:start])
-            pos = stop
-    kept.append(body[pos:])
-    tokens = "".join(kept).split()
+    starts, stops = np.append(0, breaks + 1), np.append(breaks, codes.size)
+    split = np.unique(np.searchsorted(breaks, np.flatnonzero(
+        ((codes <= 32) & (codes != 10)) | (codes > 127)))).tolist()
+    headers, kept, no_sample, pos, end, error = {}, [], [], 0, len(body), None
+    for i in split:
+        start, stop = int(starts[i]), int(stops[i])
+        text = body[start:stop].decode().strip()
+        parts = text.split()
+        if len(parts) == 1:
+            continue        # a padded sample
+        try:
+            _store_header(headers, parts, text, i + 1)
+        except ParseError as err:
+            error, end = err, start
+            break
+        no_sample.append(i)
+        kept.append(body[pos:start])
+        pos = stop
+    # the sample tokens stop at the first malformed line
+    tokens = b"".join(kept + [body[pos:end]]).decode().split()
     try:
         # numpy converts each str with Python's float()
         samples = np.array(tokens, dtype=float)
     except ValueError:
-        return None
-    return fields, headers, samples, bool(tokens or fields or headers)
+        # the first bad token raises: it comes before the malformed line
+        lines = np.setdiff1d(np.flatnonzero(stops > starts), no_sample) + 1
+        for token, line in zip(tokens, lines.tolist()):
+            _parse_float(token, line)
+    if error is not None:
+        raise error
+    if not (tokens or headers):
+        raise ParseError("empty profile file", line=0)
+    return headers, samples
 
 
-def _parse_lines(lines):
-    """(fields, extra headers, samples, whether any line has a token) of a
-    profile file's lines; raises the first malformed line's ParseError."""
-    fields, headers = {}, {}
-    samples = []
-    saw_any = False
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        saw_any = True
-        parts = text.split()
-        if len(parts) == 2 and not _is_float(parts[0]):
-            _store_header(fields, headers, parts, lineno)
-        elif len(parts) == 1:
-            samples.append(_parse_float(parts[0], lineno))
-        else:
-            raise ParseError(f"unparseable line {text!r}", line=lineno)
-    return fields, headers, np.asarray(samples, dtype=float), saw_any
-
-
-def _store_header(fields: dict, headers: dict, parts, lineno):
-    """Read one "key value" header line into ``fields`` (L, dx, bc) or
-    ``headers`` (the extra ones)."""
-    key, val = parts
-    if key == "bc":
-        if val not in BC_TOKENS:
+def _store_header(headers: dict, parts, text: str, lineno: int):
+    """Store the header of a line ``text`` of no token or of two, split into
+    ``parts``: "bc" keeps its token, any other key a number."""
+    if parts and (len(parts) != 2 or _is_float(parts[0])):
+        raise ParseError(f"unparseable line {text!r}", line=lineno)
+    if parts:
+        key, val = parts
+        if key == "bc" and val not in BC_TOKENS:
             raise ParseError(f"unknown bc token {val!r}", line=lineno)
-        fields[key] = val
-    elif key in _RESERVED_KEYS:
-        fields[key] = _parse_float(val, lineno)
-    else:
-        headers[key] = _parse_float(val, lineno)
+        headers[key] = val if key == "bc" else _parse_float(val, lineno)
 
 
 def _is_float(token: str) -> bool:

@@ -28,7 +28,7 @@ from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
-from .profiles import GridProfile, StepProfile, runs
+from .profiles import GridProfile, StepProfile, _step_periodic, runs
 
 __all__ = [
     "EhCurve",
@@ -338,7 +338,7 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
     """
     gamma = params.gamma if gamma is None else gamma
     n = step.values.size
-    first = runs(np.sign(step.values), periodic=bc == "periodic")[0]
+    first = runs(np.sign(step.values), periodic=_step_periodic(bc))[0]
     # pieces from the first cell's left edge on: k pieces wrapped, k >= 0
     k = -first[0]
     values = np.abs(np.append(step.values[n - k:], step.values[:n - k]))

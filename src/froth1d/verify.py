@@ -9,6 +9,7 @@ scored in one pass of each core the per-profile functions use
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from .certificates import Certificate
 from .coarsegrain import CoarseGrainConfig, lower_bound_certificate
 from .diagnostics import _excess_parts
 from .energy import _step_terms, energy_gradient
+from .errors import Froth1dError
 from .instanton import build_trial_profile, solve_instanton
 from .minimize import restart_rng
 from .model import (ModelParams, eval_F, eval_F_double_prime, eval_tilde_F,
@@ -108,11 +110,43 @@ def _corpus_gaps(p_used: ModelParams, p_solved: ModelParams,
     return gaps_cb, gaps_c000
 
 
+# the checks that need the solved instanton and h*, in suite order
+_NEED_H_STAR = ("tau_positive", "cell_energy_identity", "eh_bounds",
+                "gradient_vs_fd", "chessboard_lower_bound",
+                "rp_lower_bound_c000", "coarse_grain_lower_bound")
+
+
+def _unevaluated(name: str, err: Exception) -> Certificate:
+    """The record of the check ``name`` that could not be evaluated: NaN
+    sides, so it never passes, and the error's text in ``params``."""
+    return Certificate(name, math.nan, math.nan, params={"error": str(err)})
+
+
+def _evaluated(name: str, check, *args) -> Certificate:
+    """``check(*args)``, or ``_unevaluated`` if it raises a package error."""
+    try:
+        return check(*args)
+    except Froth1dError as err:
+        return _unevaluated(name, err)
+
+
+def _trial_certificate(params: ModelParams, inst, h_star: float,
+                       gamma: float, cells: int) -> Certificate:
+    """The coarse-graining certificate on a periodic trial train of
+    ``cells`` cells of about h*."""
+    h_cell = round(h_star / inst.dx) * inst.dx
+    trial = build_trial_profile(h_cell, cells * h_cell, inst, bc="periodic")
+    return lower_bound_certificate(params, trial, gamma)
+
+
 def run_certificates(params: ModelParams, seed: int = 0,
                      n_step_profiles: int = 20,
                      fast: bool = False) -> List[Certificate]:
-    """Assemble and evaluate the full suite at ``params.gamma``; never raises
-    on failure.
+    """Assemble and evaluate the full suite at ``params.gamma``: eleven
+    records in a fixed order. It never raises: a check that cannot be
+    evaluated keeps its record, failing, as ``_unevaluated`` writes it, and
+    an instanton or h* that cannot be solved leaves so every check of
+    ``_NEED_H_STAR``.
 
     Solves the instanton for an independent surface tension; a configured
     ``params.tau`` is kept for the effective-functional side so that an
@@ -123,17 +157,20 @@ def run_certificates(params: ModelParams, seed: int = 0,
     certs.append(rp_spectrum_check(params.measure,
                                    np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])))
     certs.extend(appendix_well_certificates(params))
-    inst = solve_instanton(params, half_width=20.0 if fast else 30.0,
-                           dx=1.0 / 32.0 if fast else 1.0 / 64.0)
+    try:
+        inst = solve_instanton(params, half_width=20.0 if fast else 30.0,
+                               dx=1.0 / 32.0 if fast else 1.0 / 64.0)
+        p_solved = params.with_tau(inst.tau)
+        h_star, e_star, _, _ = optimal_h(p_solved, gamma)
+    except Froth1dError as err:
+        return certs + [_unevaluated(name, err) for name in _NEED_H_STAR]
     tau_solved = inst.tau
     tau_used = params.tau if params.tau is not None else tau_solved
     p_used = params.with_tau(tau_used)
-    p_solved = params.with_tau(tau_solved)
     certs.append(Certificate(
         "tau_positive", tau_solved, 0.0, params={"tau": tau_solved}))
     # cell-energy identity: effective side with the configured tau, closed
     # form with the solved tau; breaks when the configuration lies about tau
-    h_star, e_star, _, _ = optimal_h(p_solved, gamma)
     worst = 0.0
     for fac in (0.5, 1.0, 2.0, 5.0):
         h = fac * h_star
@@ -146,7 +183,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
         "cell_energy_identity", worst, 1e-8, upper=True,
         params={"h_star": h_star, "tau_used": tau_used,
                 "tau_solved": tau_solved}))
-    certs.append(check_eh_bounds(p_solved, gamma))
+    certs.append(_evaluated("eh_bounds", check_eh_bounds, p_solved, gamma))
     # gradient versus central differences on a seeded random profile, taken
     # as direct sums outside the energy code: the well's difference, plus
     # the dense exchange and long-range rows, which equal the central
@@ -184,9 +221,6 @@ def run_certificates(params: ModelParams, seed: int = 0,
     allowance = 10.0 * gamma ** (4.0 / 3.0) * L
     certs.append(Certificate("rp_lower_bound_c000", worst_c000, -allowance,
                              params={"L": L, "C": 10.0}))
-    # coarse-graining certificate on the trial profile
-    h_cell = round(h_star / inst.dx) * inst.dx
-    trial = build_trial_profile(h_cell, (4 if fast else 8) * h_cell, inst,
-                                bc="periodic")
-    certs.append(lower_bound_certificate(p_used, trial, gamma, cfg))
+    certs.append(_evaluated("coarse_grain_lower_bound", _trial_certificate,
+                            p_used, inst, h_star, gamma, 4 if fast else 8))
     return certs

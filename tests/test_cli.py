@@ -268,6 +268,60 @@ class TestPipelineCommands:
         assert main([command, "--config", str(beta2),
                      "--out", str(stale)]) == 0
 
+    _SHORT_DESCENT = {"L_over_h_star": 2.0, "bc": "periodic", "dx": 0.125,
+                      "n_starts": 1, "max_iters": 20, "init": "trial"}
+
+    def _minimized(self, tmp_path):
+        """A config, and an output directory where minimize ran on it."""
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads(cfg.read_text()), out
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "beta", 1.5), ("minimize", "max_iters", 21),
+        ("instanton", "tol", 1e-11), (None, "seed", 8)])
+    def test_minimized_profile_of_other_settings_is_refused(
+            self, tmp_path, capsys, section, key, value):
+        # coarse-grain and report read minimized.profile from --out only if
+        # minimize wrote it for the same model, instanton and minimize
+        # settings and seed: a beta-2 profile read as beta 1.5's gave E_phi
+        # and the certificate of the wrong model
+        config, out = self._minimized(tmp_path)
+        (config[section] if section else config)[key] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(config))
+        for command, where in (("coarse-grain", "/coarsegrain/profile"),
+                               ("report", "/diagnostics/profile")):
+            assert main([command, "--config", str(other),
+                         "--out", str(out)]) == 1
+            assert f"error: {where}: no input profile" in (
+                capsys.readouterr().err)
+
+    def test_minimized_profile_without_its_record_is_refused(self, tmp_path,
+                                                             capsys):
+        config, out = self._minimized(tmp_path)
+        (out / "minimize.json").unlink()
+        assert main(["coarse-grain", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 1
+        assert "/coarsegrain/profile: no input profile" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"coarsegrain": {"rho": 0.02}, "diagnostics": {"epsilon": 0.05}}])
+    def test_minimized_profile_of_the_same_settings_is_reused(
+            self, tmp_path, changes):
+        # settings minimize does not read leave the profile reusable
+        config, out = self._minimized(tmp_path)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(config, **changes)))
+        for command in ("coarse-grain", "report"):
+            assert main([command, "--config", str(other),
+                         "--out", str(out)]) == 0
+        sigma, _ = load_profile(out / "sigma.profile")
+        minimized, _ = load_profile(out / "minimized.profile")
+        assert sigma.L == minimized.L
+
     def test_corrupt_profile_is_parse_error(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -317,6 +371,24 @@ class TestVerifyCommand:
         chessboard, = [c for c in payload["certificates"]
                        if c["name"] == "chessboard_lower_bound"]
         assert chessboard["params"]["n_profiles"] == 2
+
+    def test_check_that_cannot_run_fails_with_all_records(self, tmp_path,
+                                                          capsys):
+        # at gamma 0.1 h* < 10: eh_bounds and the trial train's coarse
+        # graining cannot run; verify still writes all eleven records
+        cfg = write_config(tmp_path, verify={"fast": True}, model={
+            "beta": 2.0, "J0_hat": 1.0, "lambda": 1.0,
+            "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.1})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "certificate failure: eh_bounds, coarse_grain_lower_bound\n")
+        certs = json.loads((out / "certificates.json").read_text())[
+            "certificates"]
+        assert len(certs) == 11
+        eh, = [c for c in certs if c["name"] == "eh_bounds"]
+        assert eh["lhs"] == "nan" and eh["pass"] is False
+        assert "h* >= 10" in eh["params"]["error"]
 
     def test_wrong_tau_fails_identity(self, tmp_path, capsys):
         # doubled surface tension breaks the cell-energy identity: exit 3

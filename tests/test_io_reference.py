@@ -257,6 +257,15 @@ _BAD_LINES = ["abc", "1e", "0.5 0.25", "0.5 0.25 0.1", "L 1.0 2.0",
        where=st.floats(0.0, 1.0), replace=st.booleans())
 @example(spec=(["L 1.0", "dx 0.25", "bc open", "0.1", "0.2", "0.3", "0.4"],
                "\n", True), bad="not-a-number", where=0.6, replace=True)
+# a bad sample before a malformed header, and a malformed header before a
+# bad sample: the first in file order raises
+@example(spec=(["L 1.0", "dx 0.25", "bc open", "0.1", "abc", "0.3", "0.4"],
+               "\n", True), bad="bc closed", where=0.9, replace=False)
+@example(spec=(["L 1.0", "dx fine", "bc open", "0.1", "0.2", "0.3", "0.4"],
+               "\n", True), bad="1e", where=0.6, replace=True)
+# a malformed last line with no final line break
+@example(spec=(["L 1.0", "dx 0.25", "bc open", "0.1", "0.2", "0.3", "0.4"],
+               "\n", False), bad="0.5 0.25", where=1.0, replace=True)
 def test_malformed_profile_raises_as_reference(spec, bad, where, replace):
     # one bad line put in, or over, a random line of a valid file
     lines, end, final_break = spec
@@ -276,6 +285,10 @@ def test_malformed_profile_raises_as_reference(spec, bad, where, replace):
     "L 1.0\ndx 0.3\nbc open\n0.1\n0.2\n0.3\n0.4\n",
     "L 1.0\ndx 0.25\nbc open\n0.1\n0.2\n0.3\n\xe9\n",
     "L 1.0\ndx 0.25\nbc open\n0.1\n0.2\n0.3\n0.4\nL x\n",
+    # the only non-ASCII text a sample, which float() reads as 1.0
+    "L 1.0\ndx 0.25\nbc open\n0.1\n0.2\n0.3\n\u0661\n",
+    # a line of one non-ASCII space alone is blank
+    "L 1.0\ndx 0.25\nbc open\n0.1\n\u3000\n0.2\n0.3\n0.4\n",
 ])
 def test_structural_errors_match_reference(text):
     path = _write(text)

@@ -7,7 +7,8 @@ from froth1d.coarsegrain import classify_blocks
 from froth1d.energy import short_range_energy
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError, ValidationError)
-from froth1d.profiles import (BlockPartition, GridProfile, StepProfile,
+from froth1d.profiles import (BC_TOKENS, BlockPartition, GridProfile,
+                              StepProfile,
                               _block_means, alpha_L, average_over, block_type,
                               load_profile, runs, save_profile)
 
@@ -210,6 +211,13 @@ class TestGridProfile:
         assert q.bc == "custom" and not q.samples.flags.writeable
         with pytest.raises(InvariantError):
             p.with_samples(np.full(32, 1.5))
+
+    @pytest.mark.parametrize("bc", BC_TOKENS)
+    def test_step_bc(self, bc):
+        # the one map from a grid's bc to its step profiles': sigma_phi
+        # wraps only the torus, and fixed or reflected data leave it open
+        p = GridProfile.constant(0.5, L=4.0, dx=0.125, bc=bc)
+        assert p.step_bc == ("periodic" if bc == "periodic" else "open")
 
 
 class TestStepProfile:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from dense_pair_integral import dense_chessboard
 from froth1d.diagnostics import excess_energy_decomposition, good_set, l_wrong
 from froth1d.energy import step_dipole_energy, tilde_energy
+from froth1d.errors import ValidationError
 from froth1d.minimize import _wall_runs
 from froth1d.model import eval_tilde_F
 from froth1d.profiles import GridProfile, StepProfile, regular_partition
@@ -237,3 +238,26 @@ def test_a_zero_piece_carries_no_interface(params_tau, v, energy, jumps,
     assert parts["surface"] == jumps * params_tau.tau
     assert len(step.sign_intervals()) == intervals
     assert len(chessboard_lower_bound(params_tau, step, GAMMA)[1]) == intervals
+
+
+@pytest.mark.parametrize("reader", ["chessboard", "l_wrong", "excess"])
+def test_step_profile_readers_reject_an_unknown_bc(params_tau, reader):
+    # a bc other than open or periodic raises, as the step energies do: a
+    # misspelt "periodic" read as open would cut the run that wraps the
+    # seam in two. On this torus the wrapped run is one interval of h*
+    h_star, e_star, _, _ = optimal_h(params_tau, GAMMA)
+    m = params_tau.m_beta
+    step = StepProfile.from_pieces([(h_star / 2, m), (h_star, -m),
+                                    (h_star / 2, m)])
+    read = {
+        "chessboard": lambda bc: chessboard_lower_bound(params_tau, step,
+                                                        GAMMA, bc=bc)[0],
+        "l_wrong": lambda bc: l_wrong(step, h_star, 0.3, GAMMA, bc=bc),
+        "excess": lambda bc: excess_energy_decomposition(
+            params_tau, step, GAMMA, h_star=h_star, e_star=e_star,
+            bc=bc)[0],
+    }[reader]
+    assert read("periodic") != read("open")
+    for bc in ("perodic", "neumann", "plus", "bogus"):
+        with pytest.raises(ValidationError, match="open or periodic"):
+            read(bc)

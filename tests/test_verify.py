@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from froth1d import energy
 from froth1d.certificates import fmt17
 from froth1d.model import ModelParams
-from froth1d.verify import run_certificates
+from froth1d.verify import _NEED_H_STAR, run_certificates
 
 
 def gradient_certificate(certs):
@@ -31,6 +33,30 @@ def test_every_verdict_follows_from_its_numbers(params, fast):
         record = cert.to_dict()
         assert record["slack"] == fmt17(slack)
         assert record["pass"] is cert.passed
+
+
+@pytest.mark.parametrize("gamma, unevaluated", [
+    # h* = 5.2 < 10: no e(h) bound fit, and no trial cell of four
+    # instanton widths
+    (0.1, ("eh_bounds", "coarse_grain_lower_bound")),
+    # no h* at all: every check that needs it
+    (0.5, _NEED_H_STAR),
+])
+def test_a_check_that_cannot_run_keeps_a_failing_record(params, gamma,
+                                                        unevaluated):
+    # the suite never raises: all eleven records, in the order of a passing
+    # run, those that could not be evaluated with a NaN lhs and the error
+    names = [c.name for c in run_certificates(params, seed=7, fast=True)]
+    certs = run_certificates(ModelParams.create(beta=2.0, gamma=gamma),
+                             seed=7, fast=True)
+    assert [c.name for c in certs] == names
+    for cert in certs:
+        if cert.name in unevaluated:
+            assert math.isnan(cert.lhs) and not cert.passed
+            assert cert.params["error"]
+            assert cert.to_dict()["pass"] is False
+        else:
+            assert cert.passed and "error" not in cert.params
 
 
 def test_suite_passes_near_critical_beta():
