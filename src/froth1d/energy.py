@@ -360,7 +360,9 @@ class _QuadraticForm:
         """K d, one application of K: Q(phi + d) = Q + dx <gq, d> +
         (dx/2) <d, K d> and gq(phi + d) = gq + K d exactly."""
         if self.bc == "periodic":
-            return irfft(self.symbol * rfft(d), self.n)
+            x = rfft(d)
+            x *= self.symbol
+            return irfft(x, self.n)
         kd = self.dx * (self.degree * d - self._band(d))
         if self.bc == "neumann":
             wd = self.pair_w * (d[self.pair_in] - d[self.pair_out])

@@ -33,10 +33,11 @@ __all__ = [
 ]
 
 
-# line search: first step, backtracking factor, step growth after acceptance,
-# failure threshold, Armijo fraction
+# line search: first step, the bounds on a backtrack's factor, step growth
+# after acceptance, failure threshold, Armijo fraction
 _STEP0 = 1.0
 _BACKTRACK = 0.5
+_BACKTRACK_MIN = 0.1
 _STEP_GROW = 1.3
 _MIN_STEP = 1e-16
 _ARMIJO = 1e-4
@@ -146,6 +147,21 @@ def _project_mean_box(y, mean):
     return x, np.minimum.reduce(x), np.maximum.reduce(x)
 
 
+def _backtrack(step: float, decrease: float, rise: float,
+               resolved: bool) -> float:
+    """The trial step after a candidate at ``step`` is rejected: the minimizer
+    of the parabola through E(0), the slope -decrease/step at 0 and
+    E(step) = E(0) + rise, clamped to [0.1, 0.5] step (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., section 3.5). Halving when that parabola
+    has no positive curvature or E does not resolve the Armijo decrease
+    (``resolved`` false), where E(step) is rounding."""
+    curvature = rise + decrease
+    if not (resolved and curvature > 0.0):
+        return step * _BACKTRACK
+    trial = step * decrease / (2.0 * curvature)
+    return min(max(trial, _BACKTRACK_MIN * step), _BACKTRACK * step)
+
+
 def _descend(params: ModelParams, profile: GridProfile, gamma: float,
              options: MinimizeOptions,
              mean: Optional[float] = None) -> MinimizeResult:
@@ -167,6 +183,10 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
     candidate within 1e-12 of a face (its extremes tell), the next residual
     is max |d| from one max and one min. Candidates are plain arrays in the
     box; only the returned profile is built and validated.
+    The first trial step is 1, and an accepted step t makes the next
+    iteration's first trial 1.3 t (at most 1e6). After a rejected trial at
+    t, ``_backtrack`` gives the next: the minimizer of the parabola through
+    E, the slope -decrease/t and the rejected E(t), within [0.1 t, 0.5 t].
     """
     form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
     dx = profile.dx
@@ -227,7 +247,7 @@ def _descend(params: ModelParams, profile: GridProfile, gamma: float,
             cand_energy = dx * float(np.add.reduce(f)) + cand_q
             if cand_energy <= energy - _ARMIJO * decrease:
                 break
-            step *= _BACKTRACK
+            step = _backtrack(step, decrease, cand_energy - energy, resolved)
         # float64 resolves at E no decrease below about half an ulp of E.
         # Once even the decrease the Armijo test asks of a unit step is below
         # that, the test compares roundings of E: a failed search, or an
@@ -267,6 +287,11 @@ def minimize_energy(params: ModelParams, init: GridProfile,
                     ) -> MinimizeResult:
     """Projected gradient descent with Armijo backtracking on [-1, 1]^N.
 
+    Each iteration tries the step 1.3 times the last accepted one (1 at
+    first); a rejected trial at t is followed by the minimizer of the
+    parabola that E(0), the slope the Armijo test assumes and E(t) give,
+    clamped to [0.1 t, 0.5 t], or by t/2 when that parabola has no positive
+    curvature or E does not resolve the decrease asked of a unit step.
     Energy decreases monotonically along accepted steps; stops when the
     projected-gradient sup-norm reaches grad_tol or max_iters is exhausted,
     or, unconverged, once the profile is stationary to the rounding of E:

@@ -10,6 +10,7 @@ scored in one pass of each core the per-profile functions use
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -133,10 +134,22 @@ def _evaluated(name: str, check, *args) -> Certificate:
 def _trial_certificate(params: ModelParams, inst, h_star: float,
                        gamma: float, cells: int) -> Certificate:
     """The coarse-graining certificate on a periodic trial train of
-    ``cells`` cells of about h*."""
-    h_cell = round(h_star / inst.dx) * inst.dx
-    trial = build_trial_profile(h_cell, cells * h_cell, inst, bc="periodic")
-    return lower_bound_certificate(params, trial, gamma)
+    ``cells`` cells. A cell is h* on the instanton's grid, times the smallest
+    whole k that gives ``build_trial_profile`` a cell of 4 instanton widths
+    (w999); near beta = 1 the instanton widens while h* barely moves, so k
+    exceeds 1 there, and only then is the cell's length recorded as
+    ``params["cell"]``."""
+    m = round(h_star / inst.dx)
+    four_widths = 4.0 * inst.width_at(0.999)
+    k = max(1, math.ceil(four_widths / (m * inst.dx)))
+    if k * m * inst.dx < four_widths:
+        k += 1
+    cell = k * m * inst.dx
+    trial = build_trial_profile(cell, cells * cell, inst, bc="periodic")
+    cert = lower_bound_certificate(params, trial, gamma)
+    if k == 1:
+        return cert
+    return replace(cert, params={**cert.params, "cell": cell})
 
 
 def run_certificates(params: ModelParams, seed: int = 0,

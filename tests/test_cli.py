@@ -374,21 +374,34 @@ class TestVerifyCommand:
 
     def test_check_that_cannot_run_fails_with_all_records(self, tmp_path,
                                                           capsys):
-        # at gamma 0.1 h* < 10: eh_bounds and the trial train's coarse
-        # graining cannot run; verify still writes all eleven records
+        # at gamma 0.1 h* < 10: eh_bounds cannot run; verify still writes
+        # all eleven records
         cfg = write_config(tmp_path, verify={"fast": True}, model={
             "beta": 2.0, "J0_hat": 1.0, "lambda": 1.0,
             "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.1})
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "certificate failure: eh_bounds, coarse_grain_lower_bound\n")
+        assert capsys.readouterr().err == "certificate failure: eh_bounds\n"
         certs = json.loads((out / "certificates.json").read_text())[
             "certificates"]
         assert len(certs) == 11
         eh, = [c for c in certs if c["name"] == "eh_bounds"]
         assert eh["lhs"] == "nan" and eh["pass"] is False
         assert "h* >= 10" in eh["params"]["error"]
+
+    def test_passes_near_critical_beta(self, tmp_path):
+        # at beta 1.05 four instanton widths exceed h*: the trial train
+        # takes cells of 2 h* and every certificate is evaluated
+        cfg = write_config(tmp_path, verify={"fast": True}, model={
+            "beta": 1.05, "J0_hat": 1.0, "lambda": 1.0,
+            "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.01})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        certs = json.loads((out / "certificates.json").read_text())[
+            "certificates"]
+        assert len(certs) == 11
+        assert not [c["name"] for c in certs if "error" in c["params"]]
+        assert certs[-1]["params"]["cell"] == "30"
 
     def test_wrong_tau_fails_identity(self, tmp_path, capsys):
         # doubled surface tension breaks the cell-energy identity: exit 3

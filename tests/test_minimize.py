@@ -9,8 +9,9 @@ from direct_oracles import (check_mean_projection, knot_bound,
 from froth1d.energy import total_energy
 from froth1d.errors import LineSearchFailure, ValidationError
 import froth1d.minimize as minimize_module
-from froth1d.minimize import (MinimizeOptions, _mean_slice_grad_norm,
-                              _project_mean_box, _projected_grad_norm,
+from froth1d.minimize import (MinimizeOptions, _backtrack,
+                              _mean_slice_grad_norm, _project_mean_box,
+                              _projected_grad_norm,
                               minimize_energy, minimize_with_mean_constraint,
                               multistart, restart_rng)
 from froth1d.profiles import GridProfile
@@ -366,6 +367,95 @@ class TestRoundingStop:
                 params, wave.L, 0.0, bc="open", gamma=1e-2,
                 options=MinimizeOptions(max_iters=50, grad_tol=1e-12),
                 dx=wave.dx, init=wave)
+
+
+class TestBacktrack:
+    """After a rejected candidate at step t the next trial step is the
+    minimizer of the parabola through E(0), the slope -decrease/t at 0 and
+    E(t), clamped to [0.1 t, 0.5 t]; t/2 when that parabola has no positive
+    curvature or E does not resolve the Armijo decrease."""
+
+    @staticmethod
+    def parabola(step, slope, minimizer):
+        """(decrease, rise) of E(s) = E(0) - slope s + c s^2 whose minimizer
+        is ``minimizer``: decrease = slope t, rise = E(t) - E(0)."""
+        c = slope / (2.0 * minimizer)
+        return slope * step, step * (c * step - slope)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=st.floats(1e-12, 1e6), slope=st.floats(1e-8, 1e8),
+           ratio=st.floats(0.1, 0.5))
+    def test_exact_parabola_gives_its_minimizer(self, step, slope, ratio):
+        decrease, rise = self.parabola(step, slope, ratio * step)
+        assert _backtrack(step, decrease, rise, True) == pytest.approx(
+            ratio * step, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=st.floats(1e-12, 1e6), slope=st.floats(1e-8, 1e8),
+           ratio=st.one_of(st.floats(1e-6, 0.099), st.floats(0.501, 1e6)))
+    def test_clamped_to_a_tenth_and_a_half(self, step, slope, ratio):
+        decrease, rise = self.parabola(step, slope, ratio * step)
+        bound = 0.1 * step if ratio < 0.1 else 0.5 * step
+        assert _backtrack(step, decrease, rise, True) == bound
+
+    @pytest.mark.parametrize("rise, resolved", [
+        (-1.0, True),            # curvature rise + decrease = 0
+        (-2.0, True),            # negative curvature
+        (float("nan"), True),
+        (0.5, False),            # E does not resolve the decrease
+        (-1.0, False),
+    ])
+    def test_halves_without_a_usable_parabola(self, rise, resolved):
+        assert _backtrack(0.75, 1.0, rise, resolved) == 0.375
+
+    def descent(self, params, kind):
+        """A descent whose line search rejects candidates, clipped ones
+        among them."""
+        rng = restart_rng(11, 0)
+        if kind == "periodic":
+            init = GridProfile(L=32.0, dx=1.0 / 8.0, bc="periodic",
+                               samples=rng.uniform(-1.0, 1.0, 256))
+            return minimize_energy(params, init, 2e-2,
+                                   MinimizeOptions(max_iters=150))
+        if kind == "plus":
+            init = GridProfile(L=8.0, dx=1.0 / 16.0, bc="plus",
+                               samples=rng.uniform(-1.0, 1.0, 128))
+            return minimize_energy(params, init, 1e-2,
+                                   MinimizeOptions(max_iters=10))
+        init = GridProfile(L=20.0, dx=1.0 / 32.0,
+                           samples=rng.uniform(-1.0, 1.0, 640))
+        return minimize_with_mean_constraint(
+            params, 20.0, 0.96, gamma=0.0, dx=1.0 / 32.0, init=init,
+            options=MinimizeOptions(max_iters=6000, grad_tol=1e-7))
+
+    @pytest.mark.parametrize("kind", ["periodic", "plus", "mean_slice"])
+    def test_every_rejection_shrinks_the_step(self, params, kind,
+                                              monkeypatch):
+        # every trial step the descent takes after a rejection lies in
+        # [0.1, 0.5] of the rejected one, and the rejections link each
+        # iteration's first step (the trace's step column) to the accepted
+        # one, which grows by 1.3 into the next iteration's first step
+        calls = []
+
+        def spy(step, decrease, rise, resolved):
+            calls.append((step, _backtrack(step, decrease, rise, resolved)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(minimize_module, "_backtrack", spy)
+        res = self.descent(params, kind)
+        accepted = res.iterations - int(res.converged)
+        assert len(calls) == res.evaluations - 1 - accepted > 0
+        assert all(0.1 * t <= new <= 0.5 * t for t, new in calls)
+        assert any(new != 0.5 * t for t, new in calls)
+        k = 0
+        for i in range(accepted):
+            step = res.trace[i, 3]
+            while k < len(calls) and calls[k][0] == step:
+                step = calls[k][1]
+                k += 1
+            assert res.trace[i + 1, 3] == min(
+                step * minimize_module._STEP_GROW, 1e6)
+        assert k == len(calls)
 
 
 def masked_grad_norm(phi, g, tol=1e-12):

@@ -4,7 +4,9 @@ import pytest
 
 from froth1d import energy
 from froth1d.certificates import fmt17
+from froth1d.instanton import solve_instanton
 from froth1d.model import ModelParams
+from froth1d.sharp import optimal_h
 from froth1d.verify import _NEED_H_STAR, run_certificates
 
 
@@ -36,9 +38,8 @@ def test_every_verdict_follows_from_its_numbers(params, fast):
 
 
 @pytest.mark.parametrize("gamma, unevaluated", [
-    # h* = 5.2 < 10: no e(h) bound fit, and no trial cell of four
-    # instanton widths
-    (0.1, ("eh_bounds", "coarse_grain_lower_bound")),
+    # h* = 5.2 < 10: no e(h) bound fit (the trial train takes cells of 2 h*)
+    (0.1, ("eh_bounds",)),
     # no h* at all: every check that needs it
     (0.5, _NEED_H_STAR),
 ])
@@ -65,6 +66,32 @@ def test_suite_passes_near_critical_beta():
     certs = run_certificates(ModelParams.create(beta=1.2, gamma=1e-2),
                              seed=3, fast=True)
     assert [c.name for c in certs if not c.passed] == []
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("beta, widths", [(1.05, 2), (1.2, 1), (2.0, 1)])
+def test_trial_cell_spans_four_instanton_widths(fast, beta, widths):
+    # at beta 1.05 the instanton's w999 (6.4) is more than h*/4 (15/4):
+    # the trial train's cell is the smallest whole multiple of the grid h*
+    # cell that spans 4 w999, and is recorded; elsewhere it is h* itself
+    params = ModelParams.create(beta=beta, gamma=1e-2)
+    certs = run_certificates(params, seed=7, fast=fast)
+    assert [c.name for c in certs if not c.passed] == []
+    cert = certs[-1]
+    assert cert.name == "coarse_grain_lower_bound"
+    inst = solve_instanton(params, half_width=20.0 if fast else 30.0,
+                           dx=1.0 / 32.0 if fast else 1.0 / 64.0)
+    h_star = optimal_h(params.with_tau(inst.tau))[0]
+    h_cell = round(h_star / inst.dx) * inst.dx
+    four_widths = 4.0 * inst.width_at(0.999)
+    assert (widths - 1) * h_cell < four_widths <= widths * h_cell
+    assert cert.params["L"] == pytest.approx((4 if fast else 8) * widths
+                                             * h_cell, rel=1e-12)
+    if widths == 1:
+        assert "cell" not in cert.params
+    else:
+        assert cert.params["cell"] == pytest.approx(widths * h_cell,
+                                                    rel=1e-12)
 
 
 def test_gradient_certificate_catches_a_fault_energy_and_gradient_share(
