@@ -55,6 +55,12 @@ _SETTINGS = {
 }
 # the boundary conditions a config can run: custom needs outside data
 _CONFIG_BCS = tuple(bc for bc in BC_TOKENS if bc != "custom")
+# each artifact a later subcommand reuses, and the inputs it depends on:
+# config sections, and "seed", the seed its subcommand ran with. The
+# artifact records their hash as inputs_sha256, and ``_saved`` hands it
+# only to a run with the same hash
+_INPUTS = {"instanton.json": ("model", "instanton"),
+           "minimize.json": ("model", "instanton", "minimize", "seed")}
 
 
 def _settings(config: dict, section: str, *keys: str) -> dict:
@@ -94,12 +100,10 @@ def _params_from_config(config: dict) -> ModelParams:
     return ModelParams.from_dict(config["model"], pointer="/model")
 
 
-def _profile_hash(config: dict, seed: int) -> str:
-    """The hash of all ``minimized.profile`` depends on: the config's model,
-    instanton and minimize sections and the seed minimize ran with."""
-    return _config_hash({"model": config["model"], "seed": seed,
-                         "instanton": config.get("instanton", {}),
-                         "minimize": config.get("minimize", {})})
+def _inputs_hash(name: str, config: dict, seed: int) -> str:
+    """The hash of the inputs ``_INPUTS`` lists for the artifact ``name``."""
+    return _config_hash({part: seed if part == "seed" else config.get(part, {})
+                         for part in _INPUTS[name]})
 
 
 def _write_json(path: Path, payload: dict, config: dict):
@@ -109,9 +113,14 @@ def _write_json(path: Path, payload: dict, config: dict):
                     encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
-    """The JSON artifact at ``path``, or {} if there is none."""
-    return json.loads(path.read_text()) if path.exists() else {}
+def _saved(name: str, config: dict, out: Path, seed: int) -> Optional[dict]:
+    """The JSON artifact ``name`` in ``out`` if it records the
+    inputs_sha256 of this config and seed, else None: an artifact saved
+    for other inputs, or by a version that recorded none, is never reused."""
+    path = out / name
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    return doc if doc.get("inputs_sha256") == _inputs_hash(
+        name, config, seed) else None
 
 
 def _csv_header(config: dict) -> str:
@@ -123,23 +132,33 @@ def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
     return solve_instanton(params, **_settings(config, "instanton"))
 
 
-def _saved_instanton(config: dict, out: Path) -> Optional[dict]:
-    """``instanton.json`` in ``out`` if this very config wrote it, else None:
-    an instanton that another config saved there is never reused."""
-    doc = _read_json(out / "instanton.json")
-    return doc if doc.get("config_sha256") == _config_hash(config) else None
+def _instanton(params: ModelParams, config: dict, out: Path,
+               seed: int) -> Instanton:
+    """The instanton that ``instanton.json`` and ``instanton.profile`` in
+    ``out`` hold if ``_saved`` hands them over (q round-trips: 17 digits),
+    else a fresh solve's."""
+    doc = _saved("instanton.json", config, out, seed)
+    if doc is None:
+        return _solve_instanton(params, config)
+    prof, _ = load_profile(out / "instanton.profile")
+    return Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
+                     m_beta=params.m_beta, residual=float(doc["residual"]),
+                     tau=float(doc["tau"]))
 
 
-def _tau_params(params: ModelParams, config: dict, out: Path):
-    """Params with tau: the configured value, or the one this config's
-    instanton artifact holds, or a fresh solve's."""
+def _tau_params(params: ModelParams, config: dict, out: Path, seed: int,
+                inst: Optional[Instanton] = None) -> ModelParams:
+    """Params with tau: the configured value, else ``inst``'s, else the one
+    the saved ``instanton.json`` holds (see ``_saved``), else a fresh
+    solve's."""
     if params.tau is not None:
-        return params, None
-    saved = _saved_instanton(config, out)
-    if saved is not None:
-        return params.with_tau(float(saved["tau"])), None
-    inst = _solve_instanton(params, config)
-    return params.with_tau(inst.tau), inst
+        return params
+    if inst is None:
+        doc = _saved("instanton.json", config, out, seed)
+        if doc is not None:
+            return params.with_tau(float(doc["tau"]))
+        inst = _solve_instanton(params, config)
+    return params.with_tau(inst.tau)
 
 
 def cmd_instanton(config: dict, out: Path, seed: int) -> int:
@@ -147,7 +166,8 @@ def cmd_instanton(config: dict, out: Path, seed: int) -> int:
     inst = _solve_instanton(params, config)
     headers = {"tau": inst.tau}
     payload = {"tau": fmt17(inst.tau), "residual": fmt17(inst.residual),
-               "half_width": fmt17(inst.W), "dx": fmt17(inst.dx)}
+               "half_width": fmt17(inst.W), "dx": fmt17(inst.dx),
+               "inputs_sha256": _inputs_hash("instanton.json", config, seed)}
     try:
         rate, rms, window = tail_rate(inst)
         headers["tail_rate"] = rate
@@ -170,7 +190,7 @@ def cmd_eh_curve(config: dict, out: Path, seed: int) -> int:
         raise ValidationError("need 0 < span_low < span_high",
                               pointer=f"/eh/{key}")
     params = _params_from_config(config)
-    params, _ = _tau_params(params, config, out)
+    params = _tau_params(params, config, out, seed)
     curve = eh_curve(params, span=(low, high),
                      **_settings(config, "eh", "n_samples"))
     lines = [_csv_header(config).rstrip("\n"), "h,e_h,e_h_minus_estar"]
@@ -203,7 +223,9 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
     options = MinimizeOptions(grad_tol=sec.get("grad_tol", 1e-5), seed=seed,
                               **_settings(config, "minimize", "max_iters"))
     params = _params_from_config(config)
-    params, inst = _tau_params(params, config, out)
+    inst = (_instanton(params, config, out, seed)
+            if sec.get("init") == "trial" else None)
+    params = _tau_params(params, config, out, seed, inst)
     dx = sec.get("dx", 1.0 / 16.0)
     h_star, _, _, _ = optimal_h(params)
     key = "L" if "L" in sec else "L_over_h_star"
@@ -214,20 +236,12 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
                               f"{dx:.6g}", pointer=f"/minimize/{key}")
     L = n * dx
     init = None
-    if sec.get("init") == "trial":
-        if inst is None and "tau" in config["model"]:
-            inst = _solve_instanton(params, config)
-        elif inst is None:
-            # tau came from this config's instanton artifacts; q round-trips
-            # (17 digits)
-            doc = _saved_instanton(config, out)
-            prof, _ = load_profile(out / "instanton.profile")
-            inst = Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
-                             m_beta=params.m_beta,
-                             residual=float(doc["residual"]))
-        h_cell = round(h_star / dx) * dx
-        n_cells = max(2, int(round(L / h_cell)) // 2 * 2)
-        init = build_trial_profile(h_cell, n_cells * h_cell, inst, bc=bc, dx=dx)
+    if inst is not None:
+        # the cell verify's trial train takes: whole h* cells that span 4
+        # instanton widths
+        cell = inst.trial_cell(h_star, dx)
+        n_cells = max(2, int(round(L / cell)) // 2 * 2)
+        init = build_trial_profile(cell, n_cells * cell, inst, bc=bc, dx=dx)
         L = init.L
     best, table = multistart(params, params.gamma, L, bc,
                              sec.get("n_starts", 8), options, dx=dx, init=init)
@@ -244,7 +258,7 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         "grad_norm": fmt17(best.grad_norm),
         "iterations": best.iterations, "converged": best.converged,
         "breakdown": breakdown.to_dict(),
-        "profile_sha256": _profile_hash(config, seed),
+        "inputs_sha256": _inputs_hash("minimize.json", config, seed),
         "table": [{"start": k, "energy": fmt17(e), "grad_norm": fmt17(g),
                    "converged": c} for k, e, g, c in table]}, config)
     return 0
@@ -253,16 +267,15 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
 def _profile_for(config: dict, section: str, out: Path,
                  seed: int) -> GridProfile:
     """The ``section``'s input profile: the one its ``profile`` key names,
-    else ``minimized.profile`` in ``out`` if ``minimize.json`` there records
-    this config's ``_profile_hash``; a profile that minimize wrote for other
-    settings is never reused."""
+    else ``minimized.profile`` in ``out`` if ``_saved`` hands over its
+    ``minimize.json``; a profile that minimize wrote for other settings is
+    never reused."""
     sec = config.get(section, {})
     if "profile" in sec:
         prof, _ = load_profile(sec["profile"])
         return prof
     candidate = out / "minimized.profile"
-    saved = _read_json(out / "minimize.json").get("profile_sha256")
-    if candidate.exists() and saved == _profile_hash(config, seed):
+    if candidate.exists() and _saved("minimize.json", config, out, seed):
         prof, _ = load_profile(candidate)
         return prof
     raise ValidationError("no input profile: set it in the config, or run "
@@ -279,7 +292,7 @@ def _coarse_grain_config(config: dict) -> CoarseGrainConfig:
 
 def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
-    params, _ = _tau_params(params, config, out)
+    params = _tau_params(params, config, out, seed)
     profile = _profile_for(config, "coarsegrain", out, seed)
     cfg = _coarse_grain_config(config)
     step, _, trace = coarse_grain(params, profile, cfg)
@@ -312,7 +325,7 @@ def cmd_verify(config: dict, out: Path, seed: int) -> int:
 
 def cmd_report(config: dict, out: Path, seed: int) -> int:
     params = _params_from_config(config)
-    params, _ = _tau_params(params, config, out)
+    params = _tau_params(params, config, out, seed)
     profile = _profile_for(config, "diagnostics", out, seed)
     sec = _settings(config, "diagnostics")
     step, _, _ = coarse_grain(params, profile, _coarse_grain_config(config))

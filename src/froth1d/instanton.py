@@ -69,6 +69,21 @@ class Instanton:
             return self.W
         return float(self.x[above[0]])
 
+    def trial_cell(self, h: float, dx: float) -> float:
+        """The cell of the trial train at period ``h`` on the grid ``dx``:
+        h rounded to m whole samples, times the smallest whole k for which
+        the cell spans 4 instanton widths (w999), as ``build_trial_profile``
+        requires. Near beta = 1 the instanton widens while h* barely moves,
+        so k exceeds 1 there. Returned as k * m * dx."""
+        if not 0.0 < dx <= h < math.inf:
+            raise ValidationError("need 0 < dx <= h < inf")
+        m = round(h / dx)
+        four_widths = 4.0 * self.width_at(0.999)
+        k = max(1, math.ceil(four_widths / (m * dx)))
+        if k * m * dx < four_widths:
+            k += 1
+        return k * m * dx
+
     def to_profile(self) -> GridProfile:
         """As a GridProfile on [0, 2W] (shifted domain), for serialization."""
         return GridProfile(L=2 * self.W, dx=self.dx, samples=self.q, bc="open")

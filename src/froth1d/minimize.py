@@ -310,6 +310,16 @@ def minimize_energy(params: ModelParams, init: GridProfile,
     return _descend(params, init, gamma, options)
 
 
+def _check_init(init: GridProfile, L: float, dx: float, bc: str):
+    """Reject an ``init`` off the grid that ``L``, ``dx`` and ``bc``
+    describe (L and dx to 1e-9 relative)."""
+    if (init.bc != bc or not abs(init.L - L) <= 1e-9 * abs(L)
+            or not abs(init.dx - dx) <= 1e-9 * abs(dx)):
+        raise ValidationError(
+            f"init (L={init.L}, dx={init.dx}, bc={init.bc}) disagrees with "
+            f"L={L}, dx={dx}, bc={bc}")
+
+
 def minimize_with_mean_constraint(params: ModelParams, length: float,
                                   mean: float, bc: str = "open",
                                   gamma: float = 0.0,
@@ -331,11 +341,8 @@ def minimize_with_mean_constraint(params: ModelParams, length: float,
     options = MinimizeOptions() if options is None else options
     if init is None:
         init = GridProfile.constant(mean, L=length, dx=dx, bc=bc)
-    elif (init.bc != bc or not np.isclose(init.L, length, rtol=1e-9, atol=0.0)
-          or not np.isclose(init.dx, dx, rtol=1e-9, atol=0.0)):
-        raise ValidationError(
-            f"init (L={init.L}, dx={init.dx}, bc={init.bc}) disagrees with "
-            f"length={length}, dx={dx}, bc={bc}")
+    else:
+        _check_init(init, length, dx, bc)
     return _descend(params, init, gamma, options, mean)
 
 
@@ -435,7 +442,8 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     """Best of ``n_starts`` seeded random initializations.
 
     Deterministic given options.seed; returns (best result, table of final
-    energies). When ``init`` is given it is used for restart 0.
+    energies). When ``init`` is given it is used for restart 0; it must lie
+    on the random starts' grid, round(L/dx) samples of ``dx`` under ``bc``.
 
     Each start is first relaxed by plain projected-gradient descent with the
     full ``options``, exactly as ``minimize_energy``. Descent alone cannot
@@ -470,6 +478,8 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
         raise ValidationError("L and dx must be finite and positive")
     options = MinimizeOptions() if options is None else options
     n = int(round(L / dx))
+    if init is not None:
+        _check_init(init, n * dx, dx, bc)
     best = None
     table = []
     for k in range(n_starts):

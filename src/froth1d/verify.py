@@ -19,7 +19,7 @@ from .certificates import Certificate
 from .coarsegrain import CoarseGrainConfig, lower_bound_certificate
 from .diagnostics import _excess_parts
 from .energy import _step_terms, energy_gradient
-from .errors import Froth1dError
+from .errors import Froth1dError, _check_count
 from .instanton import build_trial_profile, solve_instanton
 from .minimize import restart_rng
 from .model import (ModelParams, eval_F, eval_F_double_prime, eval_tilde_F,
@@ -134,20 +134,14 @@ def _evaluated(name: str, check, *args) -> Certificate:
 def _trial_certificate(params: ModelParams, inst, h_star: float,
                        gamma: float, cells: int) -> Certificate:
     """The coarse-graining certificate on a periodic trial train of
-    ``cells`` cells. A cell is h* on the instanton's grid, times the smallest
-    whole k that gives ``build_trial_profile`` a cell of 4 instanton widths
-    (w999); near beta = 1 the instanton widens while h* barely moves, so k
-    exceeds 1 there, and only then is the cell's length recorded as
+    ``cells`` cells of ``inst.trial_cell(h_star, inst.dx)``, the cell that
+    ``froth1d minimize`` also builds its trial train from. Only when that
+    cell holds more than one h* (near beta = 1) is its length recorded as
     ``params["cell"]``."""
-    m = round(h_star / inst.dx)
-    four_widths = 4.0 * inst.width_at(0.999)
-    k = max(1, math.ceil(four_widths / (m * inst.dx)))
-    if k * m * inst.dx < four_widths:
-        k += 1
-    cell = k * m * inst.dx
+    cell = inst.trial_cell(h_star, inst.dx)
     trial = build_trial_profile(cell, cells * cell, inst, bc="periodic")
     cert = lower_bound_certificate(params, trial, gamma)
-    if k == 1:
+    if round(cell / inst.dx) == round(h_star / inst.dx):
         return cert
     return replace(cert, params={**cert.params, "cell": cell})
 
@@ -156,15 +150,18 @@ def run_certificates(params: ModelParams, seed: int = 0,
                      n_step_profiles: int = 20,
                      fast: bool = False) -> List[Certificate]:
     """Assemble and evaluate the full suite at ``params.gamma``: eleven
-    records in a fixed order. It never raises: a check that cannot be
-    evaluated keeps its record, failing, as ``_unevaluated`` writes it, and
-    an instanton or h* that cannot be solved leaves so every check of
-    ``_NEED_H_STAR``.
+    records in a fixed order. No check makes it raise: a check that cannot
+    be evaluated keeps its record, failing, as ``_unevaluated`` writes it,
+    and an instanton or h* that cannot be solved leaves so every check of
+    ``_NEED_H_STAR``. Invalid arguments do raise, before any check runs:
+    ``n_step_profiles`` must be an integer >= 1, even with ``fast``, so that
+    the corpus bounds never pass on no profile.
 
     Solves the instanton for an independent surface tension; a configured
     ``params.tau`` is kept for the effective-functional side so that an
     inconsistent value is caught by the cell-energy identity.
     """
+    _check_count(n_step_profiles, "n_step_profiles", low=1)
     gamma = params.gamma
     certs: List[Certificate] = []
     certs.append(rp_spectrum_check(params.measure,
@@ -225,10 +222,8 @@ def run_certificates(params: ModelParams, seed: int = 0,
     n_profiles = 2 if fast else n_step_profiles
     steps = [random_in_k_step(restart_rng(seed, 100 + k), L, params.m_beta,
                               m_bar, h_star) for k in range(n_profiles)]
-    gaps_cb, gaps_c000 = (_corpus_gaps(p_used, p_solved, steps, gamma,
-                                       e_star) if steps else ([], []))
-    worst_cb = min([np.inf] + gaps_cb)
-    worst_c000 = min([np.inf] + gaps_c000)
+    gaps_cb, gaps_c000 = _corpus_gaps(p_used, p_solved, steps, gamma, e_star)
+    worst_cb, worst_c000 = float(np.min(gaps_cb)), float(np.min(gaps_c000))
     certs.append(Certificate("chessboard_lower_bound", worst_cb, -1e-9 * L,
                              params={"L": L, "n_profiles": n_profiles}))
     allowance = 10.0 * gamma ** (4.0 / 3.0) * L

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from froth1d import cli
@@ -162,6 +163,9 @@ class TestOutOfRangeValues:
         ("minimize", {"minimize": {"init": "trail"}}, "/minimize/init"),
         ("minimize", {"minimize": {"bc": "perodic"}}, "/minimize/bc"),
         ("minimize", {"minimize": {"bc": "custom"}}, "/minimize/bc"),
+        # an empty corpus passed both corpus bounds and exited 0
+        ("verify", {"verify": {"n_step_profiles": 0}}, "n_step_profiles"),
+        ("verify", {"verify": {"n_step_profiles": -1}}, "n_step_profiles"),
     ])
     def test_rejected(self, tmp_path, capsys, command, overrides, where):
         # these died with ZeroDivisionError or ValueError tracebacks, and a
@@ -321,6 +325,61 @@ class TestPipelineCommands:
         sigma, _ = load_profile(out / "sigma.profile")
         minimized, _ = load_profile(out / "minimized.profile")
         assert sigma.L == minimized.L
+
+    @pytest.mark.parametrize("section,value", [
+        ("coarsegrain", {"rho": 0.02}), ("minimize", {"max_iters": 21}),
+        ("eh", {"n_samples": 50})])
+    def test_instanton_of_other_sections_is_reused(self, tmp_path,
+                                                   monkeypatch, section,
+                                                   value):
+        # the instanton depends on the model and instanton sections alone:
+        # a config that changes only another section reuses it everywhere
+        config, out = self._minimized(tmp_path)
+        assert main(["instanton", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(config, **{
+            section: dict(config.get(section, {}), **value)})))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the instanton was solved again")
+
+        monkeypatch.setattr(cli, "solve_instanton", no_solve)
+        for command in ("eh-curve", "minimize", "coarse-grain", "report"):
+            assert main([command, "--config", str(other),
+                         "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("tau", [False, True])
+    def test_trial_train_near_critical_beta(self, tmp_path, tau):
+        # at beta 1.05 four instanton widths exceed h*: minimize's trial
+        # train takes verify's cell of 2 h* (30 on this grid), where its
+        # cell of one h* exited 1 with CellTooShort; after instanton, and
+        # with tau configured and no instanton saved, alike
+        model = {"beta": 1.05, "J0_hat": 1.0, "lambda": 1.0,
+                 "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.01}
+        minimize = {"init": "trial", "n_starts": 1}
+        first = tmp_path / "instanton"
+        cfg = write_config(tmp_path, model=model, minimize=minimize)
+        commands = ["instanton", "minimize", "coarse-grain", "report"]
+        for command in commands:
+            assert main([command, "--config", str(cfg),
+                         "--out", str(first)]) == 0
+        out = first
+        if tau:
+            tau_value = float(json.loads(
+                (first / "instanton.json").read_text())["tau"])
+            cfg = write_config(tmp_path, minimize=minimize,
+                               model=dict(model, tau=tau_value))
+            out = tmp_path / "tau"
+            for command in commands[1:]:
+                assert main([command, "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            assert not (out / "instanton.json").exists()
+        # the default L of 8 h* holds four cells of 2 h*
+        minimized, _ = load_profile(out / "minimized.profile")
+        assert minimized.L == 4 * 30.0
+        assert np.array_equal(minimized.samples, load_profile(
+            first / "minimized.profile")[0].samples)
 
     def test_corrupt_profile_is_parse_error(self, tmp_path):
         out = tmp_path / "out"

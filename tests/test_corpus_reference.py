@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from froth1d import verify
 from froth1d.coarsegrain import CoarseGrainConfig
 from froth1d.diagnostics import excess_energy_decomposition
 from froth1d.energy import tilde_energy
+from froth1d.errors import ValidationError
 from froth1d.minimize import restart_rng
 from froth1d.model import KacMeasure, ModelParams
 from froth1d.profiles import StepProfile, runs
@@ -125,10 +127,18 @@ def test_certificates_match_the_per_profile_loop(atoms, tau, seed,
     assert cb.params["n_profiles"] == (2 if fast else n_profiles)
 
 
-def test_no_profiles_certify_vacuously(params):
-    certs = {c.name: c for c in run_certificates(params, n_step_profiles=0)}
-    for name in ("chessboard_lower_bound", "rp_lower_bound_c000"):
-        assert certs[name].lhs == np.inf and certs[name].passed
+@pytest.mark.parametrize("n_step_profiles", [0, -1, 2.0, True])
+@pytest.mark.parametrize("fast", [False, True])
+def test_empty_corpus_rejected(params, n_step_profiles, fast, monkeypatch):
+    # an empty corpus passed both bounds with lhs inf; the count is refused
+    # before the first check and the instanton solve
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("rp_spectrum_check", "solve_instanton"):
+        monkeypatch.setattr(verify, name, no_check)
+    with pytest.raises(ValidationError, match="n_step_profiles"):
+        run_certificates(params, n_step_profiles=n_step_profiles, fast=fast)
 
 
 def test_cells_stay_in_their_profile(params_tau):

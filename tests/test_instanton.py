@@ -5,6 +5,7 @@ from froth1d.errors import CellTooShort, FitError, ValidationError
 from froth1d.model import ModelParams, solve_m_beta
 from froth1d.instanton import (Instanton, build_trial_profile, solve_instanton,
                                surface_tension, tail_rate)
+from froth1d.sharp import optimal_h
 
 
 class TestSolve:
@@ -164,3 +165,23 @@ class TestTrialProfile:
     def test_cell_too_short(self, instanton_default):
         with pytest.raises(CellTooShort):
             build_trial_profile(2.0, 8.0, instanton_default)
+
+    @pytest.mark.parametrize("dx", [1.0 / 64.0, 1.0 / 16.0])
+    @pytest.mark.parametrize("beta,k", [(2.0, 1), (1.05, 2)])
+    def test_trial_cell(self, beta, k, dx):
+        # k whole h* cells, as few as span 4 instanton widths (w999): near
+        # beta = 1 the instanton widens while h* barely moves
+        params = ModelParams.create(beta=beta, gamma=1e-2)
+        inst = solve_instanton(params)
+        h_star = optimal_h(params.with_tau(inst.tau))[0]
+        m = round(h_star / dx)
+        cell = inst.trial_cell(h_star, dx)
+        assert cell == k * m * dx
+        four_widths = 4.0 * inst.width_at(0.999)
+        assert k * m * dx >= four_widths > (k - 1) * m * dx
+        prof = build_trial_profile(cell, 2 * cell, inst, dx=dx)
+        assert prof.L == 2 * cell
+        if k > 1:
+            with pytest.raises(CellTooShort):
+                build_trial_profile((k - 1) * m * dx, 2 * (k - 1) * m * dx,
+                                    inst, dx=dx)

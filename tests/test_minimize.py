@@ -282,6 +282,26 @@ class TestMultistart:
         assert best.applications > ref.applications
         assert walls(best.profile.samples) < walls(ref.profile.samples)
 
+    @pytest.mark.parametrize("L,dx,bc", [
+        (40.0, 1.0 / 16.0, "periodic"), (20.0, 1.0 / 16.0, "open"),
+        (40.0, 1.0 / 8.0, "open"), (20.0, 1.0 / 8.0, "periodic")])
+    def test_init_on_another_grid_rejected(self, params, L, dx, bc):
+        # an open init with L = 20 and dx = 1/8 ran on the periodic torus of
+        # L = 40 at dx = 1/16, and the table ranked the energies of two
+        # domains; as in minimize_with_mean_constraint, it is not used
+        init = GridProfile.constant(0.5, L=20.0, dx=1.0 / 8.0, bc="open")
+        with pytest.raises(ValidationError, match="disagrees"):
+            multistart(params, 1e-2, L, bc, 2, MinimizeOptions(max_iters=1),
+                       dx=dx, init=init)
+
+    def test_init_on_the_grid_of_the_starts(self, params):
+        # L = 20.01 rounds to the 160 samples of dx = 1/8 the init has
+        init = GridProfile.constant(0.5, L=20.0, dx=1.0 / 8.0, bc="open")
+        best, table = multistart(params, 1e-2, 20.01, "open", 2,
+                                 MinimizeOptions(max_iters=1), dx=1.0 / 8.0,
+                                 init=init)
+        assert len(table) == 2 and best.profile.L == 20.0
+
     def test_rng_streams_differ(self):
         a = restart_rng(5, 0).uniform(size=4)
         b = restart_rng(5, 1).uniform(size=4)

@@ -111,6 +111,12 @@ SITES = [
      lambda p, tmp, inst: build_trial_profile(NAN, 48.0, inst)),
     ("trial profile infinite L", ValidationError,
      lambda p, tmp, inst: build_trial_profile(24.0, INF, inst)),
+    ("trial cell h", ValidationError,
+     lambda p, tmp, inst: inst.trial_cell(NAN, 1.0 / 16.0)),
+    ("trial cell infinite dx", ValidationError,
+     lambda p, tmp, inst: inst.trial_cell(24.0, INF)),
+    ("trial cell h under a sample", ValidationError,
+     lambda p, tmp, inst: inst.trial_cell(0.05, 1.0 / 16.0)),
     ("multistart L", ValidationError,
      lambda p, tmp, inst: multistart(p, 1e-2, NAN, "open", 1)),
     ("multistart infinite dx", ValidationError,
