@@ -116,11 +116,16 @@ def _write_json(path: Path, payload: dict, config: dict):
 def _saved(name: str, config: dict, out: Path, seed: int) -> Optional[dict]:
     """The JSON artifact ``name`` in ``out`` if it records the
     inputs_sha256 of this config and seed, else None: an artifact saved
-    for other inputs, or by a version that recorded none, is never reused."""
-    path = out / name
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    return doc if doc.get("inputs_sha256") == _inputs_hash(
-        name, config, seed) else None
+    for other inputs, by a version that recorded none, or that does not
+    parse to a JSON object (a truncated write) is never reused."""
+    try:
+        doc = json.loads((out / name).read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):     # absent, or not JSON text
+        return None
+    if isinstance(doc, dict) and doc.get("inputs_sha256") == _inputs_hash(
+            name, config, seed):
+        return doc
+    return None
 
 
 def _csv_header(config: dict) -> str:
@@ -135,12 +140,13 @@ def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
 def _instanton(params: ModelParams, config: dict, out: Path,
                seed: int) -> Instanton:
     """The instanton that ``instanton.json`` and ``instanton.profile`` in
-    ``out`` hold if ``_saved`` hands them over (q round-trips: 17 digits),
-    else a fresh solve's."""
+    ``out`` hold if ``_saved`` hands over the first and the second exists
+    (q round-trips: 17 digits), else a fresh solve's."""
     doc = _saved("instanton.json", config, out, seed)
-    if doc is None:
+    path = out / "instanton.profile"
+    if doc is None or not path.exists():
         return _solve_instanton(params, config)
-    prof, _ = load_profile(out / "instanton.profile")
+    prof, _ = load_profile(path)
     return Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
                      m_beta=params.m_beta, residual=float(doc["residual"]),
                      tau=float(doc["tau"]))
@@ -383,7 +389,7 @@ def main(argv=None) -> int:
     except CertificateFailure as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 3
-    except Froth1dError as err:
+    except (Froth1dError, OSError) as err:   # OSError: a file it cannot use
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,8 @@ from .certificates import fmt17
 from .errors import MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import (GridProfile, StepProfile, _block_cuts, _step_periodic,
-                       runs)
+from .profiles import (GridProfile, StepProfile, _block_cuts, _interfaces,
+                       _step_periodic)
 
 __all__ = [
     "EnergyBreakdown",
@@ -253,9 +253,10 @@ class _QuadraticForm:
     Q = (dx/2) <phi, K phi> + dx <b, phi> + c and g = F'(phi) + K phi + b.
     K is the whole quadratic part of the bc, applied by ``hessian``; (b, c),
     from ``outside``, is the rest of the cross energy with fixed outside
-    data (plus, minus, custom), None on the other bcs. Holds only what
-    depends on (params, gamma, n, dx, bc), never on samples or on custom
-    outside data; ``_quadratic_form`` caches it.
+    data (plus, minus, custom), None on the other bcs. ``quadratic`` gives
+    (Q, K phi + b), to which the descent and ``energy_gradient`` add the
+    well's F'. Holds only what depends on (params, gamma, n, dx, bc), never
+    on samples or on custom outside data; ``_quadratic_form`` caches it.
     """
 
     def __init__(self, params: ModelParams, gamma: float, n: int, dx: float,
@@ -388,14 +389,6 @@ class _QuadraticForm:
             gq += b
         return q, gq
 
-    def __call__(self, phi, profile: GridProfile) -> Tuple[float, np.ndarray]:
-        """(E, g) of samples phi in [-1, 1] with the grid and outside data of
-        ``profile``; g_i = dE/dphi_i / dx."""
-        q, g = self.quadratic(phi, self.outside(profile))
-        f, fp = _well(phi, self.params)
-        g += fp
-        return self.dx * float(np.sum(f)) + q, g
-
     def breakdown(self, profile: GridProfile) -> EnergyBreakdown:
         """``total_energy``'s terms: in-domain exchange and dipole as on an
         open interval, boundary the rest of Q (0.0 on an open interval)."""
@@ -417,13 +410,6 @@ class _QuadraticForm:
 def _quadratic_form(params: ModelParams, gamma: float, n: int, dx: float,
                     bc: str) -> _QuadraticForm:
     return _QuadraticForm(params, gamma, n, dx, bc)
-
-
-def _energy_and_gradient(params: ModelParams, profile: GridProfile,
-                         gamma: float) -> Tuple[float, np.ndarray]:
-    """(total energy, g) of ``profile`` from one pass of its quadratic form."""
-    return _quadratic_form(params, gamma, profile.n, profile.dx,
-                           profile.bc)(profile.samples, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +477,17 @@ def total_energy(params: ModelParams, profile: GridProfile,
 
 def energy_gradient(params: ModelParams, profile: GridProfile,
                     gamma: Optional[float] = None) -> np.ndarray:
-    """g_i = dE/dphi_i / dx, the discrete first variation.
+    """g_i = dE/dphi_i / dx, the discrete first variation: K phi + b from
+    ``_QuadraticForm.quadratic`` plus F'(phi), as the descent assembles it.
 
     Matches central finite differences of ``total_energy``; the neumann case
     differentiates through the reflected extension.
     """
     gamma = params.gamma if gamma is None else gamma
-    return _energy_and_gradient(params, profile, gamma)[1]
+    form = _quadratic_form(params, gamma, profile.n, profile.dx, profile.bc)
+    g = form.quadratic(profile.samples, form.outside(profile))[1]
+    g += _well(profile.samples, params)[1]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -605,18 +595,11 @@ def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
                 period=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``tilde_energy``'s well, surface and dipole terms of each cell of
     ``_cell_integrals`` as a step profile of its own, open or (``period``
-    given) periodic. The surface term is tau per interface (``runs``)."""
+    given) periodic. The surface term is tau per ``_interfaces``."""
     tau = params.require_tau()
     well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
                            starts)
-    signs = np.sign(values)
-    stops = runs(signs, starts, period is not None)[1]
-    sides, heads = signs[stops - 1], np.searchsorted(stops, starts, "right")
-    before = np.append(0.0, sides[:-1])
-    # a cell's first run meets its last run across the seam, or nothing
-    before[heads] = (sides[np.append(heads[1:], sides.size) - 1]
-                     if period is not None else 0.0)
-    jumps = np.add.reduceat(sides * before < 0, heads)
+    jumps = _interfaces(values, starts, period is not None)
     dip = _step_dipoles(params, gamma, values, lefts, rights, starts, period)
     return well, tau * jumps, dip
 

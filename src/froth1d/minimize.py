@@ -388,7 +388,7 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
     """Coarse wall-pair annihilation on the torus after a plain descent.
 
     Returns ``first``'s descent when no move is accepted, with the counts of
-    the tried moves' relaxations added; see ``multistart``.
+    the tried move's relaxation added; see ``multistart``.
     """
     n, dx = first.profile.n, first.profile.dx
     L = n * dx
@@ -404,24 +404,20 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
                      >= energy_per_length(params, L / k, gamma)):
             break
         counts = stops - starts
-        ranked = np.argsort([_flipped_sharp_energy(params, gamma, counts, j, dx)
-                             for j in range(k)], kind="stable")
-        for j in ranked[:2]:
-            idx = np.arange(starts[j], stops[j]) % n
-            phi = current.profile.samples.copy()
-            phi[idx] = -phi[idx]
-            cand = _relax(params, current.profile.with_samples(phi), gamma,
-                          relax)
-            evaluations += cand.evaluations
-            applications += cand.applications
-            if cand.energy < current.energy:
-                iterations += 1
-                rows.append([(iterations, cand.energy, cand.grad_norm,
-                              cand.trace[-1, 3])])
-                current = cand
-                break
-        else:
+        j = int(np.argmin([_flipped_sharp_energy(params, gamma, counts, i, dx)
+                           for i in range(k)]))
+        idx = np.arange(starts[j], stops[j]) % n
+        phi = current.profile.samples.copy()
+        phi[idx] = -phi[idx]
+        cand = _relax(params, current.profile.with_samples(phi), gamma, relax)
+        evaluations += cand.evaluations
+        applications += cand.applications
+        if not cand.energy < current.energy:
             break
+        iterations += 1
+        rows.append([(iterations, cand.energy, cand.grad_norm,
+                      cand.trace[-1, 3])])
+        current = cand
     if current is first:
         return replace(first, evaluations=evaluations,
                        applications=applications)
@@ -458,10 +454,11 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     3. rank the k moves "flip sign interval i", which merge interval i with
        both neighbours, by the sharp-interface energy (``tilde_energy``)
        of the merged +-m_beta step profile;
-    4. negate the samples of the best and, if needed, the second-best
-       interval and re-relax with ``max(1, max_iters // 6)`` iterations;
-       accept the first move whose relaxed energy is below the current one;
-    5. repeat until the gate closes or neither move is accepted.
+    4. negate the samples of the best-ranked interval only and re-relax
+       with ``max(1, max_iters // 6)`` iterations; keep the move when its
+       relaxed energy is below the current one;
+    5. repeat until the gate closes; the stage ends at the first move it
+       does not keep.
 
     After an accepted move the result is relaxed once more with the full
     ``options``. Without an accepted move the start's result is the plain

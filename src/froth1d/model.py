@@ -418,7 +418,7 @@ def eval_F_prime(t, params: ModelParams):
     |t| = 1 - 1e-12 so projected-gradient iterations stay finite. Raises
     ``DomainError`` outside [-1, 1], as ``eval_F`` does.
     """
-    t = np.clip(_check_domain(t)[0], -_EDGE, _EDGE)
+    t = _check_domain(t)[0]
     out = _well(t.reshape(-1), params)[1].reshape(t.shape)
     return out if out.ndim else float(out)
 

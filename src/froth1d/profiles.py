@@ -175,10 +175,10 @@ def runs(labels, starts=(0,), periodic: bool = False
     length. A ring of one run stays the run from its start, cut at the seam.
     Entries compare with ``!=``, so each reader's labels carry its rule for
     a zero: ``np.sign`` of a step profile's values makes a zero piece a run
-    of its own (a sign interval, a chessboard cell), and an interface (of
-    ``tilde_energy``, ``n_jumps``) joins two runs of opposite nonzero signs,
-    so a zero piece carries none; ``samples >= 0`` counts a zero sample as
-    positive (the walls of ``multistart``).
+    of its own (a sign interval, a chessboard cell), and an interface
+    (``_interfaces``) joins two runs of opposite nonzero signs, so a zero
+    piece carries none; ``samples >= 0`` counts a zero sample as positive
+    (the walls of ``multistart``).
     """
     labels, starts = np.asarray(labels), np.asarray(starts)
     cut = np.append(True, labels[1:] != labels[:-1])
@@ -192,6 +192,21 @@ def runs(labels, starts=(0,), periodic: bool = False
         first[head[wrap]] = first[tail[wrap]] - (ends - starts)[wrap]
         first, stops = np.delete([first, stops], tail[wrap], axis=1)
     return first, stops
+
+
+def _interfaces(values, starts=(0,), periodic: bool = False) -> np.ndarray:
+    """Interfaces of each segment of ``starts`` (as in ``runs``): pairs of
+    neighbouring sign runs (``runs`` of ``np.sign(values)``, across the seam
+    too with ``periodic``) of opposite nonzero signs. A zero piece is a run
+    of its own and carries none: +m, 0, -m has none."""
+    signs = np.sign(values)
+    stops = runs(signs, starts, periodic)[1]
+    sides, heads = signs[stops - 1], np.searchsorted(stops, starts, "right")
+    before = np.append(0.0, sides[:-1])
+    # a segment's first run meets its last run across the seam, or nothing
+    before[heads] = (sides[np.append(heads[1:], sides.size) - 1]
+                     if periodic else 0.0)
+    return np.add.reduceat(sides * before < 0, heads)
 
 
 def block_type(mean_value: float, m_beta: float) -> str:
@@ -307,13 +322,8 @@ class StepProfile:
         return float(np.sum(self.widths * self.values) / self.L)
 
     def n_jumps(self, periodic: bool = False) -> int:
-        """Interfaces: neighbouring sign runs (``runs`` of ``np.sign``, across
-        the seam too with ``periodic``) of opposite nonzero signs. A zero
-        piece is a run of its own and carries none: +m, 0, -m has none."""
-        sides = np.sign(self.values)
-        sides = sides[runs(sides, periodic=periodic)[1] - 1]
-        return int(np.count_nonzero(sides[1:] * sides[:-1] < 0)
-                   + (periodic and sides[0] * sides[-1] < 0))
+        """Interfaces (``_interfaces``), the profile as one segment."""
+        return int(_interfaces(self.values, periodic=periodic)[0])
 
     def sign_intervals(self, periodic: bool = False):
         """Maximal constant-sign intervals as (start, stop, sign) triples:

@@ -507,6 +507,73 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+class TestFileFaults:
+    """A file the CLI cannot use ends in an ``error:`` line and exit 1, or,
+    for a saved artifact that is gone or truncated, in a fresh solve."""
+
+    _SHORT_DESCENT = TestPipelineCommands._SHORT_DESCENT
+
+    @staticmethod
+    def _error(capsys, code):
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_instanton_profile_is_solved_again(self, tmp_path):
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["instanton", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "instanton.profile").unlink()
+        for where in (out, fresh):
+            assert main(["minimize", "--config", str(cfg),
+                         "--out", str(where)]) == 0
+        assert ((out / "minimized.profile").read_bytes()
+                == (fresh / "minimized.profile").read_bytes())
+
+    def test_truncated_instanton_record_is_solved_again(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["instanton", "--config", str(cfg), "--out", str(out)]) == 0
+        record = out / "instanton.json"
+        record.write_text(record.read_text()[:40])
+        for where in (out, fresh):
+            assert main(["eh-curve", "--config", str(cfg),
+                         "--out", str(where)]) == 0
+        assert ((out / "hstar.json").read_bytes()
+                == (fresh / "hstar.json").read_bytes())
+
+    def test_truncated_minimize_record_is_no_profile(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+        record = out / "minimize.json"
+        record.write_text(record.read_text()[:40])
+        assert main(["coarse-grain", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert "error: /coarsegrain/profile: no input profile" in (
+            capsys.readouterr().err)
+
+    def test_missing_named_profile(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model=_MODEL_TAU, coarsegrain={
+            "profile": str(tmp_path / "absent.profile")})
+        self._error(capsys, main(["coarse-grain", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")]))
+
+    def test_profile_naming_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model=_MODEL_TAU,
+                           diagnostics={"profile": str(tmp_path)})
+        self._error(capsys, main(["report", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")]))
+
+    def test_config_naming_a_directory(self, tmp_path, capsys):
+        self._error(capsys, main(["instanton", "--config", str(tmp_path),
+                                  "--out", str(tmp_path / "out")]))
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model=_MODEL_TAU)
+        self._error(capsys, main(["instanton", "--config", str(cfg),
+                                  "--out", str(cfg)]))
+
+
 # 2 h* on the default grid of minimize (dx = 1/16)
 _TWO_H_STAR = round(2.0 * optimal_h(ModelParams.from_dict(_MODEL_TAU))[0]
                     * 16.0) / 16.0

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from dense_pair_integral import dense_step_dipole_energy
 from direct_oracles import (dense_energy, dipole_energy_direct, pair_scale,
                             well_direct)
-from froth1d.energy import (_energy_and_gradient, _exp_conv_open,
-                            _ExpWeights, _quadratic_form, _QuadraticForm,
-                            _self_integrals,
+from froth1d.energy import (_exp_conv_open, _ExpWeights, _quadratic_form,
+                            _QuadraticForm, _self_integrals,
                             dipole_energy, energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
@@ -280,7 +279,8 @@ class TestDenseReference:
                         bc=bc, **kwargs)
         ref = dense_energy(params, p, gamma)
         assert total_energy(params, p, gamma).total == pytest.approx(ref, rel=1e-10)
-        energy, _ = _energy_and_gradient(params, p, gamma)
+        energy = minimize_energy(params, p, gamma,
+                                 MinimizeOptions(max_iters=0)).energy
         assert energy == pytest.approx(ref, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -302,7 +302,8 @@ class TestDenseReference:
                         **kwargs)
         ref = dense_energy(params, p, gamma)
         assert total_energy(params, p, gamma).total == pytest.approx(ref, rel=1e-10)
-        energy, _ = _energy_and_gradient(params, p, gamma)
+        energy = minimize_energy(params, p, gamma,
+                                 MinimizeOptions(max_iters=0)).energy
         assert energy == pytest.approx(ref, rel=1e-10)
 
     def test_short_periodic_box(self, params, rng):
@@ -317,7 +318,8 @@ class TestDenseReference:
         m, dx = params.m_beta, 1.0 / 64.0
         p = GridProfile.constant(m, L=16.0, dx=dx, bc="periodic")
         x = 0.5 * gamma * dx
-        energy, _ = _energy_and_gradient(params, p, gamma)
+        energy = minimize_energy(params, p, gamma,
+                                 MinimizeOptions(max_iters=0)).energy
         assert energy == pytest.approx(p.L * m * m * x / np.tanh(x), rel=1e-12)
 
 

@@ -15,6 +15,7 @@ from froth1d.minimize import (MinimizeOptions, _backtrack,
                               minimize_energy, minimize_with_mean_constraint,
                               multistart, restart_rng)
 from froth1d.profiles import GridProfile
+from froth1d.sharp import energy_per_length, optimal_h
 
 
 class TestMinimizeEnergy:
@@ -281,6 +282,37 @@ class TestMultistart:
         assert best.evaluations > ref.evaluations
         assert best.applications > ref.applications
         assert walls(best.profile.samples) < walls(ref.profile.samples)
+
+    def test_stage_ends_at_the_first_rejected_move(self, params_tau,
+                                                   monkeypatch):
+        # six cells of h*/2: the gate opens (e(L/4) < e(L/6)), but flipping
+        # a cell leaves a net magnetization whose dipole cost outweighs the
+        # two walls it removes, so the best-ranked move is rejected and no
+        # other is tried
+        gamma, dx = 2e-2, 1.0 / 8.0
+        p = params_tau.with_gamma(gamma)
+        cell = round(0.5 * optimal_h(p)[0] / dx)
+        n = 6 * cell
+        init = GridProfile(L=n * dx, dx=dx, bc="periodic", samples=np.where(
+            np.arange(n) // cell % 2 == 0, p.m_beta, -p.m_beta))
+        assert (energy_per_length(p, init.L / 4, gamma)
+                < energy_per_length(p, init.L / 6, gamma))
+        relaxed = []
+        relax = minimize_module._relax
+
+        def counted(*args, **kwargs):
+            relaxed.append(relax(*args, **kwargs))
+            return relaxed[-1]
+
+        monkeypatch.setattr(minimize_module, "_relax", counted)
+        best, _ = multistart(p, gamma, init.L, "periodic", 1,
+                             MinimizeOptions(max_iters=60), dx=dx, init=init)
+        first, tried = relaxed
+        assert tried.energy >= first.energy
+        assert best.energy == first.energy
+        assert np.array_equal(best.trace, first.trace)
+        assert best.evaluations == first.evaluations + tried.evaluations
+        assert best.applications == first.applications + tried.applications
 
     @pytest.mark.parametrize("L,dx,bc", [
         (40.0, 1.0 / 16.0, "periodic"), (20.0, 1.0 / 16.0, "open"),
