@@ -30,8 +30,8 @@ _PUBLIC = {
               "eval_F_double_prime", "eval_F_prime", "eval_tilde_F",
               "rp_spectrum_check", "solve_m_beta", "v_prime_at_zero"),
     "profiles": ("BlockPartition", "GridProfile", "StepProfile", "alpha_L",
-                 "average_over", "block_type", "load_profile",
-                 "regular_partition", "save_profile"),
+                 "block_type", "load_profile", "regular_partition",
+                 "save_profile"),
     "sharp": ("EhCurve", "cell_specific_energy", "chessboard_lower_bound",
               "check_eh_bounds", "eh_curve", "energy_per_length",
               "gamma_limit_energy", "optimal_h", "tilde_v_kernel"),

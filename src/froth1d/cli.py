@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,12 +56,15 @@ _SETTINGS = {
 }
 # the boundary conditions a config can run: custom needs outside data
 _CONFIG_BCS = tuple(bc for bc in BC_TOKENS if bc != "custom")
-# each artifact a later subcommand reuses, and the inputs it depends on:
-# config sections, and "seed", the seed its subcommand ran with. The
-# artifact records their hash as inputs_sha256, and ``_saved`` hands it
-# only to a run with the same hash
-_INPUTS = {"instanton.json": ("model", "instanton"),
-           "minimize.json": ("model", "instanton", "minimize", "seed")}
+# each artifact a later subcommand reuses: the inputs it depends on (config
+# sections, and "seed", the seed its subcommand ran with), whose hash it
+# records as inputs_sha256, the numbers its record holds, each with the
+# bound it must exceed, and the profile saved next to it; see ``_saved``
+_INPUTS = {"instanton.json": (("model", "instanton"),
+                              {"tau": 0.0, "residual": -math.inf},
+                              "instanton.profile"),
+           "minimize.json": (("model", "instanton", "minimize", "seed"), {},
+                             "minimized.profile")}
 
 
 def _settings(config: dict, section: str, *keys: str) -> dict:
@@ -103,7 +107,7 @@ def _params_from_config(config: dict) -> ModelParams:
 def _inputs_hash(name: str, config: dict, seed: int) -> str:
     """The hash of the inputs ``_INPUTS`` lists for the artifact ``name``."""
     return _config_hash({part: seed if part == "seed" else config.get(part, {})
-                         for part in _INPUTS[name]})
+                         for part in _INPUTS[name][0]})
 
 
 def _write_json(path: Path, payload: dict, config: dict):
@@ -113,19 +117,27 @@ def _write_json(path: Path, payload: dict, config: dict):
                     encoding="utf-8")
 
 
-def _saved(name: str, config: dict, out: Path, seed: int) -> Optional[dict]:
-    """The JSON artifact ``name`` in ``out`` if it records the
-    inputs_sha256 of this config and seed, else None: an artifact saved
-    for other inputs, by a version that recorded none, or that does not
-    parse to a JSON object (a truncated write) is never reused."""
+def _saved(name: str, config: dict, out: Path, seed: int,
+           build: Optional[Callable] = None):
+    """The numbers ``_INPUTS`` names for the JSON artifact ``name`` in
+    ``out`` if it is an object that records the inputs_sha256 of this
+    config and seed and holds each number finite and above its bound, and
+    with ``build``, ``build(profile, **numbers)`` of its profile; else None.
+    So a record saved for other inputs, by a version that recorded no hash,
+    or cut short, or a profile that does not load, is never reused."""
+    _, bounds, profile = _INPUTS[name]
     try:
         doc = json.loads((out / name).read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):     # absent, or not JSON text
+        # via str: JSON's true is no number
+        numbers = {key: float(str(doc[key])) for key in bounds}
+        if doc["inputs_sha256"] != _inputs_hash(name, config, seed) or not all(
+                bounds[key] < x < math.inf for key, x in numbers.items()):
+            return None
+        return (numbers if build is None
+                else build(load_profile(out / profile)[0], **numbers))
+    except (OSError, ValueError, LookupError, TypeError, Froth1dError):
+        # absent, not JSON or not a profile, a field missing or no number
         return None
-    if isinstance(doc, dict) and doc.get("inputs_sha256") == _inputs_hash(
-            name, config, seed):
-        return doc
-    return None
 
 
 def _csv_header(config: dict) -> str:
@@ -140,16 +152,13 @@ def _solve_instanton(params: ModelParams, config: dict) -> Instanton:
 def _instanton(params: ModelParams, config: dict, out: Path,
                seed: int) -> Instanton:
     """The instanton that ``instanton.json`` and ``instanton.profile`` in
-    ``out`` hold if ``_saved`` hands over the first and the second exists
-    (q round-trips: 17 digits), else a fresh solve's."""
-    doc = _saved("instanton.json", config, out, seed)
-    path = out / "instanton.profile"
-    if doc is None or not path.exists():
-        return _solve_instanton(params, config)
-    prof, _ = load_profile(path)
-    return Instanton(W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
-                     m_beta=params.m_beta, residual=float(doc["residual"]),
-                     tau=float(doc["tau"]))
+    ``out`` hold if ``_saved`` hands them over (q round-trips: 17 digits),
+    else a fresh solve's."""
+    return (_saved("instanton.json", config, out, seed,
+                   lambda prof, **numbers: Instanton(
+                       W=prof.L / 2.0, dx=prof.dx, q=prof.samples,
+                       m_beta=params.m_beta, **numbers))
+            or _solve_instanton(params, config))
 
 
 def _tau_params(params: ModelParams, config: dict, out: Path, seed: int,
@@ -160,9 +169,9 @@ def _tau_params(params: ModelParams, config: dict, out: Path, seed: int,
     if params.tau is not None:
         return params
     if inst is None:
-        doc = _saved("instanton.json", config, out, seed)
-        if doc is not None:
-            return params.with_tau(float(doc["tau"]))
+        saved = _saved("instanton.json", config, out, seed)
+        if saved is not None:
+            return params.with_tau(saved["tau"])
         inst = _solve_instanton(params, config)
     return params.with_tau(inst.tau)
 
@@ -273,20 +282,18 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
 def _profile_for(config: dict, section: str, out: Path,
                  seed: int) -> GridProfile:
     """The ``section``'s input profile: the one its ``profile`` key names,
-    else ``minimized.profile`` in ``out`` if ``_saved`` hands over its
-    ``minimize.json``; a profile that minimize wrote for other settings is
-    never reused."""
+    else ``minimized.profile`` in ``out`` if ``_saved`` hands it over with
+    its ``minimize.json``; a profile that minimize wrote for other settings
+    is never reused."""
     sec = config.get(section, {})
-    if "profile" in sec:
-        prof, _ = load_profile(sec["profile"])
-        return prof
-    candidate = out / "minimized.profile"
-    if candidate.exists() and _saved("minimize.json", config, out, seed):
-        prof, _ = load_profile(candidate)
-        return prof
-    raise ValidationError("no input profile: set it in the config, or run "
-                          "minimize with this model, instanton and minimize "
-                          "settings and seed", pointer=f"/{section}/profile")
+    prof = (load_profile(sec["profile"])[0] if "profile" in sec else
+            _saved("minimize.json", config, out, seed, lambda prof: prof))
+    if prof is None:
+        raise ValidationError("no input profile: set it in the config, or "
+                              "run minimize with this model, instanton and "
+                              "minimize settings and seed",
+                              pointer=f"/{section}/profile")
+    return prof
 
 
 def _coarse_grain_config(config: dict) -> CoarseGrainConfig:

@@ -503,10 +503,14 @@ _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(2, 17)])
 def _self_integrals(b: float, w: np.ndarray) -> np.ndarray:
     """Per piece of width w, x = b w, the integral of exp(-b|x-y|) over the
     piece squared, (2/b^2)(e^{-x} - 1 + x): its Taylor series up to x = 1/2,
-    the closed form, free of cancellation, above."""
+    the closed form, free of cancellation, above. The series is summed by
+    Horner's rule, piece by piece, so a piece's value does not depend on the
+    batch it is scored in."""
     x = b * w
-    series = np.vander(-x, _TAYLOR.size, increasing=True) @ _TAYLOR * x * x
-    return (2.0 / b / b) * np.where(x > 0.5, x + np.expm1(-x), series)
+    series, t = 0.0, -x
+    for c in _TAYLOR[::-1]:
+        series = series * t + c
+    return (2.0 / b / b) * np.where(x > 0.5, x + np.expm1(t), series * x * x)
 
 
 def _cell_recursion(r: np.ndarray, u: np.ndarray, starts: np.ndarray,

@@ -23,7 +23,6 @@ __all__ = [
     "StepProfile",
     "BlockPartition",
     "BC_TOKENS",
-    "average_over",
     "block_type",
     "alpha_L",
     "regular_partition",
@@ -152,15 +151,6 @@ def _block_means(samples: np.ndarray, cuts) -> np.ndarray:
         rows = widths == w
         means[rows] = samples[starts[rows, None] + np.arange(w)].mean(axis=1)
     return means
-
-
-def average_over(profile: GridProfile, interval: Tuple[float, float]) -> float:
-    """Exact midpoint-rule mean of the samples inside ``interval``, its ends
-    cut by ``_block_cuts``; AlignmentError also for an empty interval."""
-    i, j = _block_cuts(profile, interval)
-    if j <= i:
-        raise AlignmentError(f"empty interval {tuple(interval)}")
-    return float(_block_means(profile.samples, (i, j))[0])
 
 
 def runs(labels, starts=(0,), periodic: bool = False

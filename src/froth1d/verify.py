@@ -82,9 +82,7 @@ def _corpus_gaps(p_used: ModelParams, p_solved: ModelParams,
     ``_step_terms`` pass with a cell per profile, one ``_cell_energies``
     pass over the sign runs of every profile (no run spans two profiles)
     and one array e(h) for every run's excess. Each number is the one the
-    per-profile functions give, up to the last bit of a piece's
-    self-integral (``energy._self_integrals``' matrix-vector product rounds
-    a row by its place in the BLAS block loop).
+    per-profile functions give, bit for bit.
     """
     values = np.concatenate([s.values for s in steps])
     lefts = np.concatenate([s.breakpoints[:-1] for s in steps])

@@ -541,6 +541,72 @@ class TestFileFaults:
         assert ((out / "hstar.json").read_bytes()
                 == (fresh / "hstar.json").read_bytes())
 
+    @pytest.mark.parametrize("command,artifacts", [
+        ("eh-curve", ("hstar.json", "eh.csv")),
+        ("minimize", ("minimize.json", "minimized.profile", "trace.csv"))])
+    @pytest.mark.parametrize("field,value", [
+        ("tau", None), ("tau", "abc"), ("tau", "nan"), ("tau", "-1"),
+        ("tau", True), ("residual", None)])
+    def test_instanton_record_without_its_numbers_is_solved_again(
+            self, tmp_path, command, artifacts, field, value):
+        # a record whose hash matches but whose tau or residual is missing
+        # (None here) or no finite number (JSON's true is none), tau no
+        # positive one, is not reused: the subcommand writes the bytes of a
+        # fresh directory
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["instanton", "--config", str(cfg), "--out", str(out)]) == 0
+        record = out / "instanton.json"
+        doc = json.loads(record.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        record.write_text(json.dumps(doc))
+        for where in (out, fresh):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(where)]) == 0
+        for name in artifacts:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", ["line", "number", "flipped"])
+    def test_cut_instanton_profile_is_solved_again(self, tmp_path, fault):
+        # an instanton.profile cut at a line boundary or mid-number, or one
+        # that loads but is no instanton, counts as not saved
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["instanton", "--config", str(cfg), "--out", str(out)]) == 0
+        _spoil(out / "instanton.profile", fault)
+        for where in (out, fresh):
+            assert main(["minimize", "--config", str(cfg),
+                         "--out", str(where)]) == 0
+        for name in ("minimize.json", "minimized.profile", "trace.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", ["line", "number", "gone"])
+    def test_cut_minimized_profile_is_no_profile(self, tmp_path, capsys,
+                                                 fault):
+        # next to a reusable minimize.json, a minimized.profile cut short
+        # is no input profile, as a missing one is; named in the config,
+        # the same file reports its own fault
+        cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+        profile = out / "minimized.profile"
+        _spoil(profile, fault)
+        for command, where in (("coarse-grain", "/coarsegrain/profile"),
+                               ("report", "/diagnostics/profile")):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 1
+            assert f"error: {where}: no input profile" in (
+                capsys.readouterr().err)
+        named = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT),
+                             coarsegrain={"profile": str(profile)})
+        assert main(["coarse-grain", "--config", str(named),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no input profile" not in err
+
     def test_truncated_minimize_record_is_no_profile(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimize=dict(self._SHORT_DESCENT))
         out = tmp_path / "out"
@@ -572,6 +638,23 @@ class TestFileFaults:
         cfg = write_config(tmp_path, model=_MODEL_TAU)
         self._error(capsys, main(["instanton", "--config", str(cfg),
                                   "--out", str(cfg)]))
+
+
+def _spoil(path: Path, fault: str):
+    """Cut the profile file at ``path`` after half its lines ("line"), or
+    eight bytes into the next line ("number"); negate its samples
+    ("flipped"); or delete it ("gone")."""
+    if fault == "gone":
+        path.unlink()
+    elif fault == "flipped":
+        prof, _ = load_profile(path)
+        save_profile(GridProfile(L=prof.L, dx=prof.dx, samples=-prof.samples,
+                                 bc=prof.bc), path)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        path.write_text("".join(lines[:half])
+                        + (lines[half][:8] if fault == "number" else ""))
 
 
 # 2 h* on the default grid of minimize (dx = 1/16)

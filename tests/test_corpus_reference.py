@@ -4,11 +4,10 @@
 verbatim as the oracle: it drew each random step profile and scored it on
 its own with ``tilde_energy``, ``chessboard_lower_bound`` and
 ``excess_energy_decomposition``. The batched corpus draws the same profiles
-and must give the same two certificates. Bit for bit is out of reach: the
-pieces' self-integrals go through one matrix-vector product, and the BLAS
-kernel rounds a row by its place in its blocked loop, so the last pieces
-of a profile scored alone can differ in the last bit from the same pieces
-inside the corpus. The certificates agree to 1e-13 relative.
+and must give the same two certificates, bit for bit: every piece's
+self-integral is summed on its own (Horner's rule in
+``energy._self_integrals``), so a profile scores the same inside the
+corpus as alone.
 """
 
 import numpy as np
@@ -26,8 +25,6 @@ from froth1d.model import KacMeasure, ModelParams
 from froth1d.profiles import StepProfile, runs
 from froth1d.sharp import chessboard_lower_bound, optimal_h
 from froth1d.verify import _corpus_gaps, random_in_k_step, run_certificates
-
-RTOL = 1e-13
 
 # ---------------------------------------------------------------------------
 # reference
@@ -62,10 +59,6 @@ ONE_ATOM = ((1.0, 1.0),)
 THREE_ATOMS = ((0.5, 1.0), (0.3, 2.0), (0.2, 0.5))
 
 
-def _close(got, want):
-    return abs(got - want) <= RTOL * abs(want)
-
-
 def _per_profile_gaps(p_used, p_solved, steps, gamma, h_star, e_star):
     """Each profile scored alone by the public functions."""
     gaps_cb, gaps_c000 = [], []
@@ -84,11 +77,9 @@ def _assert_gaps_match(p_used, p_solved, steps, gamma):
     h_star, e_star, _, _ = optimal_h(p_solved, gamma)
     got = _corpus_gaps(p_used, p_solved, steps, gamma, e_star)
     want = _per_profile_gaps(p_used, p_solved, steps, gamma, h_star, e_star)
-    # the gaps cancel; compare at the scale of the energies they come from
-    scale = max(tilde_energy(p_used, s, gamma) for s in steps)
     for g, w in zip(got, want):
         assert len(g) == len(w) == len(steps)
-        assert np.allclose(g, w, rtol=0.0, atol=RTOL * scale)
+        assert g == w
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +108,12 @@ def test_certificates_match_the_per_profile_loop(atoms, tau, seed,
         e_star)
     cb, c000 = certs["chessboard_lower_bound"], certs["rp_lower_bound_c000"]
     L = cb.params["L"]
-    assert _close(cb.lhs, worst_cb)
-    assert _close(cb.slack, worst_cb + 1e-9 * L)
+    assert cb.lhs == worst_cb
+    assert cb.slack == worst_cb + 1e-9 * L
     assert cb.passed == bool(worst_cb >= -1e-9 * L)
     allowance = 10.0 * gamma ** (4.0 / 3.0) * L
-    assert _close(c000.lhs, worst_c000)
-    assert _close(c000.slack, worst_c000 + allowance)
+    assert c000.lhs == worst_c000
+    assert c000.slack == worst_c000 + allowance
     assert c000.passed == bool(worst_c000 >= -allowance)
     assert cb.params["n_profiles"] == (2 if fast else n_profiles)
 

@@ -10,7 +10,7 @@ from dense_pair_integral import dense_step_dipole_energy
 from direct_oracles import (dense_energy, dipole_energy_direct, pair_scale,
                             well_direct)
 from froth1d.energy import (_exp_conv_open, _ExpWeights, _quadratic_form,
-                            _QuadraticForm, _self_integrals,
+                            _QuadraticForm, _self_integrals, _step_terms,
                             dipole_energy, energy_gradient,
                             short_range_energy, step_dipole_energy,
                             tilde_energy, total_energy)
@@ -550,6 +550,32 @@ class TestStepDipole:
 
 
 class TestTildeEnergy:
+    @settings(max_examples=80, deadline=None)
+    @given(profiles=st.lists(st.lists(
+               st.tuples(st.floats(0.05, 80.0), st.floats(-1.0, 1.0)),
+               min_size=1, max_size=40), min_size=1, max_size=8),
+           atoms=st.sampled_from([((1.0, 1.0),),
+                                  ((0.5, 1.0), (0.3, 2.0), (0.2, 0.5))]),
+           gamma=st.sampled_from([1e-3, 1e-2, 1e-1]),
+           bc=st.sampled_from(["open", "periodic"]))
+    def test_batched_cells_equal_one_cell_calls(self, profiles, atoms, gamma,
+                                                bc):
+        # a cell scored among others in one _step_terms pass is bit for bit
+        # the tilde_energy of its step profile alone
+        params = ModelParams.create(beta=2.0, gamma=1e-2, tau=0.2,
+                                    measure=KacMeasure(atoms=atoms))
+        steps = [StepProfile.from_pieces(p) for p in profiles]
+        terms = _step_terms(
+            params, gamma, np.concatenate([s.values for s in steps]),
+            np.concatenate([s.breakpoints[:-1] for s in steps]),
+            np.concatenate([s.breakpoints[1:] for s in steps]),
+            np.cumsum([0] + [s.values.size for s in steps[:-1]]),
+            np.array([s.L for s in steps]) if bc == "periodic" else None)
+        for k, step in enumerate(steps):
+            well, surface, dipole = (float(t[k]) for t in terms)
+            assert well + surface + dipole == tilde_energy(params, step,
+                                                           gamma, bc=bc)
+
     def test_constant_dipole_only(self, params_tau):
         s = StepProfile.from_pieces([(40.0, params_tau.m_beta)])
         val, parts = tilde_energy(params_tau, s, 1e-2, breakdown=True)

@@ -13,7 +13,7 @@ PUBLIC_API = [
     "EhCurve", "EnergyBreakdown", "GridProfile", "Instanton", "KacMeasure",
     "MinimizeOptions", "MinimizeResult", "ModelParams", "ShortRangeKernel",
     "StepProfile", "StructureReport", "adapted_partition", "alpha_L",
-    "average_over", "block_type", "build_trial_profile",
+    "block_type", "build_trial_profile",
     "cell_specific_energy", "check_eh_bounds", "chessboard_lower_bound",
     "classify_blocks", "coarse_grain", "defect_sets", "dipole_energy",
     "eh_curve", "energy_gradient", "energy_per_length", "eval_F",

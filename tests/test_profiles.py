@@ -9,20 +9,29 @@ from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError, ValidationError)
 from froth1d.profiles import (BC_TOKENS, BlockPartition, GridProfile,
                               StepProfile,
-                              _block_means, alpha_L, average_over, block_type,
+                              _block_cuts, _block_means, alpha_L, block_type,
                               load_profile, runs, save_profile)
 
 
+def _mean_over(profile, interval):
+    """The mean of the samples inside ``interval``, its ends cut as every
+    block reader cuts them."""
+    return float(_block_means(profile.samples,
+                              _block_cuts(profile, interval))[0])
+
+
 class TestAverageOver:
+    """The mean over an interval: the midpoint rule, exact on grid lines."""
+
     def test_constant(self, params):
         p = GridProfile.constant(params.m_beta, L=8.0, dx=0.125)
-        assert average_over(p, (2.0, 5.0)) == pytest.approx(params.m_beta)
+        assert _mean_over(p, (2.0, 5.0)) == pytest.approx(params.m_beta)
 
     def test_square_wave_full_period(self):
         n = 256
         x = (np.arange(n) + 0.5) / n * 8.0
         p = GridProfile(L=8.0, dx=8.0 / n / 4 * 4, samples=np.sign(np.sin(2 * np.pi * x / 8.0)))
-        assert average_over(p, (0.0, 8.0)) == pytest.approx(0.0, abs=1e-15)
+        assert _mean_over(p, (0.0, 8.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sawtooth(self):
         n = 512
@@ -31,12 +40,20 @@ class TestAverageOver:
         x = (np.arange(n) + 0.5) * dx
         p = GridProfile(L=L, dx=dx, samples=2 * x / L - 1)
         # exact mean of the arithmetic sequence of midpoint samples is 0
-        assert average_over(p, (0.0, L)) == pytest.approx(0.0, abs=1e-15)
+        assert _mean_over(p, (0.0, L)) == pytest.approx(0.0, abs=1e-15)
 
     def test_misaligned_raises(self):
         p = GridProfile.constant(0.5, L=4.0, dx=0.25)
         with pytest.raises(AlignmentError):
-            average_over(p, (0.1, 2.0))
+            _mean_over(p, (0.1, 2.0))
+
+    def test_empty_interval(self, params_tau):
+        # an empty or reversed interval holds no sample and no energy
+        p = GridProfile.constant(0.5, L=4.0, dx=0.25)
+        for interval in ((2.0, 2.0), (3.0, 1.0)):
+            i, j = _block_cuts(p, interval)
+            assert j <= i
+            assert short_range_energy(params_tau, p, interval) == 0.0
 
 
 class TestBlockCuts:
@@ -50,7 +67,7 @@ class TestBlockCuts:
         p = GridProfile(L=8.0, dx=dx, samples=rng.uniform(-1.0, 1.0, 128))
         edge = (48 + off) * dx
         readers = (
-            lambda e: average_over(p, (1.0, e)),
+            lambda e: _mean_over(p, (1.0, e)),
             lambda e: short_range_energy(params_tau, p, (1.0, e)),
             lambda e: classify_blocks(params_tau, p, BlockPartition(
                 edges=np.array([0.0, 1.0, e])))["energy"].tolist())
@@ -61,7 +78,7 @@ class TestBlockCuts:
         else:
             for read in readers:
                 assert read(edge) == read(3.0)
-            assert average_over(p, (1.0, edge)) == p.samples[16:48].mean()
+            assert _mean_over(p, (1.0, edge)) == p.samples[16:48].mean()
 
 
 @settings(max_examples=200, deadline=None)

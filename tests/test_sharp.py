@@ -117,6 +117,39 @@ class TestOptimalH:
             assert abs(h / ha - 1.0) <= 5.0 * gamma ** (2.0 / 3.0)
             assert abs(e / ea - 1.0) <= 5.0 * gamma ** (2.0 / 3.0)
 
+    @pytest.mark.parametrize("atoms", [((1.0, 1.0),),
+                                       ((0.5, 1.0), (0.3, 2.0), (0.2, 0.5))])
+    def test_approach_to_the_asymptotic_law(self, params_tau, atoms):
+        # e(h) to order h^6 (1 - tanh(y)/y = y^2/3 - 2 y^4/15 + 17 y^6/315)
+        # gives, with eps = gamma^(2/3), Sk = sum w a^k and
+        # H = (6 tau / (lambda m_beta^2 S1))^(2/3), c1 = H S3 / (15 S1) and
+        # t = (17/1680) (S5/S1) H^2:
+        #   h*/h_asym = 1 + c1 eps + (4 c1^2 - t) eps^2 + O(eps^3),
+        #   e*/e_asym = 1 - (c1/2) eps - (c1^2 - t/3) eps^2 + O(eps^3).
+        # Each tolerance bounds the eps^2 coefficient by the sum of its
+        # parts' moduli, which leaves room for the eps^3 term. Golden section
+        # resolves h* only where e - e* exceeds the rounding of the
+        # comparison, about 4u relative; e'' h*^2 = 2 e* at leading order,
+        # so h* is off by up to sqrt(4u) = sqrt(2 eps_machine) relative,
+        # which the h check adds divided by eps
+        params = ModelParams.create(beta=2.0, tau=params_tau.tau,
+                                    measure=KacMeasure(atoms=atoms))
+        meas = params.measure
+        s1, s3, s5 = (float(np.sum(meas.weights * meas.rates ** k))
+                      for k in (1, 3, 5))
+        H = (6.0 * params.tau / (meas.lam * params.m_beta ** 2 * s1)) ** (
+            2.0 / 3.0)
+        c1 = H * s3 / (15.0 * s1)
+        t = 17.0 / 1680.0 * s5 / s1 * H ** 2
+        resolution = math.sqrt(2.0 * np.finfo(float).eps)
+        for gamma in (1e-2, 1e-4, 1e-6):
+            h, e, h_asym, e_asym = optimal_h(params, gamma)
+            eps = gamma ** (2.0 / 3.0)
+            assert abs((h / h_asym - 1.0) / eps - c1) <= (
+                (4.0 * c1 ** 2 + t) * eps + resolution / eps)
+            assert abs((1.0 - e / e_asym) / eps - c1 / 2.0) <= (
+                (c1 ** 2 + t / 3.0) * eps)
+
     def test_gamma_range_guard(self, params_tau):
         with pytest.raises(ValidationError):
             optimal_h(params_tau, 0.3)
