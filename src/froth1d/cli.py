@@ -242,8 +242,10 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
             if sec.get("init") == "trial" else None)
     params = _tau_params(params, config, out, seed, inst)
     dx = sec.get("dx", 1.0 / 16.0)
-    h_star, _, _, _ = optimal_h(params)
     key = "L" if "L" in sec else "L_over_h_star"
+    # h* only where it is used: an explicit L with random starts needs none
+    # (and gamma >= 0.2 has none)
+    h_star = optimal_h(params)[0] if key != "L" or inst is not None else None
     L = sec["L"] if key == "L" else sec.get("L_over_h_star", 8.0) * h_star
     n = round(L / dx)
     if n == 0:

@@ -189,8 +189,11 @@ def _exp_conv_open(phi: np.ndarray, w: _ExpWeights) -> np.ndarray:
 
 
 def _atoms(params: ModelParams, gamma: float, dx: float):
-    """Per Kac atom: (weight, gradient prefactor gamma lam dx w, rate gamma a)."""
-    if gamma <= 0.0:
+    """Per Kac atom: (weight, gradient prefactor gamma lam dx w, rate gamma
+    a); none at gamma 0, the short-range functional."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
+    if gamma == 0.0:
         return []
     lam = params.measure.lam
     return [(w, gamma * lam * dx * w, gamma * a) for w, a in params.measure.atoms]
@@ -449,7 +452,7 @@ def dipole_energy(params: ModelParams, profile: GridProfile,
     open-interval form; ignores boundary conditions.
     """
     gamma = params.gamma if gamma is None else gamma
-    if gamma <= 0.0:
+    if gamma == 0.0:
         return 0.0
     form = _quadratic_form(params, gamma, profile.n, profile.dx, "open")
     return form.dip_scale * _dipole_open(profile.samples, form.atoms,
@@ -583,7 +586,9 @@ def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
     takes (I + W)/(1 - E) = I + 2 Sp Sq/(1 - E).
     """
     acc = np.zeros(starts.size)
-    if gamma <= 0.0:
+    if not 0.0 <= gamma < 1.0:
+        raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
+    if gamma == 0.0:
         return acc
     for w_k, a_k in params.measure.atoms:
         b = gamma * a_k
@@ -615,7 +620,7 @@ def step_dipole_energy(params: ModelParams, step: StepProfile,
     profile as the one cell of ``_step_dipoles``."""
     gamma = params.gamma if gamma is None else gamma
     periodic = _step_periodic(bc)
-    if gamma <= 0.0:
+    if gamma == 0.0:
         return 0.0
     bp = step.breakpoints
     return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],

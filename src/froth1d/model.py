@@ -61,14 +61,15 @@ class KacMeasure:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValidationError("measure needs at least one atom")
-        if not self.lam > 0:
-            raise ValidationError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValidationError("lambda must be finite and positive")
         for i, (w, a) in enumerate(atoms):
             if not w > 0:
                 raise ValidationError(f"weight must be positive, got {w}",
                                       pointer=f"/measure/{i}/weight")
-            if not a > 0:
-                raise ValidationError(f"rate must be positive, got {a}",
+            if not 0.0 < a < math.inf:
+                raise ValidationError(f"rate must be finite and positive, "
+                                      f"got {a}",
                                       pointer=f"/measure/{i}/alpha")
         total = math.fsum(w for w, _ in atoms)
         if not abs(total - 1.0) <= 1e-12:
@@ -158,14 +159,14 @@ class ShortRangeKernel:
 
     @classmethod
     def default_quartic(cls, j0_hat: float = 1.0) -> "ShortRangeKernel":
-        if not j0_hat > 0:
-            raise ValidationError("J0_hat must be positive")
+        if not 0.0 < j0_hat < math.inf:
+            raise ValidationError("J0_hat must be finite and positive")
         c = (15.0 / 16.0) * j0_hat
         return cls(evaluator=_QuarticBump(c), j0_hat=float(j0_hat))
 
     def __post_init__(self):
-        if not self.j0_hat > 0:
-            raise ValidationError("J0_hat must be positive")
+        if not 0.0 < self.j0_hat < math.inf:
+            raise ValidationError("J0_hat must be finite and positive")
         probe = np.linspace(0.0, 1.0, 257)
         vals = self.evaluator(probe)
         if np.any(vals < -1e-14):
@@ -248,8 +249,9 @@ class ModelParams:
             kernel = ShortRangeKernel.default_quartic(1.0)
         if measure is None:
             measure = KacMeasure(atoms=((1.0, 1.0),), lam=1.0)
-        if not beta > 0:
-            raise ValidationError("beta must be positive", pointer="/beta")
+        if not 0.0 < beta < math.inf:
+            raise ValidationError("beta must be finite and positive",
+                                  pointer="/beta")
         if not (0.0 < gamma < 1.0):
             raise ValidationError(f"gamma must lie in (0, 1), got {gamma}",
                                   pointer="/gamma")
@@ -259,8 +261,9 @@ class ModelParams:
                 f"beta * J0_hat = {bj} <= 1 (supercritical regime required)")
         m = solve_m_beta(bj)
         p = cls(beta=float(beta), kernel=kernel, measure=measure,
-                gamma=float(gamma), m_beta=m, f0=0.0, tau=tau)
-        return replace(p, f0=float(eval_F(0.0, p)))
+                gamma=float(gamma), m_beta=m, f0=0.0)
+        p = replace(p, f0=float(eval_F(0.0, p)))
+        return p if tau is None else p.with_tau(tau)
 
     @classmethod
     def from_dict(cls, doc: dict, pointer: str = "") -> "ModelParams":
@@ -289,8 +292,8 @@ class ModelParams:
             raise
 
     def with_tau(self, tau: float) -> "ModelParams":
-        if not tau > 0:
-            raise ValidationError("tau must be positive")
+        if not 0.0 < tau < math.inf:
+            raise ValidationError("tau must be finite and positive")
         return replace(self, tau=float(tau))
 
     def with_gamma(self, gamma: float) -> "ModelParams":

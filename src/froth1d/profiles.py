@@ -386,7 +386,7 @@ class StepProfile:
 # break.
 
 _RESERVED_KEYS = ("L", "dx", "bc")
-_COMMENT = re.compile(rb"#[^\n]*")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = None,
@@ -421,19 +421,19 @@ def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = Non
 def load_profile(path):
     """Load a profile file; returns (GridProfile, extra_headers).
 
-    ``_parse`` reads the file in one pass and raises the ParseError of its
-    first malformed line in file order. A file that is not UTF-8 raises,
-    before any other, the ParseError of the line holding its first
-    undecodable byte.
+    The file is decoded once and ``_parse`` walks its lines, raising the
+    ParseError of its first malformed line in file order. A file that is
+    not UTF-8 raises, before any other, the ParseError of the line holding
+    its first undecodable byte.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = len(re.findall(rb"\r\n?|\n", data[:err.start])) + 1
         raise ParseError("not UTF-8 text", line=line) from None
-    headers, arr = _parse(data)
+    headers, arr = _parse(text)
     L, dx, bc = (headers.pop(key, None) for key in _RESERVED_KEYS)
     if L is None or dx is None or bc is None:
         raise ParseError("missing L/dx/bc header", line=0)
@@ -446,69 +446,51 @@ def load_profile(path):
     return prof, headers
 
 
-def _parse(data: bytes):
-    """(headers, samples) of a profile file's UTF-8 bytes; raises the first
+def _parse(text: str):
+    """(headers, samples) of a profile file's text; raises the first
     malformed line's ParseError, or one for a file with no token.
 
-    A line feed never sits inside a multi-byte character, so lines are told
-    apart by their bytes. Only a line holding a byte up to ' ' other than
-    the line feed, or one above 0x7F, can hold whitespace and so more than
-    one token: those lines (in a saved file, the headers) are decoded and
-    split one by one, in file order, up to the first malformed one. Every
-    other nonblank line before it is one sample token, and all the sample
-    tokens convert in one call. Only when that call fails is the line of
-    the first bad token looked up; the error of the earlier line is raised.
+    CR and CRLF end lines as LF does. The lines are walked in file order up
+    to the first malformed header line: a line of one token is a sample
+    token, and a line of two is a header. The sample tokens convert in one
+    call; only when that fails are the lines walked again for the first bad
+    token, which comes before the malformed line, so the error of the
+    earlier line is raised.
     """
-    body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if b"#" in body:
-        body = _COMMENT.sub(b"", body)
-    codes = np.frombuffer(body, dtype=np.uint8)
-    breaks = np.flatnonzero(codes == 10)
-    starts, stops = np.append(0, breaks + 1), np.append(breaks, codes.size)
-    split = np.unique(np.searchsorted(breaks, np.flatnonzero(
-        ((codes <= 32) & (codes != 10)) | (codes > 127)))).tolist()
-    headers, kept, no_sample, pos, end, error = {}, [], [], 0, len(body), None
-    for i in split:
-        start, stop = int(starts[i]), int(stops[i])
-        text = body[start:stop].decode().strip()
-        parts = text.split()
-        if len(parts) == 1:
-            continue        # a padded sample
-        try:
-            _store_header(headers, parts, text, i + 1)
-        except ParseError as err:
-            error, end = err, start
-            break
-        no_sample.append(i)
-        kept.append(body[pos:start])
-        pos = stop
-    # the sample tokens stop at the first malformed line
-    tokens = b"".join(kept + [body[pos:end]]).decode().split()
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = _COMMENT.sub("", text).split("\n")
+    headers, tokens, error = {}, [], None
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split()
+            if len(parts) == 1:
+                tokens.append(parts[0])
+            elif len(parts) == 2 and not _is_float(parts[0]):
+                key, val = parts
+                if key != "bc":
+                    headers[key] = _parse_float(val, lineno)
+                elif val in BC_TOKENS:
+                    headers[key] = val
+                else:
+                    raise ParseError(f"unknown bc token {val!r}", line=lineno)
+            elif parts:
+                raise ParseError(f"unparseable line {line.strip()!r}",
+                                 line=lineno)
+    except ParseError as err:
+        error = err
     try:
         # numpy converts each str with Python's float()
         samples = np.array(tokens, dtype=float)
     except ValueError:
-        # the first bad token raises: it comes before the malformed line
-        lines = np.setdiff1d(np.flatnonzero(stops > starts), no_sample) + 1
-        for token, line in zip(tokens, lines.tolist()):
-            _parse_float(token, line)
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split()
+            if len(parts) == 1:
+                _parse_float(parts[0], lineno)
     if error is not None:
         raise error
     if not (tokens or headers):
         raise ParseError("empty profile file", line=0)
     return headers, samples
-
-
-def _store_header(headers: dict, parts, text: str, lineno: int):
-    """Store the header of a line ``text`` of no token or of two, split into
-    ``parts``: "bc" keeps its token, any other key a number."""
-    if parts and (len(parts) != 2 or _is_float(parts[0])):
-        raise ParseError(f"unparseable line {text!r}", line=lineno)
-    if parts:
-        key, val = parts
-        if key == "bc" and val not in BC_TOKENS:
-            raise ParseError(f"unknown bc token {val!r}", line=lineno)
-        headers[key] = val if key == "bc" else _parse_float(val, lineno)
 
 
 def _is_float(token: str) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 from .certificates import Certificate
 from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
-                     ValidationError)
+                     ValidationError, _check_count)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
 from .profiles import GridProfile, StepProfile, _step_periodic, runs
 
@@ -188,8 +188,7 @@ def eh_curve(params: ModelParams, gamma: Optional[float] = None,
              ) -> EhCurve:
     """Log-spaced samples of e(h) from span[0] h* to span[1] h*, plus the
     optimum."""
-    if n_samples < 1:
-        raise ValidationError("n_samples must be at least 1")
+    _check_count(n_samples, "n_samples", low=1)
     if not 0.0 < span[0] < span[1]:
         raise ValidationError(f"span must satisfy 0 < low < high, got {span}")
     gamma = params.gamma if gamma is None else gamma

@@ -215,6 +215,19 @@ class TestPipelineCommands:
         assert float(rep["good_measure"]) >= 0.0
         assert (out / "histogram.csv").exists()
 
+    def test_explicit_length_needs_no_h_star(self, tmp_path):
+        # gamma 0.3 has no h* (optimal_h takes gamma < 0.2), which random
+        # starts on an explicit L do not use
+        cfg = write_config(tmp_path, model={
+            "beta": 2.0, "J0_hat": 1.0, "lambda": 1.0,
+            "measure": [{"weight": 1.0, "alpha": 1.0}], "gamma": 0.3},
+            minimize={"L": 20.0, "n_starts": 1, "max_iters": 50})
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_profile(out / "minimized.profile")[0].L == 20.0
+        assert main(["coarse-grain", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+
     def test_minimize_reuses_saved_instanton(self, tmp_path, monkeypatch):
         # non-default solver settings: a solve that ignored them would give
         # another trial train

@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 
 from froth1d.cli import main
+from froth1d.energy import (dipole_energy, energy_gradient,
+                            step_dipole_energy, tilde_energy, total_energy)
 from froth1d.coarsegrain import CoarseGrainConfig
 from froth1d.errors import DomainError, InvariantError, ValidationError
 from froth1d.instanton import build_trial_profile, solve_instanton
-from froth1d.minimize import minimize_with_mean_constraint, multistart
+from froth1d.minimize import (MinimizeOptions, minimize_energy,
+                              minimize_with_mean_constraint, multistart)
 from froth1d.model import KacMeasure, ModelParams, ShortRangeKernel, _QuarticBump
 from froth1d.profiles import (GridProfile, StepProfile, alpha_L, load_profile,
                               regular_partition)
-from froth1d.sharp import energy_per_length
+from froth1d.sharp import eh_curve, energy_per_length
 
 NAN = math.nan
 INF = math.inf
@@ -42,12 +45,27 @@ SITES = [
      lambda p, tmp, inst: KacMeasure(atoms=((1.0, NAN),))),
     ("measure lambda", ValidationError,
      lambda p, tmp, inst: KacMeasure(atoms=((1.0, 1.0),), lam=NAN)),
+    ("measure infinite rate", ValidationError,
+     lambda p, tmp, inst: KacMeasure(atoms=((1.0, INF),))),
+    ("measure infinite lambda", ValidationError,
+     lambda p, tmp, inst: KacMeasure(atoms=((1.0, 1.0),), lam=INF)),
     ("default quartic J0_hat", ValidationError,
      lambda p, tmp, inst: ShortRangeKernel.default_quartic(NAN)),
+    ("default quartic infinite J0_hat", ValidationError,
+     lambda p, tmp, inst: ShortRangeKernel.default_quartic(INF)),
     ("kernel J0_hat", ValidationError,
      lambda p, tmp, inst: ShortRangeKernel(evaluator=_QuarticBump(1.0), j0_hat=NAN)),
+    ("kernel infinite J0_hat", ValidationError,
+     lambda p, tmp, inst: ShortRangeKernel(evaluator=_QuarticBump(1.0), j0_hat=INF)),
     ("beta", ValidationError, lambda p, tmp, inst: ModelParams.create(beta=NAN)),
+    ("infinite beta", ValidationError,
+     lambda p, tmp, inst: ModelParams.create(beta=INF)),
     ("tau", ValidationError, lambda p, tmp, inst: p.with_tau(NAN)),
+    ("infinite tau", ValidationError, lambda p, tmp, inst: p.with_tau(INF)),
+    ("tau of create", ValidationError,
+     lambda p, tmp, inst: ModelParams.create(beta=2.0, tau=NAN)),
+    ("negative tau of create", ValidationError,
+     lambda p, tmp, inst: ModelParams.create(beta=2.0, tau=-1.0)),
     ("grid samples", InvariantError,
      lambda p, tmp, inst: GridProfile(L=1.0, dx=0.25, samples=[0.1, NAN, 0.3, 0.4])),
     ("grid dx", ValidationError,
@@ -79,6 +97,10 @@ SITES = [
      lambda p, tmp, inst: energy_per_length(p, NAN)),
     ("e(h) on an array", DomainError,
      lambda p, tmp, inst: energy_per_length(p, np.array([10.0, NAN]))),
+    ("e(h) curve of a fractional sample count", ValidationError,
+     lambda p, tmp, inst: eh_curve(p, n_samples=1.5)),
+    ("e(h) curve of a bool sample count", ValidationError,
+     lambda p, tmp, inst: eh_curve(p, n_samples=True)),
     ("mean of the mean-constrained descent", ValidationError,
      lambda p, tmp, inst: minimize_with_mean_constraint(p, 4.0, NAN)),
     ("length of the mean-constrained descent", ValidationError,
@@ -136,6 +158,30 @@ def test_nan_is_rejected(params_tau, instanton_default, tmp_path, site,
                          error, build):
     with pytest.raises(error):
         build(params_tau, tmp_path, instanton_default)
+
+
+_GRID = GridProfile(L=4.0, dx=0.25, samples=np.linspace(-0.9, 0.9, 16))
+_STEP = StepProfile(breakpoints=[0.0, 2.0, 4.0], values=[0.9, -0.9])
+
+# every grid energy, gradient and descent reaches energy._atoms, every step
+# energy energy._step_dipoles, and each checks the gamma it is given
+GAMMA_SITES = {
+    "total_energy": lambda p, g: total_energy(p, _GRID, g),
+    "energy_gradient": lambda p, g: energy_gradient(p, _GRID, g),
+    "minimize_energy": lambda p, g: minimize_energy(
+        p, _GRID, g, MinimizeOptions(max_iters=1)),
+    "dipole_energy": lambda p, g: dipole_energy(p, _GRID, g),
+    "tilde_energy": lambda p, g: tilde_energy(p, _STEP, g),
+    "step_dipole_energy": lambda p, g: step_dipole_energy(p, _STEP, g),
+}
+
+
+@pytest.mark.parametrize("gamma", [NAN, -1e-2, 1.0])
+@pytest.mark.parametrize("site", list(GAMMA_SITES))
+def test_gamma_outside_the_unit_interval_is_rejected(params_tau, site, gamma):
+    # gamma 0 is the short-range functional; a negative gamma is not
+    with pytest.raises(ValidationError, match="gamma must lie in"):
+        GAMMA_SITES[site](params_tau, gamma)
 
 
 def test_cli_rejects_a_nan_profile(tmp_path, capsys):
