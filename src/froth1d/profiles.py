@@ -380,10 +380,12 @@ class StepProfile:
 #
 # save_profile writes the comments first, one "# <comment>" line each, then
 # L, dx, bc and the extra headers with 17 significant digits, then one sample
-# per line in '.17e' form. It rejects, before writing, an extra header key
-# that would not read back as itself: one that is not a single token, holds
-# '#', reads as a number, or is L, dx or bc; and a comment that holds a line
-# break.
+# per line in '.17e' form; each distinct bit pattern among the samples is
+# formatted once, and the bytes are those of one '.17e' line per sample. It
+# rejects, before writing, an extra header key that would not read back as
+# itself: one that is not a single token, holds '#', reads as a number, or is
+# L, dx or bc; an extra header value that float() does not take; and a
+# comment that holds a line break.
 
 _RESERVED_KEYS = ("L", "dx", "bc")
 _COMMENT = re.compile(r"#[^\n]*")
@@ -393,16 +395,22 @@ def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = Non
                  comments: Optional[list] = None):
     """Write ``profile`` to ``path`` in the profile file format, with the
     ``extra_headers`` as "<key> <float>" lines and each of ``comments`` as a
-    comment line. Raises ValidationError for a key or comment that would not
-    read back (see the format notes above)."""
+    comment line, each distinct sample formatted once. Raises
+    ValidationError for a key, value or comment that would not read back
+    (see the format notes above)."""
     extra = dict(extra_headers or {})
     comments = [str(c) for c in (comments or [])]
-    for key in extra:
+    for key, val in extra.items():
         if (not isinstance(key, str) or key.split() != [key] or "#" in key
                 or _is_float(key) or key in _RESERVED_KEYS):
             raise ValidationError(
                 f"header key {key!r} must be one non-numeric token without "
                 f"'#', other than L, dx and bc")
+        try:
+            extra[key] = float(val)
+        except (TypeError, ValueError):
+            raise ValidationError(f"header {key!r} value {val!r} is not a "
+                                  f"real number") from None
     for c in comments:
         if "\n" in c or "\r" in c:
             raise ValidationError(f"comment {c!r} holds a line break")
@@ -410,10 +418,13 @@ def save_profile(profile: GridProfile, path, extra_headers: Optional[dict] = Non
     lines += [f"L {format(profile.L, '.17g')}",
               f"dx {format(profile.dx, '.17g')}",
               f"bc {profile.bc}"]
-    lines += [f"{key} {format(float(val), '.17g')}" for key, val in extra.items()]
+    lines += [f"{key} {format(val, '.17g')}" for key, val in extra.items()]
     # '%.17e' formats a Python float as format(s, '.17e') and numpy's
-    # float64 do, all samples in one call
-    body = ("%.17e\n" * profile.n) % tuple(profile.samples.tolist())
+    # float64 do; by bit pattern, -0.0 keeps its own line apart from 0.0
+    bits, where = np.unique(profile.samples.view(np.int64), return_inverse=True)
+    distinct = (("%.17e\n" * bits.size)
+                % tuple(bits.view(float).tolist())).splitlines(True)
+    body = "".join([distinct[i] for i in where.tolist()])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n" + body)
 

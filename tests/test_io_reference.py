@@ -2,8 +2,9 @@
 symbol, the exchange sum, the flat-segment search and the adapted partition
 against oracles that share no code with the library.
 
-``ref_save_profile`` and ``ref_load_profile`` are the earlier per-line
-implementations, kept verbatim as oracles: the file grammar and its errors
+``ref_save_profile``, ``ref_save_profile_bulk`` and ``ref_load_profile``
+are the earlier per-line and per-sample implementations, kept verbatim as
+oracles: the file grammar and its errors
 are the contract, and ``float()`` reads a numeral exactly, so the library
 must write the same bytes, read the same bits and raise the same errors on
 the same lines. The torus symbol is the discrete Fourier transform of the
@@ -49,6 +50,20 @@ def ref_save_profile(profile, path, extra_headers=None, comments=None):
     lines.extend(format(s, '.17e') for s in profile.samples.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def ref_save_profile_bulk(profile, path, extra_headers=None, comments=None):
+    # the body as one '%.17e' format call over every sample, as the writer
+    # did before each distinct sample was formatted once
+    lines = [f"# {c}" for c in (comments or [])]
+    lines += [f"L {format(profile.L, '.17g')}",
+              f"dx {format(profile.dx, '.17g')}",
+              f"bc {profile.bc}"]
+    for key, val in (extra_headers or {}).items():
+        lines.append(f"{key} {format(float(val), '.17g')}")
+    body = ("%.17e\n" * profile.n) % tuple(profile.samples.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n" + body)
 
 
 def ref_load_profile(path):
@@ -187,6 +202,56 @@ def test_saved_bytes_match_reference(samples, dx, bc, extra, comments):
     back, headers = load_profile(new)
     assert back.samples.tobytes() == prof.samples.tobytes()
     assert headers == {k: float(v) for k, v in extra.items()}
+
+
+@st.composite
+def repeating_samples(draw):
+    """1 to 600 samples: drawn from a small pool (both zeros, +-1, the
+    smallest subnormals, +-m_beta and a few floats), so values repeat
+    heavily; +-m_beta plateaus with distinct walls and signed zeros between;
+    or all distinct."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = _PARAMS.m_beta
+    shape = draw(st.sampled_from(["pool", "plateaus", "distinct"]))
+    if shape == "pool":
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, m, -m]
+                        + draw(st.lists(_SAMPLE, max_size=4)))
+        return pool[rng.integers(pool.size, size=n)]
+    if shape == "plateaus":
+        levels = rng.choice([m, -m], size=n // 40 + 1)
+        samples = np.repeat(levels, 40)[:n]
+        walls = rng.random(n) < 0.05
+        samples[walls] = rng.uniform(-m, m, walls.sum())
+        samples[rng.random(n) < 0.02] = 0.0
+        samples[rng.random(n) < 0.02] = -0.0
+        return samples
+    return rng.permutation(np.append(rng.uniform(-1.0, 1.0, n - 1),
+                                     rng.choice([0.0, -0.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=repeating_samples(),
+       bc=st.sampled_from(["open", "periodic", "neumann", "plus"]),
+       extra=st.dictionaries(_KEY, _VALUE, max_size=3),
+       comments=st.lists(_COMMENT_TEXT, max_size=3))
+@example(samples=np.array([0.0, -0.0, 0.0, -0.0]), bc="open", extra={},
+         comments=[])
+@example(samples=np.array([-0.0, 0.0, 5e-324, -5e-324, 5e-324]),
+         bc="periodic", extra={"tau": 0.19762754872186078},
+         comments=["c"])
+def test_saved_bytes_match_per_sample_writer(samples, bc, extra, comments):
+    # repeated values, signed zeros among them, write the bytes of the
+    # per-sample writer and read back with the same bit patterns
+    dx = 1.0 / 16.0
+    prof = GridProfile(L=samples.size * dx, dx=dx, samples=samples, bc=bc)
+    new, ref = _write("", name="new.profile"), _write("", name="ref.profile")
+    save_profile(prof, new, extra, comments)
+    ref_save_profile_bulk(prof, ref, extra, comments)
+    assert new.read_bytes() == ref.read_bytes()
+    back = load_profile(new)[0]
+    assert np.array_equal(back.samples.view(np.int64),
+                          samples.view(np.int64))
 
 
 # padding around tokens: str.split() whitespace of both kinds, ASCII

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +349,26 @@ class TestProfileFile:
         with pytest.raises(ValidationError):
             save_profile(p, path, extra_headers=extra, comments=comments)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["abc", None, [1.0],
+                                       np.array([1.0, 2.0])],
+                             ids=["text", "none", "list", "two-element-array"])
+    def test_header_value_not_a_real_number_rejected(self, tmp_path, value):
+        # float() raised ValueError or TypeError here, after the key checks
+        p = GridProfile(L=1.0, dx=0.25, samples=np.zeros(4))
+        path = tmp_path / "p.profile"
+        with pytest.raises(ValidationError, match="header 'tau' value"):
+            save_profile(p, path, extra_headers={"tau": value})
+        assert not path.exists()
+
+    def test_nonfinite_header_values_round_trip(self, tmp_path):
+        p = GridProfile(L=1.0, dx=0.25, samples=np.zeros(4))
+        path = tmp_path / "p.profile"
+        save_profile(p, path, extra_headers={"a": math.nan, "b": math.inf,
+                                             "c": "-inf"})
+        back = load_profile(path)[1]
+        assert math.isnan(back["a"]) and back["b"] == math.inf
+        assert back["c"] == -math.inf
 
     def test_cli_headers_round_trip(self, tmp_path):
         p = GridProfile(L=1.0, dx=0.25, samples=np.zeros(4))
