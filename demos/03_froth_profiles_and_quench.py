@@ -41,7 +41,7 @@ cfg = CoarseGrainConfig()
 
 def pattern_stats(profile):
     step, _, _ = coarse_grain(params, profile, cfg, gamma)
-    lengths = step.interval_lengths(periodic=True)
+    lengths = step.interval_lengths()
     frac = lengths[np.abs(lengths / h_star - 1) <= 0.2].sum() / profile.L
     return lengths, frac
 

@@ -47,10 +47,10 @@ worst = max(abs(step.restrict(a, b).mean() - rec["mean"])
 print(f"worst per-block mass-balance error: {worst:.2e}")
 print(f"sigma_phi in K (|values| >= m_bar): {step.in_K}")
 print(f"sign intervals of sigma_phi: "
-      f"{np.round(step.interval_lengths(periodic=True), 2)}")
+      f"{np.round(step.interval_lengths(), 2)}")
 
 e_phi = total_energy(params, prof, gamma).total
-e_tilde = tilde_energy(params, step, gamma, bc="periodic")
+e_tilde = tilde_energy(params, step, gamma)
 print(f"\nE[phi]          = {e_phi:.6f}")
 print(f"E~[sigma_phi]   = {e_tilde:.6f}")
 cert = lower_bound_certificate(params, prof, gamma, cfg)

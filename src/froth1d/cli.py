@@ -349,10 +349,8 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     h_star, e_star, _, _ = optimal_h(params)
     eps, epsp = sec.get("epsilon", 0.1), sec.get("epsilon_prime", 0.1)
     defect_sets(report, params, eps, epsp, h_star)
-    report.l_wrong = l_wrong(step, h_star, eps, params.gamma,
-                             profile.step_bc)
-    excess, well, _ = excess_energy_decomposition(
-        params, step, h_star=h_star, e_star=e_star, bc=profile.step_bc)
+    report.l_wrong = l_wrong(step, h_star, eps, params.gamma)
+    excess, well, _ = excess_energy_decomposition(params, step, e_star=e_star)
     report.excess = excess
     report.tildeF_integral = well
     _write_json(out / "report.json", report.to_dict(), config)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .certificates import Certificate
 from .energy import _block_energies, tilde_energy, total_energy
-from .errors import FlatSegmentNotFound, InvariantError, ValidationError
+from .errors import (FlatSegmentNotFound, InvariantError, ValidationError,
+                     _check_positive)
 from .model import ModelParams, eval_F_double_prime
 from .profiles import (BlockPartition, GridProfile, StepProfile, _block_cuts,
                        _block_means, regular_partition, runs)
@@ -87,6 +88,7 @@ def classify_blocks(params: ModelParams, profile: GridProfile,
     one well pass and one band pass per offset (pairs across a block edge
     left out). The partition's edges are cut by ``profiles._block_cuts``.
     """
+    _check_positive(cutoff_multiplier=cutoff_multiplier)
     cutoff = cutoff_multiplier * params.require_tau()
     energies = _block_energies(params, profile,
                                _block_cuts(profile, partition.edges))
@@ -358,7 +360,8 @@ def replace_block(params: ModelParams, length: float, mean: float,
 def coarse_grain(params: ModelParams, profile: GridProfile,
                  config: Optional[CoarseGrainConfig] = None,
                  gamma: Optional[float] = None):
-    """Full map phi -> sigma_phi. Returns (StepProfile, AdaptedPartition, trace)."""
+    """Full map phi -> sigma_phi, periodic on the torus and open under every
+    other bc. Returns (StepProfile, AdaptedPartition, trace)."""
     config = CoarseGrainConfig() if config is None else config
     gamma = params.gamma if gamma is None else gamma
     adapted = adapted_partition(params, profile, config, gamma)
@@ -376,7 +379,8 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
                       "pieces": [(float(w), float(v)) for w, v in blk_pieces],
                       "flags": flags})
     m_bar = config.m_bar(params.m_beta, gamma)
-    step = StepProfile.from_pieces(pieces, m_bar=m_bar)
+    step = StepProfile.from_pieces(pieces, m_bar=m_bar,
+                                   periodic=profile.bc == "periodic")
     # guard against drift in the cumulative breakpoints
     if abs(step.L - profile.L) > 1e-9 * profile.L:
         raise InvariantError("replacement pieces do not tile the domain")
@@ -402,10 +406,9 @@ def _step_certificate(params: ModelParams, profile: GridProfile,
     torus sigma_phi lives on [0, L] alone, and so does E_phi: the energy
     without its boundary term."""
     parts = total_energy(params, profile, gamma)
-    bc = profile.step_bc
-    e_phi = parts.total if bc == "periodic" else (
+    e_phi = parts.total if step.periodic else (
         parts.local + parts.exchange + parts.dipole)
-    e_tilde = tilde_energy(params, step, gamma, bc=bc)
+    e_tilde = tilde_energy(params, step, gamma)
     residual = (e_phi - e_tilde) / profile.L
     allowance = _C_CERT * gamma ** (1.0 - config.delta)
     return Certificate(

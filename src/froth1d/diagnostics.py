@@ -10,10 +10,10 @@ import numpy as np
 
 from .certificates import fmt17
 from .energy import _ONE_CELL
-from .errors import ParameterError
+from .errors import ParameterError, ValidationError, _check_positive
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, _block_cuts, _block_means,
-                       _step_periodic, block_type, regular_partition, runs)
+                       block_type, regular_partition, runs)
 from .sharp import energy_per_length, optimal_h
 
 __all__ = [
@@ -86,11 +86,12 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     samples between the ``_block_cuts`` of the edges, in one pass. Runs are
     maximal same-type block sequences inside each component;
     ``alternation_ok`` says neighbouring sign runs alternate, at most one
-    zero block apart. On a periodic ``profile`` the intervals, components
-    and runs wrap the torus as ``runs`` does: one that wraps has a negative
-    start (its blocks from k - n_blocks on, its left edge minus L). A
-    component that is the whole torus is [0, L), its runs wrap the seam,
-    and with two sign runs or more the last neighbours the first.
+    zero block apart. On a periodic ``profile`` (whose sigma_phi must then
+    be periodic, and open otherwise) the intervals, components and runs
+    wrap the torus as ``runs`` does: one that wraps has a negative start
+    (its blocks from k - n_blocks on, its left edge minus L). A component
+    that is the whole torus is [0, L), its runs wrap the seam, and with two
+    sign runs or more the last neighbours the first.
     """
     gamma = params.gamma if gamma is None else gamma
     if not (0.0 < delta0 < eps0 < 1.0 / 3.0):
@@ -98,7 +99,10 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     if not (delta0 < delta1 < 2.0 / 3.0):
         raise ParameterError("need delta0 < delta1 < 2/3")
     L = profile.L
-    periodic = profile.step_bc == "periodic"
+    periodic = profile.bc == "periodic"
+    if sigma_phi.periodic != periodic:
+        raise ValidationError(f"sigma_phi of a {profile.bc} profile must be "
+                              f"{'periodic' if periodic else 'open'}")
     # coarse blocks and their types
     part = regular_partition(L, delta0, gamma).snapped(profile.dx)
     n = part.n_blocks
@@ -109,8 +113,8 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     # blocks fully covered by the long sigma intervals survive; each block
     # is read in place and one period to its left, where an interval that
     # wraps the torus starts
-    long_ivals = np.array([(a, b) for a, b, _ in sigma_phi.sign_intervals(
-        periodic) if b - a >= gamma ** (-delta1)]).reshape(-1, 2)
+    long_ivals = np.array([(a, b) for a, b, _ in sigma_phi.sign_intervals()
+                           if b - a >= gamma ** (-delta1)]).reshape(-1, 2)
     cover = np.maximum(np.minimum(edges[1:, None], long_ivals[:, 1])
                        - np.maximum(edges[:-1, None], long_ivals[:, 0]),
                        0.0).sum(axis=1)
@@ -148,7 +152,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
         params={"delta0": delta0, "delta1": delta1, "eps0": eps0},
         good_intervals=lam_k, good_measure=good_measure, runs=sign_runs,
         block_edges=part.edges, block_types=types, block_means=means,
-        h_lengths=sigma_phi.interval_lengths(periodic),
+        h_lengths=sigma_phi.interval_lengths(),
         alternation_ok=alternation_ok)
 
 
@@ -165,6 +169,7 @@ def defect_sets(report: StructureReport, params: ModelParams, epsilon: float,
         raise ParameterError("epsilon out of range")
     if not (0.0 < epsilon_prime < eps0 / 2.0):
         raise ParameterError("epsilon_prime out of range")
+    _check_positive(h_star=h_star)
     gam = report.gamma
     m_b = params.m_beta
     widths = np.diff(report.block_edges)
@@ -185,10 +190,11 @@ def defect_sets(report: StructureReport, params: ModelParams, epsilon: float,
 
 
 def l_wrong(step: StepProfile, h_star: float, epsilon: float,
-            gamma: float, bc: str = "open") -> float:
+            gamma: float) -> float:
     """Total length of sign intervals with |h_j - h*| >= h* gamma^epsilon;
-    with ``bc`` "periodic" the interval that wraps the torus is one."""
-    h = step.interval_lengths(_step_periodic(bc))
+    on the torus the interval that wraps the seam is one."""
+    _check_positive(h_star=h_star, epsilon=epsilon)
+    h = step.interval_lengths()
     bad = np.abs(h - h_star) >= h_star * gamma ** epsilon
     return float(np.sum(h[bad]))
 
@@ -207,21 +213,20 @@ def _excess_parts(params: ModelParams, gamma: float, e_star: float,
 
 def excess_energy_decomposition(params: ModelParams, step: StepProfile,
                                 gamma: Optional[float] = None,
-                                h_star: Optional[float] = None,
-                                e_star: Optional[float] = None,
-                                bc: str = "open"):
+                                e_star: Optional[float] = None):
     """Both terms of the excess bound: interval excess and the well integral.
 
     Returns (excess_sum, tildeF_integral, per_interval) with
-    excess_sum = sum_j h_j (e(h_j) - e(h*)) over the sign intervals (the
-    one that wraps the torus counted once when ``bc`` is "periodic") and
-    the well integral (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile
-    is the one profile of ``_excess_parts``.
+    excess_sum = sum_j h_j (e(h_j) - e*) over the sign intervals (on the
+    torus the one that wraps the seam counted once), e* = e(h*) solved by
+    ``optimal_h`` unless given, and the well integral
+    (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile is the one
+    profile of ``_excess_parts``.
     """
     gamma = params.gamma if gamma is None else gamma
-    if h_star is None or e_star is None:
-        h_star, e_star, _, _ = optimal_h(params, gamma)
-    h = step.interval_lengths(_step_periodic(bc))
+    if e_star is None:
+        e_star = optimal_h(params, gamma)[1]
+    h = step.interval_lengths()
     excess, well = _excess_parts(params, gamma, e_star, h, step.values,
                                  step.widths, _ONE_CELL)
     per = list(zip(h.tolist(), excess.tolist()))

@@ -39,8 +39,7 @@ from .certificates import fmt17
 from .errors import MissingBoundaryData, ValidationError
 from .model import (ModelParams, _extremes, _well, _well_parts,
                     eval_tilde_F)
-from .profiles import (GridProfile, StepProfile, _block_cuts, _interfaces,
-                       _step_periodic)
+from .profiles import GridProfile, StepProfile, _block_cuts, _interfaces
 
 __all__ = [
     "EnergyBreakdown",
@@ -614,37 +613,33 @@ def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
 
 
 def step_dipole_energy(params: ModelParams, step: StepProfile,
-                       gamma: Optional[float] = None,
-                       bc: str = "open") -> float:
+                       gamma: Optional[float] = None) -> float:
     """Exact (gamma/2) dipole energy of a step profile, open or periodic: the
     profile as the one cell of ``_step_dipoles``."""
     gamma = params.gamma if gamma is None else gamma
-    periodic = _step_periodic(bc)
     if gamma == 0.0:
         return 0.0
     bp = step.breakpoints
     return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],
-                               _ONE_CELL, step.L if periodic else None)[0])
+                               _ONE_CELL, step.L if step.periodic else None)[0])
 
 
 def tilde_energy(params: ModelParams, step: StepProfile,
-                 gamma: Optional[float] = None, bc: str = "open",
-                 breakdown: bool = False):
+                 gamma: Optional[float] = None, breakdown: bool = False):
     """Effective functional: well term + tau per interface + dipole.
 
     The surface part is tau times ``step.n_jumps``: the boundaries between
     neighbouring sign runs of opposite nonzero signs (across the seam too
-    for periodic bc). Without zero pieces that is (tau/2) * total variation
+    on the torus). Without zero pieces that is (tau/2) * total variation
     of sigma/|sigma|; a zero piece (outside K) carries no interface, so
     +m, 0, -m costs no tau. Computed in closed form, the profile as the one
     cell of ``_step_terms``; no quadrature.
     """
     gamma = params.gamma if gamma is None else gamma
-    periodic = _step_periodic(bc)
     bp = step.breakpoints
     well, surface, dip = (float(x[0]) for x in _step_terms(
         params, gamma, step.values, bp[:-1], bp[1:], _ONE_CELL,
-        step.L if periodic else None))
+        step.L if step.periodic else None))
     if step.m_bar is not None and not step.in_K:
         warnings.warn("step profile leaves K (some |value| < m_bar)",
                       stacklevel=2)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks that the
-modules validating counts and JSON documents share."""
+"""Exception types shared across the package, and the checks of counts,
+positive numbers and JSON documents that the modules share."""
 
 import math
 import numbers
@@ -36,6 +36,13 @@ def _check_count(value, name: str, limit: float = math.inf, low: int = 0):
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral) and low <= value < limit):
         raise ValidationError(f"{name} must be an integer in [{low}, {limit})")
+
+
+def _check_positive(**values):
+    """Reject any value that is not finite and positive, NaN included."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and positive")
 
 
 def _check_value(kind, value, pointer: str):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import short_range_energy
 from .errors import (CellTooShort, FitError, NonConvergence, ValidationError,
-                     _check_count)
+                     _check_count, _check_positive)
 from .model import ModelParams, solve_m_beta
 from .profiles import GridProfile
 
@@ -113,8 +113,7 @@ def solve_instanton(params: ModelParams, half_width: float = 30.0,
         raise ValidationError("half_width must be finite and at least 20")
     if not 1e-12 <= tol < math.inf:
         raise ValidationError("tol must be finite and at least 1e-12")
-    if not 0.0 < dx < math.inf:
-        raise ValidationError("dx must be finite and positive")
+    _check_positive(dx=dx)
     _check_count(max_sweeps, "max_sweeps", low=1)
     m = params.m_beta
     n = int(round(2 * half_width / dx))

@@ -18,9 +18,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .energy import _quadratic_form, tilde_energy
-from .errors import LineSearchFailure, ValidationError, _check_count
+from .errors import (LineSearchFailure, ValidationError, _check_count,
+                     _check_positive)
 from .model import ModelParams, _finish_slope, _well_parts
-from .profiles import GridProfile, StepProfile, runs
+from .profiles import GridProfile, StepProfile, _check_lengths, runs
 from .sharp import energy_per_length
 
 __all__ = [
@@ -54,8 +55,7 @@ class MinimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.grad_tol < np.inf:     # also false for nan
-            raise ValidationError("grad_tol must be finite and positive")
+        _check_positive(grad_tol=self.grad_tol)
         _check_count(self.max_iters, "max_iters")
         _check_count(self.seed, "seed", _SEED_LIMIT)
 
@@ -379,8 +379,9 @@ def _flipped_sharp_energy(params: ModelParams, gamma: float,
     merged = np.concatenate([[w[0] + w[1] + w[2]], w[3:]]) * dx
     m = params.m_beta
     step = StepProfile.from_pieces(
-        [(h, m if i % 2 == 0 else -m) for i, h in enumerate(merged)])
-    return tilde_energy(params, step, gamma, bc="periodic")
+        [(h, m if i % 2 == 0 else -m) for i, h in enumerate(merged)],
+        periodic=True)
+    return tilde_energy(params, step, gamma)
 
 
 def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
@@ -471,8 +472,7 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
     included. Other bcs, or params without tau, get plain descent only.
     """
     _check_count(n_starts, "n_starts", low=1)
-    if not (0.0 < L < np.inf and 0.0 < dx < np.inf):
-        raise ValidationError("L and dx must be finite and positive")
+    _check_lengths(L, dx)
     options = MinimizeOptions() if options is None else options
     n = int(round(L / dx))
     if init is not None:

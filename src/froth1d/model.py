@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificates import Certificate
 from .errors import (DomainError, SubcriticalError, ValidationError,
-                     _check_value)
+                     _check_positive, _check_value)
 
 __all__ = [
     "KacMeasure",
@@ -159,14 +159,12 @@ class ShortRangeKernel:
 
     @classmethod
     def default_quartic(cls, j0_hat: float = 1.0) -> "ShortRangeKernel":
-        if not 0.0 < j0_hat < math.inf:
-            raise ValidationError("J0_hat must be finite and positive")
+        _check_positive(J0_hat=j0_hat)
         c = (15.0 / 16.0) * j0_hat
         return cls(evaluator=_QuarticBump(c), j0_hat=float(j0_hat))
 
     def __post_init__(self):
-        if not 0.0 < self.j0_hat < math.inf:
-            raise ValidationError("J0_hat must be finite and positive")
+        _check_positive(J0_hat=self.j0_hat)
         probe = np.linspace(0.0, 1.0, 257)
         vals = self.evaluator(probe)
         if np.any(vals < -1e-14):
@@ -292,8 +290,7 @@ class ModelParams:
             raise
 
     def with_tau(self, tau: float) -> "ModelParams":
-        if not 0.0 < tau < math.inf:
-            raise ValidationError("tau must be finite and positive")
+        _check_positive(tau=tau)
         return replace(self, tau=float(tau))
 
     def with_gamma(self, gamma: float) -> "ModelParams":

@@ -97,11 +97,6 @@ class GridProfile:
         """Midpoint coordinates."""
         return (np.arange(self.n) + 0.5) * self.dx
 
-    @property
-    def step_bc(self) -> str:
-        """The bc of sigma_phi: "periodic" on the torus, else "open"."""
-        return "periodic" if self.bc == "periodic" else "open"
-
     def with_samples(self, samples) -> "GridProfile":
         """Same grid, bc and outside data with new samples. Only the samples
         are validated; the outside data was when this profile was built."""
@@ -120,13 +115,6 @@ class GridProfile:
         _check_lengths(L, dx)
         n = int(round(L / dx))
         return cls(L=n * dx, dx=dx, samples=np.full(n, float(value)), bc=bc)
-
-
-def _step_periodic(bc: str) -> bool:
-    """Whether a step profile of ``bc`` (open or periodic) wraps the torus."""
-    if bc not in ("open", "periodic"):
-        raise ValidationError(f"step bc must be open or periodic, not {bc!r}")
-    return bc == "periodic"
 
 
 def _block_cuts(profile: GridProfile, edges) -> np.ndarray:
@@ -269,13 +257,18 @@ def regular_partition(L: float, delta: float, gamma: float) -> BlockPartition:
 
 @dataclass(frozen=True)
 class StepProfile:
-    """Piecewise-constant profile: values[i] on [breakpoints[i], breakpoints[i+1])."""
+    """Piecewise-constant profile: values[i] on [breakpoints[i], breakpoints[i+1]),
+    on the interval [0, L] or, with ``periodic``, on the torus of length L."""
 
     breakpoints: np.ndarray
     values: np.ndarray
     m_bar: Optional[float] = None
+    periodic: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.periodic, bool):
+            raise ValidationError(
+                f"periodic must be True or False, not {self.periodic!r}")
         bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size - 1:
@@ -311,30 +304,31 @@ class StepProfile:
     def mean(self) -> float:
         return float(np.sum(self.widths * self.values) / self.L)
 
-    def n_jumps(self, periodic: bool = False) -> int:
+    def n_jumps(self) -> int:
         """Interfaces (``_interfaces``), the profile as one segment."""
-        return int(_interfaces(self.values, periodic=periodic)[0])
+        return int(_interfaces(self.values, periodic=self.periodic)[0])
 
-    def sign_intervals(self, periodic: bool = False):
+    def sign_intervals(self):
         """Maximal constant-sign intervals as (start, stop, sign) triples:
         the ``runs`` of ``np.sign(values)``, a zero piece one of its own.
 
-        With ``periodic`` the first and last intervals merge when they share
-        a sign; the merged interval is reported first, with the wrapped
+        On the torus the first and last intervals merge when they share a
+        sign; the merged interval is reported first, with the wrapped
         length, starting at its true (unwrapped) left edge, less L.
         """
         signs = np.sign(self.values)
         bp = self.breakpoints
-        first, stops = runs(signs, periodic=periodic)
+        first, stops = runs(signs, periodic=self.periodic)
         lefts = bp[first % signs.size] - (first < 0) * self.L
         return [(a, bp[b], float(signs[i]))
                 for i, a, b in zip(first, lefts, stops)]
 
-    def interval_lengths(self, periodic: bool = False) -> np.ndarray:
-        return np.array([b - a for a, b, _ in self.sign_intervals(periodic)])
+    def interval_lengths(self) -> np.ndarray:
+        return np.array([b - a for a, b, _ in self.sign_intervals()])
 
     def to_grid(self, dx: float, bc: str = "open") -> GridProfile:
         """Midpoint sampling onto a uniform grid (breakpoints need not align)."""
+        _check_lengths(self.L, dx)
         n = int(round(self.L / dx))
         x = (np.arange(n) + 0.5) * dx
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
@@ -342,7 +336,7 @@ class StepProfile:
         return GridProfile(L=n * dx, dx=dx, samples=self.values[idx], bc=bc)
 
     def restrict(self, a: float, b: float) -> "StepProfile":
-        """Restriction to [a, b], re-anchored at 0."""
+        """Restriction to [a, b], re-anchored at 0: an open step profile."""
         if not (a < b <= self.L + 1e-12 and a >= -1e-12):
             raise ValidationError("restriction outside domain")
         keep_bp = [0.0]
@@ -357,12 +351,13 @@ class StepProfile:
                            values=np.array(keep_vals), m_bar=self.m_bar)
 
     @classmethod
-    def from_pieces(cls, pieces, m_bar: Optional[float] = None) -> "StepProfile":
+    def from_pieces(cls, pieces, m_bar: Optional[float] = None,
+                    periodic: bool = False) -> "StepProfile":
         """Build from (width, value) pairs."""
         widths = np.array([w for w, _ in pieces], dtype=float)
         vals = np.array([v for _, v in pieces], dtype=float)
         bp = np.concatenate([[0.0], np.cumsum(widths)])
-        return cls(breakpoints=bp, values=vals, m_bar=m_bar)
+        return cls(breakpoints=bp, values=vals, m_bar=m_bar, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------

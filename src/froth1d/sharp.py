@@ -28,7 +28,7 @@ from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError, _check_count)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
-from .profiles import GridProfile, StepProfile, _step_periodic, runs
+from .profiles import GridProfile, StepProfile, runs
 
 __all__ = [
     "EhCurve",
@@ -322,14 +322,13 @@ def cell_specific_energy(params: ModelParams, sigma: StepProfile,
 
 
 def chessboard_lower_bound(params: ModelParams, step: StepProfile,
-                           gamma: Optional[float] = None, bc: str = "open"
-                           ) -> Tuple[float, list]:
+                           gamma: Optional[float] = None) -> Tuple[float, list]:
     """Reflection-positivity lower bound: sum_i h_i e~_{h_i}[sigma~_i].
 
     Each maximal constant-sign interval is antiperiodized and charged its
     specific energy. Returns (bound, per-interval (h_i, term) pairs) in
     ``sign_intervals`` order. The cells are the ``runs`` of the pieces'
-    signs, with the seam of ``runs`` for periodic bc: the run that wraps
+    signs, with the seam of ``runs`` on the torus: the run that wraps
     comes first, in coordinates from its unwrapped left edge. All cells are
     scored in one array pass, O(pieces) per atom. A torus of one sign run is
     the one cell [0, L), cut at x = 0: the bound holds for a cut anywhere,
@@ -337,7 +336,7 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
     """
     gamma = params.gamma if gamma is None else gamma
     n = step.values.size
-    first = runs(np.sign(step.values), periodic=_step_periodic(bc))[0]
+    first = runs(np.sign(step.values), periodic=step.periodic)[0]
     # pieces from the first cell's left edge on: k pieces wrapped, k >= 0
     k = -first[0]
     values = np.abs(np.append(step.values[n - k:], step.values[:n - k]))

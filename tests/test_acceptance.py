@@ -164,16 +164,16 @@ def test_criterion_05_chessboard(base):
     t0 = time.perf_counter()
     worst = np.inf
     for step in _ink_corpus(params, gamma, L, 100, seed=505):
-        lhs = tilde_energy(params, step, gamma, bc="open")
-        bound, _ = chessboard_lower_bound(params, step, gamma, bc="open")
+        lhs = tilde_energy(params, step, gamma)
+        bound, _ = chessboard_lower_bound(params, step, gamma)
         worst = min(worst, lhs - bound)
     # equality on the exactly periodic profile (periodic functional)
     h = round(h_star)
     k = 10
     sigma_h = StepProfile.from_pieces(
-        [(h, (-1.0) ** j * params.m_beta) for j in range(2 * k)])
-    lhs_per = tilde_energy(params, sigma_h, gamma, bc="periodic")
-    bound_per, _ = chessboard_lower_bound(params, sigma_h, gamma, bc="periodic")
+        [(h, (-1.0) ** j * params.m_beta) for j in range(2 * k)], periodic=True)
+    lhs_per = tilde_energy(params, sigma_h, gamma)
+    bound_per, _ = chessboard_lower_bound(params, sigma_h, gamma)
     rel = abs(lhs_per - bound_per) / abs(bound_per)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-9 * L and rel <= 1e-6 and elapsed < 120.0
@@ -193,7 +193,7 @@ def test_criterion_06_rp_lower_bound(base):
     def fitted_C(L, seed):
         worst = 0.0
         for step in _ink_corpus(params, gamma, L, 100, seed):
-            lhs = tilde_energy(params, step, gamma, bc="open")
+            lhs = tilde_energy(params, step, gamma)
             h_j = step.interval_lengths()
             rhs = (L * e_star
                    + 0.5 * sum(h * (energy_per_length(params, h, gamma)
@@ -252,7 +252,7 @@ def test_criterion_08_froth_emergence(froth_runs):
     p, gamma, h_star, e_star, L, results, elapsed = froth_runs
     best = min(results, key=lambda r: r.energy)
     step, _, _ = coarse_grain(p, best.profile, CoarseGrainConfig(), gamma)
-    lengths = step.interval_lengths(periodic=True)
+    lengths = step.interval_lengths()
     good = lengths[np.abs(lengths / h_star - 1.0) <= 0.2]
     frac = float(good.sum() / L)
     mean_phi = abs(best.profile.mean())
@@ -293,7 +293,7 @@ def test_criterion_09_coarse_grain_certificate(base, froth_runs):
             worst_mass = max(worst_mass,
                              abs(step.restrict(a, b).mean() - rec["mean"]))
         e_phi = total_energy(p, prof, gamma).total
-        e_til = tilde_energy(p, step, gamma, bc="periodic")
+        e_til = tilde_energy(p, step, gamma)
         worst_resid = min(worst_resid, (e_phi - e_til) / prof.L)
     C_fit = max(0.0, -worst_resid) / gamma ** (1.0 - delta)
     elapsed = time.perf_counter() - t0
@@ -391,10 +391,10 @@ def test_criterion_13_gamma_limit_calibration(base):
     for gamma in (1e-3, 1e-4):
         L = L0 * gamma ** (-2.0 / 3.0)
         # square wave has mean zero, so no bulk term to subtract
-        sq = StepProfile.from_pieces([(L / 2.0, m), (L / 2.0, -m)])
+        sq = StepProfile.from_pieces([(L / 2.0, m), (L / 2.0, -m)],
+                                     periodic=True)
         from froth1d.energy import step_dipole_energy
-        ratios[gamma] = step_dipole_energy(params, sq, gamma,
-                                           bc="periodic") / limit_lr
+        ratios[gamma] = step_dipole_energy(params, sq, gamma) / limit_lr
     drift = abs(ratios[1e-3] / ratios[1e-4] - 1.0)
     calibrated = alpha_default * 0.5 * (ratios[1e-3] + ratios[1e-4])
     ok = drift <= 0.10

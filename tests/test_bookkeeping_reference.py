@@ -238,9 +238,9 @@ def test_sign_intervals_matches_reference(pieces, periodic):
     # the torus from the merged interval's unwrapped start, when the first
     # and last runs share a sign), their signs alternate, and each holds
     # the pieces of its sign between two breakpoints
-    step = StepProfile.from_pieces(pieces)
+    step = StepProfile.from_pieces(pieces, periodic=periodic)
     bp, signs = step.breakpoints.tolist(), np.sign(step.values).tolist()
-    got = step.sign_intervals(periodic)
+    got = step.sign_intervals()
     wrap = periodic and len(got) > 1 and got[0][0] < 0.0
     # a wrapped start is a breakpoint less L, to one rounding of L
     assert abs(got[0][0] - (got[-1][1] - step.L if wrap else 0.0)) <= (
@@ -369,7 +369,7 @@ def _good_set_on_torus_by_definition(params, profile, sigma, gamma,
         types.append("plus" if mean >= 0.9 * m_b else
                      "minus" if mean <= -0.9 * m_b else "zero")
     arcs = []
-    for a, b, _ in sigma.sign_intervals(periodic=True):
+    for a, b, _ in sigma.sign_intervals():
         if b - a >= gamma ** -delta1:
             arcs += [(0.0, b), (a + L, L)] if a < 0.0 else [(a, b)]
     keep = [sum(max(0.0, min(hi, y) - max(lo, x)) for x, y in arcs)
@@ -450,7 +450,8 @@ def test_good_set_on_the_torus_matches_definition(params_tau, segments,
                           bc="periodic")
     widths = np.array([w for w, _ in sigma])
     widths *= profile.L / widths.sum()
-    step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])))
+    step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])),
+                                   periodic=True)
     report = good_set(params_tau, profile, step, gamma)
     good, measure, runs, ok = _good_set_on_torus_by_definition(
         params_tau, profile, step, gamma)

@@ -61,8 +61,8 @@ _VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                    st.floats(-1.0, 1.0))
 
 
-def _step(pieces):
-    return StepProfile.from_pieces(pieces, m_bar=0.9)
+def _step(pieces, periodic=False):
+    return StepProfile.from_pieces(pieces, m_bar=0.9, periodic=periodic)
 
 
 def _assert_same_terms(got, want, step):
@@ -92,9 +92,8 @@ def _assert_same_terms(got, want, step):
          atoms=((1.0, 2.0),), periodic=True)
 def test_chessboard_matches_reference(pieces, gamma, atoms, periodic):
     params = _model(gamma, atoms)
-    step = _step(pieces)
-    bc = "periodic" if periodic else "open"
-    _assert_same_terms(chessboard_lower_bound(params, step, gamma, bc=bc),
+    step = _step(pieces, periodic)
+    _assert_same_terms(chessboard_lower_bound(params, step, gamma),
                        dense_chessboard(params, step, gamma, periodic), step)
 
 
@@ -165,9 +164,9 @@ def test_twenty_thousand_pieces(bc):
     widths = rng.uniform(0.05, 2.0, n)
     values = rng.choice([-1.0, 1.0], n) * rng.uniform(0.8, 1.0, n)
     step = StepProfile(breakpoints=np.concatenate([[0.0], np.cumsum(widths)]),
-                       values=values)
-    bound, per = chessboard_lower_bound(params, step, bc=bc)
-    assert len(per) == len(step.sign_intervals(periodic=bc == "periodic"))
+                       values=values, periodic=bc == "periodic")
+    bound, per = chessboard_lower_bound(params, step)
+    assert len(per) == len(step.sign_intervals())
     assert math.isfinite(bound)
     assert bound == pytest.approx(math.fsum(t for _, t in per), rel=1e-12)
 

@@ -9,7 +9,7 @@ from froth1d.energy import dipole_energy, step_dipole_energy, total_energy
 from froth1d.errors import (DomainTooShort, FlatSegmentNotFound,
                             ValidationError)
 from froth1d.instanton import build_trial_profile
-from froth1d.profiles import GridProfile, alpha_L
+from froth1d.profiles import BC_TOKENS, GridProfile, alpha_L
 
 
 @pytest.fixture(scope="module")
@@ -204,9 +204,19 @@ class TestCoarseGrain:
                                                                abs=1e-12)
         assert step.mean() == pytest.approx(trial.mean(), abs=1e-12)
 
+    @pytest.mark.parametrize("bc", BC_TOKENS)
+    def test_sigma_phi_wraps_only_the_torus(self, params_tau, cfg, trial, bc):
+        # the one map from a grid's bc to its sigma_phi's domain: fixed or
+        # reflected outside data stay with the grid energy
+        data = trial.samples[:16] if bc == "custom" else None
+        prof = GridProfile(L=trial.L, dx=trial.dx, samples=trial.samples,
+                           bc=bc, out_left=data, out_right=data)
+        step, _, _ = coarse_grain(params_tau, prof, cfg, 1e-2)
+        assert step.periodic is (bc == "periodic")
+
     def test_trial_intervals_near_h(self, params_tau, cfg, trial):
         step, adapted, _ = coarse_grain(params_tau, trial, cfg, 1e-2)
-        lengths = step.interval_lengths(periodic=True)
+        lengths = step.interval_lengths()
         # intervals of sigma_phi track the trial period up to O(ell_plus)
         assert np.all(np.abs(lengths - 24.0) <= adapted.ell_plus + 1e-9)
 
@@ -227,7 +237,7 @@ class TestCoarseGrain:
                                        bc="open")
             step, _, _ = coarse_grain(params_tau, prof, cfg, gamma)
             v_phi = dipole_energy(params_tau, prof, gamma)
-            v_sig = step_dipole_energy(params_tau, step, gamma, bc="open")
+            v_sig = step_dipole_energy(params_tau, step, gamma)
             ratios.append(abs(v_phi - v_sig)
                           / (prof.L * gamma ** (1 - cfg.delta)))
         assert max(ratios) < 10.0

@@ -42,11 +42,11 @@ def ref_corpus_worst(params, p_used, p_solved, seed, n_step_profiles, fast,
     for k in range(n_profiles):
         rng_k = restart_rng(seed, 100 + k)
         step = random_in_k_step(rng_k, L, params.m_beta, m_bar, h_star)
-        e_tilde = tilde_energy(p_used, step, gamma, bc="open")
-        bound, _ = chessboard_lower_bound(p_used, step, gamma, bc="open")
+        e_tilde = tilde_energy(p_used, step, gamma)
+        bound, _ = chessboard_lower_bound(p_used, step, gamma)
         worst_cb = min(worst_cb, e_tilde - bound)
         excess, well, _ = excess_energy_decomposition(
-            p_solved, step, gamma, h_star, e_star)
+            p_solved, step, gamma, e_star=e_star)
         rhs = L * e_star + 0.5 * excess + well / 4.0
         worst_c000 = min(worst_c000, e_tilde - rhs)
     return worst_cb, worst_c000
@@ -67,7 +67,7 @@ def _per_profile_gaps(p_used, p_solved, steps, gamma, h_star, e_star):
         gaps_cb.append(e_tilde - chessboard_lower_bound(p_used, step,
                                                         gamma)[0])
         excess, well, _ = excess_energy_decomposition(
-            p_solved, step, gamma, h_star, e_star)
+            p_solved, step, gamma, e_star=e_star)
         gaps_c000.append(e_tilde - (step.L * e_star + 0.5 * excess
                                     + well / 4.0))
     return gaps_cb, gaps_c000

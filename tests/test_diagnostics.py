@@ -6,7 +6,7 @@ import pytest
 from froth1d.coarsegrain import CoarseGrainConfig, coarse_grain
 from froth1d.diagnostics import (defect_sets, excess_energy_decomposition,
                                  good_set, histogram_csv, l_wrong)
-from froth1d.errors import ParameterError
+from froth1d.errors import ParameterError, ValidationError
 from froth1d.instanton import build_trial_profile
 from froth1d.profiles import GridProfile, StepProfile
 from froth1d.sharp import energy_per_length, optimal_h
@@ -54,6 +54,19 @@ class TestGoodSet:
         assert rep.good_measure == 0.0
         assert rep.complement_measure == pytest.approx(p.L)
 
+    def test_sigma_phi_on_the_other_domain_rejected(self, params_tau,
+                                                    trial_setup):
+        # an open sigma_phi on the torus, or a periodic one on an interval,
+        # would be read with the seam of the other domain
+        prof, step, _, _ = trial_setup
+        assert step.periodic
+        with pytest.raises(ValidationError, match="must be periodic"):
+            good_set(params_tau, prof, replace(step, periodic=False), 1e-2)
+        line = replace(prof, bc="open")
+        with pytest.raises(ValidationError, match="must be open"):
+            good_set(params_tau, line, step, 1e-2)
+        good_set(params_tau, line, replace(step, periodic=False), 1e-2)
+
     def test_parameter_guards(self, params_tau, trial_setup):
         prof, step, _, _ = trial_setup
         with pytest.raises(ParameterError):
@@ -66,24 +79,23 @@ class TestTorus:
     def test_wrapped_interval_is_one(self, params_tau, trial_setup):
         prof, step, h_star, e_star = trial_setup
         rep = good_set(params_tau, prof, step, 1e-2)
-        h = step.interval_lengths(periodic=True)
+        h = step.interval_lengths()
         assert len(rep.runs) == h.size == 10
         assert rep.h_lengths.tolist() == h.tolist()
         assert rep.runs[0]["interval"][0] < 0.0
         for length in [r["length"] for r in rep.runs] + h.tolist():
             assert abs(length - h_star) < 0.35 * h_star
-        excess, _, per = excess_energy_decomposition(
-            params_tau, step, 1e-2, h_star=h_star, e_star=e_star,
-            bc="periodic")
+        excess, _, per = excess_energy_decomposition(params_tau, step, 1e-2,
+                                                     e_star=e_star)
         assert [hj for hj, _ in per] == h.tolist()
         assert excess == pytest.approx(float(np.sum(
             h * (energy_per_length(params_tau, h, 1e-2) - e_star))),
             rel=1e-12)
-        assert l_wrong(step, h_star, 0.1, 1e-2, bc="periodic") == 0.0
+        assert l_wrong(step, h_star, 0.1, 1e-2) == 0.0
         # read as if [0, L) had ends, the wrapped cell is two half cells,
         # each far from h*
         open_excess, _, open_per = excess_energy_decomposition(
-            params_tau, step, 1e-2, h_star=h_star, e_star=e_star)
+            params_tau, replace(step, periodic=False), 1e-2, e_star=e_star)
         assert len(open_per) == 11 and open_excess > 100.0 * excess
 
 
@@ -181,7 +193,7 @@ class TestExcessDecomposition:
         s = StepProfile.from_pieces([(h_star, (-1.0) ** k * m)
                                      for k in range(12)])
         excess, well, per = excess_energy_decomposition(
-            params_tau, s, gamma, h_star=h_star, e_star=e_star)
+            params_tau, s, gamma, e_star=e_star)
         assert excess == pytest.approx(0.0, abs=1e-10)
         assert well == pytest.approx(0.0, abs=1e-14)
         assert sum(t for _, t in per) == pytest.approx(excess, abs=1e-10)
@@ -194,7 +206,7 @@ class TestExcessDecomposition:
         s = StepProfile.from_pieces([(2 * h_star, (-1.0) ** k * m)
                                      for k in range(n)])
         excess, _, _ = excess_energy_decomposition(
-            params_tau, s, gamma, h_star=h_star, e_star=e_star)
+            params_tau, s, gamma, e_star=e_star)
         L = n * 2 * h_star
         expect = L * (energy_per_length(params_tau, 2 * h_star, gamma) - e_star)
         assert excess == pytest.approx(expect, rel=1e-12)
@@ -207,9 +219,23 @@ class TestExcessDecomposition:
         s = StepProfile.from_pieces([(h_star, (-1.0) ** k * m_bar)
                                      for k in range(8)])
         _, well, _ = excess_energy_decomposition(
-            params_tau, s, gamma, h_star=h_star, e_star=e_star)
+            params_tau, s, gamma, e_star=e_star)
         expect = params_tau.f0 / m ** 2 * (m_bar - m) ** 2 * 8 * h_star
         assert well == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_given_e_star_is_the_solved_one(self, params_tau, periodic):
+        # e* passed in gives, bit for bit, the numbers of e* solved inside
+        gamma = 1e-2
+        _, e_star, _, _ = optimal_h(params_tau, gamma)
+        m = params_tau.m_beta
+        s = StepProfile.from_pieces([(w, (-1.0) ** k * 0.97 * m) for k, w in
+                                     enumerate([30.5, 41.25, 27.0, 55.125])],
+                                    periodic=periodic)
+        given = excess_energy_decomposition(params_tau, s, gamma,
+                                            e_star=e_star)
+        assert given == excess_energy_decomposition(params_tau, s, gamma)
+        assert given[0] > 0.0 and given[1] > 0.0
 
 
 class TestHistogram:

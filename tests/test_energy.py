@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -480,8 +481,8 @@ class TestStepClosedForms:
         # the periodized kernel integrates to 2/(gamma alpha) over a period:
         # (gamma/2) m^2 lam L 2/gamma = m^2 L for one unit-rate atom
         m, L = 0.9, 3.0
-        step = StepProfile.from_pieces([(1.0, m), (L - 1.0, m)])
-        assert step_dipole_energy(params, step, gamma, bc="periodic") == (
+        step = StepProfile.from_pieces([(1.0, m), (L - 1.0, m)], periodic=True)
+        assert step_dipole_energy(params, step, gamma) == (
             pytest.approx(m * m * L, rel=1e-13, abs=0.0))
 
 
@@ -505,13 +506,13 @@ class TestStepDipole:
     def test_matches_dense_matrix(self, pieces, gamma, atoms, bc):
         params = ModelParams.create(beta=2.0, gamma=gamma,
                                     measure=KacMeasure(atoms=atoms))
-        step = StepProfile.from_pieces(pieces)
+        step = StepProfile.from_pieces(pieces, periodic=bc == "periodic")
         # signed profiles cancel; the scale is the same energy with |sigma|,
         # and below the smallest normal float rounding is absolute
         scale = dense_step_dipole_energy(
             params, StepProfile.from_pieces([(w, abs(v)) for w, v in pieces]),
             gamma, bc=bc)
-        got = step_dipole_energy(params, step, gamma, bc=bc)
+        got = step_dipole_energy(params, step, gamma)
         assert abs(got - dense_step_dipole_energy(params, step, gamma, bc=bc)
                    ) <= max(1e-14 * scale, np.finfo(float).tiny)
 
@@ -525,28 +526,29 @@ class TestStepDipole:
         widths = rng.uniform(0.05, 2.0, 20_000)
         edges = np.append(0.0, np.cumsum(widths))
         m, gamma, L = 0.9, 1e-3, edges[-1]
-        const = StepProfile(breakpoints=edges, values=np.full(widths.size, m))
+        const = StepProfile(breakpoints=edges, values=np.full(widths.size, m),
+                            periodic=bc == "periodic")
         want = 0.0
         for w_k, a_k in two_atom_params.measure.atoms:
             b = gamma * a_k
             want += w_k * (2.0 * L / b if bc == "periodic" else
                            2.0 / b / b * (math.expm1(-b * L) + b * L))
         want *= 0.5 * gamma * m * m
-        assert step_dipole_energy(two_atom_params, const, gamma, bc=bc) == (
+        assert step_dipole_energy(two_atom_params, const, gamma) == (
             pytest.approx(want, rel=1e-11))
         values = rng.choice([-1.0, 1.0], widths.size) * rng.uniform(
             0.8, 1.0, widths.size)
-        step = StepProfile(breakpoints=edges, values=values)
-        got = step_dipole_energy(two_atom_params, step, gamma, bc=bc)
+        step = replace(const, values=values)
+        got = step_dipole_energy(two_atom_params, step, gamma)
         assert math.isfinite(got) and got > 0.0
         if bc == "periodic":
             k = 7_000
-            rotated = StepProfile(
-                breakpoints=np.append(0.0, np.cumsum(np.roll(widths, -k))),
+            rotated = replace(
+                step, breakpoints=np.append(0.0, np.cumsum(np.roll(widths, -k))),
                 values=np.roll(values, -k))
-            scale = step_dipole_energy(two_atom_params, const, gamma, bc=bc)
-            assert abs(step_dipole_energy(two_atom_params, rotated, gamma,
-                                          bc=bc) - got) <= 1e-11 * scale
+            scale = step_dipole_energy(two_atom_params, const, gamma)
+            assert abs(step_dipole_energy(two_atom_params, rotated, gamma)
+                       - got) <= 1e-11 * scale
 
 
 class TestTildeEnergy:
@@ -564,7 +566,8 @@ class TestTildeEnergy:
         # the tilde_energy of its step profile alone
         params = ModelParams.create(beta=2.0, gamma=1e-2, tau=0.2,
                                     measure=KacMeasure(atoms=atoms))
-        steps = [StepProfile.from_pieces(p) for p in profiles]
+        steps = [StepProfile.from_pieces(p, periodic=bc == "periodic")
+                 for p in profiles]
         terms = _step_terms(
             params, gamma, np.concatenate([s.values for s in steps]),
             np.concatenate([s.breakpoints[:-1] for s in steps]),
@@ -574,7 +577,7 @@ class TestTildeEnergy:
         for k, step in enumerate(steps):
             well, surface, dipole = (float(t[k]) for t in terms)
             assert well + surface + dipole == tilde_energy(params, step,
-                                                           gamma, bc=bc)
+                                                           gamma)
 
     def test_constant_dipole_only(self, params_tau):
         s = StepProfile.from_pieces([(40.0, params_tau.m_beta)])

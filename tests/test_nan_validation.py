@@ -16,7 +16,8 @@ import pytest
 from froth1d.cli import main
 from froth1d.energy import (dipole_energy, energy_gradient,
                             step_dipole_energy, tilde_energy, total_energy)
-from froth1d.coarsegrain import CoarseGrainConfig
+from froth1d.coarsegrain import CoarseGrainConfig, classify_blocks
+from froth1d.diagnostics import defect_sets, good_set, l_wrong
 from froth1d.errors import DomainError, InvariantError, ValidationError
 from froth1d.instanton import build_trial_profile, solve_instanton
 from froth1d.minimize import (MinimizeOptions, minimize_energy,
@@ -28,6 +29,25 @@ from froth1d.sharp import eh_curve, energy_per_length
 
 NAN = math.nan
 INF = math.inf
+
+
+def _cell_pairs():
+    """A 512-sample torus of four +-0.95 cell pairs and its step profile."""
+    samples = np.repeat(np.tile([0.95, -0.95], 4), 64)
+    grid = GridProfile(L=64.0, dx=0.125, samples=samples, bc="periodic")
+    return grid, StepProfile.from_pieces([(8.0, v) for v in samples[::64]],
+                                         periodic=True)
+
+
+def _classify(p, multiplier):
+    grid = _cell_pairs()[0]
+    blocks = regular_partition(grid.L, 0.2, 1e-2).snapped(grid.dx)
+    return classify_blocks(p, grid, blocks, cutoff_multiplier=multiplier)
+
+
+def _defects(p, h_star):
+    grid, step = _cell_pairs()
+    return defect_sets(good_set(p, grid, step), p, 0.1, 0.1, h_star)
 
 
 def _nan_profile_file(tmp_path):
@@ -149,6 +169,22 @@ SITES = [
      lambda p, tmp, inst: alpha_L(100.0, 0.2, -0.5)),
     ("regular partition delta", ValidationError,
      lambda p, tmp, inst: regular_partition(100.0, NAN, 1e-2)),
+    ("step to_grid dx", ValidationError,
+     lambda p, tmp, inst: _cell_pairs()[1].to_grid(NAN)),
+    ("block cutoff multiplier", ValidationError,
+     lambda p, tmp, inst: _classify(p, NAN)),
+    ("negative block cutoff multiplier", ValidationError,
+     lambda p, tmp, inst: _classify(p, -1.0)),
+    ("wrong-length epsilon", ValidationError,
+     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], 8.0, NAN, 1e-2)),
+    ("wrong-length h_star", ValidationError,
+     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], NAN, 0.1, 1e-2)),
+    ("negative wrong-length h_star", ValidationError,
+     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], -1.0, 0.1, 1e-2)),
+    ("defect sets h_star", ValidationError,
+     lambda p, tmp, inst: _defects(p, NAN)),
+    ("negative defect sets h_star", ValidationError,
+     lambda p, tmp, inst: _defects(p, -5.0)),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from froth1d.coarsegrain import classify_blocks
 from froth1d.energy import short_range_energy
 from froth1d.errors import (AlignmentError, DomainTooShort, InvariantError,
                             ParseError, ValidationError)
-from froth1d.profiles import (BC_TOKENS, BlockPartition, GridProfile,
+from froth1d.profiles import (BlockPartition, GridProfile,
                               StepProfile,
                               _block_cuts, _block_means, alpha_L, block_type,
                               load_profile, runs, save_profile)
@@ -231,13 +232,6 @@ class TestGridProfile:
         with pytest.raises(InvariantError):
             p.with_samples(np.full(32, 1.5))
 
-    @pytest.mark.parametrize("bc", BC_TOKENS)
-    def test_step_bc(self, bc):
-        # the one map from a grid's bc to its step profiles': sigma_phi
-        # wraps only the torus, and fixed or reflected data leave it open
-        p = GridProfile.constant(0.5, L=4.0, dx=0.125, bc=bc)
-        assert p.step_bc == ("periodic" if bc == "periodic" else "open")
-
 
 class TestStepProfile:
     def test_mean_and_jumps(self):
@@ -245,7 +239,7 @@ class TestStepProfile:
                         values=np.array([0.5, -0.5]))
         assert s.mean() == pytest.approx((0.5 - 1.0) / 3.0)
         assert s.n_jumps() == 1
-        assert s.n_jumps(periodic=True) == 2
+        assert replace(s, periodic=True).n_jumps() == 2
 
     def test_in_K_consistency(self, params):
         m_bar = 0.3
@@ -264,8 +258,8 @@ class TestStepProfile:
         assert [(a, b) for a, b, _ in runs] == [(0.0, 2.0), (2.0, 4.0)]
         # periodic wrap merge when end signs agree
         s2 = StepProfile(breakpoints=np.array([0.0, 1.0, 3.0, 4.0]),
-                         values=np.array([0.5, -0.4, 0.6]))
-        runs2 = s2.sign_intervals(periodic=True)
+                         values=np.array([0.5, -0.4, 0.6]), periodic=True)
+        runs2 = s2.sign_intervals()
         assert len(runs2) == 2
         assert runs2[0][1] - runs2[0][0] == pytest.approx(2.0)  # wrapped + run
 
@@ -277,6 +271,43 @@ class TestStepProfile:
         total = sum(w * v for w, v in pieces)
         length = sum(w for w, _ in pieces)
         assert s.mean() == pytest.approx(total / length, rel=1e-12, abs=1e-12)
+
+    def test_periodic_is_kept_by_from_pieces_and_replace(self):
+        s = StepProfile.from_pieces([(1.0, 0.5), (2.0, -0.5), (1.0, 0.5)],
+                                    m_bar=0.4, periodic=True)
+        assert s.periodic is True and s.m_bar == 0.4
+        assert s.n_jumps() == 2 and s.interval_lengths().tolist() == [2.0, 2.0]
+        opened = replace(s, periodic=False)
+        assert opened.periodic is False and opened.m_bar == 0.4
+        assert opened.n_jumps() == 2 and len(opened.sign_intervals()) == 3
+        again = replace(opened, periodic=True)
+        assert again.periodic is True and again.n_jumps() == 2
+        assert replace(s, m_bar=None).periodic is True
+
+    def test_restrict_gives_an_open_step(self):
+        s = StepProfile.from_pieces([(1.0, 0.5), (2.0, -0.5), (1.0, 0.5)],
+                                    periodic=True)
+        part = s.restrict(0.0, 4.0)
+        assert part.periodic is False and part.n_jumps() == 2
+        assert s.restrict(0.5, 2.0).periodic is False
+
+    @pytest.mark.parametrize("periodic", ["periodic", "open", 1, 0, None,
+                                          np.bool_(True)])
+    def test_non_bool_periodic_rejected(self, periodic):
+        # a bc token, a number or None is not read as either domain: a
+        # misspelt "periodic" read as open would cut the run that wraps
+        with pytest.raises(ValidationError, match="periodic must be"):
+            StepProfile(breakpoints=[0.0, 1.0, 2.0], values=[0.9, -0.9],
+                        periodic=periodic)
+        with pytest.raises(ValidationError, match="periodic must be"):
+            StepProfile.from_pieces([(1.0, 0.9)], periodic=periodic)
+
+    @pytest.mark.parametrize("dx", [math.nan, math.inf, 0.0, -0.25])
+    def test_to_grid_rejects_a_bad_dx(self, dx):
+        # int(round(nan)) raised a bare ValueError before dx was checked
+        s = StepProfile.from_pieces([(1.0, 0.5), (1.0, -0.5)])
+        with pytest.raises(ValidationError, match="finite and positive"):
+            s.to_grid(dx)
 
 
 class TestPartitionTiling:

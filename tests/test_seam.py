@@ -15,6 +15,7 @@ pinned on one profile.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 from dense_pair_integral import dense_chessboard
 from froth1d.diagnostics import excess_energy_decomposition, good_set, l_wrong
 from froth1d.energy import step_dipole_energy, tilde_energy
-from froth1d.errors import ValidationError
 from froth1d.minimize import _wall_runs
 from froth1d.model import eval_tilde_F
 from froth1d.profiles import GridProfile, StepProfile, regular_partition
@@ -44,15 +44,15 @@ def _level(params, code):
 def _rolled(step, r):
     """``step`` started at its breakpoint r: pieces rotated, anchored at 0."""
     widths = np.roll(step.widths, -r)
-    return StepProfile(breakpoints=np.append(0.0, np.cumsum(widths)),
-                       values=np.roll(step.values, -r))
+    return replace(step, breakpoints=np.append(0.0, np.cumsum(widths)),
+                   values=np.roll(step.values, -r))
 
 
 def _arcs(step, origin):
     """The periodic sign intervals as (start mod L, length, sign), the start
     in the coordinates whose 0 is ``origin`` of this profile's own."""
     return [((a + origin) % step.L, b - a, sign)
-            for a, b, sign in step.sign_intervals(periodic=True)]
+            for a, b, sign in step.sign_intervals()]
 
 
 def _is_rotation(seq, other):
@@ -72,7 +72,7 @@ def _is_rotation(seq, other):
 def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     p = params_tau
     step = StepProfile.from_pieces([(w / 64.0, _level(p, v))
-                                    for w, v in pieces])
+                                    for w, v in pieces], periodic=True)
     n = step.values.size
     r = shift % n
     rolled = _rolled(step, r)
@@ -84,14 +84,14 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
         assert _is_rotation(arcs, rolled_arcs)
     else:
         assert [a[1:] for a in rolled_arcs] == [a[1:] for a in arcs]
-    assert _is_rotation(step.interval_lengths(True).tolist(),
-                        rolled.interval_lengths(True).tolist())
-    assert rolled.n_jumps(True) == step.n_jumps(True)
+    assert _is_rotation(step.interval_lengths().tolist(),
+                        rolled.interval_lengths().tolist())
+    assert rolled.n_jumps() == step.n_jumps()
     h_star, e_star, _, _ = optimal_h(p, GAMMA)
     # lengths are exact, so the same intervals are wrong by the same test,
     # and their dyadic sum is exact in any order
-    assert (l_wrong(rolled, h_star, 0.1, GAMMA, bc="periodic")
-            == l_wrong(step, h_star, 0.1, GAMMA, bc="periodic"))
+    assert (l_wrong(rolled, h_star, 0.1, GAMMA)
+            == l_wrong(step, h_star, 0.1, GAMMA))
 
     # E~: the surface term counts the same interfaces. The well term sums n
     # nonnegative terms, in two orders: n roundings of it a side. The
@@ -100,13 +100,12 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # |sigma| bounds the magnitude M of everything summed; a side rounds
     # each term a few times (expm1, exp, the Taylor sum, a product), the
     # doubling scan log2(n) times and the reduction n times
-    e0, parts0 = tilde_energy(p, step, GAMMA, bc="periodic", breakdown=True)
-    e1, parts1 = tilde_energy(p, rolled, GAMMA, bc="periodic", breakdown=True)
+    e0, parts0 = tilde_energy(p, step, GAMMA, breakdown=True)
+    e1, parts1 = tilde_energy(p, rolled, GAMMA, breakdown=True)
     assert parts1["surface"] == parts0["surface"]
     well = float(np.sum(step.widths * eval_tilde_F(step.values, p)))
-    size = StepProfile(breakpoints=step.breakpoints,
-                       values=np.abs(step.values))
-    dip = step_dipole_energy(p, size, GAMMA, bc="periodic")
+    dip = step_dipole_energy(p, replace(step, values=np.abs(step.values)),
+                             GAMMA)
     well_tol = 2.0 * n * _EPS * well
     dip_tol = 2.0 * (n + 2.0 * math.log2(n + 1) + 32.0) * _EPS * dip
     assert abs(parts1["well"] - parts0["well"]) <= well_tol
@@ -117,10 +116,9 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # the excess: each interval's term depends on its exact length alone,
     # and the terms are summed in two orders (k roundings a side); the well
     # integral sums n nonnegative terms
-    ex0, w0, per0 = excess_energy_decomposition(
-        p, step, GAMMA, h_star=h_star, e_star=e_star, bc="periodic")
-    ex1, w1, per1 = excess_energy_decomposition(
-        p, rolled, GAMMA, h_star=h_star, e_star=e_star, bc="periodic")
+    ex0, w0, per0 = excess_energy_decomposition(p, step, GAMMA, e_star=e_star)
+    ex1, w1, per1 = excess_energy_decomposition(p, rolled, GAMMA,
+                                                e_star=e_star)
     assert _is_rotation(per0, per1)
     assert abs(ex1 - ex0) <= 2.0 * len(per0) * _EPS * sum(
         abs(t) for _, t in per0)
@@ -130,8 +128,8 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # one cell cut at x = 0, and there the bound moves with the cut
     if len(arcs) < 2:
         return
-    b0, cells0 = chessboard_lower_bound(p, step, GAMMA, bc="periodic")
-    b1, cells1 = chessboard_lower_bound(p, rolled, GAMMA, bc="periodic")
+    b0, cells0 = chessboard_lower_bound(p, step, GAMMA)
+    b1, cells1 = chessboard_lower_bound(p, rolled, GAMMA)
     # a cell is scored in its own coordinates, so only the order of the
     # roundings differs: each side within half of (8 n + 128) eps of the
     # magnitude of the cell's terms (the bound that the dense oracle of
@@ -178,7 +176,7 @@ def _ring_report(params, samples, L):
     long sign interval, so that every block is kept and the good set is the
     whole ring."""
     profile = GridProfile(L=L, dx=1.0 / 8.0, samples=samples, bc="periodic")
-    sigma = StepProfile.from_pieces([(L, 0.9)])
+    sigma = StepProfile.from_pieces([(L, 0.9)], periodic=True)
     report = good_set(params, profile, sigma, GAMMA)
     assert report.good_intervals == [(0.0, L)]
     return report
@@ -241,23 +239,19 @@ def test_a_zero_piece_carries_no_interface(params_tau, v, energy, jumps,
 
 
 @pytest.mark.parametrize("reader", ["chessboard", "l_wrong", "excess"])
-def test_step_profile_readers_reject_an_unknown_bc(params_tau, reader):
-    # a bc other than open or periodic raises, as the step energies do: a
-    # misspelt "periodic" read as open would cut the run that wraps the
-    # seam in two. On this torus the wrapped run is one interval of h*
+def test_step_profile_readers_read_the_domain(params_tau, reader):
+    # the readers take the domain from the step profile: on this torus the
+    # run that wraps is one interval of h*, and on the open line it is two
+    # intervals of h*/2
     h_star, e_star, _, _ = optimal_h(params_tau, GAMMA)
     m = params_tau.m_beta
     step = StepProfile.from_pieces([(h_star / 2, m), (h_star, -m),
                                     (h_star / 2, m)])
     read = {
-        "chessboard": lambda bc: chessboard_lower_bound(params_tau, step,
-                                                        GAMMA, bc=bc)[0],
-        "l_wrong": lambda bc: l_wrong(step, h_star, 0.3, GAMMA, bc=bc),
-        "excess": lambda bc: excess_energy_decomposition(
-            params_tau, step, GAMMA, h_star=h_star, e_star=e_star,
-            bc=bc)[0],
+        "chessboard": lambda s: chessboard_lower_bound(params_tau, s,
+                                                       GAMMA)[0],
+        "l_wrong": lambda s: l_wrong(s, h_star, 0.3, GAMMA),
+        "excess": lambda s: excess_energy_decomposition(
+            params_tau, s, GAMMA, e_star=e_star)[0],
     }[reader]
-    assert read("periodic") != read("open")
-    for bc in ("perodic", "neumann", "plus", "bogus"):
-        with pytest.raises(ValidationError, match="open or periodic"):
-            read(bc)
+    assert read(replace(step, periodic=True)) != read(step)

@@ -216,21 +216,6 @@ class TestEhBounds:
             check_eh_bounds(params_tau)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1e-2])
-@pytest.mark.parametrize("energy", [tilde_energy, step_dipole_energy])
-def test_step_energies_reject_an_unknown_bc_at_every_gamma(params, energy,
-                                                           gamma):
-    # gamma = 0 has no dipole, but the bc is still checked: a misspelt
-    # "periodic" read as open would drop the seam's interface
-    step = StepProfile(breakpoints=np.array([0.0, 1.0, 2.0]),
-                       values=np.array([0.9, -0.9]))
-    p = params.with_tau(0.2)
-    for bc in ("perodic", "bogus", "neumann"):
-        with pytest.raises(ValidationError):
-            energy(p, step, gamma, bc=bc)
-    assert energy(p, step, gamma, bc="open") >= 0.0
-
-
 class TestTildeVKernel:
     def test_closed_form_vs_truncated_sum(self):
         rng = restart_rng(3, 0)
@@ -329,9 +314,10 @@ class TestChessboard:
         h = round(h_star)
         k = 6
         m = params_tau.m_beta
-        s = StepProfile.from_pieces([(h, (-1.0) ** j * m) for j in range(2 * k)])
-        bound, per = chessboard_lower_bound(params_tau, s, gamma, bc="periodic")
-        lhs = tilde_energy(params_tau, s, gamma, bc="periodic")
+        s = StepProfile.from_pieces([(h, (-1.0) ** j * m) for j in range(2 * k)],
+                                    periodic=True)
+        bound, per = chessboard_lower_bound(params_tau, s, gamma)
+        lhs = tilde_energy(params_tau, s, gamma)
         L = 2 * k * h
         assert bound == pytest.approx(L * energy_per_length(params_tau, h, gamma),
                                       rel=1e-12)
@@ -346,13 +332,13 @@ class TestChessboard:
         for k in range(25):
             rng = restart_rng(77, k)
             s = random_in_k_step(rng, L, params_tau.m_beta, m_bar, h_star)
-            lhs = tilde_energy(params_tau, s, gamma, bc="open")
-            bound, _ = chessboard_lower_bound(params_tau, s, gamma, bc="open")
+            lhs = tilde_energy(params_tau, s, gamma)
+            bound, _ = chessboard_lower_bound(params_tau, s, gamma)
             assert lhs - bound >= -1e-9 * L
 
     def test_single_interval(self, params_tau):
         s = StepProfile.from_pieces([(50.0, params_tau.m_beta)])
-        bound, per = chessboard_lower_bound(params_tau, s, 1e-2, bc="open")
+        bound, per = chessboard_lower_bound(params_tau, s, 1e-2)
         assert len(per) == 1
         assert bound == pytest.approx(
             50.0 * cell_specific_energy(params_tau, s, gamma=1e-2), rel=1e-12)
@@ -461,12 +447,13 @@ class TestStepProfilesAgainstImageSum:
         params = _TWO_ATOMS if two_atoms else _ONE_ATOM
         signs = [first * (-1.0) ** r for r in range(len(runs))]
         step = StepProfile.from_pieces([(w, s * v) for s, run in
-                                        zip(signs, runs) for w, v in run])
+                                        zip(signs, runs) for w, v in run],
+                                       periodic=bc == "periodic")
         cells = [list(run) for run in runs]
         if bc == "periodic" and len(runs) > 1 and signs[0] == signs[-1]:
             # the wrapped interval, from its unwrapped left edge, comes first
             cells = [cells[-1] + cells[0]] + cells[1:-1]
-        bound, per = chessboard_lower_bound(params, step, gamma, bc=bc)
+        bound, per = chessboard_lower_bound(params, step, gamma)
         assert len(per) == len(cells)
         for (h, term), cell in zip(per, cells):
             widths = [w for w, _ in cell]
@@ -490,7 +477,7 @@ class TestStepProfilesAgainstImageSum:
         # is no less than the smallest normal number: below it rounding is
         # absolute (a value of 1.8e-159 gives an energy of 3.2e-318)
         params = _TWO_ATOMS if two_atoms else _ONE_ATOM
-        step = StepProfile.from_pieces(pieces)
+        step = StepProfile.from_pieces(pieces, periodic=True)
         values, edges, L = step.values, step.breakpoints, step.L
         n_max = int(math.ceil(45.0 / (gamma * L))) + 1
 
@@ -506,8 +493,8 @@ class TestStepProfilesAgainstImageSum:
         coarse, fine = (0.5 * gamma * quadrature_pairs(values, edges, kernel,
                                                       p) for p in (1, 2))
         scale = step_dipole_energy(params, StepProfile.from_pieces(
-            [(w, abs(v)) for w, v in pieces]), gamma, bc="periodic")
-        got = step_dipole_energy(params, step, gamma, bc="periodic")
+            [(w, abs(v)) for w, v in pieces], periodic=True), gamma)
+        got = step_dipole_energy(params, step, gamma)
         assert abs(got - fine) <= abs(coarse - fine) + max(
             32.0 * np.finfo(float).eps * scale, np.finfo(float).tiny)
 
