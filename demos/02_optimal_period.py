@@ -15,12 +15,12 @@ params = params.with_tau(inst.tau)
 
 print("gamma      h*        h*_asym   ratio     e(h*)       e*_asym     ratio")
 for gamma in (1e-2, 1e-3, 1e-4):
-    h, e, ha, ea = optimal_h(params, gamma)
+    h, e, ha, ea = optimal_h(params.with_gamma(gamma))
     print(f"{gamma:7.0e}  {h:8.3f}  {ha:8.3f}  {h/ha:.5f}  "
           f"{e:.4e}  {ea:.4e}  {e/ea:.5f}")
 print("\nthe ratios approach 1 like 1 + O(gamma^(2/3)).")
 
-curve = eh_curve(params, 1e-2, n_samples=12, span=(0.25, 4.0))
+curve = eh_curve(params, n_samples=12, span=(0.25, 4.0))
 print("\nsampled curve at gamma = 1e-2:")
 print("    h        e(h)       e(h)-e(h*)")
 for h, e in zip(curve.h, curve.e):
@@ -29,9 +29,9 @@ for h, e in zip(curve.h, curve.e):
 # limits: h -> 0 is dominated by the interface cost, h -> infinity by the
 # unscreened long-range energy
 h_small = 0.01 * curve.h_star
-print(f"\nh = 0.01 h*: h e(h) = {h_small * energy_per_length(params, h_small, 1e-2):.4f}"
+print(f"\nh = 0.01 h*: h e(h) = {h_small * energy_per_length(params, h_small):.4f}"
       f"  -> tau = {params.tau:.4f}")
-print(f"h = 1e9:     e(h) = {energy_per_length(params, 1e9, 1e-2):.6f}"
+print(f"h = 1e9:     e(h) = {energy_per_length(params, 1e9):.6f}"
       f"  -> m_beta^2 = {params.m_beta**2:.6f}")
 
 with open("eh_curve.csv", "w") as fh:

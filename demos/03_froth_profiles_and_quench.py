@@ -40,7 +40,7 @@ cfg = CoarseGrainConfig()
 
 
 def pattern_stats(profile):
-    step, _, _ = coarse_grain(params, profile, cfg, gamma)
+    step, _, _ = coarse_grain(params, profile, cfg)
     lengths = step.interval_lengths()
     frac = lengths[np.abs(lengths / h_star - 1) <= 0.2].sum() / profile.L
     return lengths, frac
@@ -77,7 +77,7 @@ print(f"   frozen intervals ~ {lengths.mean():.2f}: {100 * frac:.0f}% of "
 print("   the pattern equilibrates at the scale where exchange attraction")
 print("   dies out; removing a wall pair costs energy before it pays, so")
 print("   plain descent never reaches the h* period.")
-best, table = multistart(params, gamma, L, "periodic", 4, opts, dx=dx)
+best, table = multistart(params, L, "periodic", 4, opts, dx=dx)
 lengths, frac = pattern_stats(best.profile)
 print("   multistart on the same starts (descent + wall-pair annihilation):")
 print(f"   E/L = {best.energy / L:.6f} = {best.energy / L / e_star:.3f} e(h*), "

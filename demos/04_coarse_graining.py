@@ -33,7 +33,7 @@ rng = np.random.default_rng(4)
 prof = prof.with_samples(np.clip(prof.samples
                                  + 0.15 * rng.standard_normal(prof.n), -1, 1))
 
-step, adapted, trace = coarse_grain(params, prof, cfg, gamma)
+step, adapted, trace = coarse_grain(params, prof, cfg)
 print(f"\nadapted partition: {adapted.partition.n_blocks} blocks of size "
       f"~{adapted.ell_plus:.2f} in [{adapted.partition.widths.min():.2f}, "
       f"{adapted.partition.widths.max():.2f}]")
@@ -50,9 +50,9 @@ print(f"sign intervals of sigma_phi: "
       f"{np.round(step.interval_lengths(), 2)}")
 
 e_phi = total_energy(params, prof, gamma).total
-e_tilde = tilde_energy(params, step, gamma)
+e_tilde = tilde_energy(params, step)
 print(f"\nE[phi]          = {e_phi:.6f}")
 print(f"E~[sigma_phi]   = {e_tilde:.6f}")
-cert = lower_bound_certificate(params, prof, gamma, cfg)
+cert = lower_bound_certificate(params, prof, cfg)
 print(f"lower-bound certificate: pass={cert.passed}  "
       f"residual/L = {cert.lhs:+.2e}  allowance = {-cert.rhs:.2e}")

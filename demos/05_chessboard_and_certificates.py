@@ -28,10 +28,10 @@ h_star, e_star, _, _ = optimal_h(params)
 h = round(h_star)
 sigma = StepProfile.from_pieces([(h, (-1.0) ** k * params.m_beta)
                                  for k in range(12)], periodic=True)
-lhs = tilde_energy(params, sigma, gamma)
-bound, per = chessboard_lower_bound(params, sigma, gamma)
+lhs = tilde_energy(params, sigma)
+bound, per = chessboard_lower_bound(params, sigma)
 print(f"periodic sigma_h, h={h}: E~ = {lhs:.8f}, chessboard = {bound:.8f}, "
-      f"L e(h) = {12 * h * energy_per_length(params, h, gamma):.8f}")
+      f"L e(h) = {12 * h * energy_per_length(params, h):.8f}")
 
 # the inequality on a random in-K corpus
 m_bar = CoarseGrainConfig().m_bar(params.m_beta, gamma)
@@ -39,8 +39,8 @@ L = 20.0 * h_star
 slacks = []
 for k in range(30):
     step = random_in_k_step(restart_rng(55, k), L, params.m_beta, m_bar, h_star)
-    e_tilde = tilde_energy(params, step, gamma)
-    b, _ = chessboard_lower_bound(params, step, gamma)
+    e_tilde = tilde_energy(params, step)
+    b, _ = chessboard_lower_bound(params, step)
     slacks.append(e_tilde - b)
 slacks = np.array(slacks)
 print(f"\nrandom corpus (30 profiles, L = 20 h*): slack E~ - bound in "

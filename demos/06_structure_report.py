@@ -14,8 +14,7 @@ from froth1d import (CoarseGrainConfig, ModelParams, build_trial_profile,
                      solve_instanton)
 from froth1d.diagnostics import excess_energy_decomposition, histogram_csv
 
-gamma = 1e-2
-params = ModelParams.create(beta=2.0, gamma=gamma)
+params = ModelParams.create(beta=2.0, gamma=1e-2)
 inst = solve_instanton(params)
 params = params.with_tau(inst.tau)
 h_star, e_star, _, _ = optimal_h(params)
@@ -23,9 +22,9 @@ h_star, e_star, _, _ = optimal_h(params)
 dx = 1.0 / 64.0
 h = round(h_star / dx) * dx
 prof = build_trial_profile(h, 10 * h, inst, bc="periodic")
-step, _, _ = coarse_grain(params, prof, CoarseGrainConfig(), gamma)
+step, _, _ = coarse_grain(params, prof, CoarseGrainConfig())
 
-report = good_set(params, prof, step, gamma)
+report = good_set(params, prof, step)
 print(f"L = {prof.L:.1f}, good set |G| = {report.good_measure:.1f} "
       f"({100 * report.good_measure / prof.L:.1f}%), "
       f"{len(report.good_intervals)} component(s)")
@@ -38,10 +37,9 @@ print("  ...")
 x1, x2 = defect_sets(report, params, epsilon=0.1, epsilon_prime=0.1,
                      h_star=h_star)
 print(f"\ndefect measures: |X1| = {x1:.2f}, |X2| = {x2:.2f}")
-print(f"L_wrong = {l_wrong(step, h_star, 0.1, gamma):.2f}")
+print(f"L_wrong = {l_wrong(params, step, h_star, 0.1):.2f}")
 
-excess, well, _ = excess_energy_decomposition(params, step, gamma,
-                                              e_star=e_star)
+excess, well, _ = excess_energy_decomposition(params, step, e_star=e_star)
 print(f"excess sum h_j (e(h_j) - e(h*)) = {excess:.3e}")
 print(f"well integral (F(0)/m^2) int (|sigma| - m)^2 = {well:.3e}")
 

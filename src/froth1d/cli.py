@@ -260,8 +260,8 @@ def cmd_minimize(config: dict, out: Path, seed: int) -> int:
         n_cells = max(2, int(round(L / cell)) // 2 * 2)
         init = build_trial_profile(cell, n_cells * cell, inst, bc=bc, dx=dx)
         L = init.L
-    best, table = multistart(params, params.gamma, L, bc,
-                             sec.get("n_starts", 8), options, dx=dx, init=init)
+    best, table = multistart(params, L, bc, sec.get("n_starts", 8), options,
+                             dx=dx, init=init)
     save_profile(best.profile, out / "minimized.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
     rows = [_csv_header(config).rstrip("\n"), "iter,energy,grad_norm,step"]
@@ -314,7 +314,7 @@ def cmd_coarse_grain(config: dict, out: Path, seed: int) -> int:
     save_profile(step.to_grid(profile.dx, bc=profile.bc),
                  out / "sigma.profile",
                  comments=[f"config_sha256 {_config_hash(config)}"])
-    cert = _step_certificate(params, profile, step, params.gamma, cfg)
+    cert = _step_certificate(params, profile, step, cfg)
     _write_json(out / "coarsegrain.json", {
         "trace": [{"interval": [fmt17(t["interval"][0]), fmt17(t["interval"][1])],
                    "label": t["label"], "case": t["case"],
@@ -349,7 +349,7 @@ def cmd_report(config: dict, out: Path, seed: int) -> int:
     h_star, e_star, _, _ = optimal_h(params)
     eps, epsp = sec.get("epsilon", 0.1), sec.get("epsilon_prime", 0.1)
     defect_sets(report, params, eps, epsp, h_star)
-    report.l_wrong = l_wrong(step, h_star, eps, params.gamma)
+    report.l_wrong = l_wrong(params, step, h_star, eps)
     excess, well, _ = excess_energy_decomposition(params, step, e_star=e_star)
     report.excess = excess
     report.tildeF_integral = well

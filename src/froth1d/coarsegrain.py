@@ -105,7 +105,6 @@ def _small_block_means(profile: GridProfile, ell_minus: float) -> np.ndarray:
 
 def find_flat_segment(params: ModelParams, profile: GridProfile,
                       block: Tuple[float, float], config: CoarseGrainConfig,
-                      gamma: Optional[float] = None,
                       margin_left: Optional[float] = None,
                       margin_right: Optional[float] = None):
     """Longest run of small blocks with mean within gamma^rho of +-m_beta.
@@ -117,7 +116,6 @@ def find_flat_segment(params: ModelParams, profile: GridProfile,
     one-block case of the search ``adapted_partition`` makes for all its
     blocks at once.
     """
-    gamma = params.gamma if gamma is None else gamma
     means = _small_block_means(profile, config.ell_minus)
     a, b = block
     ml = (b - a) / 4.0 if margin_left is None else margin_left
@@ -126,7 +124,8 @@ def find_flat_segment(params: ModelParams, profile: GridProfile,
     if j1 <= j0:
         raise FlatSegmentNotFound("no admissible small blocks in the block core")
     omega, start, run = _flat_segments(params.m_beta, means, np.array([j0]),
-                                       np.array([j1]), gamma ** config.rho)
+                                       np.array([j1]),
+                                       params.gamma ** config.rho)
     if omega[0] == 0.0:
         raise FlatSegmentNotFound("no small block stays near +-m_beta")
     lm = config.ell_minus
@@ -200,8 +199,7 @@ class AdaptedPartition:
 
 
 def adapted_partition(params: ModelParams, profile: GridProfile,
-                      config: CoarseGrainConfig,
-                      gamma: Optional[float] = None) -> AdaptedPartition:
+                      config: CoarseGrainConfig) -> AdaptedPartition:
     """Replace boundary lines of low-energy blocks by flat-segment midlines.
 
     Each low-energy block's flat segment is searched in its core, the
@@ -212,9 +210,8 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
     the nearest grid line) and the final lines are sample indices; the
     float edges are built from them once, the last edge ``profile.L``.
     """
-    gamma = params.gamma if gamma is None else gamma
     dx = profile.dx
-    reg = regular_partition(profile.L, config.delta, gamma).snapped(dx)
+    reg = regular_partition(profile.L, config.delta, params.gamma).snapped(dx)
     reg_cuts = _block_cuts(profile, reg.edges)
     ell_plus = float(np.mean(reg.widths))
     labels = classify_blocks(params, profile, reg,
@@ -235,7 +232,7 @@ def adapted_partition(params: ModelParams, profile: GridProfile,
         good &= j1 > j0
         lm = config.ell_minus
         om, start, run = _flat_segments(params.m_beta, means, j0[good],
-                                        j1[good], gamma ** config.rho)
+                                        j1[good], params.gamma ** config.rho)
         omega[good] = om
         midline[good] = np.round(
             0.5 * (start * lm + (start + run) * lm) / dx)
@@ -291,8 +288,7 @@ def _plateau(ell: float, mass: float, ends: tuple, raw: float, flags: dict):
 
 
 def replace_block(params: ModelParams, length: float, mean: float,
-                  context: tuple, config: CoarseGrainConfig,
-                  gamma: Optional[float] = None):
+                  context: tuple, config: CoarseGrainConfig):
     """Mean-preserving piecewise-constant replacement on one block.
 
     ``context`` is ("bad", None), ("good", (omega, omega')) or
@@ -305,11 +301,10 @@ def replace_block(params: ModelParams, length: float, mean: float,
     cap bites. When the plateau exceeds 1 in absolute value the block falls
     back to the bad-block rule and is flagged ``demoted``.
     """
-    gamma = params.gamma if gamma is None else gamma
     m_b = params.m_beta
     ell = float(length)
     m = float(mean)
-    zeta = config.zeta(gamma)
+    zeta = config.zeta(params.gamma)
     kind, data = context
     flags: dict = {}
     if kind not in ("bad", "good", "boundary_good"):
@@ -358,13 +353,11 @@ def replace_block(params: ModelParams, length: float, mean: float,
 
 
 def coarse_grain(params: ModelParams, profile: GridProfile,
-                 config: Optional[CoarseGrainConfig] = None,
-                 gamma: Optional[float] = None):
+                 config: Optional[CoarseGrainConfig] = None):
     """Full map phi -> sigma_phi, periodic on the torus and open under every
     other bc. Returns (StepProfile, AdaptedPartition, trace)."""
     config = CoarseGrainConfig() if config is None else config
-    gamma = params.gamma if gamma is None else gamma
-    adapted = adapted_partition(params, profile, config, gamma)
+    adapted = adapted_partition(params, profile, config)
     means = _block_means(profile.samples,
                          _block_cuts(profile, adapted.partition.edges))
     pieces: List[Tuple[float, float]] = []
@@ -372,13 +365,13 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
     for (a, b), kind, sign, mean in zip(adapted.partition.blocks(),
                                         adapted.kinds, adapted.signs, means):
         blk_pieces, tag, flags = replace_block(
-            params, b - a, mean, (kind, sign), config, gamma)
+            params, b - a, mean, (kind, sign), config)
         pieces.extend(blk_pieces)
         trace.append({"interval": (float(a), float(b)), "label": kind,
                       "case": tag, "mean": float(mean),
                       "pieces": [(float(w), float(v)) for w, v in blk_pieces],
                       "flags": flags})
-    m_bar = config.m_bar(params.m_beta, gamma)
+    m_bar = config.m_bar(params.m_beta, params.gamma)
     step = StepProfile.from_pieces(pieces, m_bar=m_bar,
                                    periodic=profile.bc == "periodic")
     # guard against drift in the cumulative breakpoints
@@ -388,27 +381,26 @@ def coarse_grain(params: ModelParams, profile: GridProfile,
 
 
 def lower_bound_certificate(params: ModelParams, profile: GridProfile,
-                            gamma: Optional[float] = None,
                             config: Optional[CoarseGrainConfig] = None
                             ) -> Certificate:
     """Check E[phi] >= E~[sigma_phi] - 10 gamma^{1-delta} L, E[phi] without
     its boundary term off the torus."""
     config = CoarseGrainConfig() if config is None else config
-    gamma = params.gamma if gamma is None else gamma
-    step, _, _ = coarse_grain(params, profile, config, gamma)
-    return _step_certificate(params, profile, step, gamma, config)
+    step, _, _ = coarse_grain(params, profile, config)
+    return _step_certificate(params, profile, step, config)
 
 
 def _step_certificate(params: ModelParams, profile: GridProfile,
-                      step: StepProfile, gamma: float,
-                      config: CoarseGrainConfig) -> Certificate:
+                      step: StepProfile, config: CoarseGrainConfig
+                      ) -> Certificate:
     """``lower_bound_certificate`` for an already computed sigma_phi. Off the
     torus sigma_phi lives on [0, L] alone, and so does E_phi: the energy
     without its boundary term."""
-    parts = total_energy(params, profile, gamma)
+    gamma = params.gamma
+    parts = total_energy(params, profile)
     e_phi = parts.total if step.periodic else (
         parts.local + parts.exchange + parts.dipole)
-    e_tilde = tilde_energy(params, step, gamma)
+    e_tilde = tilde_energy(params, step)
     residual = (e_phi - e_tilde) / profile.L
     allowance = _C_CERT * gamma ** (1.0 - config.delta)
     return Certificate(

@@ -13,7 +13,7 @@ from .energy import _ONE_CELL
 from .errors import ParameterError, ValidationError, _check_positive
 from .model import ModelParams
 from .profiles import (GridProfile, StepProfile, _block_cuts, _block_means,
-                       block_type, regular_partition, runs)
+                       _fields_equal, block_type, regular_partition, runs)
 from .sharp import energy_per_length, optimal_h
 
 __all__ = [
@@ -49,6 +49,8 @@ class StructureReport:
     x2_measure: Optional[float] = None
     alternation_ok: bool = True
 
+    __eq__ = _fields_equal
+
     @property
     def complement_measure(self) -> float:
         return self.L - self.good_measure
@@ -75,8 +77,8 @@ class StructureReport:
 
 
 def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
-             gamma: Optional[float] = None, delta0: float = 0.25,
-             delta1: float = 0.45, eps0: float = 0.28) -> StructureReport:
+             delta0: float = 0.25, delta1: float = 0.45,
+             eps0: float = 0.28) -> StructureReport:
     """Build the good set and its sign runs.
 
     Long constant-sign intervals of sigma_phi (length >= gamma^-delta1) seed
@@ -93,7 +95,7 @@ def good_set(params: ModelParams, profile: GridProfile, sigma_phi: StepProfile,
     that is the whole torus is [0, L), its runs wrap the seam, and with two
     sign runs or more the last neighbours the first.
     """
-    gamma = params.gamma if gamma is None else gamma
+    gamma = params.gamma
     if not (0.0 < delta0 < eps0 < 1.0 / 3.0):
         raise ParameterError("need 0 < delta0 < eps0 < 1/3")
     if not (delta0 < delta1 < 2.0 / 3.0):
@@ -189,18 +191,18 @@ def defect_sets(report: StructureReport, params: ModelParams, epsilon: float,
     return float(x1), float(x2)
 
 
-def l_wrong(step: StepProfile, h_star: float, epsilon: float,
-            gamma: float) -> float:
+def l_wrong(params: ModelParams, step: StepProfile, h_star: float,
+            epsilon: float) -> float:
     """Total length of sign intervals with |h_j - h*| >= h* gamma^epsilon;
     on the torus the interval that wraps the seam is one."""
     _check_positive(h_star=h_star, epsilon=epsilon)
     h = step.interval_lengths()
-    bad = np.abs(h - h_star) >= h_star * gamma ** epsilon
+    bad = np.abs(h - h_star) >= h_star * params.gamma ** epsilon
     return float(np.sum(h[bad]))
 
 
-def _excess_parts(params: ModelParams, gamma: float, e_star: float,
-                  h: np.ndarray, values: np.ndarray, widths: np.ndarray,
+def _excess_parts(params: ModelParams, e_star: float, h: np.ndarray,
+                  values: np.ndarray, widths: np.ndarray,
                   starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The excess h (e(h) - e(h*)) of each sign interval of length h, from
     one array e(h), and per step profile (its pieces from ``starts`` on)
@@ -208,11 +210,10 @@ def _excess_parts(params: ModelParams, gamma: float, e_star: float,
     m_b = params.m_beta
     well = params.f0 / m_b ** 2 * np.add.reduceat(
         widths * (np.abs(values) - m_b) ** 2, starts)
-    return h * (energy_per_length(params, h, gamma) - e_star), well
+    return h * (energy_per_length(params, h) - e_star), well
 
 
 def excess_energy_decomposition(params: ModelParams, step: StepProfile,
-                                gamma: Optional[float] = None,
                                 e_star: Optional[float] = None):
     """Both terms of the excess bound: interval excess and the well integral.
 
@@ -223,11 +224,10 @@ def excess_energy_decomposition(params: ModelParams, step: StepProfile,
     (F(0)/m_beta^2) int (|sigma| - m_beta)^2; the profile is the one
     profile of ``_excess_parts``.
     """
-    gamma = params.gamma if gamma is None else gamma
     if e_star is None:
-        e_star = optimal_h(params, gamma)[1]
+        e_star = optimal_h(params)[1]
     h = step.interval_lengths()
-    excess, well = _excess_parts(params, gamma, e_star, h, step.values,
+    excess, well = _excess_parts(params, e_star, h, step.values,
                                  step.widths, _ONE_CELL)
     per = list(zip(h.tolist(), excess.tolist()))
     return float(sum(t for _, t in per)), float(well[0]), per

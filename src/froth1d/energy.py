@@ -443,17 +443,13 @@ def _block_energies(params: ModelParams, profile: GridProfile,
 # ---------------------------------------------------------------------------
 # dipole energy on grids
 
-def dipole_energy(params: ModelParams, profile: GridProfile,
-                  gamma: Optional[float] = None) -> float:
+def dipole_energy(params: ModelParams, profile: GridProfile) -> float:
     """(gamma/2) double integral of phi v(gamma(x-y)) phi over [0, L]^2.
 
     O(N) per atom via the prefix-sum passes, with the weights of the cached
     open-interval form; ignores boundary conditions.
     """
-    gamma = params.gamma if gamma is None else gamma
-    if gamma == 0.0:
-        return 0.0
-    form = _quadratic_form(params, gamma, profile.n, profile.dx, "open")
+    form = _quadratic_form(params, params.gamma, profile.n, profile.dx, "open")
     return form.dip_scale * _dipole_open(profile.samples, form.atoms,
                                          form.exp_weights)
 
@@ -571,7 +567,7 @@ def _cell_integrals(a: float, values: np.ndarray, lefts: np.ndarray,
     return pairs, sp, sq
 
 
-def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
+def _step_dipoles(params: ModelParams, values: np.ndarray,
                   lefts: np.ndarray, rights: np.ndarray, starts: np.ndarray,
                   period=None) -> np.ndarray:
     """Exact (gamma/2) dipole energy of each cell of ``_cell_integrals`` as a
@@ -584,11 +580,8 @@ def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
     Sp Sq = W/2 + E I/2, W the integral of e^{-b(L-|x-y|)}, so the torus
     takes (I + W)/(1 - E) = I + 2 Sp Sq/(1 - E).
     """
+    gamma = params.gamma
     acc = np.zeros(starts.size)
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
-    if gamma == 0.0:
-        return acc
     for w_k, a_k in params.measure.atoms:
         b = gamma * a_k
         pairs, sp, sq = _cell_integrals(b, values, lefts, rights, starts)
@@ -598,7 +591,7 @@ def _step_dipoles(params: ModelParams, gamma: float, values: np.ndarray,
     return 0.5 * gamma * params.measure.lam * acc
 
 
-def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
+def _step_terms(params: ModelParams, values: np.ndarray,
                 lefts: np.ndarray, rights: np.ndarray, starts: np.ndarray,
                 period=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``tilde_energy``'s well, surface and dipole terms of each cell of
@@ -608,24 +601,20 @@ def _step_terms(params: ModelParams, gamma: float, values: np.ndarray,
     well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
                            starts)
     jumps = _interfaces(values, starts, period is not None)
-    dip = _step_dipoles(params, gamma, values, lefts, rights, starts, period)
+    dip = _step_dipoles(params, values, lefts, rights, starts, period)
     return well, tau * jumps, dip
 
 
-def step_dipole_energy(params: ModelParams, step: StepProfile,
-                       gamma: Optional[float] = None) -> float:
+def step_dipole_energy(params: ModelParams, step: StepProfile) -> float:
     """Exact (gamma/2) dipole energy of a step profile, open or periodic: the
     profile as the one cell of ``_step_dipoles``."""
-    gamma = params.gamma if gamma is None else gamma
-    if gamma == 0.0:
-        return 0.0
     bp = step.breakpoints
-    return float(_step_dipoles(params, gamma, step.values, bp[:-1], bp[1:],
+    return float(_step_dipoles(params, step.values, bp[:-1], bp[1:],
                                _ONE_CELL, step.L if step.periodic else None)[0])
 
 
 def tilde_energy(params: ModelParams, step: StepProfile,
-                 gamma: Optional[float] = None, breakdown: bool = False):
+                 breakdown: bool = False):
     """Effective functional: well term + tau per interface + dipole.
 
     The surface part is tau times ``step.n_jumps``: the boundaries between
@@ -635,10 +624,9 @@ def tilde_energy(params: ModelParams, step: StepProfile,
     +m, 0, -m costs no tau. Computed in closed form, the profile as the one
     cell of ``_step_terms``; no quadrature.
     """
-    gamma = params.gamma if gamma is None else gamma
     bp = step.breakpoints
     well, surface, dip = (float(x[0]) for x in _step_terms(
-        params, gamma, step.values, bp[:-1], bp[1:], _ONE_CELL,
+        params, step.values, bp[:-1], bp[1:], _ONE_CELL,
         step.L if step.periodic else None))
     if step.m_bar is not None and not step.in_K:
         warnings.warn("step profile leaves K (some |value| < m_bar)",

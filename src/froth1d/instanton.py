@@ -16,7 +16,7 @@ from .energy import short_range_energy
 from .errors import (CellTooShort, FitError, NonConvergence, ValidationError,
                      _check_count, _check_positive)
 from .model import ModelParams, solve_m_beta
-from .profiles import GridProfile
+from .profiles import GridProfile, _fields_equal
 
 __all__ = [
     "Instanton",
@@ -42,6 +42,8 @@ class Instanton:
     m_beta: float
     residual: float
     tau: Optional[float] = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)

@@ -21,7 +21,8 @@ from .energy import _quadratic_form, tilde_energy
 from .errors import (LineSearchFailure, ValidationError, _check_count,
                      _check_positive)
 from .model import ModelParams, _finish_slope, _well_parts
-from .profiles import GridProfile, StepProfile, _check_lengths, runs
+from .profiles import (GridProfile, StepProfile, _check_lengths, _fields_equal,
+                       runs)
 from .sharp import energy_per_length
 
 __all__ = [
@@ -70,6 +71,8 @@ class MinimizeResult:
     trace: np.ndarray            # rows: iter, energy, grad_norm, step
     evaluations: int             # well passes: the start and each candidate
     applications: int            # applications of the quadratic form K
+
+    __eq__ = _fields_equal
 
 
 def _projected_grad_norm(phi, g, tol=1e-12):
@@ -353,11 +356,11 @@ def restart_rng(seed: int, restart_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _relax(params: ModelParams, profile: GridProfile, gamma: float,
+def _relax(params: ModelParams, profile: GridProfile,
            options: MinimizeOptions) -> MinimizeResult:
     """Box-constrained descent that returns, not raises, a line-search failure."""
     try:
-        return _descend(params, profile, gamma, options)
+        return _descend(params, profile, params.gamma, options)
     except LineSearchFailure as err:
         return err.result
 
@@ -370,8 +373,8 @@ def _wall_runs(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return starts[order], stops[order]
 
 
-def _flipped_sharp_energy(params: ModelParams, gamma: float,
-                          counts: np.ndarray, j: int, dx: float) -> float:
+def _flipped_sharp_energy(params: ModelParams, counts: np.ndarray, j: int,
+                          dx: float) -> float:
     """Periodic sharp-interface energy (``tilde_energy`` of a +-m_beta step
     profile, where the well term vanishes) with sign interval j (of the
     cyclic run lengths ``counts``) merged into both neighbours."""
@@ -381,10 +384,10 @@ def _flipped_sharp_energy(params: ModelParams, gamma: float,
     step = StepProfile.from_pieces(
         [(h, m if i % 2 == 0 else -m) for i, h in enumerate(merged)],
         periodic=True)
-    return tilde_energy(params, step, gamma)
+    return tilde_energy(params, step)
 
 
-def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
+def _annihilate(params: ModelParams, first: MinimizeResult,
                 options: MinimizeOptions) -> MinimizeResult:
     """Coarse wall-pair annihilation on the torus after a plain descent.
 
@@ -401,16 +404,16 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
     while True:
         starts, stops = _wall_runs(current.profile.samples)
         k = starts.size
-        if k < 4 or (energy_per_length(params, L / (k - 2), gamma)
-                     >= energy_per_length(params, L / k, gamma)):
+        if k < 4 or (energy_per_length(params, L / (k - 2))
+                     >= energy_per_length(params, L / k)):
             break
         counts = stops - starts
-        j = int(np.argmin([_flipped_sharp_energy(params, gamma, counts, i, dx)
+        j = int(np.argmin([_flipped_sharp_energy(params, counts, i, dx)
                            for i in range(k)]))
         idx = np.arange(starts[j], stops[j]) % n
         phi = current.profile.samples.copy()
         phi[idx] = -phi[idx]
-        cand = _relax(params, current.profile.with_samples(phi), gamma, relax)
+        cand = _relax(params, current.profile.with_samples(phi), relax)
         evaluations += cand.evaluations
         applications += cand.applications
         if not cand.energy < current.energy:
@@ -422,7 +425,7 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
     if current is first:
         return replace(first, evaluations=evaluations,
                        applications=applications)
-    final = _relax(params, current.profile, gamma, options)
+    final = _relax(params, current.profile, options)
     tail = final.trace[1:].copy()
     tail[:, 0] += iterations
     rows.append(tail)
@@ -432,10 +435,9 @@ def _annihilate(params: ModelParams, gamma: float, first: MinimizeResult,
                    applications=applications + final.applications)
 
 
-def multistart(params: ModelParams, gamma: float, L: float, bc: str,
-               n_starts: int, options: Optional[MinimizeOptions] = None,
-               dx: float = 1.0 / 16.0,
-               init: Optional[GridProfile] = None):
+def multistart(params: ModelParams, L: float, bc: str, n_starts: int,
+               options: Optional[MinimizeOptions] = None,
+               dx: float = 1.0 / 16.0, init: Optional[GridProfile] = None):
     """Best of ``n_starts`` seeded random initializations.
 
     Deterministic given options.seed; returns (best result, table of final
@@ -486,9 +488,9 @@ def multistart(params: ModelParams, gamma: float, L: float, bc: str,
             rng = restart_rng(options.seed, k)
             start = GridProfile(L=n * dx, dx=dx,
                                 samples=rng.uniform(-1.0, 1.0, n), bc=bc)
-        res = _relax(params, start, gamma, options)
+        res = _relax(params, start, options)
         if res.profile.bc == "periodic" and params.tau is not None:
-            res = _annihilate(params, gamma, res, options)
+            res = _annihilate(params, res, options)
         table.append((k, res.energy, res.grad_norm, res.converged))
         if best is None or res.energy < best.energy:
             best = res

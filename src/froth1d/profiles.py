@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,18 @@ def _check_lengths(L: float, dx: float):
         raise ValidationError("L and dx must be finite and positive")
 
 
+def _fields_equal(self, other):
+    """``==`` of a dataclass that holds arrays: field by field, an array
+    field by ``np.array_equal``, so it gives True or False where the
+    generated ``==`` asks an array for one truth value and raises."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+               or isinstance(b, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class GridProfile:
     """Uniformly sampled magnetization on [0, L], values in [-1, 1].
@@ -61,6 +73,8 @@ class GridProfile:
     bc: str = "open"
     out_left: Optional[np.ndarray] = None
     out_right: Optional[np.ndarray] = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if self.bc not in BC_TOKENS:
@@ -221,6 +235,8 @@ class BlockPartition:
 
     edges: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
@@ -264,6 +280,8 @@ class StepProfile:
     values: np.ndarray
     m_bar: Optional[float] = None
     periodic: bool = False
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if not isinstance(self.periodic, bool):

@@ -11,7 +11,8 @@ O(pieces) per atom; the certificate corpus puts the cells of many profiles
 through the same pass. ``energy_per_length`` and ``eh_derivative`` take a
 float or an array of h through one code path, so an array entry equals its
 float call bit for bit and ``eh_curve`` and ``check_eh_bounds`` make one
-call per scan; ``optimal_h`` is memoized per (params, gamma).
+call per scan; ``optimal_h`` is memoized per params, which hold gamma
+(only ``tilde_v_kernel``, given no params, takes it alone).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .energy import _ONE_CELL, _cell_integrals
 from .errors import (BracketError, CertificateFailure, DomainError, SignError,
                      ValidationError, _check_count)
 from .model import KacMeasure, ModelParams, eval_tilde_F, v_prime_at_zero
-from .profiles import GridProfile, StepProfile, runs
+from .profiles import GridProfile, StepProfile, _fields_equal, runs
 
 __all__ = [
     "EhCurve",
@@ -86,7 +87,7 @@ def _one_minus_tanhc(x):
     return out if out.ndim else float(out)
 
 
-def energy_per_length(params: ModelParams, h, gamma: Optional[float] = None):
+def energy_per_length(params: ModelParams, h):
     """e(h) = tau/h + lambda m^2 sum_k (w_k/a_k)(1 - tanh(a_k g h/2)/(a_k g h/2)).
 
     ``h`` is a float or an ndarray; floats and entries run the same code, so
@@ -96,24 +97,23 @@ def energy_per_length(params: ModelParams, h, gamma: Optional[float] = None):
     h = np.asarray(h, dtype=float)
     if not (h > 0.0).all():
         raise DomainError(f"h must be positive, got {h[~(h > 0.0)].flat[0]}")
-    gamma = params.gamma if gamma is None else gamma
     meas = params.measure
     lr = 0.0
     for w, a in meas.atoms:
-        lr = lr + w / a * _one_minus_tanhc(0.5 * a * gamma * h)
+        lr = lr + w / a * _one_minus_tanhc(0.5 * a * params.gamma * h)
     out = params.require_tau() / h + meas.lam * params.m_beta ** 2 * lr
     return out if out.ndim else float(out)
 
 
-def eh_derivative(params: ModelParams, h, gamma: Optional[float] = None):
+def eh_derivative(params: ModelParams, h):
     """e'(h) by central differences of the closed form; ``h`` as in
     ``energy_per_length``, which must also be finite here."""
     h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
         raise DomainError(f"h must be finite, got {h[~np.isfinite(h)].flat[0]}")
     d = _EH_STEP * np.maximum(1.0, np.abs(h))
-    out = (energy_per_length(params, h + d, gamma)
-           - energy_per_length(params, h - d, gamma)) / (2.0 * d)
+    out = (energy_per_length(params, h + d)
+           - energy_per_length(params, h - d)) / (2.0 * d)
     return out if out.ndim else float(out)
 
 
@@ -139,21 +139,20 @@ def golden_section(f, a: float, b: float) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=16)
-def optimal_h(params: ModelParams, gamma: Optional[float] = None
-              ) -> Tuple[float, float, float, float]:
+def optimal_h(params: ModelParams) -> Tuple[float, float, float, float]:
     """(h*, e(h*), h*_asym, e*_asym); the asymptotics are the leading-order laws.
 
     Minimizes e(h) by golden section on [gamma^{-1/3}, gamma^{-1}]; raises
     BracketError if the minimum sits at a bracket end. Memoized: equal
-    params and gamma are solved once per process.
+    params are solved once per process.
     """
-    gamma = params.gamma if gamma is None else gamma
+    gamma = params.gamma
     if not (0.0 < gamma < 0.2):
         raise ValidationError(f"gamma must lie in (0, 0.2), got {gamma}")
     tau = params.require_tau()
     lo, hi = gamma ** (-1.0 / 3.0), gamma ** -1.0
     h_star, e_star = golden_section(
-        lambda h: energy_per_length(params, h, gamma), lo, hi)
+        lambda h: energy_per_length(params, h), lo, hi)
     if h_star - lo < 1e-6 * lo or hi - h_star < 1e-6 * hi:
         raise BracketError(f"minimum of e(h) at bracket end (h={h_star:.4g})")
     vp = v_prime_at_zero(params.measure)
@@ -176,6 +175,8 @@ class EhCurve:
     h_star_asym: float
     e_star_asym: float
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         if np.any(self.e <= 0.0):
             raise ValidationError("e(h) must be positive")
@@ -183,25 +184,22 @@ class EhCurve:
             raise ValidationError("e(h*) must not exceed sampled values")
 
 
-def eh_curve(params: ModelParams, gamma: Optional[float] = None,
-             n_samples: int = 200, span: Tuple[float, float] = (0.02, 50.0)
-             ) -> EhCurve:
+def eh_curve(params: ModelParams, n_samples: int = 200,
+             span: Tuple[float, float] = (0.02, 50.0)) -> EhCurve:
     """Log-spaced samples of e(h) from span[0] h* to span[1] h*, plus the
     optimum."""
     _check_count(n_samples, "n_samples", low=1)
     if not 0.0 < span[0] < span[1]:
         raise ValidationError(f"span must satisfy 0 < low < high, got {span}")
-    gamma = params.gamma if gamma is None else gamma
-    h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
+    h_star, e_star, h_asym, e_asym = optimal_h(params)
     h = np.geomspace(span[0] * h_star, span[1] * h_star, n_samples)
-    e = energy_per_length(params, h, gamma)
-    return EhCurve(gamma=gamma, tau=params.require_tau(), h=h, e=e,
+    e = energy_per_length(params, h)
+    return EhCurve(gamma=params.gamma, tau=params.require_tau(), h=h, e=e,
                    h_star=h_star, e_star=e_star,
                    h_star_asym=h_asym, e_star_asym=e_asym)
 
 
-def check_eh_bounds(params: ModelParams,
-                    gamma: Optional[float] = None) -> Certificate:
+def check_eh_bounds(params: ModelParams) -> Certificate:
     """Fit the three-regime bounds on e(h) - e(h*) and |e'(h)|.
 
     Scans a log-spaced h grid and fits the best constants c (largest lower
@@ -209,13 +207,13 @@ def check_eh_bounds(params: ModelParams,
     C' gamma^{-1}, c' = 1/2 and C' = 1; passes with c >= 1e-8 and C <= 1e8
     and raises ``CertificateFailure`` otherwise.
     """
-    gamma = params.gamma if gamma is None else gamma
-    h_star, e_star, _, _ = optimal_h(params, gamma)
+    gamma = params.gamma
+    h_star, e_star, _, _ = optimal_h(params)
     if h_star < 10.0:
         raise ValidationError("check_eh_bounds needs h* >= 10 (gamma too large)")
     hgrid = np.geomspace(1.0, 100.0 / gamma, _BOUNDS_SAMPLES)
-    e_vals = energy_per_length(params, hgrid, gamma)
-    de_vals = np.abs(eh_derivative(params, hgrid, gamma))
+    e_vals = energy_per_length(params, hgrid)
+    de_vals = np.abs(eh_derivative(params, hgrid))
     cp, Cp = _C_PRIME_LOW, _C_PRIME_HIGH
     low, high = hgrid <= cp * h_star, hgrid >= Cp / gamma
     lowshape = np.where(low, 1.0 / hgrid, np.where(
@@ -272,7 +270,7 @@ def tilde_v_kernel(h: float, gamma: float, x, y, measure: KacMeasure):
 
 
 def _cell_energies(params: ModelParams, values: np.ndarray, lefts: np.ndarray,
-                   rights: np.ndarray, starts: np.ndarray, gamma: float
+                   rights: np.ndarray, starts: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Lengths h and specific energies e~_h of the cells of
     ``energy._cell_integrals`` (``values`` >= 0 on [lefts[j], rights[j]),
@@ -287,7 +285,7 @@ def _cell_energies(params: ModelParams, values: np.ndarray, lefts: np.ndarray,
     exact up to rounding; the three terms still cancel to relative order a h
     as gamma -> 0.
     """
-    tau = params.require_tau()
+    tau, gamma = params.require_tau(), params.gamma
     h = rights[np.append(starts[1:], values.size) - 1] - lefts[starts]
     well = np.add.reduceat((rights - lefts) * eval_tilde_F(values, params),
                            starts) / h
@@ -302,8 +300,7 @@ def _cell_energies(params: ModelParams, values: np.ndarray, lefts: np.ndarray,
     return h, well + tau / h + quad / (2.0 * h)
 
 
-def cell_specific_energy(params: ModelParams, sigma: StepProfile,
-                         gamma: Optional[float] = None) -> float:
+def cell_specific_energy(params: ModelParams, sigma: StepProfile) -> float:
     """e~_h[sigma] = (1/h) int F~(sigma) + tau/h + (1/2h) <sigma, sigma>_{v~_h}.
 
     ``sigma`` is a StepProfile on [0, h], h = sigma.L, with constant sign
@@ -311,18 +308,16 @@ def cell_specific_energy(params: ModelParams, sigma: StepProfile,
     evaluated through |sigma|. This is the one-cell case of
     ``chessboard_lower_bound``'s pass, O(pieces).
     """
-    gamma = params.gamma if gamma is None else gamma
     values = sigma.values
     if np.any(values > 0.0) and np.any(values < 0.0):
         raise SignError("cell profile must have constant sign")
     bp = sigma.breakpoints
-    _, e = _cell_energies(params, np.abs(values), bp[:-1], bp[1:], _ONE_CELL,
-                          gamma)
+    _, e = _cell_energies(params, np.abs(values), bp[:-1], bp[1:], _ONE_CELL)
     return float(e[0])
 
 
-def chessboard_lower_bound(params: ModelParams, step: StepProfile,
-                           gamma: Optional[float] = None) -> Tuple[float, list]:
+def chessboard_lower_bound(params: ModelParams, step: StepProfile
+                           ) -> Tuple[float, list]:
     """Reflection-positivity lower bound: sum_i h_i e~_{h_i}[sigma~_i].
 
     Each maximal constant-sign interval is antiperiodized and charged its
@@ -334,7 +329,6 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
     the one cell [0, L), cut at x = 0: the bound holds for a cut anywhere,
     but its value depends on where the cut falls.
     """
-    gamma = params.gamma if gamma is None else gamma
     n = step.values.size
     first = runs(np.sign(step.values), periodic=step.periodic)[0]
     # pieces from the first cell's left edge on: k pieces wrapped, k >= 0
@@ -342,8 +336,7 @@ def chessboard_lower_bound(params: ModelParams, step: StepProfile,
     values = np.abs(np.append(step.values[n - k:], step.values[:n - k]))
     edges = np.concatenate([step.breakpoints[n - k:-1] - step.L,
                             step.breakpoints[:n - k + 1]])
-    h, e = _cell_energies(params, values, edges[:-1], edges[1:], first + k,
-                          gamma)
+    h, e = _cell_energies(params, values, edges[:-1], edges[1:], first + k)
     per = list(zip(h.tolist(), (h * e).tolist()))
     return float(sum(t for _, t in per)), per
 

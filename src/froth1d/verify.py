@@ -71,7 +71,7 @@ def appendix_well_certificates(params: ModelParams) -> List[Certificate]:
 
 
 def _corpus_gaps(p_used: ModelParams, p_solved: ModelParams,
-                 steps: List[StepProfile], gamma: float, e_star: float
+                 steps: List[StepProfile], e_star: float
                  ) -> Tuple[List[float], List[float]]:
     """Per open step profile of ``steps``, e~ minus its chessboard bound and
     e~ minus L e* + excess/2 + well/4, the bound of the RP lower-bound
@@ -88,14 +88,13 @@ def _corpus_gaps(p_used: ModelParams, p_solved: ModelParams,
     lefts = np.concatenate([s.breakpoints[:-1] for s in steps])
     rights = np.concatenate([s.breakpoints[1:] for s in steps])
     first = np.cumsum([0] + [s.values.size for s in steps[:-1]])
-    tilde_well, surface, dipole = _step_terms(p_used, gamma, values, lefts,
-                                              rights, first)
+    tilde_well, surface, dipole = _step_terms(p_used, values, lefts, rights,
+                                              first)
     e_tilde = (tilde_well + surface + dipole).tolist()
     cells = runs(np.sign(values), first)[0]
-    h, e = _cell_energies(p_used, np.abs(values), lefts, rights, cells,
-                          gamma)
-    excess, well = _excess_parts(p_solved, gamma, e_star, h, values,
-                                 rights - lefts, first)
+    h, e = _cell_energies(p_used, np.abs(values), lefts, rights, cells)
+    excess, well = _excess_parts(p_solved, e_star, h, values, rights - lefts,
+                                 first)
     # each profile's cells in order, summed as chessboard_lower_bound and
     # excess_energy_decomposition sum them
     bounds = np.searchsorted(cells, first).tolist() + [cells.size]
@@ -130,7 +129,7 @@ def _evaluated(name: str, check, *args) -> Certificate:
 
 
 def _trial_certificate(params: ModelParams, inst, h_star: float,
-                       gamma: float, cells: int) -> Certificate:
+                       cells: int) -> Certificate:
     """The coarse-graining certificate on a periodic trial train of
     ``cells`` cells of ``inst.trial_cell(h_star, inst.dx)``, the cell that
     ``froth1d minimize`` also builds its trial train from. Only when that
@@ -138,7 +137,7 @@ def _trial_certificate(params: ModelParams, inst, h_star: float,
     ``params["cell"]``."""
     cell = inst.trial_cell(h_star, inst.dx)
     trial = build_trial_profile(cell, cells * cell, inst, bc="periodic")
-    cert = lower_bound_certificate(params, trial, gamma)
+    cert = lower_bound_certificate(params, trial)
     if round(cell / inst.dx) == round(h_star / inst.dx):
         return cert
     return replace(cert, params={**cert.params, "cell": cell})
@@ -169,7 +168,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
         inst = solve_instanton(params, half_width=20.0 if fast else 30.0,
                                dx=1.0 / 32.0 if fast else 1.0 / 64.0)
         p_solved = params.with_tau(inst.tau)
-        h_star, e_star, _, _ = optimal_h(p_solved, gamma)
+        h_star, e_star, _, _ = optimal_h(p_solved)
     except Froth1dError as err:
         return certs + [_unevaluated(name, err) for name in _NEED_H_STAR]
     tau_solved = inst.tau
@@ -184,14 +183,14 @@ def run_certificates(params: ModelParams, seed: int = 0,
         h = fac * h_star
         cell = StepProfile(breakpoints=np.array([0.0, h]),
                            values=np.array([params.m_beta]))
-        lhs = cell_specific_energy(p_used, cell, gamma=gamma)
-        rhs = energy_per_length(p_solved, h, gamma)
+        lhs = cell_specific_energy(p_used, cell)
+        rhs = energy_per_length(p_solved, h)
         worst = max(worst, abs(lhs - rhs))
     certs.append(Certificate(
         "cell_energy_identity", worst, 1e-8, upper=True,
         params={"h_star": h_star, "tau_used": tau_used,
                 "tau_solved": tau_solved}))
-    certs.append(_evaluated("eh_bounds", check_eh_bounds, p_solved, gamma))
+    certs.append(_evaluated("eh_bounds", check_eh_bounds, p_solved))
     # gradient versus central differences on a seeded random profile, taken
     # as direct sums outside the energy code: the well's difference, plus
     # the dense exchange and long-range rows, which equal the central
@@ -200,7 +199,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
     n, dx = (128, 1.0 / 8.0) if fast else (512, 1.0 / 32.0)
     prof = GridProfile(L=n * dx, dx=dx,
                        samples=rng.uniform(-0.95, 0.95, n), bc="open")
-    g = energy_gradient(p_solved, prof, gamma)
+    g = energy_gradient(p_solved, prof)
     h_fd = 1e-6
     idx = rng.choice(n, 24, replace=False)
     phi = prof.samples
@@ -220,7 +219,7 @@ def run_certificates(params: ModelParams, seed: int = 0,
     n_profiles = 2 if fast else n_step_profiles
     steps = [random_in_k_step(restart_rng(seed, 100 + k), L, params.m_beta,
                               m_bar, h_star) for k in range(n_profiles)]
-    gaps_cb, gaps_c000 = _corpus_gaps(p_used, p_solved, steps, gamma, e_star)
+    gaps_cb, gaps_c000 = _corpus_gaps(p_used, p_solved, steps, e_star)
     worst_cb, worst_c000 = float(np.min(gaps_cb)), float(np.min(gaps_c000))
     certs.append(Certificate("chessboard_lower_bound", worst_cb, -1e-9 * L,
                              params={"L": L, "n_profiles": n_profiles}))
@@ -228,5 +227,5 @@ def run_certificates(params: ModelParams, seed: int = 0,
     certs.append(Certificate("rp_lower_bound_c000", worst_c000, -allowance,
                              params={"L": L, "C": 10.0}))
     certs.append(_evaluated("coarse_grain_lower_bound", _trial_certificate,
-                            p_used, inst, h_star, gamma, 4 if fast else 8))
+                            p_used, inst, h_star, 4 if fast else 8))
     return certs

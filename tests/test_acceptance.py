@@ -45,14 +45,14 @@ def froth_runs(base):
     params, _ = base
     gamma = 2e-2
     p = params.with_gamma(gamma)
-    h_star, e_star, _, _ = optimal_h(p, gamma)
+    h_star, e_star, _, _ = optimal_h(p)
     dx = 1.0 / 8.0
     L = round(10.0 * h_star / dx) * dx
     opts = MinimizeOptions(max_iters=12000, grad_tol=1e-6, seed=2024)
     t0 = time.perf_counter()
     results = []
     for k in range(8):
-        best, _ = multistart(p, gamma, L, "periodic", 1,
+        best, _ = multistart(p, L, "periodic", 1,
                              MinimizeOptions(max_iters=opts.max_iters,
                                              grad_tol=opts.grad_tol,
                                              seed=opts.seed + k), dx=dx)
@@ -109,7 +109,7 @@ def test_criterion_03_optimal_period(base):
     t0 = time.perf_counter()
     worst_h = worst_e = 0.0
     for gamma in (1e-2, 1e-3, 1e-4):
-        h, e, ha, ea = optimal_h(params, gamma)
+        h, e, ha, ea = optimal_h(params.with_gamma(gamma))
         worst_h = max(worst_h, abs(h / ha - 1.0) / gamma ** (2.0 / 3.0))
         worst_e = max(worst_e, abs(e / ea - 1.0) / gamma ** (2.0 / 3.0))
     # closed-form leading-order laws at tau = m_beta = |v'(0+)| = 1
@@ -151,7 +151,7 @@ def test_criterion_04_reflected_kernel():
 
 def _ink_corpus(params, gamma, L, n, seed):
     m_bar = CoarseGrainConfig().m_bar(params.m_beta, gamma)
-    h_star = optimal_h(params, gamma)[0]
+    h_star = optimal_h(params.with_gamma(gamma))[0]
     return [random_in_k_step(restart_rng(seed, k), L, params.m_beta, m_bar,
                              h_star) for k in range(n)]
 
@@ -159,21 +159,21 @@ def _ink_corpus(params, gamma, L, n, seed):
 def test_criterion_05_chessboard(base):
     params, _ = base
     gamma = 1e-2
-    h_star = optimal_h(params, gamma)[0]
+    h_star = optimal_h(params)[0]
     L = 20.0 * h_star
     t0 = time.perf_counter()
     worst = np.inf
     for step in _ink_corpus(params, gamma, L, 100, seed=505):
-        lhs = tilde_energy(params, step, gamma)
-        bound, _ = chessboard_lower_bound(params, step, gamma)
+        lhs = tilde_energy(params, step)
+        bound, _ = chessboard_lower_bound(params, step)
         worst = min(worst, lhs - bound)
     # equality on the exactly periodic profile (periodic functional)
     h = round(h_star)
     k = 10
     sigma_h = StepProfile.from_pieces(
         [(h, (-1.0) ** j * params.m_beta) for j in range(2 * k)], periodic=True)
-    lhs_per = tilde_energy(params, sigma_h, gamma)
-    bound_per, _ = chessboard_lower_bound(params, sigma_h, gamma)
+    lhs_per = tilde_energy(params, sigma_h)
+    bound_per, _ = chessboard_lower_bound(params, sigma_h)
     rel = abs(lhs_per - bound_per) / abs(bound_per)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-9 * L and rel <= 1e-6 and elapsed < 120.0
@@ -187,16 +187,16 @@ def test_criterion_05_chessboard(base):
 def test_criterion_06_rp_lower_bound(base):
     params, _ = base
     gamma = 1e-2
-    h_star, e_star, _, _ = optimal_h(params, gamma)
+    h_star, e_star, _, _ = optimal_h(params)
     t0 = time.perf_counter()
 
     def fitted_C(L, seed):
         worst = 0.0
         for step in _ink_corpus(params, gamma, L, 100, seed):
-            lhs = tilde_energy(params, step, gamma)
+            lhs = tilde_energy(params, step)
             h_j = step.interval_lengths()
             rhs = (L * e_star
-                   + 0.5 * sum(h * (energy_per_length(params, h, gamma)
+                   + 0.5 * sum(h * (energy_per_length(params, h)
                                     - e_star) for h in h_j)
                    + params.f0 / (4.0 * params.m_beta ** 2)
                    * float(np.sum(step.widths
@@ -229,7 +229,7 @@ def test_criterion_07_trial_profile_energy(base):
     ratios = {}
     for gamma in (2e-2, 1e-2, 5e-3):
         p = params.with_gamma(gamma)
-        h_star, e_star, _, _ = optimal_h(p, gamma)
+        h_star, e_star, _, _ = optimal_h(p)
         h = round(h_star / inst.dx) * inst.dx
         prof = build_trial_profile(h, 8 * h, inst, bc="periodic")
         ratios[gamma] = total_energy(p, prof, gamma).total / prof.L / e_star
@@ -249,9 +249,9 @@ def test_criterion_07_trial_profile_energy(base):
 
 
 def test_criterion_08_froth_emergence(froth_runs):
-    p, gamma, h_star, e_star, L, results, elapsed = froth_runs
+    p, _, h_star, e_star, L, results, elapsed = froth_runs
     best = min(results, key=lambda r: r.energy)
-    step, _, _ = coarse_grain(p, best.profile, CoarseGrainConfig(), gamma)
+    step, _, _ = coarse_grain(p, best.profile, CoarseGrainConfig())
     lengths = step.interval_lengths()
     good = lengths[np.abs(lengths / h_star - 1.0) <= 0.2]
     frac = float(good.sum() / L)
@@ -288,12 +288,12 @@ def test_criterion_09_coarse_grain_certificate(base, froth_runs):
     worst_resid = np.inf
     worst_mass = 0.0
     for prof in profiles:
-        step, adapted, trace = coarse_grain(p, prof, cfg, gamma)
+        step, adapted, trace = coarse_grain(p, prof, cfg)
         for (a, b), rec in zip(adapted.partition.blocks(), trace):
             worst_mass = max(worst_mass,
                              abs(step.restrict(a, b).mean() - rec["mean"]))
         e_phi = total_energy(p, prof, gamma).total
-        e_til = tilde_energy(p, step, gamma)
+        e_til = tilde_energy(p, step)
         worst_resid = min(worst_resid, (e_phi - e_til) / prof.L)
     C_fit = max(0.0, -worst_resid) / gamma ** (1.0 - delta)
     elapsed = time.perf_counter() - t0
@@ -394,7 +394,8 @@ def test_criterion_13_gamma_limit_calibration(base):
         sq = StepProfile.from_pieces([(L / 2.0, m), (L / 2.0, -m)],
                                      periodic=True)
         from froth1d.energy import step_dipole_energy
-        ratios[gamma] = step_dipole_energy(params, sq, gamma) / limit_lr
+        ratios[gamma] = (step_dipole_energy(params.with_gamma(gamma), sq)
+                         / limit_lr)
     drift = abs(ratios[1e-3] / ratios[1e-4] - 1.0)
     calibrated = alpha_default * 0.5 * (ratios[1e-3] + ratios[1e-4])
     ok = drift <= 0.10

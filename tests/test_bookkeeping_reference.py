@@ -119,9 +119,9 @@ def _mirrored(context):
 def test_replace_block_matches_reference(params_tau, context, mean, length,
                                          c0, gamma):
     cfg = CoarseGrainConfig(c0=c0)
-    m_b = params_tau.m_beta
-    pieces, tag, flags = replace_block(params_tau, length, mean, context, cfg,
-                                       gamma)
+    params = params_tau.with_gamma(gamma)
+    m_b = params.m_beta
+    pieces, tag, flags = replace_block(params, length, mean, context, cfg)
     widths = np.array([w for w, _ in pieces])
     values = np.array([v for _, v in pieces])
     # the pieces tile the block and keep its mean: each piece is formed with
@@ -153,13 +153,11 @@ def test_replace_block_matches_reference(params_tau, context, mean, length,
     if tag in _BAD_TAGS:
         return
     # the symmetries, unless the flipped or mirrored block demotes
-    flipped = replace_block(params_tau, length, -mean, _flipped(context), cfg,
-                            gamma)
+    flipped = replace_block(params, length, -mean, _flipped(context), cfg)
     if flipped[1] not in _BAD_TAGS:
         assert flipped[1] == tag
         assert _same_pieces(flipped[0], [(w, -v) for w, v in pieces], length)
-    mirrored = replace_block(params_tau, length, mean, _mirrored(context),
-                             cfg, gamma)
+    mirrored = replace_block(params, length, mean, _mirrored(context), cfg)
     if mirrored[1] not in _BAD_TAGS:
         assert _same_pieces(mirrored[0], pieces[::-1], length)
 
@@ -171,8 +169,7 @@ def test_reference_examples_demote(params_tau):
                                   (("good", (1.0, 1.0)), -0.995, 3.0),
                                   (("boundary_good", ("right", -1.0)),
                                    0.999, 2.0)]:
-        _, tag, flags = replace_block(params_tau, length, mean, context, cfg,
-                                      1e-2)
+        _, tag, flags = replace_block(params_tau, length, mean, context, cfg)
         assert flags.get("demoted") == "plateau>1"
         assert tag in _BAD_TAGS
 
@@ -208,8 +205,8 @@ def test_find_flat_segment_matches_reference(params, data, small, rho, gamma):
     cells = [j for j in range(means.size)
              if j >= lo / lm - 1e-9 and j + 1 <= hi / lm + 1e-9]
     try:
-        got = find_flat_segment(params, profile, (a, b), cfg, gamma,
-                                margin_left=ml, margin_right=mr)
+        got = find_flat_segment(params.with_gamma(gamma), profile, (a, b),
+                                cfg, margin_left=ml, margin_right=mr)
     except FlatSegmentNotFound as err:
         got = str(err)
     if not cells:
@@ -335,7 +332,7 @@ def test_good_set_matches_reference(params_tau, segments, sigma):
     widths = np.array([w for w, _ in sigma])
     widths *= profile.L / widths.sum()
     step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])))
-    report = good_set(params_tau, profile, step, gamma)
+    report = good_set(params_tau, profile, step)
     good, measure, runs, ok = _good_set_by_definition(params_tau, profile,
                                                       step, gamma)
     assert report.good_intervals == good
@@ -452,7 +449,7 @@ def test_good_set_on_the_torus_matches_definition(params_tau, segments,
     widths *= profile.L / widths.sum()
     step = StepProfile.from_pieces(list(zip(widths, [v for _, v in sigma])),
                                    periodic=True)
-    report = good_set(params_tau, profile, step, gamma)
+    report = good_set(params_tau, profile, step)
     good, measure, runs, ok = _good_set_on_torus_by_definition(
         params_tau, profile, step, gamma)
     assert report.good_intervals == good

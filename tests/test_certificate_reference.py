@@ -93,7 +93,7 @@ def _assert_same_terms(got, want, step):
 def test_chessboard_matches_reference(pieces, gamma, atoms, periodic):
     params = _model(gamma, atoms)
     step = _step(pieces, periodic)
-    _assert_same_terms(chessboard_lower_bound(params, step, gamma),
+    _assert_same_terms(chessboard_lower_bound(params, step),
                        dense_chessboard(params, step, gamma, periodic), step)
 
 
@@ -106,7 +106,7 @@ def test_cell_energy_matches_reference(pieces, gamma, atoms, negative):
     if negative:
         pieces = [(w, -v) for w, v in pieces]
     cell = _step(pieces)
-    got = cell_specific_energy(params, cell, gamma)
+    got = cell_specific_energy(params, cell)
     h, term, size = dense_cell_energy(params, np.diff(cell.breakpoints),
                                       cell.values, gamma)
     assert abs(got * h - term) <= _cell_bound(len(pieces), size)
@@ -178,7 +178,7 @@ def test_twenty_thousand_pieces_in_one_cell(params_tau):
     widths = rng.uniform(0.05, 2.0, 20_000)
     step = StepProfile(breakpoints=np.concatenate([[0.0], np.cumsum(widths)]),
                        values=np.full(widths.size, params_tau.m_beta))
-    bound, per = chessboard_lower_bound(params_tau, step, 1e-2)
+    bound, per = chessboard_lower_bound(params_tau, step)
     assert len(per) == 1
     assert bound == pytest.approx(
-        step.L * energy_per_length(params_tau, step.L, 1e-2), rel=1e-10)
+        step.L * energy_per_length(params_tau, step.L), rel=1e-10)

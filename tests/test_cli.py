@@ -703,19 +703,19 @@ SETTING_CASES = {
     ("eh", "span_high"): (20, "eh-curve", "eh_curve",
                           lambda a, kw: kw["span"][1], 20.0),
     ("minimize", "L"): (40, "minimize", "multistart",
-                        lambda a, kw: a[2], 40.0),
+                        lambda a, kw: a[1], 40.0),
     ("minimize", "L_over_h_star"): (2, "minimize", "multistart",
-                                    lambda a, kw: a[2], _TWO_H_STAR),
+                                    lambda a, kw: a[1], _TWO_H_STAR),
     ("minimize", "bc"): ("open", "minimize", "multistart",
-                         lambda a, kw: a[3], "open"),
+                         lambda a, kw: a[2], "open"),
     ("minimize", "dx"): (0.125, "minimize", "multistart",
                          lambda a, kw: kw["dx"], 0.125),
     ("minimize", "n_starts"): (3.0, "minimize", "multistart",
-                               lambda a, kw: a[4], 3),
+                               lambda a, kw: a[3], 3),
     ("minimize", "max_iters"): (123.0, "minimize", "multistart",
-                                lambda a, kw: a[5].max_iters, 123),
+                                lambda a, kw: a[4].max_iters, 123),
     ("minimize", "grad_tol"): (1e-3, "minimize", "multistart",
-                               lambda a, kw: a[5].grad_tol, 1e-3),
+                               lambda a, kw: a[4].grad_tol, 1e-3),
     ("minimize", "init"): ("trial", "minimize", "multistart",
                            lambda a, kw: kw["init"] is not None, True),
     ("coarsegrain", "delta"): (0.25, "coarse-grain", "coarse_grain",

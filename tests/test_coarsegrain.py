@@ -83,7 +83,7 @@ class TestClassify:
 class TestFlatSegment:
     def test_constant_full_core(self, params, cfg):
         p = GridProfile.constant(params.m_beta, L=20.0, dx=1.0 / 16.0)
-        om, (a, b), run = find_flat_segment(params, p, (0.0, 4.0), cfg, 1e-2)
+        om, (a, b), run = find_flat_segment(params, p, (0.0, 4.0), cfg)
         assert om == 1.0
         assert run >= 4.0 / 2.0 - 2 * cfg.ell_minus   # central half, minus edges
         assert a >= 1.0 - 1e-9 and b <= 3.0 + 1e-9
@@ -91,7 +91,7 @@ class TestFlatSegment:
     def test_zero_profile_not_found(self, params, cfg):
         p = GridProfile.constant(0.0, L=20.0, dx=1.0 / 16.0)
         with pytest.raises(FlatSegmentNotFound):
-            find_flat_segment(params, p, (0.0, 4.0), cfg, 1e-2)
+            find_flat_segment(params, p, (0.0, 4.0), cfg)
 
     def test_instanton_picks_longer_side(self, params, instanton_default, cfg):
         # block [0, 8] with the interface at 2.5: plus side is longer
@@ -99,15 +99,14 @@ class TestFlatSegment:
         n = int(16 / dx)
         x = (np.arange(n) + 0.5) * dx
         p = GridProfile(L=16.0, dx=dx, samples=instanton_default(x - 2.5))
-        om, (a, b), run = find_flat_segment(params, p, (0.0, 8.0), cfg, 1e-2)
+        om, (a, b), run = find_flat_segment(params, p, (0.0, 8.0), cfg)
         assert om == 1.0
         assert a >= 2.5
 
 
 class TestReplaceBlock:
     def test_bad_balanced_split(self, params_tau, cfg):
-        pieces, tag, _ = replace_block(params_tau, 4.0, 0.0, ("bad", None),
-                                       cfg, 1e-2)
+        pieces, tag, _ = replace_block(params_tau, 4.0, 0.0, ("bad", None), cfg)
         assert tag == "1-split"
         (w1, v1), (w2, v2) = pieces
         assert w1 == pytest.approx(2.0) and v1 == pytest.approx(params_tau.m_beta)
@@ -115,14 +114,13 @@ class TestReplaceBlock:
 
     def test_bad_constant(self, params_tau, cfg):
         m = params_tau.m_beta - 0.01
-        pieces, tag, _ = replace_block(params_tau, 4.0, m, ("bad", None),
-                                       cfg, 1e-2)
+        pieces, tag, _ = replace_block(params_tau, 4.0, m, ("bad", None), cfg)
         assert tag == "1-const" and pieces == [(4.0, m)]
 
     def test_good_opposite_signs_jump(self, params_tau, cfg):
         ell, m = 4.0, 0.3
         pieces, tag, _ = replace_block(params_tau, ell, m,
-                                       ("good", (1.0, -1.0)), cfg, 1e-2)
+                                       ("good", (1.0, -1.0)), cfg)
         assert tag == "2a-jump"
         xi = ell * (m + params_tau.m_beta) / (2 * params_tau.m_beta)
         assert pieces[0][0] == pytest.approx(xi)
@@ -130,7 +128,7 @@ class TestReplaceBlock:
     def test_good_equal_signs_two_jump(self, params_tau, cfg):
         ell = 4.0
         pieces, tag, _ = replace_block(params_tau, ell, 0.0,
-                                       ("good", (-1.0, -1.0)), cfg, 1e-2)
+                                       ("good", (-1.0, -1.0)), cfg)
         assert tag == "2b-two-jump"
         assert pieces[0][0] == pytest.approx(ell / 4.0)
         assert pieces[0][1] == pytest.approx(-params_tau.m_beta)
@@ -147,7 +145,7 @@ class TestReplaceBlock:
         for mean in rng.uniform(-0.999, 0.999, 24):
             ell = float(rng.uniform(2.0, 6.0))
             pieces, _, _ = replace_block(params_tau, ell, float(mean),
-                                         (kind, data), cfg, 1e-2)
+                                         (kind, data), cfg)
             widths = np.array([w for w, _ in pieces])
             vals = np.array([v for _, v in pieces])
             assert np.sum(widths) == pytest.approx(ell, rel=1e-14)
@@ -160,7 +158,7 @@ class TestReplaceBlock:
         # 1, so the block falls back to the bad-block rule
         cfg = CoarseGrainConfig(c0=0.05)
         pieces, tag, flags = replace_block(params_tau, 2.0, 0.997,
-                                           ("good", (1.0, -1.0)), cfg, 1e-2)
+                                           ("good", (1.0, -1.0)), cfg)
         assert flags.get("demoted") == "plateau>1"
         assert tag == "1-const"
         assert np.max(np.abs([v for _, v in pieces])) <= 1.0 + 1e-12
@@ -169,7 +167,7 @@ class TestReplaceBlock:
 class TestAdaptedPartition:
     def test_constant_profile_all_good(self, params_tau, cfg):
         p = GridProfile.constant(params_tau.m_beta, L=40.0, dx=1.0 / 16.0)
-        adapted = adapted_partition(params_tau, p, cfg, 1e-2)
+        adapted = adapted_partition(params_tau, p, cfg)
         kinds = set(adapted.kinds)
         assert kinds <= {"good", "boundary_good"}
         assert all(s == (1.0, 1.0) for k, s in zip(adapted.kinds, adapted.signs)
@@ -180,11 +178,11 @@ class TestAdaptedPartition:
 
     def test_zero_profile_all_bad(self, params_tau, cfg):
         p = GridProfile.constant(0.0, L=40.0, dx=1.0 / 16.0)
-        adapted = adapted_partition(params_tau, p, cfg, 1e-2)
+        adapted = adapted_partition(params_tau, p, cfg)
         assert set(adapted.kinds) == {"bad"}
 
     def test_trial_profile_signs(self, params_tau, cfg, trial):
-        adapted = adapted_partition(params_tau, trial, cfg, 1e-2)
+        adapted = adapted_partition(params_tau, trial, cfg)
         mixed = [s for k, s in zip(adapted.kinds, adapted.signs)
                  if k == "good" and s[0] != s[1]]
         # one sign change per jump of the trial profile (8 cells -> 8 zeros)
@@ -194,11 +192,11 @@ class TestAdaptedPartition:
 class TestCoarseGrain:
     def test_constant_is_fixed_point(self, params_tau, cfg):
         p = GridProfile.constant(params_tau.m_beta, L=40.0, dx=1.0 / 16.0)
-        step, _, _ = coarse_grain(params_tau, p, cfg, 1e-2)
+        step, _, _ = coarse_grain(params_tau, p, cfg)
         assert np.max(np.abs(step.values - params_tau.m_beta)) < 1e-12
 
     def test_mass_balance_per_block(self, params_tau, cfg, trial):
-        step, adapted, trace = coarse_grain(params_tau, trial, cfg, 1e-2)
+        step, adapted, trace = coarse_grain(params_tau, trial, cfg)
         for (a, b), rec in zip(adapted.partition.blocks(), trace):
             assert step.restrict(a, b).mean() == pytest.approx(rec["mean"],
                                                                abs=1e-12)
@@ -211,11 +209,11 @@ class TestCoarseGrain:
         data = trial.samples[:16] if bc == "custom" else None
         prof = GridProfile(L=trial.L, dx=trial.dx, samples=trial.samples,
                            bc=bc, out_left=data, out_right=data)
-        step, _, _ = coarse_grain(params_tau, prof, cfg, 1e-2)
+        step, _, _ = coarse_grain(params_tau, prof, cfg)
         assert step.periodic is (bc == "periodic")
 
     def test_trial_intervals_near_h(self, params_tau, cfg, trial):
-        step, adapted, _ = coarse_grain(params_tau, trial, cfg, 1e-2)
+        step, adapted, _ = coarse_grain(params_tau, trial, cfg)
         lengths = step.interval_lengths()
         # intervals of sigma_phi track the trial period up to O(ell_plus)
         assert np.all(np.abs(lengths - 24.0) <= adapted.ell_plus + 1e-9)
@@ -224,7 +222,7 @@ class TestCoarseGrain:
         n = 1280
         dx = 1.0 / 16.0
         p = GridProfile(L=n * dx, dx=dx, samples=rng.uniform(-1, 1, n))
-        step, _, _ = coarse_grain(params_tau, p, cfg, 1e-2)
+        step, _, _ = coarse_grain(params_tau, p, cfg)
         assert np.max(np.abs(step.values)) <= 1.0 + 1e-12
         assert step.mean() == pytest.approx(p.mean(), abs=1e-12)
 
@@ -235,9 +233,9 @@ class TestCoarseGrain:
         for n_cells in (4, 8):
             prof = build_trial_profile(24.0, 24.0 * n_cells, instanton_default,
                                        bc="open")
-            step, _, _ = coarse_grain(params_tau, prof, cfg, gamma)
-            v_phi = dipole_energy(params_tau, prof, gamma)
-            v_sig = step_dipole_energy(params_tau, step, gamma)
+            step, _, _ = coarse_grain(params_tau, prof, cfg)
+            v_phi = dipole_energy(params_tau, prof)
+            v_sig = step_dipole_energy(params_tau, step)
             ratios.append(abs(v_phi - v_sig)
                           / (prof.L * gamma ** (1 - cfg.delta)))
         assert max(ratios) < 10.0
@@ -248,7 +246,7 @@ class TestCoarseGrain:
         # replacement map is reproduced exactly
         c = 0.8
         p = GridProfile.constant(c, L=40.0, dx=1.0 / 16.0)
-        step, _, trace = coarse_grain(params_tau, p, cfg, 1e-2)
+        step, _, trace = coarse_grain(params_tau, p, cfg)
         assert np.max(np.abs(step.values - c)) < 1e-12
         assert all(t["case"].endswith("const") for t in trace)
 
@@ -262,16 +260,16 @@ class TestCoarseGrain:
         for p in (GridProfile.constant(-m, L=64.0, dx=1.0 / 16.0, bc=bc),
                   GridProfile.constant(m, L=64.0, dx=1.0 / 16.0, bc=bc),
                   build_trial_profile(h, 8 * h, instanton_default, bc=bc)):
-            cert = lower_bound_certificate(params_tau, p, 1e-2, cfg)
+            cert = lower_bound_certificate(params_tau, p, cfg)
             inside = total_energy(params_tau, GridProfile(
                 L=p.L, dx=p.dx, samples=p.samples, bc="open"), 1e-2).total
             assert cert.params["E_phi"] == pytest.approx(inside, rel=1e-14)
             assert cert.passed
 
     def test_lower_bound_certificate_examples(self, params_tau, cfg, trial):
-        cert = lower_bound_certificate(params_tau, trial, 1e-2, cfg)
+        cert = lower_bound_certificate(params_tau, trial, cfg)
         assert cert.passed
         p = GridProfile.constant(params_tau.m_beta, L=40.0, dx=1.0 / 16.0)
-        cert2 = lower_bound_certificate(params_tau, p, 1e-2, cfg)
+        cert2 = lower_bound_certificate(params_tau, p, cfg)
         assert cert2.passed
         assert cert2.lhs >= -1e-10

@@ -42,11 +42,11 @@ def ref_corpus_worst(params, p_used, p_solved, seed, n_step_profiles, fast,
     for k in range(n_profiles):
         rng_k = restart_rng(seed, 100 + k)
         step = random_in_k_step(rng_k, L, params.m_beta, m_bar, h_star)
-        e_tilde = tilde_energy(p_used, step, gamma)
-        bound, _ = chessboard_lower_bound(p_used, step, gamma)
+        e_tilde = tilde_energy(p_used, step)
+        bound, _ = chessboard_lower_bound(p_used, step)
         worst_cb = min(worst_cb, e_tilde - bound)
         excess, well, _ = excess_energy_decomposition(
-            p_solved, step, gamma, e_star=e_star)
+            p_solved, step, e_star=e_star)
         rhs = L * e_star + 0.5 * excess + well / 4.0
         worst_c000 = min(worst_c000, e_tilde - rhs)
     return worst_cb, worst_c000
@@ -59,24 +59,23 @@ ONE_ATOM = ((1.0, 1.0),)
 THREE_ATOMS = ((0.5, 1.0), (0.3, 2.0), (0.2, 0.5))
 
 
-def _per_profile_gaps(p_used, p_solved, steps, gamma, h_star, e_star):
+def _per_profile_gaps(p_used, p_solved, steps, h_star, e_star):
     """Each profile scored alone by the public functions."""
     gaps_cb, gaps_c000 = [], []
     for step in steps:
-        e_tilde = tilde_energy(p_used, step, gamma)
-        gaps_cb.append(e_tilde - chessboard_lower_bound(p_used, step,
-                                                        gamma)[0])
+        e_tilde = tilde_energy(p_used, step)
+        gaps_cb.append(e_tilde - chessboard_lower_bound(p_used, step)[0])
         excess, well, _ = excess_energy_decomposition(
-            p_solved, step, gamma, e_star=e_star)
+            p_solved, step, e_star=e_star)
         gaps_c000.append(e_tilde - (step.L * e_star + 0.5 * excess
                                     + well / 4.0))
     return gaps_cb, gaps_c000
 
 
-def _assert_gaps_match(p_used, p_solved, steps, gamma):
-    h_star, e_star, _, _ = optimal_h(p_solved, gamma)
-    got = _corpus_gaps(p_used, p_solved, steps, gamma, e_star)
-    want = _per_profile_gaps(p_used, p_solved, steps, gamma, h_star, e_star)
+def _assert_gaps_match(p_used, p_solved, steps):
+    h_star, e_star, _, _ = optimal_h(p_solved)
+    got = _corpus_gaps(p_used, p_solved, steps, e_star)
+    want = _per_profile_gaps(p_used, p_solved, steps, h_star, e_star)
     for g, w in zip(got, want):
         assert len(g) == len(w) == len(steps)
         assert g == w
@@ -101,7 +100,7 @@ def test_certificates_match_the_per_profile_loop(atoms, tau, seed,
     ident = certs["cell_energy_identity"].params
     p_used = params.with_tau(ident["tau_used"])
     p_solved = params.with_tau(ident["tau_solved"])
-    h_star, e_star, _, _ = optimal_h(p_solved, gamma)
+    h_star, e_star, _, _ = optimal_h(p_solved)
     assert h_star == ident["h_star"]
     worst_cb, worst_c000 = ref_corpus_worst(
         params, p_used, p_solved, seed, n_profiles, fast, gamma, h_star,
@@ -147,7 +146,7 @@ def test_cells_stay_in_their_profile(params_tau):
     assert cells.tolist() == [0, 1, 2, 3, 4, 5, 6, 8]
     assert cells.size == sum(len(s.sign_intervals()) for s in steps)
     assert set(first.tolist()) <= set(cells.tolist())
-    _assert_gaps_match(params_tau, params_tau, steps, 1e-2)
+    _assert_gaps_match(params_tau, params_tau, steps)
 
 
 @st.composite
@@ -172,4 +171,5 @@ def corpora(draw):
 def test_random_corpora_match_each_profile_alone(steps, atoms, gamma):
     params = ModelParams.create(beta=2.0, gamma=1e-2,
                                 measure=KacMeasure(atoms=atoms), tau=0.2)
-    _assert_gaps_match(params, params.with_tau(0.19), steps, gamma)
+    params = params.with_gamma(gamma)
+    _assert_gaps_match(params, params.with_tau(0.19), steps)

@@ -111,16 +111,16 @@ def test_one_minus_tanhc_array_is_the_float_path(x):
        gamma=st.floats(1e-8, 0.19),
        h=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=30))
 def test_energy_per_length_array_is_the_float_path(measure, tau, gamma, h):
-    params = _model(measure, tau)
+    params = _model(measure, tau).with_gamma(gamma)
     harr = np.array(h)
-    got = energy_per_length(params, harr, gamma)
-    assert [energy_per_length(params, v, gamma).hex() for v in h] == _hex(got)
+    got = energy_per_length(params, harr)
+    assert [energy_per_length(params, v).hex() for v in h] == _hex(got)
     for v, g in zip(h, got.tolist()):
         want = _eh_mp(params, v, gamma)
         assert abs(g - want) <= _EH_REL * want, v
     # the central difference on an array is the float one entry by entry
-    assert _hex(eh_derivative(params, harr, gamma)) == [
-        eh_derivative(params, v, gamma).hex() for v in h]
+    assert _hex(eh_derivative(params, harr)) == [
+        eh_derivative(params, v).hex() for v in h]
 
 
 def test_entries_across_the_switch():
@@ -130,8 +130,8 @@ def test_entries_across_the_switch():
     gamma = 1e-2
     h = np.array([4.0 / (a * gamma) * s for _, a in measure.atoms
                   for s in (1.0 - 1e-16, 1.0, 1.0 + 1e-15, 0.5, 2.0)])
-    got = energy_per_length(params, h, gamma)
-    assert [energy_per_length(params, v, gamma).hex()
+    got = energy_per_length(params, h)
+    assert [energy_per_length(params, v).hex()
             for v in h.tolist()] == _hex(got)
     for v, g in zip(h.tolist(), got.tolist()):
         want = _eh_mp(params, v, gamma)
@@ -145,20 +145,20 @@ def test_entries_across_the_switch():
 def test_eh_curve_matches_reference(measure, tau, gamma, n, span):
     # log-spaced samples from span[0] h* to span[1] h*, each entry its own
     # float call, with the optimum of ``optimal_h``
-    params = _model(measure, tau)
+    params = _model(measure, tau).with_gamma(gamma)
     try:
-        h_star, e_star, h_asym, e_asym = optimal_h(params, gamma)
+        h_star, e_star, h_asym, e_asym = optimal_h(params)
     except BracketError:
         with pytest.raises(BracketError):
-            eh_curve(params, gamma, n, span)
+            eh_curve(params, n, span)
         return
-    curve = eh_curve(params, gamma, n, span)
+    curve = eh_curve(params, n, span)
     assert (curve.h_star, curve.e_star) == (h_star, e_star)
     assert (curve.h_star_asym, curve.e_star_asym) == (h_asym, e_asym)
     assert (curve.gamma, curve.tau) == (gamma, tau)
     assert curve.h.tobytes() == np.geomspace(span[0] * h_star,
                                              span[1] * h_star, n).tobytes()
-    assert _hex(curve.e) == [energy_per_length(params, v, gamma).hex()
+    assert _hex(curve.e) == [energy_per_length(params, v).hex()
                              for v in curve.h.tolist()]
 
 
@@ -176,9 +176,9 @@ def test_check_eh_bounds_matches_reference(measure, tau, gamma):
     # must hold at every point of the certificate's grid, log-spaced from 1
     # to 100/gamma, with e and e' the float calls, to the two roundings of
     # a product and a quotient
-    params = _model(measure, tau)
+    params = _model(measure, tau).with_gamma(gamma)
     try:
-        cert = check_eh_bounds(params, gamma)
+        cert = check_eh_bounds(params)
     except (BracketError, CertificateFailure, ValidationError):
         # no optimum inside the bracket, h* < 10, or no admissible regime
         # boundaries; the explicit examples pass
@@ -187,10 +187,10 @@ def test_check_eh_bounds_matches_reference(measure, tau, gamma):
     c, C, cp, Cp, h_star = p["c"], p["C"], p["c_prime"], p["C_prime"], \
         p["h_star"]
     assert cert.passed and 1e-8 <= c and C <= 1e8
-    e_star = optimal_h(params, gamma)[1]
+    e_star = optimal_h(params)[1]
     for h in np.geomspace(1.0, 100.0 / gamma, p["n_samples"]).tolist():
-        diff = energy_per_length(params, h, gamma) - e_star
-        slope = abs(eh_derivative(params, h, gamma))
+        diff = energy_per_length(params, h) - e_star
+        slope = abs(eh_derivative(params, h))
         if h <= cp * h_star:
             low, up = 1.0 / h, h ** -2.0
         elif h >= Cp / gamma:

@@ -53,11 +53,11 @@ class TestShortRange:
 class TestDipole:
     def test_zero_profile(self, params):
         p = GridProfile.constant(0.0, L=10.0, dx=1.0 / 8.0)
-        assert dipole_energy(params, p, 1e-2) == 0.0
+        assert dipole_energy(params, p) == 0.0
 
     def test_recursion_matches_direct(self, two_atom_params, rng):
         p = random_profile(rng, n=4000, dx=1.0 / 16.0)
-        fast = dipole_energy(two_atom_params, p, 1e-2)
+        fast = dipole_energy(two_atom_params, p)
         slow = dipole_energy_direct(two_atom_params, p, 1e-2)
         assert abs(fast - slow) <= 1e-10 * abs(slow)
 
@@ -69,7 +69,7 @@ class TestDipole:
         vals = []
         for dx in (1.0 / 8.0, 1.0 / 16.0):
             p = GridProfile.constant(1.0, L=L, dx=dx)
-            vals.append(dipole_energy(params, p, gamma))
+            vals.append(dipole_energy(params.with_gamma(gamma), p))
         assert vals[1] == pytest.approx(expect, rel=1e-4)
         # quadrature error shrinks with dx
         assert abs(vals[1] - expect) < abs(vals[0] - expect)
@@ -81,14 +81,14 @@ class TestDipole:
             n = int(64 / h)
             s = StepProfile.from_pieces([(h, (-1.0) ** k * params.m_beta)
                                          for k in range(n)])
-            vals.append(step_dipole_energy(params, s, 1e-1))
+            vals.append(step_dipole_energy(params.with_gamma(1e-1), s))
         assert vals[0] > vals[1] > vals[2]
 
     def test_step_dipole_matches_grid(self, params):
         s = StepProfile.from_pieces([(8.0, 0.7), (4.0, -0.9), (12.0, 0.4)])
-        exact = step_dipole_energy(params, s, 5e-2)
+        exact = step_dipole_energy(params.with_gamma(5e-2), s)
         p = s.to_grid(1.0 / 64.0)
-        quad = dipole_energy(params, p, 5e-2)
+        quad = dipole_energy(params.with_gamma(5e-2), p)
         assert quad == pytest.approx(exact, rel=1e-4)
 
 
@@ -128,7 +128,7 @@ class TestTotalEnergy:
         cell = np.full(n_cell, m)
         samples = np.concatenate([(-1.0) ** j * cell for j in range(2 * k)])
         p = GridProfile(L=2 * k * h, dx=dx, samples=samples, bc="periodic")
-        lr = energy_per_length(params_tau, h, gamma) - params_tau.tau / h
+        lr = energy_per_length(params_tau, h) - params_tau.tau / h
         sym = _torus_dipole_symbol(params_tau, gamma, p.n, dx)
         dipole = 0.5 * dx * float(
             samples @ np.fft.irfft(sym * np.fft.rfft(samples), p.n))
@@ -482,7 +482,7 @@ class TestStepClosedForms:
         # (gamma/2) m^2 lam L 2/gamma = m^2 L for one unit-rate atom
         m, L = 0.9, 3.0
         step = StepProfile.from_pieces([(1.0, m), (L - 1.0, m)], periodic=True)
-        assert step_dipole_energy(params, step, gamma) == (
+        assert step_dipole_energy(params.with_gamma(gamma), step) == (
             pytest.approx(m * m * L, rel=1e-13, abs=0.0))
 
 
@@ -512,7 +512,7 @@ class TestStepDipole:
         scale = dense_step_dipole_energy(
             params, StepProfile.from_pieces([(w, abs(v)) for w, v in pieces]),
             gamma, bc=bc)
-        got = step_dipole_energy(params, step, gamma)
+        got = step_dipole_energy(params, step)
         assert abs(got - dense_step_dipole_energy(params, step, gamma, bc=bc)
                    ) <= max(1e-14 * scale, np.finfo(float).tiny)
 
@@ -526,29 +526,29 @@ class TestStepDipole:
         widths = rng.uniform(0.05, 2.0, 20_000)
         edges = np.append(0.0, np.cumsum(widths))
         m, gamma, L = 0.9, 1e-3, edges[-1]
+        params = two_atom_params.with_gamma(gamma)
         const = StepProfile(breakpoints=edges, values=np.full(widths.size, m),
                             periodic=bc == "periodic")
         want = 0.0
-        for w_k, a_k in two_atom_params.measure.atoms:
+        for w_k, a_k in params.measure.atoms:
             b = gamma * a_k
             want += w_k * (2.0 * L / b if bc == "periodic" else
                            2.0 / b / b * (math.expm1(-b * L) + b * L))
         want *= 0.5 * gamma * m * m
-        assert step_dipole_energy(two_atom_params, const, gamma) == (
+        assert step_dipole_energy(params, const) == (
             pytest.approx(want, rel=1e-11))
         values = rng.choice([-1.0, 1.0], widths.size) * rng.uniform(
             0.8, 1.0, widths.size)
         step = replace(const, values=values)
-        got = step_dipole_energy(two_atom_params, step, gamma)
+        got = step_dipole_energy(params, step)
         assert math.isfinite(got) and got > 0.0
         if bc == "periodic":
             k = 7_000
             rotated = replace(
                 step, breakpoints=np.append(0.0, np.cumsum(np.roll(widths, -k))),
                 values=np.roll(values, -k))
-            scale = step_dipole_energy(two_atom_params, const, gamma)
-            assert abs(step_dipole_energy(two_atom_params, rotated, gamma)
-                       - got) <= 1e-11 * scale
+            scale = step_dipole_energy(params, const)
+            assert abs(step_dipole_energy(params, rotated) - got) <= 1e-11 * scale
 
 
 class TestTildeEnergy:
@@ -564,24 +564,23 @@ class TestTildeEnergy:
                                                 bc):
         # a cell scored among others in one _step_terms pass is bit for bit
         # the tilde_energy of its step profile alone
-        params = ModelParams.create(beta=2.0, gamma=1e-2, tau=0.2,
+        params = ModelParams.create(beta=2.0, gamma=gamma, tau=0.2,
                                     measure=KacMeasure(atoms=atoms))
         steps = [StepProfile.from_pieces(p, periodic=bc == "periodic")
                  for p in profiles]
         terms = _step_terms(
-            params, gamma, np.concatenate([s.values for s in steps]),
+            params, np.concatenate([s.values for s in steps]),
             np.concatenate([s.breakpoints[:-1] for s in steps]),
             np.concatenate([s.breakpoints[1:] for s in steps]),
             np.cumsum([0] + [s.values.size for s in steps[:-1]]),
             np.array([s.L for s in steps]) if bc == "periodic" else None)
         for k, step in enumerate(steps):
             well, surface, dipole = (float(t[k]) for t in terms)
-            assert well + surface + dipole == tilde_energy(params, step,
-                                                           gamma)
+            assert well + surface + dipole == tilde_energy(params, step)
 
     def test_constant_dipole_only(self, params_tau):
         s = StepProfile.from_pieces([(40.0, params_tau.m_beta)])
-        val, parts = tilde_energy(params_tau, s, 1e-2, breakdown=True)
+        val, parts = tilde_energy(params_tau, s, breakdown=True)
         assert parts["well"] == pytest.approx(0.0, abs=1e-15)
         assert parts["surface"] == 0.0
         assert val == pytest.approx(parts["dipole"])
@@ -589,7 +588,7 @@ class TestTildeEnergy:
     def test_surface_counts_jumps(self, params_tau):
         m = params_tau.m_beta
         s = StepProfile.from_pieces([(4.0, (-1.0) ** k * m) for k in range(11)])
-        _, parts = tilde_energy(params_tau, s, 1e-2, breakdown=True)
+        _, parts = tilde_energy(params_tau, s, breakdown=True)
         assert parts["surface"] == pytest.approx(10 * params_tau.tau)
 
     def test_warns_when_leaving_K(self, params_tau):
@@ -597,13 +596,13 @@ class TestTildeEnergy:
         s = StepProfile(breakpoints=[0.0, 5.0, 10.0], values=[m, 0.5 * m],
                         m_bar=0.9 * m)
         with pytest.warns(UserWarning, match="leaves K"):
-            tilde_energy(params_tau, s, 1e-2)
+            tilde_energy(params_tau, s)
 
     def test_well_term(self, params_tau):
         from froth1d.model import eval_tilde_F
         m = 0.9 * params_tau.m_beta
         s = StepProfile.from_pieces([(5.0, m)])
-        _, parts = tilde_energy(params_tau, s, 1e-2, breakdown=True)
+        _, parts = tilde_energy(params_tau, s, breakdown=True)
         assert parts["well"] == pytest.approx(5.0 * eval_tilde_F(m, params_tau),
                                               rel=1e-12)
 
@@ -612,9 +611,9 @@ class TestTildeEnergy:
         # sharp-interface energy tau N_jumps + dipole, even under a sign flip
         m = params_tau.m_beta
         s = StepProfile.from_pieces([(6.0, m), (7.0, -m), (5.0, m)])
-        sharp = 2 * params_tau.tau + step_dipole_energy(params_tau, s, 1e-2)
-        assert tilde_energy(params_tau, s, 1e-2) == pytest.approx(
+        sharp = 2 * params_tau.tau + step_dipole_energy(params_tau, s)
+        assert tilde_energy(params_tau, s) == pytest.approx(
             sharp, rel=1e-14)
         s_flip = StepProfile.from_pieces([(6.0, -m), (7.0, m), (5.0, -m)])
-        assert tilde_energy(params_tau, s_flip, 1e-2) == pytest.approx(
-            tilde_energy(params_tau, s, 1e-2), rel=1e-14)
+        assert tilde_energy(params_tau, s_flip) == pytest.approx(
+            tilde_energy(params_tau, s), rel=1e-14)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -27,6 +28,13 @@ PUBLIC_API = [
     "surface_tension", "tail_rate", "tilde_energy", "tilde_v_kernel",
     "total_energy", "v_prime_at_zero",
 ]
+
+
+# the grid functional's entry points take a gamma of their own, as they run
+# the short-range functional at gamma 0, which ModelParams cannot hold;
+# every other public callable given params reads gamma from them
+GRID_ENTRY_POINTS = ["energy_gradient", "minimize_energy",
+                     "minimize_with_mean_constraint", "total_energy"]
 
 
 def run_fresh(code: str):
@@ -110,3 +118,14 @@ def test_rebinding_shows_through_the_package(monkeypatch):
     monkeypatch.undo()
     assert froth1d.minimize_energy is original
     assert "minimize_energy" not in vars(froth1d)
+
+
+def test_only_the_grid_entry_points_override_gamma():
+    # classes aside: a record such as StructureReport stores a gamma
+    import froth1d
+    functions = {name: getattr(froth1d, name) for name in froth1d.__all__
+                 if not inspect.isclass(getattr(froth1d, name))}
+    both = [name for name, f in functions.items()
+            if {"params", "gamma"} <= set(inspect.signature(f).parameters)]
+    assert both == GRID_ENTRY_POINTS
+    assert "multistart" in functions and "optimal_h" in functions

@@ -578,7 +578,7 @@ def _partition_by_rules(params, profile, cfg, gamma):
        gamma=st.sampled_from([1e-2, 3e-3]))
 def test_adapted_partition_matches_reference(params_tau, profile, rho, gamma):
     cfg = CoarseGrainConfig(rho=rho)
-    got = adapted_partition(params_tau, profile, cfg, gamma)
+    got = adapted_partition(params_tau.with_gamma(gamma), profile, cfg)
     lines, kinds, signs, ell_plus = _partition_by_rules(params_tau, profile,
                                                         cfg, gamma)
     assert got.partition.edges.tolist() == lines

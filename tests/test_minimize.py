@@ -40,7 +40,7 @@ class TestMinimizeEnergy:
                                               instanton_default):
         gamma = 1e-2
         from froth1d.sharp import optimal_h
-        h_star, e_star, _, _ = optimal_h(params_tau, gamma)
+        h_star, e_star, _, _ = optimal_h(params_tau)
         dx = 1.0 / 16.0
         h = round(h_star / dx) * dx
         from froth1d.instanton import build_trial_profile
@@ -243,8 +243,8 @@ class TestProjectionStress:
 class TestMultistart:
     def test_deterministic(self, params):
         opts = MinimizeOptions(max_iters=120, grad_tol=1e-9, seed=31)
-        best1, t1 = multistart(params, 1e-2, 16.0, "periodic", 3, opts)
-        best2, t2 = multistart(params, 1e-2, 16.0, "periodic", 3, opts)
+        best1, t1 = multistart(params, 16.0, "periodic", 3, opts)
+        best2, t2 = multistart(params, 16.0, "periodic", 3, opts)
         assert np.array_equal(best1.profile.samples, best2.profile.samples)
         assert t1 == t2
 
@@ -252,7 +252,7 @@ class TestMultistart:
         from froth1d.instanton import build_trial_profile
         init = build_trial_profile(24.0, 48.0, instanton_default, bc="periodic")
         opts = MinimizeOptions(max_iters=60, grad_tol=1e-9, seed=0)
-        best, _ = multistart(params.with_tau(instanton_default.tau), 1e-2,
+        best, _ = multistart(params.with_tau(instanton_default.tau),
                              init.L, "periodic", 1, opts, dx=init.dx,
                              init=init)
         ref = minimize_energy(params, init, 1e-2, opts)
@@ -267,7 +267,7 @@ class TestMultistart:
         init = GridProfile(L=n * dx, dx=dx, bc="periodic",
                            samples=restart_rng(11, 0).uniform(-1.0, 1.0, n))
         opts = MinimizeOptions(max_iters=300, grad_tol=1e-6)
-        best, _ = multistart(p, gamma, init.L, "periodic", 1, opts, dx=dx,
+        best, _ = multistart(p, init.L, "periodic", 1, opts, dx=dx,
                              init=init)
         ref = minimize_energy(p, init, gamma, opts)
 
@@ -295,8 +295,8 @@ class TestMultistart:
         n = 6 * cell
         init = GridProfile(L=n * dx, dx=dx, bc="periodic", samples=np.where(
             np.arange(n) // cell % 2 == 0, p.m_beta, -p.m_beta))
-        assert (energy_per_length(p, init.L / 4, gamma)
-                < energy_per_length(p, init.L / 6, gamma))
+        assert (energy_per_length(p, init.L / 4)
+                < energy_per_length(p, init.L / 6))
         relaxed = []
         relax = minimize_module._relax
 
@@ -305,7 +305,7 @@ class TestMultistart:
             return relaxed[-1]
 
         monkeypatch.setattr(minimize_module, "_relax", counted)
-        best, _ = multistart(p, gamma, init.L, "periodic", 1,
+        best, _ = multistart(p, init.L, "periodic", 1,
                              MinimizeOptions(max_iters=60), dx=dx, init=init)
         first, tried = relaxed
         assert tried.energy >= first.energy
@@ -323,13 +323,13 @@ class TestMultistart:
         # domains; as in minimize_with_mean_constraint, it is not used
         init = GridProfile.constant(0.5, L=20.0, dx=1.0 / 8.0, bc="open")
         with pytest.raises(ValidationError, match="disagrees"):
-            multistart(params, 1e-2, L, bc, 2, MinimizeOptions(max_iters=1),
+            multistart(params, L, bc, 2, MinimizeOptions(max_iters=1),
                        dx=dx, init=init)
 
     def test_init_on_the_grid_of_the_starts(self, params):
         # L = 20.01 rounds to the 160 samples of dx = 1/8 the init has
         init = GridProfile.constant(0.5, L=20.0, dx=1.0 / 8.0, bc="open")
-        best, table = multistart(params, 1e-2, 20.01, "open", 2,
+        best, table = multistart(params, 20.01, "open", 2,
                                  MinimizeOptions(max_iters=1), dx=1.0 / 8.0,
                                  init=init)
         assert len(table) == 2 and best.profile.L == 20.0
@@ -566,7 +566,7 @@ class TestOptions:
     def test_multistart_rejects_n_starts(self, params, n_starts):
         # True ran one start; 2.5 and "2" died with a TypeError in range
         with pytest.raises(ValidationError, match="n_starts"):
-            multistart(params, 1e-2, 4.0, "periodic", n_starts,
+            multistart(params, 4.0, "periodic", n_starts,
                        MinimizeOptions(max_iters=1))
 
     def test_restart_rng_accepts_numpy_seed(self):

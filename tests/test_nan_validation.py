@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from froth1d.cli import main
-from froth1d.energy import (dipole_energy, energy_gradient,
-                            step_dipole_energy, tilde_energy, total_energy)
+from froth1d.energy import energy_gradient, total_energy
 from froth1d.coarsegrain import CoarseGrainConfig, classify_blocks
 from froth1d.diagnostics import defect_sets, good_set, l_wrong
 from froth1d.errors import DomainError, InvariantError, ValidationError
@@ -160,9 +159,9 @@ SITES = [
     ("trial cell h under a sample", ValidationError,
      lambda p, tmp, inst: inst.trial_cell(0.05, 1.0 / 16.0)),
     ("multistart L", ValidationError,
-     lambda p, tmp, inst: multistart(p, 1e-2, NAN, "open", 1)),
+     lambda p, tmp, inst: multistart(p, NAN, "open", 1)),
     ("multistart infinite dx", ValidationError,
-     lambda p, tmp, inst: multistart(p, 1e-2, 4.0, "open", 1, dx=INF)),
+     lambda p, tmp, inst: multistart(p, 4.0, "open", 1, dx=INF)),
     ("block count L", ValidationError,
      lambda p, tmp, inst: alpha_L(NAN, 0.2, 1e-2)),
     ("block count negative gamma", ValidationError,
@@ -176,11 +175,11 @@ SITES = [
     ("negative block cutoff multiplier", ValidationError,
      lambda p, tmp, inst: _classify(p, -1.0)),
     ("wrong-length epsilon", ValidationError,
-     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], 8.0, NAN, 1e-2)),
+     lambda p, tmp, inst: l_wrong(p, _cell_pairs()[1], 8.0, NAN)),
     ("wrong-length h_star", ValidationError,
-     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], NAN, 0.1, 1e-2)),
+     lambda p, tmp, inst: l_wrong(p, _cell_pairs()[1], NAN, 0.1)),
     ("negative wrong-length h_star", ValidationError,
-     lambda p, tmp, inst: l_wrong(_cell_pairs()[1], -1.0, 0.1, 1e-2)),
+     lambda p, tmp, inst: l_wrong(p, _cell_pairs()[1], -1.0, 0.1)),
     ("defect sets h_star", ValidationError,
      lambda p, tmp, inst: _defects(p, NAN)),
     ("negative defect sets h_star", ValidationError,
@@ -197,18 +196,14 @@ def test_nan_is_rejected(params_tau, instanton_default, tmp_path, site,
 
 
 _GRID = GridProfile(L=4.0, dx=0.25, samples=np.linspace(-0.9, 0.9, 16))
-_STEP = StepProfile(breakpoints=[0.0, 2.0, 4.0], values=[0.9, -0.9])
 
-# every grid energy, gradient and descent reaches energy._atoms, every step
-# energy energy._step_dipoles, and each checks the gamma it is given
+# the grid functional's entry points take a gamma of their own; each reaches
+# energy._atoms, which checks it
 GAMMA_SITES = {
     "total_energy": lambda p, g: total_energy(p, _GRID, g),
     "energy_gradient": lambda p, g: energy_gradient(p, _GRID, g),
     "minimize_energy": lambda p, g: minimize_energy(
         p, _GRID, g, MinimizeOptions(max_iters=1)),
-    "dipole_energy": lambda p, g: dipole_energy(p, _GRID, g),
-    "tilde_energy": lambda p, g: tilde_energy(p, _STEP, g),
-    "step_dipole_energy": lambda p, g: step_dipole_energy(p, _STEP, g),
 }
 
 

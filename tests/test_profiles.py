@@ -410,3 +410,81 @@ class TestProfileFile:
                      comments=["config_sha256 0123abcd", "sigma \u03c3 # x"])
         q, back = load_profile(path)
         assert back == headers and np.array_equal(q.samples, p.samples)
+
+
+def _copied(obj, **changes):
+    """A distinct object of ``obj``'s class with every array field copied,
+    so that ``==`` must compare arrays, and ``changes`` applied."""
+    arrays = {name: np.array(value) for name, value in vars(obj).items()
+              if isinstance(value, np.ndarray) and name not in changes}
+    return replace(obj, **arrays, **changes)
+
+
+def _bumped(array, k=0):
+    out = np.array(array)
+    out.flat[k] += 1e-3
+    return out
+
+
+def _report(params):
+    from froth1d.coarsegrain import coarse_grain
+    from froth1d.diagnostics import good_set
+    grid = GridProfile(L=64.0, dx=0.125, bc="periodic", samples=np.repeat(
+        np.tile([0.95, -0.95], 4), 64))
+    return good_set(params, grid, coarse_grain(params, grid)[0])
+
+
+class TestEquality:
+    """``==`` on the dataclasses that hold arrays: True or False, field by
+    field, never the ValueError of an array's truth value."""
+
+    @staticmethod
+    def _objects(params_tau, instanton_default):
+        from froth1d.minimize import MinimizeOptions, minimize_energy
+        from froth1d.sharp import eh_curve
+        step = StepProfile.from_pieces([(1.0, 0.5), (2.0, -0.5), (1.5, 0.9)],
+                                       m_bar=0.4, periodic=True)
+        grid = GridProfile(L=1.0, dx=0.25, samples=[0.1, -0.2, 0.3, 0.4])
+        return {
+            "step": step, "grid": grid,
+            "partition": BlockPartition(edges=[0.0, 1.0, 2.5, 4.0]),
+            "instanton": instanton_default,
+            "eh_curve": eh_curve(params_tau, n_samples=8),
+            "minimize": minimize_energy(params_tau, grid,
+                                        options=MinimizeOptions(max_iters=3)),
+            "report": _report(params_tau),
+        }
+
+    @pytest.mark.parametrize("kind", ["step", "grid", "partition", "instanton",
+                                      "eh_curve", "minimize", "report"])
+    def test_equal_distinct_objects(self, params_tau, instanton_default,
+                                    kind):
+        obj = self._objects(params_tau, instanton_default)[kind]
+        assert (obj == _copied(obj)) is True
+        assert (obj != _copied(obj)) is False
+
+    def test_periodic_set_back(self):
+        s = StepProfile.from_pieces([(8.0, 0.9), (16.0, -0.9)], periodic=True)
+        assert replace(replace(s, periodic=False), periodic=True) == s
+
+    @pytest.mark.parametrize("kind,change", [
+        ("step", lambda s: {"values": _bumped(s.values, 1)}),
+        ("step", lambda s: {"breakpoints": _bumped(s.breakpoints, 1)}),
+        ("step", lambda s: {"periodic": False}),
+        ("step", lambda s: {"m_bar": 0.5}),
+        ("grid", lambda g: {"samples": _bumped(g.samples, 2)}),
+        ("grid", lambda g: {"bc": "periodic"}),
+        ("partition", lambda b: {"edges": _bumped(b.edges, 2)}),
+        ("instanton", lambda i: {"tau": 2.0 * i.tau}),
+        ("eh_curve", lambda c: {"e": _bumped(c.e, 0)}),
+        ("minimize", lambda r: {"trace": _bumped(r.trace, 1)}),
+        ("report", lambda r: {"block_means": _bumped(r.block_means, 3)}),
+    ], ids=["step-value", "step-breakpoint", "step-periodic", "step-m_bar",
+            "grid-sample", "grid-bc", "partition-edge", "instanton-tau",
+            "eh_curve-e", "minimize-trace", "report-block_means"])
+    def test_one_field_apart(self, params_tau, instanton_default, kind,
+                             change):
+        obj = self._objects(params_tau, instanton_default)[kind]
+        other = _copied(obj, **change(obj))
+        assert (obj == other) is False and (other == obj) is False
+        assert (obj != other) is True

@@ -87,11 +87,11 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     assert _is_rotation(step.interval_lengths().tolist(),
                         rolled.interval_lengths().tolist())
     assert rolled.n_jumps() == step.n_jumps()
-    h_star, e_star, _, _ = optimal_h(p, GAMMA)
+    h_star, e_star, _, _ = optimal_h(p)
     # lengths are exact, so the same intervals are wrong by the same test,
     # and their dyadic sum is exact in any order
-    assert (l_wrong(rolled, h_star, 0.1, GAMMA)
-            == l_wrong(step, h_star, 0.1, GAMMA))
+    assert (l_wrong(p, rolled, h_star, 0.1)
+            == l_wrong(p, step, h_star, 0.1))
 
     # E~: the surface term counts the same interfaces. The well term sums n
     # nonnegative terms, in two orders: n roundings of it a side. The
@@ -100,12 +100,11 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # |sigma| bounds the magnitude M of everything summed; a side rounds
     # each term a few times (expm1, exp, the Taylor sum, a product), the
     # doubling scan log2(n) times and the reduction n times
-    e0, parts0 = tilde_energy(p, step, GAMMA, breakdown=True)
-    e1, parts1 = tilde_energy(p, rolled, GAMMA, breakdown=True)
+    e0, parts0 = tilde_energy(p, step, breakdown=True)
+    e1, parts1 = tilde_energy(p, rolled, breakdown=True)
     assert parts1["surface"] == parts0["surface"]
     well = float(np.sum(step.widths * eval_tilde_F(step.values, p)))
-    dip = step_dipole_energy(p, replace(step, values=np.abs(step.values)),
-                             GAMMA)
+    dip = step_dipole_energy(p, replace(step, values=np.abs(step.values)))
     well_tol = 2.0 * n * _EPS * well
     dip_tol = 2.0 * (n + 2.0 * math.log2(n + 1) + 32.0) * _EPS * dip
     assert abs(parts1["well"] - parts0["well"]) <= well_tol
@@ -116,9 +115,8 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # the excess: each interval's term depends on its exact length alone,
     # and the terms are summed in two orders (k roundings a side); the well
     # integral sums n nonnegative terms
-    ex0, w0, per0 = excess_energy_decomposition(p, step, GAMMA, e_star=e_star)
-    ex1, w1, per1 = excess_energy_decomposition(p, rolled, GAMMA,
-                                                e_star=e_star)
+    ex0, w0, per0 = excess_energy_decomposition(p, step, e_star=e_star)
+    ex1, w1, per1 = excess_energy_decomposition(p, rolled, e_star=e_star)
     assert _is_rotation(per0, per1)
     assert abs(ex1 - ex0) <= 2.0 * len(per0) * _EPS * sum(
         abs(t) for _, t in per0)
@@ -128,8 +126,8 @@ def test_step_readers_do_not_see_the_seam(params_tau, pieces, shift):
     # one cell cut at x = 0, and there the bound moves with the cut
     if len(arcs) < 2:
         return
-    b0, cells0 = chessboard_lower_bound(p, step, GAMMA)
-    b1, cells1 = chessboard_lower_bound(p, rolled, GAMMA)
+    b0, cells0 = chessboard_lower_bound(p, step)
+    b1, cells1 = chessboard_lower_bound(p, rolled)
     # a cell is scored in its own coordinates, so only the order of the
     # roundings differs: each side within half of (8 n + 128) eps of the
     # magnitude of the cell's terms (the bound that the dense oracle of
@@ -177,7 +175,7 @@ def _ring_report(params, samples, L):
     whole ring."""
     profile = GridProfile(L=L, dx=1.0 / 8.0, samples=samples, bc="periodic")
     sigma = StepProfile.from_pieces([(L, 0.9)], periodic=True)
-    report = good_set(params, profile, sigma, GAMMA)
+    report = good_set(params, profile, sigma)
     assert report.good_intervals == [(0.0, L)]
     return report
 
@@ -230,12 +228,12 @@ def test_a_zero_piece_carries_no_interface(params_tau, v, energy, jumps,
     # no tau. Both E~ to the four digits measured when the rule was written
     m = params_tau.m_beta
     step = StepProfile.from_pieces([(20.0, m), (0.5, v), (19.5, -m)])
-    e, parts = tilde_energy(params_tau, step, GAMMA, breakdown=True)
+    e, parts = tilde_energy(params_tau, step, breakdown=True)
     assert e == pytest.approx(energy, abs=5e-5)
     assert step.n_jumps() == jumps
     assert parts["surface"] == jumps * params_tau.tau
     assert len(step.sign_intervals()) == intervals
-    assert len(chessboard_lower_bound(params_tau, step, GAMMA)[1]) == intervals
+    assert len(chessboard_lower_bound(params_tau, step)[1]) == intervals
 
 
 @pytest.mark.parametrize("reader", ["chessboard", "l_wrong", "excess"])
@@ -243,15 +241,14 @@ def test_step_profile_readers_read_the_domain(params_tau, reader):
     # the readers take the domain from the step profile: on this torus the
     # run that wraps is one interval of h*, and on the open line it is two
     # intervals of h*/2
-    h_star, e_star, _, _ = optimal_h(params_tau, GAMMA)
+    h_star, e_star, _, _ = optimal_h(params_tau)
     m = params_tau.m_beta
     step = StepProfile.from_pieces([(h_star / 2, m), (h_star, -m),
                                     (h_star / 2, m)])
     read = {
-        "chessboard": lambda s: chessboard_lower_bound(params_tau, s,
-                                                       GAMMA)[0],
-        "l_wrong": lambda s: l_wrong(s, h_star, 0.3, GAMMA),
+        "chessboard": lambda s: chessboard_lower_bound(params_tau, s)[0],
+        "l_wrong": lambda s: l_wrong(params_tau, s, h_star, 0.3),
         "excess": lambda s: excess_energy_decomposition(
-            params_tau, s, GAMMA, e_star=e_star)[0],
+            params_tau, s, e_star=e_star)[0],
     }[reader]
     assert read(replace(step, periodic=True)) != read(step)

@@ -25,7 +25,7 @@ from froth1d.verify import random_in_k_step
 class TestEnergyPerLength:
     def test_large_h_limit(self, params_tau):
         # e(h) -> lam m^2 sum w/alpha as h -> infinity
-        val = energy_per_length(params_tau, 1e12, 1e-2)
+        val = energy_per_length(params_tau, 1e12)
         m2 = params_tau.m_beta ** 2
         assert val == pytest.approx(m2, rel=1e-9)
         assert val == pytest.approx(0.91681 + params_tau.tau / 1e12, abs=1e-5)
@@ -34,7 +34,7 @@ class TestEnergyPerLength:
         # at alpha gamma h / 2 = 1 the long-range factor is 1 - tanh(1)
         gamma = 1e-2
         h = 2.0 / gamma
-        val = energy_per_length(params_tau, h, gamma)
+        val = energy_per_length(params_tau, h)
         m2 = params_tau.m_beta ** 2
         expect = params_tau.tau / h + m2 * (1.0 - np.tanh(1.0))
         assert val == pytest.approx(expect, rel=1e-14)
@@ -42,12 +42,12 @@ class TestEnergyPerLength:
 
     def test_small_h_dominated_by_tau(self, params_tau):
         for h in (1e-3, 1e-5):
-            assert h * energy_per_length(params_tau, h, 1e-2) == pytest.approx(
+            assert h * energy_per_length(params_tau, h) == pytest.approx(
                 params_tau.tau, rel=1e-4)
 
     def test_domain_error(self, params_tau):
         with pytest.raises(DomainError):
-            energy_per_length(params_tau, 0.0, 1e-2)
+            energy_per_length(params_tau, 0.0)
 
     def test_infinite_and_huge_h(self, params_tau):
         # e(inf) is the limit lam m^2 sum w/alpha, and so is e(1e300), whose
@@ -57,11 +57,11 @@ class TestEnergyPerLength:
         limit = meas.lam * params_tau.m_beta ** 2 * sum(
             w / a for w, a in meas.atoms)
         for h in (math.inf, 1e300):
-            assert energy_per_length(params_tau, h, 1e-2) == \
+            assert energy_per_length(params_tau, h) == \
                 pytest.approx(limit, rel=1e-15)
         for h in (math.inf, -math.inf, np.array([10.0, math.inf])):
             with pytest.raises(DomainError, match="finite"):
-                eh_derivative(params_tau, h, 1e-2)
+                eh_derivative(params_tau, h)
 
 
 class TestLongRangeAccuracy:
@@ -85,9 +85,9 @@ class TestLongRangeAccuracy:
                                        gamma):
         # with tau = 0, e(h) is its long-range part alone
         for params in (params_tau, two_atom_params.with_tau(params_tau.tau)):
-            h = optimal_h(params, gamma)[0]
-            lr = energy_per_length(dataclasses.replace(params, tau=0.0), h,
-                                   gamma)
+            params = params.with_gamma(gamma)
+            h = optimal_h(params)[0]
+            lr = energy_per_length(dataclasses.replace(params, tau=0.0), h)
             meas = params.measure
             with mpmath.workdps(50):
                 ref = meas.lam * mpmath.mpf(params.m_beta) ** 2 * mpmath.fsum(
@@ -107,13 +107,13 @@ class TestOptimalH:
         assert e_asym == pytest.approx(8.2548e-3, abs=1e-6)
 
     def test_scaling_with_gamma(self, params_tau):
-        h1 = optimal_h(params_tau, 2e-3)[0]
-        h2 = optimal_h(params_tau, 1e-3)[0]
+        h1 = optimal_h(params_tau.with_gamma(2e-3))[0]
+        h2 = optimal_h(params_tau.with_gamma(1e-3))[0]
         assert h2 / h1 == pytest.approx(2.0 ** (2.0 / 3.0), rel=5e-2)
 
     def test_matches_asymptotics_at_small_gamma(self, params_tau):
         for gamma in (1e-3, 1e-4):
-            h, e, ha, ea = optimal_h(params_tau, gamma)
+            h, e, ha, ea = optimal_h(params_tau.with_gamma(gamma))
             assert abs(h / ha - 1.0) <= 5.0 * gamma ** (2.0 / 3.0)
             assert abs(e / ea - 1.0) <= 5.0 * gamma ** (2.0 / 3.0)
 
@@ -143,7 +143,7 @@ class TestOptimalH:
         t = 17.0 / 1680.0 * s5 / s1 * H ** 2
         resolution = math.sqrt(2.0 * np.finfo(float).eps)
         for gamma in (1e-2, 1e-4, 1e-6):
-            h, e, h_asym, e_asym = optimal_h(params, gamma)
+            h, e, h_asym, e_asym = optimal_h(params.with_gamma(gamma))
             eps = gamma ** (2.0 / 3.0)
             assert abs((h / h_asym - 1.0) / eps - c1) <= (
                 (4.0 * c1 ** 2 + t) * eps + resolution / eps)
@@ -152,7 +152,7 @@ class TestOptimalH:
 
     def test_gamma_range_guard(self, params_tau):
         with pytest.raises(ValidationError):
-            optimal_h(params_tau, 0.3)
+            optimal_h(params_tau.with_gamma(0.3))
 
     def test_equal_documents_solve_once(self):
         # a tau no other test uses, so the first call is a miss
@@ -161,7 +161,7 @@ class TestOptimalH:
                                           {"weight": 0.5, "alpha": 3.0}]}
         p, q = ModelParams.from_dict(doc), ModelParams.from_dict(doc)
         before = optimal_h.cache_info()
-        assert optimal_h(p, 0.01) is optimal_h(q, 0.01)
+        assert optimal_h(p) is optimal_h(q)
         after = optimal_h.cache_info()
         assert after.hits - before.hits == 1
         assert after.misses - before.misses == 1
@@ -170,10 +170,10 @@ class TestOptimalH:
                                       (60.0, 50.0), (2.0, 2.0)])
     def test_span_must_be_increasing_and_positive(self, params_tau, span):
         with pytest.raises(ValidationError, match="span"):
-            eh_curve(params_tau, 1e-2, n_samples=10, span=span)
+            eh_curve(params_tau, n_samples=10, span=span)
 
     def test_curve_invariants(self, params_tau):
-        curve = eh_curve(params_tau, 1e-2, n_samples=60)
+        curve = eh_curve(params_tau, n_samples=60)
         assert np.all(curve.e > 0)
         assert curve.e_star <= np.min(curve.e) + 1e-15
         # convexity near the optimum
@@ -190,14 +190,14 @@ class TestOptimalH:
 
 class TestEhBounds:
     def test_certificate_passes(self, params_tau):
-        cert = check_eh_bounds(params_tau, 1e-3)
+        cert = check_eh_bounds(params_tau.with_gamma(1e-3))
         assert cert.passed
         assert cert.params["c"] > 0
         assert cert.params["C"] < 1e8
 
     def test_gamma_too_large(self, params_tau):
         with pytest.raises(ValidationError):
-            check_eh_bounds(params_tau, 0.19)
+            check_eh_bounds(params_tau.with_gamma(0.19))
 
     def test_fits_c_prime_half_and_C_prime_one(self, params_tau):
         cert = check_eh_bounds(params_tau)
@@ -254,13 +254,13 @@ class TestTildeVKernel:
 
 class TestCellEnergy:
     def test_identity_with_eh(self, params_tau):
-        h_star = optimal_h(params_tau, 1e-2)[0]
+        h_star = optimal_h(params_tau)[0]
         for fac in (0.5, 1.0, 2.0, 5.0):
             h = fac * h_star
             cell = StepProfile(breakpoints=np.array([0.0, h]),
                                values=np.array([params_tau.m_beta]))
-            lhs = cell_specific_energy(params_tau, cell, gamma=1e-2)
-            rhs = energy_per_length(params_tau, h, 1e-2)
+            lhs = cell_specific_energy(params_tau, cell)
+            rhs = energy_per_length(params_tau, h)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     @pytest.mark.parametrize("gamma,earlier", [
@@ -270,11 +270,12 @@ class TestCellEnergy:
         # the terms of the cell's quadratic form cancel to relative order
         # a h (a = gamma alpha); the earlier form, G (Sp^2 + Sq^2) against
         # 2 G E Sp Sq, cancelled to order (a h)^2 and was off by ``earlier``
-        h = optimal_h(params_tau, gamma)[0]
+        params = params_tau.with_gamma(gamma)
+        h = optimal_h(params)[0]
         cell = StepProfile(breakpoints=np.array([0.0, h]),
-                           values=np.array([params_tau.m_beta]))
-        e = energy_per_length(params_tau, h, gamma)
-        err = abs(cell_specific_energy(params_tau, cell, gamma) - e) / e
+                           values=np.array([params.m_beta]))
+        e = energy_per_length(params, h)
+        err = abs(cell_specific_energy(params, cell) - e) / e
         a_h = gamma * params_tau.measure.atoms[0][1] * h
         assert err <= min(2.0 * earlier, 32.0 * np.finfo(float).eps / a_h)
 
@@ -285,8 +286,8 @@ class TestCellEnergy:
         m_bar = 0.8 * params_tau.m_beta
         cell = StepProfile(breakpoints=np.array([0.0, h]),
                            values=np.array([m_bar]))
-        lhs = cell_specific_energy(params_tau, cell, gamma=1e-2)
-        lr = energy_per_length(params_tau, h, 1e-2) - params_tau.tau / h
+        lhs = cell_specific_energy(params_tau, cell)
+        lr = energy_per_length(params_tau, h) - params_tau.tau / h
         expect = (eval_tilde_F(m_bar, params_tau) + params_tau.tau / h
                   + (m_bar / params_tau.m_beta) ** 2 * lr)
         assert lhs == pytest.approx(expect, rel=1e-12)
@@ -295,7 +296,7 @@ class TestCellEnergy:
         cell = StepProfile(breakpoints=np.array([0.0, 1.0, 2.0]),
                            values=np.array([0.9, -0.9]))
         with pytest.raises(SignError):
-            cell_specific_energy(params_tau, cell, gamma=1e-2)
+            cell_specific_energy(params_tau, cell)
 
     def test_negative_cell_uses_modulus(self, params_tau):
         h = 20.0
@@ -303,45 +304,43 @@ class TestCellEnergy:
                            values=np.array([params_tau.m_beta]))
         minus = StepProfile(breakpoints=np.array([0.0, h]),
                             values=np.array([-params_tau.m_beta]))
-        assert cell_specific_energy(params_tau, minus, gamma=1e-2) == \
-            pytest.approx(cell_specific_energy(params_tau, plus, gamma=1e-2))
+        assert cell_specific_energy(params_tau, minus) == \
+            pytest.approx(cell_specific_energy(params_tau, plus))
 
 
 class TestChessboard:
     def test_tight_on_periodic(self, params_tau):
-        gamma = 1e-2
-        h_star = optimal_h(params_tau, gamma)[0]
+        h_star = optimal_h(params_tau)[0]
         h = round(h_star)
         k = 6
         m = params_tau.m_beta
         s = StepProfile.from_pieces([(h, (-1.0) ** j * m) for j in range(2 * k)],
                                     periodic=True)
-        bound, per = chessboard_lower_bound(params_tau, s, gamma)
-        lhs = tilde_energy(params_tau, s, gamma)
+        bound, per = chessboard_lower_bound(params_tau, s)
+        lhs = tilde_energy(params_tau, s)
         L = 2 * k * h
-        assert bound == pytest.approx(L * energy_per_length(params_tau, h, gamma),
+        assert bound == pytest.approx(L * energy_per_length(params_tau, h),
                                       rel=1e-12)
         assert abs(lhs - bound) <= 1e-6 * abs(bound)
 
     def test_inequality_on_random_profiles(self, params_tau):
-        gamma = 1e-2
-        h_star = optimal_h(params_tau, gamma)[0]
+        h_star = optimal_h(params_tau)[0]
         L = 20.0 * h_star
         from froth1d.coarsegrain import CoarseGrainConfig
-        m_bar = CoarseGrainConfig().m_bar(params_tau.m_beta, gamma)
+        m_bar = CoarseGrainConfig().m_bar(params_tau.m_beta, params_tau.gamma)
         for k in range(25):
             rng = restart_rng(77, k)
             s = random_in_k_step(rng, L, params_tau.m_beta, m_bar, h_star)
-            lhs = tilde_energy(params_tau, s, gamma)
-            bound, _ = chessboard_lower_bound(params_tau, s, gamma)
+            lhs = tilde_energy(params_tau, s)
+            bound, _ = chessboard_lower_bound(params_tau, s)
             assert lhs - bound >= -1e-9 * L
 
     def test_single_interval(self, params_tau):
         s = StepProfile.from_pieces([(50.0, params_tau.m_beta)])
-        bound, per = chessboard_lower_bound(params_tau, s, 1e-2)
+        bound, per = chessboard_lower_bound(params_tau, s)
         assert len(per) == 1
         assert bound == pytest.approx(
-            50.0 * cell_specific_energy(params_tau, s, gamma=1e-2), rel=1e-12)
+            50.0 * cell_specific_energy(params_tau, s), rel=1e-12)
 
 
 def _gauss(a, b, panels, m=8):
@@ -391,7 +390,7 @@ def quadrature_form(values, edges, gamma, measure, panels):
         h, gamma, x, y, measure, n_max=n_max), panels)
 
 
-_ONE_ATOM = ModelParams.create(beta=2.0, gamma=1e-2).with_tau(0.3)
+_ONE_ATOM = ModelParams.create(beta=2.0).with_tau(0.3)
 _TWO_ATOMS = ModelParams.create(
     beta=2.0, gamma=1e-2,
     measure=KacMeasure(atoms=((0.5, 1.0), (0.5, 3.0)), lam=1.0)).with_tau(0.3)
@@ -427,13 +426,13 @@ class TestStepProfilesAgainstImageSum:
            gamma=st.sampled_from([0.05, 0.1, 0.3]),
            two_atoms=st.booleans())
     def test_cell_specific_energy(self, pieces, sign, gamma, two_atoms):
-        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        params = (_TWO_ATOMS if two_atoms else _ONE_ATOM).with_gamma(gamma)
         widths = [w for w, _ in pieces]
         values = [sign * v for _, v in pieces]
         cell = StepProfile(breakpoints=np.append(0.0, np.cumsum(widths)),
                            values=np.array(values))
         ref, tol = quadrature_cell_energy(params, widths, values, gamma)
-        assert abs(cell_specific_energy(params, cell, gamma) - ref) <= tol
+        assert abs(cell_specific_energy(params, cell) - ref) <= tol
 
     @settings(max_examples=25, deadline=None)
     @given(runs=st.lists(st.lists(st.tuples(st.floats(0.5, 3.0),
@@ -444,7 +443,7 @@ class TestStepProfilesAgainstImageSum:
            gamma=st.sampled_from([0.05, 0.1, 0.3]),
            bc=st.sampled_from(["open", "periodic"]), two_atoms=st.booleans())
     def test_chessboard_lower_bound(self, runs, first, gamma, bc, two_atoms):
-        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        params = (_TWO_ATOMS if two_atoms else _ONE_ATOM).with_gamma(gamma)
         signs = [first * (-1.0) ** r for r in range(len(runs))]
         step = StepProfile.from_pieces([(w, s * v) for s, run in
                                         zip(signs, runs) for w, v in run],
@@ -453,7 +452,7 @@ class TestStepProfilesAgainstImageSum:
         if bc == "periodic" and len(runs) > 1 and signs[0] == signs[-1]:
             # the wrapped interval, from its unwrapped left edge, comes first
             cells = [cells[-1] + cells[0]] + cells[1:-1]
-        bound, per = chessboard_lower_bound(params, step, gamma)
+        bound, per = chessboard_lower_bound(params, step)
         assert len(per) == len(cells)
         for (h, term), cell in zip(per, cells):
             widths = [w for w, _ in cell]
@@ -476,7 +475,7 @@ class TestStepProfilesAgainstImageSum:
         # quadratures' difference plus rounding of the |sigma| energy, which
         # is no less than the smallest normal number: below it rounding is
         # absolute (a value of 1.8e-159 gives an energy of 3.2e-318)
-        params = _TWO_ATOMS if two_atoms else _ONE_ATOM
+        params = (_TWO_ATOMS if two_atoms else _ONE_ATOM).with_gamma(gamma)
         step = StepProfile.from_pieces(pieces, periodic=True)
         values, edges, L = step.values, step.breakpoints, step.L
         n_max = int(math.ceil(45.0 / (gamma * L))) + 1
@@ -493,8 +492,8 @@ class TestStepProfilesAgainstImageSum:
         coarse, fine = (0.5 * gamma * quadrature_pairs(values, edges, kernel,
                                                       p) for p in (1, 2))
         scale = step_dipole_energy(params, StepProfile.from_pieces(
-            [(w, abs(v)) for w, v in pieces], periodic=True), gamma)
-        got = step_dipole_energy(params, step, gamma)
+            [(w, abs(v)) for w, v in pieces], periodic=True))
+        got = step_dipole_energy(params, step)
         assert abs(got - fine) <= abs(coarse - fine) + max(
             32.0 * np.finfo(float).eps * scale, np.finfo(float).tiny)
 
